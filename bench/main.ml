@@ -35,16 +35,13 @@ let e2 () =
   let rt = sys.Systems.runtime in
   let nfs = nfs_of rt ~client:0 in
   let f, _ = C.ok (C.create nfs root_oid "traced" sattr_empty) in
-  (* Trace only the interesting op. *)
-  let lines = ref [] in
-  Engine.set_tracer (Runtime.engine rt) (fun t line ->
-      lines := Printf.sprintf "  %8.6fs %s" (Sim_time.to_sec t) line :: !lines);
+  (* Trace only the interesting op, keeping the first 28 network events. *)
+  let trace = Base_obs.Trace.create ~limit:28 () in
+  Engine.attach_trace (Runtime.engine rt) trace;
   ignore (C.ok (C.write nfs f ~off:0 "through the whole stack"));
-  let all = List.rev !lines in
-  let shown = List.filteri (fun i _ -> i < 28) all in
-  List.iter print_endline shown;
-  if List.length all > 28 then
-    Printf.printf "  ... (%d more protocol messages)\n" (List.length all - 28);
+  Format.printf "%a%!" Base_obs.Trace.pp trace;
+  if Base_obs.Trace.dropped trace > 0 then
+    Printf.printf "  ... (%d more network events)\n" (Base_obs.Trace.dropped trace);
   Printf.printf
     "\n\
      client 4 -> replicas 0-3 (REQUEST), primary orders it (PRE-PREPARE),\n\
@@ -64,42 +61,44 @@ let e3 () =
   let raw = Systems.make_direct ~impl:"inode" () in
   let r_raw = Andrew.run ~scale (Fs_iface.of_direct raw) in
   print_andrew r_raw;
-  (* BASE-FS, heterogeneous replicas, with a message census. *)
+  (* BASE-FS, heterogeneous replicas, with the engine's per-type census. *)
   let sys = Systems.make_basefs ~hetero:true ~checkpoint_period:128 ~n_clients:1 () in
-  let census = Base_workload.Msg_census.create () in
-  Base_workload.Msg_census.install census (Runtime.engine sys.Systems.runtime);
+  let engine = Runtime.engine sys.Systems.runtime in
   let r_rep = Andrew.run ~scale (Fs_iface.of_runtime ~client:0 sys.Systems.runtime) in
   print_andrew r_rep;
   Printf.printf "  protocol traffic during the run (%d messages):\n"
-    (Base_workload.Msg_census.total census);
+    (Engine.total_counters engine).Engine.sent_msgs;
   List.iter
-    (fun (label, count) -> Printf.printf "    %-14s %8d\n" label count)
-    (Base_workload.Msg_census.rows census);
+    (fun (label, c) -> Printf.printf "    %-14s %8d\n" label c.Engine.sent_msgs)
+    (List.stable_sort
+       (fun (_, a) (_, b) -> Int.compare b.Engine.sent_msgs a.Engine.sent_msgs)
+       (Engine.label_counters engine));
   let overhead = 100.0 *. ((r_rep.Andrew.total_seconds /. r_raw.Andrew.total_seconds) -. 1.0) in
   (* BASE-FS with proactive recovery: scale the window of vulnerability to
      the run as the paper scales 17 minutes to its Andrew run. *)
   let sys2 = Systems.make_basefs ~seed:2L ~hetero:true ~checkpoint_period:128 ~n_clients:1 () in
-  (* Each replica recovers about once during the run; the stagger (period/n)
-     comfortably exceeds the reboot time so at most one replica is down. *)
-  let period_us = int_of_float (r_rep.Andrew.total_seconds *. 1e6 *. 1.5) in
+  (* Half the unrecovered run: the last replica's second recovery starts no
+     later than that run would end, and recovery only lengthens the run, so
+     every replica recovers at least twice.  The stagger (period/n) exceeds
+     the 30 ms reboot, so at most one replica is down at a time. *)
+  let period_us = int_of_float (r_rep.Andrew.total_seconds *. 1e6 /. 2.0) in
   Runtime.enable_proactive_recovery ~reboot_us:30_000 ~period_us sys2.Systems.runtime;
   let r_pr = Andrew.run ~scale (Fs_iface.of_runtime ~client:0 sys2.Systems.runtime) in
   print_andrew { r_pr with Andrew.label = "base-fs+PR" };
   let overhead_pr =
     100.0 *. ((r_pr.Andrew.total_seconds /. r_raw.Andrew.total_seconds) -. 1.0)
   in
-  let recoveries =
-    Array.fold_left
-      (fun acc node -> acc + node.Runtime.recovery_stats.Runtime.recoveries)
-      0
+  let counts =
+    Array.map
+      (fun node -> node.Runtime.recovery_stats.Runtime.recoveries)
       (Runtime.replicas sys2.Systems.runtime)
   in
   Printf.printf
     "\n\
      paper:    ~30%% overhead vs the off-the-shelf NFS it wraps (17-min window)\n\
      measured: %+.1f%% overhead (no recovery), %+.1f%% with proactive recovery\n\
-    \          (%d recoveries during the run, window ~ %.1f s of a %.1f s run)\n"
-    overhead overhead_pr recoveries
+    \          (%d recoveries, at least %d per replica, window ~ %.2f s of a %.2f s run)\n"
+    overhead overhead_pr (Array.fold_left ( + ) 0 counts) (Array.fold_left Int.min max_int counts)
     (2.0 *. float_of_int period_us /. 1e6)
     r_pr.Andrew.total_seconds
 
@@ -258,7 +257,7 @@ let e5 () =
       let rs = node.Runtime.recovery_stats in
       Printf.printf
         "    replica %d: %d recoveries, %d objects fetched in total (of %d slots)\n"
-        node.Runtime.rid rs.Runtime.recoveries rs.Runtime.total_objects_fetched total_objs)
+        node.Runtime.rid rs.Runtime.recoveries rs.Runtime.fetched.St.objects_fetched total_objs)
     replicas;
   Printf.printf
     "  paper: recoveries are staggered so the service stays available and a\n\
@@ -317,7 +316,7 @@ let run_transfer ~src ~dst ~target_seq ~target_digest =
   while not (Queue.is_empty q) do
     let m = Queue.pop q in
     match St.serve src m with
-    | Some reply -> St.handle_reply fetcher ~from:0 reply
+    | Some reply -> ignore (St.handle_reply fetcher ~from:0 reply)
     | None -> ()
   done;
   assert !completed;

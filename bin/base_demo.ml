@@ -60,14 +60,15 @@ let trace_cmd =
       Base_nfs.Nfs_client.make (fun ~read_only ~operation ->
           Runtime.invoke_sync rt ~client:0 ~read_only ~operation ())
     in
-    Engine.set_tracer (Runtime.engine rt) (fun t line ->
-        Printf.printf "%10.6fs %s\n" (Sim_time.to_sec t) line);
+    let trace = Base_obs.Trace.create () in
+    Engine.attach_trace (Runtime.engine rt) trace;
     for i = 1 to ops do
       ignore
         (Base_nfs.Nfs_client.ok
            (Base_nfs.Nfs_client.create nfs Base_nfs.Nfs_types.root_oid
               (Printf.sprintf "traced%d" i) Base_nfs.Nfs_types.sattr_empty))
-    done
+    done;
+    Format.printf "%a" Base_obs.Trace.pp trace
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Print the protocol messages behind NFS operations.")
@@ -111,7 +112,7 @@ let recovery_cmd =
       (fun node ->
         let rs = node.Runtime.recovery_stats in
         Printf.printf "replica %d: %d recoveries, %d objects fetched\n" node.Runtime.rid
-          rs.Runtime.recoveries rs.Runtime.total_objects_fetched)
+          rs.Runtime.recoveries rs.Runtime.fetched.Base_core.State_transfer.objects_fetched)
       (Runtime.replicas sys.Systems.runtime)
   in
   Cmd.v

@@ -67,7 +67,7 @@ let () =
     (fun node ->
       Printf.printf "  replica %d: %d recoveries, %d objects fetched during repair\n"
         node.Runtime.rid node.Runtime.recovery_stats.Runtime.recoveries
-        node.Runtime.recovery_stats.Runtime.total_objects_fetched)
+        node.Runtime.recovery_stats.Runtime.fetched.Base_core.State_transfer.objects_fetched)
     (Runtime.replicas sys);
   (* The replicas' concrete object tokens all differ; their abstract states
      are identical. *)

@@ -71,8 +71,6 @@ let cache_put t digest data =
 
 let cache_find t digest = Hashtbl.find_opt t.cache (Digest.raw digest)
 
-let cache_length t = Hashtbl.length t.cache
-
 (* Preserve the current value of object [i] before it is overwritten —
    by an execution upcall ([modify]) or a state-transfer install alike.
    Every checkpoint snapshot without its own copy of [i] reads through to

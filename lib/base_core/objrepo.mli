@@ -92,9 +92,6 @@ val cache_put : t -> Digest.t -> string -> unit
 (** Record [data] under its leaf [digest]; a duplicate key is ignored, and
     the oldest entry is evicted once the cache exceeds its capacity. *)
 
-val cache_length : t -> int
-(** Number of values currently cached (for tests and observability). *)
-
 val rebuild_all_digests : t -> unit
 (** Recompute every leaf digest via the abstraction function — the full
     traversal a replica performs after proactive-recovery reboot. *)

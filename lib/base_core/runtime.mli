@@ -30,58 +30,11 @@ exception Internal_error of string
 (** Broken runtime wiring (a node callback ran before construction
     finished).  Unreachable by design. *)
 
-type recovery_stats = {
-  mutable recoveries : int;
-  mutable last_objects_fetched : int;
-  mutable last_bytes_fetched : int;
-  mutable total_objects_fetched : int;
-  mutable total_bytes_fetched : int;
-}
-
-(** One proactive-recovery episode: either reboot-in-place then
-    differential fetch, or ([tl_migrated]) a standby promotion then a
-    catch-up fetch.  Timestamps are simulation time; [-1L] means the
-    milestone was not reached (run ended mid-episode).  Consume durations
-    through {!timeline_window_us} / {!timeline_handoff_us} — they are total
-    over the sentinels — rather than subtracting raw fields. *)
-type recovery_timeline = {
-  tl_rid : int;
-  tl_migrated : bool;
-  tl_start_us : int64;
-  mutable tl_reboot_done_us : int64;  (** in-place episodes *)
-  mutable tl_promote_done_us : int64;  (** migration episodes *)
-  mutable tl_staleness_seqs : int;
-      (** migration: certified checkpoint head minus the promoted standby's
-          synced seqno at promotion time ([-1] until promotion completes) *)
-  mutable tl_staleness_us : int64;
-      (** migration: promotion time minus the standby's last completed
-          shadow sync *)
-  mutable tl_fetch_done_us : int64;
-      (** also set, equal to the handoff milestone, when there was nothing
-          to fetch *)
-  mutable tl_objects : int;
-  mutable tl_bytes : int;
-}
-
-val timeline_window_us : recovery_timeline -> int option
-(** The episode's window of vulnerability: start to fetch-done.  [None] if
-    the episode never completed. *)
-
-val timeline_handoff_us : recovery_timeline -> int option
-(** Start to the role-switch milestone — reboot-done for in-place episodes,
-    promote-done for migrations.  [None] if not reached. *)
-
-(** Shadow-sync state of one warm standby. *)
-type standby_sync = {
-  mutable ss_synced_seq : int;
-      (** seqno of the last fully shadow-synced checkpoint; [-1] before the
-          first sync completes (and again right after the machine is wiped
-          on demotion) *)
-  mutable ss_synced_at_us : int64;
-  mutable ss_root : Digest.t;  (** abstract-state root at [ss_synced_seq] *)
-  mutable ss_client_rows : (int * int64 * string) list;
-  mutable ss_promotions : int;  (** times this pool slot was promoted *)
-}
+(** The recovery records: per-cell {!recovery_stats}, one
+    {!recovery_timeline} per episode and a standby's {!standby_sync}. *)
+include module type of struct
+  include Recovery.Records
+end
 
 type replica_node = {
   rid : int;
@@ -96,15 +49,7 @@ type replica_node = {
           slot identity, the suspect state is demoted for wiping *)
   standby : standby_sync option;  (** [Some] iff this node is a warm standby *)
   mutable fetcher : State_transfer.t option;
-  mutable st_retries : int;  (** retries of the current fetch before re-targeting *)
-  mutable st_progress : int;
-      (** progress mark (sum of fetch counters) at the last retry round *)
-  mutable st_stalled : int;
-      (** consecutive retry rounds without progress; 3 triggers an early
-          re-target (the target was likely garbage-collected under load) *)
-  mutable recovering : bool;
   recovery_stats : recovery_stats;
-  mutable timeline : recovery_timeline option;
 }
 
 val msg_size : msg -> int
@@ -123,7 +68,6 @@ type t
 val create :
   ?engine_config:msg Base_sim.Engine.config ->
   ?profile:Base_obs.Profile.t ->
-  ?branching:int ->
   config:Base_bft.Types.config ->
   make_wrapper:(int -> Service.wrapper) ->
   n_clients:int ->
@@ -131,15 +75,15 @@ val create :
   t
 (** [make_wrapper i] supplies the conformance wrapper run by replica [i] —
     pass different implementations for opportunistic N-version programming.
-    [branching] is the partition-tree fan-out (default 16).  Each replica's
-    {!Objrepo} leaf cache is sized by [config.st_cache_objs], and its
-    state-transfer pipeline by [config.st_window] / [config.st_chunk_bytes].
+    Each replica's {!Objrepo} (partition-tree fan-out 16) sizes its leaf
+    cache by [config.st_cache_objs], and its state-transfer pipeline window
+    by [config.st_window].
 
     When [config.shard_bounds] names S > 1 shards, every physical node runs
     S replica cells — one agreement instance per shard, each over an
     index-shifted view of the node's single wrapper — and clients route each
     request by its object footprint ({!Service.wrapper.oids_of_op}).
-    Multi-object operations spanning shards commit through the runtime's
+    Multi-object operations spanning shards commit through {!Xshard}'s
     deterministic two-phase protocol (see [doc/sharding.md]).  Sharded
     systems require [config.s = 0] (no warm-standby pool) and every shard to
     own at least one object of [make_wrapper 0]'s space.
@@ -222,7 +166,7 @@ val enable_proactive_recovery :
     the slot instead of rebooting in place, shrinking the window from
     reboot-plus-fetch to the role-switch handshake [promote_us] (default
     30 ms) plus a small catch-up fetch.  When no standby is promotable the
-    watchdog falls back to in-place recovery. *)
+    watchdog skips that round, counted in [base.standby.rounds_skipped]. *)
 
 val disable_proactive_recovery : t -> unit
 (** Stop scheduling further watchdog recoveries (in-flight ones finish). *)
@@ -256,11 +200,6 @@ val apply_faultplan : t -> Base_sim.Faultplan.t -> unit
     [adversary.pp_delayed]; corrupted deliveries as
     [engine.corrupted_msgs]. *)
 
-val enable_net_trace : t -> unit
-(** Mirror the engine's free-form tracer lines into the structured
-    {!trace} ring as ["net"] events — one shared sink for both trace
-    streams.  Composes with any other tracer registered on the engine. *)
-
 (** {1 Observability}
 
     Every value below is a pure function of the simulation seed: metrics
@@ -283,10 +222,12 @@ val metrics : t -> Base_obs.Metrics.t
     load-spread counters [base.st.source_bytes.<rid>]. *)
 
 val trace : t -> Base_obs.Trace.t
-(** Structured runtime events: [recovery.start] / [recovery.reboot_done] /
-    [recovery.fetch_done], [st.retry] / [st.reject] / [st.retarget], and
-    the fetcher's own diagnostics as [st.debug] (quarantines, rejected
-    chunk assemblies, timeout re-stripes). *)
+(** Structured runtime events, each with the [rid] it concerns:
+    [recovery.start] / [recovery.reboot_done] / [recovery.fetch_done],
+    [st.retarget], the fetcher's [st.retry] / [st.reject] /
+    [st.quarantine] / [st.assembly_rejected] / [st.restripe], and the
+    fault plan's [fault.*].  The network's [net.*] events go to whatever
+    sink {!Base_sim.Engine.attach_trace} was given, not here. *)
 
 val st_totals : t -> State_transfer.stats
 (** State-transfer traffic summed over every fetch by every replica,

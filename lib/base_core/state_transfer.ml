@@ -1,4 +1,5 @@
 module Digest = Base_crypto.Digest_t
+module Metrics = Base_obs.Metrics
 
 type msg =
   | Fetch_head of { seq : int }
@@ -97,22 +98,27 @@ let serve repo msg =
 
 (* --- fetcher ---------------------------------------------------------------- *)
 
-type params = {
-  window : int;
-  chunk_bytes : int;
-  strike_limit : int;
-  max_backoff_rounds : int;
-  max_obj_bytes : int;
-}
+(* Larger objects are fetched as ranges of this size striped across sources. *)
+let chunk_bytes = 4096
 
-let default_params =
-  {
-    window = 8;
-    chunk_bytes = 4096;
-    strike_limit = 3;
-    max_backoff_rounds = 8;
-    max_obj_bytes = 1 lsl 24;
-  }
+(* Rejects/timeouts before a source is quarantined. *)
+let strike_limit = 3
+
+(* Quarantine cap in retry rounds; the backoff doubles with each quarantine
+   of the same source up to this cap. *)
+let max_backoff_rounds = 8
+
+(* Sanity cap on an [Obj_reply.total] claim, so a Byzantine server cannot
+   make the fetcher allocate unbounded reassembly buffers. *)
+let max_obj_bytes = 1 lsl 24
+
+let retry_budget = 8
+
+let stall_rounds = 3
+
+let reject_limit = 12
+
+type verdict = Continue | Retarget of string
 
 type source = {
   src_id : int;
@@ -141,6 +147,36 @@ type stats = {
 }
 
 let rejected s = s.heads_rejected + s.meta_rejected + s.objects_rejected
+
+let fresh_stats () =
+  {
+    meta_fetched = 0;
+    objects_fetched = 0;
+    bytes_fetched = 0;
+    chunks_fetched = 0;
+    cache_hits = 0;
+    retries = 0;
+    quarantines = 0;
+    heads_rejected = 0;
+    meta_rejected = 0;
+    objects_rejected = 0;
+  }
+
+(* [into += now - before], field by field. *)
+let add_delta ~into ~before now =
+  into.meta_fetched <- into.meta_fetched + now.meta_fetched - before.meta_fetched;
+  into.objects_fetched <- into.objects_fetched + now.objects_fetched - before.objects_fetched;
+  into.bytes_fetched <- into.bytes_fetched + now.bytes_fetched - before.bytes_fetched;
+  into.chunks_fetched <- into.chunks_fetched + now.chunks_fetched - before.chunks_fetched;
+  into.cache_hits <- into.cache_hits + now.cache_hits - before.cache_hits;
+  into.retries <- into.retries + now.retries - before.retries;
+  into.quarantines <- into.quarantines + now.quarantines - before.quarantines;
+  into.heads_rejected <- into.heads_rejected + now.heads_rejected - before.heads_rejected;
+  into.meta_rejected <- into.meta_rejected + now.meta_rejected - before.meta_rejected;
+  into.objects_rejected <- into.objects_rejected + now.objects_rejected - before.objects_rejected
+
+(* Subtracting a record from itself zeroes it in place. *)
+let reset_stats s = add_delta ~into:s ~before:s (fresh_stats ())
 
 (* Fetched objects install in ascending index order (indices are unique, so
    the payload never participates in the comparison). *)
@@ -178,10 +214,12 @@ type t = {
   repo : Objrepo.t;
   target_seq : int;
   target_digest : Digest.t;
-  params : params;
+  window : int;
   sources : source array;  (* sorted by id *)
   send : dst:int -> msg -> unit;
-  trace : string -> unit;
+  metrics : Base_obs.Metrics.t option;
+  trace : string -> (string * string) list -> unit;
+  into : stats list;
   on_complete : seq:int -> app_root:Digest.t -> client_rows:(int * int64 * string) list -> unit;
   mutable app_root : Digest.t option;
   mutable client_rows : (int * int64 * string) list;
@@ -194,6 +232,8 @@ type t = {
   mutable inflight : flight list;  (* newest first *)
   mutable n_inflight : int;
   mutable round : int;  (* retry rounds elapsed; stamps flights for timeout *)
+  mutable progress : int;  (* progress mark at the last retry round *)
+  mutable stalled : int;  (* consecutive retry rounds without progress *)
   mutable done_ : bool;
   stats : stats;
 }
@@ -223,7 +263,7 @@ let still_wanted t key =
     | None -> false
     | Some ofe ->
       if ofe.of_total < 0 then c = 0
-      else c < n_chunks ~total:ofe.of_total ~chunk:t.params.chunk_bytes && not ofe.of_have.(c))
+      else c < n_chunks ~total:ofe.of_total ~chunk:chunk_bytes && not ofe.of_have.(c))
 
 let request_of t key =
   match key with
@@ -233,8 +273,8 @@ let request_of t key =
       {
         seq = t.target_seq;
         index;
-        off = c * t.params.chunk_bytes;
-        max_bytes = t.params.chunk_bytes;
+        off = c * chunk_bytes;
+        max_bytes = chunk_bytes;
       }
 
 (* Deterministic source choice: the available source with the fewest
@@ -279,7 +319,7 @@ let pick_source t =
 
 (* Admit queued work into the window. *)
 let pump t =
-  while (not t.done_) && t.n_inflight < t.params.window && not (Queue.is_empty t.queue) do
+  while (not t.done_) && t.n_inflight < t.window && not (Queue.is_empty t.queue) do
     let key = Queue.pop t.queue in
     if still_wanted t key then begin
       let s = pick_source t in
@@ -326,16 +366,23 @@ let strike t from =
   | None -> ()
   | Some s ->
     s.strikes <- s.strikes + 1;
-    if s.strikes >= t.params.strike_limit then begin
+    if s.strikes >= strike_limit then begin
       s.strikes <- 0;
       s.quarantines <- s.quarantines + 1;
-      s.quarantine <- min t.params.max_backoff_rounds (1 lsl min 6 s.quarantines);
+      s.quarantine <- min max_backoff_rounds (1 lsl min 6 s.quarantines);
       t.stats.quarantines <- t.stats.quarantines + 1;
-      t.trace
-        (Printf.sprintf "quarantine src=%d rounds=%d (total %d)" s.src_id s.quarantine
-           s.quarantines);
+      t.trace "st.quarantine"
+        [ ("quarantines", string_of_int s.quarantines); ("rounds", string_of_int s.quarantine);
+          ("src", string_of_int s.src_id) ];
       reassign_from t s
     end
+
+let add_bytes t s bytes =
+  s.bytes <- s.bytes + bytes;
+  match t.metrics with
+  | Some m when bytes > 0 ->
+    Metrics.incr ~by:bytes (Metrics.counter m (Printf.sprintf "base.st.source_bytes.%d" s.src_id))
+  | Some _ | None -> ()
 
 (* A verified reply decays one strike: occasional timeout strikes against a
    healthy source must not accumulate into a quarantine. *)
@@ -343,7 +390,7 @@ let credit t from ~bytes =
   match find_source t from with
   | None -> ()
   | Some s ->
-    s.bytes <- s.bytes + bytes;
+    add_bytes t s bytes;
     s.strikes <- max 0 (s.strikes - 1)
 
 (* Transport accounting only — an accepted chunk of a multi-chunk object
@@ -353,20 +400,20 @@ let credit t from ~bytes =
    rejected assemblies cost it and never be quarantined.  Strike decay for
    chunk contributors happens when their assembly verifies. *)
 let note_bytes t from ~bytes =
-  match find_source t from with None -> () | Some s -> s.bytes <- s.bytes + bytes
+  match find_source t from with None -> () | Some s -> add_bytes t s bytes
 
 let broadcast_head t =
   Array.iter (fun s -> t.send ~dst:s.src_id (Fetch_head { seq = t.target_seq })) t.sources
 
-let start ?(params = default_params) ?(trace = fun _ -> ()) ~repo ~sources ~target_seq
-    ~target_digest ~send ~on_complete () =
+let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(into = []) ~repo ~sources
+    ~target_seq ~target_digest ~send ~on_complete () =
   Base_util.Invariant.require (sources <> []) "State_transfer.start: no sources";
   let t =
     {
       repo;
       target_seq;
       target_digest;
-      params;
+      window;
       sources =
         Array.of_list
           (List.map
@@ -375,7 +422,9 @@ let start ?(params = default_params) ?(trace = fun _ -> ()) ~repo ~sources ~targ
                  quarantines = 0 })
              (List.sort_uniq Int.compare sources));
       send;
+      metrics;
       trace;
+      into;
       on_complete;
       app_root = None;
       client_rows = [];
@@ -386,20 +435,10 @@ let start ?(params = default_params) ?(trace = fun _ -> ()) ~repo ~sources ~targ
       inflight = [];
       n_inflight = 0;
       round = 0;
+      progress = 0;
+      stalled = 0;
       done_ = false;
-      stats =
-        {
-          meta_fetched = 0;
-          objects_fetched = 0;
-          bytes_fetched = 0;
-          chunks_fetched = 0;
-          cache_hits = 0;
-          retries = 0;
-          quarantines = 0;
-          heads_rejected = 0;
-          meta_rejected = 0;
-          objects_rejected = 0;
-        };
+      stats = fresh_stats ();
     }
   in
   broadcast_head t;
@@ -472,10 +511,11 @@ let add_contributor ofe from =
    zero. *)
 let reject_assembly t ~index ofe =
   t.stats.objects_rejected <- t.stats.objects_rejected + 1;
-  t.trace
-    (Printf.sprintf "obj %d assembly rejected (contributors: %s)" index
-       (String.concat "," (List.map string_of_int (List.sort Int.compare ofe.of_srcs))));
-  List.iter (fun s -> strike t s) (List.sort Int.compare ofe.of_srcs);
+  let contributors = List.sort Int.compare ofe.of_srcs in
+  t.trace "st.assembly_rejected"
+    [ ("contributors", String.concat "," (List.map string_of_int contributors));
+      ("obj", string_of_int index) ];
+  List.iter (fun s -> strike t s) contributors;
   ofe.of_total <- -1;
   ofe.of_buf <- Bytes.empty;
   ofe.of_have <- [||];
@@ -486,12 +526,12 @@ let handle_obj_reply t ~from ~index ~off ~total ~data =
   match Hashtbl.find_opt t.pending_objs index with
   | None -> ()  (* already satisfied (duplicate or unsolicited) *)
   | Some ofe ->
-    let chunk = t.params.chunk_bytes in
+    let chunk = chunk_bytes in
     let reject () =
       t.stats.objects_rejected <- t.stats.objects_rejected + 1;
       strike t from
     in
-    if off < 0 || total < 0 || total > t.params.max_obj_bytes || off mod chunk <> 0 then reject ()
+    if off < 0 || total < 0 || total > max_obj_bytes || off mod chunk <> 0 then reject ()
     else begin
       let c = off / chunk in
       if ofe.of_total < 0 then begin
@@ -560,7 +600,22 @@ let handle_obj_reply t ~from ~index ~off ~total ~data =
       end
     end
 
+(* Publish the counts one [handle_reply] or [retry] call added since
+   [before] into every record the fetcher was handed, and the registry.
+   This runs when the call returns, after any completion callback it
+   triggered, so that callback still sees the totals up to the previous
+   message. *)
+let publish t ~before =
+  List.iter (fun into -> add_delta ~into ~before t.stats) t.into;
+  match t.metrics with
+  | None -> ()
+  | Some m ->
+    let bump name d = if d > 0 then Metrics.incr ~by:d (Metrics.counter m name) in
+    bump "base.st.cache_hits" (t.stats.cache_hits - before.cache_hits);
+    bump "base.st.source_quarantined" (t.stats.quarantines - before.quarantines)
+
 let handle_reply t ~from msg =
+  let before = { t.stats with retries = t.stats.retries } in
   if not t.done_ then begin
     (match msg with
     | Head_reply { seq; app_root; client_rows } when seq = t.target_seq && t.app_root = None ->
@@ -601,29 +656,59 @@ let handle_reply t ~from msg =
     | Head_reply _ | Meta_reply _ | Obj_reply _
     | Fetch_head _ | Fetch_meta _ | Fetch_obj _ -> ());
     pump t
+  end;
+  publish t ~before;
+  Option.iter
+    (fun m -> Metrics.set_max (Metrics.gauge m "base.st.inflight") (float_of_int t.n_inflight))
+    t.metrics;
+  if rejected t.stats = rejected before then Continue
+  else begin
+    t.trace "st.reject" [ ("from", string_of_int from) ];
+    if rejected t.stats >= reject_limit then Retarget "rejections" else Continue
   end
 
 let retry t =
-  if not t.done_ then begin
-    t.stats.retries <- t.stats.retries + 1;
-    t.round <- t.round + 1;
-    Array.iter (fun s -> if s.quarantine > 0 then s.quarantine <- s.quarantine - 1) t.sources;
-    if t.app_root = None then broadcast_head t;
-    (* Flights armed before the previous round have had at least one full
-       retry period to answer: count a timeout strike against the slow
-       source and re-stripe the request.  (A flight sent just before this
-       tick is NOT stale — it gets the next full round.) *)
-    let stale, live = List.partition (fun fl -> fl.fl_round < t.round - 1) t.inflight in
-    t.inflight <- live;
-    t.n_inflight <- t.n_inflight - List.length stale;
-    List.iter
-      (fun fl ->
-        (match find_source t fl.fl_src with Some s -> s.out <- s.out - 1 | None -> ());
-        Queue.add fl.fl_key t.queue)
-      stale;
-    List.iter (fun fl -> strike t fl.fl_src) stale;
-    if stale <> [] then
-      t.trace (Printf.sprintf "retry round %d: %d timed-out requests re-striped" t.round
-                 (List.length stale));
-    pump t
+  if t.done_ then Continue
+  else begin
+    (* A fetch whose counters have not moved for several rounds is talking
+       to replicas that no longer hold the target (garbage-collected under
+       load): re-target quickly rather than sitting out the retry budget. *)
+    let st = t.stats in
+    let progress =
+      st.meta_fetched + st.objects_fetched + st.chunks_fetched + st.cache_hits + st.bytes_fetched
+    in
+    if progress = t.progress then t.stalled <- t.stalled + 1
+    else begin
+      t.progress <- progress;
+      t.stalled <- 0
+    end;
+    if t.round >= retry_budget then Retarget "timeout"
+    else if t.stalled >= stall_rounds then Retarget "stalled"
+    else begin
+      let before = { st with retries = st.retries } in
+      st.retries <- st.retries + 1;
+      t.round <- t.round + 1;
+      Array.iter (fun s -> if s.quarantine > 0 then s.quarantine <- s.quarantine - 1) t.sources;
+      if t.app_root = None then broadcast_head t;
+      (* Flights armed before the previous round have had at least one full
+         retry period to answer: count a timeout strike against the slow
+         source and re-stripe the request.  (A flight sent just before this
+         tick is NOT stale — it gets the next full round.) *)
+      let stale, live = List.partition (fun fl -> fl.fl_round < t.round - 1) t.inflight in
+      t.inflight <- live;
+      t.n_inflight <- t.n_inflight - List.length stale;
+      List.iter
+        (fun fl ->
+          (match find_source t fl.fl_src with Some s -> s.out <- s.out - 1 | None -> ());
+          Queue.add fl.fl_key t.queue)
+        stale;
+      List.iter (fun fl -> strike t fl.fl_src) stale;
+      if stale <> [] then
+        t.trace "st.restripe"
+          [ ("requests", string_of_int (List.length stale)); ("round", string_of_int t.round) ];
+      pump t;
+      t.trace "st.retry" [ ("attempt", string_of_int t.round) ];
+      publish t ~before;
+      Continue
+    end
   end

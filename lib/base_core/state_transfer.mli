@@ -14,11 +14,11 @@
       partitions whose digest differs from the local state; every reply
       verifies against the already-certified parent digest.
     + [Fetch_obj] retrieves only the objects that are out of date or
-      corrupt, in ranges of at most {!params.chunk_bytes} bytes; each
-      assembled object verifies against its certified leaf digest.
+      corrupt, in ranges of at most 4096 bytes; each assembled object
+      verifies against its certified leaf digest.
 
     The fetcher is a {e windowed, load-spread pipeline}: up to
-    {!params.window} meta/object requests are in flight at once, striped
+    [window] meta/object requests are in flight at once, striped
     across all peer replicas by a per-source scoreboard (outstanding count,
     reject/timeout strikes, capped quarantine backoff) so recovery time
     scales with the group's aggregate bandwidth, not with round trips to a
@@ -77,25 +77,30 @@ val serve : Objrepo.t -> msg -> msg option
 
 (** {1 Fetcher side} *)
 
-(** Pipeline tuning.  All limits are per-fetch. *)
-type params = {
-  window : int;  (** max meta/object requests in flight at once *)
-  chunk_bytes : int;  (** max object bytes per [Obj_reply]; larger objects
-                          are fetched as ranges striped across sources *)
-  strike_limit : int;  (** rejects/timeouts before a source is quarantined *)
-  max_backoff_rounds : int;
-      (** quarantine cap, in retry rounds; actual backoff doubles with each
-          quarantine of the same source up to this cap *)
-  max_obj_bytes : int;
-      (** sanity cap on an [Obj_reply.total] claim — a Byzantine server
-          cannot make the fetcher allocate unbounded reassembly buffers *)
-}
+(** {2 Re-target policy}
 
-val default_params : params
-(** [window = 8], [chunk_bytes = 4096], [strike_limit = 3],
-    [max_backoff_rounds = 8], [max_obj_bytes = 16 MiB].  The runtime
-    overrides [window] and [chunk_bytes] from
-    {!Base_bft.Types.config.st_window} / [st_chunk_bytes]. *)
+    A fetch cannot finish when its target checkpoint was garbage-collected
+    by the group, or when it keeps talking to faulty responders.  The
+    fetcher then asks its owner to abandon it and restart against the
+    freshest certified checkpoint. *)
+
+val retry_budget : int
+(** [8]: the retry round after this many is answered with
+    [Retarget "timeout"]. *)
+
+val stall_rounds : int
+(** [3]: consecutive retry rounds in which no counter moved before
+    [Retarget "stalled"]. *)
+
+val reject_limit : int
+(** [12]: verification failures on one fetch before [Retarget
+    "rejections"].  Rejections only accumulate for still-pending pieces, so
+    a healthy fetch, where a correct reply races every faulty one, stays
+    well below this. *)
+
+type verdict =
+  | Continue
+  | Retarget of string  (** abandon this fetch; the string names the reason *)
 
 (** Per-source scoreboard entry, exposed for observability (the runtime
     exports per-source byte counters from these). *)
@@ -111,8 +116,8 @@ type source = {
   mutable quarantines : int;  (** times this source has been quarantined *)
 }
 
-(** Cumulative fetch statistics (also aggregated system-wide by the
-    runtime as [Runtime.st_totals]). *)
+(** Cumulative fetch statistics.  Besides its own record, a fetcher adds
+    its counts into every record it is handed at {!start}. *)
 type stats = {
   mutable meta_fetched : int;
   mutable objects_fetched : int;
@@ -133,6 +138,12 @@ type stats = {
   mutable objects_rejected : int;
 }
 
+val fresh_stats : unit -> stats
+(** All counters zero. *)
+
+val reset_stats : stats -> unit
+(** Zero every counter in place. *)
+
 val compare_obj : int * string -> int * string -> int
 (** Order in which fetched objects are handed to [put_objs]: ascending
     object index.  Part of the module's determinism contract (the install
@@ -146,8 +157,10 @@ val rejected : stats -> int
 type t
 
 val start :
-  ?params:params ->
-  ?trace:(string -> unit) ->
+  ?window:int ->
+  ?metrics:Base_obs.Metrics.t ->
+  ?trace:(string -> (string * string) list -> unit) ->
+  ?into:stats list ->
   repo:Objrepo.t ->
   sources:int list ->
   target_seq:int ->
@@ -161,29 +174,40 @@ val start :
     over (must be non-empty; duplicates are dropped).  [send] transmits one
     request to one peer; [on_complete] fires once after the batch has been
     installed in the repo.  [target_digest] is the combined checkpoint
-    digest certified by f+1 CHECKPOINT messages.  [trace] receives one-line
-    diagnostic events (quarantines, rejected assemblies, timeout
-    re-stripes); the runtime routes it into the shared structured trace
-    sink — nothing here writes to stderr. *)
+    digest certified by f+1 CHECKPOINT messages.  At most [window]
+    (default 8) meta/object requests are in flight.
 
-val handle_reply : t -> from:int -> msg -> unit
+    Each {!handle_reply} and {!retry} call adds the counts it changed into
+    every record of [into] when it returns, after any [on_complete] it
+    triggered.  With [metrics], it also counts [base.st.cache_hits],
+    [base.st.source_quarantined] and [base.st.source_bytes.<rid>], and
+    keeps the peak window occupancy in the [base.st.inflight] gauge.
+    [trace] receives named diagnostic events with their attributes:
+    [st.quarantine], [st.assembly_rejected], [st.restripe], [st.reject]
+    and [st.retry].  Nothing here writes to stderr. *)
+
+val handle_reply : t -> from:int -> msg -> verdict
 (** Feed a state-transfer reply to the fetcher (requests are ignored).
     [from] is the replica the reply arrived from: verified payloads credit
     its scoreboard entry, verification failures count a strike against
-    it. *)
+    it.  [Retarget "rejections"] once the fetch has collected
+    {!reject_limit} rejections. *)
 
-val retry : t -> unit
-(** One watchdog round, driven by a runtime timer: decrement quarantines,
-    re-broadcast the head request if still unanswered, count a timeout
-    strike against every source holding a request older than one full
-    round, and re-stripe those requests over the other sources. *)
+val retry : t -> verdict
+(** One watchdog round, driven by the owner's timer.  Answers [Retarget]
+    past the {!retry_budget} or after {!stall_rounds} rounds without
+    progress; otherwise decrements quarantines, re-broadcasts the head
+    request if still unanswered, counts a timeout strike against every
+    source holding a request older than one full round, re-stripes those
+    requests over the other sources and answers [Continue].  [Continue] on
+    a finished fetch. *)
 
 val finished : t -> bool
 
 val stats : t -> stats
 
 val inflight : t -> int
-(** Meta/object requests currently in flight (always [<= params.window]). *)
+(** Meta/object requests currently in flight (always [<= window]). *)
 
 val scoreboard : t -> source array
 (** Per-source scoreboard, sorted by replica id.  The array is live: the

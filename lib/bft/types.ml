@@ -18,7 +18,6 @@ type config = {
   batch_max : int;  (** max client requests ordered per consensus instance *)
   max_inflight : int;  (** proposals outstanding before the primary batches *)
   st_window : int;  (** state transfer: max fetch requests in flight *)
-  st_chunk_bytes : int;  (** state transfer: max object bytes per reply *)
   st_cache_objs : int;  (** state transfer: digest-keyed leaf-cache capacity *)
   shard_bounds : int array;
       (** oid-range -> shard map: ascending exclusive upper bounds, one per
@@ -29,7 +28,7 @@ type config = {
 
 let make_config ?(checkpoint_period = 128) ?(log_window = 256)
     ?(client_timeout_us = 150_000) ?(viewchange_timeout_us = 500_000) ?(batch_max = 16)
-    ?(max_inflight = 8) ?(st_window = 8) ?(st_chunk_bytes = 4096) ?(st_cache_objs = 256)
+    ?(max_inflight = 8) ?(st_window = 8) ?(st_cache_objs = 256)
     ?(standbys = 0) ?(shard_bounds = [||]) ~f ~n_clients () =
   let n = (3 * f) + 1 in
   (let ok = ref true in
@@ -50,7 +49,6 @@ let make_config ?(checkpoint_period = 128) ?(log_window = 256)
     batch_max;
     max_inflight;
     st_window;
-    st_chunk_bytes;
     st_cache_objs;
     shard_bounds;
   }
@@ -116,7 +114,5 @@ let is_replica config id = id >= 0 && id < config.n
 (* Replicas plus standbys: the principals that hold replica-side keys and
    receive group-sealed checkpoint announcements.  Clients start here. *)
 let group_size config = config.n + config.s
-
-let standby_ids config = List.init config.s (fun i -> config.n + i)
 
 let is_standby config id = id >= config.n && id < config.n + config.s

@@ -24,9 +24,6 @@ type config = {
       (** state transfer: max meta/object fetch requests in flight per
           recovering replica (the pipeline window; [1] recovers the serial
           fetcher) *)
-  st_chunk_bytes : int;
-      (** state transfer: objects larger than this are fetched as ranged
-          chunks striped across sources *)
   st_cache_objs : int;
       (** capacity of {!Base_core.Objrepo}'s digest-keyed leaf cache
           ([0] disables caching) *)
@@ -45,7 +42,6 @@ val make_config :
   ?batch_max:int ->
   ?max_inflight:int ->
   ?st_window:int ->
-  ?st_chunk_bytes:int ->
   ?st_cache_objs:int ->
   ?standbys:int ->
   ?shard_bounds:int array ->
@@ -56,7 +52,7 @@ val make_config :
 (** Defaults: [checkpoint_period = 128], [log_window = 256],
     [client_timeout_us = 150_000], [viewchange_timeout_us = 500_000],
     [batch_max = 16], [max_inflight = 8], [st_window = 8],
-    [st_chunk_bytes = 4096], [st_cache_objs = 256], [standbys = 0],
+    [st_cache_objs = 256], [standbys = 0],
     [shard_bounds = [||]] (unsharded).  Raises [Invalid_argument] when
     [shard_bounds] is not strictly ascending positive. *)
 
@@ -113,8 +109,5 @@ val is_replica : config -> int -> bool
 val group_size : config -> int
 (** [n + s]: active replicas plus warm standbys — the principals that hold
     replica-side keys.  Client ids start at [group_size]. *)
-
-val standby_ids : config -> int list
-(** The standby node ids, [n .. n+s-1]. *)
 
 val is_standby : config -> int -> bool

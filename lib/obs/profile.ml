@@ -106,14 +106,9 @@ let to_json ?(deterministic = true) t =
        (sorted t))
 
 let pp ppf t =
-  let total_ns =
-    List.fold_left (fun acc p -> Int64.add acc p.ns) 0L t.probes |> Int64.to_float
-  in
-  Format.fprintf ppf "%-28s %12s %14s %12s %8s@." "probe" "calls" "alloc(B)" "time(ms)" "time%";
+  Format.fprintf ppf "%-28s %12s %14s %12s@." "probe" "calls" "alloc(B)" "time(ms)";
   List.iter
     (fun p ->
-      let ns = Int64.to_float p.ns in
-      Format.fprintf ppf "%-28s %12d %14.0f %12.2f %7.1f%%@." p.name p.calls p.alloc_b
-        (ns /. 1e6)
-        (if total_ns > 0.0 then 100.0 *. ns /. total_ns else 0.0))
+      Format.fprintf ppf "%-28s %12d %14.0f %12.2f@." p.name p.calls p.alloc_b
+        (Int64.to_float p.ns /. 1e6))
     (sorted t)

@@ -56,3 +56,5 @@ val to_json : ?deterministic:bool -> t -> Json.t
     is added. *)
 
 val pp : Format.formatter -> t -> unit
+(** One row per probe, sorted by name: calls, allocated bytes and
+    milliseconds.  Probes nest, so rows are not additive. *)

@@ -1,8 +1,8 @@
 type event = { ts : int64; name : string; attrs : (string * string) list }
 
-type t = { mutable events : event list; mutable n : int; limit : int }
+type t = { mutable events : event list; mutable n : int; mutable dropped : int; limit : int }
 
-let create ?(limit = 100_000) () = { events = []; n = 0; limit }
+let create ?(limit = 100_000) () = { events = []; n = 0; dropped = 0; limit }
 
 let event t ~ts ~name attrs =
   if t.n < t.limit then begin
@@ -12,12 +12,16 @@ let event t ~ts ~name attrs =
     t.events <- { ts; name; attrs } :: t.events;
     t.n <- t.n + 1
   end
+  else t.dropped <- t.dropped + 1
 
 let length t = t.n
 
+let dropped t = t.dropped
+
 let clear t =
   t.events <- [];
-  t.n <- 0
+  t.n <- 0;
+  t.dropped <- 0
 
 let events t = List.rev t.events
 

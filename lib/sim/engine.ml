@@ -83,7 +83,6 @@ type 'msg node = {
   mutable up : bool;
   clock_offset : int64;
   clock_drift : float; (* multiplicative, close to 1.0 *)
-  counters : counters;
   mutable inflight : int;  (* queued deliveries addressed to this node *)
 }
 
@@ -99,7 +98,6 @@ and 'msg t = {
      orchestrator/injector pseudo-nodes), so an option array turns the
      two table lookups per message into loads. *)
   mutable nodes : 'msg node option array;
-  mutable n_nodes : int;
   mutable time : Sim_time.t;
   mutable next_timer_id : int;
   cancelled : (int, unit) Hashtbl.t;
@@ -108,7 +106,7 @@ and 'msg t = {
   (* Per-message-type traffic breakdown, keyed by [config.kind_of]. *)
   labels : (string, counters) Hashtbl.t;
   mutable max_queue_depth : int;
-  mutable tracers : (Sim_time.t -> string -> unit) list;
+  mutable sink : Base_obs.Trace.t option;
   mutable link_faults : link_fault list;
   mutable corruptor : (Prng.t -> 'msg -> 'msg option) option;
   mutable obs : obs option;
@@ -123,7 +121,6 @@ let create config =
     rng = Prng.create config.seed;
     queue = Event_heap.create ();
     nodes = [||];
-    n_nodes = 0;
     time = Sim_time.zero;
     next_timer_id = 0;
     cancelled = Hashtbl.create 16;
@@ -131,7 +128,7 @@ let create config =
     totals = fresh_counters ();
     labels = Hashtbl.create 16;
     max_queue_depth = 0;
-    tracers = [];
+    sink = None;
     link_faults = [];
     corruptor = None;
     obs = None;
@@ -175,11 +172,19 @@ let note_inflight t id delta =
     | None -> ()
     | Some o -> Base_obs.Metrics.set (inflight_gauge o id) (float_of_int n.inflight))
 
-(* Callers guard every call on [t.tracers <> []]: kasprintf renders the
-   format eagerly, which would otherwise put a sprintf on the per-message
-   hot path of every untraced run. *)
-let trace t fmt =
-  Format.kasprintf (fun s -> List.iter (fun f -> f t.time s) t.tracers) fmt
+(* [label_of] formats the message's parameters, so it runs only when a sink
+   is attached: untraced runs keep it off the per-message hot path. *)
+let trace t name ~src ~dst ~size msg =
+  match t.sink with
+  | None -> ()
+  | Some sink ->
+    Base_obs.Trace.event sink ~ts:t.time ~name
+      [
+        ("bytes", string_of_int size);
+        ("dst", string_of_int dst);
+        ("label", t.config.label_of msg);
+        ("src", string_of_int src);
+      ]
 
 let add_node t ~id handler =
   if find_node t id <> None then invalid_arg "Engine.add_node: duplicate id";
@@ -205,12 +210,8 @@ let add_node t ~id handler =
         up = true;
         clock_offset = offset;
         clock_drift = drift;
-        counters = fresh_counters ();
         inflight = 0;
-      };
-  t.n_nodes <- t.n_nodes + 1
-
-let node_count t = t.n_nodes
+      }
 
 let get_node t id =
   match find_node t id with
@@ -254,28 +255,22 @@ let fault_drop t ~src ~dst ~p ~until = add_fault t ~src ~dst ~until (F_drop p)
 
 let fault_corrupt t ~src ~dst ~p ~until = add_fault t ~src ~dst ~until (F_corrupt p)
 
-let clear_link_faults t = t.link_faults <- []
-
 let set_corruptor t f = t.corruptor <- Some f
 
 let send t ?(extra_us = 0) ~src ~dst msg =
   Base_obs.Profile.start t.prof t.p_send;
   let size = t.config.size_of msg in
-  let sender = get_node t src in
+  ignore (get_node t src);  (* an unknown sender is a wiring bug: fail loudly *)
   let per_label = label_counters_of t msg in
-  sender.counters.sent_msgs <- sender.counters.sent_msgs + 1;
-  sender.counters.sent_bytes <- sender.counters.sent_bytes + size;
   t.totals.sent_msgs <- t.totals.sent_msgs + 1;
   t.totals.sent_bytes <- t.totals.sent_bytes + size;
   per_label.sent_msgs <- per_label.sent_msgs + 1;
   per_label.sent_bytes <- per_label.sent_bytes + size;
   let faults = active_faults t ~src ~dst in
-  let drop why =
+  let drop () =
     t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
-    sender.counters.dropped_msgs <- sender.counters.dropped_msgs + 1;
     per_label.dropped_msgs <- per_label.dropped_msgs + 1;
-    if t.tracers <> [] then
-      trace t "drop  %d->%d %s (%dB)%s" src dst (t.config.label_of msg) size why
+    trace t "net.drop" ~src ~dst ~size msg
   in
   let dropped =
     blocked t src dst
@@ -287,18 +282,16 @@ let send t ?(extra_us = 0) ~src ~dst msg =
            | F_delay _ | F_corrupt _ -> false)
          faults
   in
-  (if dropped then drop ""
+  (if dropped then drop ()
    else begin
      let deliver ~corrupted msg' =
        if corrupted then begin
          t.totals.corrupted_msgs <- t.totals.corrupted_msgs + 1;
-         sender.counters.corrupted_msgs <- sender.counters.corrupted_msgs + 1;
          per_label.corrupted_msgs <- per_label.corrupted_msgs + 1;
          (match t.obs with
          | None -> ()
          | Some o -> Base_obs.Metrics.incr o.oc_corrupted);
-         if t.tracers <> [] then
-           trace t "crpt  %d->%d %s (%dB)" src dst (t.config.label_of msg) size
+         trace t "net.corrupt" ~src ~dst ~size msg
        end;
        let fault_extra =
          List.fold_left
@@ -316,8 +309,7 @@ let send t ?(extra_us = 0) ~src ~dst msg =
        let delay =
          Sim_time.of_us (t.config.latency_us + fault_extra + int_of_float (jitter +. tx_us))
        in
-       if t.tracers <> [] then
-         trace t "send  %d->%d %s (%dB)" src dst (t.config.label_of msg) size;
+       trace t "net.send" ~src ~dst ~size msg;
        Event_heap.push t.queue ~time:(Sim_time.add t.time delay)
          (Q_deliver { src; dst; msg = msg'; size });
        note_inflight t dst 1;
@@ -337,16 +329,13 @@ let send t ?(extra_us = 0) ~src ~dst msg =
           (or when it declines) the mangled bytes are unparseable noise and
           the message is simply lost. *)
        match t.corruptor with
-       | None -> drop " (corrupt)"
+       | None -> drop ()
        | Some c -> (
          match c t.rng msg with
          | Some msg' -> deliver ~corrupted:true msg'
-         | None -> drop " (corrupt)")
+         | None -> drop ())
    end);
   Base_obs.Profile.stop t.prof t.p_send
-
-let multicast t ?extra_us ~src ~dsts msg =
-  List.iter (fun dst -> send t ?extra_us ~src ~dst msg) dsts
 
 let partition t a b = t.partition_groups <- Some (a, b)
 
@@ -372,20 +361,17 @@ let dispatch t queued =
     | Some node ->
       let per_label = label_counters_of t msg in
       if node.up then begin
-        node.counters.recv_msgs <- node.counters.recv_msgs + 1;
-        node.counters.recv_bytes <- node.counters.recv_bytes + size;
         t.totals.recv_msgs <- t.totals.recv_msgs + 1;
         t.totals.recv_bytes <- t.totals.recv_bytes + size;
         per_label.recv_msgs <- per_label.recv_msgs + 1;
         per_label.recv_bytes <- per_label.recv_bytes + size;
-        if t.tracers <> [] then trace t "deliv %d->%d %s" src dst (t.config.label_of msg);
+        trace t "net.deliver" ~src ~dst ~size msg;
         node.handler t (Deliver { src; msg })
       end
       else begin
         t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
         per_label.dropped_msgs <- per_label.dropped_msgs + 1;
-        if t.tracers <> [] then
-          trace t "lost  %d->%d %s (node down)" src dst (t.config.label_of msg)
+        trace t "net.lost" ~src ~dst ~size msg
       end
   end
   | Q_timer { id; node; tag; payload } ->
@@ -430,8 +416,6 @@ let advance_to t limit = run ~until:limit t
 
 let prng t = t.rng
 
-let node_counters t id = (get_node t id).counters
-
 let total_counters t = t.totals
 
 let label_counters t =
@@ -442,9 +426,7 @@ let queue_depth t = Event_heap.length t.queue
 
 let max_queue_depth t = t.max_queue_depth
 
-let node_inflight t id = (get_node t id).inflight
-
-let set_tracer t f = t.tracers <- t.tracers @ [ f ]
+let attach_trace t sink = t.sink <- Some sink
 
 let attach_metrics t m =
   let o =

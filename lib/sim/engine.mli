@@ -2,7 +2,7 @@
 
     The engine multiplexes a set of numbered nodes (replicas and clients of
     the replicated service) over a virtual network.  Nodes communicate only
-    through {!send}/{!multicast} and react to {!event}s delivered by the
+    through {!send} and react to {!event}s delivered by the
     scheduler; all latencies, drops and clock skews are drawn from a seeded
     PRNG, so a run is a pure function of its seed.
 
@@ -23,7 +23,7 @@ type 'msg event =
 type 'msg config = {
   seed : int64;
   size_of : 'msg -> int;  (** wire size estimate, drives bandwidth cost *)
-  label_of : 'msg -> string;  (** one-line label used by traces *)
+  label_of : 'msg -> string;  (** one-line label used by {!attach_trace} *)
   kind_of : 'msg -> string;
       (** accounting key for {!label_counters} — should return a constant
           string per message type (allocation-free: it runs on every send
@@ -51,8 +51,6 @@ val create : 'msg config -> 'msg t
 val add_node : 'msg t -> id:int -> ('msg t -> 'msg event -> unit) -> unit
 (** Register node [id] with its event handler.  Ids must be unique. *)
 
-val node_count : 'msg t -> int
-
 val set_node_up : 'msg t -> int -> bool -> unit
 (** A down node loses every message and timer addressed to it. *)
 
@@ -64,8 +62,6 @@ val send : 'msg t -> ?extra_us:int -> src:int -> dst:int -> 'msg -> unit
 (** [extra_us] adds a per-message delay on top of the modelled network cost —
     the hook an adversary uses to selectively slow down individual protocol
     messages without touching the link configuration. *)
-
-val multicast : 'msg t -> ?extra_us:int -> src:int -> dsts:int list -> 'msg -> unit
 
 val partition : 'msg t -> int list -> int list -> unit
 (** [partition t a b] blocks traffic between groups [a] and [b] until
@@ -93,8 +89,6 @@ val fault_corrupt : 'msg t -> src:int -> dst:int -> p:float -> until:Sim_time.t 
 (** With probability [p], pass a matching message through the corruptor
     installed by {!set_corruptor}.  Without a corruptor — or when it returns
     [None] — the message is dropped instead (mangled beyond recognition). *)
-
-val clear_link_faults : 'msg t -> unit
 
 val set_corruptor : 'msg t -> (Base_util.Prng.t -> 'msg -> 'msg option) -> unit
 (** Install the message corruptor used by {!fault_corrupt} windows: given
@@ -144,8 +138,6 @@ type counters = {
   mutable corrupted_msgs : int;  (** delivered after in-flight corruption *)
 }
 
-val node_counters : 'msg t -> int -> counters
-
 val total_counters : 'msg t -> counters
 
 val label_counters : 'msg t -> (string * counters) list
@@ -160,14 +152,11 @@ val queue_depth : 'msg t -> int
 val max_queue_depth : 'msg t -> int
 (** High-water mark of {!queue_depth} over the run. *)
 
-val node_inflight : 'msg t -> int -> int
-(** Deliveries currently queued for this node. *)
-
-val set_tracer : 'msg t -> (Sim_time.t -> string -> unit) -> unit
-(** Register a callback receiving a line per network event (send, deliver,
-    drop, corrupt).  Tracers compose: every registered callback sees every
-    line, so the architecture-trace experiment and the structured trace ring
-    can share the event stream. *)
+val attach_trace : 'msg t -> Base_obs.Trace.t -> unit
+(** Record every network event into the sink: [net.send], [net.drop],
+    [net.corrupt], [net.deliver] and [net.lost] (a delivery to a down
+    node), each with attributes [src], [dst], [bytes] and [label] (from
+    [config.label_of], which runs only while a sink is attached). *)
 
 val attach_metrics : 'msg t -> Base_obs.Metrics.t -> unit
 (** Export live engine state into a metrics registry: the

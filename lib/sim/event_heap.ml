@@ -1,6 +1,6 @@
 (* Flat binary min-heap specialised for the engine's event queue.
 
-   The generic Base_util.Heap boxes every element in an {value; seq}
+   The generic heap it replaced (test/heap.ml) boxes every element in an {value; seq}
    record and calls a closure comparator through two indirections per
    sift step; at simulator scale (one push+pop per message and timer)
    that is pure allocator and branch-predictor pressure.  Here the key

@@ -4,9 +4,10 @@
     unboxed [int] arrays, so a push/pop performs no allocation beyond
     occasional capacity doubling and sift comparisons touch no heap
     blocks.  Pop order is exactly sorted (time, seq) — keys are unique —
-    so it dequeues identically to the generic [Base_util.Heap] ordered by
+    so it dequeues identically to a generic binary heap ordered by
     time with its insertion-sequence tie-break (the engine-determinism
-    differential suite pins this equivalence). *)
+    differential suite pins this equivalence against the generic heap it
+    replaced, kept in [test/heap.ml]). *)
 
 type 'a t
 

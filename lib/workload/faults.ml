@@ -126,7 +126,8 @@ let corruption_experiment ?(seed = 9L) ~corrupt_replicas ~objects_per_replica ()
   Engine.run ~until:(Sim_time.add (Runtime.now rt) (Sim_time.of_sec 3.0)) (Runtime.engine rt);
   let repaired =
     Array.fold_left
-      (fun acc node -> acc + node.Runtime.recovery_stats.Runtime.total_objects_fetched)
+      (fun acc node ->
+        acc + node.Runtime.recovery_stats.Runtime.fetched.Base_core.State_transfer.objects_fetched)
       0 (Runtime.replicas rt)
   in
   {

@@ -30,12 +30,12 @@ type basefs = {
     [homogeneous_impl] (default "hash", the one with the latent bug). *)
 let make_basefs ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects = 512)
     ?(n_clients = 1) ?(homogeneous_impl = "hash") ?drop_p ?batch_max ?max_inflight
-    ?client_timeout_us ?viewchange_timeout_us ?st_window ?st_chunk_bytes ?st_cache_objs
-    ?standbys ?profile ~hetero () =
+    ?client_timeout_us ?viewchange_timeout_us ?st_window ?st_cache_objs ?standbys ?profile
+    ~hetero () =
   let config =
     Types.make_config ~checkpoint_period ~log_window:(2 * checkpoint_period) ?batch_max
-      ?max_inflight ?client_timeout_us ?viewchange_timeout_us ?st_window ?st_chunk_bytes
-      ?st_cache_objs ?standbys ~f ~n_clients ()
+      ?max_inflight ?client_timeout_us ?viewchange_timeout_us ?st_window ?st_cache_objs
+      ?standbys ~f ~n_clients ()
   in
   let engine_config =
     let base =

@@ -114,11 +114,45 @@ let test_trace_limit () =
     Trace.event tr ~ts:(Int64.of_int i) ~name:"e" []
   done;
   Alcotest.(check int) "prefix kept" 2 (Trace.length tr);
-  match Trace.events tr with
+  Alcotest.(check int) "the rest counted as dropped" 3 (Trace.dropped tr);
+  (match Trace.events tr with
   | [ a; b ] ->
     Alcotest.(check int64) "first" 1L a.Trace.ts;
     Alcotest.(check int64) "second" 2L b.Trace.ts
-  | _ -> Alcotest.fail "expected 2 events"
+  | _ -> Alcotest.fail "expected 2 events");
+  Trace.clear tr;
+  Alcotest.(check int) "clear forgets drops" 0 (Trace.dropped tr)
+
+(* The engine's network events: one per send and one per delivery (or loss
+   to a down node), attributed with endpoints, size and label. *)
+let test_engine_net_events () =
+  let module Engine = Base_sim.Engine in
+  let e =
+    Engine.create (Engine.default_config ~size_of:String.length ~label_of:(fun m -> "MSG-" ^ m))
+  in
+  Engine.add_node e ~id:0 (fun _ _ -> ());
+  Engine.add_node e ~id:1 (fun _ _ -> ());
+  Engine.send e ~src:0 ~dst:1 "untraced";
+  Engine.run e;
+  let tr = Trace.create () in
+  Engine.attach_trace e tr;
+  Engine.send e ~src:0 ~dst:1 "ab";
+  Engine.run e;
+  Engine.set_node_up e 1 false;
+  Engine.send e ~src:1 ~dst:0 "xyz";
+  Engine.send e ~src:0 ~dst:1 "c";
+  Engine.run e;
+  Alcotest.(check (list (pair string (list (pair string string)))))
+    "events"
+    [
+      ("net.send", [ ("bytes", "2"); ("dst", "1"); ("label", "MSG-ab"); ("src", "0") ]);
+      ("net.deliver", [ ("bytes", "2"); ("dst", "1"); ("label", "MSG-ab"); ("src", "0") ]);
+      ("net.send", [ ("bytes", "3"); ("dst", "0"); ("label", "MSG-xyz"); ("src", "1") ]);
+      ("net.send", [ ("bytes", "1"); ("dst", "1"); ("label", "MSG-c"); ("src", "0") ]);
+      ("net.deliver", [ ("bytes", "3"); ("dst", "0"); ("label", "MSG-xyz"); ("src", "1") ]);
+      ("net.lost", [ ("bytes", "1"); ("dst", "1"); ("label", "MSG-c"); ("src", "0") ]);
+    ]
+    (List.map (fun ev -> (ev.Trace.name, ev.Trace.attrs)) (Trace.events tr))
 
 (* The property the benchmark JSON gate relies on: running the same seeded
    system twice produces byte-identical traces and reports. *)
@@ -164,6 +198,7 @@ let suite =
     Alcotest.test_case "json parse round-trips" `Quick test_json_parse_roundtrip;
     Alcotest.test_case "trace renders sorted attrs" `Quick test_trace_events;
     Alcotest.test_case "trace honours its limit" `Quick test_trace_limit;
+    Alcotest.test_case "engine records network events" `Quick test_engine_net_events;
     Alcotest.test_case "same-seed runs trace identically" `Quick test_trace_determinism;
     Alcotest.test_case "replica phases reach the registry" `Quick test_runtime_phase_metrics;
   ]

@@ -41,6 +41,7 @@ type run = {
   scoreboard : St.source array;
   peak_inflight : int;
   sent : (int * St.msg) list;  (** every (dst, request) in send order *)
+  verdicts : St.verdict list;  (** one per handled reply, in order *)
 }
 
 (* Drive a fetch against [sources] replicas all serving the same [src]
@@ -48,14 +49,15 @@ type run = {
    individual sources Byzantine; [on_step] observes the fetcher after
    every handled reply.  [retry] is never called, so a quarantine imposed
    during the run never expires. *)
-let drive ?(params = St.default_params) ?(tamper = fun ~src:_ m -> m)
-    ?(on_step = fun _ -> ()) ?(sources = [ 0 ]) ~src ~dst ~seq ~digest () =
+let drive ?window ?(tamper = fun ~src:_ m -> m) ?(on_step = fun _ -> ()) ?(sources = [ 0 ])
+    ~src ~dst ~seq ~digest () =
   let q = Queue.create () in
   let sent = ref [] in
+  let verdicts = ref [] in
   let completed = ref false in
   let peak = ref 0 in
   let fetcher =
-    St.start ~params ~repo:dst ~sources ~target_seq:seq ~target_digest:digest
+    St.start ?window ~repo:dst ~sources ~target_seq:seq ~target_digest:digest
       ~send:(fun ~dst:d m ->
         sent := (d, m) :: !sent;
         Queue.add (d, m) q)
@@ -67,7 +69,7 @@ let drive ?(params = St.default_params) ?(tamper = fun ~src:_ m -> m)
     incr rounds;
     let d, m = Queue.pop q in
     (match St.serve src m with
-    | Some reply -> St.handle_reply fetcher ~from:d (tamper ~src:d reply)
+    | Some reply -> verdicts := St.handle_reply fetcher ~from:d (tamper ~src:d reply) :: !verdicts
     | None -> ());
     if St.inflight fetcher > !peak then peak := St.inflight fetcher;
     on_step fetcher
@@ -78,6 +80,7 @@ let drive ?(params = St.default_params) ?(tamper = fun ~src:_ m -> m)
     scoreboard = St.scoreboard fetcher;
     peak_inflight = !peak;
     sent = List.rev !sent;
+    verdicts = List.rev !verdicts;
   }
 
 let corrupt data = String.map (fun c -> Char.chr (Char.code c lxor 1)) data
@@ -90,9 +93,8 @@ let test_window_never_exceeded () =
   for i = 0 to 29 do
     mutate ~obj_bytes store_src src prng (i * 2)
   done;
-  let params = { St.default_params with St.window = 4 } in
   let root, digest = checkpoint src ~seq:1 in
-  let r = drive ~params ~sources:[ 0; 1; 2 ] ~src ~dst ~seq:1 ~digest () in
+  let r = drive ~window:4 ~sources:[ 0; 1; 2 ] ~src ~dst ~seq:1 ~digest () in
   Alcotest.(check bool) "completed" true r.completed;
   Alcotest.(check int) "window reached but never exceeded" 4 r.peak_inflight;
   Alcotest.(check int) "all 30 dirty objects fetched" 30 r.stats.St.objects_fetched;
@@ -195,6 +197,86 @@ let test_byzantine_chunks_cannot_stall () =
   Alcotest.(check bool) "the liar was quarantined" true (r.scoreboard.(1).St.quarantines > 0);
   Alcotest.(check bool) "root converged" true (Digest.equal (Objrepo.current_root dst) root)
 
+(* --- re-target verdicts ------------------------------------------------------ *)
+
+let verdict = Alcotest.testable (fun ppf v ->
+    match v with
+    | St.Continue -> Format.pp_print_string ppf "Continue"
+    | St.Retarget r -> Format.fprintf ppf "Retarget %s" r) ( = )
+
+(* A fetch of 30 dirty objects, one request in flight at a time, over a
+   queue the test drains by hand. *)
+let manual_fetch ?into () =
+  let obj_bytes = 64 in
+  let store_src, src = synthetic ~obj_bytes ~seed:11L () in
+  let _, dst = synthetic ~obj_bytes ~seed:11L () in
+  let prng = Prng.create 12L in
+  for i = 0 to 29 do
+    mutate ~obj_bytes store_src src prng (i * 2)
+  done;
+  let _, digest = checkpoint src ~seq:1 in
+  let q = Queue.create () in
+  let fetcher =
+    St.start ~window:1 ?into ~repo:dst ~sources:[ 0 ] ~target_seq:1 ~target_digest:digest
+      ~send:(fun ~dst:_ m -> Queue.add m q)
+      ~on_complete:(fun ~seq:_ ~app_root:_ ~client_rows:_ -> ())
+      ()
+  in
+  let deliver () =
+    match St.serve src (Queue.pop q) with
+    | Some reply -> ignore (St.handle_reply fetcher ~from:0 reply)
+    | None -> ()
+  in
+  (fetcher, q, deliver)
+
+let test_retarget_stalled () =
+  let fetcher, _, _ = manual_fetch () in
+  let verdicts = List.init St.stall_rounds (fun _ -> St.retry fetcher) in
+  Alcotest.(check (list verdict)) "three silent rounds, then re-target"
+    [ St.Continue; St.Continue; St.Retarget "stalled" ] verdicts
+
+let test_retarget_timeout () =
+  let tally = St.fresh_stats () in
+  let fetcher, q, deliver = manual_fetch ~into:[ tally ] () in
+  let progress () =
+    let s = St.stats fetcher in
+    s.St.meta_fetched + s.St.objects_fetched
+  in
+  (* Every round makes progress, so only the budget can end the fetch. *)
+  let round () =
+    let before = progress () in
+    while (not (Queue.is_empty q)) && progress () = before do
+      deliver ()
+    done;
+    St.retry fetcher
+  in
+  let verdicts = List.init (St.retry_budget + 1) (fun _ -> round ()) in
+  Alcotest.(check (list verdict)) "eight rounds, then re-target"
+    (List.init St.retry_budget (fun _ -> St.Continue) @ [ St.Retarget "timeout" ])
+    verdicts;
+  Alcotest.(check bool) "not finished" false (St.finished fetcher);
+  let s = St.stats fetcher in
+  Alcotest.(check (list int)) "handed record holds the fetcher's counts"
+    [ s.St.meta_fetched; s.St.objects_fetched; s.St.bytes_fetched; s.St.retries ]
+    [ tally.St.meta_fetched; tally.St.objects_fetched; tally.St.bytes_fetched; tally.St.retries ]
+
+let test_retarget_rejections () =
+  let _, src = synthetic ~seed:13L () in
+  let _, dst = synthetic ~seed:13L () in
+  let _, digest = checkpoint src ~seq:1 in
+  (* Thirteen sources, every one answering the head broadcast with a root
+     that does not match the certified digest. *)
+  let tamper ~src:_ m =
+    match m with
+    | St.Head_reply h -> St.Head_reply { h with app_root = Digest.zero }
+    | m -> m
+  in
+  let r = drive ~tamper ~sources:(List.init 13 Fun.id) ~src ~dst ~seq:1 ~digest () in
+  Alcotest.(check int) "every head rejected" 13 r.stats.St.heads_rejected;
+  Alcotest.(check (list verdict)) "the twelfth rejection re-targets"
+    (List.init (St.reject_limit - 1) (fun _ -> St.Continue) @ [ St.Retarget "rejections" ])
+    (List.filteri (fun i _ -> i < St.reject_limit) r.verdicts)
+
 let suite =
   [
     Alcotest.test_case "window reached, never exceeded" `Quick test_window_never_exceeded;
@@ -205,4 +287,7 @@ let suite =
     Alcotest.test_case "cache hit skips the network fetch" `Quick test_cache_hit_skips_fetch;
     Alcotest.test_case "byzantine chunk source cannot stall recovery" `Quick
       test_byzantine_chunks_cannot_stall;
+    Alcotest.test_case "retarget after stalled rounds" `Quick test_retarget_stalled;
+    Alcotest.test_case "retarget past the retry budget" `Quick test_retarget_timeout;
+    Alcotest.test_case "retarget at the rejection limit" `Quick test_retarget_rejections;
   ]

@@ -51,7 +51,7 @@ let transfer ?(tamper = fun m -> m) ~src ~dst ~seq ~digest () =
     incr rounds;
     let m = Queue.pop q in
     match St.serve src m with
-    | Some reply -> St.handle_reply fetcher ~from:0 (tamper reply)
+    | Some reply -> ignore (St.handle_reply fetcher ~from:0 (tamper reply))
     | None -> ()
   done;
   (!completed, St.stats fetcher)

@@ -196,6 +196,75 @@ let test_no_abort_unsharded () =
     (Runtime.invoke_sync sys ~client:0 ~operation:"lie:1:6" ());
   Alcotest.(check string) "slot 6 written" "corrupted" (get sys ~client:0 6)
 
+(* --- protocol pieces, without a group ----------------------------------------- *)
+
+module Xshard = Base_core.Xshard
+
+let test_lock_format () =
+  List.iter
+    (fun (coord, client, ts, parts) ->
+      Alcotest.(check (option (pair (pair int int) (pair int64 (list int)))))
+        "round-trips"
+        (Some ((coord, client), (ts, parts)))
+        (Option.map
+           (fun (c, k, t, p) -> ((c, k), (t, p)))
+           (Xshard.parse_lock ~n_shards:4 (Xshard.lock_operation ~coord ~client ~ts ~parts))))
+    [ (0, 7, 42L, [ 1 ]); (1, 12, 0L, [ 2; 3 ]); (0, 5, 9_000_000_000L, [ 1; 2; 3 ]) ];
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) (Printf.sprintf "%S rejected" op) true
+        (Option.is_none (Xshard.parse_lock ~n_shards:4 op)))
+    [
+      "";
+      "set:1:x";
+      "xlock:0:7:42";
+      "xlock:0:7:42:1:2";
+      "xlock:0:7:42:";
+      "xlock:a:7:42:1";
+      "xlock:0:b:42:1";
+      "xlock:0:7:c:1";
+      "xlock:0:7:42:1,x";
+      "xlock:0:7:42:4";
+      "xlock:9:7:42:1";
+      "xlock:-1:7:42:1";
+    ]
+
+(* Two nodes asked the same questions (coordinator shard, committed head)
+   hand out the same timestamps, and several locks in one batch never
+   collide. *)
+let test_lock_timestamps () =
+  let batch_max = 4 in
+  let queries = [ (0, 5); (0, 5); (1, 5); (0, 5); (0, 6); (1, 6); (1, 6); (0, 9) ] in
+  let run () =
+    let clock = Xshard.lock_clock ~n_shards:2 in
+    List.map (fun (coord, seq) -> (coord, Xshard.next_lock_ts clock ~batch_max ~coord ~seq)) queries
+  in
+  let a = run () and b = run () in
+  Alcotest.(check (list (pair int int64))) "nodes agree" a b;
+  List.iter
+    (fun coord ->
+      let mine = List.filter_map (fun (c, ts) -> if c = coord then Some ts else None) a in
+      Alcotest.(check int)
+        (Printf.sprintf "coordinator %d: distinct" coord)
+        (List.length mine)
+        (List.length (List.sort_uniq Int64.compare mine)))
+    [ 0; 1 ];
+  Alcotest.(check (list int64)) "within one batch: consecutive"
+    [ 25L; 26L; 27L ]
+    (List.filter_map (fun (c, ts) -> if c = 0 && Int64.compare ts 30L < 0 then Some ts else None) a)
+
+let test_shard_tags () =
+  List.iter
+    (fun (tag, shard) ->
+      Alcotest.(check (pair string int))
+        (Printf.sprintf "%s on shard %d" tag shard)
+        (tag, shard)
+        (Xshard.split_shard_tag (Xshard.shard_tag ~shard tag)))
+    [ ("vc", 0); ("vc", 1); ("status", 3); ("status", 12); ("a.b", 2) ];
+  Alcotest.(check string) "shard 0 keeps the bare tag" "vc" (Xshard.shard_tag ~shard:0 "vc");
+  Alcotest.(check (pair string int)) "no suffix is shard 0" ("st_retry", 0)
+    (Xshard.split_shard_tag "st_retry")
+
 let suite =
   [
     Alcotest.test_case "two-shard commit" `Quick test_commit;
@@ -204,4 +273,7 @@ let suite =
     Alcotest.test_case "byzantine lock primary" `Quick test_byzantine_lock_primary;
     Alcotest.test_case "footprint abort" `Quick test_footprint_abort;
     Alcotest.test_case "unsharded footprint is advisory" `Quick test_no_abort_unsharded;
+    Alcotest.test_case "lock operation format" `Quick test_lock_format;
+    Alcotest.test_case "lock timestamps agree and never collide" `Quick test_lock_timestamps;
+    Alcotest.test_case "shard timer tags round-trip" `Quick test_shard_tags;
   ]
