@@ -4,7 +4,7 @@
      base_demo trace  [--ops N]
      base_demo nversion
      base_demo metrics [--duration S] [--json]
-     base_demo loc [DIR]
+     base_demo loc [DIR]      (no DIR: one row per lib/ subsystem + total)
 
    See README.md for a tour. *)
 
@@ -68,7 +68,9 @@ let trace_cmd =
            (Base_nfs.Nfs_client.create nfs Base_nfs.Nfs_types.root_oid
               (Printf.sprintf "traced%d" i) Base_nfs.Nfs_types.sattr_empty))
     done;
-    Format.printf "%a" Base_obs.Trace.pp trace
+    Format.printf "%a" Base_obs.Trace.pp trace;
+    if Base_obs.Trace.dropped trace > 0 then
+      Printf.printf "  ... (%d more network events)\n" (Base_obs.Trace.dropped trace)
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Print the protocol messages behind NFS operations.")
@@ -231,11 +233,24 @@ let metrics_cmd =
     Term.(const run $ duration $ seed $ json)
 
 let loc_cmd =
-  let dir = Arg.(value & pos 0 string "lib" & info [] ~docv:"DIR") in
-  let run dir =
+  let dir =
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"DIR" ~doc:"Directory to count; default: each lib/ subsystem and the total.")
+  in
+  let row dir =
     let c = Base_util.Loc_count.count_dir dir in
     Printf.printf "%s: %d files, %d non-blank lines, %d semicolons\n" dir
       c.Base_util.Loc_count.files c.Base_util.Loc_count.lines c.Base_util.Loc_count.semicolons
+  in
+  let run = function
+    | Some dir -> row dir
+    | None ->
+      Sys.readdir "lib" |> Array.to_list |> List.sort String.compare
+      |> List.map (Filename.concat "lib")
+      |> List.filter Sys.is_directory |> List.iter row;
+      row "lib"
   in
   Cmd.v (Cmd.info "loc" ~doc:"Count source lines (code-size experiment).") Term.(const run $ dir)
 

@@ -168,8 +168,8 @@ let trace_event r name attrs = Base_obs.Trace.event r.trace ~ts:(now r) ~name at
 
 let count r name = Metrics.incr (Metrics.counter r.metrics name)
 
-let set_timer r ~node ~after_us ~tag ~payload =
-  ignore (Engine.set_timer r.engine ~node ~after:(Sim_time.of_us after_us) ~tag ~payload)
+let set_timer r ~node ~after_us fire =
+  ignore (Engine.set_timer r.engine ~node ~after:(Sim_time.of_us after_us) fire)
 
 let fetch_done r rid =
   match r.episodes.(rid) with
@@ -199,9 +199,6 @@ let fetch_done r rid =
    window of vulnerability to stay handshake-dominated. *)
 let shadow_sync_period_us = 50_000
 
-let arm_shadow r rid =
-  set_timer r ~node:rid ~after_us:shadow_sync_period_us ~tag:"shadow_sync" ~payload:0
-
 (* Chase the stable checkpoint watermark: fetch the freshest certified
    checkpoint into the standby's repo through the normal self-verifying
    pipeline, then keep only that checkpoint, so (a) the next sync is an
@@ -227,7 +224,10 @@ let start_shadow_sync r rid ss ~seq ~digest =
           ("seq", string_of_int seq);
         ])
 
-let shadow_tick r rid =
+let rec arm_shadow r rid =
+  set_timer r ~node:rid ~after_us:shadow_sync_period_us (fun () -> shadow_tick r rid)
+
+and shadow_tick r rid =
   (* A sync in flight is driven by its own retry chain. *)
   (if not (r.ops.fetching rid) then
      match (Replica.fetch_target (r.ops.replica rid), r.syncs.(rid)) with
@@ -288,6 +288,12 @@ let begin_reintegration r rid =
   | None -> fetch_done r rid);
   r.recovering.(rid) <- false
 
+let reboot_done r rid =
+  Engine.set_node_up r.engine rid true;
+  (match r.episodes.(rid) with Some tl -> tl.tl_reboot_done_us <- now r | None -> ());
+  trace_event r "recovery.reboot_done" [ ("rid", string_of_int rid) ];
+  begin_reintegration r rid
+
 let recover_now ?reboot_us r rid =
   Base_util.Invariant.require
     (Types.n_shards r.config = 1)
@@ -299,7 +305,7 @@ let recover_now ?reboot_us r rid =
     abandon_fetch r rid;
     (* Reboot: the node is unreachable while restarting. *)
     Engine.set_node_up r.engine rid false;
-    set_timer r ~node:r.orchestrator ~after_us:reboot_us ~tag:"reboot_done" ~payload:rid
+    set_timer r ~node:r.orchestrator ~after_us:reboot_us (fun () -> reboot_done r rid)
   end
 
 (* --- migration-based recovery ---------------------------------------------- *)
@@ -325,37 +331,6 @@ let eligible_standby r =
       | (Some _ | None), _ -> ())
     r.syncs;
   Option.map fst !best
-
-(* Begin promoting standby [sb] into replica slot [slot]: take the slot
-   machine offline and start the role-switch handshake (key distribution,
-   address takeover), modelled as a [promote_us] delay on the orchestrator.
-   If the pair is not promotable right now, degrade to in-place recovery —
-   the watchdog's job is to recover the slot, one way or the other. *)
-let promote ?promote_us r ~slot ~standby:sb =
-  let promote_us = Option.value promote_us ~default:r.promote_us in
-  let promotable =
-    (not r.recovering.(slot))
-    && (match r.syncs.(sb) with Some ss -> usable r sb ss | None -> false)
-    && not (List.mem_assoc slot r.pending)
-  in
-  if not promotable then recover_now r slot
-  else begin
-    start_episode r slot ~migrated:true;
-    trace_event r "recovery.promote_start"
-      [ ("sb", string_of_int sb); ("slot", string_of_int slot) ];
-    (* The standby's shadow state must stay frozen at its last completed
-       sync for the duration of the handshake. *)
-    abandon_fetch r slot;
-    r.ops.drop_fetch sb;
-    Engine.set_node_up r.engine slot false;
-    r.pending <- (slot, sb) :: r.pending;
-    set_timer r ~node:r.orchestrator ~after_us:promote_us ~tag:"promote_done" ~payload:slot
-  end
-
-let promote_now ?promote_us r slot =
-  match eligible_standby r with
-  | Some sb -> promote ?promote_us r ~slot ~standby:sb
-  | None -> recover_now r slot
 
 let complete_promotion r ~slot ~sb ss =
   Engine.set_node_up r.engine slot true;
@@ -411,52 +386,75 @@ let complete_promotion r ~slot ~sb ss =
   r.ops.discard_below sb max_int;
   trace_event r "recovery.promote_done" [ ("sb", string_of_int sb); ("slot", string_of_int slot) ]
 
+let promote_done r slot =
+  match List.assoc_opt slot r.pending with
+  | None -> ()
+  | Some sb -> (
+    r.pending <- List.filter (fun (s, _) -> s <> slot) r.pending;
+    match r.syncs.(sb) with
+    | Some ss when Engine.node_is_up r.engine sb && synced ss -> complete_promotion r ~slot ~sb ss
+    | Some _ | None ->
+      (* Promotion race: the standby died (or was wiped) mid-handshake.
+         The slot machine is already down, so fall back to the in-place
+         path — reboot it and differential-fetch as usual.  The episode's
+         timeline keeps [tl_migrated = true] with a null handoff, which is
+         exactly what happened: an attempted migration that degraded. *)
+      count r "base.standby.promotions_aborted";
+      trace_event r "recovery.promote_aborted"
+        [ ("sb", string_of_int sb); ("slot", string_of_int slot) ];
+      set_timer r ~node:r.orchestrator ~after_us:r.reboot_us (fun () -> reboot_done r slot))
+
+(* Begin promoting standby [sb] into replica slot [slot]: take the slot
+   machine offline and start the role-switch handshake (key distribution,
+   address takeover), modelled as a [promote_us] delay on the orchestrator.
+   If the pair is not promotable right now, degrade to in-place recovery —
+   the watchdog's job is to recover the slot, one way or the other. *)
+let promote ?promote_us r ~slot ~standby:sb =
+  let promote_us = Option.value promote_us ~default:r.promote_us in
+  let promotable =
+    (not r.recovering.(slot))
+    && (match r.syncs.(sb) with Some ss -> usable r sb ss | None -> false)
+    && not (List.mem_assoc slot r.pending)
+  in
+  if not promotable then recover_now r slot
+  else begin
+    start_episode r slot ~migrated:true;
+    trace_event r "recovery.promote_start"
+      [ ("sb", string_of_int sb); ("slot", string_of_int slot) ];
+    (* The standby's shadow state must stay frozen at its last completed
+       sync for the duration of the handshake. *)
+    abandon_fetch r slot;
+    r.ops.drop_fetch sb;
+    Engine.set_node_up r.engine slot false;
+    r.pending <- (slot, sb) :: r.pending;
+    set_timer r ~node:r.orchestrator ~after_us:promote_us (fun () -> promote_done r slot)
+  end
+
+let promote_now ?promote_us r slot =
+  match eligible_standby r with
+  | Some sb -> promote ?promote_us r ~slot ~standby:sb
+  | None -> recover_now r slot
+
 (* --- the watchdog ------------------------------------------------------------- *)
 
-let on_timer r ~tag ~payload =
-  match tag with
-  | "watchdog" ->
-    if r.on then begin
-      (if r.migrate then
-         (* The migrating watchdog never takes a healthy replica down
-            without a warm spare to put in its place: with no eligible
-            standby (pool still cold, all mid-handshake, or all crashed)
-            it skips the round and retries next period.  Degrading to an
-            in-place reboot here would turn a cold pool into gratuitous
-            downtime — that fallback is reserved for promotion races,
-            where the slot machine is already down. *)
-         match eligible_standby r with
-         | Some sb -> promote r ~slot:payload ~standby:sb
-         | None ->
-           count r "base.standby.rounds_skipped";
-           trace_event r "recovery.promote_skipped" [ ("slot", string_of_int payload) ]
-       else recover_now r payload);
-      set_timer r ~node:r.orchestrator ~after_us:r.period_us ~tag:"watchdog" ~payload
-    end
-  | "reboot_done" ->
-    Engine.set_node_up r.engine payload true;
-    (match r.episodes.(payload) with Some tl -> tl.tl_reboot_done_us <- now r | None -> ());
-    trace_event r "recovery.reboot_done" [ ("rid", string_of_int payload) ];
-    begin_reintegration r payload
-  | "promote_done" -> (
-    match List.assoc_opt payload r.pending with
-    | None -> ()
-    | Some sb -> (
-      r.pending <- List.filter (fun (s, _) -> s <> payload) r.pending;
-      match r.syncs.(sb) with
-      | Some ss when Engine.node_is_up r.engine sb && synced ss ->
-        complete_promotion r ~slot:payload ~sb ss
-      | Some _ | None ->
-        (* Promotion race: the standby died (or was wiped) mid-handshake.
-           The slot machine is already down, so fall back to the in-place
-           path — reboot it and differential-fetch as usual.  The episode's
-           timeline keeps [tl_migrated = true] with a null handoff, which is
-           exactly what happened: an attempted migration that degraded. *)
-        count r "base.standby.promotions_aborted";
-        trace_event r "recovery.promote_aborted"
-          [ ("sb", string_of_int sb); ("slot", string_of_int payload) ];
-        set_timer r ~node:r.orchestrator ~after_us:r.reboot_us ~tag:"reboot_done" ~payload))
-  | _ -> ()
+let rec watchdog r rid =
+  if r.on then begin
+    (if r.migrate then
+       (* The migrating watchdog never takes a healthy replica down without
+          a warm spare to put in its place: with no eligible standby (pool
+          still cold, all mid-handshake, or all crashed) it skips the round
+          and retries next period.  Degrading to an in-place reboot here
+          would turn a cold pool into gratuitous downtime — that fallback
+          is reserved for promotion races, where the slot machine is
+          already down. *)
+       match eligible_standby r with
+       | Some sb -> promote r ~slot:rid ~standby:sb
+       | None ->
+         count r "base.standby.rounds_skipped";
+         trace_event r "recovery.promote_skipped" [ ("slot", string_of_int rid) ]
+     else recover_now r rid);
+    set_timer r ~node:r.orchestrator ~after_us:r.period_us (fun () -> watchdog r rid)
+  end
 
 let disable r = r.on <- false
 
@@ -476,6 +474,6 @@ let enable ?(reboot_us = 2_000_000) ?promote_us ?(migrate = false) ~period_us r 
      less than 1/3 of the replicas are ever recovering together. *)
   let n = r.config.Types.n in
   for rid = 0 to n - 1 do
-    set_timer r ~node:r.orchestrator ~after_us:(period_us / n * (rid + 1)) ~tag:"watchdog"
-      ~payload:rid
+    set_timer r ~node:r.orchestrator ~after_us:(period_us / n * (rid + 1)) (fun () ->
+        watchdog r rid)
   done

@@ -112,7 +112,7 @@ val create :
   ops ->
   'msg t
 (** Recovery is idle until {!enable}.  [orchestrator] is the pseudo-node
-    whose timers drive the watchdog; its timer events go to {!on_timer}. *)
+    that owns the watchdog, reboot and promotion-handshake timers. *)
 
 val stats : 'msg t -> int -> recovery_stats
 (** Counters of node [rid]. *)
@@ -137,18 +137,12 @@ val promote : ?promote_us:int -> 'msg t -> slot:int -> standby:int -> unit
 val promote_now : ?promote_us:int -> 'msg t -> int -> unit
 (** Promote the freshest promotable standby into slot [rid]. *)
 
-val on_timer : 'msg t -> tag:string -> payload:int -> unit
-(** An orchestrator timer: ["watchdog"], ["reboot_done"] or
-    ["promote_done"]; other tags are ignored. *)
-
 val fetch_done : 'msg t -> int -> unit
 (** Node [rid] installed a fetched checkpoint: close its open episode. *)
 
 val arm_shadow : 'msg t -> int -> unit
-(** Start standby [rid]'s shadow-sync ticks. *)
-
-val shadow_tick : 'msg t -> int -> unit
-(** A ["shadow_sync"] timer of standby [rid]. *)
+(** Start standby [rid]'s shadow-sync ticks: every period, unless a sync is
+    already in flight, fetch the freshest certified checkpoint. *)
 
 val standby_rebooted : 'msg t -> int -> unit
 (** Standby [rid] came back from a crash: drop its dead sync and restart

@@ -70,7 +70,6 @@ type t = {
      they survive the fetchers (which are discarded on completion). *)
   st_totals : State_transfer.stats;
   mutable roll_cursor : int;  (* next slot a faultplan [promote] fills *)
-  mutable plan : Faultplan.event array;  (* scheduled chaos, indexed by timer payload *)
   mutable pp_attack : pp_attack option;
 }
 
@@ -126,18 +125,6 @@ let trace_event t name attrs = Base_obs.Trace.event t.trace ~ts:(now t) ~name at
 let st_send t ~src ~dst ~shard body =
   Engine.send t.engine ~src ~dst (St { from = src; shard; body })
 
-(* Retry/stall-poll cadence for an active fetch.  Under load the group
-   certifies a fresh checkpoint every few tens of milliseconds, so a fetch
-   that loses the race with garbage collection must notice and re-target on
-   that timescale: a coarse retry period quantizes every unlucky fetch —
-   and hence the recovery window — up to multiples of itself.  The timer
-   payload names the shard, so the per-node dispatcher can route the tick
-   to the right cell's fetcher. *)
-let arm_retry t node =
-  ignore
-    (Engine.set_timer t.engine ~node:node.rid ~after:(Sim_time.of_us 50_000) ~tag:"st_retry"
-       ~payload:node.shard)
-
 (* Abandon the current fetch and restart against the freshest certified
    checkpoint — the escape hatch for a garbage-collected target, a target
    digest we can no longer verify anything against, or an inverse
@@ -151,6 +138,25 @@ let retarget_fetch t node ~reason =
     Replica.abort_fetch node.replica;
     Replica.initiate_fetch node.replica
   end
+
+(* Retry/stall-poll cadence for an active fetch.  Under load the group
+   certifies a fresh checkpoint every few tens of milliseconds, so a fetch
+   that loses the race with garbage collection must notice and re-target on
+   that timescale: a coarse retry period quantizes every unlucky fetch —
+   and hence the recovery window — up to multiples of itself.  The tick
+   captures the cell record, and reads its fetcher when it fires. *)
+let rec arm_retry t node =
+  ignore
+    (Engine.set_timer t.engine ~node:node.rid ~after:(Sim_time.of_us 50_000) (fun () ->
+         st_retry_tick t node))
+
+and st_retry_tick t node =
+  match node.fetcher with
+  | Some fetcher when not (State_transfer.finished fetcher) -> (
+    match State_transfer.retry fetcher with
+    | State_transfer.Continue -> arm_retry t node
+    | State_transfer.Retarget reason -> retarget_fetch t node ~reason)
+  | Some _ | None -> ()
 
 (* Common fetcher construction for both the recovery path and the standby
    shadow sync; only the continuation after a verified install differs.
@@ -207,14 +213,6 @@ let handle_st t node ~from body =
       | State_transfer.Continue -> ()
       | State_transfer.Retarget reason -> retarget_fetch t node ~reason)
     | None -> ())
-
-let st_retry_tick t node =
-  match node.fetcher with
-  | Some fetcher when not (State_transfer.finished fetcher) -> (
-    match State_transfer.retry fetcher with
-    | State_transfer.Continue -> arm_retry t node
-    | State_transfer.Retarget reason -> retarget_fetch t node ~reason)
-  | Some _ | None -> ()
 
 (* --- chaos: fault-plan execution and the Byzantine-primary adversary ------- *)
 
@@ -323,13 +321,11 @@ let exec_fault t (ev : Faultplan.event) =
       @ match shard with Some s -> [ ("shard", string_of_int s) ] | None -> [])
 
 let apply_faultplan t plan =
-  let base = Array.length t.plan in
-  t.plan <- Array.append t.plan (Array.of_list plan);
-  List.iteri
-    (fun i (ev : Faultplan.event) ->
+  List.iter
+    (fun (ev : Faultplan.event) ->
       ignore
         (Engine.set_timer t.engine ~node:t.orchestrator
-           ~after:(Sim_time.of_us ev.Faultplan.at_us) ~tag:"fault" ~payload:(base + i)))
+           ~after:(Sim_time.of_us ev.Faultplan.at_us) (fun () -> exec_fault t ev)))
     plan
 
 (* The adversary's view of one outgoing replica message: [None] means the
@@ -483,15 +479,11 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
             b.wrapper <- wrapper);
       }
   in
+  (* Each cell's timers run on its physical node, so they die with a crash
+     of that node, and go back to the cell that armed them. *)
   let replica_net ~shard rid =
-    (* Per-shard timer namespace: every cell arms "vc"/"status" through its
-       own net, the engine carries one flat tag space per physical node, so
-       non-zero shards get a ".s<k>" suffix that the dispatcher strips
-       again.  Shard 0 keeps the bare tags — the exact unsharded wiring. *)
-    let tag_vc = Xshard.shard_tag ~shard "vc" in
-    let tag_status = Xshard.shard_tag ~shard "status" in
     {
-      Replica.send =
+      Message.send =
         (fun ~dst env ->
           match !t_cell with
           (* Sends during construction (the seq-0 checkpoint) predate any
@@ -502,13 +494,9 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
             | None -> ()  (* the adversary muted this pre-prepare *)
             | Some extra_us -> Engine.send engine ~extra_us ~src:rid ~dst (Bft env)));
       set_timer =
-        (fun ~after_us ~tag ~payload ->
-          let tag =
-            if String.equal tag "vc" then tag_vc
-            else if String.equal tag "status" then tag_status
-            else tag
-          in
-          Engine.set_timer engine ~node:rid ~after:(Sim_time.of_us after_us) ~tag ~payload);
+        (fun ~after_us tm ->
+          Engine.set_timer engine ~node:rid ~after:(Sim_time.of_us after_us) (fun () ->
+              Replica.on_timer (cell ~shard rid).replica tm));
       cancel_timer = (fun id -> Engine.cancel_timer engine id);
       now_us = (fun () -> Engine.now engine);
     }
@@ -621,10 +609,11 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
         let cid = group + k in
         let net =
           {
-            Client.send = (fun ~dst env -> Engine.send engine ~src:cid ~dst (Bft env));
+            Message.send = (fun ~dst env -> Engine.send engine ~src:cid ~dst (Bft env));
             set_timer =
-              (fun ~after_us ~tag ~payload ->
-                Engine.set_timer engine ~node:cid ~after:(Sim_time.of_us after_us) ~tag ~payload);
+              (fun ~after_us ts ->
+                Engine.set_timer engine ~node:cid ~after:(Sim_time.of_us after_us) (fun () ->
+                    Client.on_timer (the ()).clients.(k) ts));
             cancel_timer = (fun id -> Engine.cancel_timer engine id);
             now_us = (fun () -> Engine.now engine);
           }
@@ -649,64 +638,46 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
       trace;
       st_totals = State_transfer.fresh_stats ();
       roll_cursor = 0;
-      plan = [||];
       pp_attack = None;
     }
   in
   t_cell := Some t;
-  (* Register event handlers.  Each physical node registers once and
-     dispatches to its cells: protocol envelopes by their shard tag, state
-     transfer by the St/Raw shard field, timers by payload ("st_retry"), by
-     tag suffix ("vc.s1"), or to the node-level cross-shard kick and
-     standby shadow sync. *)
-  let handler rid _engine ev =
+  (* Register delivery handlers.  Each physical node registers once and
+     hands each delivery to the cell it names: protocol envelopes by their
+     shard tag, state transfer and corrupted bytes by their shard field. *)
+  let deliver rid ~src:_ msg =
     let cell shard = if shard >= 0 && shard < n_shards then replica_cells.(shard).(rid) else None in
-    match ev with
-    | Engine.Deliver { src = _; msg = Bft env } -> (
+    match msg with
+    | Bft env -> (
       match cell env.Message.shard with
       | Some node -> Replica.receive node.replica env
       | None -> ())  (* shard tag out of range: drop *)
-    | Engine.Deliver { src = _; msg = St { from; shard; body } } -> (
+    | St { from; shard; body } -> (
       match cell shard with Some node -> handle_st t node ~from body | None -> ())
-    | Engine.Deliver { src = _; msg = Raw { from; shard; macs; bytes } } -> (
+    | Raw { from; shard; macs; bytes } -> (
       (* Corrupted-in-flight bytes: feed the wire-decode path, which
          counts and drops them (bft.reject.decode / bft.reject.mac). *)
       match cell shard with
       | Some node -> Replica.receive_wire ~shard node.replica ~sender:from ~macs bytes
       | None -> ())
-    | Engine.Timer { tag = "st_retry"; payload } -> (
-      match cell payload with Some node -> st_retry_tick t node | None -> ())
-    | Engine.Timer { tag = "xkick"; _ } -> Xshard.kick xshard rid
-    | Engine.Timer { tag = "shadow_sync"; _ } -> Recovery.shadow_tick recovery rid
-    | Engine.Timer { tag; payload } -> (
-      let base, shard = Xshard.split_shard_tag tag in
-      match cell shard with
-      | Some node -> Replica.on_timer node.replica ~tag:base ~payload
-      | None -> ())
   in
   for rid = 0 to n - 1 do
-    Engine.add_node engine ~id:rid (handler rid);
+    Engine.add_node engine ~id:rid (deliver rid);
     Array.iter (fun row -> Replica.start_status_timer row.(rid).replica) cells
   done;
   Array.iter
     (fun node ->
-      Engine.add_node engine ~id:node.rid (handler node.rid);
+      Engine.add_node engine ~id:node.rid (deliver node.rid);
       Recovery.arm_shadow recovery node.rid)
     standbys;
   Array.iter
     (fun c ->
-      Engine.add_node engine ~id:(Client.id c) (fun _engine ev ->
-          match ev with
-          | Engine.Deliver { msg = Bft env; _ } -> Client.receive c env
-          | Engine.Deliver { msg = St _ | Raw _; _ } -> ()
-          | Engine.Timer { tag; payload } -> Client.on_timer c ~tag ~payload))
+      Engine.add_node engine ~id:(Client.id c) (fun ~src:_ msg ->
+          match msg with Bft env -> Client.receive c env | St _ | Raw _ -> ()))
     clients;
-  Engine.add_node engine ~id:orchestrator (fun _engine ev ->
-      match ev with
-      | Engine.Timer { tag = "fault"; payload } ->
-        if payload >= 0 && payload < Array.length t.plan then exec_fault t t.plan.(payload)
-      | Engine.Timer { tag; payload } -> Recovery.on_timer recovery ~tag ~payload
-      | Engine.Deliver _ -> ());
+  (* The orchestrator receives nothing; it exists to own the fault-plan and
+     recovery timers, which must outlive any replica crash. *)
+  Engine.add_node engine ~id:orchestrator (fun ~src:_ _ -> ());
   t
 
 (* --- client-facing API ------------------------------------------------------ *)

@@ -145,18 +145,6 @@ let parse_lock ~n_shards operation =
     | _, _, _ -> None)
   | _ -> None
 
-(* Re-submission heartbeat: a participant primary that crashed (or lied)
-   before ordering a lock would otherwise stall the coordinator forever.
-   The cadence matches the view-change timeout, so by the time the kick
-   fires a wedged participant shard has rotated its primary. *)
-let arm_kick t xn =
-  if not xn.xn_kick_armed then begin
-    xn.xn_kick_armed <- true;
-    ignore
-      (Engine.set_timer t.engine ~node:xn.xn_rid
-         ~after:(Sim_time.of_us t.config.Types.viewchange_timeout_us) ~tag:"xkick" ~payload:0)
-  end
-
 let submit_lock t xn x p =
   Replica.submit_internal
     (t.cells.replica ~shard:p.xp_shard xn.xn_rid)
@@ -169,11 +157,23 @@ let submit_lock t xn x p =
       read_only = false;
     }
 
+(* Re-submission heartbeat: a participant primary that crashed (or lied)
+   before ordering a lock would otherwise stall the coordinator forever.
+   The cadence matches the view-change timeout, so by the time the kick
+   fires a wedged participant shard has rotated its primary. *)
+let rec arm_kick t xn =
+  if not xn.xn_kick_armed then begin
+    xn.xn_kick_armed <- true;
+    ignore
+      (Engine.set_timer t.engine ~node:xn.xn_rid
+         ~after:(Sim_time.of_us t.config.Types.viewchange_timeout_us) (fun () ->
+           rekick t xn ~resubmit:true))
+  end
+
 (* Re-arm the kick while any operation is unfinished, after re-submitting
    its missing locks when [resubmit].  Iteration is in sorted key order —
    never in hash order — to keep runs deterministic. *)
-let rekick t rid ~resubmit =
-  let xn = t.nodes.(rid) in
+and rekick t xn ~resubmit =
   xn.xn_kick_armed <- false;
   let live =
     Hashtbl.fold (fun k _ acc -> k :: acc) xn.xn_ops []
@@ -189,9 +189,7 @@ let rekick t rid ~resubmit =
       live;
   if live <> [] then arm_kick t xn
 
-let kick t rid = rekick t rid ~resubmit:true
-
-let rebooted t rid = rekick t rid ~resubmit:false
+let rebooted t rid = rekick t t.nodes.(rid) ~resubmit:false
 
 (* The declared footprint of [operation], as the ascending list of shards it
    touches.  Pure protocol decode — every node's wrapper answers alike. *)
@@ -304,7 +302,7 @@ let execute t ~rid ~shard ~client ~timestamp ~operation ~nondet ~read_only =
     result
   end
 
-(* --- per-shard views and timer tags ---------------------------------------- *)
+(* --- per-shard views -------------------------------------------------------- *)
 
 let shard_view config ~shard (w : Service.wrapper) =
   if Types.n_shards config <= 1 then w
@@ -317,13 +315,3 @@ let shard_view config ~shard (w : Service.wrapper) =
       put_objs = (fun objs -> w.Service.put_objs (List.map (fun (i, v) -> (lo + i, v)) objs));
     }
   end
-
-let shard_tag ~shard tag = if shard = 0 then tag else Printf.sprintf "%s.s%d" tag shard
-
-let split_shard_tag tag =
-  match String.rindex_opt tag '.' with
-  | Some i when i + 2 < String.length tag && tag.[i + 1] = 's' -> (
-    match int_of_string_opt (String.sub tag (i + 2) (String.length tag - i - 2)) with
-    | Some k -> (String.sub tag 0 i, k)
-    | None -> (tag, 0))
-  | Some _ | None -> (tag, 0)

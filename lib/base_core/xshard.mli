@@ -44,13 +44,11 @@ val execute :
     requests mutate nothing.  A [modify] outside the shards the execution
     holds aborts the operation deterministically with ["#xshard-abort"]. *)
 
-val kick : 'msg t -> int -> unit
-(** The ["xkick"] heartbeat of node [rid]: re-submit every missing lock of
-    an unfinished operation, and re-arm while any remains. *)
-
 val rebooted : 'msg t -> int -> unit
-(** Node [rid] came back from a crash, which killed its heartbeat: re-arm
-    it if any operation is unfinished. *)
+(** Node [rid] came back from a crash, which killed its re-submission
+    heartbeat: re-arm it if any operation is unfinished.  While armed, the
+    heartbeat re-submits every missing lock of an unfinished operation each
+    view-change timeout. *)
 
 (** {1 Pieces, exposed for tests} *)
 
@@ -79,10 +77,3 @@ val shard_view : Base_bft.Types.config -> shard:int -> Service.wrapper -> Servic
     abstract object array, so a per-shard {!Objrepo} digests, checkpoints
     and serves exactly the objects its agreement instance owns.  The
     identity when unsharded. *)
-
-val shard_tag : shard:int -> string -> string
-(** Timer tag of [shard]'s cell: ["vc"] becomes ["vc.s2"]; shard 0 keeps
-    the bare tag. *)
-
-val split_shard_tag : string -> string * int
-(** Inverse of {!shard_tag}; a tag without the suffix belongs to shard 0. *)

@@ -1,12 +1,5 @@
 module M = Message
 
-type net = {
-  send : dst:int -> Message.envelope -> unit;
-  set_timer : after_us:int -> tag:string -> payload:int -> int;
-  cancel_timer : int -> unit;
-  now_us : unit -> int64;
-}
-
 type stats = {
   mutable completed : int;
   mutable retransmissions : int;
@@ -27,7 +20,7 @@ type t = {
   config : Types.config;
   id : int;
   keychain : Base_crypto.Auth.keychain;
-  net : net;
+  net : int64 M.net;  (* timers carry the timestamp of the request they guard *)
   route : string -> int;  (* operation -> shard whose agreement orders it *)
   mutable next_ts : int64;
   mutable current : pending option;
@@ -117,9 +110,7 @@ let rec start_request t operation read_only callback =
   (* First transmission goes to all replicas: backups relay to the primary
      and start their progress timers, which also covers primary failure. *)
   send_request t request;
-  p.timer <-
-    t.net.set_timer ~after_us:t.config.client_timeout_us ~tag:"client"
-      ~payload:(Int64.to_int ts)
+  p.timer <- t.net.set_timer ~after_us:t.config.client_timeout_us ts
 
 and finish t p result =
   t.net.cancel_timer p.timer;
@@ -176,9 +167,9 @@ let receive t (env : M.envelope) =
     | _ -> ()
   end
 
-let on_timer t ~tag ~payload =
-  match (tag, t.current) with
-  | "client", Some p when Int64.equal (Int64.of_int payload) p.request.timestamp ->
+let on_timer t ts =
+  match t.current with
+  | Some p when Int64.equal ts p.request.timestamp ->
     p.attempts <- p.attempts + 1;
     t.stats.retransmissions <- t.stats.retransmissions + 1;
     if p.request.read_only && p.attempts >= 2 then begin
@@ -194,9 +185,7 @@ let on_timer t ~tag ~payload =
       Hashtbl.reset p'.replies;
       t.current <- Some p';
       send_request t request;
-      p'.timer <-
-        t.net.set_timer ~after_us:t.config.client_timeout_us ~tag:"client"
-          ~payload:(Int64.to_int request.timestamp)
+      p'.timer <- t.net.set_timer ~after_us:t.config.client_timeout_us request.timestamp
     end
     else begin
       send_request t p.request;
@@ -205,7 +194,6 @@ let on_timer t ~tag ~payload =
          recovering group. *)
       p.timer <-
         t.net.set_timer ~after_us:(t.config.client_timeout_us * (1 lsl min p.attempts 4))
-          ~tag:"client"
-          ~payload:(Int64.to_int p.request.timestamp)
+          p.request.timestamp
     end
-  | _ -> ()
+  | Some _ | None -> ()

@@ -13,13 +13,6 @@
     invocations queue.  Hosts that need many requests in flight multiplex a
     pool of clients (see {!Base_workload.Load}). *)
 
-type net = {
-  send : dst:int -> Message.envelope -> unit;
-  set_timer : after_us:int -> tag:string -> payload:int -> int;
-  cancel_timer : int -> unit;
-  now_us : unit -> int64;
-}
-
 type stats = {
   mutable completed : int;
   mutable retransmissions : int;
@@ -39,7 +32,7 @@ val create :
   config:Types.config ->
   id:int ->
   keychain:Base_crypto.Auth.keychain ->
-  net:net ->
+  net:int64 Message.net ->
   unit ->
   t
 (** [id] must be [>= config.n] (replica ids come first).  [metrics] is the
@@ -65,7 +58,9 @@ val invoke : t -> ?read_only:bool -> operation:string -> (string -> unit) -> uni
 val receive : t -> Message.envelope -> unit
 (** Feed a network delivery (replies) to the client. *)
 
-val on_timer : t -> tag:string -> payload:int -> unit
+val on_timer : t -> int64 -> unit
+(** A timer armed through [net.set_timer] fired; it carries the timestamp
+    of the request it guards, and is ignored once that request is done. *)
 
 val outstanding : t -> int
 (** Number of queued + in-flight operations (0 when idle). *)

@@ -80,6 +80,13 @@ type envelope = {
   size : int;
 }
 
+type 'timer net = {
+  send : dst:int -> envelope -> unit;
+  set_timer : after_us:int -> 'timer -> int;
+  cancel_timer : int -> unit;
+  now_us : unit -> int64;
+}
+
 (* Clients use small signed ints (-1 for null requests); bias into u32 space. *)
 let enc_id e id = Xdr.u32 e (id + 1)
 

@@ -102,6 +102,16 @@ type envelope = {
   size : int;  (** wire size: encoded body + authenticator *)
 }
 
+(** The transport a host hands a protocol module (replica or client).  A
+    timer carries the module's own ['timer] value, which the host hands
+    back to the module's [on_timer] when it fires. *)
+type 'timer net = {
+  send : dst:int -> envelope -> unit;
+  set_timer : after_us:int -> 'timer -> int;  (** returns an id for [cancel_timer] *)
+  cancel_timer : int -> unit;
+  now_us : unit -> int64;  (** virtual time, {e not} a node's skewed local clock *)
+}
+
 val envelope_digest : envelope -> Digest.t
 (** The (memoised) digest of [wire]; equals a from-scratch SHA-256 of the
     canonical encoding — the differential digest suite pins this. *)

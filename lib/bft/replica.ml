@@ -20,12 +20,7 @@ type app = {
 
 let always_ready ~client:_ ~timestamp:_ ~operation:_ = true
 
-type net = {
-  send : dst:int -> Message.envelope -> unit;
-  set_timer : after_us:int -> tag:string -> payload:int -> int;
-  cancel_timer : int -> unit;
-  now_us : unit -> int64;
-}
+type timer = Vc_timeout of Types.view | Status_tick
 
 type behavior = Honest | Mute | Lie_in_replies | Equivocate
 
@@ -119,7 +114,7 @@ type t = {
   id : int;
   shard : int;  (* agreement instance this replica serves; 0 when unsharded *)
   keychain : Auth.keychain;
-  net : net;
+  net : timer M.net;
   app : app;
   role : role;
   mutable behavior : behavior;
@@ -332,7 +327,7 @@ let cancel_vc_timer t =
 let start_vc_timer t =
   if t.vc_timer = None && t.status = Normal then
     t.vc_timer <-
-      Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:t.view)
+      Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout t.view))
 
 let restart_vc_timer t =
   cancel_vc_timer t;
@@ -866,7 +861,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
          its escalation timer re-armed, until NEW-VIEW or abandonment. *)
       t.status <- View_changing;
       t.vc_timer <-
-        Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:t.view)
+        Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout t.view))
     end
     else t.status <- Normal
   end;
@@ -969,7 +964,7 @@ let rec do_view_change t v' =
     (* Escalate with a doubled (but bounded) timeout if this view change
        stalls. *)
     t.vc_timeout_us <- min (t.vc_timeout_us * 2) (20 * t.config.viewchange_timeout_us);
-    t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us ~tag:"vc" ~payload:v');
+    t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout v'));
     check_new_view t v'
   end
 
@@ -1141,7 +1136,7 @@ let handle_new_view t sender (nv : M.new_view) =
 let arm_status_timer t =
   (match t.status_timer with Some id -> t.net.cancel_timer id | None -> ());
   t.status_timer <-
-    Some (t.net.set_timer ~after_us:(t.config.viewchange_timeout_us / 2) ~tag:"status" ~payload:0)
+    Some (t.net.set_timer ~after_us:(t.config.viewchange_timeout_us / 2) Status_tick)
 
 let on_status_timer t =
   (* Re-announce the latest own checkpoint so laggards find fetch targets,
@@ -1289,18 +1284,16 @@ let handle_status t sender (st : M.status_msg) =
 
 (* --- entry points -------------------------------------------------------- *)
 
-let on_timer t ~tag ~payload =
-  match tag with
-  | "vc" ->
+let on_timer t = function
+  | Vc_timeout view ->
     if t.behavior <> Mute then begin
-      if t.status = View_changing && t.view = payload then do_view_change t (t.view + 1)
-      else if t.status = Normal && t.view = payload && has_pending t then begin
+      if t.status = View_changing && t.view = view then do_view_change t (t.view + 1)
+      else if t.status = Normal && t.view = view && has_pending t then begin
         t.vc_timer <- None;
         do_view_change t (t.view + 1)
       end
     end
-  | "status" -> if t.behavior <> Mute then on_status_timer t else ()
-  | _ -> ()
+  | Status_tick -> if t.behavior <> Mute then on_status_timer t else ()
 
 let receive t (env : M.envelope) =
   Base_obs.Profile.start t.prof t.p_verify;

@@ -7,8 +7,8 @@
     the BASE runtime through the {!app} hooks).
 
     The module is transport-agnostic: it never touches the simulator
-    directly.  The runtime supplies {!net} callbacks for sending envelopes
-    and arming timers, and an {!app} record implementing the service
+    directly.  The runtime supplies a {!Message.net} for sending envelopes
+    and arming {!timer}s, and an {!app} record implementing the service
     (normally a BASE conformance wrapper). *)
 
 module Digest = Base_crypto.Digest_t
@@ -53,15 +53,12 @@ val always_ready : client:int -> timestamp:int64 -> operation:string -> bool
 (** The trivial {!app.ready} gate: every request executes as soon as it
     commits. *)
 
-(** Transport callbacks provided by the runtime. *)
-type net = {
-  send : dst:int -> Message.envelope -> unit;
-  set_timer : after_us:int -> tag:string -> payload:int -> int;
-  cancel_timer : int -> unit;
-  now_us : unit -> int64;
-      (** Virtual time (simulation clock, {e not} the replica's skewed local
-          clock) — used only for protocol-phase instrumentation. *)
-}
+(** What a replica arms through [net.set_timer]; the host hands it back to
+    {!on_timer} when it fires. *)
+type timer =
+  | Vc_timeout of Types.view
+      (** the view-change timer armed in this view; stale once the view moved *)
+  | Status_tick  (** the periodic retransmission/progress tick *)
 
 (** Group role.  An [Active] replica runs the full agreement protocol; a
     [Standby] is a warm spare: it holds replica-side keys and collects
@@ -105,7 +102,7 @@ val create :
   config:Types.config ->
   id:int ->
   keychain:Base_crypto.Auth.keychain ->
-  net:net ->
+  net:timer Message.net ->
   app:app ->
   unit ->
   t
@@ -167,7 +164,8 @@ val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string 
     and the usual MAC check.  [shard] (default 0) is the shard tag carried
     alongside the wire bytes. *)
 
-val on_timer : t -> tag:string -> payload:int -> unit
+val on_timer : t -> timer -> unit
+(** A timer armed through [net.set_timer] fired. *)
 
 val client_table_digest : t -> Digest.t
 (** Digest of the last-reply table; part of every checkpoint digest. *)

@@ -1,8 +1,10 @@
 (** Hot-path profiling probes: per-phase call counts, allocation, and time.
 
     A {!probe} brackets a named code region.  Each outermost
-    {!start}/{!stop} pair accumulates one call, the [Gc.allocated_bytes]
-    delta, and the elapsed time read from the clock injected at
+    {!start}/{!stop} pair accumulates one call, the bytes allocated in
+    between (exact, including words still in the minor heap, so a minor
+    collection inside the span charges it nothing extra), and the elapsed
+    time read from the clock injected at
     {!create} — the library itself never reads ambient time, which keeps
     the determinism lint (D2) and the byte-reproducible benchmark exports
     honest.  A disabled profile (the default, and the shared {!disabled}

@@ -1,9 +1,5 @@
 module Prng = Base_util.Prng
 
-type 'msg event =
-  | Deliver of { src : int; msg : 'msg }
-  | Timer of { tag : string; payload : int }
-
 type 'msg config = {
   seed : int64;
   size_of : 'msg -> int;
@@ -79,7 +75,7 @@ type obs = {
 }
 
 type 'msg node = {
-  handler : 'msg t -> 'msg event -> unit;
+  deliver : src:int -> 'msg -> unit;
   mutable up : bool;
   clock_offset : int64;
   clock_drift : float; (* multiplicative, close to 1.0 *)
@@ -88,7 +84,7 @@ type 'msg node = {
 
 and 'msg queued =
   | Q_deliver of { src : int; dst : int; msg : 'msg; size : int }
-  | Q_timer of { id : int; node : int; tag : string; payload : int }
+  | Q_timer of { id : int; node : int; fire : unit -> unit }
 
 and 'msg t = {
   config : 'msg config;
@@ -186,7 +182,7 @@ let trace t name ~src ~dst ~size msg =
         ("src", string_of_int src);
       ]
 
-let add_node t ~id handler =
+let add_node t ~id deliver =
   if find_node t id <> None then invalid_arg "Engine.add_node: duplicate id";
   if id < 0 then invalid_arg "Engine.add_node: negative id";
   if id >= Array.length t.nodes then begin
@@ -206,7 +202,7 @@ let add_node t ~id handler =
   t.nodes.(id) <-
     Some
       {
-        handler;
+        deliver;
         up = true;
         clock_offset = offset;
         clock_drift = drift;
@@ -341,11 +337,10 @@ let partition t a b = t.partition_groups <- Some (a, b)
 
 let heal t = t.partition_groups <- None
 
-let set_timer t ~node ~after ~tag ~payload =
+let set_timer t ~node ~after fire =
   let id = t.next_timer_id in
   t.next_timer_id <- id + 1;
-  Event_heap.push t.queue ~time:(Sim_time.add t.time after)
-    (Q_timer { id; node; tag; payload });
+  Event_heap.push t.queue ~time:(Sim_time.add t.time after) (Q_timer { id; node; fire });
   note_queue_depth t;
   id
 
@@ -366,7 +361,7 @@ let dispatch t queued =
         per_label.recv_msgs <- per_label.recv_msgs + 1;
         per_label.recv_bytes <- per_label.recv_bytes + size;
         trace t "net.deliver" ~src ~dst ~size msg;
-        node.handler t (Deliver { src; msg })
+        node.deliver ~src msg
       end
       else begin
         t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
@@ -374,10 +369,10 @@ let dispatch t queued =
         trace t "net.lost" ~src ~dst ~size msg
       end
   end
-  | Q_timer { id; node; tag; payload } ->
+  | Q_timer { id; node; fire } ->
     if not (Hashtbl.mem t.cancelled id) then begin
       match find_node t node with
-      | Some n when n.up -> n.handler t (Timer { tag; payload })
+      | Some n when n.up -> fire ()
       | Some _ | None -> ()
     end
     else Hashtbl.remove t.cancelled id);

@@ -2,9 +2,10 @@
 
     The engine multiplexes a set of numbered nodes (replicas and clients of
     the replicated service) over a virtual network.  Nodes communicate only
-    through {!send} and react to {!event}s delivered by the
-    scheduler; all latencies, drops and clock skews are drawn from a seeded
-    PRNG, so a run is a pure function of its seed.
+    through {!send}; the scheduler hands each delivery to the destination's
+    handler and runs the callbacks armed with {!set_timer}.  All latencies,
+    drops and clock skews are drawn from a seeded PRNG, so a run is a pure
+    function of its seed.
 
     The network model captures what the BASE evaluation depends on: per-link
     latency with jitter, per-byte transmission cost (bandwidth), message
@@ -13,12 +14,6 @@
     off-the-shelf service implementations non-deterministic. *)
 
 type 'msg t
-
-type 'msg event =
-  | Deliver of { src : int; msg : 'msg }
-      (** A network message from [src] arrived. *)
-  | Timer of { tag : string; payload : int }
-      (** A timer set by this node fired. *)
 
 type 'msg config = {
   seed : int64;
@@ -48,8 +43,10 @@ val create : 'msg config -> 'msg t
 
 (** {1 Nodes} *)
 
-val add_node : 'msg t -> id:int -> ('msg t -> 'msg event -> unit) -> unit
-(** Register node [id] with its event handler.  Ids must be unique. *)
+val add_node : 'msg t -> id:int -> (src:int -> 'msg -> unit) -> unit
+(** Register node [id] with the handler its deliveries go to.  Ids must be
+    unique.  Registration draws the node's clock skew and drift from the
+    engine PRNG, so the order of [add_node] calls is part of the seed. *)
 
 val set_node_up : 'msg t -> int -> bool -> unit
 (** A down node loses every message and timer addressed to it. *)
@@ -106,8 +103,11 @@ val local_clock : 'msg t -> int -> int64
     node's skew and drift.  This is the clock a service implementation reads
     for timestamps — different at every replica. *)
 
-val set_timer : 'msg t -> node:int -> after:Sim_time.t -> tag:string -> payload:int -> int
-(** Returns a timer id usable with {!cancel_timer}. *)
+val set_timer : 'msg t -> node:int -> after:Sim_time.t -> (unit -> unit) -> int
+(** [set_timer t ~node ~after f] runs [f ()] once [after] has elapsed,
+    provided [node] exists and is up at that instant; a timer whose node is
+    down when it fires is dropped.  Timers due at the same instant run in
+    arming order.  Returns a timer id usable with {!cancel_timer}. *)
 
 val cancel_timer : 'msg t -> int -> unit
 

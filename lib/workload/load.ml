@@ -89,14 +89,16 @@ let interarrival_us t =
 
 let injector_node t = (Runtime.config t.runtime).Types.n_principals + 1
 
-let schedule_next t =
+(* The injector's timer chain: each arrival arms the next. *)
+let rec arrive_then_schedule t =
+  arrive t;
   t.sched_us <- t.sched_us +. interarrival_us t;
   if t.sched_us < Int64.to_float t.end_us then begin
     let now = Int64.to_float (Engine.now t.engine) in
     let after = int_of_float (Float.max 0.0 (Float.round (t.sched_us -. now))) in
     ignore
       (Engine.set_timer t.engine ~node:(injector_node t) ~after:(Sim_time.of_us after)
-         ~tag:"arrive" ~payload:0)
+         (fun () -> arrive_then_schedule t))
   end
   else t.injecting <- false
 
@@ -146,17 +148,13 @@ let create ?(seed = 42L) ?(arrivals = Poisson) ?(max_backlog = 100_000)
     }
   in
   (* The injector is its own pseudo-node (one past the orchestrator), so its
-     arrival timers ride the same deterministic event queue as the protocol. *)
-  Engine.add_node engine ~id:(injector_node t) (fun _engine ev ->
-      match ev with
-      | Engine.Timer { tag = "arrive"; _ } ->
-        arrive t;
-        schedule_next t
-      | Engine.Timer _ | Engine.Deliver _ -> ());
+     arrival timers ride the same deterministic event queue as the protocol.
+     It receives nothing. *)
+  Engine.add_node engine ~id:(injector_node t) (fun ~src:_ _ -> ());
   (* First arrival fires at the window start; subsequent ones chain. *)
   ignore
-    (Engine.set_timer engine ~node:(injector_node t) ~after:Sim_time.zero ~tag:"arrive"
-       ~payload:0);
+    (Engine.set_timer engine ~node:(injector_node t) ~after:Sim_time.zero (fun () ->
+         arrive_then_schedule t));
   t
 
 let stats t = t.stats

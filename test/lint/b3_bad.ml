@@ -13,13 +13,13 @@ end
 
 type t = { mutable view : int }
 
-type net = { set_timer : after_us:int -> tag:string -> int }
+type 'timer net = { set_timer : after_us:int -> 'timer -> int }
 
 (* B3: wire value assigned to a protocol watermark field. *)
 let adopt t d = t.view <- Xdr.read_u32 d
 
 (* B3: wire duration into a timer through a record-field call. *)
-let arm net d = net.set_timer ~after_us:(Xdr.read_u32 d) ~tag:"t"
+let arm net d = net.set_timer ~after_us:(Xdr.read_u32 d) ()
 
 (* B3: wire partition-tree coordinate. *)
 let fetch pt d = Partition_tree.children pt ~level:(Xdr.read_u32 d) ~index:0

@@ -13,7 +13,7 @@ end
 
 type t = { mutable view : int }
 
-type net = { set_timer : after_us:int -> tag:string -> int }
+type 'timer net = { set_timer : after_us:int -> 'timer -> int }
 
 (* Watermark adoption behind a two-sided window check. *)
 let adopt t d =
@@ -21,7 +21,7 @@ let adopt t d =
   if v >= 0 && v < 1000 then t.view <- v
 
 (* Timer durations come from configuration, never the wire. *)
-let arm net _d = net.set_timer ~after_us:5000 ~tag:"t"
+let arm net _d = net.set_timer ~after_us:5000 ()
 
 (* Coordinate clamped against the (clean, registry-listed) tree shape. *)
 let fetch pt d =

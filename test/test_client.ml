@@ -12,7 +12,7 @@ type world = {
   chains : Auth.keychain array;
   client : Client.t;
   sent : (int * Message.body) Queue.t;  (* (dst, body) from the client *)
-  timers : (int * string * int) Queue.t;  (* (id, tag, payload) armed *)
+  timers : (int * int64) Queue.t;  (* (id, request timestamp) armed *)
   mutable now : int64;
   mutable next_timer : int;
 }
@@ -25,12 +25,12 @@ let make_world () =
   let w_ref = ref None in
   let net =
     {
-      Client.send = (fun ~dst env -> Queue.add (dst, env.Message.body) sent);
+      Message.send = (fun ~dst env -> Queue.add (dst, env.Message.body) sent);
       set_timer =
-        (fun ~after_us:_ ~tag ~payload ->
+        (fun ~after_us:_ ts ->
           let w = Option.get !w_ref in
           w.next_timer <- w.next_timer + 1;
-          Queue.add (w.next_timer, tag, payload) timers;
+          Queue.add (w.next_timer, ts) timers;
           w.next_timer);
       cancel_timer = (fun _ -> ());
       now_us = (fun () -> (Option.get !w_ref).now);
@@ -42,6 +42,12 @@ let make_world () =
   w
 
 let drain q = Queue.fold (fun acc x -> x :: acc) [] q |> List.rev
+
+(* Fire the most recently armed timer, as the transport would on timeout. *)
+let fire_latest_timer w =
+  match List.rev (drain w.timers) with
+  | (_, ts) :: _ -> Client.on_timer w.client ts
+  | [] -> Alcotest.fail "no timer armed"
 
 let reply w ~replica ~timestamp ~result =
   let body =
@@ -113,7 +119,7 @@ let test_ro_fallback_after_retries () =
   Client.invoke w.client ~read_only:true ~operation:"ro" (fun _ -> ());
   Queue.clear w.sent;
   (* First timeout: plain retransmission, still read-only. *)
-  Client.on_timer w.client ~tag:"client" ~payload:0;
+  fire_latest_timer w;
   let ro_retry =
     List.exists
       (function _, Message.Request r -> r.Message.read_only | _ -> false)
@@ -122,7 +128,7 @@ let test_ro_fallback_after_retries () =
   Alcotest.(check bool) "first retry still read-only" true ro_retry;
   Queue.clear w.sent;
   (* Second timeout: falls back to a regular ordered request. *)
-  Client.on_timer w.client ~tag:"client" ~payload:0;
+  fire_latest_timer w;
   let fell_back =
     List.exists
       (function _, Message.Request r -> not r.Message.read_only | _ -> false)
@@ -173,8 +179,8 @@ let test_ro_fallback_ignores_stale_tentative () =
   let result = ref None in
   Client.invoke w.client ~read_only:true ~operation:"ro" (fun r -> result := Some r);
   (* Two timeouts: retransmit, then fall back to an ordered request. *)
-  Client.on_timer w.client ~tag:"client" ~payload:0;
-  Client.on_timer w.client ~tag:"client" ~payload:0;
+  fire_latest_timer w;
+  fire_latest_timer w;
   (* Late tentative replies from the aborted read-only attempt (timestamp 0)
      arrive only now — f+1 of them, which would complete the fallback if the
      timestamp were shared. *)
@@ -189,9 +195,9 @@ let test_ro_fallback_ignores_stale_tentative () =
 let test_ro_fallback_uses_fresh_timestamp () =
   let w = make_world () in
   Client.invoke w.client ~read_only:true ~operation:"ro" (fun _ -> ());
-  Client.on_timer w.client ~tag:"client" ~payload:0;
+  fire_latest_timer w;
   Queue.clear w.sent;
-  Client.on_timer w.client ~tag:"client" ~payload:0;
+  fire_latest_timer w;
   List.iter
     (function
       | _, Message.Request r ->

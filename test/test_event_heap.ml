@@ -103,16 +103,13 @@ let test_engine_timer_schedules () =
       let engine = Engine.create config in
       let fired = ref [] in
       for node = 0 to 2 do
-        Engine.add_node engine ~id:node (fun _ event ->
-            match event with
-            | Engine.Timer { tag = _; payload } -> fired := (node, payload) :: !fired
-            | Engine.Deliver _ -> ())
+        Engine.add_node engine ~id:node (fun ~src:_ () -> ())
       done;
       let cancels =
         Array.to_list schedule
         |> List.filter_map (fun (i, node, after, cancelled) ->
                let tid =
-                 Engine.set_timer engine ~node ~after ~tag:"t" ~payload:i
+                 Engine.set_timer engine ~node ~after (fun () -> fired := (node, i) :: !fired)
                in
                if cancelled then Some tid else None)
       in
@@ -125,18 +122,17 @@ let test_engine_timer_schedules () =
     if a <> b then Alcotest.failf "round %d: identical schedules diverged" round;
     (* Semantic checks on one of the (identical) runs. *)
     List.iter
-      (fun (node, payload) ->
-        let _, snode, _, cancelled = schedule.(payload) in
-        if cancelled then Alcotest.failf "round %d: cancelled timer %d fired" round payload;
-        if node <> snode then Alcotest.failf "round %d: timer %d fired on wrong node" round payload;
-        if node = down_node then
-          Alcotest.failf "round %d: timer %d fired on down node %d" round payload node)
+      (fun (node, i) ->
+        let _, snode, _, cancelled = schedule.(i) in
+        if cancelled then Alcotest.failf "round %d: cancelled timer %d fired" round i;
+        if node <> snode then Alcotest.failf "round %d: timer %d fired on wrong node" round i;
+        if node = down_node then Alcotest.failf "round %d: timer %d fired on down node %d" round i node)
       a;
     (* Equal deadlines dispatch in arming order per the (time, seq) key:
        the fired sequence must be sorted by (deadline, arming index). *)
-    let key (_, payload) =
-      let _, _, after, _ = schedule.(payload) in
-      (after, payload)
+    let key (_, i) =
+      let _, _, after, _ = schedule.(i) in
+      (after, i)
     in
     let rec sorted = function
       | x :: y :: rest ->

@@ -130,8 +130,8 @@ let test_engine_net_events () =
   let e =
     Engine.create (Engine.default_config ~size_of:String.length ~label_of:(fun m -> "MSG-" ^ m))
   in
-  Engine.add_node e ~id:0 (fun _ _ -> ());
-  Engine.add_node e ~id:1 (fun _ _ -> ());
+  Engine.add_node e ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node e ~id:1 (fun ~src:_ _ -> ());
   Engine.send e ~src:0 ~dst:1 "untraced";
   Engine.run e;
   let tr = Trace.create () in
@@ -188,6 +188,34 @@ let test_runtime_phase_metrics () =
   Alcotest.(check bool) "phase latencies recorded" true (Metrics.hist_count h > 0);
   Alcotest.(check bool) "positive mean" true (Metrics.hist_mean h > 0.0)
 
+(* A span's allocation is exact even when a minor collection falls inside
+   it: allocation made before the span must not be charged to it. *)
+let test_profile_alloc_exact () =
+  let module Profile = Base_obs.Profile in
+  let p = Profile.create () in
+  Profile.enable p;
+  let probe = Profile.probe p "exact" in
+  Gc.minor ();
+  (* About 100 KB of junk left in the minor heap before the span opens. *)
+  let junk = List.init 4_000 (fun i -> Sys.opaque_identity (ref i)) in
+  let n = 1_000 in
+  Profile.start p probe;
+  let before = Sys.opaque_identity (List.init n Fun.id) in
+  Gc.minor ();
+  let after = Sys.opaque_identity (List.init n Fun.id) in
+  Profile.stop p probe;
+  ignore (Sys.opaque_identity (junk, before, after));
+  (* Two lists of [n] three-word cons cells. *)
+  let expected = 2 * n * 3 * (Sys.word_size / 8) in
+  let measured =
+    match Profile.to_json p with
+    | Json.Obj [ ("exact", Json.Obj fields) ] -> (
+      match List.assoc_opt "alloc_bytes" fields with Some (Json.Int b) -> b | _ -> -1)
+    | _ -> -1
+  in
+  if abs (measured - expected) > 1024 then
+    Alcotest.failf "span allocated %d B, expected %d B within 1 KiB" measured expected
+
 let suite =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
@@ -201,4 +229,5 @@ let suite =
     Alcotest.test_case "engine records network events" `Quick test_engine_net_events;
     Alcotest.test_case "same-seed runs trace identically" `Quick test_trace_determinism;
     Alcotest.test_case "replica phases reach the registry" `Quick test_runtime_phase_metrics;
+    Alcotest.test_case "probe allocation is exact" `Quick test_profile_alloc_exact;
   ]

@@ -272,11 +272,8 @@ let sim_config () =
 let test_sim_delivery_order () =
   let engine = Engine.create { (sim_config ()) with jitter_us = 0 } in
   let got = ref [] in
-  Engine.add_node engine ~id:0 (fun _ _ -> ());
-  Engine.add_node engine ~id:1 (fun _ ev ->
-      match ev with
-      | Engine.Deliver { msg; _ } -> got := msg :: !got
-      | Engine.Timer _ -> ());
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ msg -> got := msg :: !got);
   Engine.send engine ~src:0 ~dst:1 "first";
   Engine.send engine ~src:0 ~dst:1 "second";
   Engine.run engine;
@@ -285,22 +282,81 @@ let test_sim_delivery_order () =
 let test_sim_timers () =
   let engine = Engine.create (sim_config ()) in
   let fired = ref [] in
-  Engine.add_node engine ~id:0 (fun _ ev ->
-      match ev with
-      | Engine.Timer { tag; payload } -> fired := (tag, payload) :: !fired
-      | Engine.Deliver _ -> ());
-  let _t1 = Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 10) ~tag:"a" ~payload:1 in
-  let t2 = Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 5) ~tag:"b" ~payload:2 in
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  let note name () = fired := name :: !fired in
+  let _t1 = Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 10) (note "a") in
+  let t2 = Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 5) (note "b") in
   Engine.cancel_timer engine t2;
   Engine.run engine;
-  Alcotest.(check (list (pair string int))) "only uncancelled" [ ("a", 1) ] !fired
+  Alcotest.(check (list string)) "only uncancelled" [ "a" ] !fired
+
+(* A timer belongs to its node: one that comes due while the node is down
+   is gone for good, even once the node is back. *)
+let test_sim_timer_dropped_on_down_node () =
+  let engine = Engine.create (sim_config ()) in
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  let fired = ref false in
+  ignore (Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 10) (fun () -> fired := true));
+  Engine.set_node_up engine 0 false;
+  Engine.run engine;
+  Engine.set_node_up engine 0 true;
+  Engine.run engine;
+  Alcotest.(check bool) "dropped" false !fired
+
+(* Only the node's state when the timer comes due matters, not when it was
+   armed. *)
+let test_sim_timer_armed_while_down () =
+  let engine = Engine.create (sim_config ()) in
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ _ -> ());
+  Engine.set_node_up engine 0 false;
+  let fired = ref false in
+  ignore (Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 10) (fun () -> fired := true));
+  ignore
+    (Engine.set_timer engine ~node:1 ~after:(Sim_time.of_ms 5) (fun () ->
+         Engine.set_node_up engine 0 true));
+  Engine.run engine;
+  Alcotest.(check bool) "fired after the node came back" true !fired
+
+(* Cancelling a timer that is due at the same instant as the canceller, but
+   armed after it, still keeps its callback from running. *)
+let test_sim_cancel_same_instant () =
+  let engine = Engine.create (sim_config ()) in
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  let ran = ref false in
+  let victim = ref (-1) in
+  ignore
+    (Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 5) (fun () ->
+         Engine.cancel_timer engine !victim));
+  victim := Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 5) (fun () -> ran := true);
+  Engine.run engine;
+  Alcotest.(check bool) "cancelled callback never ran" false !ran
+
+(* Timers due at the same instant run in arming order, whatever their node,
+   and one armed for "now" from a callback runs after those already due. *)
+let test_sim_equal_time_order () =
+  let engine = Engine.create (sim_config ()) in
+  for id = 0 to 2 do
+    Engine.add_node engine ~id (fun ~src:_ _ -> ())
+  done;
+  let order = ref [] in
+  let note i () = order := i :: !order in
+  let arm node f = ignore (Engine.set_timer engine ~node ~after:(Sim_time.of_ms 7) f) in
+  arm 2 (note 0);
+  arm 0 (fun () ->
+      note 1 ();
+      ignore (Engine.set_timer engine ~node:0 ~after:Sim_time.zero (note 9)));
+  arm 1 (note 2);
+  arm 0 (note 3);
+  arm 2 (note 4);
+  Engine.run engine;
+  Alcotest.(check (list int)) "arming order" [ 0; 1; 2; 3; 4; 9 ] (List.rev !order)
 
 let test_sim_partition () =
   let engine = Engine.create (sim_config ()) in
   let got = ref 0 in
-  Engine.add_node engine ~id:0 (fun _ _ -> ());
-  Engine.add_node engine ~id:1 (fun _ ev ->
-      match ev with Engine.Deliver _ -> incr got | Engine.Timer _ -> ());
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ _ -> incr got);
   Engine.partition engine [ 0 ] [ 1 ];
   Engine.send engine ~src:0 ~dst:1 "lost";
   Engine.run engine;
@@ -313,9 +369,8 @@ let test_sim_partition () =
 let test_sim_down_node_loses () =
   let engine = Engine.create (sim_config ()) in
   let got = ref 0 in
-  Engine.add_node engine ~id:0 (fun _ _ -> ());
-  Engine.add_node engine ~id:1 (fun _ ev ->
-      match ev with Engine.Deliver _ -> incr got | Engine.Timer _ -> ());
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ _ -> incr got);
   Engine.set_node_up engine 1 false;
   Engine.send engine ~src:0 ~dst:1 "lost";
   Engine.run engine;
@@ -326,9 +381,9 @@ let test_sim_down_node_loses () =
 
 let test_sim_clock_skew () =
   let engine = Engine.create (sim_config ()) in
-  Engine.add_node engine ~id:0 (fun _ _ -> ());
-  Engine.add_node engine ~id:1 (fun _ _ -> ());
-  Engine.add_node engine ~id:2 (fun _ _ -> ());
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:2 (fun ~src:_ _ -> ());
   Engine.send engine ~src:0 ~dst:1 "tick";
   Engine.run engine;
   let clocks = List.init 3 (fun i -> Engine.local_clock engine i) in
@@ -340,9 +395,8 @@ let test_sim_bandwidth_cost () =
   (* A 100 KB message takes ~8 ms at 100 Mbit/s, far above base latency. *)
   let engine = Engine.create { (sim_config ()) with jitter_us = 0 } in
   let at = ref Sim_time.zero in
-  Engine.add_node engine ~id:0 (fun _ _ -> ());
-  Engine.add_node engine ~id:1 (fun engine ev ->
-      match ev with Engine.Deliver _ -> at := Engine.now engine | Engine.Timer _ -> ());
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ _ -> at := Engine.now engine);
   Engine.send engine ~src:0 ~dst:1 (String.make 100_000 'x');
   Engine.run engine;
   let ms = Sim_time.to_ms !at in
@@ -381,6 +435,10 @@ let suite =
     Alcotest.test_case "partition tree snapshot" `Quick test_tree_copy_isolated;
     Alcotest.test_case "sim delivery order" `Quick test_sim_delivery_order;
     Alcotest.test_case "sim timers + cancel" `Quick test_sim_timers;
+    Alcotest.test_case "sim timer dropped on down node" `Quick test_sim_timer_dropped_on_down_node;
+    Alcotest.test_case "sim timer armed while down" `Quick test_sim_timer_armed_while_down;
+    Alcotest.test_case "sim cancel at the same instant" `Quick test_sim_cancel_same_instant;
+    Alcotest.test_case "sim equal-time timer order" `Quick test_sim_equal_time_order;
     Alcotest.test_case "sim partitions" `Quick test_sim_partition;
     Alcotest.test_case "sim down node" `Quick test_sim_down_node_loses;
     Alcotest.test_case "sim clock skew" `Quick test_sim_clock_skew;

@@ -253,18 +253,6 @@ let test_lock_timestamps () =
     [ 25L; 26L; 27L ]
     (List.filter_map (fun (c, ts) -> if c = 0 && Int64.compare ts 30L < 0 then Some ts else None) a)
 
-let test_shard_tags () =
-  List.iter
-    (fun (tag, shard) ->
-      Alcotest.(check (pair string int))
-        (Printf.sprintf "%s on shard %d" tag shard)
-        (tag, shard)
-        (Xshard.split_shard_tag (Xshard.shard_tag ~shard tag)))
-    [ ("vc", 0); ("vc", 1); ("status", 3); ("status", 12); ("a.b", 2) ];
-  Alcotest.(check string) "shard 0 keeps the bare tag" "vc" (Xshard.shard_tag ~shard:0 "vc");
-  Alcotest.(check (pair string int)) "no suffix is shard 0" ("st_retry", 0)
-    (Xshard.split_shard_tag "st_retry")
-
 let suite =
   [
     Alcotest.test_case "two-shard commit" `Quick test_commit;
@@ -275,5 +263,4 @@ let suite =
     Alcotest.test_case "unsharded footprint is advisory" `Quick test_no_abort_unsharded;
     Alcotest.test_case "lock operation format" `Quick test_lock_format;
     Alcotest.test_case "lock timestamps agree and never collide" `Quick test_lock_timestamps;
-    Alcotest.test_case "shard timer tags round-trip" `Quick test_shard_tags;
   ]
