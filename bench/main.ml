@@ -363,10 +363,27 @@ let e7_micro () =
   let t_sha =
     Test.make ~name:"sha256-4KB" (Staged.stage (fun () -> Base_crypto.Sha256.digest data4k))
   in
+  let t_sha64 =
+    let data64 = String.make 64 'x' in
+    Test.make ~name:"sha256-64B" (Staged.stage (fun () -> Base_crypto.Sha256.digest data64))
+  in
   let t_hmac =
     let key = String.make 32 'k' in
     let msg = String.make 256 'm' in
     Test.make ~name:"hmac-seal-256B" (Staged.stage (fun () -> Base_crypto.Hmac.mac ~key msg))
+  in
+  (* What the message path runs per authenticator entry: a prepared-key MAC
+     over a 32-byte digest, and its check. *)
+  let prep = Base_crypto.Hmac.prepare ~key:(String.make 32 'k') in
+  let digest32 = Base_crypto.Sha256.digest "body" in
+  let t_mac_prep =
+    Test.make ~name:"hmac-mac-prepared-32B"
+      (Staged.stage (fun () -> Base_crypto.Hmac.mac_prepared prep digest32))
+  in
+  let t_verify_prep =
+    let tag = Base_crypto.Hmac.mac_prepared prep digest32 in
+    Test.make ~name:"hmac-verify-prepared-32B"
+      (Staged.stage (fun () -> Base_crypto.Hmac.verify_prepared prep digest32 ~tag))
   in
   let t_cow =
     Test.make ~name:"checkpoint-cow-1%dirty"
@@ -387,7 +404,10 @@ let e7_micro () =
            ignore (Array.map (fun (s : string) -> String.sub s 0 (String.length s)) store);
            ignore (Base_crypto.Sha256.digest_list (Array.to_list store))))
   in
-  let tests = Test.make_grouped ~name:"micro" [ t_sha; t_hmac; t_cow; t_full ] in
+  let tests =
+    Test.make_grouped ~name:"micro"
+      [ t_sha; t_sha64; t_hmac; t_mac_prep; t_verify_prep; t_cow; t_full ]
+  in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
   let results =

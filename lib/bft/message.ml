@@ -96,10 +96,15 @@ let enc_request e (r : request) =
   Xdr.opaque e r.operation;
   Xdr.bool e r.read_only
 
+(* One encoder for every top-level encoding below: encoding calls nothing
+   that could re-enter it, so each call resets it and pays only for the
+   final [contents] copy (single-domain, like the crypto scratch). *)
+let scratch = Xdr.encoder ()
+
 let encode_request r =
-  let e = Xdr.encoder () in
-  enc_request e r;
-  Xdr.contents e
+  Xdr.reset scratch;
+  enc_request scratch r;
+  Xdr.contents scratch
 
 let request_digest r = Digest.of_string (encode_request r)
 
@@ -109,10 +114,10 @@ let request_digest r = Digest.of_string (encode_request r)
    composition and the nondet choice at once (the per-request digest-then-
    combine scheme this replaces cost one hash per request per replica). *)
 let encode_batch requests ~nondet =
-  let e = Xdr.encoder () in
-  Xdr.list e enc_request requests;
-  Xdr.opaque e nondet;
-  Xdr.contents e
+  Xdr.reset scratch;
+  Xdr.list scratch enc_request requests;
+  Xdr.opaque scratch nondet;
+  Xdr.contents scratch
 
 let enc_digest e d = Xdr.opaque e (Digest.raw d)
 
@@ -131,7 +136,8 @@ let enc_proof e (p : prepared_proof) =
   Xdr.opaque e p.pp_nondet
 
 let encode_body body =
-  let e = Xdr.encoder () in
+  let e = scratch in
+  Xdr.reset e;
   (match body with
   | Request r ->
     Xdr.u32 e 0;
@@ -301,9 +307,12 @@ let envelope_digest env =
    the blessed benches over them) are unchanged.  Shard k > 0 appends the
    shard id, which binds the envelope to its agreement instance: a validly
    MACed message replayed from shard j into shard k fails verification
-   instead of splicing one shard's certificate into another's log. *)
-let mac_input ~shard d =
-  if shard = 0 then Digest.raw d else Digest.raw d ^ String.make 1 (Char.chr (shard land 0xff))
+   instead of splicing one shard's certificate into another's log.  The
+   byte goes to the MAC as a suffix, not by concatenation, and the options
+   are preallocated, so tagging a shard allocates nothing. *)
+let shard_suffixes = Array.init 256 (fun i -> Some (Char.chr i))
+
+let mac_suffix shard = if shard = 0 then None else shard_suffixes.(shard land 0xff)
 
 (* Shard k > 0 also pays 4 wire bytes for the shard tag in the header; the
    unsharded size formula is unchanged. *)
@@ -312,7 +321,10 @@ let shard_overhead shard = if shard = 0 then 0 else 4
 let seal chain ?(shard = 0) ~sender ~n_receivers body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
-  let macs = Base_crypto.Auth.digest_authenticator chain ~n:n_receivers (mac_input ~shard d) in
+  let macs =
+    Base_crypto.Auth.digest_authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
+      (Digest.raw d)
+  in
   (* Wire size: body + one 8-byte truncated MAC per receiver + small header. *)
   {
     sender;
@@ -328,7 +340,9 @@ let seal chain ?(shard = 0) ~sender ~n_receivers body =
 let seal_for chain ?(shard = 0) ~sender ~receiver body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
-  let macs = [| Base_crypto.Auth.mac_digest_for chain ~receiver (mac_input ~shard d) |] in
+  let macs =
+    [| Base_crypto.Auth.mac_digest_for chain ~receiver ?suffix:(mac_suffix shard) (Digest.raw d) |]
+  in
   {
     sender;
     shard;
@@ -363,8 +377,8 @@ let verify chain ~receiver env =
   let slot = receiver - env.mac_lo in
   slot >= 0
   && slot < Array.length env.macs
-  && Base_crypto.Auth.check_digest chain ~sender:env.sender
-       (mac_input ~shard:env.shard (envelope_digest env))
+  && Base_crypto.Auth.check_digest chain ~sender:env.sender ?suffix:(mac_suffix env.shard)
+       (Digest.raw (envelope_digest env))
        ~mac:env.macs.(slot)
 
 (* Constant per-constructor tag: what the engine's per-type traffic tables

@@ -13,6 +13,8 @@ type encoder = { mutable buf : Bytes.t; mutable len : int }
 
 let encoder () = { buf = Bytes.create 256; len = 0 }
 
+let reset e = e.len <- 0
+
 let ensure e n =
   let cap = Bytes.length e.buf in
   if e.len + n > cap then begin

@@ -18,6 +18,10 @@ type encoder
 
 val encoder : unit -> encoder
 
+val reset : encoder -> unit
+(** Forget everything encoded so far, keeping the buffer: one encoder can
+    serve every message, paying only for each {!contents} copy. *)
+
 val u32 : encoder -> int -> unit
 (** Encode an unsigned 32-bit quantity.  Raises [Invalid_argument] if the
     value does not fit. *)

@@ -77,10 +77,11 @@ let check chain ~sender msg ~mac = Hmac.verify ~key:(session_key chain sender) m
    HMACs run over precomputed key midstates (2 compressions each) instead of
    re-deriving the pad blocks per MAC. *)
 
-let mac_digest_for chain ~receiver digest = Hmac.mac_prepared (session chain receiver).ck_prep digest
+let mac_digest_for chain ~receiver ?suffix digest =
+  Hmac.mac_prepared ?suffix (session chain receiver).ck_prep digest
 
-let digest_authenticator chain ~n digest =
-  Array.init n (fun receiver -> mac_digest_for chain ~receiver digest)
+let digest_authenticator chain ~n ?suffix digest =
+  Array.init n (fun receiver -> mac_digest_for chain ~receiver ?suffix digest)
 
-let check_digest chain ~sender digest ~mac =
-  Hmac.verify_prepared (session chain sender).ck_prep digest ~tag:mac
+let check_digest chain ~sender ?suffix digest ~mac =
+  Hmac.verify_prepared ?suffix (session chain sender).ck_prep digest ~tag:mac

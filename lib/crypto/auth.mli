@@ -48,11 +48,16 @@ val check : keychain -> sender:int -> string -> mac:string -> bool
     [mac_for chain ~receiver d] for every receiver — the equivalence the
     batch-MAC differential suite pins — the batching is in what gets
     MACed (the shared digest) and in the precomputation, not in the tag
-    values. *)
+    values.
 
-val mac_digest_for : keychain -> receiver:int -> string -> string
+    [~suffix:c] appends one byte to what is MACed: the tag equals
+    [mac_for chain ~receiver (d ^ String.make 1 c)], without building that
+    string.  Checking a MAC allocates nothing beyond the key-cache lookup;
+    producing one allocates the 32-byte tag. *)
 
-val digest_authenticator : keychain -> n:int -> string -> string array
+val mac_digest_for : keychain -> receiver:int -> ?suffix:char -> string -> string
+
+val digest_authenticator : keychain -> n:int -> ?suffix:char -> string -> string array
 (** MAC vector over a digest for receivers [0 .. n-1]. *)
 
-val check_digest : keychain -> sender:int -> string -> mac:string -> bool
+val check_digest : keychain -> sender:int -> ?suffix:char -> string -> mac:string -> bool

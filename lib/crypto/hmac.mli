@@ -15,9 +15,12 @@ type prepared
 
 val prepare : key:string -> prepared
 
-val mac_prepared : prepared -> string -> string
+val mac_prepared : ?suffix:char -> prepared -> string -> string
 (** Same tag as [mac ~key msg] for the key given to {!prepare} — the batch
-    authenticator equivalence suite pins this. *)
+    authenticator equivalence suite pins this.  With [~suffix:c] the tag
+    covers [msg ^ String.make 1 c], without building that string.
+    Allocates only the returned tag (single-domain scratch, see
+    {!Sha256}). *)
 
-val verify_prepared : prepared -> string -> tag:string -> bool
-(** Constant-shape comparison, like {!verify}. *)
+val verify_prepared : ?suffix:char -> prepared -> string -> tag:string -> bool
+(** Constant-shape comparison, like {!verify}; allocates nothing. *)

@@ -2,7 +2,13 @@
 
     Used for message digests, Merkle partition trees and as the PRF inside
     {!Hmac}.  The implementation is pure OCaml and processes input
-    incrementally, so large abstract objects can be hashed without copies. *)
+    incrementally, so large abstract objects can be hashed without copies.
+
+    Hashing allocates nothing but the 32-byte results: every context shares
+    one message-schedule scratch, and {!digest}/{!digest_list} share one
+    context.  Both rely on the process running on a single domain — none of
+    these functions may run concurrently with another from a second
+    domain. *)
 
 type ctx
 
@@ -12,13 +18,23 @@ val update : ctx -> string -> unit
 
 val update_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 
-val copy : ctx -> ctx
-(** Independent clone of the context's midstate.  Hashing a fixed prefix
-    once and cloning per message is what makes precomputed HMAC keys one
+val update_char : ctx -> char -> unit
+(** [update_char ctx c] is [update ctx (String.make 1 c)], without the
+    string. *)
+
+val copy_into : src:ctx -> dst:ctx -> unit
+(** Overwrite [dst] with the midstate of [src].  Hashing a fixed prefix
+    once and copying it per message is what makes precomputed HMAC keys one
     compression per direction instead of two. *)
 
 val finalize : ctx -> string
-(** 32-byte binary digest. The context must not be reused afterwards. *)
+(** 32-byte binary digest.  The context must not be updated afterwards
+    until {!copy_into} overwrites it. *)
+
+val finalize_into : ctx -> bytes -> unit
+(** [finalize_into ctx out] writes the digest to the first 32 bytes of
+    [out] instead of allocating it; otherwise like {!finalize}.  Raises
+    [Base_util.Invariant.Violation] if [out] is shorter than 32 bytes. *)
 
 val digest : string -> string
 (** One-shot hash: 32-byte binary digest of the input. *)

@@ -59,6 +59,28 @@ let prepared_hmac_equivalence =
       String.equal (Hmac.mac_prepared prep msg) (Hmac.mac ~key msg)
       && Hmac.verify_prepared prep msg ~tag:(Hmac.mac ~key msg))
 
+(* Shard k > 0 binds its envelopes by MACing the digest with the shard byte
+   appended.  That byte now reaches the HMAC as a suffix instead of through
+   [raw ^ byte]; the tags must be the ones the concatenation produced, on
+   the broadcast and the unicast path, including shards past 255, whose
+   byte wraps (shard 256 appends '\000'). *)
+let shard_suffix_mac_equivalence =
+  qtest "shard-k MAC = mac_for over raw ^ byte"
+    (Gen.pair Test_bft_wire.gen_body (Gen.pair (Gen.int_range 1 600) (Gen.int_bound 7)))
+    (fun (body, (shard, receiver)) ->
+      let old_way env =
+        let raw = Base_crypto.Digest_t.raw (M.envelope_digest env) in
+        Auth.mac_for chains.(2) ~receiver (raw ^ String.make 1 (Char.chr (shard land 0xff)))
+      in
+      let env = M.seal chains.(2) ~shard ~sender:2 ~n_receivers:8 body in
+      let uni = M.seal_for chains.(2) ~shard ~sender:2 ~receiver body in
+      String.equal env.M.macs.(receiver) (old_way env)
+      && String.equal uni.M.macs.(0) (old_way uni)
+      && M.verify chains.(receiver) ~receiver env
+      && M.verify chains.(receiver) ~receiver uni
+      (* The byte is bound: the same MACs do not verify as shard 0. *)
+      && not (M.verify chains.(receiver) ~receiver { env with M.shard = 0 }))
+
 (* End-to-end tamper: corrupt every protocol message on the primary->backup
    link (single-byte wire flips via the runtime's corruption model) and let
    the system run.  Every corrupted delivery must be rejected — counted as
@@ -116,6 +138,7 @@ let suite =
     mac_digest_equivalence;
     authenticator_equivalence;
     prepared_hmac_equivalence;
+    shard_suffix_mac_equivalence;
     Alcotest.test_case "corrupted wire: counted and masked end-to-end" `Quick
       test_corrupted_wire_counted_and_masked;
     Alcotest.test_case "unicast reply: any byte flip rejected" `Quick
