@@ -1,14 +1,15 @@
 (** SHA-256 (FIPS 180-4), implemented from the specification.
 
     Used for message digests, Merkle partition trees and as the PRF inside
-    {!Hmac}.  The implementation is pure OCaml and processes input
-    incrementally, so large abstract objects can be hashed without copies.
+    {!Hmac}.  Input is processed incrementally, so large abstract objects
+    can be hashed without copies: whole 64-byte blocks go to a portable C
+    compression kernel straight from the caller's buffer, and only a
+    partial block is buffered in the context.
 
-    Hashing allocates nothing but the 32-byte results: every context shares
-    one message-schedule scratch, and {!digest}/{!digest_list} share one
-    context.  Both rely on the process running on a single domain — none of
-    these functions may run concurrently with another from a second
-    domain. *)
+    Hashing allocates nothing but the 32-byte results.  {!digest} and
+    {!digest_list} share one context, which relies on the process running
+    on a single domain: no two calls to them may overlap from different
+    domains.  Contexts made by {!init} are independent of each other. *)
 
 type ctx
 
@@ -17,6 +18,9 @@ val init : unit -> ctx
 val update : ctx -> string -> unit
 
 val update_bytes : ctx -> bytes -> pos:int -> len:int -> unit
+(** [update_bytes ctx b ~pos ~len] hashes bytes [pos .. pos + len - 1] of
+    [b].  Raises [Base_util.Invariant.Violation], leaving [ctx] unchanged,
+    if that range is not inside [b]. *)
 
 val update_char : ctx -> char -> unit
 (** [update_char ctx c] is [update ctx (String.make 1 c)], without the

@@ -8,7 +8,8 @@
    prints non-allowlisted findings as "file:line: [RULE] message" and
    exits 1 if there are any.  --update regenerates the allowlist from the
    current findings (sorted by file then rule, justifications preserved)
-   so review diffs are stable.
+   so review diffs are stable; waivers of rules that no backend of the run
+   checks are kept as they are.
 
    --typed additionally runs the typed backend (Typed_checks) over the
    .cmt files below --cmt-root (default: ROOT/_build/default when that
@@ -148,6 +149,11 @@ let () =
     List.sort_uniq Checks.compare_finding
       (syntactic_findings @ typed_findings @ taint_findings)
   in
+  let backends =
+    List.filter_map
+      (fun (flag, b) -> if flag then Some b else None)
+      [ (true, Checks.Syntactic); (!typed, Checks.Typed); (!taint, Checks.Taint) ]
+  in
   if !update then begin
     let old =
       match Checks.load_allowlist !allowlist_path with Ok ws -> ws | Error e -> fail e
@@ -171,6 +177,9 @@ let () =
             w_justification = justification f.file f.rule;
           })
         findings
+      @ List.filter
+          (fun (w : Checks.waiver) -> not (Checks.checks_rule ~backends w.w_rule))
+          old
     in
     Checks.save_allowlist !allowlist_path waivers;
     Printf.printf "basecheck: wrote %s (%d entries)\n" !allowlist_path
@@ -187,11 +196,6 @@ let () =
     (match !report_path with
     | None -> ()
     | Some path ->
-      let backends =
-        List.filter_map
-          (fun (flag, name) -> if flag then Some (Json.Str name) else None)
-          [ (true, "syntactic"); (!typed, "typed"); (!taint, "taint") ]
-      in
       let per_rule =
         List.map
           (fun rule ->
@@ -207,7 +211,8 @@ let () =
       let doc =
         Json.obj
           [
-            ("backends", Json.List backends);
+            ( "backends",
+              Json.List (List.map (fun b -> Json.Str (Checks.backend_name b)) backends) );
             ("files_scanned", Json.Int (List.length files));
             ("rules", Json.obj per_rule);
             ("active_findings", Json.Int (List.length active));
@@ -221,17 +226,9 @@ let () =
     (* Stale waivers are reported (hygiene) but do not fail the build. *)
     List.iter
       (fun (w : Checks.waiver) ->
-        if
-          not
-            (List.exists
-               (fun (f : Checks.finding) ->
-                 String.equal f.file w.w_file && f.rule = w.w_rule)
-               findings)
-        then
-          Printf.eprintf "basecheck: stale allowlist entry (%s, %s) — no findings\n"
-            w.w_file
-            (Checks.rule_name w.w_rule))
-      waivers;
+        Printf.eprintf "basecheck: stale allowlist entry (%s, %s) — no findings\n" w.w_file
+          (Checks.rule_name w.w_rule))
+      (Checks.stale_waivers ~backends waivers findings);
     if active <> [] then begin
       Printf.eprintf "basecheck: %d finding(s) in %d file(s) scanned\n"
         (List.length active) (List.length files);

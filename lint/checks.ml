@@ -417,6 +417,28 @@ let waived waivers (f : finding) =
     (fun w -> String.equal w.w_file f.file && w.w_rule = f.rule)
     waivers
 
+(* --- backends --------------------------------------------------------------- *)
+
+type backend = Syntactic | Typed | Taint
+
+let backend_name = function Syntactic -> "syntactic" | Typed -> "typed" | Taint -> "taint"
+
+(* The rules each backend can report. *)
+let backend_rules = function
+  | Syntactic -> [ D1; D2; D3; D4; E1 ]
+  | Typed -> [ D1; D3; E1; E2 ]
+  | Taint -> [ B1; B2; B3 ]
+
+(* Whether a run of [backends] could report [rule] at all: one that
+   cannot says nothing about that rule's waivers, so they are neither
+   stale nor dropped by --update. *)
+let checks_rule ~backends rule = List.exists (fun b -> List.mem rule (backend_rules b)) backends
+
+let stale_waivers ~backends waivers findings =
+  List.filter
+    (fun w -> checks_rule ~backends w.w_rule && not (List.exists (waived [ w ]) findings))
+    waivers
+
 (* --- directory walking ---------------------------------------------------- *)
 
 (* Collect .ml files under [dir] (given relative to [root]), sorted for

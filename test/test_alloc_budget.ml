@@ -8,13 +8,18 @@
 
    - [Auth.check_digest]: the key cache's [Some], nothing else;
    - [Auth.mac_digest_for]: that plus the 32-byte tag;
-   - [Digest_t.of_string]: the 32-byte digest, nothing else.
+   - [Digest_t.of_string]: the 32-byte digest, nothing else, whatever the
+     input length;
+   - [Sha256.update_bytes]: nothing — the compression kernel is a
+     [noalloc] external taking the position untagged.
 
-   A change that puts a context, a padding buffer or a boxed counter back
-   on these paths fails here, not only as a drift in the ledger. *)
+   A change that puts a context, a padding buffer, a boxed counter or a
+   boxed kernel argument back on these paths fails here, not only as a
+   drift in the ledger. *)
 
 module Auth = Base_crypto.Auth
 module Digest = Base_crypto.Digest_t
+module Sha256 = Base_crypto.Sha256
 module M = Base_bft.Message
 
 let calls = 1_000
@@ -60,6 +65,14 @@ let test_digest_of_string () =
   let input = Sys.opaque_identity (String.make 64 'b') in
   within_budget "Digest_t.of_string (64 B)" ~budget:48 (fun () -> Digest.of_string input)
 
+(* 8 KB is 128 blocks: the whole-block run goes to the kernel in one call. *)
+let test_large_inputs () =
+  let input = Sys.opaque_identity (String.make 8192 'c') in
+  within_budget "Digest_t.of_string (8 KB)" ~budget:48 (fun () -> Digest.of_string input);
+  let ctx = Sha256.init () and data = Sys.opaque_identity (Bytes.make 8192 'd') in
+  within_budget "Sha256.update_bytes (8 KB)" ~budget:0 (fun () ->
+      Sha256.update_bytes ctx data ~pos:0 ~len:8192)
+
 (* Envelope verification adds nothing on top of the MAC check once the
    digest is memoised: the shard byte comes from a preallocated option. *)
 let test_envelope_verify () =
@@ -80,4 +93,6 @@ let suite =
     Alcotest.test_case "Auth.mac_digest_for: <= 64 B per call" `Quick test_mac_digest_for;
     Alcotest.test_case "Digest_t.of_string 64 B: <= 48 B per call" `Quick test_digest_of_string;
     Alcotest.test_case "Message.verify: <= 16 B per call" `Quick test_envelope_verify;
+    Alcotest.test_case "8 KB: of_string <= 48 B, update_bytes 0 B per call" `Quick
+      test_large_inputs;
   ]

@@ -208,6 +208,30 @@ let test_allowlist_roundtrip () =
       (ws' = List.sort C.compare_waiver ws));
   Sys.remove tmp
 
+(* Each backend vouches only for the rules it can report: the taint-only
+   waivers must not read as stale in a syntactic or typed run (nor be
+   dropped by its --update), while a waiver whose rule did run and found
+   nothing still does. *)
+let test_stale_waivers () =
+  let waiver file rule = { C.w_file = file; w_rule = rule; w_justification = "why" } in
+  let b1 = waiver "lib/codec/xdr.ml" C.B1 and d3 = waiver "lib/fs/fs_log.ml" C.D3 in
+  let e2 = waiver "lib/bft/replica.ml" C.E2 in
+  let d3_finding = { C.file = "lib/fs/fs_log.ml"; line = 1; rule = C.D3; msg = "" } in
+  let stale backends findings =
+    List.map
+      (fun (w : C.waiver) -> w.w_file ^ ":" ^ C.rule_name w.w_rule)
+      (C.stale_waivers ~backends [ b1; d3; e2 ] findings)
+  in
+  Alcotest.(check (list string)) "syntactic run: taint and typed-only rules not judged" []
+    (stale [ C.Syntactic ] [ d3_finding ]);
+  Alcotest.(check (list string)) "typed run: E2 judged, B1 not" [ "lib/bft/replica.ml:E2" ]
+    (stale [ C.Syntactic; C.Typed ] [ d3_finding ]);
+  Alcotest.(check (list string)) "all backends, nothing found: every waiver stale"
+    [ "lib/codec/xdr.ml:B1"; "lib/fs/fs_log.ml:D3"; "lib/bft/replica.ml:E2" ]
+    (stale [ C.Syntactic; C.Typed; C.Taint ] []);
+  Alcotest.(check bool) "--update without --taint keeps B-rule waivers" false
+    (C.checks_rule ~backends:[ C.Syntactic; C.Typed ] C.B1)
+
 let suite =
   [
     Alcotest.test_case "bad fixtures flag the right rule" `Quick test_bad_fixtures;
@@ -229,4 +253,5 @@ let suite =
     Alcotest.test_case "taint: environments reconstruct" `Quick
       test_taint_env_reconstruction;
     Alcotest.test_case "allowlist round-trip" `Quick test_allowlist_roundtrip;
+    Alcotest.test_case "stale waivers judged per backend" `Quick test_stale_waivers;
   ]

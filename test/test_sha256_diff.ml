@@ -1,12 +1,13 @@
-(* Differential suite for the allocation-free SHA-256 and HMAC.
+(* Differential suite for SHA-256 and HMAC.
 
-   [Base_crypto.Sha256] shares one message schedule across contexts, pads
-   in place and counts bytes in an [int]; [Hmac]'s prepared path copies
-   midstates into scratch contexts.  The pre-overhaul implementation, kept
-   verbatim in [Sha256_ref], is the oracle: every digest and every tag must
-   be byte-identical to it, however the input is split into updates and
-   however contexts and MACs interleave — and no scratch buffer may leak
-   into a returned value. *)
+   [Base_crypto.Sha256] runs its compression function in a C kernel over
+   runs of whole blocks straight from the caller's buffer, pads in place
+   and counts bytes in an [int]; [Hmac]'s prepared path copies midstates
+   into scratch contexts.  The pure-OCaml implementation, kept verbatim in
+   [Sha256_ref], is the oracle: every digest and every tag must be
+   byte-identical to it, however the input is split into updates, wherever
+   it sits in the buffer and however contexts and MACs interleave — and no
+   scratch buffer may leak into a returned value. *)
 
 module Sha256 = Base_crypto.Sha256
 module Hmac = Base_crypto.Hmac
@@ -67,8 +68,8 @@ let chunked_updates =
       feed ctx s cuts;
       String.equal (Sha256.finalize ctx) (Sha256_ref.digest s))
 
-(* Two live contexts share the schedule scratch: alternate their updates,
-   with one-shot digests (which share a context of their own) in between. *)
+(* Two live contexts: alternate their updates, with one-shot digests (which
+   share a context of their own) in between. *)
 let interleaved_contexts =
   qtest "two interleaved contexts = reference"
     (Gen.triple (Gen.string_size (Gen.int_bound 300)) (Gen.string_size (Gen.int_bound 300))
@@ -156,6 +157,53 @@ let test_results_not_aliased () =
   Alcotest.(check bool) "verify rejects a short tag" false
     (Hmac.verify_prepared p "first" ~tag:(String.sub tag 0 31))
 
+(* Inputs of 1-64 KB at an unaligned offset in a larger buffer, fed through
+   [update_bytes] in random pieces: most of the bytes reach the kernel as
+   multi-block runs read straight from the caller's buffer, starting
+   anywhere in it. *)
+let large_unaligned =
+  qtest ~count:60 "1-64 KB via update_bytes at unaligned offsets = reference"
+    (Gen.triple
+       (Gen.string_size ~gen:Gen.char (Gen.int_range 1024 65536))
+       (Gen.int_bound 63)
+       (Gen.list_size (Gen.int_bound 8) (Gen.int_bound 65536)))
+    (fun (s, off, cuts) ->
+      let n = String.length s in
+      let buf = Bytes.make (off + n + 7) '\xa5' in
+      Bytes.blit_string s 0 buf off n;
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) @ [ n ] in
+      let ctx = Sha256.init () in
+      ignore
+        (List.fold_left
+           (fun from upto ->
+             Sha256.update_bytes ctx buf ~pos:(off + from) ~len:(upto - from);
+             upto)
+           0 cuts);
+      String.equal (Sha256.finalize ctx) (Sha256_ref.digest s))
+
+(* A range outside the buffer is refused before it reaches the kernel,
+   which reads the buffer unchecked, and before the context counts it.
+   [max_int - 10] is the offset whose end overflowed the old check. *)
+let test_out_of_range () =
+  let data = Bytes.make 128 'x' in
+  let ctx = Sha256.init () in
+  List.iter
+    (fun (what, pos, len) ->
+      match Sha256.update_bytes ctx data ~pos ~len with
+      | () -> Alcotest.failf "%s: accepted" what
+      | exception Base_util.Invariant.Violation _ -> ())
+    [
+      ("offset near max_int", max_int - 10, 100);
+      ("length past the end", 29, 100);
+      ("length max_int", 1, max_int);
+      ("negative offset", -1, 10);
+      ("negative length", 10, -1);
+    ];
+  Sha256.update_bytes ctx data ~pos:28 ~len:100;
+  Alcotest.(check string) "refused ranges leave the context untouched"
+    (hex (Sha256_ref.digest (String.make 100 'x')))
+    (hex (Sha256.finalize ctx))
+
 let suite =
   [
     Alcotest.test_case "every length 0..300 = reference" `Quick test_every_length;
@@ -164,4 +212,6 @@ let suite =
     copy_into_midstate;
     interleaved_hmac;
     Alcotest.test_case "returned tags and digests are not aliased" `Quick test_results_not_aliased;
+    large_unaligned;
+    Alcotest.test_case "out-of-range update_bytes raises" `Quick test_out_of_range;
   ]

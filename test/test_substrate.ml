@@ -100,14 +100,9 @@ let test_stats () =
 (* --- SHA-256 / HMAC ------------------------------------------------------------- *)
 
 let test_sha256_vectors () =
-  let check input expected = Alcotest.(check string) input expected (Sha256.hex input) in
-  check "" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
-  check "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
-  check "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
-  Alcotest.(check string) "million a"
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex (String.make 1_000_000 'a'))
+  List.iter
+    (fun (name, msg, expected) -> Alcotest.(check string) name expected (Sha256.hex msg))
+    Sha256_kat.vectors
 
 let test_sha256_incremental () =
   (* Chunked updates produce the same digest as one-shot hashing. *)
