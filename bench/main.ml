@@ -24,16 +24,13 @@ let section id title =
   Printf.printf "%s - %s\n" id title;
   Printf.printf "==========================================================\n%!"
 
-let nfs_of rt ~client =
-  C.make (fun ~read_only ~operation -> Runtime.invoke_sync rt ~client ~read_only ~operation ())
-
 (* --- E2: software architecture trace (Figure 2) ------------------------------- *)
 
 let e2 () =
   section "E2" "software architecture: the path of one NFS write (Fig. 2)";
   let sys = Systems.make_basefs ~hetero:true ~n_clients:1 () in
   let rt = sys.Systems.runtime in
-  let nfs = nfs_of rt ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let f, _ = C.ok (C.create nfs root_oid "traced" sattr_empty) in
   (* Trace only the interesting op, keeping the first 28 network events. *)
   let trace = Base_obs.Trace.create ~limit:28 () in
@@ -150,7 +147,7 @@ let e11 () =
     (* One private file per client, created synchronously. *)
     let files =
       List.init 16 (fun c ->
-          let nfs = nfs_of rt ~client:c in
+          let nfs = Systems.nfs_client rt ~client:c in
           let fh, _ = C.ok (C.create nfs root_oid (Printf.sprintf "cl%d" c) sattr_empty) in
           fh)
     in
@@ -210,7 +207,7 @@ let e4 () =
         c.Base_util.Loc_count.semicolons
     in
     row "wrapper + state conversions (lib/wrapper)" wrapper;
-    row "replication substrate (bft+core+sim+crypto)" substrate;
+    row "substrate (bft+core+sim+crypto+codec)" substrate;
     row "all libraries (lib/)" whole;
     p "\n";
     p "  paper:    wrapper + conversions = 1105 semicolons, two orders of\n";
@@ -432,7 +429,7 @@ let e8 () =
   section "E8" "non-determinism: divergent replica clocks, agreed timestamps";
   let sys = Systems.make_basefs ~hetero:true ~n_clients:1 () in
   let rt = sys.Systems.runtime in
-  let nfs = nfs_of rt ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let f, _ = C.ok (C.create nfs root_oid "stamped" sattr_empty) in
   ignore (C.ok (C.write nfs f ~off:0 "tick"));
   let a = C.ok (C.getattr nfs f) in
@@ -572,7 +569,7 @@ let e12_run ?profile seed =
   in
   let rt = sys.Systems.runtime in
   Runtime.enable_proactive_recovery ~reboot_us:100_000 ~period_us:2_000_000 rt;
-  let nfs = nfs_of rt ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let f, _ = C.ok (C.create nfs root_oid "obs" sattr_empty) in
   for i = 1 to 50 do
     ignore (C.ok (C.write nfs f ~off:(i * 16) (String.make 64 'o')))
@@ -681,7 +678,7 @@ let e14_run ~st_window seed =
   in
   let rt = sys.Systems.runtime in
   let engine = Runtime.engine rt in
-  let nfs = nfs_of rt ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   (* Phase 1 (~65 requests, crossing the k=64 checkpoint boundary): create
      the working set — each file holds ~6 KB, larger than one 4 KB chunk. *)
   let files =
@@ -700,7 +697,7 @@ let e14_run ~st_window seed =
   (* Phase 3: background load for the whole recovery — client 1 keeps
      dirtying its own files so the fetch happens on a moving, loaded
      system. *)
-  let nfs1 = nfs_of rt ~client:1 in
+  let nfs1 = Systems.nfs_client rt ~client:1 in
   let g, _ = C.ok (C.create nfs1 root_oid "bg" sattr_empty) in
   let stop_load = ref false in
   let tick = ref 0 in

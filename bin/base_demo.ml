@@ -56,10 +56,7 @@ let trace_cmd =
   let run ops =
     let sys = Systems.make_basefs ~hetero:true ~n_clients:1 () in
     let rt = sys.Systems.runtime in
-    let nfs =
-      Base_nfs.Nfs_client.make (fun ~read_only ~operation ->
-          Runtime.invoke_sync rt ~client:0 ~read_only ~operation ())
-    in
+    let nfs = Systems.nfs_client rt ~client:0 in
     let trace = Base_obs.Trace.create () in
     Engine.attach_trace (Runtime.engine rt) trace;
     for i = 1 to ops do
@@ -135,10 +132,7 @@ let throughput_cmd =
     let rt = sys.Systems.runtime in
     let files =
       List.init clients (fun c ->
-          let nfs =
-            Base_nfs.Nfs_client.make (fun ~read_only ~operation ->
-                Runtime.invoke_sync rt ~client:c ~read_only ~operation ())
-          in
+          let nfs = Systems.nfs_client rt ~client:c in
           fst
             (Base_nfs.Nfs_client.ok
                (Base_nfs.Nfs_client.create nfs Base_nfs.Nfs_types.root_oid
@@ -175,10 +169,7 @@ let metrics_cmd =
     let sys = Systems.make_basefs ~seed:(Int64.of_int seed) ~hetero:true ~n_clients:1 () in
     let rt = sys.Systems.runtime in
     Runtime.enable_proactive_recovery ~reboot_us:100_000 ~period_us:2_000_000 rt;
-    let nfs =
-      Base_nfs.Nfs_client.make (fun ~read_only ~operation ->
-          Runtime.invoke_sync rt ~client:0 ~read_only ~operation ())
-    in
+    let nfs = Systems.nfs_client rt ~client:0 in
     let fh, _ =
       Base_nfs.Nfs_client.ok
         (Base_nfs.Nfs_client.create nfs Base_nfs.Nfs_types.root_oid "metrics"

@@ -17,9 +17,7 @@ let () =
   let sys = Systems.make_basefs ~hetero:true ~n_clients:1 () in
   let rt = sys.Systems.runtime in
   let engine = Runtime.engine rt in
-  let nfs =
-    C.make (fun ~read_only ~operation -> Runtime.invoke_sync rt ~client:0 ~read_only ~operation ())
-  in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let f = C.write_file nfs root_oid "ledger" ~chunk:4096 "before partition\n" in
   Printf.printf "wrote ledger before the partition\n";
   (* Split the replicas 2+2: no quorum on either side. *)

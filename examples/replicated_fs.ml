@@ -17,9 +17,7 @@ let () =
   Printf.printf "replica -> implementation:\n";
   Array.iteri (fun rid name -> Printf.printf "  replica %d runs %s\n" rid name)
     sys.Systems.impl_of;
-  let nfs =
-    C.make (fun ~read_only ~operation -> Runtime.invoke_sync rt ~client:0 ~read_only ~operation ())
-  in
+  let nfs = Systems.nfs_client rt ~client:0 in
   (* Build a small project tree. *)
   let src = C.mkdir_p nfs "/home/alice/project/src" in
   let _readme =

@@ -54,8 +54,6 @@ let create ?(cache_objs = 256) ~wrapper ~branching () =
   Partition_tree.set_leaves t.tree (List.init wrapper.Service.n_objects (leaf_update t));
   t
 
-let wrapper t = t.wrapper
-
 let n_objects t = t.wrapper.Service.n_objects
 
 let cache_put t digest data =
@@ -122,8 +120,6 @@ let take_checkpoint t ~seq ~client_rows =
   Partition_tree.root snapshot.tree
 
 let discard_below t seq = t.cps <- List.filter (fun cp -> cp.seq >= seq) t.cps
-
-let checkpoints t = t.cps
 
 let find_checkpoint t ~seq = List.find_opt (fun cp -> cp.seq = seq) t.cps
 

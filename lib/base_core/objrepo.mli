@@ -31,8 +31,6 @@ val create : ?cache_objs:int -> wrapper:Service.wrapper -> branching:int -> unit
     (default 256, [0] disables) bounds the digest-keyed leaf cache consulted
     by state transfer — see {!cache_find}. *)
 
-val wrapper : t -> Service.wrapper
-
 val n_objects : t -> int
 
 val modify : t -> int -> unit
@@ -47,9 +45,6 @@ val take_checkpoint : t -> seq:int -> client_rows:(int * int64 * string) list ->
     checkpoint digest). *)
 
 val discard_below : t -> int -> unit
-
-val checkpoints : t -> checkpoint list
-(** Live checkpoints, oldest first. *)
 
 val find_checkpoint : t -> seq:int -> checkpoint option
 

@@ -33,8 +33,6 @@ let levels t = Array.length t.nodes
 
 let n_leaves t = Array.length t.nodes.(levels t - 1)
 
-let branching t = t.b
-
 let width t ~level = Array.length t.nodes.(level)
 
 let node t ~level ~index = t.nodes.(level).(index)

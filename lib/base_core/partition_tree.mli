@@ -18,8 +18,6 @@ val create : n_leaves:int -> branching:int -> t
 
 val n_leaves : t -> int
 
-val branching : t -> int
-
 val levels : t -> int
 (** Number of levels including the leaf level (>= 1; 1 when the tree is a
     single leaf... never happens in practice since n_leaves > 1). *)

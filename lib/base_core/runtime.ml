@@ -100,8 +100,6 @@ let replica t i = t.replicas.(i)
 
 let replicas t = t.replicas
 
-let standbys t = t.standbys
-
 let standby t i = t.standbys.(i - t.config.Types.n)
 
 let client t i = t.clients.(i)
@@ -109,8 +107,6 @@ let client t i = t.clients.(i)
 let now t = Engine.now t.engine
 
 let metrics t = t.metrics
-
-let profile t = t.profile
 
 let trace t = t.trace
 

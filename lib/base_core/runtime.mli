@@ -109,9 +109,6 @@ val n_shards : t -> int
 val shard_replica : t -> shard:int -> int -> replica_node
 (** The cell of replica [rid] serving [shard]. *)
 
-val standbys : t -> replica_node array
-(** The warm pool, indexed [0 .. s-1]; node ids are [n .. n+s-1]. *)
-
 val standby : t -> int -> replica_node
 (** Standby by {e node id} (in [n .. n+s-1]). *)
 
@@ -206,12 +203,6 @@ val apply_faultplan : t -> Base_sim.Faultplan.t -> unit
     are driven by the virtual clock, traces carry virtual timestamps, and
     all JSON renders with sorted keys — two runs with the same seed export
     byte-identical reports. *)
-
-val profile : t -> Base_obs.Profile.t
-(** The shared profiling harness: protocol-phase probes [bft.verify] /
-    [bft.seal] / [bft.handle] / [bft.execute], client-side [client.verify] /
-    [client.seal], and the engine's [engine.send] / [engine.dispatch].
-    Disabled (near-zero overhead) unless the caller enables it. *)
 
 val metrics : t -> Base_obs.Metrics.t
 (** The system-wide registry: per-phase replica histograms

@@ -116,8 +116,6 @@ val envelope_digest : envelope -> Digest.t
 (** The (memoised) digest of [wire]; equals a from-scratch SHA-256 of the
     canonical encoding — the differential digest suite pins this. *)
 
-val encode_request : request -> string
-
 val request_digest : request -> Digest.t
 
 val encode_batch : request list -> nondet:string -> string

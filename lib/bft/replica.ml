@@ -1410,12 +1410,6 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
   t.stable_digest <- d;
   t
 
-let id t = t.id
-
-let shard t = t.shard
-
-let role t = t.role
-
 (* --- cross-shard runtime hooks ------------------------------------------- *)
 
 let submit_internal t (r : M.request) =
@@ -1444,5 +1438,3 @@ let status t = t.status
 let stats t = t.stats
 
 let set_behavior t b = t.behavior <- b
-
-let behavior t = t.behavior

@@ -45,8 +45,9 @@ type app = {
   start_fetch : seq:Types.seqno -> digest:Digest.t -> unit;
       (** Bring the service to the certified checkpoint [(seq, digest)]
           (asynchronously); the runtime calls {!fetch_complete} when done.
-          [digest] is the {e combined} checkpoint digest (see
-          {!checkpoint_digest}). *)
+          [digest] is the {e combined} checkpoint digest,
+          [combine [app; client]] of the service and last-reply-table
+          digests. *)
 }
 
 val always_ready : client:int -> timestamp:int64 -> operation:string -> bool
@@ -129,16 +130,7 @@ val create :
     [bft.handle], [bft.execute]); defaults to the shared disabled
     instance, whose probe sites cost a branch. *)
 
-val id : t -> int
-
-val shard : t -> int
-(** The agreement instance this replica serves; 0 when unsharded. *)
-
-val role : t -> role
-
 val view : t -> Types.view
-
-val is_primary : t -> bool
 
 val last_executed : t -> Types.seqno
 
@@ -149,8 +141,6 @@ val status : t -> status
 val stats : t -> stats
 
 val set_behavior : t -> behavior -> unit
-
-val behavior : t -> behavior
 
 val receive : t -> Message.envelope -> unit
 (** Handle one authenticated protocol message (invalid MACs are counted and
@@ -166,13 +156,6 @@ val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string 
 
 val on_timer : t -> timer -> unit
 (** A timer armed through [net.set_timer] fired. *)
-
-val client_table_digest : t -> Digest.t
-(** Digest of the last-reply table; part of every checkpoint digest. *)
-
-val checkpoint_digest : app_digest:Digest.t -> client_digest:Digest.t -> Digest.t
-(** The combined digest bound by CHECKPOINT messages:
-    [combine [app; client]]. *)
 
 val export_client_table : t -> (int * int64 * string) list
 (** [(client, timestamp, result)] rows, sorted by client; transferred

@@ -53,8 +53,6 @@ let make_config ?(checkpoint_period = 128) ?(log_window = 256)
     shard_bounds;
   }
 
-let primary config view = view mod config.n
-
 (** {1 Shards} *)
 
 let n_shards config = max 1 (Array.length config.shard_bounds)

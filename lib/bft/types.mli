@@ -56,23 +56,20 @@ val make_config :
     [shard_bounds = [||]] (unsharded).  Raises [Invalid_argument] when
     [shard_bounds] is not strictly ascending positive. *)
 
-val primary : config -> view -> int
-(** The primary of a view: [view mod n]. *)
-
 (** {1 Shards}
 
     The abstract object space can be partitioned into [S] shards, each an
     independent agreement instance (own sequence space, checkpoints and view
     changes) over the {e same} [3f+1] replicas.  Shard [k]'s primary in view
     [v] is replica [(v + k) mod n], so concurrent shards are led by distinct
-    nodes and shard 0's rotation coincides with {!primary}. *)
+    nodes and shard 0's rotation is the unsharded one, [v mod n]. *)
 
 val n_shards : config -> int
 (** Number of shards; [1] when [shard_bounds] is empty. *)
 
 val shard_primary : config -> shard:int -> view -> int
 (** The node currently leading [shard]: [(view + shard) mod n].
-    [shard_primary ~shard:0] is {!primary}. *)
+    [shard_primary ~shard:0] is the primary of an unsharded group. *)
 
 val shard_of_oid : config -> int -> int
 (** The shard owning an abstract object id.  Oids at or beyond the last

@@ -75,9 +75,8 @@ let contents e = Bytes.sub_string e.buf 0 e.len
 
    A decoder is a cursor over a [pos, limit) slice of a backing string, so
    nested structures decode in place: {!read_view} yields the coordinates
-   of an opaque field without copying it, and {!view_decoder} recurses into
-   one without [String.sub].  {!read_opaque} still materialises an owned
-   string for callers that store the field. *)
+   of an opaque field without copying it.  {!read_opaque} still
+   materialises an owned string for callers that store the field. *)
 
 type decoder = { data : string; mutable pos : int; limit : int }
 
@@ -122,8 +121,6 @@ let read_view d =
   v
 
 let view_to_string v = String.sub v.view_base v.view_pos v.view_len
-
-let view_decoder v = { data = v.view_base; pos = v.view_pos; limit = v.view_pos + v.view_len }
 
 let view_equal_string v s =
   String.length s = v.view_len

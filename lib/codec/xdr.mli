@@ -11,7 +11,7 @@
     Both directions are built for the hot path: the encoder writes into a
     growable byte buffer without per-character checks, and a decoder is a
     cursor over a slice of the backing string, so nested records decode
-    zero-copy through {!read_view}/{!view_decoder} — only fields the caller
+    zero-copy through {!read_view} — only fields the caller
     actually stores are materialised ({!read_opaque}). *)
 
 type encoder
@@ -87,10 +87,6 @@ val read_view : decoder -> view
 (** Wire-compatible with {!read_opaque}, without the copy. *)
 
 val view_to_string : view -> string
-
-val view_decoder : view -> decoder
-(** Decode the view's bytes in place — replaces the
-    [decoder (read_opaque d)] pattern for nested structures. *)
 
 val view_equal_string : view -> string -> bool
 (** Bytewise comparison without materialising the view. *)

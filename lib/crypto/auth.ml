@@ -55,8 +55,6 @@ let session chain peer =
 
 let session_key chain peer = (session chain peer).ck_key
 
-let epoch chain peer = chain.epochs.(chain.id) + chain.epochs.(peer)
-
 let refresh_keys chains i =
   (* All chains share the epoch array; bumping one slot re-keys principal
      [i] with every peer (stale cache entries fail their epoch check). *)

@@ -23,9 +23,6 @@ val create : seed:int64 -> n_principals:int -> keychain array
     master secret, so creation is O(n_principals) — large simulated client
     populations are cheap to register. *)
 
-val epoch : keychain -> int -> int
-(** Current key epoch between the holder and the given peer. *)
-
 val refresh_keys : keychain array -> int -> unit
 (** [refresh_keys chains i] gives principal [i] fresh session keys with every
     peer (simulating the key exchange performed after a reboot); the peers'

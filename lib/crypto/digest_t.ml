@@ -14,8 +14,6 @@ let zero = String.make 32 '\000'
 
 let equal = String.equal
 
-let compare = String.compare
-
 let combine ds = Sha256.digest_list ds
 
 let to_hex t = Base_util.Hex.encode t

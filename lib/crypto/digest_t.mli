@@ -20,8 +20,6 @@ val zero : t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val combine : t list -> t
 (** Digest of child digests, for Merkle-tree interior nodes. *)
 

@@ -3,9 +3,6 @@
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag of [msg] under [key]. *)
 
-val mac_list : key:string -> string list -> string
-(** Tag over the concatenation of the inputs. *)
-
 val verify : key:string -> string -> tag:string -> bool
 (** Constant-shape comparison of the expected tag with [tag]. *)
 

@@ -132,5 +132,3 @@ let digest_list ss =
   reset scratch;
   List.iter (fun s -> update scratch s) ss;
   finalize scratch
-
-let hex s = Base_util.Hex.encode (digest s)

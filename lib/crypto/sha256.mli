@@ -45,6 +45,3 @@ val digest : string -> string
 
 val digest_list : string list -> string
 (** Hash of the concatenation of the inputs, without materialising it. *)
-
-val hex : string -> string
-(** [hex s] is the conventional lowercase hex rendering of [digest s]. *)

@@ -35,8 +35,6 @@ type csattr = {
   c_size : int option;
 }
 
-let csattr_empty = { c_mode = None; c_uid = None; c_gid = None; c_size = None }
-
 type err = Base_nfs.Nfs_types.err
 
 type t = {

@@ -47,12 +47,6 @@ val decode_entry : string -> entry
 val dir_size : (string * oid) list -> int
 (** Deterministic abstract size of a directory. *)
 
-val attr_of : index:int -> entry -> fattr
-(** Derived attributes (sizes, nlink, fileid, times) of a non-null entry. *)
-
-val in_subtree : t -> root_idx:int -> int -> bool
-(** Subtree membership, for the rename-into-own-descendant rule. *)
-
 val execute : ?modify:(int -> unit) -> t -> ts:int64 -> Nfs_proto.call -> Nfs_proto.reply
 (** Apply one operation with the agreed timestamp [ts].  [modify] is called
     with the index of every slot about to change, before it changes — the

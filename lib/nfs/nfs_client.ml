@@ -43,12 +43,6 @@ let lookup t dir name =
   | R_err e -> Error e
   | _ -> unexpected "lookup"
 
-let readlink t o =
-  match call t (Readlink o) with
-  | R_readlink s -> Ok s
-  | R_err e -> Error e
-  | _ -> unexpected "readlink"
-
 let read t o ~off ~count =
   match call t (Read (o, off, count)) with
   | R_read (data, a) -> Ok (data, a)
@@ -72,12 +66,6 @@ let remove t dir name =
   | R_ok -> Ok ()
   | R_err e -> Error e
   | _ -> unexpected "remove"
-
-let rename t sdir sname ddir dname =
-  match call t (Rename (sdir, sname, ddir, dname)) with
-  | R_ok -> Ok ()
-  | R_err e -> Error e
-  | _ -> unexpected "rename"
 
 let symlink t dir name target s =
   match call t (Symlink (dir, name, target, s)) with
@@ -103,29 +91,12 @@ let readdir t dir =
   | R_err e -> Error e
   | _ -> unexpected "readdir"
 
-let statfs t =
-  match call t Statfs with
-  | R_statfs { total_slots; free_slots } -> Ok (total_slots, free_slots)
-  | R_err e -> Error e
-  | _ -> unexpected "statfs"
-
 (* --- path conveniences -------------------------------------------------------- *)
 
 let ok = function Ok v -> v | Error e -> failwith ("nfs error: " ^ err_to_string e)
 
 let split_path path =
   String.split_on_char '/' path |> List.filter (fun s -> not (String.equal s ""))
-
-let resolve_path t path =
-  match split_path path with
-  | [] -> ( match getattr t root_oid with Ok a -> Ok (root_oid, a) | Error e -> Error e)
-  | names ->
-    let rec walk o = function
-      | [] -> ( match getattr t o with Ok a -> Ok (o, a) | Error e -> Error e)
-      | name :: rest -> (
-        match lookup t o name with Error e -> Error e | Ok (o', _) -> walk o' rest)
-    in
-    walk root_oid names
 
 let mkdir_p t path =
   List.fold_left

@@ -18,9 +18,6 @@ exception Protocol_error of string
 (** Raised when a reply cannot be decoded or has the wrong shape — only
     possible if the quorum itself misbehaves beyond the fault assumption. *)
 
-val call : t -> Nfs_proto.call -> Nfs_proto.reply
-(** Raw typed call. *)
-
 (** Typed convenience wrappers, one per NFS operation. *)
 
 val getattr : t -> oid -> (fattr, err) result
@@ -28,8 +25,6 @@ val getattr : t -> oid -> (fattr, err) result
 val setattr : t -> oid -> sattr -> (fattr, err) result
 
 val lookup : t -> oid -> string -> (oid * fattr, err) result
-
-val readlink : t -> oid -> (string, err) result
 
 val read : t -> oid -> off:int -> count:int -> (string * fattr, err) result
 
@@ -39,8 +34,6 @@ val create : t -> oid -> string -> sattr -> (oid * fattr, err) result
 
 val remove : t -> oid -> string -> (unit, err) result
 
-val rename : t -> oid -> string -> oid -> string -> (unit, err) result
-
 val symlink : t -> oid -> string -> string -> sattr -> (oid * fattr, err) result
 
 val mkdir : t -> oid -> string -> sattr -> (oid * fattr, err) result
@@ -49,18 +42,10 @@ val rmdir : t -> oid -> string -> (unit, err) result
 
 val readdir : t -> oid -> ((string * oid) list, err) result
 
-val statfs : t -> (int * int, err) result
-(** (total slots, free slots). *)
-
 (** {1 Path-level conveniences} *)
 
 val ok : ('a, err) result -> 'a
 (** Unwrap or fail with the NFS error name. *)
-
-val split_path : string -> string list
-
-val resolve_path : t -> string -> (oid * fattr, err) result
-(** Walk a ["/a/b/c"] path from the root. *)
 
 val mkdir_p : t -> string -> oid
 (** Create all missing directories along the path; returns the last one. *)

@@ -9,8 +9,6 @@ type oid = { index : int; gen : int }
 
 let oid_equal a b = a.index = b.index && a.gen = b.gen
 
-let pp_oid ppf o = Format.fprintf ppf "%d.%d" o.index o.gen
-
 let root_oid = { index = 0; gen = 0 }
 
 type ftype = Reg | Dir | Lnk
@@ -102,14 +100,12 @@ let err_of_code = function
     implementation rejects the same requests. *)
 let max_file_size = 1 lsl 20
 
-let max_name_len = 255
-
 (* Names are validated by the conformance wrapper, uniformly across
    implementations.  '#'-prefixed names are reserved for the wrapper's
    hidden staging directory. *)
 let name_ok name =
   let len = String.length name in
-  len > 0 && len <= max_name_len
+  len > 0 && len <= 255
   && (not (String.equal name "."))
   && not (String.equal name "..")
   && (not (String.contains name '/'))

@@ -116,8 +116,6 @@ let observe h v =
 
 let hist_count h = h.h_count
 
-let hist_sum h = h.h_sum
-
 let hist_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
 
 let bucket_counts h = Array.copy h.h_counts

@@ -42,22 +42,17 @@ val gauge_value : gauge -> float
 
 (** {1 Histograms} *)
 
-val default_latency_buckets_us : float array
-(** Microsecond buckets from 100 us to 5 s, matching the simulated network
-    and reboot time scales. *)
-
 val histogram : ?buckets:float array -> t -> string -> histogram
 (** [buckets] are strictly increasing upper bounds; an implicit overflow
     bucket catches everything above the last bound.  Defaults to
-    {!default_latency_buckets_us}. *)
+    microsecond buckets from 100 us to 5 s, matching the simulated network
+    and reboot time scales. *)
 
 val observe : histogram -> float -> unit
 (** NaN observations are ignored.  A value lands in the first bucket whose
     upper bound is [>=] the value. *)
 
 val hist_count : histogram -> int
-
-val hist_sum : histogram -> float
 
 val hist_mean : histogram -> float
 

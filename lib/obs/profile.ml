@@ -39,8 +39,6 @@ let disabled = create ()
 
 let enable t = t.on <- true
 
-let enabled t = t.on
-
 let probe t name =
   match List.find_opt (fun p -> String.equal p.name name) t.probes with
   | Some p -> p
@@ -78,16 +76,6 @@ let stop t p =
       p.alloc_b <- p.alloc_b +. (allocated_bytes () -. p.a0)
     end
   end
-
-let span t p f =
-  start t p;
-  match f () with
-  | v ->
-    stop t p;
-    v
-  | exception e ->
-    stop t p;
-    raise e
 
 let reset t =
   List.iter

@@ -31,8 +31,6 @@ val disabled : t
 
 val enable : t -> unit
 
-val enabled : t -> bool
-
 val probe : t -> string -> probe
 (** Get-or-register the probe with this name. *)
 
@@ -44,11 +42,6 @@ val start : t -> probe -> unit
 val stop : t -> probe -> unit
 (** Re-entrant: only the outermost [start]/[stop] pair of a probe samples
     the clocks, so recursive spans count once. *)
-
-val span : t -> probe -> (unit -> 'a) -> 'a
-(** [span t p f] runs [f] bracketed by {!start}/{!stop} (exception-safe).
-    Prefer explicit {!start}/{!stop} on paths where the closure allocation
-    matters. *)
 
 val reset : t -> unit
 

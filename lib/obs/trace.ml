@@ -31,8 +31,6 @@ let event_json e =
     :: ("event", Json.Str e.name)
     :: List.map (fun (k, v) -> ("attr." ^ k, Json.Str v)) e.attrs)
 
-let to_json t = Json.List (List.map event_json (events t))
-
 (* One JSON object per line, in event order: greppable and diffable. *)
 let to_string t =
   let b = Buffer.create 4096 in

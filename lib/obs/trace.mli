@@ -28,8 +28,6 @@ val clear : t -> unit
 val events : t -> event list
 (** In record order. *)
 
-val to_json : t -> Json.t
-
 val to_string : t -> string
 (** JSON-lines rendering, one event per line; byte-identical for identical
     event sequences. *)

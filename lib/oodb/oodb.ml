@@ -79,6 +79,3 @@ let clear_ref t token field =
     true
 
 let count t = Hashtbl.length t.objects
-
-(* Iteration order is hash order over random tokens: non-deterministic. *)
-let tokens t = Hashtbl.fold (fun k _ acc -> k :: acc) t.objects []

@@ -37,6 +37,3 @@ val set_ref : t -> string -> string -> string -> bool
 val clear_ref : t -> string -> string -> bool
 
 val count : t -> int
-
-val tokens : t -> string list
-(** All live tokens, in (non-deterministic) table order. *)

@@ -90,10 +90,9 @@ let encode_slot t i =
         Xdr.str e v)
       fields;
     Xdr.list e
-      (fun e (f, (o : aoid)) ->
+      (fun e (f, o) ->
         Xdr.str e f;
-        Xdr.u32 e o.index;
-        Xdr.u32 e o.gen)
+        enc_aoid e o)
       refs;
     Xdr.i64 e s.stamp);
   Xdr.contents e
@@ -118,9 +117,7 @@ let decode_slot data =
       let refs =
         Xdr.read_list d (fun d ->
             let f = Xdr.read_str d in
-            let index = Xdr.read_u32 d in
-            let gen = Xdr.read_u32 d in
-            (f, { index; gen }))
+            (f, dec_aoid d))
       in
       let stamp = Xdr.read_i64 d in
       Some (fields, refs, stamp)

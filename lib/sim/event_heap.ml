@@ -113,10 +113,3 @@ let pop_exn t =
   payload
 
 let last_time t = Int64.of_int t.last_time
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let payload = pop_exn t in
-    Some (last_time t, payload)
-  end

@@ -31,6 +31,3 @@ val pop_exn : 'a t -> 'a
 
 val last_time : 'a t -> Sim_time.t
 (** Time key of the most recently popped event (0 before any pop). *)
-
-val pop : 'a t -> (Sim_time.t * 'a) option
-(** Allocating convenience wrapper over {!pop_exn}/{!last_time}. *)

@@ -206,5 +206,3 @@ let action_to_string = function
 let event_to_string ev = Printf.sprintf "at %dus %s" ev.at_us (action_to_string ev.action)
 
 let to_string plan = String.concat "" (List.map (fun ev -> event_to_string ev ^ "\n") plan)
-
-let pp fmt plan = Format.pp_print_string fmt (to_string plan)

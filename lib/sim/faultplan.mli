@@ -82,5 +82,3 @@ val to_string : t -> string
     suite). *)
 
 val behavior_name : behavior -> string
-
-val pp : Format.formatter -> t -> unit

@@ -8,8 +8,6 @@ let of_ms n = Int64.mul (Int64.of_int n) 1_000L
 
 let of_sec s = Int64.of_float (s *. 1e6)
 
-let of_min m = of_sec (m *. 60.0)
-
 let to_sec t = Int64.to_float t /. 1e6
 
 let to_ms t = Int64.to_float t /. 1e3
@@ -23,5 +21,3 @@ let compare = Int64.compare
 let ( < ) a b = Int64.compare a b < 0
 
 let ( <= ) a b = Int64.compare a b <= 0
-
-let pp ppf t = Format.fprintf ppf "%.6fs" (to_sec t)

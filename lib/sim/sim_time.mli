@@ -10,8 +10,6 @@ val of_ms : int -> t
 
 val of_sec : float -> t
 
-val of_min : float -> t
-
 val to_sec : t -> float
 
 val to_ms : t -> float
@@ -25,6 +23,3 @@ val compare : t -> t -> int
 val ( < ) : t -> t -> bool
 
 val ( <= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Renders as seconds with microsecond precision, e.g. ["12.000350s"]. *)

@@ -9,6 +9,16 @@ let add a b =
     semicolons = a.semicolons + b.semicolons;
   }
 
+(* Length of the character literal ['"'] or ['\"'] starting at [i], or 0:
+   the two literals that spell a double quote are skipped whole so their
+   quote does not open a string. *)
+let quote_literal src i =
+  let at k ch = i + k < String.length src && src.[i + k] = ch in
+  if not (at 0 '\'') then 0
+  else if at 1 '"' && at 2 '\'' then 3
+  else if at 1 '\\' && at 2 '"' && at 3 '\'' then 4
+  else 0
+
 (* One-pass scanner tracking OCaml comment nesting and string literals. A
    line counts when it contains at least one code character. *)
 let count_string src =
@@ -45,6 +55,10 @@ let count_string src =
     else if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
       depth := 1;
       i := !i + 2
+    end
+    else if quote_literal src !i > 0 then begin
+      line_has_code := true;
+      i := !i + quote_literal src !i
     end
     else begin
       if c = '"' then in_string := true;

@@ -19,9 +19,6 @@ val add : counts -> counts -> counts
 val count_string : string -> counts
 (** Count metrics of one source text (as a single file). *)
 
-val count_file : string -> counts
-(** Count metrics of the file at the given path. *)
-
 val count_dir : ?ext:string list -> string -> counts
 (** [count_dir dir] recursively counts all files whose suffix is in [ext]
     (default [[".ml"; ".mli"]]). *)

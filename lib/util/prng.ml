@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finaliser: xor-shift-multiply mixing of the incremented state. *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -23,10 +21,6 @@ let int t bound =
   (* Drop two bits so the value fits OCaml's 63-bit native int positively. *)
   let r = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
   r mod bound
-
-let int64 t bound =
-  if Int64.compare bound 0L <= 0 then invalid_arg "Prng.int64: bound must be positive";
-  Int64.rem (Int64.shift_right_logical (next64 t) 1) bound
 
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in

@@ -14,18 +14,12 @@ val create : int64 -> t
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing it. *)
-
 val next64 : t -> int64
 (** Next raw 64-bit value. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)
-
-val int64 : t -> int64 -> int64
-(** [int64 t bound] is uniform in [\[0, bound)]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)

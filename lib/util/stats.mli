@@ -32,6 +32,4 @@ val percentile : float array -> float -> float
     ascending.  Linear interpolation between ranks; [0.0] on the empty
     array. *)
 
-val mean : float list -> float
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -2,5 +2,3 @@
 
 val contains : string -> string -> bool
 (** [contains haystack needle] — naive search; [true] for the empty needle. *)
-
-val index_opt : string -> string -> int option

@@ -28,24 +28,18 @@ type result = {
   total_bytes : int;
 }
 
-(* Deterministic file contents: compressible text-like bytes. *)
-let file_body ~dir ~file ~len =
-  let pattern =
-    Printf.sprintf "int f_%d_%d(void) { return %d; } /* generated */\n" dir file (dir * file)
-  in
-  let b = Buffer.create len in
-  while Buffer.length b < len do
-    Buffer.add_string b pattern
-  done;
-  Buffer.sub b 0 len
-
-let dirs_at ~scale = 4 + (2 * scale)
-
-let files_per_dir ~scale = 3 + min scale 5
-
-let file_len ~scale = 2048 * (1 + min scale 8)
-
 let run ?(cost = Cost_model.default) ~scale (fs : Fs_iface.t) =
+  (* Deterministic file contents: compressible text-like bytes. *)
+  let file_body ~dir ~file ~len =
+    let pattern =
+      Printf.sprintf "int f_%d_%d(void) { return %d; } /* generated */\n" dir file (dir * file)
+    in
+    let b = Buffer.create len in
+    while Buffer.length b < len do
+      Buffer.add_string b pattern
+    done;
+    Buffer.sub b 0 len
+  in
   let phases = ref [] in
   let record phase ops bytes f =
     let t0 = fs.Fs_iface.elapsed_s () in
@@ -55,9 +49,9 @@ let run ?(cost = Cost_model.default) ~scale (fs : Fs_iface.t) =
     let ops = match ops with Some n -> n | None -> fs.Fs_iface.ops () - o0 in
     phases := { phase; ops; bytes; seconds } :: !phases
   in
-  let n_dirs = dirs_at ~scale in
-  let n_files = files_per_dir ~scale in
-  let flen = file_len ~scale in
+  let n_dirs = 4 + (2 * scale) in
+  let n_files = 3 + min scale 5 in
+  let flen = 2048 * (1 + min scale 8) in
   let dir_handles = Array.make n_dirs fs.Fs_iface.root in
   (* Phase 1: mkdir. *)
   record "mkdir" None 0 (fun () ->

@@ -10,10 +10,6 @@ module Sim_time = Base_sim.Sim_time
 module Objrepo = Base_core.Objrepo
 module S = Base_fs.Server_intf
 
-let nfs_of sys ~client =
-  Base_nfs.Nfs_client.make (fun ~read_only ~operation ->
-      Runtime.invoke_sync sys.Systems.runtime ~client ~read_only ~operation ())
-
 (* Distinct abstract-state roots across the replica group (0 divergent =
    everybody agrees). *)
 let divergent_replicas sys =
@@ -56,7 +52,7 @@ let poison_experiment ?(seed = 5L) ~hetero () =
         sys.Systems.servers.(rid).S.set_poison (Some "BUG")
       end)
     sys.Systems.impl_of;
-  let nfs = nfs_of sys ~client:0 in
+  let nfs = Systems.nfs_client sys.Systems.runtime ~client:0 in
   let module C = Base_nfs.Nfs_client in
   let payload = "static int BUG_trigger = 42; /* crosses the bad code path */" in
   let file, _ = C.ok (C.create nfs root_oid "poisoned.c" sattr_empty) in
@@ -83,21 +79,19 @@ type corruption_outcome = {
   divergent_after_repair : int;
 }
 
-let populate nfs ~files ~len =
-  let module C = Base_nfs.Nfs_client in
-  List.init files (fun i ->
-      let name = Printf.sprintf "data%02d" i in
-      let body = String.init len (fun k -> Char.chr (((i * 31) + k) mod 256)) in
-      let fh, _ = C.ok (C.create nfs root_oid name sattr_empty) in
-      ignore (C.ok (C.write nfs fh ~off:0 body));
-      (fh, body))
-
 let corruption_experiment ?(seed = 9L) ~corrupt_replicas ~objects_per_replica () =
   let sys = Systems.make_basefs ~seed ~hetero:true ~checkpoint_period:16 ~n_clients:1 () in
   let rt = sys.Systems.runtime in
-  let nfs = nfs_of sys ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let module C = Base_nfs.Nfs_client in
-  let files = populate nfs ~files:12 ~len:4096 in
+  let files =
+    List.init 12 (fun i ->
+        let name = Printf.sprintf "data%02d" i in
+        let body = String.init 4096 (fun k -> Char.chr (((i * 31) + k) mod 256)) in
+        let fh, _ = C.ok (C.create nfs root_oid name sattr_empty) in
+        ignore (C.ok (C.write nfs fh ~off:0 body));
+        (fh, body))
+  in
   (* Silent bit rot on the first [corrupt_replicas] replicas. *)
   let prng = Base_util.Prng.create (Int64.add seed 1000L) in
   let damaged = ref 0 in
@@ -151,7 +145,7 @@ let throughput_trace ?(seed = 13L) ~duration_s ~window_s ~recovery () =
   | Some (period_us, reboot_us) ->
     Runtime.enable_proactive_recovery ~reboot_us ~period_us rt
   | None -> ());
-  let nfs = nfs_of sys ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let module C = Base_nfs.Nfs_client in
   let fh, _ = C.ok (C.create nfs root_oid "probe" sattr_empty) in
   let completions = ref [] in
@@ -192,28 +186,6 @@ type chaos_outcome = {
   ch_divergent : int;  (** replicas off the majority abstract state after settling *)
 }
 
-(* The blessed f=1 schedule: at most one replica is faulty at any moment, so
-   every window is survivable, yet each window exercises a different
-   view-change trigger — an equivocating primary, an omission/delay attack on
-   its successor, a primary crash, an isolated primary — followed by
-   link-level noise (delay spike, loss, corruption) and a mute backup. *)
-let chaos_plan_text =
-  "# f=1 chaos schedule: never more than one faulty replica at a time.\n\
-   at 50ms behavior 0 equivocate\n\
-   at 450ms behavior 0 honest\n\
-   at 600ms attack-preprepare 1 mute=0.7 delay=3ms for 400ms\n\
-   at 1200ms crash 2\n\
-   at 1700ms reboot 2\n\
-   at 2100ms partition 3 / 0 1 2\n\
-   at 2500ms heal\n\
-   at 2700ms delay *->1 extra=2ms for 200ms\n\
-   at 2950ms drop 1->* p=0.3 for 200ms\n\
-   at 3200ms corrupt *->* p=0.2 for 200ms\n\
-   at 3450ms behavior 3 mute\n\
-   at 3750ms behavior 3 honest\n"
-
-let counter_value m name = Metrics.counter_value (Metrics.counter m name)
-
 (* Closed-loop writes with periodic read-back checks while the fault plan
    fires around the group.  Every operation uses the [try_] driver: a stall
    is counted, not fatal, so the experiment reports liveness instead of
@@ -226,12 +198,32 @@ let chaos_experiment ?(seed = 21L) () =
       ~client_timeout_us:60_000 ~viewchange_timeout_us:120_000 ()
   in
   let rt = sys.Systems.runtime in
+  (* The blessed f=1 schedule: at most one replica is faulty at any moment, so
+     every window is survivable, yet each window exercises a different
+     view-change trigger — an equivocating primary, an omission/delay attack on
+     its successor, a primary crash, an isolated primary — followed by
+     link-level noise (delay spike, loss, corruption) and a mute backup. *)
   let plan =
-    match Faultplan.parse chaos_plan_text with
+    match
+      Faultplan.parse
+        "# f=1 chaos schedule: never more than one faulty replica at a time.\n\
+         at 50ms behavior 0 equivocate\n\
+         at 450ms behavior 0 honest\n\
+         at 600ms attack-preprepare 1 mute=0.7 delay=3ms for 400ms\n\
+         at 1200ms crash 2\n\
+         at 1700ms reboot 2\n\
+         at 2100ms partition 3 / 0 1 2\n\
+         at 2500ms heal\n\
+         at 2700ms delay *->1 extra=2ms for 200ms\n\
+         at 2950ms drop 1->* p=0.3 for 200ms\n\
+         at 3200ms corrupt *->* p=0.2 for 200ms\n\
+         at 3450ms behavior 3 mute\n\
+         at 3750ms behavior 3 honest\n"
+    with
     | Ok p -> p
     | Error e -> invalid_arg ("chaos_experiment: bad plan: " ^ e)
   in
-  let nfs = nfs_of sys ~client:0 in
+  let nfs = Systems.nfs_client rt ~client:0 in
   let module C = Base_nfs.Nfs_client in
   let fh, _ = C.ok (C.create nfs root_oid "chaos" sattr_empty) in
   let t0 = Sim_time.to_sec (Runtime.now rt) in
@@ -271,6 +263,7 @@ let chaos_experiment ?(seed = 21L) () =
      status gossip and state transfer before judging divergence. *)
   Engine.run ~until:(Sim_time.add (Runtime.now rt) (Sim_time.of_sec 2.0)) (Runtime.engine rt);
   let m = Runtime.metrics rt in
+  let counter_value name = Metrics.counter_value (Metrics.counter m name) in
   ( sys,
     {
       ch_plan = plan;
@@ -280,8 +273,8 @@ let chaos_experiment ?(seed = 21L) () =
       ch_read_checks = !read_checks;
       ch_read_errors = !read_errors;
       ch_view_changes = Metrics.hist_count (Metrics.histogram m "bft.view_change_us");
-      ch_equivocations = counter_value m "bft.equivocation_detected";
-      ch_corrupted = counter_value m "engine.corrupted_msgs";
-      ch_pp_muted = counter_value m "adversary.pp_muted";
+      ch_equivocations = counter_value "bft.equivocation_detected";
+      ch_corrupted = counter_value "engine.corrupted_msgs";
+      ch_pp_muted = counter_value "adversary.pp_muted";
       ch_divergent = divergent_replicas sys;
     } )

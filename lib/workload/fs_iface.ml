@@ -28,18 +28,16 @@ type t = {
   ops : unit -> int;
 }
 
-let fail_err what e = failwith (Printf.sprintf "%s failed: %s" what (err_to_string e))
-
 (* --- replicated backend ------------------------------------------------------ *)
 
-let oid_to_handle (o : oid) = Printf.sprintf "%d:%d" o.index o.gen
-
-let handle_to_oid h =
-  match String.split_on_char ':' h with
-  | [ i; g ] -> { index = int_of_string i; gen = int_of_string g }
-  | _ -> invalid_arg "bad replicated handle"
-
 let of_runtime ?(cost = Cost_model.default) ~client runtime =
+  let fail_err what e = failwith (Printf.sprintf "%s failed: %s" what (err_to_string e)) in
+  let oid_to_handle (o : oid) = Printf.sprintf "%d:%d" o.index o.gen in
+  let handle_to_oid h =
+    match String.split_on_char ':' h with
+    | [ i; g ] -> { index = int_of_string i; gen = int_of_string g }
+    | _ -> invalid_arg "bad replicated handle"
+  in
   let engine = Runtime.engine runtime in
   let started = Engine.now engine in
   let ops = ref 0 in
@@ -110,6 +108,7 @@ let of_runtime ?(cost = Cost_model.default) ~client runtime =
 (* --- direct (unreplicated) backend ------------------------------------------- *)
 
 let of_direct (d : Systems.direct) =
+  let fail_err what e = failwith (Printf.sprintf "%s failed: %s" what (err_to_string e)) in
   let ops = ref 0 in
   let call ~read_only ~bytes =
     incr ops;

@@ -172,8 +172,6 @@ let run ?(max_events = 500_000_000) t =
   else if !quiescent then Error "Load.run: simulation went quiescent mid-load"
   else Error "Load.run: event budget exceeded"
 
-let offered_rate_per_s t = t.rate_per_s
-
 let duration_s t = Sim_time.to_sec (Sim_time.sub t.end_us t.start_us)
 
 let throughput_per_s t =

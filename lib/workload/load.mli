@@ -64,13 +64,7 @@ val run : ?max_events:int -> t -> (unit, string) result
     or exhausted budget) instead of raising, so saturation sweeps can treat
     a wedged configuration as data. *)
 
-val finished : t -> bool
-
 val stats : t -> stats
-
-val offered_rate_per_s : t -> float
-
-val duration_s : t -> float
 
 val throughput_per_s : t -> float
 (** [completed_in_window / duration] — completed requests per second over

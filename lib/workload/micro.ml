@@ -6,7 +6,6 @@
 
 open Base_nfs.Nfs_types
 module Runtime = Base_core.Runtime
-module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
 module C = Base_nfs.Nfs_client
 
@@ -19,40 +18,29 @@ type row = {
 
 let slowdown r = r.base_us /. r.raw_us
 
-(* Latency of [n] repetitions of a call through the replicated stack,
-   measured in virtual time (protocol only; the service-time model applies
-   equally to both sides, so it is excluded here to isolate replication
-   cost). *)
-let measure_replicated sys ~client ~n make_call =
-  let rt = sys.Systems.runtime in
-  let nfs =
-    C.make (fun ~read_only ~operation ->
-        Runtime.invoke_sync rt ~client ~read_only ~operation ())
-  in
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    let t0 = Sim_time.to_sec (Runtime.now rt) in
-    make_call nfs i;
-    total := !total +. (Sim_time.to_sec (Runtime.now rt) -. t0)
-  done;
-  !total /. float_of_int n *. 1e6
-
-(* The unreplicated baseline answers in one request/response exchange. *)
-let raw_rtt_us ~bytes = (2.0 *. (60.0 +. 15.0)) +. (float_of_int (bytes * 8) /. 100e6 *. 1e6)
-
 let run ?(seed = 3L) ?(n = 30) () =
   let sys = Systems.make_basefs ~seed ~hetero:true ~n_clients:1 () in
   let rt = sys.Systems.runtime in
-  let nfs =
-    C.make (fun ~read_only ~operation -> Runtime.invoke_sync rt ~client:0 ~read_only ~operation ())
-  in
+  let nfs = Systems.nfs_client rt ~client:0 in
   (* Fixtures. *)
   let dir = C.mkdir_p nfs "/micro" in
   let file = C.write_file nfs dir "target" ~chunk:8192 (String.make 8192 'd') in
   let rows = ref [] in
+  (* Latency of [n] repetitions of a call through the replicated stack,
+     measured in virtual time (protocol only; the service-time model applies
+     equally to both sides, so it is excluded here to isolate replication
+     cost), against the unreplicated baseline's one request/response
+     exchange. *)
   let bench op read_only ~raw_bytes make_call =
-    let base_us = measure_replicated sys ~client:0 ~n make_call in
-    rows := { op; read_only; base_us; raw_us = raw_rtt_us ~bytes:raw_bytes } :: !rows
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      let t0 = Sim_time.to_sec (Runtime.now rt) in
+      make_call nfs i;
+      total := !total +. (Sim_time.to_sec (Runtime.now rt) -. t0)
+    done;
+    let base_us = !total /. float_of_int n *. 1e6 in
+    let raw_us = (2.0 *. (60.0 +. 15.0)) +. (float_of_int (raw_bytes * 8) /. 100e6 *. 1e6) in
+    rows := { op; read_only; base_us; raw_us } :: !rows
   in
   bench "getattr" true ~raw_bytes:128 (fun nfs _ -> ignore (C.ok (C.getattr nfs file)));
   bench "lookup" true ~raw_bytes:128 (fun nfs _ -> ignore (C.ok (C.lookup nfs dir "target")));

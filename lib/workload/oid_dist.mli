@@ -11,13 +11,9 @@ val uniform : n_objects:int -> int -> int
     with a coprime stride (11), so contiguous shard ranges each receive a
     near-equal share.  [n_objects] should not be a multiple of 11. *)
 
-val hot_range : n_objects:int -> int
-(** Size of the hot prefix used by {!hotspot}: [n_objects / 8] (at least
-    1). *)
-
 val hotspot : ?hot_pct:int -> n_objects:int -> int -> int
 (** [hotspot ~n_objects i] skews traffic: [hot_pct]% (default 90) of
-    arrivals land in the hot prefix [\[0, hot_range)], the rest spread over
-    the remaining oids.  Under contiguous sharding the hot prefix maps to
-    one shard, whose agreement instance becomes the bottleneck — the
-    anti-scaling workload for E18. *)
+    arrivals land in the hot prefix, the first eighth of the oids (at least
+    one), the rest spread over the remaining oids.  Under contiguous
+    sharding the hot prefix maps to one shard, whose agreement instance
+    becomes the bottleneck — the anti-scaling workload for E18. *)

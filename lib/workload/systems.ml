@@ -74,6 +74,11 @@ let make_basefs ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects = 51
   engine_cell := Some (Runtime.engine runtime);
   { runtime; servers = Array.map Option.get servers; impl_of }
 
+(* An NFS client issuing each call synchronously as [client] of [rt]. *)
+let nfs_client rt ~client =
+  Base_nfs.Nfs_client.make (fun ~read_only ~operation ->
+      Runtime.invoke_sync rt ~client ~read_only ~operation ())
+
 (** A deterministic register-array service: the lightest replicated system
     the runtime can host, used by the saturation benchmarks (E15) and the
     batching-equivalence property test.  Unlike the test kv service and the

@@ -738,8 +738,6 @@ let restart t =
 
 (* --- construction ------------------------------------------------------------- *)
 
-let wrapper_source_files = [ "lib/wrapper/conformance.ml"; "lib/wrapper/conformance.mli" ]
-
 let make ?(max_skew_us = 5_000_000L) ~server ~n_objects () =
   let t =
     {

@@ -30,7 +30,3 @@ val make :
     covering clock skew plus network delay). *)
 
 (** {1 Exposed for tests} *)
-
-val wrapper_source_files : string list
-(** Repo-relative paths making up the wrapper + state conversion functions,
-    measured by the code-size experiment (E4). *)

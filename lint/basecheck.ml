@@ -13,7 +13,9 @@
 
    --typed additionally runs the typed backend (Typed_checks) over the
    .cmt files below --cmt-root (default: ROOT/_build/default when that
-   exists, else ROOT); build them first with `dune build @check`.
+   exists, else ROOT); build them first with `dune build @check`.  Its
+   rule U1 also reads the units of every directory in
+   Typed_checks.u1_consumer_dirs, whichever DIRs are given.
 
    --taint runs the interprocedural taint backend (Typed_taint) over the
    same cmts, with sources/sanitizers/sinks from --sanitizers (default:

@@ -8,7 +8,7 @@
    allowlist policy.  Suppression is never inline: a waiver is a
    [(file, rule, justification)] entry in lint/allowlist.sexp. *)
 
-type rule = D1 | D2 | D3 | D4 | E1 | E2 | B1 | B2 | B3
+type rule = D1 | D2 | D3 | D4 | E1 | E2 | B1 | B2 | B3 | U1
 
 let rule_name = function
   | D1 -> "D1"
@@ -20,6 +20,7 @@ let rule_name = function
   | B1 -> "B1"
   | B2 -> "B2"
   | B3 -> "B3"
+  | U1 -> "U1"
 
 let rule_of_name = function
   | "D1" -> Some D1
@@ -31,9 +32,10 @@ let rule_of_name = function
   | "B1" -> Some B1
   | "B2" -> Some B2
   | "B3" -> Some B3
+  | "U1" -> Some U1
   | _ -> None
 
-let all_rules = [ D1; D2; D3; D4; E1; E2; B1; B2; B3 ]
+let all_rules = [ D1; D2; D3; D4; E1; E2; B1; B2; B3; U1 ]
 
 type finding = { file : string; line : int; rule : rule; msg : string }
 
@@ -79,6 +81,9 @@ let b2_applies rel = has_prefix ~prefix:"lib/bft/" rel
 
 let b3_applies rel = has_prefix ~prefix:"lib/" rel
 
+(* U1: only a library's interface is a contract others may lean on. *)
+let u1_applies rel = has_prefix ~prefix:"lib/" rel
+
 (* Shared by the syntactic (Parsetree) and typed (Typedtree) backends so
    the two passes agree on where each rule is in force. *)
 let rule_applies rule rel =
@@ -91,6 +96,7 @@ let rule_applies rule rel =
   | B1 -> b1_applies rel
   | B2 -> b2_applies rel
   | B3 -> b3_applies rel
+  | U1 -> u1_applies rel
 
 (* --- identifier helpers --------------------------------------------------- *)
 
@@ -426,7 +432,7 @@ let backend_name = function Syntactic -> "syntactic" | Typed -> "typed" | Taint 
 (* The rules each backend can report. *)
 let backend_rules = function
   | Syntactic -> [ D1; D2; D3; D4; E1 ]
-  | Typed -> [ D1; D3; E1; E2 ]
+  | Typed -> [ D1; D3; E1; E2; U1 ]
   | Taint -> [ B1; B2; B3 ]
 
 (* Whether a run of [backends] could report [rule] at all: one that

@@ -21,6 +21,8 @@
    - E2-typed (new, typed-only) flags a discarded [result]: [ignore e] or
      [let _ = e] where [e : (_, _) result] throws away a decode/validation
      error instead of handling it.
+   - U1 (typed-only) flags a value a [lib/] unit exports that no other
+     unit under {!u1_consumer_dirs} references.
 
    Scoping and suppression are shared with the syntactic pass
    ({!Checks.rule_applies}, lint/allowlist.sexp). *)
@@ -44,6 +46,7 @@ let init_load_path ~extra_dirs =
   let dirs = List.sort_uniq String.compare extra_dirs in
   Load_path.init ~auto_include:Load_path.no_auto_include
     (dirs @ [ Config.standard_library ]);
+  Envaux.reset_cache ();
   initialized := true
 
 let env_of_summary env =
@@ -317,6 +320,115 @@ let check_structure ctx (str : T.structure) =
         List.iter (fun (line, msg) -> flag ctx Checks.D3 line msg) info.hashtbl_uses)
     infos
 
+(* --- U1: exports nothing else references -------------------------------- *)
+
+(* The units whose references keep a lib/ export alive.  test/ counts: a
+   seam that only tests reach is still a seam (doc/lint.md). *)
+let u1_consumer_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+
+(* Module path [m] with the aliases and opens of its use site expanded, so
+   [R] after [module R = Base_core.Runtime] reads [Base_core__Runtime]. *)
+let normalize_module env_raw m =
+  match env_of_summary env_raw with
+  | Some env -> ( try Env.normalize_module_path None env m with _ -> m)
+  | None -> m
+
+let normalize env_raw = function
+  | Path.Pdot (m, x) -> Path.Pdot (normalize_module env_raw m, x)
+  | p -> p
+
+(* Dotted key of a path with dune's library mangling undone: [Base_core],
+   [Base_core__] and [Base_core__Runtime] spell the same unit. *)
+let key parts =
+  let rec unmangle s i =
+    if i + 1 >= String.length s then [ s ]
+    else if s.[i] = '_' && s.[i + 1] = '_' then
+      String.sub s 0 i :: unmangle (String.sub s (i + 2) (String.length s - i - 2)) 0
+    else unmangle s (i + 1)
+  in
+  String.concat "." (List.filter (( <> ) "") (List.concat_map (fun s -> unmangle s 0) parts))
+
+(* Add to [refs] every value [cmt] names through a module path, and every
+   module it uses whole (functor argument, [include], first-class pack),
+   which keeps all that module's values alive.  Aliases and [open]s are
+   resolved at their uses, not counted as uses themselves. *)
+let references refs (cmt : Cmt_format.cmt_infos) =
+  let add p = Hashtbl.replace refs (key (path_parts p)) () in
+  let open Tast_iterator in
+  let it =
+    {
+      default_iterator with
+      expr =
+        (fun it e ->
+          match e.exp_desc with
+          | Texp_letmodule (_, _, _, { mod_desc = Tmod_ident _; _ }, body) -> it.expr it body
+          | Texp_ident ((Path.Pdot _ as p), _, _) -> add (normalize e.exp_env p)
+          | _ -> default_iterator.expr it e);
+      module_expr =
+        (fun it me ->
+          (match me.mod_desc with
+          | Tmod_ident (p, _) -> add (normalize_module me.mod_env p)
+          | _ -> ());
+          default_iterator.module_expr it me);
+      module_binding =
+        (fun it mb ->
+          match mb.mb_expr.mod_desc with
+          | Tmod_ident _ -> ()
+          | _ -> default_iterator.module_binding it mb);
+      open_declaration = (fun _ _ -> ());
+    }
+  in
+  match cmt.cmt_annots with Implementation str -> it.structure it str | _ -> ()
+
+(* (name, file, line) of each value in a unit's signature: its [.mli]
+   when it has one, else everything its [.ml] binds at top level. *)
+let exported_values ~rel ~cmt_path (cmt : Cmt_format.cmt_infos) =
+  match (Cmt_format.read_cmt (Filename.remove_extension cmt_path ^ ".cmti")).cmt_annots with
+  | Interface sg ->
+    List.filter_map
+      (fun (item : T.signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd ->
+          Some (Ident.name vd.val_id, Filename.remove_extension rel ^ ".mli", line_of vd.val_loc)
+        | _ -> None)
+      sg.sig_items
+  | _ | (exception _) -> (
+    match cmt.cmt_annots with
+    | Implementation str ->
+      List.filter_map
+        (function
+          | Types.Sig_value (id, vd, _) -> Some (Ident.name id, rel, line_of vd.val_loc)
+          | _ -> None)
+        str.str_type
+    | _ -> [])
+
+(* U1: the values of the [(rel, cmt path, cmt)] units under the rule that
+   are missing from [refs], the {!references} of every consumer. *)
+let unused_exports refs units =
+  List.concat_map
+    (fun (rel, cmt_path, (cmt : Cmt_format.cmt_infos)) ->
+      let unit_key = key [ cmt.cmt_modname ] in
+      if (not (Checks.rule_applies Checks.U1 rel)) || Hashtbl.mem refs unit_key then []
+      else
+        List.filter_map
+          (fun (name, file, line) ->
+            if Hashtbl.mem refs (unit_key ^ "." ^ name) then None
+            else
+              Some
+                {
+                  Checks.file;
+                  line;
+                  rule = Checks.U1;
+                  msg =
+                    Printf.sprintf
+                      "%s.%s is exported but no other unit references it; drop it from \
+                       the interface"
+                      (String.capitalize_ascii (Filename.chop_extension (Filename.basename rel)))
+                      name;
+                })
+          (exported_values ~rel ~cmt_path cmt))
+    units
+
 (* --- entry points ---------------------------------------------------------- *)
 
 let check_unit ~rel (cmt : Cmt_format.cmt_infos) =
@@ -357,47 +469,60 @@ let cmt_files ~cmt_root dir =
   walk dir;
   List.sort String.compare !result
 
+(* [(source, cmt path, cmt)] of every implementation unit below
+   [cmt_root] whose source lives under one of [dirs], sorted by source. *)
+let units ~cmt_root dirs =
+  List.concat_map (fun d -> List.map (Filename.concat cmt_root) (cmt_files ~cmt_root d)) dirs
+  |> List.filter_map (fun path ->
+         match Cmt_format.read_cmt path with
+         | { cmt_sourcefile = Some src; cmt_annots = Implementation _; _ } as cmt
+           when Filename.check_suffix src ".ml"
+                && List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs ->
+           Some (src, path, cmt)
+         | _ | (exception _) -> None)
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+
+(* The recorded compile-time load paths of [cmts].  Relative entries are
+   relative to the compilation cwd, which dune records as the virtual
+   /workspace_root; the real location is the build context we are
+   scanning, i.e. [cmt_root]. *)
+let load_dirs ~cmt_root cmts =
+  List.concat_map
+    (fun (cmt : Cmt_format.cmt_infos) ->
+      List.filter_map
+        (fun d ->
+          if d = "" then None
+          else if Filename.is_relative d then Some (Filename.concat cmt_root d)
+          else Some d)
+        cmt.cmt_loadpath)
+    cmts
+
+(* U1 over [(rel, cmt path)] pairs, each both exporter and consumer; used
+   by the fixture tests, the CLI goes through {!scan}. *)
+let check_exports pairs =
+  if not !initialized then
+    init_load_path ~extra_dirs:(List.map (fun (_, p) -> Filename.dirname p) pairs);
+  let units = List.map (fun (rel, path) -> (rel, path, Cmt_format.read_cmt path)) pairs in
+  let refs = Hashtbl.create 64 in
+  List.iter (fun (_, _, cmt) -> references refs cmt) units;
+  List.sort Checks.compare_finding (unused_exports refs units)
+
 (* Check every compilation unit below [cmt_root] whose source lives under
-   one of [dirs].  The load path is the union of the units' recorded
-   compile-time load paths (relative entries resolved against the unit's
-   build dir), so cross-library and external (opam) cmis resolve.  Returns
-   the findings and the number of units checked. *)
+   one of [dirs], and run U1 with the units under {!u1_consumer_dirs} as
+   consumers.  Each unit is read under its own load path: executables in
+   different directories each have a [Dune__exe] alias module.  Returns the
+   findings and the number of units checked. *)
 let scan ~cmt_root ~dirs =
-  let cmts =
+  let in_dirs (src, _, _) = List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs in
+  let all = units ~cmt_root (List.sort_uniq String.compare (dirs @ u1_consumer_dirs)) in
+  let refs = Hashtbl.create 4096 in
+  let findings =
     List.concat_map
-      (fun d -> List.map (Filename.concat cmt_root) (cmt_files ~cmt_root d))
-      dirs
+      (fun ((rel, _, cmt) as u) ->
+        init_load_path ~extra_dirs:(load_dirs ~cmt_root [ cmt ]);
+        references refs cmt;
+        if in_dirs u then check_unit ~rel cmt else [])
+      all
   in
-  let units =
-    List.filter_map
-      (fun path ->
-        match Cmt_format.read_cmt path with
-        | exception _ -> None
-        | cmt -> (
-          match cmt.Cmt_format.cmt_sourcefile with
-          | Some src
-            when Filename.check_suffix src ".ml"
-                 && List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs
-            ->
-            Some (src, cmt)
-          | _ -> None))
-      cmts
-  in
-  let units = List.sort (fun (a, _) (b, _) -> String.compare a b) units in
-  (* Relative entries are relative to the compilation cwd, which dune
-     records as the virtual /workspace_root; the real location is the
-     build context we are scanning, i.e. [cmt_root]. *)
-  let load_dirs =
-    List.concat_map
-      (fun (_, cmt) ->
-        List.filter_map
-          (fun d ->
-            if d = "" then None
-            else if Filename.is_relative d then Some (Filename.concat cmt_root d)
-            else Some d)
-          cmt.Cmt_format.cmt_loadpath)
-      units
-  in
-  init_load_path ~extra_dirs:load_dirs;
-  let findings = List.concat_map (fun (rel, cmt) -> check_unit ~rel cmt) units in
-  (List.sort Checks.compare_finding findings, List.length units)
+  let checked = List.filter in_dirs all in
+  (List.sort Checks.compare_finding (findings @ unused_exports refs checked), List.length checked)

@@ -381,18 +381,7 @@ let base_module m =
    aliases ([module M = Message]) through the typing env so registry
    entries match however the call site abbreviates. *)
 let resolve env_raw (p : Path.t) =
-  let p =
-    match p with
-    | Path.Pdot (m, x) -> (
-      match env_of_summary env_raw with
-      | Some env -> (
-        match Env.normalize_module_path None env m with
-        | m' -> Path.Pdot (m', x)
-        | exception _ -> p)
-      | None -> p)
-    | p -> p
-  in
-  match List.rev (path_parts p) with
+  match List.rev (path_parts (Typed_checks.normalize env_raw p)) with
   | [] -> (None, "")
   | [ x ] -> (None, x)
   | x :: m :: _ -> (Some (base_module m), x)
@@ -1342,37 +1331,13 @@ let check_cmt ~registry ~rel path = check_cmts ~registry [ (rel, path) ]
 (* CLI entry: like {!Typed_checks.scan} but fixpointing over all units at
    once.  Returns the findings and the number of units analyzed. *)
 let scan ~registry ~cmt_root ~dirs =
-  let cmts =
-    List.concat_map
-      (fun d -> List.map (Filename.concat cmt_root) (Typed_checks.cmt_files ~cmt_root d))
-      dirs
-  in
+  let units = Typed_checks.units ~cmt_root dirs in
+  Typed_checks.init_load_path
+    ~extra_dirs:(Typed_checks.load_dirs ~cmt_root (List.map (fun (_, _, cmt) -> cmt) units));
   let units =
     List.filter_map
-      (fun path ->
-        match Cmt_format.read_cmt path with
-        | exception _ -> None
-        | cmt -> (
-          match (cmt.Cmt_format.cmt_sourcefile, cmt.Cmt_format.cmt_annots) with
-          | Some src, Cmt_format.Implementation str
-            when Filename.check_suffix src ".ml"
-                 && List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs ->
-            Some (src, str, cmt.Cmt_format.cmt_loadpath)
-          | _ -> None))
-      cmts
-  in
-  let units = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) units in
-  let load_dirs =
-    List.concat_map
-      (fun (_, _, loadpath) ->
-        List.filter_map
-          (fun d ->
-            if d = "" then None
-            else if Filename.is_relative d then Some (Filename.concat cmt_root d)
-            else Some d)
-          loadpath)
+      (fun (rel, _, (cmt : Cmt_format.cmt_infos)) ->
+        match cmt.cmt_annots with Implementation str -> Some (rel, str) | _ -> None)
       units
   in
-  Typed_checks.init_load_path ~extra_dirs:load_dirs;
-  let units = List.map (fun (rel, str, _) -> (rel, str)) units in
   (run (new_state registry) units, List.length units)

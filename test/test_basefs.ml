@@ -11,9 +11,7 @@ module Sim_time = Base_sim.Sim_time
 module Replica = Base_bft.Replica
 module S = Base_fs.Server_intf
 
-let nfs_of sys ~client =
-  C.make (fun ~read_only ~operation ->
-      Runtime.invoke_sync sys.Base_workload.Systems.runtime ~client ~read_only ~operation ())
+let nfs_of sys ~client = Base_workload.Systems.nfs_client sys.Base_workload.Systems.runtime ~client
 
 let settle sys seconds =
   let rt = sys.Base_workload.Systems.runtime in

@@ -51,7 +51,7 @@ let test_trace ~seed ~n ~k () =
           (fun (name, digest) ->
             if not (String.equal ref_digest digest) then
               Alcotest.failf "step %d: abstract-state digest of %s differs from %s (%s vs %s)"
-                step name ref_name (Sha256.hex digest) (Sha256.hex ref_digest))
+                step name ref_name (Base_util.Hex.encode digest) (Base_util.Hex.encode ref_digest))
           rest
       | [] -> assert false
     end

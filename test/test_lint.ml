@@ -232,6 +232,41 @@ let test_stale_waivers () =
   Alcotest.(check bool) "--update without --taint keeps B-rule waivers" false
     (C.checks_rule ~backends:[ C.Syntactic; C.Typed ] C.B1)
 
+(* --- U1: unused exports --------------------------------------------------- *)
+
+let u1 fs =
+  List.map (fun f -> (f.C.file, f.C.line, C.rule_name f.C.rule)) fs
+
+(* The exporter poses as a library unit, the consumers as a binary and a
+   test: of the four exports only the one used inside its own module is
+   flagged, at its .mli declaration. *)
+let test_u1_fixture () =
+  let exporter = ("lib/util/u1_export.ml", fixture_cmt "u1_export") in
+  let alias_and_open = ("bin/u1_consumer.ml", fixture_cmt "u1_consumer") in
+  let test_use = ("test/u1_test_use.ml", fixture_cmt "u1_test_use") in
+  Alcotest.(check (list (triple string int string)))
+    "only internal_only is unreferenced"
+    [ ("lib/util/u1_export.mli", 13, "U1") ]
+    (u1 (Typed.check_exports [ exporter; alias_and_open; test_use ]));
+  Alcotest.(check (list (triple string int string)))
+    "without the test/ consumer, via_test is unreferenced too"
+    [ ("lib/util/u1_export.mli", 10, "U1"); ("lib/util/u1_export.mli", 13, "U1") ]
+    (u1 (Typed.check_exports [ exporter; alias_and_open ]))
+
+(* The repository itself: no lib/ export is dead.  Systems.registers_wrapper
+   (lib/workload/systems.ml, no .mli) is referenced from perfbench/ alone,
+   so this fails if perfbench/ stops counting as a consumer. *)
+let test_u1_real_tree () =
+  let failures = !Typed.env_failures in
+  let cmt_root = Filename.concat (Filename.dirname Sys.executable_name) ".." in
+  let fs, n_units = Typed.scan ~cmt_root ~dirs:[ "lib" ] in
+  Alcotest.(check bool) "lib/ units scanned" true (n_units > 50);
+  let u1_msgs = List.filter_map (fun f -> if f.C.rule = C.U1 then Some f.C.msg else None) fs in
+  Alcotest.(check (list string)) "no U1 findings in the repository" [] u1_msgs;
+  Alcotest.(check bool) "Systems.registers_wrapper not flagged" false
+    (List.exists (fun m -> Base_util.Str_contains.contains m "registers_wrapper") u1_msgs);
+  Alcotest.(check int) "every unit's environment reconstructs" failures !Typed.env_failures
+
 let suite =
   [
     Alcotest.test_case "bad fixtures flag the right rule" `Quick test_bad_fixtures;
@@ -254,4 +289,7 @@ let suite =
       test_taint_env_reconstruction;
     Alcotest.test_case "allowlist round-trip" `Quick test_allowlist_roundtrip;
     Alcotest.test_case "stale waivers judged per backend" `Quick test_stale_waivers;
+    (* Last: the real-tree scan re-initialises the typed load path. *)
+    Alcotest.test_case "U1: alias, open and test/ consumers" `Quick test_u1_fixture;
+    Alcotest.test_case "U1: repository has no dead exports" `Quick test_u1_real_tree;
   ]

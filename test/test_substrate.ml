@@ -101,7 +101,8 @@ let test_stats () =
 
 let test_sha256_vectors () =
   List.iter
-    (fun (name, msg, expected) -> Alcotest.(check string) name expected (Sha256.hex msg))
+    (fun (name, msg, expected) ->
+      Alcotest.(check string) name expected (Hex.encode (Sha256.digest msg)))
     Sha256_kat.vectors
 
 let test_sha256_incremental () =
@@ -401,7 +402,15 @@ let test_loc_count () =
   let src = "let x = 1 (* comment; with ; semis *)\n\nlet s = \"str;\" ;;\n" in
   let c = Base_util.Loc_count.count_string src in
   Alcotest.(check int) "lines" 2 c.Base_util.Loc_count.lines;
-  Alcotest.(check int) "semicolons" 2 c.Base_util.Loc_count.semicolons
+  Alcotest.(check int) "semicolons" 2 c.Base_util.Loc_count.semicolons;
+  (* A character literal spelling a double quote opens no string. *)
+  List.iter
+    (fun quote ->
+      let src = Printf.sprintf "let q = %s\nlet x = 1;\nlet y = 2;\nlet z = 3;\n" quote in
+      let c = Base_util.Loc_count.count_string src in
+      Alcotest.(check int) (quote ^ " lines") 4 c.Base_util.Loc_count.lines;
+      Alcotest.(check int) (quote ^ " semicolons") 3 c.Base_util.Loc_count.semicolons)
+    [ "'\"'"; "'\\\"'" ]
 
 let suite =
   [

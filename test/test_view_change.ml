@@ -189,7 +189,7 @@ let test_insane_new_view_rejected () =
   Alcotest.(check string) "healthy write" "ok" (Helpers.set sys ~client:0 1 "base");
   let chains = chains_for ~seed sys in
   let config = Runtime.config sys in
-  let p1 = Base_bft.Types.primary config 1 in
+  let p1 = Base_bft.Types.shard_primary config ~shard:0 1 in
   let dst = (p1 + 1) mod config.Base_bft.Types.n in
   let rd = (Runtime.replica sys dst).Runtime.replica in
   let before = (Replica.stats rd).Replica.rejected_insane in
