@@ -350,8 +350,61 @@ let e7_transfer_sweep () =
     "  paper: a replica recurses down the partition hierarchy and fetches only\n\
     \  the objects that are out of date - cost tracks the dirty fraction.\n"
 
+(* One request ordered and executed by replica 0, the view-0 primary of a
+   group with 256 registered clients, on a transport that drops what it
+   sends: the client's REQUEST, then PREPAREs and COMMITs from replicas 1
+   and 2, each sealed and received.  Nothing checkpoints (the period is
+   beyond any run's length), so the log window never fills. *)
+let replica_execute_round () =
+  let module M = Base_bft.Message in
+  let n_clients = 256 in
+  let config =
+    Base_bft.Types.make_config ~checkpoint_period:(1 lsl 30) ~log_window:(1 lsl 30) ~f:1
+      ~n_clients ()
+  in
+  let chains = Base_crypto.Auth.create ~seed:7L ~n_principals:config.n_principals in
+  let net =
+    {
+      M.send = (fun ~dst:_ _ -> ());
+      set_timer = (fun ~after_us:_ _ -> 0);
+      cancel_timer = (fun _ -> ());
+      now_us = (fun () -> 0L);
+    }
+  in
+  let app =
+    {
+      Replica.execute = (fun ~client:_ ~timestamp:_ ~operation:_ ~nondet:_ ~read_only:_ -> "ok");
+      propose_nondet = (fun ~operation:_ -> "");
+      check_nondet = (fun ~operation:_ ~nondet:_ -> true);
+      ready = Replica.always_ready;
+      take_checkpoint = (fun ~seq:_ -> Base_crypto.Digest_t.zero);
+      discard_checkpoints_below = (fun _ -> ());
+      start_fetch = (fun ~seq:_ ~digest:_ -> ());
+    }
+  in
+  let replica = Replica.create ~config ~id:0 ~keychain:chains.(0) ~net ~app () in
+  let seq = ref 0 in
+  fun () ->
+    let k = !seq in
+    incr seq;
+    let client = config.n + (k mod n_clients) in
+    let request =
+      { M.client; timestamp = Int64.of_int (k / n_clients); operation = "op"; read_only = false }
+    in
+    let digest = Base_crypto.Digest_t.of_string (M.encode_batch [ request ] ~nondet:"") in
+    let receive sender body =
+      Replica.receive replica (M.seal chains.(sender) ~sender ~n_receivers:config.n body)
+    in
+    receive client (M.Request request);
+    List.iter
+      (fun r -> receive r (M.Prepare { view = 0; seq = k + 1; digest; replica = r }))
+      [ 1; 2 ];
+    List.iter
+      (fun r -> receive r (M.Commit { view = 0; seq = k + 1; digest; replica = r }))
+      [ 1; 2 ]
+
 let e7_micro () =
-  section "E7b" "micro-benchmarks (bechamel): crypto and checkpointing machinery";
+  section "E7b" "micro-benchmarks (bechamel): crypto, checkpointing and message-path machinery";
   let open Bechamel in
   let data4k = String.make 4096 'x' in
   let store, repo = synthetic_repo ~n_objects:1024 ~obj_bytes:1024 ~seed:9L in
@@ -401,9 +454,27 @@ let e7_micro () =
            ignore (Array.map (fun (s : string) -> String.sub s 0 (String.length s)) store);
            ignore (Base_crypto.Sha256.digest_list (Array.to_list store))))
   in
+  (* One message between two nodes with no link faults: send, then the
+     dispatch that hands it to a no-op handler. *)
+  let t_engine =
+    let engine =
+      Engine.create
+        { (Engine.default_config ~size_of:(fun _ -> 64) ~label_of:(fun _ -> "m")) with
+          kind_of = (fun _ -> "m") }
+    in
+    Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+    Engine.add_node engine ~id:1 (fun ~src:_ _ -> ());
+    Test.make ~name:"engine-send-dispatch"
+      (Staged.stage (fun () ->
+           Engine.send engine ~src:0 ~dst:1 ();
+           Engine.step engine))
+  in
+  let t_execute =
+    Test.make ~name:"replica-execute-256-clients" (Staged.stage (replica_execute_round ()))
+  in
   let tests =
     Test.make_grouped ~name:"micro"
-      [ t_sha; t_sha64; t_hmac; t_mac_prep; t_verify_prep; t_cow; t_full ]
+      [ t_sha; t_sha64; t_hmac; t_mac_prep; t_verify_prep; t_cow; t_full; t_engine; t_execute ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
@@ -416,8 +487,8 @@ let e7_micro () =
   List.iter
     (fun (name, ols) ->
       match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> Printf.printf "  %-30s %12.0f ns/op\n" name est
-      | Some [] | None -> Printf.printf "  %-30s (no estimate)\n" name)
+      | Some (est :: _) -> Printf.printf "  %-34s %12.0f ns/op\n" name est
+      | Some [] | None -> Printf.printf "  %-34s (no estimate)\n" name)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   Printf.printf
     "  copy-on-write checkpoints cost a small multiple of the dirty set;\n\

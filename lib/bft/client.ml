@@ -10,7 +10,7 @@ type stats = {
 type pending = {
   request : M.request;
   callback : string -> unit;
-  replies : (int, string) Hashtbl.t;  (* replica -> result *)
+  replies : string option array;  (* result by replica id *)
   mutable timer : int;
   mutable attempts : int;
   started_us : int64;
@@ -100,7 +100,7 @@ let rec start_request t operation read_only callback =
     {
       request;
       callback;
-      replies = Hashtbl.create 8;
+      replies = Array.make t.config.n None;
       timer = 0;
       attempts = 0;
       started_us = t.net.now_us ();
@@ -129,22 +129,24 @@ let invoke t ?(read_only = false) ~operation callback =
   | None -> start_request t operation read_only callback
 
 (* Deterministic winner selection: of every result that reached its quorum,
-   take the lexicographically smallest.  The reply values are snapshotted
-   and sorted before tallying, so equal results are adjacent and the first
-   qualifying run is the smallest winner by construction — no decision ever
-   reads the table in hash order. *)
+   take the lexicographically smallest.  Only a result smaller than the
+   winner so far is tallied, and the winner is the array's own [Some] cell,
+   so a call allocates nothing. *)
 let quorum_winner ~needed replies =
-  let results =
-    Hashtbl.fold (fun _ result acc -> result :: acc) replies []
-    |> List.sort String.compare
-  in
-  let rec scan = function
-    | [] -> None
-    | r :: _ as run ->
-      let same, rest = List.partition (String.equal r) run in
-      if List.length same >= needed then Some r else scan rest
-  in
-  scan results
+  let n = Array.length replies in
+  let winner = ref None in
+  for i = 0 to n - 1 do
+    match (replies.(i), !winner) with
+    | Some r, Some w when String.compare r w >= 0 -> ()
+    | (Some r as cell), _ ->
+      let votes = ref 0 in
+      for j = 0 to n - 1 do
+        match replies.(j) with Some r' when String.equal r r' -> incr votes | Some _ | None -> ()
+      done;
+      if !votes >= needed then winner := cell
+    | None, _ -> ()
+  done;
+  !winner
 
 let check_quorum t p =
   match quorum_winner ~needed:(needed t p.request) p.replies with
@@ -162,7 +164,7 @@ let receive t (env : M.envelope) =
            && Int64.equal r.timestamp p.request.timestamp
            && r.replica = env.sender
            && Types.is_replica t.config env.sender ->
-      Hashtbl.replace p.replies env.sender r.result;
+      p.replies.(env.sender) <- Some r.result;
       check_quorum t p
     | _ -> ()
   end
@@ -182,7 +184,7 @@ let on_timer t ts =
       t.stats.read_only_fallbacks <- t.stats.read_only_fallbacks + 1;
       let request = { p.request with read_only = false; timestamp = fresh_ts t } in
       let p' = { p with request; attempts = 0 } in
-      Hashtbl.reset p'.replies;
+      Array.fill p'.replies 0 (Array.length p'.replies) None;
       t.current <- Some p';
       send_request t request;
       p'.timer <- t.net.set_timer ~after_us:t.config.client_timeout_us request.timestamp

@@ -67,7 +67,7 @@ val outstanding : t -> int
 
 val stats : t -> stats
 
-val quorum_winner : needed:int -> (int, string) Hashtbl.t -> string option
-(** Deterministic quorum selection over a replica->result reply table: the
-    lexicographically smallest result with [>= needed] votes, or [None].
+val quorum_winner : needed:int -> string option array -> string option
+(** Deterministic quorum selection over the replies indexed by replica id:
+    the lexicographically smallest result with [>= needed] votes, or [None].
     Exposed so the selection rule itself can be pinned by tests. *)

@@ -85,13 +85,14 @@ let make_obs ?(suffix = "") metrics =
     last_cp = -1L;
   }
 
-(* Per-sequence-number log slot.  The prepare/commit tables are keyed by
-   replica id; certificates are counted over matching digests.  The [t_*]
-   fields are local phase timestamps (-1 = milestone not reached). *)
+(* Per-sequence-number log slot.  The prepare/commit votes are arrays
+   indexed by replica id (one slot per active replica, so only replicas can
+   vote); certificates are counted over matching digests.  The [t_*] fields
+   are local phase timestamps (-1 = milestone not reached). *)
 type entry = {
   mutable pre_prepare : M.pre_prepare option;
-  prepares : (int, Digest.t) Hashtbl.t;
-  commits : (int, Digest.t) Hashtbl.t;
+  prepares : Digest.t option array;
+  commits : Digest.t option array;
   mutable sent_commit : bool;
   mutable committed : bool;
   mutable prepared_proof : M.prepared_proof option;
@@ -122,7 +123,8 @@ type t = {
   mutable status : status;
   entries : (Types.seqno, entry) Hashtbl.t;
   clients : (int, client_rec) Hashtbl.t;
-  cp_msgs : (Types.seqno, (int, Digest.t) Hashtbl.t) Hashtbl.t;
+  mutable n_pending : int;  (* clients whose [pending] is [Some _]; see [set_pending] *)
+  cp_msgs : (Types.seqno, Digest.t option array) Hashtbl.t;  (* votes by replica id *)
   own_cps : (Types.seqno, Digest.t) Hashtbl.t;
   mutable h : Types.seqno;  (* low watermark = last stable checkpoint *)
   mutable stable_digest : Digest.t;
@@ -154,11 +156,11 @@ type t = {
   p_exec : Base_obs.Profile.probe;  (* application execute calls *)
 }
 
-let fresh_entry () =
+let fresh_entry n =
   {
     pre_prepare = None;
-    prepares = Hashtbl.create 8;
-    commits = Hashtbl.create 8;
+    prepares = Array.make n None;
+    commits = Array.make n None;
     sent_commit = false;
     committed = false;
     prepared_proof = None;
@@ -184,7 +186,7 @@ let get_entry t seq =
   match Hashtbl.find_opt t.entries seq with
   | Some e -> e
   | None ->
-    let e = fresh_entry () in
+    let e = fresh_entry t.config.n in
     Hashtbl.replace t.entries seq e;
     e
 
@@ -205,10 +207,20 @@ let client_rec t c =
     Hashtbl.replace t.clients c r;
     r
 
+(* Every write of [cr.pending] goes through here, so [n_pending] always
+   equals the number of client records with a pending request. *)
+let set_pending t cr pending =
+  (match (cr.pending, pending) with
+  | None, Some _ -> t.n_pending <- t.n_pending + 1
+  | Some _, None -> t.n_pending <- t.n_pending - 1
+  | Some _, Some _ | None, None -> ());
+  cr.pending <- pending
+
 (* Deterministic traversal of an int-keyed table: snapshot the bindings and
-   sort by key.  Every table scan below goes through this, so certificate
-   counting, retransmission order, and wire-visible new-view summaries are
-   independent of hash-table iteration order. *)
+   sort by key.  Every table scan below goes through this, so retransmission
+   order and wire-visible new-view summaries are independent of hash-table
+   iteration order.  Votes are arrays indexed by replica id and need no
+   sort; nothing on the per-request path scans a table. *)
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -313,9 +325,7 @@ let send_reply t (reply : M.reply) =
 
 (* --- timers ------------------------------------------------------------- *)
 
-let has_pending t =
-  t.external_pending > 0
-  || List.exists (fun (_, r) -> r.pending <> None) (sorted_bindings t.clients)
+let has_pending t = t.external_pending > 0 || t.n_pending > 0
 
 let cancel_vc_timer t =
   match t.vc_timer with
@@ -337,16 +347,24 @@ let restart_vc_timer t =
 
 let cp_table t seq =
   match Hashtbl.find_opt t.cp_msgs seq with
-  | Some tbl -> tbl
+  | Some votes -> votes
   | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.replace t.cp_msgs seq tbl;
-    tbl
+    let votes = Array.make t.config.n None in
+    Hashtbl.replace t.cp_msgs seq votes;
+    votes
 
-let count_matching tbl digest =
-  List.fold_left
-    (fun acc (_, d) -> if Digest.equal d digest then acc + 1 else acc)
-    0 (sorted_bindings tbl)
+let clear_votes votes = Array.fill votes 0 (Array.length votes) None
+
+let voted_for votes r digest =
+  match votes.(r) with Some d -> Digest.equal d digest | None -> false
+
+(* Votes for [digest], counted in replica-id order. *)
+let count_matching votes digest =
+  let count = ref 0 in
+  for r = 0 to Array.length votes - 1 do
+    if voted_for votes r digest then incr count
+  done;
+  !count
 
 let discard_log_below t seq =
   let stale_keys tbl below =
@@ -427,13 +445,13 @@ and execute_entry t seq entry (pp : M.pre_prepare) =
           in
           cr.last_reply <- Some reply;
           (match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> cr.pending <- None
+          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
           | Some _ | None -> ());
           send_reply t reply
         end
         else begin
           match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> cr.pending <- None
+          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
           | Some _ | None -> ()
         end
       end
@@ -503,11 +521,11 @@ and maybe_committed t _seq entry =
 and maybe_prepared t seq entry =
   match entry.pre_prepare with
   | Some pp ->
+    (* The primary's own PRE-PREPARE stands in for its prepare. *)
     let primary = primary_of t pp.view in
     let count =
-      List.fold_left
-        (fun acc (r, d) -> if r <> primary && Digest.equal d pp.digest then acc + 1 else acc)
-        0 (sorted_bindings entry.prepares)
+      count_matching entry.prepares pp.digest
+      - if voted_for entry.prepares primary pp.digest then 1 else 0
     in
     if count >= 2 * t.config.f && entry.prepared_proof = None then begin
       entry.prepared_proof <-
@@ -523,7 +541,7 @@ and maybe_prepared t seq entry =
       observe_span t.obs.m_prepare ~since:entry.t_pp ~until:entry.t_prepared;
       if not entry.sent_commit then begin
         entry.sent_commit <- true;
-        Hashtbl.replace entry.commits t.id pp.digest;
+        entry.commits.(t.id) <- Some pp.digest;
         broadcast t (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
       end;
       maybe_committed t seq entry
@@ -651,7 +669,7 @@ let handle_request t env (r : M.request) =
       | Some p when p.timestamp >= r.timestamp -> ()
       | Some _ | None ->
         if cr.pending = None then cr.pending_since <- now t;
-        cr.pending <- Some r);
+        set_pending t cr (Some r));
       if t.status = Normal then begin
         if is_primary t then propose t r
         else begin
@@ -682,8 +700,8 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
     (match entry.pre_prepare with
     | Some existing when existing.view < pp.view && not entry.committed ->
       entry.pre_prepare <- None;
-      Hashtbl.reset entry.prepares;
-      Hashtbl.reset entry.commits;
+      clear_votes entry.prepares;
+      clear_votes entry.commits;
       entry.sent_commit <- false;
       entry.prepared_proof <- None;
       entry.t_pp <- -1L;
@@ -721,11 +739,11 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
             end;
             match cr.pending with
             | Some p when p.timestamp >= r.timestamp -> ()
-            | Some _ | None -> if r.timestamp > cr.last_ts then cr.pending <- Some r
+            | Some _ | None -> if r.timestamp > cr.last_ts then set_pending t cr (Some r)
           end)
         pp.requests;
       start_vc_timer t;
-      Hashtbl.replace entry.prepares t.id pp.digest;
+      entry.prepares.(t.id) <- Some pp.digest;
       broadcast t (M.Prepare { view = pp.view; seq = pp.seq; digest = pp.digest; replica = t.id });
       maybe_prepared t pp.seq entry
     end
@@ -737,7 +755,7 @@ let handle_prepare t sender (p : M.prepare) =
     && sender <> primary_of t p.view
   then begin
     let entry = get_entry t p.seq in
-    if not (Hashtbl.mem entry.prepares sender) then begin
+    if Option.is_none entry.prepares.(sender) then begin
       (match entry.pre_prepare with
       | Some accepted
         when accepted.view = p.view && not (Digest.equal accepted.digest p.digest) ->
@@ -745,7 +763,7 @@ let handle_prepare t sender (p : M.prepare) =
            must have seen a conflicting pre-prepare from the primary. *)
         Base_obs.Metrics.incr t.obs.c_equivocation
       | Some _ | None -> ());
-      Hashtbl.replace entry.prepares sender p.digest;
+      entry.prepares.(sender) <- Some p.digest;
       maybe_prepared t p.seq entry
     end
   end
@@ -753,8 +771,8 @@ let handle_prepare t sender (p : M.prepare) =
 let handle_commit t sender (c : M.commit) =
   if sender = c.replica && c.view <= t.view && in_window t c.seq then begin
     let entry = get_entry t c.seq in
-    if not (Hashtbl.mem entry.commits sender) then begin
-      Hashtbl.replace entry.commits sender c.digest;
+    if Option.is_none entry.commits.(sender) then begin
+      entry.commits.(sender) <- Some c.digest;
       maybe_prepared t c.seq entry
     end
   end
@@ -764,17 +782,17 @@ let handle_commit t sender (c : M.commit) =
 let fetch_target t =
   let weak = Types.weak_quorum t.config in
   List.fold_left
-    (fun best (seq, tbl) ->
+    (fun best (seq, votes) ->
       if seq < t.h then best
       else begin
         (* Find a digest with >= f+1 votes at this seqno. *)
         let certified =
-          List.fold_left
-            (fun acc (_, d) ->
-              match acc with
-              | Some _ -> acc
-              | None -> if count_matching tbl d >= weak then Some d else None)
-            None (sorted_bindings tbl)
+          Array.fold_left
+            (fun acc vote ->
+              match (acc, vote) with
+              | Some _, _ | None, None -> acc
+              | None, Some d -> if count_matching votes d >= weak then vote else None)
+            None votes
         in
         match (certified, best) with
         | Some d, None -> Some (seq, d)
@@ -806,12 +824,12 @@ let maybe_fetch_check t ~stalled =
   | Some _ | None -> ()
 
 let handle_checkpoint t sender (c : M.checkpoint) =
-  (* Only votes from active replicas count: a checkpoint certificate built
-     from f+1 of them always contains a correct replica, which would not
-     hold if clients (or standbys) could stuff the table. *)
-  if sender = c.replica && Types.is_replica t.config sender && c.seq > t.h then begin
-    let tbl = cp_table t c.seq in
-    Hashtbl.replace tbl sender c.digest;
+  (* Only votes from active replicas count ([receive] drops the rest): a
+     checkpoint certificate built from f+1 of them always contains a correct
+     replica, which would not hold if clients (or standbys) could stuff the
+     table. *)
+  if sender = c.replica && c.seq > t.h then begin
+    (cp_table t c.seq).(sender) <- Some c.digest;
     if t.role = Active then begin
       maybe_stable t c.seq;
       maybe_fetch_check t ~stalled:false
@@ -834,6 +852,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   | Some _ | None -> ());
   (* Install the transferred last-reply table. *)
   Hashtbl.reset t.clients;
+  t.n_pending <- 0;
   List.iter
     (fun (c, ts, result) ->
       let cr = client_rec t c in
@@ -983,12 +1002,12 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
       if not entry.committed then begin
         entry.pre_prepare <- Some pp;
         entry.t_pp <- now t;
-        Hashtbl.reset entry.prepares;
-        if not entry.sent_commit then Hashtbl.reset entry.commits;
+        clear_votes entry.prepares;
+        if not entry.sent_commit then clear_votes entry.commits;
         entry.prepared_proof <- None;
         entry.sent_commit <- false;
         if not (is_primary t) then begin
-          Hashtbl.replace entry.prepares t.id pp.digest;
+          entry.prepares.(t.id) <- Some pp.digest;
           broadcast t
             (M.Prepare { view = v'; seq = pp.seq; digest = pp.digest; replica = t.id })
         end
@@ -1156,7 +1175,7 @@ let on_status_timer t =
           match entry.pre_prepare with
           | Some pp when pp.view = t.view ->
             if is_primary t then broadcast t (M.Pre_prepare pp)
-            else if Hashtbl.mem entry.prepares t.id then
+            else if Option.is_some entry.prepares.(t.id) then
               broadcast t
                 (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
             if entry.sent_commit then
@@ -1261,7 +1280,7 @@ let handle_status t sender (st : M.status_msg) =
         | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
           if primary_of t pp.view = t.id then
             send_one t ~dst:sender (M.Pre_prepare pp)
-          else if Hashtbl.mem entry.prepares t.id then
+          else if Option.is_some entry.prepares.(t.id) then
             send_one t ~dst:sender
               (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
           if entry.sent_commit then
@@ -1303,10 +1322,19 @@ let receive t (env : M.envelope) =
     t.stats.rejected_macs <- t.stats.rejected_macs + 1;
     Base_obs.Metrics.incr t.obs.c_reject_mac
   end
-  else if env.shard <> t.shard then begin
-    (* The MAC binds the shard tag, so this is a well-authenticated message
-       for a different agreement instance — mis-routed, not forged.  It is
-       meaningless here (seqnos and views are per-shard namespaces). *)
+  else if
+    env.shard <> t.shard
+    || match env.body with
+       | M.Request _ | M.Reply _ -> false
+       | M.Pre_prepare _ | M.Prepare _ | M.Commit _ | M.Checkpoint _ | M.View_change _
+       | M.New_view _ | M.Status _ ->
+         not (Types.is_replica t.config env.sender)
+  then begin
+    (* The MAC binds the shard tag, so a message for a different agreement
+       instance is mis-routed, not forged.  It is meaningless here (seqnos
+       and views are per-shard namespaces).  Every principal shares a key
+       with every replica, so a client's agreement message authenticates
+       too; only replicas vote, and a client must not fill a quorum. *)
     t.stats.rejected_insane <- t.stats.rejected_insane + 1;
     Base_obs.Metrics.incr t.obs.c_reject_insane
   end
@@ -1365,6 +1393,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       status = Normal;
       entries = Hashtbl.create 64;
       clients = Hashtbl.create 16;
+      n_pending = 0;
       cp_msgs = Hashtbl.create 16;
       own_cps = Hashtbl.create 16;
       h = 0;
@@ -1436,5 +1465,12 @@ let low_watermark t = t.h
 let status t = t.status
 
 let stats t = t.stats
+
+let pending_count t = t.n_pending
+
+let client_pending t ~client =
+  match Hashtbl.find_opt t.clients client with
+  | Some cr -> Option.is_some cr.pending
+  | None -> false
 
 let set_behavior t b = t.behavior <- b

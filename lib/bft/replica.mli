@@ -90,7 +90,8 @@ type stats = {
   mutable rejected_insane : int;
       (** well-formed, authenticated messages whose claims are
           protocol-implausible (e.g. prepared proofs outside the log
-          window above the claimed checkpoint) *)
+          window above the claimed checkpoint, or a vote from a principal
+          that is not a replica) *)
 }
 
 type t
@@ -140,11 +141,23 @@ val status : t -> status
 
 val stats : t -> stats
 
+val pending_count : t -> int
+(** Number of clients with a request received here and not yet executed,
+    one of the obligations that keep the view-change progress timer armed.
+    It is kept up to date as requests arrive and execute, so reading it
+    costs O(1) however many clients are registered. *)
+
+val client_pending : t -> client:int -> bool
+(** Whether [client] has a request received here and not yet executed. *)
+
 val set_behavior : t -> behavior -> unit
 
 val receive : t -> Message.envelope -> unit
-(** Handle one authenticated protocol message (invalid MACs are counted and
-    dropped). *)
+(** Handle one authenticated protocol message.  Invalid MACs are counted
+    and dropped, and so are messages tagged for another shard and
+    agreement messages (anything but a REQUEST or a REPLY) whose sender is
+    not an active replica: a client shares a MAC key with every replica, so
+    its forged votes authenticate. *)
 
 val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string -> unit
 (** Handle a raw encoded message body as it would arrive off the wire.

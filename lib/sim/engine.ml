@@ -253,6 +253,57 @@ let fault_corrupt t ~src ~dst ~p ~until = add_fault t ~src ~dst ~until (F_corrup
 
 let set_corruptor t f = t.corruptor <- Some f
 
+(* The fault scans below are top-level recursions rather than closures over
+   the send's arguments, so a send with no link faults allocates nothing
+   for them.  Each draws the PRNG in list order and stops at the first hit,
+   as [List.exists] would. *)
+let rec draws_drop rng = function
+  | [] -> false
+  | { lf_kind = F_drop p; _ } :: rest -> (p > 0.0 && Prng.bernoulli rng p) || draws_drop rng rest
+  | { lf_kind = F_delay _ | F_corrupt _; _ } :: rest -> draws_drop rng rest
+
+let rec draws_corrupt rng = function
+  | [] -> false
+  | { lf_kind = F_corrupt p; _ } :: rest ->
+    (p > 0.0 && Prng.bernoulli rng p) || draws_corrupt rng rest
+  | { lf_kind = F_delay _ | F_drop _; _ } :: rest -> draws_corrupt rng rest
+
+let rec fault_delay_us acc = function
+  | [] -> acc
+  | { lf_kind = F_delay d; _ } :: rest -> fault_delay_us (acc + d) rest
+  | { lf_kind = F_drop _ | F_corrupt _; _ } :: rest -> fault_delay_us acc rest
+
+let drop_msg t per_label ~src ~dst ~size msg =
+  t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
+  per_label.dropped_msgs <- per_label.dropped_msgs + 1;
+  trace t "net.drop" ~src ~dst ~size msg
+
+(* Queue [msg'] (the message as delivered, possibly corrupted) for [dst];
+   [msg] is the one sent, which the trace events label. *)
+let enqueue t per_label ~src ~dst ~size ~delay_us ~corrupted msg msg' =
+  if corrupted then begin
+    t.totals.corrupted_msgs <- t.totals.corrupted_msgs + 1;
+    per_label.corrupted_msgs <- per_label.corrupted_msgs + 1;
+    (match t.obs with
+    | None -> ()
+    | Some o -> Base_obs.Metrics.incr o.oc_corrupted);
+    trace t "net.corrupt" ~src ~dst ~size msg
+  end;
+  let jitter =
+    if t.config.jitter_us = 0 then 0.0
+    else Prng.exponential t.rng ~mean:(float_of_int t.config.jitter_us)
+  in
+  let tx_us =
+    if t.config.bandwidth_bps = 0 then 0.0
+    else float_of_int (size * 8) /. float_of_int t.config.bandwidth_bps *. 1e6
+  in
+  let delay = Sim_time.of_us (t.config.latency_us + delay_us + int_of_float (jitter +. tx_us)) in
+  trace t "net.send" ~src ~dst ~size msg;
+  Event_heap.push t.queue ~time:(Sim_time.add t.time delay)
+    (Q_deliver { src; dst; msg = msg'; size });
+  note_inflight t dst 1;
+  note_queue_depth t
+
 let send t ?(extra_us = 0) ~src ~dst msg =
   Base_obs.Profile.start t.prof t.p_send;
   let size = t.config.size_of msg in
@@ -263,73 +314,26 @@ let send t ?(extra_us = 0) ~src ~dst msg =
   per_label.sent_msgs <- per_label.sent_msgs + 1;
   per_label.sent_bytes <- per_label.sent_bytes + size;
   let faults = active_faults t ~src ~dst in
-  let drop () =
-    t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
-    per_label.dropped_msgs <- per_label.dropped_msgs + 1;
-    trace t "net.drop" ~src ~dst ~size msg
-  in
   let dropped =
     blocked t src dst
     || (t.config.drop_p > 0.0 && Prng.bernoulli t.rng t.config.drop_p)
-    || List.exists
-         (fun f ->
-           match f.lf_kind with
-           | F_drop p -> p > 0.0 && Prng.bernoulli t.rng p
-           | F_delay _ | F_corrupt _ -> false)
-         faults
+    || draws_drop t.rng faults
   in
-  (if dropped then drop ()
+  (if dropped then drop_msg t per_label ~src ~dst ~size msg
    else begin
-     let deliver ~corrupted msg' =
-       if corrupted then begin
-         t.totals.corrupted_msgs <- t.totals.corrupted_msgs + 1;
-         per_label.corrupted_msgs <- per_label.corrupted_msgs + 1;
-         (match t.obs with
-         | None -> ()
-         | Some o -> Base_obs.Metrics.incr o.oc_corrupted);
-         trace t "net.corrupt" ~src ~dst ~size msg
-       end;
-       let fault_extra =
-         List.fold_left
-           (fun acc f -> match f.lf_kind with F_delay d -> acc + d | _ -> acc)
-           extra_us faults
-       in
-       let jitter =
-         if t.config.jitter_us = 0 then 0.0
-         else Prng.exponential t.rng ~mean:(float_of_int t.config.jitter_us)
-       in
-       let tx_us =
-         if t.config.bandwidth_bps = 0 then 0.0
-         else float_of_int (size * 8) /. float_of_int t.config.bandwidth_bps *. 1e6
-       in
-       let delay =
-         Sim_time.of_us (t.config.latency_us + fault_extra + int_of_float (jitter +. tx_us))
-       in
-       trace t "net.send" ~src ~dst ~size msg;
-       Event_heap.push t.queue ~time:(Sim_time.add t.time delay)
-         (Q_deliver { src; dst; msg = msg'; size });
-       note_inflight t dst 1;
-       note_queue_depth t
-     in
-     let wants_corrupt =
-       List.exists
-         (fun f ->
-           match f.lf_kind with
-           | F_corrupt p -> p > 0.0 && Prng.bernoulli t.rng p
-           | F_delay _ | F_drop _ -> false)
-         faults
-     in
-     if not wants_corrupt then deliver ~corrupted:false msg
+     let delay_us = fault_delay_us extra_us faults in
+     if not (draws_corrupt t.rng faults) then
+       enqueue t per_label ~src ~dst ~size ~delay_us ~corrupted:false msg msg
      else
        (* A corrupt window needs a message-type-aware corruptor; without one
           (or when it declines) the mangled bytes are unparseable noise and
           the message is simply lost. *)
        match t.corruptor with
-       | None -> drop ()
+       | None -> drop_msg t per_label ~src ~dst ~size msg
        | Some c -> (
          match c t.rng msg with
-         | Some msg' -> deliver ~corrupted:true msg'
-         | None -> drop ())
+         | Some msg' -> enqueue t per_label ~src ~dst ~size ~delay_us ~corrupted:true msg msg'
+         | None -> drop_msg t per_label ~src ~dst ~size msg)
    end);
   Base_obs.Profile.stop t.prof t.p_send
 

@@ -98,3 +98,32 @@ let value_part reply =
   match String.index_opt reply '@' with
   | Some k -> String.sub reply 0 k
   | None -> reply
+
+(* A transport that goes nowhere: sends are dropped and timers never fire. *)
+let silent_net =
+  {
+    Base_bft.Message.send = (fun ~dst:_ _ -> ());
+    set_timer = (fun ~after_us:_ _ -> 0);
+    cancel_timer = (fun _ -> ());
+    now_us = (fun () -> 0L);
+  }
+
+(* Replica [id] of [config] outside any runtime, on {!silent_net}.  Its
+   service answers "ok" to everything and passes [operation] to [on_execute]
+   first; nothing it checkpoints carries state. *)
+let bare_replica ?(on_execute = ignore) ~config ~chains id =
+  let app =
+    {
+      Base_bft.Replica.execute =
+        (fun ~client:_ ~timestamp:_ ~operation ~nondet:_ ~read_only:_ ->
+          on_execute operation;
+          "ok");
+      propose_nondet = (fun ~operation:_ -> "");
+      check_nondet = (fun ~operation:_ ~nondet:_ -> true);
+      ready = Base_bft.Replica.always_ready;
+      take_checkpoint = (fun ~seq:_ -> Base_crypto.Digest_t.zero);
+      discard_checkpoints_below = (fun _ -> ());
+      start_fetch = (fun ~seq:_ ~digest:_ -> ());
+    }
+  in
+  Base_bft.Replica.create ~config ~id ~keychain:chains.(id) ~net:silent_net ~app ()

@@ -1,10 +1,11 @@
-(* Per-call allocation budgets on the authenticator hot path.
+(* Per-call allocation budgets on the message path.
 
-   Every message the protocol seals or checks pays these calls once per
-   receiver, so their garbage multiplies into the per-request allocation
-   the benchmark ledger reports.  The budgets pin what the allocation-free
-   SHA-256/HMAC reached, measured exactly with [Gc.minor_words] (everything
-   here is small enough to be born in the minor heap):
+   Every message the protocol seals or checks pays the authenticator calls
+   once per receiver, so their garbage multiplies into the per-request
+   allocation the benchmark ledger reports.  The budgets pin what the
+   allocation-free SHA-256/HMAC reached, measured exactly with
+   [Gc.minor_words] (everything here is small enough to be born in the
+   minor heap):
 
    - [Auth.check_digest]: the key cache's [Some], nothing else;
    - [Auth.mac_digest_for]: that plus the 32-byte tag;
@@ -15,7 +16,12 @@
 
    A change that puts a context, a padding buffer, a boxed counter or a
    boxed kernel argument back on these paths fails here, not only as a
-   drift in the ledger. *)
+   drift in the ledger.
+
+   Per-request bookkeeping has budgets too: executing a request must not
+   cost more with 256 registered clients than with one (no scan of the
+   client table), a client's reply tally allocates only the vote it
+   records, and a fault-free engine send allocates no closures. *)
 
 module Auth = Base_crypto.Auth
 module Digest = Base_crypto.Digest_t
@@ -27,6 +33,8 @@ let calls = 1_000
 (* Bytes allocated per call of [f], after one warm-up call (which fills the
    key cache).  The only other allocation in the window is the boxed float
    of the second [Gc.minor_words] reading, shared by all [calls]. *)
+let words_to_bytes w = int_of_float (w *. float_of_int (Sys.word_size / 8))
+
 let bytes_per_call f =
   ignore (Sys.opaque_identity (f ()));
   let before = Gc.minor_words () in
@@ -34,7 +42,7 @@ let bytes_per_call f =
     ignore (Sys.opaque_identity (f ()))
   done;
   let after = Gc.minor_words () in
-  int_of_float ((after -. before) *. float_of_int (Sys.word_size / 8) /. float_of_int calls)
+  words_to_bytes (after -. before) / calls
 
 let within_budget what ~budget f =
   let used = bytes_per_call f in
@@ -87,6 +95,89 @@ let test_envelope_verify () =
           M.verify chains.(3) ~receiver:3 env))
     [ 0; 2 ]
 
+(* --- per-request bookkeeping ------------------------------------------- *)
+
+module Replica = Base_bft.Replica
+module Client = Base_bft.Client
+module Types = Base_bft.Types
+module Engine = Base_sim.Engine
+
+(* The five envelopes that take one request from arrival to execution at
+   the primary: the client's REQUEST, then PREPAREs and COMMITs from
+   replicas 1 and 2 (with its own commit, a quorum of three). *)
+let ordering_round (config : Types.config) chains ~seq ~client ~timestamp =
+  let request = { M.client; timestamp; operation = "op"; read_only = false } in
+  let digest = Digest.of_string (M.encode_batch [ request ] ~nondet:"") in
+  let from r body = M.seal chains.(r) ~sender:r ~n_receivers:config.n body in
+  [ from client (M.Request request) ]
+  @ List.map (fun r -> from r (M.Prepare { view = 0; seq; digest; replica = r })) [ 1; 2 ]
+  @ List.map (fun r -> from r (M.Commit { view = 0; seq; digest; replica = r })) [ 1; 2 ]
+
+(* Order and execute [warm] requests at replica 0, the view-0 primary,
+   spread over [n_clients] clients so each registers in the client table,
+   then return the bytes allocated per executed request over [rounds] more.
+   Nothing checkpoints within the run.  The envelopes are sealed before the
+   measured window, which covers only [Replica.receive]. *)
+let execute_bytes ~n_clients =
+  let warm = 256 and rounds = 16 in
+  let config =
+    Types.make_config ~checkpoint_period:4096 ~log_window:8192 ~f:1 ~n_clients ()
+  in
+  let chains = Auth.create ~seed:7L ~n_principals:config.n_principals in
+  let replica = Helpers.bare_replica ~config ~chains 0 in
+  let client k = config.n + (k mod n_clients) in
+  let timestamp k = Int64.of_int (k / n_clients) in
+  let round k =
+    ordering_round config chains ~seq:(k + 1) ~client:(client k) ~timestamp:(timestamp k)
+  in
+  for k = 0 to warm - 1 do
+    List.iter (Replica.receive replica) (round k)
+  done;
+  let envs = Array.of_list (List.concat (List.init rounds (fun i -> round (warm + i)))) in
+  let before = Gc.minor_words () in
+  Array.iter (Replica.receive replica) envs;
+  let after = Gc.minor_words () in
+  Alcotest.(check int) "every request executed" (warm + rounds)
+    (Replica.stats replica).Replica.executed_requests;
+  words_to_bytes (after -. before) / rounds
+
+let test_replica_execute_client_table () =
+  let one = execute_bytes ~n_clients:1 and many = execute_bytes ~n_clients:256 in
+  if many > one + 64 then
+    Alcotest.failf
+      "executing a request with 256 registered clients allocates %d B, with one %d B \
+       (budget: one + 64 B)"
+      many one
+
+(* A rw request awaiting its f+1 = 2 matching replies, fed the same reply
+   from replica 1 over and over: each call verifies, records the vote and
+   tallies, and the quorum is never reached. *)
+let test_client_reply () =
+  let config = Types.make_config ~f:1 ~n_clients:1 () in
+  let chains = Auth.create ~seed:3L ~n_principals:config.Types.n_principals in
+  let id = config.n in
+  let client = Client.create ~config ~id ~keychain:chains.(id) ~net:Helpers.silent_net () in
+  Client.invoke client ~operation:"op" (fun _ -> Alcotest.fail "one reply completed the request");
+  let reply =
+    M.seal_for chains.(1) ~sender:1 ~receiver:id
+      (M.Reply { view = 0; timestamp = 0L; client = id; replica = 1; result = "r" })
+  in
+  within_budget "Client.receive (matching reply)" ~budget:48 (fun () -> Client.receive client reply)
+
+(* One message between two nodes with no link faults: the send, then the
+   dispatch that delivers it to a no-op handler. *)
+let test_engine_send_dispatch () =
+  let config =
+    { (Engine.default_config ~size_of:(fun _ -> 64) ~label_of:(fun _ -> "m")) with
+      kind_of = (fun _ -> "m") }
+  in
+  let engine = Engine.create config in
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  Engine.add_node engine ~id:1 (fun ~src:_ _ -> ());
+  within_budget "Engine.send + dispatch" ~budget:280 (fun () ->
+      Engine.send engine ~src:0 ~dst:1 ();
+      Engine.step engine)
+
 let suite =
   [
     Alcotest.test_case "Auth.check_digest: <= 16 B per call" `Quick test_check_digest;
@@ -95,4 +186,9 @@ let suite =
     Alcotest.test_case "Message.verify: <= 16 B per call" `Quick test_envelope_verify;
     Alcotest.test_case "8 KB: of_string <= 48 B, update_bytes 0 B per call" `Quick
       test_large_inputs;
+    Alcotest.test_case "replica execute: 256 clients <= 1 client + 64 B" `Quick
+      test_replica_execute_client_table;
+    Alcotest.test_case "Client.receive reply: <= 48 B per call" `Quick test_client_reply;
+    Alcotest.test_case "Engine.send + dispatch: <= 280 B per message" `Quick
+      test_engine_send_dispatch;
   ]

@@ -151,6 +151,77 @@ let test_read_only_with_replica_down () =
   Alcotest.(check string) "read-only succeeds" "ro-target"
     (value_part (get_ro sys ~client:0 4))
 
+(* The maintained pending count against a recount of the client table,
+   after every event of a run that reaches each site that changes it:
+   request arrival, ordered and read-only execution, a view change whose new
+   primary re-proposes the requests its backups held, and a state transfer
+   that replaces a replica's client table. *)
+let test_pending_count_matches_table () =
+  let n_clients = 4 in
+  let sys, _ =
+    make_system ~seed:27L ~n_clients ~checkpoint_period:4 ~client_timeout_us:50_000
+      ~viewchange_timeout_us:100_000 ()
+  in
+  let engine = Runtime.engine sys in
+  let first_client = Types.group_size (Runtime.config sys) in
+  let peak = ref 0 in
+  let step () =
+    if not (Engine.step engine) then Alcotest.fail "engine went idle";
+    Array.iter
+      (fun node ->
+        let r = node.Runtime.replica in
+        let recount = ref 0 in
+        for client = first_client to first_client + n_clients - 1 do
+          if Replica.client_pending r ~client then incr recount
+        done;
+        if Replica.pending_count r <> !recount then
+          Alcotest.failf "replica %d: pending count %d, client table %d" node.Runtime.rid
+            (Replica.pending_count r) !recount;
+        peak := max !peak !recount)
+      (Runtime.replicas sys)
+  in
+  (* One operation per client, all concurrent, stepped to completion. *)
+  let round ?(read_only = false) tag =
+    let left = ref n_clients in
+    for c = 0 to n_clients - 1 do
+      let operation =
+        if read_only then Printf.sprintf "get:%d" c else Printf.sprintf "set:%d:%s" c tag
+      in
+      Runtime.invoke sys ~client:c ~read_only ~operation (fun _ -> decr left)
+    done;
+    while !left > 0 do
+      step ()
+    done
+  in
+  round "a";
+  round ~read_only:true "";
+  (* Replica 2 hears nothing from the clients for a while: it learns their
+     requests from the primary's PRE-PREPARE. *)
+  let until = Sim_time.add (Runtime.now sys) (Sim_time.of_ms 20) in
+  for client = first_client to first_client + n_clients - 1 do
+    Engine.fault_drop engine ~src:client ~dst:2 ~p:1.0 ~until
+  done;
+  round "b";
+  (* Cut the primary off from the backups.  They hold each request as
+     pending until the view change installs a primary that proposes them;
+     replica 0 still hears the clients and keeps their requests pending. *)
+  Engine.partition engine [ 0 ] [ 1; 2; 3 ];
+  for i = 1 to 10 do
+    round (Printf.sprintf "c%d" i)
+  done;
+  Alcotest.(check bool) "view changed" true (Replica.view (Runtime.replica sys 1).replica > 0);
+  let r0 = (Runtime.replica sys 0).replica in
+  Alcotest.(check bool) "replica 0 holds pending requests" true (Replica.pending_count r0 > 0);
+  (* Replica 0 missed more than a log window: it catches up by state
+     transfer, which replaces its client table. *)
+  Engine.heal engine;
+  let target = Replica.last_executed (Runtime.replica sys 1).replica in
+  while Replica.last_executed r0 < target do
+    step ()
+  done;
+  Alcotest.(check bool) "replica 0 fetched state" true ((Replica.stats r0).fetches > 0);
+  Alcotest.(check bool) "some request was pending" true (!peak > 0)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -159,6 +230,8 @@ let suite =
     Alcotest.test_case "partition blocks, heal resumes" `Quick test_partition_blocks_then_heals;
     Alcotest.test_case "successive primary failures" `Quick test_successive_primary_failures;
     Alcotest.test_case "MAC forgery rejected" `Quick test_mac_forgery_rejected;
+    Alcotest.test_case "pending count matches client table" `Quick
+      test_pending_count_matches_table;
     Alcotest.test_case "checkpoints advance everywhere" `Quick test_checkpoint_digests_match;
     Alcotest.test_case "null requests after view change" `Quick
       test_null_requests_after_view_change;

@@ -46,9 +46,41 @@ let test_wellformed_body_bad_mac () =
   Alcotest.(check int) "mac metrics counter agrees" 1
     (Metrics.counter_value (Metrics.counter (Runtime.metrics sys) "bft.reject.mac"))
 
+(* Every principal shares a MAC key with every replica, so a client's
+   PREPARE or COMMIT authenticates.  With f = 1 and replicas 2 and 3 down,
+   backup 1 accepts the primary's PRE-PREPARE and holds its own prepare and
+   commit; one forged PREPARE from client principal 5 and forged COMMITs
+   from principals 5 and 6 would complete both certificates.  Only replicas
+   vote: each forged message is counted as insane and nothing executes. *)
+let test_client_votes_rejected () =
+  let config = Base_bft.Types.make_config ~f:1 ~n_clients:3 () in
+  let chains = Base_crypto.Auth.create ~seed:11L ~n_principals:config.n_principals in
+  let executed = ref [] in
+  let r1 =
+    Helpers.bare_replica ~config ~chains 1 ~on_execute:(fun op -> executed := op :: !executed)
+  in
+  let seal sender body = M.seal chains.(sender) ~sender ~n_receivers:config.n body in
+  let request = { M.client = 4; timestamp = 0L; operation = "set:0:evil"; read_only = false } in
+  let digest = Digest.of_string (M.encode_batch [ request ] ~nondet:"") in
+  Replica.receive r1
+    (seal 0 (M.Pre_prepare { view = 0; seq = 1; digest; requests = [ request ]; nondet = "" }));
+  let forged =
+    [
+      seal 5 (M.Prepare { view = 0; seq = 1; digest; replica = 5 });
+      seal 5 (M.Commit { view = 0; seq = 1; digest; replica = 5 });
+      seal 6 (M.Commit { view = 0; seq = 1; digest; replica = 6 });
+    ]
+  in
+  List.iter (Replica.receive r1) forged;
+  Alcotest.(check (list string)) "nothing executed" [] !executed;
+  Alcotest.(check int) "forged votes counted as insane" (List.length forged)
+    (Replica.stats r1).rejected_insane;
+  Alcotest.(check int) "MACs were genuine" 0 (Replica.stats r1).rejected_macs
+
 let suite =
   [
     Alcotest.test_case "garbage bytes: counted, replica live" `Quick
       test_garbage_counted_and_dropped;
     Alcotest.test_case "well-formed body, bad MAC" `Quick test_wellformed_body_bad_mac;
+    Alcotest.test_case "client principals cannot vote" `Quick test_client_votes_rejected;
   ]
