@@ -340,7 +340,7 @@ let e7_transfer_sweep () =
         store_src.(i) <- Bytes.to_string (Base_util.Prng.bytes prng obj_bytes)
       done;
       let root = Objrepo.take_checkpoint src ~seq:1 ~client_rows:[] in
-      let target = St.combined_digest ~app_root:root ~client_rows:[] in
+      let target = Replica.checkpoint_digest ~app_digest:root ~client_rows:[] in
       let stats = run_transfer ~src ~dst ~target_seq:1 ~target_digest:target in
       Printf.printf "  %-10d %-12d %-14d %-12d %8.1f%%\n%!" pct stats.St.objects_fetched
         stats.St.bytes_fetched stats.St.meta_fetched
@@ -377,7 +377,7 @@ let replica_execute_round () =
       propose_nondet = (fun ~operation:_ -> "");
       check_nondet = (fun ~operation:_ ~nondet:_ -> true);
       ready = Replica.always_ready;
-      take_checkpoint = (fun ~seq:_ -> Base_crypto.Digest_t.zero);
+      take_checkpoint = (fun ~seq:_ ~client_rows:_ -> Base_crypto.Digest_t.zero);
       discard_checkpoints_below = (fun _ -> ());
       start_fetch = (fun ~seq:_ ~digest:_ -> ());
     }

@@ -209,8 +209,8 @@ let start_shadow_sync r rid ss ~seq ~digest =
   State_transfer.reset_stats episode;
   r.ops.fetch rid ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
       r.ops.discard_below rid seq;
-      let client_digest = State_transfer.combined_digest ~app_root ~client_rows in
-      Replica.standby_note_synced (r.ops.replica rid) ~seq ~digest:client_digest;
+      let digest = Replica.checkpoint_digest ~app_digest:app_root ~client_rows in
+      Replica.standby_note_synced (r.ops.replica rid) ~seq ~digest;
       ss.ss_synced_seq <- seq;
       ss.ss_synced_at_us <- now r;
       ss.ss_root <- app_root;

@@ -507,6 +507,9 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
        takes effect for execution and checkpointing alike.  The only
        exception is the seq-0 checkpoint taken from inside [Replica.create],
        which necessarily predates the node record. *)
+    let node_repo () =
+      match replica_cells.(shard).(rid) with Some node -> node.repo | None -> repo
+    in
     let app =
       {
         Replica.execute =
@@ -526,17 +529,8 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
               ~clock_us:(Engine.local_clock engine rid) ~operation ~nondet);
         ready = (if n_shards <= 1 then Replica.always_ready else Xshard.ready xshard ~rid ~shard);
         take_checkpoint =
-          (fun ~seq ->
-            match replica_cells.(shard).(rid) with
-            | Some node ->
-              Objrepo.take_checkpoint node.repo ~seq
-                ~client_rows:(Replica.export_client_table node.replica)
-            | None -> Objrepo.take_checkpoint repo ~seq ~client_rows:[]);
-        discard_checkpoints_below =
-          (fun seq ->
-            match replica_cells.(shard).(rid) with
-            | Some node -> Objrepo.discard_below node.repo seq
-            | None -> Objrepo.discard_below repo seq);
+          (fun ~seq ~client_rows -> Objrepo.take_checkpoint (node_repo ()) ~seq ~client_rows);
+        discard_checkpoints_below = (fun seq -> Objrepo.discard_below (node_repo ()) seq);
         start_fetch = (fun ~seq ~digest -> start_fetch (the ()) (cell ~shard rid) ~seq ~digest);
       }
     in

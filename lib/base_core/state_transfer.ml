@@ -13,10 +13,11 @@ type msg =
   | Fetch_obj of { seq : int; index : int; off : int; max_bytes : int }
   | Obj_reply of { seq : int; index : int; off : int; total : int; data : string }
 
-(* Exact size of the XDR encoding produced by [rows_digest]: a u32 list
-   header, then per row u32 client + i64 timestamp + length-prefixed opaque
-   result padded to a 4-byte boundary.  Keeping this in lockstep with the
-   encoder is what makes the simulator's bandwidth accounting honest. *)
+(* Exact size of the XDR encoding of the client rows that
+   [Replica.checkpoint_digest] hashes: a u32 list header, then per row u32
+   client + i64 timestamp + length-prefixed opaque result padded to a 4-byte
+   boundary.  Keeping this in lockstep with the encoder is what makes the
+   simulator's bandwidth accounting honest. *)
 let xdr_opaque_size s =
   let n = String.length s in
   4 + n + ((4 - (n mod 4)) mod 4)
@@ -50,19 +51,6 @@ let label = function
     Printf.sprintf "FETCH-OBJ(n=%d,i=%d,o=%d)" seq index off
   | Obj_reply { seq; index; off; data; _ } ->
     Printf.sprintf "OBJ-REPLY(n=%d,i=%d,o=%d,%dB)" seq index off (String.length data)
-
-let rows_digest rows =
-  let e = Base_codec.Xdr.encoder () in
-  Base_codec.Xdr.list e
-    (fun e (c, ts, res) ->
-      Base_codec.Xdr.u32 e c;
-      Base_codec.Xdr.i64 e ts;
-      Base_codec.Xdr.opaque e res)
-    rows;
-  Digest.of_string (Base_codec.Xdr.contents e)
-
-let combined_digest ~app_root ~client_rows =
-  Digest.combine [ app_root; rows_digest client_rows ]
 
 (* --- server ---------------------------------------------------------------- *)
 
@@ -619,7 +607,7 @@ let handle_reply t ~from msg =
   if not t.done_ then begin
     (match msg with
     | Head_reply { seq; app_root; client_rows } when seq = t.target_seq && t.app_root = None ->
-      let combined = Digest.combine [ app_root; rows_digest client_rows ] in
+      let combined = Base_bft.Replica.checkpoint_digest ~app_digest:app_root ~client_rows in
       if Digest.equal combined t.target_digest then begin
         t.app_root <- Some app_root;
         t.client_rows <- client_rows;

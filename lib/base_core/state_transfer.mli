@@ -62,12 +62,6 @@ val label : msg -> string
 (** Short human-readable tag (["FETCH-OBJ(n=8,i=3,o=4096)"]) used by
     traces. *)
 
-val combined_digest :
-  app_root:Digest.t -> client_rows:(int * int64 * string) list -> Digest.t
-(** The checkpoint digest bound by CHECKPOINT messages for a given
-    partition-tree root and last-reply table (used by tests and by the
-    benchmark harness to fabricate fetch targets). *)
-
 (** {1 Server side} *)
 
 val serve : Objrepo.t -> msg -> msg option

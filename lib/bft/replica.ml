@@ -13,7 +13,7 @@ type app = {
   propose_nondet : operation:string -> string;
   check_nondet : operation:string -> nondet:string -> bool;
   ready : client:int -> timestamp:int64 -> operation:string -> bool;
-  take_checkpoint : seq:Types.seqno -> Digest.t;
+  take_checkpoint : seq:Types.seqno -> client_rows:(int * int64 * string) list -> Digest.t;
   discard_checkpoints_below : Types.seqno -> unit;
   start_fetch : seq:Types.seqno -> digest:Digest.t -> unit;
 }
@@ -260,12 +260,15 @@ let digest_of_rows rows =
     rows;
   Digest.of_string (Base_codec.Xdr.contents e)
 
-let client_table_digest t = digest_of_rows (client_rows_of_table t.clients)
+let checkpoint_digest ~app_digest ~client_rows =
+  Digest.combine [ app_digest; digest_of_rows client_rows ]
 
-let checkpoint_digest ~app_digest ~client_digest =
-  Digest.combine [ app_digest; client_digest ]
-
-let export_client_table t = client_rows_of_table t.clients
+(* Checkpoint the service together with the last-reply table, whose rows
+   are built once for both the service's copy and the digest. *)
+let checkpoint_now t ~seq =
+  let client_rows = client_rows_of_table t.clients in
+  let app_digest = t.app.take_checkpoint ~seq ~client_rows in
+  checkpoint_digest ~app_digest ~client_rows
 
 (* --- sending ------------------------------------------------------------ *)
 
@@ -394,8 +397,7 @@ and maybe_stable t seq =
 
 and take_checkpoint t =
   let seq = t.last_exec in
-  let app_digest = t.app.take_checkpoint ~seq in
-  let d = checkpoint_digest ~app_digest ~client_digest:(client_table_digest t) in
+  let d = checkpoint_now t ~seq in
   Hashtbl.replace t.own_cps seq d;
   t.stats.checkpoints_taken <- t.stats.checkpoints_taken + 1;
   observe_span t.obs.m_cp_interval ~since:t.obs.last_cp ~until:(now t);
@@ -844,8 +846,7 @@ let initiate_fetch t =
 let force_fetch t ~seq ~digest = start_fetch_internal ~allow_repair:true t (seq, digest)
 
 let fetch_complete t ~seq ~app_digest ~client_rows =
-  let client_digest = digest_of_rows client_rows in
-  let combined = checkpoint_digest ~app_digest ~client_digest in
+  let combined = checkpoint_digest ~app_digest ~client_rows in
   (match t.fetch_in_progress with
   | Some (target_seq, target_digest) when target_seq = seq ->
     assert (Digest.equal combined target_digest)
@@ -1433,8 +1434,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
     }
   in
   (* Initial checkpoint at seqno 0 so watermark logic is uniform. *)
-  let app_digest = app.take_checkpoint ~seq:0 in
-  let d = checkpoint_digest ~app_digest ~client_digest:(client_table_digest t) in
+  let d = checkpoint_now t ~seq:0 in
   Hashtbl.replace t.own_cps 0 d;
   t.stable_digest <- d;
   t

@@ -38,9 +38,11 @@ type app = {
           uses the {e first} [false] answer on a lock request as the
           deterministic lock-acquisition event.  Use {!always_ready} when the
           service needs no gating. *)
-  take_checkpoint : seq:Types.seqno -> Digest.t;
-      (** Record a checkpoint of the abstract state at [seq] and return its
-          digest. *)
+  take_checkpoint : seq:Types.seqno -> client_rows:(int * int64 * string) list -> Digest.t;
+      (** Record a checkpoint of the abstract state at [seq], together with
+          the replica's last-reply table as [(client, timestamp, result)]
+          rows sorted by client (state transfer ships them alongside the
+          abstract objects), and return the abstract state's digest. *)
   discard_checkpoints_below : Types.seqno -> unit;
   start_fetch : seq:Types.seqno -> digest:Digest.t -> unit;
       (** Bring the service to the certified checkpoint [(seq, digest)]
@@ -170,9 +172,10 @@ val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string 
 val on_timer : t -> timer -> unit
 (** A timer armed through [net.set_timer] fired. *)
 
-val export_client_table : t -> (int * int64 * string) list
-(** [(client, timestamp, result)] rows, sorted by client; transferred
-    alongside abstract objects during state transfer. *)
+val checkpoint_digest :
+  app_digest:Digest.t -> client_rows:(int * int64 * string) list -> Digest.t
+(** The digest CHECKPOINT messages bind: the abstract state's digest
+    combined with that of the last-reply table rows. *)
 
 val fetch_complete :
   t -> seq:Types.seqno -> app_digest:Digest.t -> client_rows:(int * int64 * string) list -> unit

@@ -94,14 +94,6 @@ let attr_of t (n : node) =
     a_ctime = n.ctime;
   }
 
-(* Deterministic latent bug: when armed, writes whose payload contains the
-   poison string are silently corrupted. *)
-let poison_filter t data =
-  match t.poison with
-  | Some p when Base_util.Str_contains.contains data p ->
-    String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
-  | Some _ | None -> data
-
 let children t dir_id =
   (* Range scan over the catalogue: keys (dir_id, * ) in collation order. *)
   Catalogue.fold
@@ -224,7 +216,7 @@ let create t =
         | Ok n -> (
           match n.kind with
           | Reg -> (
-            let data = poison_filter t data in
+            let data = Server_intf.poison_filter t.poison data in
             match Server_intf.string_splice n.data ~off ~data ~max_size:max_file_size with
             | Error e -> Error e
             | Ok data' ->

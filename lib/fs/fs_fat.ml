@@ -215,12 +215,6 @@ let attr_of t (n : node) =
     a_ctime = n.ctime;
   }
 
-let poison_filter t data =
-  match t.poison with
-  | Some p when Base_util.Str_contains.contains data p ->
-    String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
-  | Some _ | None -> data
-
 let with_dir t fh k =
   match node_of_fh t fh with
   | Error e -> Error e
@@ -297,7 +291,7 @@ let create t =
           | Reg ->
             if off + String.length data > max_file_size then Error Efbig
             else begin
-              let data = poison_filter t data in
+              let data = Server_intf.poison_filter t.poison data in
               write_chain t n ~off ~data;
               touch t n;
               Ok ()

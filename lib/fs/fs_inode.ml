@@ -63,15 +63,6 @@ let alloc_ino t =
     end;
     ino
 
-(* The implementation's deterministic latent bug: when armed, any write
-   whose payload contains the poison string is silently corrupted before it
-   reaches the disk. *)
-let poison_filter t data =
-  match t.poison with
-  | Some p when Base_util.Str_contains.contains data p ->
-    String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
-  | Some _ | None -> data
-
 let attr_of t (n : node) =
   let ftype, size =
     match n.payload with
@@ -205,7 +196,7 @@ let create t =
         | Ok n -> (
           match n.payload with
           | P_file f -> (
-            let data = poison_filter t data in
+            let data = Server_intf.poison_filter t.poison data in
             match Server_intf.string_splice f.data ~off ~data ~max_size:max_file_size with
             | Error e -> Error e
             | Ok data' ->

@@ -108,14 +108,6 @@ let attr_of t (v : version) =
     a_ctime = v.ctime;
   }
 
-(* Deterministic latent bug: when armed, writes whose payload contains the
-   poison string are silently corrupted. *)
-let poison_filter t data =
-  match t.poison with
-  | Some p when Base_util.Str_contains.contains data p ->
-    String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
-  | Some _ | None -> data
-
 let make ~seed ~now =
   let prng = Prng.create seed in
   let t =
@@ -228,7 +220,7 @@ let create t =
         | Ok v -> (
           match v.kind with
           | Reg -> (
-            let data = poison_filter t data in
+            let data = Server_intf.poison_filter t.poison data in
             match Server_intf.string_splice v.data ~off ~data ~max_size:max_file_size with
             | Error e -> Error e
             | Ok data' ->

@@ -68,6 +68,15 @@ type t = {
 
 (* Helpers shared by the implementations (not part of the interface). *)
 
+(* The implementations' deterministic latent bug: when armed with [poison],
+   a write whose payload contains the poison string is silently corrupted
+   before it reaches the disk. *)
+let poison_filter poison data =
+  match poison with
+  | Some p when Base_util.Str_contains.contains data p ->
+    String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
+  | Some _ | None -> data
+
 let string_splice base ~off ~data ~max_size =
   if off + String.length data > max_size then Error Base_nfs.Nfs_types.Efbig
   else begin

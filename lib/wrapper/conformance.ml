@@ -87,13 +87,16 @@ let rec refresh_subtree t i =
     if not (Option.equal String.equal e.fh (Some fh)) then set_fh t i fh;
     if e.ftype = Dir then refresh_children t i
 
+(* The only hidden name is the staging directory, at the root: seeing it
+   records its handle, which is how [restart] finds it again. *)
 and refresh_children t i =
   match t.server.S.readdir ~dir:(entry_fh t i) with
   | Error _ -> bug "refresh: readdir of %d failed" i
   | Ok listing ->
     List.iter
       (fun (name, cfh) ->
-        if String.length name > 0 && name.[0] <> '#' then begin
+        if String.length name > 0 && name.[0] = '#' then t.staging_fh <- cfh
+        else
           match t.server.S.identity ~fh:cfh with
           | Error _ -> bug "refresh: identity of %s failed" name
           | Ok id -> (
@@ -104,9 +107,15 @@ and refresh_children t i =
               if not (Option.equal String.equal ce.fh (Some cfh)) then set_fh t ci cfh;
               ce.parent <- i;
               ce.name <- name;
-              if ce.ftype = Dir then refresh_children t ci)
-        end)
+              if ce.ftype = Dir then refresh_children t ci))
       listing
+
+(* Slot [i]'s object now sits at [parent]/[name]. *)
+let relocate t i ~parent ~name =
+  let e = t.entries.(i) in
+  e.parent <- parent;
+  e.name <- name;
+  refresh_subtree t i
 
 (* --- abstract views ---------------------------------------------------------- *)
 
@@ -188,237 +197,207 @@ let under t ~root cand =
   in
   walk cand 0
 
+(* The rep slot of directory [dir]'s child [name], if it has one. *)
+let child t dir name =
+  match t.server.S.lookup ~dir:(entry_fh t dir) ~name with
+  | Error _ -> None
+  | Ok (cfh, _) -> (
+    match Hashtbl.find_opt t.fh2oid cfh with
+    | None -> bug "handle for %d/%s not in rep" dir name
+    | found -> found)
+
+(* The one place concrete objects are built, for Create, Mkdir, Symlink and
+   put_objs; [target] is read for symlinks only. *)
+let make_concrete t ~dir ~name ~ftype ~target ~mode ~uid ~gid =
+  match ftype with
+  | Reg -> t.server.S.create ~dir ~name ~mode ~uid ~gid
+  | Dir -> t.server.S.mkdir ~dir ~name ~mode ~uid ~gid
+  | Lnk -> t.server.S.symlink ~dir ~name ~target ~mode ~uid ~gid
+
+(* The one place they are deleted, for Remove, Rmdir and put_objs. *)
+let remove_concrete t ~dir ~name ftype =
+  match ftype with
+  | Dir -> t.server.S.rmdir ~dir ~name
+  | Reg | Lnk -> t.server.S.remove ~dir ~name
+
 (* --- the execute upcall ------------------------------------------------------ *)
 
 let err e = Proto.R_err e
 
-let dir_times t i ~ts =
+let touch t i ~ts =
   let e = t.entries.(i) in
   e.mtime <- ts;
   e.ctime <- ts
 
-let with_dir t o k =
-  match resolve t o with
-  | Error e -> err e
-  | Ok i -> if t.entries.(i).ftype <> Dir then err Enotdir else k i
+let with_obj t o k = match resolve t o with Error e -> err e | Ok i -> k i
+
+let with_dir t o k = with_obj t o (fun i -> if t.entries.(i).ftype <> Dir then err Enotdir else k i)
 
 let with_named_dir t o name k =
   with_dir t o (fun i -> if not (name_ok name) then err Einval else k i)
 
-(* Create-like operations share allocation and registration. *)
-let do_create t ~modify ~ts ~dir:i ~name ~ftype ~mode ~uid ~gid ~build =
-  match t.server.S.lookup ~dir:(entry_fh t i) ~name with
-  | Ok _ -> err Eexist
-  | Error _ -> (
+(* Create, Mkdir and Symlink: allocate the lowest free slot and build the
+   object there. *)
+let do_create t ~modify ~ts ~dir:i ~name ~ftype ?(target = "") (s : sattr) =
+  match child t i name with
+  | Some _ -> err Eexist
+  | None -> (
     match find_free t with
     | None -> err Enospc
     | Some slot -> (
       modify slot;
       modify i;
-      match build ~dir_fh:(entry_fh t i) ~name ~mode ~uid ~gid with
+      let mode =
+        Option.value s.s_mode ~default:(match ftype with Reg -> 0o644 | Dir -> 0o755 | Lnk -> 0o777)
+      in
+      match
+        make_concrete t ~dir:(entry_fh t i) ~name ~ftype ~target ~mode
+          ~uid:(Option.value s.s_uid ~default:0)
+          ~gid:(Option.value s.s_gid ~default:0)
+      with
       | Error e -> err e
       | Ok (cfh, _) ->
         register t slot ~gen:(t.entries.(slot).gen + 1) ~fh:cfh ~ftype ~parent:i ~name
           ~mtime:ts ~ctime:ts;
-        dir_times t i ~ts;
+        touch t i ~ts;
         Proto.R_create (oid_of t slot, build_fattr t slot)))
+
+(* Remove and Rmdir differ only in the type test. *)
+let do_remove t ~modify ~ts ~dir:i ~name ~rmdir =
+  match child t i name with
+  | None -> err Enoent
+  | Some ci -> (
+    let ftype = t.entries.(ci).ftype in
+    match (rmdir, ftype) with
+    | false, Dir -> err Eisdir
+    | true, (Reg | Lnk) -> err Enotdir
+    | true, Dir when abstract_dir_entries t ci <> [] -> err Enotempty
+    | true, Dir | false, (Reg | Lnk) -> (
+      modify ci;
+      modify i;
+      match remove_concrete t ~dir:(entry_fh t i) ~name ftype with
+      | Error _ -> err Eio
+      | Ok () ->
+        unregister t ci;
+        touch t i ~ts;
+        Proto.R_ok))
 
 let execute_call t ~modify ~ts (call : Proto.call) : Proto.reply =
   match call with
-  | Getattr o -> (
-    match resolve t o with Error e -> err e | Ok i -> Proto.R_attr (build_fattr t i))
-  | Setattr (o, s) -> (
-    match resolve t o with
-    | Error e -> err e
-    | Ok i -> (
-      let e = t.entries.(i) in
-      match (e.ftype, s.s_size) with
-      | Dir, Some _ -> err Eisdir
-      | Lnk, Some _ -> err Einval
-      | Reg, Some size when size > max_file_size -> err Efbig
-      | (Reg | Dir | Lnk), _ -> (
-        let csattr =
-          { S.c_mode = s.s_mode; c_uid = s.s_uid; c_gid = s.s_gid; c_size = s.s_size }
-        in
-        modify i;
-        match t.server.S.setattr ~fh:(entry_fh t i) csattr with
-        | Error _ -> err Eio
-        | Ok _ ->
-          e.ctime <- ts;
-          (match (s.s_mtime, s.s_size) with
-          | Some m, _ -> e.mtime <- m
-          | None, Some _ -> e.mtime <- ts
-          | None, None -> ());
-          Proto.R_attr (build_fattr t i))))
-  | Lookup (o, name) ->
-    with_dir t o (fun i ->
-        if not (name_ok name) then err Einval
-        else
-          match t.server.S.lookup ~dir:(entry_fh t i) ~name with
-          | Error _ -> err Enoent
-          | Ok (cfh, _) -> (
-            match Hashtbl.find_opt t.fh2oid cfh with
-            | None -> bug "lookup: handle for %s not in rep" name
-            | Some ci -> Proto.R_lookup (oid_of t ci, build_fattr t ci)))
-  | Readlink o -> (
-    match resolve t o with
-    | Error e -> err e
-    | Ok i ->
-      if t.entries.(i).ftype <> Lnk then err Einval
-      else (
-        match t.server.S.readlink ~fh:(entry_fh t i) with
-        | Ok target -> Proto.R_readlink target
-        | Error _ -> err Eio))
-  | Read (o, off, count) -> (
-    match resolve t o with
-    | Error e -> err e
-    | Ok i -> (
-      match t.entries.(i).ftype with
-      | Dir -> err Eisdir
-      | Lnk -> err Einval
-      | Reg -> (
-        match t.server.S.read ~fh:(entry_fh t i) ~off ~count with
-        | Ok data -> Proto.R_read (data, build_fattr t i)
-        | Error _ -> err Eio)))
-  | Write (o, off, data) -> (
-    match resolve t o with
-    | Error e -> err e
-    | Ok i -> (
-      match t.entries.(i).ftype with
-      | Dir -> err Eisdir
-      | Lnk -> err Einval
-      | Reg ->
-        if off + String.length data > max_file_size then err Efbig
-        else begin
+  | Getattr o -> with_obj t o (fun i -> Proto.R_attr (build_fattr t i))
+  | Setattr (o, s) ->
+    with_obj t o (fun i ->
+        let e = t.entries.(i) in
+        match (e.ftype, s.s_size) with
+        | Dir, Some _ -> err Eisdir
+        | Lnk, Some _ -> err Einval
+        | Reg, Some size when size > max_file_size -> err Efbig
+        | (Reg | Dir | Lnk), _ -> (
+          let csattr =
+            { S.c_mode = s.s_mode; c_uid = s.s_uid; c_gid = s.s_gid; c_size = s.s_size }
+          in
           modify i;
-          match t.server.S.write ~fh:(entry_fh t i) ~off ~data with
+          match t.server.S.setattr ~fh:(entry_fh t i) csattr with
           | Error _ -> err Eio
-          | Ok () ->
-            let e = t.entries.(i) in
-            e.mtime <- ts;
+          | Ok _ ->
             e.ctime <- ts;
-            Proto.R_attr (build_fattr t i)
-        end))
+            (match (s.s_mtime, s.s_size) with
+            | Some m, _ -> e.mtime <- m
+            | None, Some _ -> e.mtime <- ts
+            | None, None -> ());
+            Proto.R_attr (build_fattr t i)))
+  | Lookup (o, name) ->
+    with_named_dir t o name (fun i ->
+        match child t i name with
+        | None -> err Enoent
+        | Some ci -> Proto.R_lookup (oid_of t ci, build_fattr t ci))
+  | Readlink o ->
+    with_obj t o (fun i ->
+        if t.entries.(i).ftype <> Lnk then err Einval
+        else
+          match t.server.S.readlink ~fh:(entry_fh t i) with
+          | Ok target -> Proto.R_readlink target
+          | Error _ -> err Eio)
+  | Read (o, off, count) ->
+    with_obj t o (fun i ->
+        match t.entries.(i).ftype with
+        | Dir -> err Eisdir
+        | Lnk -> err Einval
+        | Reg -> (
+          match t.server.S.read ~fh:(entry_fh t i) ~off ~count with
+          | Ok data -> Proto.R_read (data, build_fattr t i)
+          | Error _ -> err Eio))
+  | Write (o, off, data) ->
+    with_obj t o (fun i ->
+        match t.entries.(i).ftype with
+        | Dir -> err Eisdir
+        | Lnk -> err Einval
+        | Reg ->
+          if off + String.length data > max_file_size then err Efbig
+          else begin
+            modify i;
+            match t.server.S.write ~fh:(entry_fh t i) ~off ~data with
+            | Error _ -> err Eio
+            | Ok () ->
+              touch t i ~ts;
+              Proto.R_attr (build_fattr t i)
+          end)
   | Create (o, name, s) ->
-    with_named_dir t o name (fun i ->
-        do_create t ~modify ~ts ~dir:i ~name ~ftype:Reg
-          ~mode:(Option.value s.s_mode ~default:0o644)
-          ~uid:(Option.value s.s_uid ~default:0)
-          ~gid:(Option.value s.s_gid ~default:0)
-          ~build:(fun ~dir_fh ~name ~mode ~uid ~gid ->
-            t.server.S.create ~dir:dir_fh ~name ~mode ~uid ~gid))
+    with_named_dir t o name (fun i -> do_create t ~modify ~ts ~dir:i ~name ~ftype:Reg s)
   | Mkdir (o, name, s) ->
-    with_named_dir t o name (fun i ->
-        do_create t ~modify ~ts ~dir:i ~name ~ftype:Dir
-          ~mode:(Option.value s.s_mode ~default:0o755)
-          ~uid:(Option.value s.s_uid ~default:0)
-          ~gid:(Option.value s.s_gid ~default:0)
-          ~build:(fun ~dir_fh ~name ~mode ~uid ~gid ->
-            t.server.S.mkdir ~dir:dir_fh ~name ~mode ~uid ~gid))
+    with_named_dir t o name (fun i -> do_create t ~modify ~ts ~dir:i ~name ~ftype:Dir s)
   | Symlink (o, name, target, s) ->
     with_named_dir t o name (fun i ->
         if String.length target > 1024 then err Einval
-        else
-          do_create t ~modify ~ts ~dir:i ~name ~ftype:Lnk
-            ~mode:(Option.value s.s_mode ~default:0o777)
-            ~uid:(Option.value s.s_uid ~default:0)
-            ~gid:(Option.value s.s_gid ~default:0)
-            ~build:(fun ~dir_fh ~name ~mode ~uid ~gid ->
-              t.server.S.symlink ~dir:dir_fh ~name ~target ~mode ~uid ~gid))
+        else do_create t ~modify ~ts ~dir:i ~name ~ftype:Lnk ~target s)
   | Remove (o, name) ->
-    with_named_dir t o name (fun i ->
-        match t.server.S.lookup ~dir:(entry_fh t i) ~name with
-        | Error _ -> err Enoent
-        | Ok (cfh, _) -> (
-          match Hashtbl.find_opt t.fh2oid cfh with
-          | None -> bug "remove: handle for %s not in rep" name
-          | Some ci ->
-            if t.entries.(ci).ftype = Dir then err Eisdir
-            else begin
-              modify ci;
-              modify i;
-              match t.server.S.remove ~dir:(entry_fh t i) ~name with
-              | Error _ -> err Eio
-              | Ok () ->
-                unregister t ci;
-                dir_times t i ~ts;
-                Proto.R_ok
-            end))
+    with_named_dir t o name (fun i -> do_remove t ~modify ~ts ~dir:i ~name ~rmdir:false)
   | Rmdir (o, name) ->
-    with_named_dir t o name (fun i ->
-        match t.server.S.lookup ~dir:(entry_fh t i) ~name with
-        | Error _ -> err Enoent
-        | Ok (cfh, _) -> (
-          match Hashtbl.find_opt t.fh2oid cfh with
-          | None -> bug "rmdir: handle for %s not in rep" name
-          | Some ci ->
-            if t.entries.(ci).ftype <> Dir then err Enotdir
-            else if abstract_dir_entries t ci <> [] then err Enotempty
-            else begin
-              modify ci;
-              modify i;
-              match t.server.S.rmdir ~dir:(entry_fh t i) ~name with
-              | Error _ -> err Eio
-              | Ok () ->
-                unregister t ci;
-                dir_times t i ~ts;
-                Proto.R_ok
-            end))
+    with_named_dir t o name (fun i -> do_remove t ~modify ~ts ~dir:i ~name ~rmdir:true)
   | Rename (so, sn, dd, dn) ->
     with_named_dir t so sn (fun si ->
         with_named_dir t dd dn (fun di ->
-            match t.server.S.lookup ~dir:(entry_fh t si) ~name:sn with
-            | Error _ -> err Enoent
-            | Ok (cfh, _) -> (
-              match Hashtbl.find_opt t.fh2oid cfh with
-              | None -> bug "rename: handle for %s not in rep" sn
-              | Some ci ->
-                if si = di && String.equal sn dn then Proto.R_ok
+            match child t si sn with
+            | None -> err Enoent
+            | Some ci ->
+              if si = di && String.equal sn dn then Proto.R_ok
+              else begin
+                let child_is_dir = t.entries.(ci).ftype = Dir in
+                if child_is_dir && under t ~root:ci di then err Einval
                 else begin
-                  let child_is_dir = t.entries.(ci).ftype = Dir in
-                  if child_is_dir && under t ~root:ci di then err Einval
-                  else begin
-                    (* Validate the destination against the abstract rules
-                       before letting the implementation overwrite it. *)
-                    let victim =
-                      match t.server.S.lookup ~dir:(entry_fh t di) ~name:dn with
-                      | Error _ -> Ok None
-                      | Ok (vfh, _) -> (
-                        match Hashtbl.find_opt t.fh2oid vfh with
-                        | None -> Ok None
-                        | Some vi -> (
-                          match (child_is_dir, t.entries.(vi).ftype) with
-                          | true, Dir ->
-                            if abstract_dir_entries t vi = [] then Ok (Some vi)
-                            else Error Enotempty
-                          | true, (Reg | Lnk) -> Error Enotdir
-                          | false, Dir -> Error Eisdir
-                          | false, (Reg | Lnk) -> Ok (Some vi)))
-                    in
-                    match victim with
-                    | Error e -> err e
-                    | Ok victim -> (
-                      (match victim with Some vi -> modify vi | None -> ());
-                      modify si;
-                      modify di;
-                      match
-                        t.server.S.rename ~sdir:(entry_fh t si) ~sname:sn
-                          ~ddir:(entry_fh t di) ~dname:dn
-                      with
-                      | Error _ -> err Eio
-                      | Ok () ->
-                        (match victim with
-                        | Some vi -> unregister t vi
-                        | None -> ());
-                        let ce = t.entries.(ci) in
-                        ce.parent <- di;
-                        ce.name <- dn;
-                        refresh_subtree t ci;
-                        dir_times t si ~ts;
-                        dir_times t di ~ts;
-                        Proto.R_ok)
-                  end
-                end)))
+                  (* Validate the destination against the abstract rules
+                     before letting the implementation overwrite it. *)
+                  let victim =
+                    match child t di dn with
+                    | None -> Ok None
+                    | Some vi -> (
+                      match (child_is_dir, t.entries.(vi).ftype) with
+                      | true, Dir ->
+                        if abstract_dir_entries t vi = [] then Ok (Some vi)
+                        else Error Enotempty
+                      | true, (Reg | Lnk) -> Error Enotdir
+                      | false, Dir -> Error Eisdir
+                      | false, (Reg | Lnk) -> Ok (Some vi))
+                  in
+                  match victim with
+                  | Error e -> err e
+                  | Ok victim -> (
+                    Option.iter modify victim;
+                    modify si;
+                    modify di;
+                    match
+                      t.server.S.rename ~sdir:(entry_fh t si) ~sname:sn ~ddir:(entry_fh t di)
+                        ~dname:dn
+                    with
+                    | Error _ -> err Eio
+                    | Ok () ->
+                      Option.iter (unregister t) victim;
+                      relocate t ci ~parent:di ~name:dn;
+                      touch t si ~ts;
+                      touch t di ~ts;
+                      Proto.R_ok)
+                end
+              end))
   | Readdir o -> with_dir t o (fun i -> Proto.R_readdir (abstract_dir_entries t i))
   | Statfs ->
     let free =
@@ -433,14 +412,13 @@ let get_obj t i =
   match e.fh with
   | None -> Spec.encode_entry { Spec.gen = e.gen; obj = Spec.Null }
   | Some fh ->
+    let ca = concrete_attr t i in
     let meta =
-      let ca = concrete_attr t i in
       { Spec.mode = ca.S.a_mode; uid = ca.S.a_uid; gid = ca.S.a_gid; mtime = e.mtime; ctime = e.ctime }
     in
     let obj =
       match e.ftype with
       | Reg -> (
-        let ca = concrete_attr t i in
         match t.server.S.read ~fh ~off:0 ~count:ca.S.a_size with
         | Ok data -> Spec.File { meta; data }
         | Error _ -> bug "get_obj: read of %d failed" i)
@@ -462,19 +440,58 @@ let move_to_staging t i =
    with
   | Ok () -> ()
   | Error _ -> bug "staging move of %d failed" i);
-  e.parent <- staging_parent;
-  e.name <- tmp;
-  refresh_subtree t i
+  relocate t i ~parent:staging_parent ~name:tmp
+
+(* Delete slot [i]'s object, which sits in staging, and free the slot. *)
+let delete_staged t i =
+  let e = t.entries.(i) in
+  (match remove_concrete t ~dir:t.staging_fh ~name:e.name e.ftype with
+  | Ok () -> ()
+  | Error _ -> bug "deletion of %d failed" i);
+  unregister t i
+
+let write_data t i ~fh data =
+  if not (String.equal data "") then
+    match t.server.S.write ~fh ~off:0 ~data with
+    | Ok () -> ()
+    | Error _ -> bug "write of %d failed" i
+
+(* Case 3 of Section 3.3: build abstract object [en] afresh in staging as
+   slot [i]. *)
+let make_staged t i (en : Spec.entry) =
+  let ftype, target, (m : Spec.meta), data =
+    match en.obj with
+    | Spec.File { meta; data } -> (Reg, "", meta, data)
+    | Spec.Directory { meta; _ } -> (Dir, "", meta, "")
+    | Spec.Symlink { meta; target } -> (Lnk, target, meta, "")
+    | Spec.Null -> bug "make_staged: null object %d" i
+  in
+  let name = fresh_staging_name t in
+  match
+    make_concrete t ~dir:t.staging_fh ~name ~ftype ~target ~mode:m.mode ~uid:m.uid ~gid:m.gid
+  with
+  | Error _ -> bug "creation of %d failed" i
+  | Ok (fh, _) ->
+    write_data t i ~fh data;
+    register t i ~gen:en.gen ~fh ~ftype ~parent:staging_parent ~name ~mtime:m.mtime
+      ~ctime:m.ctime
+
+(* Case 1 of Section 3.3: the object in slot [i] stays and adopts [m]'s
+   attributes ([size] resizes a file), abstract times and [gen]. *)
+let adopt t i ~gen ?size (m : Spec.meta) =
+  (match
+     t.server.S.setattr ~fh:(entry_fh t i)
+       { S.c_mode = Some m.mode; c_uid = Some m.uid; c_gid = Some m.gid; c_size = size }
+   with
+  | Ok _ -> ()
+  | Error _ -> bug "setattr of %d failed" i);
+  let e = t.entries.(i) in
+  e.mtime <- m.mtime;
+  e.ctime <- m.ctime;
+  e.gen <- gen
 
 let put_objs t objs =
   let batch = List.map (fun (i, data) -> (i, Spec.decode_entry data)) objs in
-  let desired_of = Hashtbl.create 64 in
-  List.iter (fun (i, en) -> Hashtbl.replace desired_of i en) batch;
-  let meta_of (en : Spec.entry) =
-    match en.obj with
-    | Spec.File { meta; _ } | Spec.Directory { meta; _ } | Spec.Symlink { meta; _ } -> meta
-    | Spec.Null -> bug "meta of null object"
-  in
   (* Phase 1: discard pass — objects whose slot is reassigned or freed are
      evacuated to the staging directory (case 2 / deletion of Section 3.3).
      Slots that are (or stay) free still adopt the batch's generation
@@ -525,8 +542,7 @@ let put_objs t objs =
         | Error _ -> bug "readdir of discarded dir %d failed" i
         | Ok listing ->
           List.iter
-            (fun (name, cfh) ->
-              ignore name;
+            (fun (_, cfh) ->
               match Hashtbl.find_opt t.fh2oid cfh with
               | Some ci -> move_to_staging t ci
               | None -> bug "discarded dir child not in rep")
@@ -534,58 +550,11 @@ let put_objs t objs =
       end)
     !discarded;
   (* Phase 3: delete discarded objects (now empty / childless). *)
-  List.iter
-    (fun i ->
-      let e = t.entries.(i) in
-      let del =
-        match e.ftype with
-        | Dir -> t.server.S.rmdir ~dir:t.staging_fh ~name:e.name
-        | Reg | Lnk -> t.server.S.remove ~dir:t.staging_fh ~name:e.name
-      in
-      (match del with Ok () -> () | Error _ -> bug "deletion of discarded %d failed" i);
-      unregister t i)
-    !discarded;
+  List.iter (delete_staged t) !discarded;
   (* Phase 4: create brand-new objects in staging (case 3). *)
   List.iter
     (fun (i, (en : Spec.entry)) ->
-      if en.obj <> Spec.Null && t.entries.(i).fh = None then begin
-        let m = meta_of en in
-        let tmp = fresh_staging_name t in
-        let created =
-          match en.obj with
-          | Spec.File { data; _ } -> (
-            match
-              t.server.S.create ~dir:t.staging_fh ~name:tmp ~mode:m.Spec.mode ~uid:m.Spec.uid
-                ~gid:m.Spec.gid
-            with
-            | Error _ -> bug "create of %d failed" i
-            | Ok (fh, _) ->
-              if not (String.equal data "") then begin
-                match t.server.S.write ~fh ~off:0 ~data with
-                | Ok () -> ()
-                | Error _ -> bug "write of %d failed" i
-              end;
-              (fh, Reg))
-          | Spec.Directory _ -> (
-            match
-              t.server.S.mkdir ~dir:t.staging_fh ~name:tmp ~mode:m.Spec.mode ~uid:m.Spec.uid
-                ~gid:m.Spec.gid
-            with
-            | Error _ -> bug "mkdir of %d failed" i
-            | Ok (fh, _) -> (fh, Dir))
-          | Spec.Symlink { target; _ } -> (
-            match
-              t.server.S.symlink ~dir:t.staging_fh ~name:tmp ~target ~mode:m.Spec.mode
-                ~uid:m.Spec.uid ~gid:m.Spec.gid
-            with
-            | Error _ -> bug "symlink of %d failed" i
-            | Ok (fh, _) -> (fh, Lnk))
-          | Spec.Null -> assert false
-        in
-        let fh, ftype = created in
-        register t i ~gen:en.gen ~fh ~ftype ~parent:staging_parent ~name:tmp
-          ~mtime:m.Spec.mtime ~ctime:m.Spec.ctime
-      end)
+      if en.obj <> Spec.Null && t.entries.(i).fh = None then make_staged t i en)
     batch;
   (* Phase 5: update objects kept in place (case 1). *)
   List.iter
@@ -595,84 +564,17 @@ let put_objs t objs =
       | Spec.File { meta; data } ->
         (* Freshly created files already hold their data; rewriting is
            idempotent and keeps this pass simple. *)
-        let e = t.entries.(i) in
-        begin
-          let fh = entry_fh t i in
-          (match
-             t.server.S.setattr ~fh
-               {
-                 S.c_mode = Some meta.Spec.mode;
-                 c_uid = Some meta.Spec.uid;
-                 c_gid = Some meta.Spec.gid;
-                 c_size = Some (String.length data);
-               }
-           with
-          | Ok _ -> ()
-          | Error _ -> bug "setattr of %d failed" i);
-          (if not (String.equal data "") then
-             match t.server.S.write ~fh ~off:0 ~data with
-             | Ok () -> ()
-             | Error _ -> bug "write of %d failed" i);
-          e.mtime <- meta.Spec.mtime;
-          e.ctime <- meta.Spec.ctime;
-          e.gen <- en.gen
-        end
-      | Spec.Directory { meta; _ } ->
-        let fh = entry_fh t i in
-        (match
-           t.server.S.setattr ~fh
-             {
-               S.c_mode = Some meta.Spec.mode;
-               c_uid = Some meta.Spec.uid;
-               c_gid = Some meta.Spec.gid;
-               c_size = None;
-             }
-         with
-        | Ok _ -> ()
-        | Error _ -> bug "setattr of dir %d failed" i);
-        let e = t.entries.(i) in
-        e.mtime <- meta.Spec.mtime;
-        e.ctime <- meta.Spec.ctime;
-        e.gen <- en.gen
+        adopt t i ~gen:en.gen ~size:(String.length data) meta;
+        write_data t i ~fh:(entry_fh t i) data
+      | Spec.Directory { meta; _ } -> adopt t i ~gen:en.gen meta
       | Spec.Symlink { meta; target } ->
         (* Symlink targets are immutable concretely: recreate if changed. *)
-        let fh = entry_fh t i in
-        let current_target =
-          match t.server.S.readlink ~fh with Ok x -> x | Error _ -> ""
-        in
-        let e = t.entries.(i) in
-        if not (String.equal current_target target) then begin
-          move_to_staging t i;
-          let old = t.entries.(i) in
-          (match t.server.S.remove ~dir:t.staging_fh ~name:old.name with
-          | Ok () -> ()
-          | Error _ -> bug "symlink replace of %d failed" i);
-          unregister t i;
-          let tmp = fresh_staging_name t in
-          match
-            t.server.S.symlink ~dir:t.staging_fh ~name:tmp ~target ~mode:meta.Spec.mode
-              ~uid:meta.Spec.uid ~gid:meta.Spec.gid
-          with
-          | Error _ -> bug "symlink recreate of %d failed" i
-          | Ok (fh', _) ->
-            register t i ~gen:en.gen ~fh:fh' ~ftype:Lnk ~parent:staging_parent ~name:tmp
-              ~mtime:meta.Spec.mtime ~ctime:meta.Spec.ctime
-        end
+        let current = match t.server.S.readlink ~fh:(entry_fh t i) with Ok x -> x | Error _ -> "" in
+        if String.equal current target then adopt t i ~gen:en.gen meta
         else begin
-          (match
-             t.server.S.setattr ~fh
-               {
-                 S.c_mode = Some meta.Spec.mode;
-                 c_uid = Some meta.Spec.uid;
-                 c_gid = Some meta.Spec.gid;
-                 c_size = None;
-               }
-           with
-          | Ok _ -> ()
-          | Error _ -> bug "setattr of symlink %d failed" i);
-          e.mtime <- meta.Spec.mtime;
-          e.ctime <- meta.Spec.ctime;
-          e.gen <- en.gen
+          move_to_staging t i;
+          delete_staged t i;
+          make_staged t i en
         end)
     batch;
   (* Phase 6: link every directory's children into place. *)
@@ -691,9 +593,7 @@ let put_objs t objs =
                with
               | Ok () -> ()
               | Error _ -> bug "link-in of %s into %d failed" name i);
-              ce.parent <- i;
-              ce.name <- name;
-              refresh_subtree t o.index
+              relocate t o.index ~parent:i ~name
             end)
           desired
       | Spec.File _ | Spec.Symlink _ | Spec.Null -> ())
@@ -701,40 +601,15 @@ let put_objs t objs =
 
 (* --- restart (proactive recovery, Section 3.4) -------------------------------- *)
 
+(* Forget every volatile handle, then walk the tree depth-first from the
+   root, recovering each object's oid from the persistent <fsid,fileid>
+   map (and the staging directory's handle on the way). *)
 let restart t =
   t.server.S.restart ();
   Hashtbl.reset t.fh2oid;
   Array.iter (fun (e : rentry) -> e.fh <- None) t.entries;
-  let root_fh = t.server.S.root () in
-  t.entries.(0).fh <- Some root_fh;
-  t.entries.(0).parent <- 0;
-  t.entries.(0).name <- "";
-  Hashtbl.replace t.fh2oid root_fh 0;
-  (* Depth-first traversal from the root, recovering each object's oid from
-     the persistent <fsid,fileid> map. *)
-  let rec walk dir_idx dir_fh =
-    match t.server.S.readdir ~dir:dir_fh with
-    | Error _ -> bug "restart: readdir failed"
-    | Ok listing ->
-      List.iter
-        (fun (name, cfh) ->
-          if String.length name > 0 && name.[0] = '#' then t.staging_fh <- cfh
-          else
-            match t.server.S.identity ~fh:cfh with
-            | Error _ -> bug "restart: identity of %s failed" name
-            | Ok id -> (
-              match Hashtbl.find_opt t.id2oid id with
-              | None -> bug "restart: no oid for %s" name
-              | Some i ->
-                let e = t.entries.(i) in
-                e.fh <- Some cfh;
-                e.parent <- dir_idx;
-                e.name <- name;
-                Hashtbl.replace t.fh2oid cfh i;
-                if e.ftype = Dir then walk i cfh))
-        listing
-  in
-  walk 0 root_fh
+  set_fh t 0 (t.server.S.root ());
+  refresh_children t 0
 
 (* --- construction ------------------------------------------------------------- *)
 
@@ -760,13 +635,7 @@ let make ?(max_skew_us = 5_000_000L) ~server ~n_objects () =
     }
   in
   let root_fh = server.S.root () in
-  let e0 = t.entries.(0) in
-  e0.ftype <- Dir;
-  e0.fh <- Some root_fh;
-  Hashtbl.replace t.fh2oid root_fh 0;
-  (match server.S.identity ~fh:root_fh with
-  | Ok id -> Hashtbl.replace t.id2oid id 0
-  | Error _ -> bug "root identity failed");
+  register t 0 ~gen:0 ~fh:root_fh ~ftype:Dir ~parent:0 ~name:"" ~mtime:0L ~ctime:0L;
   (match server.S.mkdir ~dir:root_fh ~name:staging_name ~mode:0o700 ~uid:0 ~gid:0 with
   | Ok (fh, _) -> t.staging_fh <- fh
   | Error _ -> bug "staging mkdir failed");

@@ -121,7 +121,7 @@ let bare_replica ?(on_execute = ignore) ~config ~chains id =
       propose_nondet = (fun ~operation:_ -> "");
       check_nondet = (fun ~operation:_ ~nondet:_ -> true);
       ready = Base_bft.Replica.always_ready;
-      take_checkpoint = (fun ~seq:_ -> Base_crypto.Digest_t.zero);
+      take_checkpoint = (fun ~seq:_ ~client_rows:_ -> Base_crypto.Digest_t.zero);
       discard_checkpoints_below = (fun _ -> ());
       start_fetch = (fun ~seq:_ ~digest:_ -> ());
     }

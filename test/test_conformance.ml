@@ -158,18 +158,6 @@ let test_cross_impl_agreement () =
   done;
   List.iter (fun (name, w) -> check_states_equal ~impl:name model w) ws
 
-let test_restart_preserves_state impl () =
-  let model, w = differential_run ~impl ~seed:7L ~n:300 () in
-  w.Service.restart ();
-  check_states_equal ~impl model w;
-  (* The service keeps working after the restart. *)
-  let ts = 999_999L in
-  let call = Proto.Mkdir (root_oid, "after-restart", sattr_empty) in
-  let expected = model_exec model ~ts call in
-  let got = wrapper_exec w ~ts call in
-  Alcotest.(check bool) "op after restart" true (String.equal expected got);
-  check_states_equal ~impl model w
-
 (* The inverse abstraction function: pour the abstract state of a populated
    wrapper into a fresh wrapper running a *different* implementation. *)
 let test_put_objs_full impl_src impl_dst () =
@@ -188,7 +176,7 @@ let test_put_objs_full impl_src impl_dst () =
 (* Incremental repair: run a wrapper to state A, run the model further to
    state B, then put only the differing objects — the wrapper must land
    exactly on B (this is what state transfer does). *)
-let test_put_objs_diff impl () =
+let repaired_run ~impl =
   let rng = Prng.create 31L in
   let model = Spec.create ~n_objects in
   let w = make_wrapper impl ~seed:3L in
@@ -209,7 +197,50 @@ let test_put_objs_diff impl () =
     if not (String.equal want snapshot.(i)) then diff := (i, want) :: !diff
   done;
   w.Service.put_objs !diff;
+  (model, w)
+
+let test_put_objs_diff impl () =
+  let model, w = repaired_run ~impl in
   check_states_equal ~impl model w
+
+let abstract_state model = Array.init n_objects (fun i -> Spec.encode_entry (Spec.slot model i))
+
+(* Restart must rebuild the rep (and find the staging directory again)
+   both after plain execution and after an incremental put_objs repair. *)
+let test_restart_preserves_state impl () =
+  List.iter
+    (fun (model, w) ->
+      w.Service.restart ();
+      check_states_equal ~impl model w;
+      (* The service keeps working after the restart. *)
+      let step ts call =
+        let expected = model_exec model ~ts call in
+        let got = wrapper_exec w ~ts call in
+        Alcotest.(check bool) "op after restart" true (String.equal expected got);
+        check_states_equal ~impl model w
+      in
+      step 999_999L (Proto.Mkdir (root_oid, "after-restart", sattr_empty));
+      (* That Mkdir fails when every slot is in use; renaming an existing
+         root entry always succeeds, and undoing it with put_objs moves the
+         object through the staging directory restart had to find again. *)
+      let before = abstract_state model in
+      (match (Spec.slot model 0).Spec.obj with
+      | Spec.Directory { entries = (name, _) :: _; _ } ->
+        step 1_000_999L (Proto.Rename (root_oid, name, root_oid, "renamed"))
+      | Spec.Directory _ | Spec.File _ | Spec.Symlink _ | Spec.Null ->
+        Alcotest.failf "%s: nothing to rename in the root" impl);
+      let after = abstract_state model in
+      let undo = ref [] in
+      for i = n_objects - 1 downto 0 do
+        if not (String.equal before.(i) after.(i)) then undo := (i, before.(i)) :: !undo
+      done;
+      w.Service.put_objs !undo;
+      Array.iteri
+        (fun i want ->
+          if not (String.equal want (w.Service.get_obj i)) then
+            Alcotest.failf "%s: object %d not rolled back after restart" impl i)
+        before)
+    [ differential_run ~impl ~seed:7L ~n:300 (); repaired_run ~impl ]
 
 let suite =
   let diff_tests =

@@ -33,7 +33,7 @@ let mutate ~obj_bytes store repo prng i =
 
 let checkpoint repo ~seq =
   let root = Objrepo.take_checkpoint repo ~seq ~client_rows:[] in
-  (root, St.combined_digest ~app_root:root ~client_rows:[])
+  (root, Base_bft.Replica.checkpoint_digest ~app_digest:root ~client_rows:[])
 
 type run = {
   completed : bool;

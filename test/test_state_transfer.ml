@@ -58,7 +58,7 @@ let transfer ?(tamper = fun m -> m) ~src ~dst ~seq ~digest () =
 
 let checkpoint repo ~seq =
   let root = Objrepo.take_checkpoint repo ~seq ~client_rows:[] in
-  (root, St.combined_digest ~app_root:root ~client_rows:[])
+  (root, Base_bft.Replica.checkpoint_digest ~app_digest:root ~client_rows:[])
 
 let test_identical_states_fetch_nothing () =
   let _, src = synthetic ~seed:1L in
