@@ -12,7 +12,10 @@
    cannot distinguish from a regression.  So structure is compared exactly
    — same sections, same keys, same strings and booleans — while numbers
    are compared per top-level section with a relative tolerance (plus a
-   small absolute slack for event counts).  Exit status 0 means within
+   small absolute slack for event counts).  Each section gets a verdict
+   line — [identical], [within tolerance (k numbers moved)] or [out of
+   tolerance] — so a refactor that claims to leave the benchmark alone shows
+   which sections it kept byte-for-byte.  Exit status 0 means within
    tolerance; 1 prints every violation with its JSON path. *)
 
 module Json = Base_obs.Json
@@ -41,6 +44,9 @@ let violations = ref []
 
 let report path msg = violations := Printf.sprintf "%s: %s" path msg :: !violations
 
+(* Numbers of the section being compared that differ at all. *)
+let moved = ref 0
+
 let same_keys a b = List.length a = List.length b && List.for_all2 String.equal a b
 
 let number = function
@@ -51,6 +57,7 @@ let number = function
 let rec compare_values ~rtol path a b =
   match (number a, number b) with
   | Some x, Some y ->
+    if not (Float.equal x y) then incr moved;
     if not (close ~rtol x y) then
       report path (Printf.sprintf "%.6g vs %.6g exceeds %.0f%% tolerance" x y (100.0 *. rtol))
   | _ -> (
@@ -115,7 +122,14 @@ let () =
     else
       List.iter2
         (fun (section, b) (_, c) ->
-          compare_values ~rtol:(tolerance_for section) ("$." ^ section) b c)
+          let before = List.length !violations in
+          moved := 0;
+          compare_values ~rtol:(tolerance_for section) ("$." ^ section) b c;
+          let bad = List.length !violations - before in
+          Printf.printf "bench_diff: %s %s\n" section
+            (if bad > 0 then Printf.sprintf "out of tolerance (%d violation(s))" bad
+             else if !moved = 0 then "identical"
+             else Printf.sprintf "within tolerance (%d numbers moved)" !moved))
         bs cs
   | _ -> report "$" "top level is not an object in both files");
   match !violations with

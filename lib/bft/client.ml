@@ -93,6 +93,14 @@ let fresh_ts t =
   t.next_ts <- Int64.add ts 1L;
   ts
 
+(* Make [p] the current request, send it to every replica and arm its
+   retransmission timer.  Backups relay the request to the primary and start
+   their progress timers, which also covers primary failure. *)
+let launch t p =
+  t.current <- Some p;
+  send_request t p.request;
+  p.timer <- t.net.set_timer ~after_us:t.config.client_timeout_us p.request.timestamp
+
 let rec start_request t operation read_only callback =
   let ts = fresh_ts t in
   let request = { M.client = t.id; timestamp = ts; operation; read_only } in
@@ -106,11 +114,7 @@ let rec start_request t operation read_only callback =
       started_us = t.net.now_us ();
     }
   in
-  t.current <- Some p;
-  (* First transmission goes to all replicas: backups relay to the primary
-     and start their progress timers, which also covers primary failure. *)
-  send_request t request;
-  p.timer <- t.net.set_timer ~after_us:t.config.client_timeout_us ts
+  launch t p
 
 and finish t p result =
   t.net.cancel_timer p.timer;
@@ -183,11 +187,8 @@ let on_timer t ts =
          complete a read that was never ordered — a linearizability hole. *)
       t.stats.read_only_fallbacks <- t.stats.read_only_fallbacks + 1;
       let request = { p.request with read_only = false; timestamp = fresh_ts t } in
-      let p' = { p with request; attempts = 0 } in
-      Array.fill p'.replies 0 (Array.length p'.replies) None;
-      t.current <- Some p';
-      send_request t request;
-      p'.timer <- t.net.set_timer ~after_us:t.config.client_timeout_us request.timestamp
+      Array.fill p.replies 0 (Array.length p.replies) None;
+      launch t { p with request; attempts = 0 }
     end
     else begin
       send_request t p.request;

@@ -13,9 +13,7 @@ type pre_prepare = {
   nondet : string;
 }
 
-type prepare = { view : Types.view; seq : Types.seqno; digest : Digest.t; replica : int }
-
-type commit = { view : Types.view; seq : Types.seqno; digest : Digest.t; replica : int }
+type vote = { view : Types.view; seq : Types.seqno; digest : Digest.t; replica : int }
 
 type reply = {
   view : Types.view;
@@ -27,19 +25,11 @@ type reply = {
 
 type checkpoint = { seq : Types.seqno; digest : Digest.t; replica : int }
 
-type prepared_proof = {
-  pp_view : Types.view;
-  pp_seq : Types.seqno;
-  pp_digest : Digest.t;
-  pp_requests : request list;
-  pp_nondet : string;
-}
-
 type view_change = {
   new_view : Types.view;
   last_stable : Types.seqno;
   stable_digest : Digest.t;
-  prepared : prepared_proof list;
+  prepared : pre_prepare list;
   replica : int;
 }
 
@@ -54,8 +44,8 @@ type status_msg = { st_view : Types.view; st_last_exec : Types.seqno; st_h : Typ
 type body =
   | Request of request
   | Pre_prepare of pre_prepare
-  | Prepare of prepare
-  | Commit of commit
+  | Prepare of vote
+  | Commit of vote
   | Reply of reply
   | Checkpoint of checkpoint
   | View_change of view_change
@@ -128,12 +118,11 @@ let enc_pre_prepare e (p : pre_prepare) =
   Xdr.list e enc_request p.requests;
   Xdr.opaque e p.nondet
 
-let enc_proof e (p : prepared_proof) =
-  Xdr.u32 e p.pp_view;
-  Xdr.u32 e p.pp_seq;
-  enc_digest e p.pp_digest;
-  Xdr.list e enc_request p.pp_requests;
-  Xdr.opaque e p.pp_nondet
+let enc_vote e (v : vote) =
+  Xdr.u32 e v.view;
+  Xdr.u32 e v.seq;
+  enc_digest e v.digest;
+  enc_id e v.replica
 
 let encode_body body =
   let e = scratch in
@@ -145,18 +134,12 @@ let encode_body body =
   | Pre_prepare p ->
     Xdr.u32 e 1;
     enc_pre_prepare e p
-  | Prepare p ->
+  | Prepare v ->
     Xdr.u32 e 2;
-    Xdr.u32 e p.view;
-    Xdr.u32 e p.seq;
-    enc_digest e p.digest;
-    enc_id e p.replica
-  | Commit c ->
+    enc_vote e v
+  | Commit v ->
     Xdr.u32 e 3;
-    Xdr.u32 e c.view;
-    Xdr.u32 e c.seq;
-    enc_digest e c.digest;
-    enc_id e c.replica
+    enc_vote e v
   | Reply r ->
     Xdr.u32 e 4;
     Xdr.u32 e r.view;
@@ -174,7 +157,7 @@ let encode_body body =
     Xdr.u32 e v.new_view;
     Xdr.u32 e v.last_stable;
     enc_digest e v.stable_digest;
-    Xdr.list e enc_proof v.prepared;
+    Xdr.list e enc_pre_prepare v.prepared;
     enc_id e v.replica
   | New_view n ->
     Xdr.u32 e 7;
@@ -193,9 +176,8 @@ let encode_body body =
     enc_id e st.st_replica);
   Xdr.contents e
 
-(* --- decoding (wire-format completeness; the simulator passes values, but
-   the format must round-trip for real deployments and is property-tested) *)
-
+(* --- decoding: total over arbitrary bytes, since [Replica.receive_wire]
+   decodes whatever arrives, corrupted or forged (property-tested) *)
 
 let dec_id d = Xdr.read_u32 d - 1
 
@@ -224,13 +206,12 @@ let dec_pre_prepare d =
   let nondet = Xdr.read_opaque d in
   { view; seq; digest; requests; nondet }
 
-let dec_proof d =
-  let pp_view = Xdr.read_u32 d in
-  let pp_seq = Xdr.read_u32 d in
-  let pp_digest = dec_digest d in
-  let pp_requests = Xdr.read_list d dec_request in
-  let pp_nondet = Xdr.read_opaque d in
-  { pp_view; pp_seq; pp_digest; pp_requests; pp_nondet }
+let dec_vote d =
+  let view = Xdr.read_u32 d in
+  let seq = Xdr.read_u32 d in
+  let digest = dec_digest d in
+  let replica = dec_id d in
+  { view; seq; digest; replica }
 
 let decode_body data =
   match
@@ -239,18 +220,8 @@ let decode_body data =
     match Xdr.read_u32 d with
     | 0 -> Request (dec_request d)
     | 1 -> Pre_prepare (dec_pre_prepare d)
-    | 2 ->
-      let view = Xdr.read_u32 d in
-      let seq = Xdr.read_u32 d in
-      let digest = dec_digest d in
-      let replica = dec_id d in
-      Prepare { view; seq; digest; replica }
-    | 3 ->
-      let view = Xdr.read_u32 d in
-      let seq = Xdr.read_u32 d in
-      let digest = dec_digest d in
-      let replica = dec_id d in
-      Commit { view; seq; digest; replica }
+    | 2 -> Prepare (dec_vote d)
+    | 3 -> Commit (dec_vote d)
     | 4 ->
       let view = Xdr.read_u32 d in
       let timestamp = Xdr.read_i64 d in
@@ -267,7 +238,7 @@ let decode_body data =
       let new_view = Xdr.read_u32 d in
       let last_stable = Xdr.read_u32 d in
       let stable_digest = dec_digest d in
-      let prepared = Xdr.read_list d dec_proof in
+      let prepared = Xdr.read_list d dec_pre_prepare in
       let replica = dec_id d in
       View_change { new_view; last_stable; stable_digest; prepared; replica }
     | 7 ->
@@ -318,6 +289,20 @@ let mac_suffix shard = if shard = 0 then None else shard_suffixes.(shard land 0x
    unsharded size formula is unchanged. *)
 let shard_overhead shard = if shard = 0 then 0 else 4
 
+(* The one place an envelope is built.  Wire size: body + one 8-byte
+   truncated MAC per authenticator slot + small header (+ shard tag). *)
+let envelope ~sender ~shard ~body ~wire ~digest_memo ~macs ~mac_lo =
+  {
+    sender;
+    shard;
+    body;
+    wire;
+    digest_memo;
+    macs;
+    mac_lo;
+    size = String.length wire + (8 * Array.length macs) + 16 + shard_overhead shard;
+  }
+
 let seal chain ?(shard = 0) ~sender ~n_receivers body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
@@ -325,17 +310,7 @@ let seal chain ?(shard = 0) ~sender ~n_receivers body =
     Base_crypto.Auth.digest_authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
       (Digest.raw d)
   in
-  (* Wire size: body + one 8-byte truncated MAC per receiver + small header. *)
-  {
-    sender;
-    shard;
-    body;
-    wire;
-    digest_memo = Some d;
-    macs;
-    mac_lo = 0;
-    size = String.length wire + (8 * n_receivers) + 16 + shard_overhead shard;
-  }
+  envelope ~sender ~shard ~body ~wire ~digest_memo:(Some d) ~macs ~mac_lo:0
 
 let seal_for chain ?(shard = 0) ~sender ~receiver body =
   let wire = encode_body body in
@@ -343,16 +318,7 @@ let seal_for chain ?(shard = 0) ~sender ~receiver body =
   let macs =
     [| Base_crypto.Auth.mac_digest_for chain ~receiver ?suffix:(mac_suffix shard) (Digest.raw d) |]
   in
-  {
-    sender;
-    shard;
-    body;
-    wire;
-    digest_memo = Some d;
-    macs;
-    mac_lo = receiver;
-    size = String.length wire + 8 + 16 + shard_overhead shard;
-  }
+  envelope ~sender ~shard ~body ~wire ~digest_memo:(Some d) ~macs ~mac_lo:receiver
 
 (* Adopt bytes as they arrived: the digest (hence every MAC check) covers
    what was actually received, so in-flight corruption that decode happens
@@ -360,18 +326,7 @@ let seal_for chain ?(shard = 0) ~sender ~receiver body =
 let of_wire ?(shard = 0) ~sender ~macs raw =
   match decode_body raw with
   | Error _ as e -> e
-  | Ok body ->
-    Ok
-      {
-        sender;
-        shard;
-        body;
-        wire = raw;
-        digest_memo = None;
-        macs;
-        mac_lo = 0;
-        size = String.length raw + (8 * Array.length macs) + 16 + shard_overhead shard;
-      }
+  | Ok body -> Ok (envelope ~sender ~shard ~body ~wire:raw ~digest_memo:None ~macs ~mac_lo:0)
 
 let verify chain ~receiver env =
   let slot = receiver - env.mac_lo in
@@ -400,8 +355,8 @@ let label = function
                    (if r.read_only then ",ro" else "")
   | Pre_prepare p ->
     Printf.sprintf "PRE-PREPARE(v=%d,n=%d,b=%d)" p.view p.seq (List.length p.requests)
-  | Prepare p -> Printf.sprintf "PREPARE(v=%d,n=%d,i=%d)" p.view p.seq p.replica
-  | Commit c -> Printf.sprintf "COMMIT(v=%d,n=%d,i=%d)" c.view c.seq c.replica
+  | Prepare v -> Printf.sprintf "PREPARE(v=%d,n=%d,i=%d)" v.view v.seq v.replica
+  | Commit v -> Printf.sprintf "COMMIT(v=%d,n=%d,i=%d)" v.view v.seq v.replica
   | Reply r -> Printf.sprintf "REPLY(c=%d,t=%Ld,i=%d)" r.client r.timestamp r.replica
   | Checkpoint c -> Printf.sprintf "CHECKPOINT(n=%d,i=%d)" c.seq c.replica
   | View_change v -> Printf.sprintf "VIEW-CHANGE(v=%d,i=%d)" v.new_view v.replica

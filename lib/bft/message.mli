@@ -26,9 +26,10 @@ type pre_prepare = {
   nondet : string;  (** primary's proposal for non-deterministic values *)
 }
 
-type prepare = { view : Types.view; seq : Types.seqno; digest : Digest.t; replica : int }
-
-type commit = { view : Types.view; seq : Types.seqno; digest : Digest.t; replica : int }
+(** A PREPARE or COMMIT vote: [replica] vouches for [digest] at [seq] in
+    [view].  The two phases carry the same fields and encoding and differ
+    only in their {!body} tag (2 and 3). *)
+type vote = { view : Types.view; seq : Types.seqno; digest : Digest.t; replica : int }
 
 type reply = {
   view : Types.view;
@@ -40,21 +41,14 @@ type reply = {
 
 type checkpoint = { seq : Types.seqno; digest : Digest.t; replica : int }
 
-(** Certificate that (seq, digest) prepared in some view: the pre-prepare
-    data plus 2f matching prepares, carried inside view-change messages. *)
-type prepared_proof = {
-  pp_view : Types.view;
-  pp_seq : Types.seqno;
-  pp_digest : Digest.t;
-  pp_requests : request list;
-  pp_nondet : string;
-}
-
 type view_change = {
   new_view : Types.view;
   last_stable : Types.seqno;
   stable_digest : Digest.t;
-  prepared : prepared_proof list;
+  prepared : pre_prepare list;
+      (** PBFT's [P] set: the PRE-PREPARE of every slot above [last_stable]
+          that prepared at the sender (matched by 2f PREPAREs), in the view
+          it prepared in, encoded exactly like a PRE-PREPARE body. *)
   replica : int;
 }
 
@@ -72,8 +66,8 @@ type status_msg = { st_view : Types.view; st_last_exec : Types.seqno; st_h : Typ
 type body =
   | Request of request
   | Pre_prepare of pre_prepare
-  | Prepare of prepare
-  | Commit of commit
+  | Prepare of vote
+  | Commit of vote
   | Reply of reply
   | Checkpoint of checkpoint
   | View_change of view_change
@@ -127,9 +121,9 @@ val encode_body : body -> string
 val decode_body : string -> (body, string) result
 (** Inverse of {!encode_body}.  Malformed input yields [Error msg] — decode
     failures must never raise across a message boundary, since the bytes come
-    from untrusted (possibly Byzantine) senders.  The simulator passes message
-    values directly, but the wire format round-trips for real transports
-    (property-tested). *)
+    from untrusted (possibly Byzantine) senders: [Replica.receive_wire]
+    decodes whatever arrives, corrupted bytes included.  The format
+    round-trips (property-tested and pinned by golden encodings). *)
 
 val seal :
   Base_crypto.Auth.keychain -> ?shard:int -> sender:int -> n_receivers:int -> body -> envelope

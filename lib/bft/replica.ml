@@ -95,7 +95,7 @@ type entry = {
   commits : Digest.t option array;
   mutable sent_commit : bool;
   mutable committed : bool;
-  mutable prepared_proof : M.prepared_proof option;
+  mutable prepared : M.pre_prepare option;  (* [pre_prepare] once 2f PREPAREs matched it *)
   mutable t_pp : int64;
   mutable t_prepared : int64;
   mutable t_committed : int64;
@@ -163,7 +163,7 @@ let fresh_entry n =
     commits = Array.make n None;
     sent_commit = false;
     committed = false;
-    prepared_proof = None;
+    prepared = None;
     t_pp = -1L;
     t_prepared = -1L;
     t_committed = -1L;
@@ -175,6 +175,8 @@ let now t = t.net.now_us ()
    rotation, offset so concurrent shards spread their primaries over distinct
    replicas in any given view. *)
 let primary_of t view = Types.shard_primary t.config ~shard:t.shard view
+
+let is_primary t = primary_of t t.view = t.id
 
 (* Record [until - since] in [hist]; skipped when the earlier milestone was
    never seen locally (e.g. the slot arrived pre-committed via new-view). *)
@@ -264,50 +266,51 @@ let checkpoint_digest ~app_digest ~client_rows =
   Digest.combine [ app_digest; digest_of_rows client_rows ]
 
 (* Checkpoint the service together with the last-reply table, whose rows
-   are built once for both the service's copy and the digest. *)
+   are built once for both the service's copy and the digest, and record
+   the result as this replica's own checkpoint at [seq]. *)
 let checkpoint_now t ~seq =
   let client_rows = client_rows_of_table t.clients in
   let app_digest = t.app.take_checkpoint ~seq ~client_rows in
-  checkpoint_digest ~app_digest ~client_rows
+  let d = checkpoint_digest ~app_digest ~client_rows in
+  Hashtbl.replace t.own_cps seq d;
+  d
 
 (* --- sending ------------------------------------------------------------ *)
 
-(* Replica-to-replica messages authenticate to the n replicas only; replies
-   carry a single MAC for their client (see [send_reply]). *)
-let seal t body =
+(* Replica-to-replica messages authenticate to receivers [0 .. receivers - 1]:
+   the n replicas, or the whole n+s group for checkpoint announcements (see
+   [announce_checkpoint]).  Replies carry a single MAC for their client (see
+   [send_reply]). *)
+let seal t ~receivers body =
   Base_obs.Profile.start t.prof t.p_seal;
-  let env = M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:t.config.n body in
+  let env = M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:receivers body in
   Base_obs.Profile.stop t.prof t.p_seal;
   env
 
 let send_one t ~dst body =
-  if t.behavior <> Mute then t.net.send ~dst (seal t body)
+  if t.behavior <> Mute then t.net.send ~dst (seal t ~receivers:t.config.n body)
 
-let broadcast t body =
+let broadcast_to t ~receivers body =
   if t.behavior <> Mute then begin
-    let env = seal t body in
-    for r = 0 to t.config.n - 1 do
+    let env = seal t ~receivers body in
+    for r = 0 to receivers - 1 do
       if r <> t.id then t.net.send ~dst:r env
     done
   end
+
+let broadcast t body = broadcast_to t ~receivers:t.config.n body
 
 (* Checkpoint announcements go to the whole n+s group, sealed so standbys
    can verify them too: the certificates standbys build from these are
    their only evidence of what the stable abstract state is, so they must
    be first-class MACed messages, not hearsay.  With [s = 0] this is
    exactly [broadcast]. *)
-let broadcast_group t body =
-  if t.behavior <> Mute then begin
-    Base_obs.Profile.start t.prof t.p_seal;
-    let env =
-      M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:(Types.group_size t.config)
-        body
-    in
-    Base_obs.Profile.stop t.prof t.p_seal;
-    for r = 0 to Types.group_size t.config - 1 do
-      if r <> t.id then t.net.send ~dst:r env
-    done
-  end
+let announce_checkpoint t seq digest =
+  broadcast_to t ~receivers:(Types.group_size t.config)
+    (M.Checkpoint { seq; digest; replica = t.id })
+
+let make_reply t ~client ~timestamp result =
+  { M.view = t.view; timestamp; client; replica = t.id; result }
 
 let send_reply t (reply : M.reply) =
   let reply =
@@ -337,10 +340,10 @@ let cancel_vc_timer t =
     t.vc_timer <- None
   | None -> ()
 
-let start_vc_timer t =
-  if t.vc_timer = None && t.status = Normal then
-    t.vc_timer <-
-      Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout t.view))
+let arm_vc_timer t =
+  t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout t.view))
+
+let start_vc_timer t = if t.vc_timer = None && t.status = Normal then arm_vc_timer t
 
 let restart_vc_timer t =
   cancel_vc_timer t;
@@ -377,11 +380,33 @@ let discard_log_below t seq =
   List.iter (Hashtbl.remove t.cp_msgs) (stale_keys t.cp_msgs seq);
   List.iter (Hashtbl.remove t.own_cps) (stale_keys t.own_cps seq)
 
+(* Every application execute upcall, ordered or read-only, goes through
+   here, under the execute probe. *)
+let run t (r : M.request) ~nondet ~read_only =
+  Base_obs.Profile.start t.prof t.p_exec;
+  let result =
+    t.app.execute ~client:r.client ~timestamp:r.timestamp ~operation:r.operation ~nondet
+      ~read_only
+  in
+  Base_obs.Profile.stop t.prof t.p_exec;
+  result
+
+(* A request's pre-prepare span runs from its local arrival to the slot's
+   PRE-PREPARE; requests first learned from the PRE-PREPARE itself have no
+   arrival time ([observe_span] skips them). *)
+let note_pre_prepared t cr ~at =
+  observe_span t.obs.m_pre_prepare ~since:cr.pending_since ~until:at;
+  cr.pending_since <- -1L
+
+(* Move the low watermark up to the stable checkpoint [(seq, digest)]. *)
+let advance_watermark t seq digest =
+  t.h <- seq;
+  t.stable_digest <- digest;
+  discard_log_below t seq
+
 let rec make_stable t seq digest =
   if seq > t.h then begin
-    t.h <- seq;
-    t.stable_digest <- digest;
-    discard_log_below t seq;
+    advance_watermark t seq digest;
     t.app.discard_checkpoints_below seq;
     if t.next_seq < seq then t.next_seq <- seq;
     (* The primary may now have window space for queued requests. *)
@@ -398,11 +423,10 @@ and maybe_stable t seq =
 and take_checkpoint t =
   let seq = t.last_exec in
   let d = checkpoint_now t ~seq in
-  Hashtbl.replace t.own_cps seq d;
   t.stats.checkpoints_taken <- t.stats.checkpoints_taken + 1;
   observe_span t.obs.m_cp_interval ~since:t.obs.last_cp ~until:(now t);
   t.obs.last_cp <- now t;
-  broadcast_group t (M.Checkpoint { seq; digest = d; replica = t.id });
+  announce_checkpoint t seq d;
   maybe_stable t seq
 
 (* --- execution ---------------------------------------------------------- *)
@@ -427,52 +451,31 @@ and entry_ready t (pp : M.pre_prepare) =
 and execute_entry t seq entry (pp : M.pre_prepare) =
   List.iter
     (fun (r : M.request) ->
-      if r.client >= 0 && not (Types.is_internal_client r.client) then begin
+      (* Null requests (client -1) execute nothing.  Internal
+         (runtime-injected) requests, e.g. cross-shard locks, execute through
+         the same upcall — the runtime recognises the virtual client id — but
+         get no reply and no pending bookkeeping. *)
+      if r.client >= 0 then begin
         let cr = client_rec t r.client in
+        let external_client = not (Types.is_internal_client r.client) in
         (* A request can be ordered twice across view changes; only its
            first ordering executes (exactly-once semantics via the
-           client-table timestamp). *)
+           client-table timestamp).  An ordered request runs read-write even
+           when flagged read-only: a Byzantine primary can order one. *)
         if r.timestamp > cr.last_ts then begin
           t.stats.executed_requests <- t.stats.executed_requests + 1;
-          Base_obs.Profile.start t.prof t.p_exec;
-          let result =
-            t.app.execute ~client:r.client ~timestamp:r.timestamp ~operation:r.operation
-              ~nondet:pp.nondet ~read_only:false
-          in
-          Base_obs.Profile.stop t.prof t.p_exec;
+          let result = run t r ~nondet:pp.nondet ~read_only:false in
           cr.last_ts <- r.timestamp;
-          let reply =
-            { M.view = t.view; timestamp = r.timestamp; client = r.client; replica = t.id;
-              result }
-          in
-          cr.last_reply <- Some reply;
-          (match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
-          | Some _ | None -> ());
-          send_reply t reply
-        end
-        else begin
+          if external_client then begin
+            let reply = make_reply t ~client:r.client ~timestamp:r.timestamp result in
+            cr.last_reply <- Some reply;
+            send_reply t reply
+          end
+        end;
+        if external_client then
           match cr.pending with
           | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
           | Some _ | None -> ()
-        end
-      end
-      else if Types.is_internal_client r.client then begin
-        (* Internal (runtime-injected) request, e.g. a cross-shard lock: it
-           executes through the same upcall — the runtime recognises the
-           virtual client id — but no reply is sent and no pending
-           bookkeeping applies.  The timestamp dedupe still guards against
-           re-ordering across view changes. *)
-        let cr = client_rec t r.client in
-        if r.timestamp > cr.last_ts then begin
-          t.stats.executed_requests <- t.stats.executed_requests + 1;
-          Base_obs.Profile.start t.prof t.p_exec;
-          ignore
-            (t.app.execute ~client:r.client ~timestamp:r.timestamp ~operation:r.operation
-               ~nondet:pp.nondet ~read_only:false);
-          Base_obs.Profile.stop t.prof t.p_exec;
-          cr.last_ts <- r.timestamp
-        end
       end)
     pp.requests;
   t.last_exec <- seq;
@@ -511,7 +514,7 @@ and try_execute t =
 
 and maybe_committed t _seq entry =
   match entry.pre_prepare with
-  | Some pp when entry.prepared_proof <> None && not entry.committed ->
+  | Some pp when Option.is_some entry.prepared && not entry.committed ->
     if count_matching entry.commits pp.digest >= Types.quorum t.config then begin
       entry.committed <- true;
       entry.t_committed <- now t;
@@ -529,16 +532,8 @@ and maybe_prepared t seq entry =
       count_matching entry.prepares pp.digest
       - if voted_for entry.prepares primary pp.digest then 1 else 0
     in
-    if count >= 2 * t.config.f && entry.prepared_proof = None then begin
-      entry.prepared_proof <-
-        Some
-          {
-            M.pp_view = pp.view;
-            pp_seq = pp.seq;
-            pp_digest = pp.digest;
-            pp_requests = pp.requests;
-            pp_nondet = pp.nondet;
-          };
+    if count >= 2 * t.config.f && Option.is_none entry.prepared then begin
+      entry.prepared <- entry.pre_prepare;
       entry.t_prepared <- now t;
       observe_span t.obs.m_prepare ~since:entry.t_pp ~until:entry.t_prepared;
       if not entry.sent_commit then begin
@@ -548,7 +543,7 @@ and maybe_prepared t seq entry =
       end;
       maybe_committed t seq entry
     end
-    else if entry.prepared_proof <> None then maybe_committed t seq entry
+    else if Option.is_some entry.prepared then maybe_committed t seq entry
   | None -> ()
 
 (* --- primary proposal --------------------------------------------------- *)
@@ -569,10 +564,7 @@ and assign t (batch : M.request list) =
       let cr = client_rec t r.client in
       cr.assigned_ts <- r.timestamp;
       cr.assigned_seq <- seq;
-      if Int64.compare cr.pending_since 0L >= 0 then begin
-        observe_span t.obs.m_pre_prepare ~since:cr.pending_since ~until:entry.t_pp;
-        cr.pending_since <- -1L
-      end)
+      note_pre_prepared t cr ~at:entry.t_pp)
     batch;
   (match t.behavior with
   | Equivocate ->
@@ -593,30 +585,28 @@ and window_full t = t.next_seq + 1 > t.h + t.config.log_window
 and propose t (r : M.request) =
   let cr = client_rec t r.client in
   if r.timestamp < cr.assigned_ts || r.timestamp <= cr.last_ts then ()
-  else if
-    Int64.equal r.timestamp cr.assigned_ts
-    && (match Hashtbl.find_opt t.entries cr.assigned_seq with
-       | Some { pre_prepare = Some pp; _ } -> pp.view = t.view
-       | Some _ | None -> false)
-  then begin
-    (* Assigned in this view already: retransmit so lost copies recover. *)
-    match Hashtbl.find_opt t.entries cr.assigned_seq with
-    | Some { pre_prepare = Some pp; _ } -> broadcast t (M.Pre_prepare pp)
-    | Some _ | None -> ()
-  end
-  else if window_full t || inflight t >= t.config.max_inflight then
-    (* Defer: the request is ordered in a batch as soon as earlier
-       instances make progress (this is where batching comes from). *)
-    Queue.add r t.queued_requests
   else
-    (* Fresh assignment, including when an earlier assignment died with its
-       view (it never reached a quorum, or the new-view O set would have
-       re-proposed it); exactly-once execution is enforced by the
-       client-table timestamp at execution time. *)
-    assign t [ r ]
+    match
+      if Int64.equal r.timestamp cr.assigned_ts then Hashtbl.find_opt t.entries cr.assigned_seq
+      else None
+    with
+    | Some { pre_prepare = Some pp; _ } when pp.view = t.view ->
+      (* Assigned in this view already: retransmit so lost copies recover. *)
+      broadcast t (M.Pre_prepare pp)
+    | Some _ | None ->
+      if window_full t || inflight t >= t.config.max_inflight then
+        (* Defer: the request is ordered in a batch as soon as earlier
+           instances make progress (this is where batching comes from). *)
+        Queue.add r t.queued_requests
+      else
+        (* Fresh assignment, including when an earlier assignment died with
+           its view (it never reached a quorum, or the new-view O set would
+           have re-proposed it); exactly-once execution is enforced by the
+           client-table timestamp at execution time. *)
+        assign t [ r ]
 
 and drain_queue t =
-  if primary_of t t.view = t.id && t.status = Normal then begin
+  if is_primary t && t.status = Normal then begin
     let continue = ref true in
     while (not (Queue.is_empty t.queued_requests)) && !continue do
       if window_full t || inflight t >= t.config.max_inflight then continue := false
@@ -637,26 +627,15 @@ and drain_queue t =
     done
   end
 
-let is_primary t = primary_of t t.view = t.id
-
 let in_window t seq = seq > t.h && seq <= t.h + t.config.log_window
-
-(* --- read-only requests ------------------------------------------------- *)
-
-let execute_read_only t (r : M.request) =
-  Base_obs.Profile.start t.prof t.p_exec;
-  let result =
-    t.app.execute ~client:r.client ~timestamp:r.timestamp ~operation:r.operation ~nondet:""
-      ~read_only:true
-  in
-  Base_obs.Profile.stop t.prof t.p_exec;
-  send_reply t
-    { M.view = t.view; timestamp = r.timestamp; client = r.client; replica = t.id; result }
 
 (* --- request handling --------------------------------------------------- *)
 
 let handle_request t env (r : M.request) =
-  if r.read_only then execute_read_only t r
+  if r.read_only then begin
+    let result = run t r ~nondet:"" ~read_only:true in
+    send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
+  end
   else begin
     let cr = client_rec t r.client in
     if r.timestamp < cr.last_ts then ()
@@ -705,7 +684,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
       clear_votes entry.prepares;
       clear_votes entry.commits;
       entry.sent_commit <- false;
-      entry.prepared_proof <- None;
+      entry.prepared <- None;
       entry.t_pp <- -1L;
       entry.t_prepared <- -1L;
       entry.t_committed <- -1L
@@ -730,15 +709,12 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
       entry.t_pp <- now t;
       List.iter
         (fun (r : M.request) ->
-          if r.client >= 0 then begin
+          (* Internal requests take no pending bookkeeping: execution never
+             clears it (see [execute_entry]), so a lock request would keep
+             the progress timer armed and fire view changes once idle. *)
+          if r.client >= 0 && not (Types.is_internal_client r.client) then begin
             let cr = client_rec t r.client in
-            (* The pre-prepare span is only meaningful when the request was
-               already known here (relayed to the primary earlier); requests
-               first learned from the pre-prepare itself would record 0. *)
-            if Int64.compare cr.pending_since 0L >= 0 then begin
-              observe_span t.obs.m_pre_prepare ~since:cr.pending_since ~until:entry.t_pp;
-              cr.pending_since <- -1L
-            end;
+            note_pre_prepared t cr ~at:entry.t_pp;
             match cr.pending with
             | Some p when p.timestamp >= r.timestamp -> ()
             | Some _ | None -> if r.timestamp > cr.last_ts then set_pending t cr (Some r)
@@ -751,7 +727,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
     end
   end
 
-let handle_prepare t sender (p : M.prepare) =
+let handle_prepare t sender (p : M.vote) =
   if
     sender = p.replica && p.view = t.view && t.status = Normal && in_window t p.seq
     && sender <> primary_of t p.view
@@ -770,7 +746,7 @@ let handle_prepare t sender (p : M.prepare) =
     end
   end
 
-let handle_commit t sender (c : M.commit) =
+let handle_commit t sender (c : M.vote) =
   if sender = c.replica && c.view <= t.view && in_window t c.seq then begin
     let entry = get_entry t c.seq in
     if Option.is_none entry.commits.(sender) then begin
@@ -858,8 +834,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
     (fun (c, ts, result) ->
       let cr = client_rec t c in
       cr.last_ts <- ts;
-      cr.last_reply <-
-        Some { M.view = t.view; timestamp = ts; client = c; replica = t.id; result })
+      cr.last_reply <- Some (make_reply t ~client:c ~timestamp:ts result))
     client_rows;
   (* Move the execution cursor to the transferred checkpoint.  When it lies
      below our previous position this is a rollback: the committed entries
@@ -869,10 +844,8 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
      would silently drop every operation between them. *)
   t.last_exec <- seq;
   if seq > t.h then begin
-    t.h <- seq;
-    t.stable_digest <- combined;
-    Hashtbl.replace t.own_cps seq combined;
-    discard_log_below t seq
+    advance_watermark t seq combined;
+    Hashtbl.replace t.own_cps seq combined
   end;
   t.fetch_in_progress <- None;
   if t.status = Fetching then begin
@@ -880,8 +853,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
       (* The fetch interrupted an unresolved view change: stay in it, with
          its escalation timer re-armed, until NEW-VIEW or abandonment. *)
       t.status <- View_changing;
-      t.vc_timer <-
-        Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout t.view))
+      arm_vc_timer t
     end
     else t.status <- Normal
   end;
@@ -899,14 +871,16 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
 
 (* --- view changes -------------------------------------------------------- *)
 
-let prepared_proofs t =
+(* PBFT's P: the PRE-PREPAREs that prepared here above the stable
+   checkpoint, in seqno order. *)
+let prepared_set t =
   Hashtbl.fold
     (fun seq entry acc ->
       if seq > t.h then
-        match entry.prepared_proof with Some p -> p :: acc | None -> acc
+        match entry.prepared with Some p -> p :: acc | None -> acc
       else acc)
     t.entries []
-  |> List.sort (fun a b -> Int.compare a.M.pp_seq b.M.pp_seq)
+  |> List.sort (fun (a : M.pre_prepare) b -> Int.compare a.seq b.seq)
 
 let vc_table t view =
   match Hashtbl.find_opt t.vcs view with
@@ -918,16 +892,16 @@ let vc_table t view =
 
 (* Compute the new-view pre-prepare set O from a view-change set.  The
    rebuilt window is capped at [log_window] slots below [max_s]: honest
-   view-changes only carry prepared proofs within one window of their
+   view-changes only carry prepared PRE-PREPAREs within one window of their
    stable checkpoint, so the cap is invisible to them, while a Byzantine
-   proof claiming a far-away [pp_seq] can no longer make this loop (and
-   the pre-prepares it allocates) arbitrarily long. *)
+   one claiming a far-away [seq] can no longer make this loop (and the
+   pre-prepares it allocates) arbitrarily long. *)
 let compute_o ~log_window v' (vc_list : M.view_change list) =
   let min_s = List.fold_left (fun acc vc -> max acc vc.M.last_stable) 0 vc_list in
   let max_s =
     List.fold_left
       (fun acc vc ->
-        List.fold_left (fun acc p -> max acc p.M.pp_seq) acc vc.M.prepared)
+        List.fold_left (fun acc (p : M.pre_prepare) -> max acc p.seq) acc vc.M.prepared)
       min_s vc_list
   in
   let count = min (max_s - min_s) log_window in
@@ -938,30 +912,32 @@ let compute_o ~log_window v' (vc_list : M.view_change list) =
       List.fold_left
         (fun acc vc ->
           List.fold_left
-            (fun acc p ->
-              if p.M.pp_seq <> seq then acc
+            (fun acc (p : M.pre_prepare) ->
+              if p.seq <> seq then acc
               else
                 match acc with
-                | Some b when b.M.pp_view >= p.M.pp_view -> acc
+                | Some (b : M.pre_prepare) when b.view >= p.view -> acc
                 | Some _ | None -> Some p)
             acc vc.M.prepared)
         None vc_list
     in
     let pp =
       match best with
-      | Some p ->
-        {
-          M.view = v';
-          seq;
-          digest = p.M.pp_digest;
-          requests = p.M.pp_requests;
-          nondet = p.M.pp_nondet;
-        }
+      | Some p -> { p with view = v' }
       | None -> { M.view = v'; seq; digest = ordering_digest [] ""; requests = []; nondet = "" }
     in
     o := pp :: !o
   done;
   (min_s, !o)
+
+(* What leaving a view change for view [v] resets, whether a NEW-VIEW
+   installed it or the replica abandoned its own escalation. *)
+let leave_view_change t v =
+  t.view <- v;
+  t.status <- Normal;
+  t.obs.vc_started <- -1L;
+  t.vc_timeout_us <- t.config.viewchange_timeout_us;
+  cancel_vc_timer t
 
 let rec do_view_change t v' =
   if v' > t.view || (v' = t.view && t.status = Normal) then begin
@@ -975,7 +951,7 @@ let rec do_view_change t v' =
         M.new_view = v';
         last_stable = t.h;
         stable_digest = t.stable_digest;
-        prepared = prepared_proofs t;
+        prepared = prepared_set t;
         replica = t.id;
       }
     in
@@ -984,18 +960,14 @@ let rec do_view_change t v' =
     (* Escalate with a doubled (but bounded) timeout if this view change
        stalls. *)
     t.vc_timeout_us <- min (t.vc_timeout_us * 2) (20 * t.config.viewchange_timeout_us);
-    t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout v'));
+    arm_vc_timer t;
     check_new_view t v'
   end
 
 and install_new_view t v' min_s (o : M.pre_prepare list) =
-  t.view <- v';
-  t.status <- Normal;
   observe_span t.obs.m_view_change ~since:t.obs.vc_started ~until:(now t);
-  t.obs.vc_started <- -1L;
+  leave_view_change t v';
   t.resume_vc_after_fetch <- false;
-  t.vc_timeout_us <- t.config.viewchange_timeout_us;
-  cancel_vc_timer t;
   (* Certificates from earlier views are void in the new view. *)
   List.iter
     (fun (pp : M.pre_prepare) ->
@@ -1005,7 +977,7 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
         entry.t_pp <- now t;
         clear_votes entry.prepares;
         if not entry.sent_commit then clear_votes entry.commits;
-        entry.prepared_proof <- None;
+        entry.prepared <- None;
         entry.sent_commit <- false;
         if not (is_primary t) then begin
           entry.prepares.(t.id) <- Some pp.digest;
@@ -1051,29 +1023,31 @@ and check_new_view t v' =
     end
   end
 
+(* Authenticated but protocol-implausible: counted and dropped. *)
+let reject_insane t =
+  t.stats.rejected_insane <- t.stats.rejected_insane + 1;
+  Base_obs.Metrics.incr t.obs.c_reject_insane
+
 (* A view-change passes the MAC check on its own authority, so every field
    is still just the sender's claim.  Before it enters the [vcs] table —
    where [compute_o] and the liveness rule consume it as fact — require
    the claims to be mutually plausible: non-negative watermarks, and every
-   prepared proof within one log window above the stable checkpoint (the
-   only place an honest replica can have prepared anything).  A proof
+   prepared PRE-PREPARE within one log window above the stable checkpoint
+   (the only place an honest replica can have prepared anything).  One
    outside that range could otherwise widen the reconstructed new-view
    window to an attacker-chosen span. *)
 let vc_sane t (vc : M.view_change) =
   vc.last_stable >= 0
   && List.for_all
-       (fun (p : M.prepared_proof) ->
-         p.pp_seq > vc.last_stable
-         && p.pp_seq <= vc.last_stable + t.config.log_window
-         && p.pp_view >= 0 && p.pp_view < vc.new_view
-         && List.length p.pp_requests <= t.config.batch_max)
+       (fun (p : M.pre_prepare) ->
+         p.seq > vc.last_stable
+         && p.seq <= vc.last_stable + t.config.log_window
+         && p.view >= 0 && p.view < vc.new_view
+         && List.length p.requests <= t.config.batch_max)
        vc.prepared
 
 let handle_view_change t sender (vc : M.view_change) =
-  if not (vc_sane t vc) then begin
-    t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-    Base_obs.Metrics.incr t.obs.c_reject_insane
-  end
+  if not (vc_sane t vc) then reject_insane t
   else if sender = vc.replica && vc.new_view > 0 then begin
     Hashtbl.replace (vc_table t vc.new_view) sender vc;
     (* Liveness rule: join the smallest view for which f+1 replicas already
@@ -1102,9 +1076,9 @@ let handle_view_change t sender (vc : M.view_change) =
    pre-prepare must sit inside one log window above the highest claimed
    checkpoint, in the new view itself.  Without this a Byzantine primary
    could teleport [next_seq] (and thus the whole log window) to an
-   arbitrary seqno of its choosing. *)
-let nv_sane t (nv : M.new_view) =
-  let min_s = List.fold_left (fun acc (_, s) -> max acc s) 0 nv.nv_view_changes in
+   arbitrary seqno of its choosing.  [min_s] is the highest claimed
+   checkpoint. *)
+let nv_sane t (nv : M.new_view) ~min_s =
   nv.nv_view > 0
   && List.for_all (fun (_, s) -> s >= 0) nv.nv_view_changes
   && List.for_all
@@ -1124,17 +1098,14 @@ let handle_new_view t sender (nv : M.new_view) =
       List.filter_map (fun (r, _) -> Hashtbl.find_opt tbl r) nv.nv_view_changes
     in
     let verifiable = List.length vcs_used = List.length nv.nv_view_changes in
-    let sane = nv_sane t nv in
-    if not sane then begin
-      t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-      Base_obs.Metrics.incr t.obs.c_reject_insane
-    end;
+    let min_s = List.fold_left (fun acc (_, s) -> max acc s) 0 nv.nv_view_changes in
+    let sane = nv_sane t nv ~min_s in
+    if not sane then reject_insane t;
     let ok =
       if not sane then false
       else if not verifiable then List.length nv.nv_view_changes >= Types.quorum t.config
       else begin
-        let min_s, o = compute_o ~log_window:t.config.log_window v' vcs_used in
-        ignore min_s;
+        let _, o = compute_o ~log_window:t.config.log_window v' vcs_used in
         List.length o = List.length nv.nv_pre_prepares
         && List.for_all2
              (fun (a : M.pre_prepare) (b : M.pre_prepare) ->
@@ -1142,16 +1113,19 @@ let handle_new_view t sender (nv : M.new_view) =
              o nv.nv_pre_prepares
       end
     in
-    if ok then begin
-      let min_s =
-        List.fold_left (fun acc (_, s) -> max acc s) 0 nv.nv_view_changes
-      in
-      install_new_view t v' min_s nv.nv_pre_prepares
-    end
-    else do_view_change t (v' + 1)
+    if ok then install_new_view t v' min_s nv.nv_pre_prepares else do_view_change t (v' + 1)
   end
 
 (* --- retransmission / progress timer ------------------------------------ *)
+
+(* Send again, through [send], what this replica sent for slot [seq] of the
+   current view: its PRE-PREPARE if it leads the view, otherwise its
+   PREPARE, plus its COMMIT. *)
+let resend_slot t send seq entry (pp : M.pre_prepare) =
+  let vote = { M.view = pp.view; seq; digest = pp.digest; replica = t.id } in
+  if primary_of t pp.view = t.id then send (M.Pre_prepare pp)
+  else if Option.is_some entry.prepares.(t.id) then send (M.Prepare vote);
+  if entry.sent_commit then send (M.Commit vote)
 
 let arm_status_timer t =
   (match t.status_timer with Some id -> t.net.cancel_timer id | None -> ());
@@ -1162,8 +1136,7 @@ let on_status_timer t =
   (* Re-announce the latest own checkpoint so laggards find fetch targets,
      and gossip progress so peers can retransmit what we are missing. *)
   (match Hashtbl.find_opt t.own_cps t.h with
-  | Some d when t.h > 0 ->
-    broadcast_group t (M.Checkpoint { seq = t.h; digest = d; replica = t.id })
+  | Some d when t.h > 0 -> announce_checkpoint t t.h d
   | Some _ | None -> ());
   broadcast t
     (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id });
@@ -1174,14 +1147,7 @@ let on_status_timer t =
       (fun (seq, entry) ->
         if seq > t.last_exec then begin
           match entry.pre_prepare with
-          | Some pp when pp.view = t.view ->
-            if is_primary t then broadcast t (M.Pre_prepare pp)
-            else if Option.is_some entry.prepares.(t.id) then
-              broadcast t
-                (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
-            if entry.sent_commit then
-              broadcast t
-                (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
+          | Some pp when pp.view = t.view -> resend_slot t (broadcast t) seq entry pp
           | Some _ | None -> ()
         end)
       (sorted_bindings t.entries);
@@ -1209,10 +1175,8 @@ let abort_fetch t =
    group.  Called by the runtime's shadow-sync driver only. *)
 let standby_note_synced t ~seq ~digest =
   if t.role = Standby && seq > t.h then begin
-    t.h <- seq;
-    t.stable_digest <- digest;
-    t.last_exec <- seq;
-    discard_log_below t seq
+    advance_watermark t seq digest;
+    t.last_exec <- seq
   end
 
 (* A peer announced it is behind us: retransmit, directly to it, the
@@ -1237,15 +1201,11 @@ let handle_status t sender (st : M.status_msg) =
     let prepared_above =
       List.exists
         (fun (_, e) ->
-          match e.prepared_proof with Some p -> p.M.pp_view > target | None -> false)
+          match e.prepared with Some p -> p.M.view > target | None -> false)
         (sorted_bindings t.entries)
     in
     if lower >= Types.quorum t.config - 1 && not prepared_above then begin
-      t.view <- target;
-      t.status <- Normal;
-      t.obs.vc_started <- -1L;
-      t.vc_timeout_us <- t.config.viewchange_timeout_us;
-      cancel_vc_timer t;
+      leave_view_change t target;
       if has_pending t then start_vc_timer t
     end
   end;
@@ -1257,7 +1217,7 @@ let handle_status t sender (st : M.status_msg) =
      verifies and installs through the normal quorum-trusting path. *)
   if sender = st.st_replica && st.st_view < t.view then begin
     match t.last_nv with
-    | Some nv when nv.M.nv_view = t.view && primary_of t t.view = t.id ->
+    | Some nv when nv.M.nv_view = t.view && is_primary t ->
       send_one t ~dst:sender (M.New_view nv)
     | Some _ | None -> ()
   end;
@@ -1274,19 +1234,12 @@ let handle_status t sender (st : M.status_msg) =
          within [upper] never exceeds the log window, so cap the replay
          count there and serve the top of the range. *)
       let count = min (upper - st.st_last_exec) t.config.log_window in
-      let unreplayable = ref false in
+      let unreplayable = ref false and send = send_one t ~dst:sender in
       for off = 1 to count do
         let seq = upper - count + off in
         (match Hashtbl.find_opt t.entries seq with
         | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
-          if primary_of t pp.view = t.id then
-            send_one t ~dst:sender (M.Pre_prepare pp)
-          else if Option.is_some entry.prepares.(t.id) then
-            send_one t ~dst:sender
-              (M.Prepare { view = pp.view; seq; digest = pp.digest; replica = t.id });
-          if entry.sent_commit then
-            send_one t ~dst:sender
-              (M.Commit { view = pp.view; seq; digest = pp.digest; replica = t.id })
+          resend_slot t send seq entry pp
         | Some { pre_prepare = Some pp; committed = true; _ } when pp.view < t.view ->
           (* Committed under an earlier primary: the agreement messages are
              void in this view and will never be re-run. *)
@@ -1336,8 +1289,7 @@ let receive t (env : M.envelope) =
        and views are per-shard namespaces).  Every principal shares a key
        with every replica, so a client's agreement message authenticates
        too; only replicas vote, and a client must not fill a quorum. *)
-    t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-    Base_obs.Metrics.incr t.obs.c_reject_insane
+    reject_insane t
   end
   else begin
     Base_obs.Profile.start t.prof t.p_handle;
@@ -1434,9 +1386,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
     }
   in
   (* Initial checkpoint at seqno 0 so watermark logic is uniform. *)
-  let d = checkpoint_now t ~seq:0 in
-  Hashtbl.replace t.own_cps 0 d;
-  t.stable_digest <- d;
+  t.stable_digest <- checkpoint_now t ~seq:0;
   t
 
 (* --- cross-shard runtime hooks ------------------------------------------- *)

@@ -91,7 +91,7 @@ type stats = {
   mutable rejected_decode : int;  (** wire bytes that failed to decode *)
   mutable rejected_insane : int;
       (** well-formed, authenticated messages whose claims are
-          protocol-implausible (e.g. prepared proofs outside the log
+          protocol-implausible (e.g. prepared PRE-PREPAREs outside the log
           window above the claimed checkpoint, or a vote from a principal
           that is not a replica) *)
 }

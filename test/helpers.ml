@@ -108,15 +108,17 @@ let silent_net =
     now_us = (fun () -> 0L);
   }
 
-(* Replica [id] of [config] outside any runtime, on {!silent_net}.  Its
-   service answers "ok" to everything and passes [operation] to [on_execute]
-   first; nothing it checkpoints carries state. *)
-let bare_replica ?(on_execute = ignore) ~config ~chains id =
+(* Replica [id] of [config] outside any runtime, on [net] ({!silent_net}
+   by default).  Its service answers "ok" to everything and passes each
+   upcall's [read_only] flag and [operation] to [on_execute] first; nothing
+   it checkpoints carries state. *)
+let bare_replica ?(net = silent_net) ?(on_execute = fun ~read_only:_ _ -> ()) ~config ~chains
+    id =
   let app =
     {
       Base_bft.Replica.execute =
-        (fun ~client:_ ~timestamp:_ ~operation ~nondet:_ ~read_only:_ ->
-          on_execute operation;
+        (fun ~client:_ ~timestamp:_ ~operation ~nondet:_ ~read_only ->
+          on_execute ~read_only operation;
           "ok");
       propose_nondet = (fun ~operation:_ -> "");
       check_nondet = (fun ~operation:_ ~nondet:_ -> true);
@@ -126,4 +128,4 @@ let bare_replica ?(on_execute = ignore) ~config ~chains id =
       start_fetch = (fun ~seq:_ ~digest:_ -> ());
     }
   in
-  Base_bft.Replica.create ~config ~id ~keychain:chains.(id) ~net:silent_net ~app ()
+  Base_bft.Replica.create ~config ~id ~keychain:chains.(id) ~net ~app ()

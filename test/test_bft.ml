@@ -222,6 +222,63 @@ let test_pending_count_matches_table () =
   Alcotest.(check bool) "replica 0 fetched state" true ((Replica.stats r0).fetches > 0);
   Alcotest.(check bool) "some request was pending" true (!peak > 0)
 
+(* One ordered batch through a backup's execute path: an external request,
+   an internal (cross-shard) one, a null request and a request flagged
+   read-only that a (possibly Byzantine) primary ordered anyway.  Each
+   external request gets exactly one reply; internal and null requests get
+   none; every upcall runs read-write; and nothing stays pending. *)
+let test_execute_path_batch () =
+  let config = Types.make_config ~f:1 ~n_clients:2 () in
+  let chains = Base_crypto.Auth.create ~seed:12L ~n_principals:config.n_principals in
+  let replies = Queue.create () and upcalls = Queue.create () in
+  let net =
+    {
+      (Helpers.silent_net) with
+      Message.send =
+        (fun ~dst env ->
+          match env.Message.body with
+          | Message.Reply r -> Queue.add (dst, r.client) replies
+          | _ -> ());
+    }
+  in
+  let r1 =
+    Helpers.bare_replica ~net ~config ~chains 1 ~on_execute:(fun ~read_only op ->
+        Queue.add (op, read_only) upcalls)
+  in
+  let seal sender body = Message.seal chains.(sender) ~sender ~n_receivers:config.n body in
+  let ext = config.n and ro = config.n + 1 and internal = Types.internal_client ~shard:0 in
+  let request client operation read_only =
+    { Message.client; timestamp = 0L; operation; read_only }
+  in
+  let batch =
+    [
+      request ext "ext" false;
+      request internal "internal" false;
+      Message.null_request;
+      request ro "ro" true;
+    ]
+  in
+  Replica.receive r1 (seal ext (Message.Request (List.hd batch)));
+  Alcotest.(check int) "external request pending" 1 (Replica.pending_count r1);
+  let digest = Base_crypto.Digest_t.of_string (Message.encode_batch batch ~nondet:"") in
+  Replica.receive r1
+    (seal 0 (Message.Pre_prepare { view = 0; seq = 1; digest; requests = batch; nondet = "" }));
+  List.iter
+    (fun r ->
+      Replica.receive r1 (seal r (Message.Prepare { view = 0; seq = 1; digest; replica = r }));
+      Replica.receive r1 (seal r (Message.Commit { view = 0; seq = 1; digest; replica = r })))
+    [ 2; 3 ];
+  Alcotest.(check int) "batch executed" 1 (Replica.last_executed r1);
+  Alcotest.(check (list (pair string bool)))
+    "one read-write upcall per non-null request, in batch order"
+    [ ("ext", false); ("internal", false); ("ro", false) ]
+    (List.of_seq (Queue.to_seq upcalls));
+  Alcotest.(check (list (pair int int)))
+    "one reply per external request, to its client"
+    [ (ext, ext); (ro, ro) ]
+    (List.of_seq (Queue.to_seq replies));
+  Alcotest.(check int) "nothing left pending" 0 (Replica.pending_count r1)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -236,4 +293,5 @@ let suite =
     Alcotest.test_case "null requests after view change" `Quick
       test_null_requests_after_view_change;
     Alcotest.test_case "read-only with replica down" `Quick test_read_only_with_replica_down;
+    Alcotest.test_case "execute path: one batch, four kinds" `Quick test_execute_path_batch;
   ]

@@ -27,14 +27,6 @@ let gen_pre_prepare =
     (Gen.pair gen_digest (Gen.list_size (Gen.int_bound 5) gen_request))
     Gen.string
 
-let gen_proof =
-  Gen.map3
-    (fun (pp_view, pp_seq) (pp_digest, pp_requests) pp_nondet ->
-      { M.pp_view; pp_seq; pp_digest; pp_requests; pp_nondet })
-    (Gen.pair (Gen.int_bound 100) (Gen.int_bound 10_000))
-    (Gen.pair gen_digest (Gen.list_size (Gen.int_bound 3) gen_request))
-    Gen.string
-
 let gen_body =
   Gen.oneof
     [
@@ -60,7 +52,7 @@ let gen_body =
         (fun (new_view, last_stable) (stable_digest, prepared) replica ->
           M.View_change { new_view; last_stable; stable_digest; prepared; replica })
         (Gen.pair (Gen.int_bound 50) (Gen.int_bound 1000))
-        (Gen.pair gen_digest (Gen.list_size (Gen.int_bound 3) gen_proof))
+        (Gen.pair gen_digest (Gen.list_size (Gen.int_bound 3) gen_pre_prepare))
         (Gen.int_bound 6);
       Gen.map3
         (fun nv_view nv_view_changes nv_pre_prepares ->
@@ -78,6 +70,79 @@ let gen_body =
 let body_roundtrip =
   qtest "message encode/decode round-trip" gen_body (fun body ->
       M.decode_body (M.encode_body body) = Ok body)
+
+(* Golden encodings: one fixed value of each body, with the hex its
+   [encode_body] produced before PREPARE and COMMIT shared one vote codec
+   and a VIEW-CHANGE's prepared set became plain PRE-PREPAREs.  The
+   round-trip property above holds for any self-consistent format; these
+   pin the format itself. *)
+let golden_bodies =
+  let d = Digest.of_string in
+  let req = { M.client = 7; timestamp = 42L; operation = "write x"; read_only = false } in
+  let ro = { M.client = 9; timestamp = 3L; operation = "read"; read_only = true } in
+  let pp = { M.view = 1; seq = 5; digest = d "batch"; requests = [ req; ro ]; nondet = "t=9" } in
+  let pp4 = { M.view = 0; seq = 4; digest = d "b4"; requests = [ req ]; nondet = "n4" } in
+  [
+    ("request", M.Request req, "0000000000000008000000000000002a00000007777269746520780000000000");
+    ( "pre-prepare",
+      M.Pre_prepare pp,
+      "000000010000000100000005000000204bb24efc9641afc5ded1ca77eabb6e2fcf062d21"
+      ^ "12ccd61bd8bd6acd89180bae0000000200000008000000000000002a0000000777726974"
+      ^ "65207800000000000000000a000000000000000300000004726561640000000100000003"
+      ^ "743d3900" );
+    ( "prepare",
+      M.Prepare { view = 1; seq = 5; digest = d "batch"; replica = 2 },
+      "000000020000000100000005000000204bb24efc9641afc5ded1ca77eabb6e2fcf062d21"
+      ^ "12ccd61bd8bd6acd89180bae00000003" );
+    ( "commit",
+      M.Commit { view = 1; seq = 5; digest = d "batch"; replica = 3 },
+      "000000030000000100000005000000204bb24efc9641afc5ded1ca77eabb6e2fcf062d21"
+      ^ "12ccd61bd8bd6acd89180bae00000004" );
+    ( "reply",
+      M.Reply { view = 1; timestamp = 42L; client = 7; replica = 0; result = "ok" },
+      "0000000400000001000000000000002a0000000800000001000000026f6b0000" );
+    ( "checkpoint",
+      M.Checkpoint { seq = 128; digest = d "cp"; replica = 1 },
+      "000000050000008000000020e44b4bd707c540bca8615b21f850fb41e02029701df241d1"
+      ^ "79c1a5f3acbf5bf100000002" );
+    ( "view-change",
+      M.View_change
+        {
+          new_view = 2;
+          last_stable = 0;
+          stable_digest = d "s0";
+          prepared = [ pp4; pp ];
+          replica = 3;
+        },
+      "00000006000000020000000000000020ec18eac8d758b1eba52d3c10d39adc6dd9806472"
+      ^ "cb4ae069635d383d9086a51300000002000000000000000400000020486bacc5c2d8a71a"
+      ^ "73d51bf8e522deaa264ec2628dca2955da1e9b8e00f21943000000010000000800000000"
+      ^ "0000002a00000007777269746520780000000000000000026e3400000000000100000005"
+      ^ "000000204bb24efc9641afc5ded1ca77eabb6e2fcf062d2112ccd61bd8bd6acd89180bae"
+      ^ "0000000200000008000000000000002a000000077772697465207800000000000000000a"
+      ^ "000000000000000300000004726561640000000100000003743d390000000004" );
+    ( "new-view",
+      M.New_view
+        {
+          nv_view = 2;
+          nv_view_changes = [ (0, 0); (1, 0); (3, 0) ];
+          nv_pre_prepares = [ { pp with view = 2; requests = [] } ];
+        },
+      "000000070000000200000003000000010000000000000002000000000000000400000000"
+      ^ "000000010000000200000005000000204bb24efc9641afc5ded1ca77eabb6e2fcf062d21"
+      ^ "12ccd61bd8bd6acd89180bae0000000000000003743d3900" );
+    ( "status",
+      M.Status { st_view = 2; st_last_exec = 5; st_h = 0; st_replica = 1 },
+      "0000000800000002000000050000000000000002" );
+  ]
+
+let test_golden_encodings () =
+  List.iter
+    (fun (name, body, expected) ->
+      let wire = M.encode_body body in
+      Alcotest.(check string) (name ^ " encoding") expected (Base_util.Hex.encode wire);
+      Alcotest.(check bool) (name ^ " decodes back") true (M.decode_body wire = Ok body))
+    golden_bodies
 
 let test_decode_garbage () =
   List.iter
@@ -136,6 +201,7 @@ let test_request_digest_stability () =
 let suite =
   [
     body_roundtrip;
+    Alcotest.test_case "golden encodings" `Quick test_golden_encodings;
     Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
     Alcotest.test_case "envelope MACs" `Quick test_envelope_macs;
     Alcotest.test_case "request digest" `Quick test_request_digest_stability;

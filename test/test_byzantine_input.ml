@@ -57,7 +57,8 @@ let test_client_votes_rejected () =
   let chains = Base_crypto.Auth.create ~seed:11L ~n_principals:config.n_principals in
   let executed = ref [] in
   let r1 =
-    Helpers.bare_replica ~config ~chains 1 ~on_execute:(fun op -> executed := op :: !executed)
+    Helpers.bare_replica ~config ~chains 1 ~on_execute:(fun ~read_only:_ op ->
+        executed := op :: !executed)
   in
   let seal sender body = M.seal chains.(sender) ~sender ~n_receivers:config.n body in
   let request = { M.client = 4; timestamp = 0L; operation = "set:0:evil"; read_only = false } in

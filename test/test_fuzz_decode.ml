@@ -41,15 +41,7 @@ let sample_bodies : M.body list =
         last_stable = 10;
         stable_digest = d;
         prepared =
-          [
-            {
-              pp_view = 1;
-              pp_seq = 11;
-              pp_digest = d;
-              pp_requests = [ req ];
-              pp_nondet = "n";
-            };
-          ];
+          [ { view = 1; seq = 11; digest = d; requests = [ req ]; nondet = "n" } ];
         replica = 2;
       };
     M.New_view

@@ -136,7 +136,7 @@ let settle sys ms =
 module Message = Base_bft.Message
 module Digest = Base_crypto.Digest_t
 
-(* A VIEW-CHANGE passing the MAC check but claiming a prepared proof far
+(* A VIEW-CHANGE passing the MAC check but claiming a prepared PRE-PREPARE far
    outside the log window above its own claimed checkpoint: counted as
    insane and dropped before it can widen the view-change window
    (regression for the taint pass's B3 findings on view adoption). *)
@@ -159,11 +159,11 @@ let test_insane_view_change_rejected () =
         prepared =
           [
             {
-              Message.pp_view = 0;
-              pp_seq = 1_000_000;
-              pp_digest = Digest.of_string "y";
-              pp_requests = [];
-              pp_nondet = "";
+              Message.view = 0;
+              seq = 1_000_000;
+              digest = Digest.of_string "y";
+              requests = [];
+              nondet = "";
             };
           ];
         replica = 2;

@@ -100,7 +100,24 @@ let test_commit () =
   Alcotest.(check string) "slot 2" "z" (get sys ~client:0 2);
   Alcotest.(check string) "slot 6" "z" (get sys ~client:0 6);
   Runtime.run_until_idle sys;
-  check_agreement ~what:"commit" slots
+  check_agreement ~what:"commit" slots;
+  (* Executed lock requests leave nothing pending at the lock shard's
+     backups, so a second of idle time changes no view. *)
+  let idle_until = Base_sim.Sim_time.add (Runtime.now sys) (Base_sim.Sim_time.of_sec 1.0) in
+  Engine.run ~until:idle_until (Runtime.engine sys);
+  for shard = 0 to 1 do
+    for r = 0 to 3 do
+      let replica = (Runtime.shard_replica sys ~shard r).Runtime.replica in
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d replica %d: nothing pending" shard r)
+        0
+        (Base_bft.Replica.pending_count replica);
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d replica %d: still view 0" shard r)
+        0
+        (Base_bft.Replica.view replica)
+    done
+  done
 
 let test_commit_three_clients () =
   let sys, slots = make_system ~seed:31L ~n_clients:3 () in
