@@ -6,61 +6,7 @@ module Replica = Base_bft.Replica
 module Auth = Base_crypto.Auth
 module Metrics = Base_obs.Metrics
 
-module Records = struct
-  type recovery_stats = {
-    mutable recoveries : int;
-    episode : State_transfer.stats;
-    fetched : State_transfer.stats;
-  }
-
-  (* One proactive-recovery episode: either reboot-in-place then differential
-     fetch, or (migration) a standby promotion then a catch-up fetch.  The
-     [-1L] sentinels mean "not reached yet" — an episode cut short (e.g. the
-     run ended mid-reboot) keeps them; all duration math goes through the
-     total [span] helper below, never raw field subtraction. *)
-  type recovery_timeline = {
-    tl_rid : int;
-    tl_migrated : bool;
-    tl_start_us : int64;
-    mutable tl_reboot_done_us : int64;
-    mutable tl_promote_done_us : int64;
-    mutable tl_staleness_seqs : int;
-    mutable tl_staleness_us : int64;
-    mutable tl_fetch_done_us : int64;
-    mutable tl_objects : int;
-    mutable tl_bytes : int;
-  }
-
-  (* [until - since] as a total duration: [None] whenever the earlier or the
-     later milestone was never reached. *)
-  let span ~since ~until =
-    if Int64.compare since 0L >= 0 && Int64.compare until since >= 0 then
-      Some (Int64.to_int (Int64.sub until since))
-    else None
-
-  let timeline_window_us tl = span ~since:tl.tl_start_us ~until:tl.tl_fetch_done_us
-
-  let timeline_handoff_us tl =
-    if tl.tl_migrated then span ~since:tl.tl_start_us ~until:tl.tl_promote_done_us
-    else span ~since:tl.tl_start_us ~until:tl.tl_reboot_done_us
-
-  type standby_sync = {
-    mutable ss_synced_seq : int;  (* -1 before the first completed shadow sync *)
-    mutable ss_synced_at_us : int64;
-    mutable ss_root : Digest.t;  (* abstract-state root at [ss_synced_seq] *)
-    mutable ss_client_rows : (int * int64 * string) list;
-    mutable ss_promotions : int;
-  }
-end
-
-include Records
-
-let fresh_stats () =
-  {
-    recoveries = 0;
-    episode = State_transfer.fresh_stats ();
-    fetched = State_transfer.fresh_stats ();
-  }
+open Cell
 
 (* Episode export: derived durations only, never raw milestone timestamps —
    a milestone the episode did not reach renders as [null], not as a
@@ -85,21 +31,6 @@ let timeline_json tl =
       ("window_us", opt (timeline_window_us tl));
     ]
 
-type ops = {
-  replica : int -> Replica.t;
-  fetching : int -> bool;
-  drop_fetch : int -> unit;
-  fetch :
-    int ->
-    seq:int ->
-    digest:Digest.t ->
-    on_installed:(seq:int -> app_root:Digest.t -> client_rows:(int * int64 * string) list -> unit) ->
-    unit;
-  restart : int -> unit;
-  discard_below : int -> int -> unit;
-  swap_state : slot:int -> standby:int -> unit;
-}
-
 type 'msg t = {
   engine : 'msg Engine.t;
   config : Types.config;
@@ -107,10 +38,15 @@ type 'msg t = {
   metrics : Metrics.t;
   trace : Base_obs.Trace.t;
   orchestrator : int;
-  ops : ops;
-  (* Per node id, over the whole n + s group. *)
-  stats : recovery_stats array;
-  syncs : standby_sync option array;  (* [Some] iff the node is a warm standby *)
+  (* Per node id, over the whole n + s group: the shard-0 row of cells
+     followed by the standbys. *)
+  cells : replica_node array;
+  fetch :
+    replica_node ->
+    seq:int ->
+    digest:Digest.t ->
+    on_installed:(seq:int -> app_root:Digest.t -> client_rows:(int * int64 * string) list -> unit) ->
+    unit;
   recovering : bool array;
   episodes : recovery_timeline option array;  (* the episode waiting for its milestones *)
   mutable timelines : recovery_timeline list;  (* newest first *)
@@ -122,8 +58,8 @@ type 'msg t = {
   mutable pending : (int * int) list;  (* (slot, standby) handshakes *)
 }
 
-let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ops =
-  let group = Types.group_size config in
+let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~fetch cells =
+  let group = Array.length cells in
   {
     engine;
     config;
@@ -131,20 +67,8 @@ let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ops =
     metrics;
     trace;
     orchestrator;
-    ops;
-    stats = Array.init group (fun _ -> fresh_stats ());
-    syncs =
-      Array.init group (fun rid ->
-          if Types.is_standby config rid then
-            Some
-              {
-                ss_synced_seq = -1;
-                ss_synced_at_us = -1L;
-                ss_root = Digest.zero;
-                ss_client_rows = [];
-                ss_promotions = 0;
-              }
-          else None);
+    cells;
+    fetch;
     recovering = Array.make group false;
     episodes = Array.make group None;
     timelines = [];
@@ -155,10 +79,6 @@ let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ops =
     on = false;
     pending = [];
   }
-
-let stats r rid = r.stats.(rid)
-
-let standby_sync r rid = r.syncs.(rid)
 
 let timelines r = List.rev r.timelines
 
@@ -174,7 +94,7 @@ let set_timer r ~node ~after_us fire =
 let fetch_done r rid =
   match r.episodes.(rid) with
   | Some tl ->
-    let episode = r.stats.(rid).episode in
+    let episode = r.cells.(rid).recovery_stats.episode in
     tl.tl_fetch_done_us <- now r;
     tl.tl_objects <- episode.State_transfer.objects_fetched;
     tl.tl_bytes <- episode.State_transfer.bytes_fetched;
@@ -204,13 +124,13 @@ let shadow_sync_period_us = 50_000
    pipeline, then keep only that checkpoint, so (a) the next sync is an
    incremental diff against it and (b) a promoted standby can serve it to
    other fetchers. *)
-let start_shadow_sync r rid ss ~seq ~digest =
-  let episode = r.stats.(rid).episode in
+let start_shadow_sync r node ss ~seq ~digest =
+  let episode = node.recovery_stats.episode in
   State_transfer.reset_stats episode;
-  r.ops.fetch rid ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
-      r.ops.discard_below rid seq;
+  r.fetch node ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
+      Objrepo.discard_below node.repo seq;
       let digest = Replica.checkpoint_digest ~app_digest:app_root ~client_rows in
-      Replica.standby_note_synced (r.ops.replica rid) ~seq ~digest;
+      Replica.standby_note_synced node.replica ~seq ~digest;
       ss.ss_synced_seq <- seq;
       ss.ss_synced_at_us <- now r;
       ss.ss_root <- app_root;
@@ -220,7 +140,7 @@ let start_shadow_sync r rid ss ~seq ~digest =
       trace_event r "standby.synced"
         [
           ("bytes", string_of_int bytes);
-          ("rid", string_of_int rid);
+          ("rid", string_of_int node.rid);
           ("seq", string_of_int seq);
         ])
 
@@ -229,23 +149,24 @@ let rec arm_shadow r rid =
 
 and shadow_tick r rid =
   (* A sync in flight is driven by its own retry chain. *)
-  (if not (r.ops.fetching rid) then
-     match (Replica.fetch_target (r.ops.replica rid), r.syncs.(rid)) with
+  let node = r.cells.(rid) in
+  (if Option.is_none node.fetcher then
+     match (Replica.fetch_target node.replica, node.standby) with
      | Some (seq, digest), Some ss when seq > ss.ss_synced_seq ->
-       start_shadow_sync r rid ss ~seq ~digest
+       start_shadow_sync r node ss ~seq ~digest
      | (Some _ | None), _ -> ());
   arm_shadow r rid
 
 let standby_rebooted r rid =
   (* The crash took the shadow-sync timer and any sync in flight with it. *)
-  r.ops.drop_fetch rid;
+  r.cells.(rid).fetcher <- None;
   arm_shadow r rid
 
 (* --- in-place recovery -------------------------------------------------------- *)
 
 let start_episode r rid ~migrated =
   r.recovering.(rid) <- true;
-  let st = r.stats.(rid) in
+  let st = r.cells.(rid).recovery_stats in
   st.recoveries <- st.recoveries + 1;
   let tl =
     {
@@ -265,9 +186,15 @@ let start_episode r rid ~migrated =
   r.timelines <- tl :: r.timelines
 
 (* The slot machine goes down: its in-flight fetch dies with it. *)
-let abandon_fetch r rid =
-  r.ops.drop_fetch rid;
-  Replica.abort_fetch (r.ops.replica rid)
+let abandon_fetch node =
+  node.fetcher <- None;
+  Replica.abort_fetch node.replica
+
+(* Restart the implementation from its persistent state and recompute every
+   object digest. *)
+let restart node =
+  node.wrapper.Service.restart ();
+  Objrepo.rebuild_all_digests node.repo
 
 let begin_reintegration r rid =
   (* The machine is back up: fresh session keys (stolen ones are now
@@ -275,9 +202,10 @@ let begin_reintegration r rid =
      recompute the abstraction function over the whole concrete state — the
      depth-first traversal of Section 3.4. *)
   Auth.refresh_keys r.chains rid;
-  r.ops.restart rid;
-  State_transfer.reset_stats r.stats.(rid).episode;
-  let replica = r.ops.replica rid in
+  let node = r.cells.(rid) in
+  restart node;
+  State_transfer.reset_stats node.recovery_stats.episode;
+  let replica = node.replica in
   Replica.on_reboot replica;
   (* Compare with the rest of the group and fetch only what differs.  If no
      suitable certified checkpoint is known (quiet system, or the group is
@@ -302,7 +230,7 @@ let recover_now ?reboot_us r rid =
   if not r.recovering.(rid) then begin
     start_episode r rid ~migrated:false;
     trace_event r "recovery.start" [ ("rid", string_of_int rid) ];
-    abandon_fetch r rid;
+    abandon_fetch r.cells.(rid);
     (* Reboot: the node is unreachable while restarting. *)
     Engine.set_node_up r.engine rid false;
     set_timer r ~node:r.orchestrator ~after_us:reboot_us (fun () -> reboot_done r rid)
@@ -323,13 +251,13 @@ let usable r sb ss =
 let eligible_standby r =
   let best = ref None in
   Array.iteri
-    (fun sb sync ->
-      match (sync, !best) with
+    (fun sb node ->
+      match (node.standby, !best) with
       | Some ss, Some (_, best_seq) when usable r sb ss && best_seq < ss.ss_synced_seq ->
         best := Some (sb, ss.ss_synced_seq)
       | Some ss, None when usable r sb ss -> best := Some (sb, ss.ss_synced_seq)
       | (Some _ | None), _ -> ())
-    r.syncs;
+    r.cells;
   Option.map fst !best
 
 let complete_promotion r ~slot ~sb ss =
@@ -342,12 +270,17 @@ let complete_promotion r ~slot ~sb ss =
   (* The standby's warm repo and implementation take over the slot
      identity; the suspect state moves to the standby identity to be wiped
      at leisure. *)
-  r.ops.swap_state ~slot ~standby:sb;
+  let slot_cell = r.cells.(slot) and sb_cell = r.cells.(sb) in
+  let repo = slot_cell.repo and wrapper = slot_cell.wrapper in
+  slot_cell.repo <- sb_cell.repo;
+  slot_cell.wrapper <- sb_cell.wrapper;
+  sb_cell.repo <- repo;
+  sb_cell.wrapper <- wrapper;
   ss.ss_promotions <- ss.ss_promotions + 1;
   count r "base.standby.promotions";
   let lag = Int64.sub (now r) ss.ss_synced_at_us in
   Metrics.observe (Metrics.histogram r.metrics "base.standby.lag_us") (Int64.to_float lag);
-  let replica = r.ops.replica slot in
+  let replica = slot_cell.replica in
   (match r.episodes.(slot) with
   | Some tl ->
     tl.tl_promote_done_us <- now r;
@@ -357,7 +290,7 @@ let complete_promotion r ~slot ~sb ss =
     in
     tl.tl_staleness_seqs <- max 0 (head - ss.ss_synced_seq)
   | None -> ());
-  State_transfer.reset_stats r.stats.(slot).episode;
+  State_transfer.reset_stats slot_cell.recovery_stats.episode;
   Replica.on_reboot replica;
   (* Install the shadow-synced checkpoint as the slot's recovered state.
      [fetch_complete] handles the stale-standby edge itself: if the group's
@@ -369,12 +302,12 @@ let complete_promotion r ~slot ~sb ss =
      gap is still fetchable. *)
   (match Replica.fetch_target replica with
   | Some (seq, digest)
-    when (not (r.ops.fetching slot))
+    when Option.is_none slot_cell.fetcher
          && seq > ss.ss_synced_seq
          && Replica.status replica <> Replica.Fetching ->
     Replica.force_fetch replica ~seq ~digest
   | Some _ | None -> ());
-  if not (r.ops.fetching slot) then fetch_done r slot;
+  if Option.is_none slot_cell.fetcher then fetch_done r slot;
   r.recovering.(slot) <- false;
   (* Demotion: the old slot machine is now the next standby.  Wipe its
      suspect warm state — restart the implementation, recompute every
@@ -382,8 +315,8 @@ let complete_promotion r ~slot ~sb ss =
      refetch from scratch at leisure. *)
   ss.ss_synced_seq <- -1;
   ss.ss_client_rows <- [];
-  r.ops.restart sb;
-  r.ops.discard_below sb max_int;
+  restart sb_cell;
+  Objrepo.discard_below sb_cell.repo max_int;
   trace_event r "recovery.promote_done" [ ("sb", string_of_int sb); ("slot", string_of_int slot) ]
 
 let promote_done r slot =
@@ -391,7 +324,7 @@ let promote_done r slot =
   | None -> ()
   | Some sb -> (
     r.pending <- List.filter (fun (s, _) -> s <> slot) r.pending;
-    match r.syncs.(sb) with
+    match r.cells.(sb).standby with
     | Some ss when Engine.node_is_up r.engine sb && synced ss -> complete_promotion r ~slot ~sb ss
     | Some _ | None ->
       (* Promotion race: the standby died (or was wiped) mid-handshake.
@@ -413,7 +346,7 @@ let promote ?promote_us r ~slot ~standby:sb =
   let promote_us = Option.value promote_us ~default:r.promote_us in
   let promotable =
     (not r.recovering.(slot))
-    && (match r.syncs.(sb) with Some ss -> usable r sb ss | None -> false)
+    && (match r.cells.(sb).standby with Some ss -> usable r sb ss | None -> false)
     && not (List.mem_assoc slot r.pending)
   in
   if not promotable then recover_now r slot
@@ -423,8 +356,8 @@ let promote ?promote_us r ~slot ~standby:sb =
       [ ("sb", string_of_int sb); ("slot", string_of_int slot) ];
     (* The standby's shadow state must stay frozen at its last completed
        sync for the duration of the handshake. *)
-    abandon_fetch r slot;
-    r.ops.drop_fetch sb;
+    abandon_fetch r.cells.(slot);
+    r.cells.(sb).fetcher <- None;
     Engine.set_node_up r.engine slot false;
     r.pending <- (slot, sb) :: r.pending;
     set_timer r ~node:r.orchestrator ~after_us:promote_us (fun () -> promote_done r slot)

@@ -20,24 +20,7 @@ exception Stalled of string
    dedicated exception so Byzantine-facing paths stay free of [assert]. *)
 exception Internal_error of string
 
-include Recovery.Records
-
-type replica_node = {
-  rid : int;
-  shard : int;  (* the agreement instance this cell serves; 0 when unsharded *)
-  replica : Replica.t;
-  mutable repo : Objrepo.t;
-  mutable wrapper : Service.wrapper;
-      (* [repo]/[wrapper] are mutable because promotion swaps them between
-         the slot node and the standby node: the standby machine's warm
-         state takes over the slot identity, the demoted machine keeps the
-         suspect state under the standby identity.  All service upcalls read
-         them through the node record, so the swap takes effect atomically
-         for certificate handling, execution and fetch serving alike. *)
-  standby : standby_sync option;  (* [Some] iff this node is a warm standby *)
-  mutable fetcher : State_transfer.t option;
-  recovery_stats : recovery_stats;
-}
+include Cell
 
 (* An active Byzantine-primary attack window: while [atk_until] is in the
    future, pre-prepares sent by [atk_node] are muted with probability
@@ -139,18 +122,20 @@ let retarget_fetch t node ~reason =
    certifies a fresh checkpoint every few tens of milliseconds, so a fetch
    that loses the race with garbage collection must notice and re-target on
    that timescale: a coarse retry period quantizes every unlucky fetch —
-   and hence the recovery window — up to multiples of itself.  The tick
-   captures the cell record, and reads its fetcher when it fires. *)
-let rec arm_retry t node =
+   and hence the recovery window — up to multiples of itself.  Each chain
+   drives only the fetcher it was armed for: once the cell has dropped,
+   finished or replaced that fetcher, its tick does nothing, and the next
+   fetcher runs on its own chain. *)
+let rec arm_retry t node fetcher =
   ignore
     (Engine.set_timer t.engine ~node:node.rid ~after:(Sim_time.of_us 50_000) (fun () ->
-         st_retry_tick t node))
+         st_retry_tick t node fetcher))
 
-and st_retry_tick t node =
+and st_retry_tick t node fetcher =
   match node.fetcher with
-  | Some fetcher when not (State_transfer.finished fetcher) -> (
+  | Some current when current == fetcher && not (State_transfer.finished fetcher) -> (
     match State_transfer.retry fetcher with
-    | State_transfer.Continue -> arm_retry t node
+    | State_transfer.Continue -> arm_retry t node fetcher
     | State_transfer.Retarget reason -> retarget_fetch t node ~reason)
   | Some _ | None -> ()
 
@@ -187,7 +172,7 @@ let launch_fetch t node ~seq ~digest ~on_installed =
       ()
   in
   node.fetcher <- Some fetcher;
-  arm_retry t node
+  arm_retry t node fetcher
 
 (* The {!Replica.app.start_fetch} upcall: recover the cell to a certified
    checkpoint, then resume the protocol. *)
@@ -442,39 +427,6 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
     | Some t -> t
     | None -> raise (Internal_error "Runtime: node callback ran before wiring finished")
   in
-  let xshard =
-    Xshard.create ~config ~engine
-      ~cells:
-        {
-          Xshard.replica = (fun ~shard rid -> (cell ~shard rid).replica);
-          repo = (fun ~shard rid -> (cell ~shard rid).repo);
-          wrapper = (fun ~shard rid -> (cell ~shard rid).wrapper);
-        }
-  in
-  let recovery =
-    let node rid = cell ~shard:0 rid in
-    Recovery.create ~config ~engine ~chains ~metrics ~trace ~orchestrator
-      {
-        Recovery.replica = (fun rid -> (node rid).replica);
-        fetching = (fun rid -> Option.is_some (node rid).fetcher);
-        drop_fetch = (fun rid -> (node rid).fetcher <- None);
-        fetch = (fun rid -> launch_fetch (the ()) (node rid));
-        restart =
-          (fun rid ->
-            let n = node rid in
-            n.wrapper.Service.restart ();
-            Objrepo.rebuild_all_digests n.repo);
-        discard_below = (fun rid seq -> Objrepo.discard_below (node rid).repo seq);
-        swap_state =
-          (fun ~slot ~standby ->
-            let a = node slot and b = node standby in
-            let repo = a.repo and wrapper = a.wrapper in
-            a.repo <- b.repo;
-            a.wrapper <- b.wrapper;
-            b.repo <- repo;
-            b.wrapper <- wrapper);
-      }
-  in
   (* Each cell's timers run on its physical node, so they die with a crash
      of that node, and go back to the cell that armed them. *)
   let replica_net ~shard rid =
@@ -518,7 +470,10 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
                let node = cell ~shard rid in
                node.wrapper.Service.execute ~client ~operation ~nondet ~read_only
                  ~modify:(fun i -> Objrepo.modify node.repo i)
-           else Xshard.execute xshard ~rid ~shard);
+           else
+             fun ~client ~timestamp ~operation ~nondet ~read_only ->
+               Xshard.execute (the ()).xshard ~rid ~shard ~client ~timestamp ~operation ~nondet
+                 ~read_only);
         propose_nondet =
           (fun ~operation ->
             (cell ~shard rid).wrapper.Service.propose_nondet
@@ -527,7 +482,11 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
           (fun ~operation ~nondet ->
             (cell ~shard rid).wrapper.Service.check_nondet
               ~clock_us:(Engine.local_clock engine rid) ~operation ~nondet);
-        ready = (if n_shards <= 1 then Replica.always_ready else Xshard.ready xshard ~rid ~shard);
+        ready =
+          (if n_shards <= 1 then Replica.always_ready
+           else
+             fun ~client ~timestamp ~operation ->
+               Xshard.ready (the ()).xshard ~rid ~shard ~client ~timestamp ~operation);
         take_checkpoint =
           (fun ~seq ~client_rows -> Objrepo.take_checkpoint (node_repo ()) ~seq ~client_rows);
         discard_checkpoints_below = (fun seq -> Objrepo.discard_below (node_repo ()) seq);
@@ -545,10 +504,24 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
         replica;
         repo;
         wrapper;
-        standby = Recovery.standby_sync recovery rid;
+        standby =
+          (if Types.is_standby config rid then
+             Some
+               {
+                 ss_synced_seq = -1;
+                 ss_synced_at_us = -1L;
+                 ss_root = Digest.zero;
+                 ss_client_rows = [];
+                 ss_promotions = 0;
+               }
+           else None);
         fetcher = None;
         recovery_stats =
-          (if shard = 0 then Recovery.stats recovery rid else Recovery.fresh_stats ());
+          {
+            recoveries = 0;
+            episode = State_transfer.fresh_stats ();
+            fetched = State_transfer.fresh_stats ();
+          };
       }
     in
     replica_cells.(shard).(rid) <- Some node;
@@ -621,8 +594,11 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
       standbys;
       clients;
       orchestrator;
-      xshard;
-      recovery;
+      xshard = Xshard.create ~config ~engine cells;
+      recovery =
+        Recovery.create ~config ~engine ~chains ~metrics ~trace ~orchestrator
+          ~fetch:(fun node -> launch_fetch (the ()) node)
+          (Array.append replicas standbys);
       metrics;
       profile;
       trace;
@@ -658,7 +634,7 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
   Array.iter
     (fun node ->
       Engine.add_node engine ~id:node.rid (deliver node.rid);
-      Recovery.arm_shadow recovery node.rid)
+      Recovery.arm_shadow t.recovery node.rid)
     standbys;
   Array.iter
     (fun c ->

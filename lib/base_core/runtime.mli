@@ -30,27 +30,12 @@ exception Internal_error of string
 (** Broken runtime wiring (a node callback ran before construction
     finished).  Unreachable by design. *)
 
-(** The recovery records: per-cell {!recovery_stats}, one
-    {!recovery_timeline} per episode and a standby's {!standby_sync}. *)
+(** The per-node records, declared in {!Cell}: the {!replica_node} cell
+    with its {!recovery_stats} and a standby's {!standby_sync}, and one
+    {!recovery_timeline} per recovery episode. *)
 include module type of struct
-  include Recovery.Records
+  include Cell
 end
-
-type replica_node = {
-  rid : int;
-  shard : int;
-      (** the agreement instance this cell serves; a physical node hosts one
-          cell per shard, all sharing its node id on the network *)
-  replica : Base_bft.Replica.t;
-  mutable repo : Objrepo.t;
-  mutable wrapper : Service.wrapper;
-      (** [repo]/[wrapper] are mutable because promotion swaps them between
-          the slot node and the standby node — the warm state takes over the
-          slot identity, the suspect state is demoted for wiping *)
-  standby : standby_sync option;  (** [Some] iff this node is a warm standby *)
-  mutable fetcher : State_transfer.t option;
-  recovery_stats : recovery_stats;
-}
 
 val msg_size : msg -> int
 (** Wire-size estimate, for building a custom engine config. *)

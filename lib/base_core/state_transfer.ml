@@ -434,6 +434,9 @@ let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(into = []) ~repo ~so
 
 let local_tree t = Objrepo.current_tree t.repo
 
+(* Install the fetched batch once nothing is pending.  The completion
+   callback runs from [handle_reply], after the call's counts are
+   published. *)
 let maybe_complete t =
   if
     (not t.done_) && t.app_root <> None
@@ -446,9 +449,7 @@ let maybe_complete t =
     (* Invalidate stale local checkpoints before mutating the concrete
        state, then install the whole batch with one put_objs call. *)
     Objrepo.discard_below t.repo (t.target_seq + 1);
-    if objs <> [] then Objrepo.install t.repo objs;
-    let app_root = Option.get t.app_root in
-    t.on_complete ~seq:t.target_seq ~app_root ~client_rows:t.client_rows
+    if objs <> [] then Objrepo.install t.repo objs
   end
 
 (* Descend into a certified node: if our local digest already matches, the
@@ -590,9 +591,9 @@ let handle_obj_reply t ~from ~index ~off ~total ~data =
 
 (* Publish the counts one [handle_reply] or [retry] call added since
    [before] into every record the fetcher was handed, and the registry.
-   This runs when the call returns, after any completion callback it
-   triggered, so that callback still sees the totals up to the previous
-   message. *)
+   This runs before any completion callback the call triggers, so that
+   callback sees the totals including the reply that completed the
+   fetch. *)
 let publish t ~before =
   List.iter (fun into -> add_delta ~into ~before t.stats) t.into;
   match t.metrics with
@@ -643,9 +644,12 @@ let handle_reply t ~from msg =
       handle_obj_reply t ~from ~index ~off ~total ~data
     | Head_reply _ | Meta_reply _ | Obj_reply _
     | Fetch_head _ | Fetch_meta _ | Fetch_obj _ -> ());
-    pump t
+    pump t;
+    publish t ~before;
+    if t.done_ then
+      t.on_complete ~seq:t.target_seq ~app_root:(Option.get t.app_root)
+        ~client_rows:t.client_rows
   end;
-  publish t ~before;
   Option.iter
     (fun m -> Metrics.set_max (Metrics.gauge m "base.st.inflight") (float_of_int t.n_inflight))
     t.metrics;

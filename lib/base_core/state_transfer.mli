@@ -172,8 +172,9 @@ val start :
     (default 8) meta/object requests are in flight.
 
     Each {!handle_reply} and {!retry} call adds the counts it changed into
-    every record of [into] when it returns, after any [on_complete] it
-    triggered.  With [metrics], it also counts [base.st.cache_hits],
+    every record of [into] before it returns, and before any [on_complete]
+    it triggers, so the completion's view of those records includes the
+    reply that completed the fetch.  With [metrics], it also counts [base.st.cache_hits],
     [base.st.source_quarantined] and [base.st.source_bytes.<rid>], and
     keeps the peak window occupancy in the [base.st.inflight] gauge.
     [trace] receives named diagnostic events with their attributes:

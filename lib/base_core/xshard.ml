@@ -12,12 +12,6 @@ module Replica = Base_bft.Replica
    committed sequence numbers, so every correct node drives the protocol
    through exactly the same states without extra communication. *)
 
-type cells = {
-  replica : shard:int -> int -> Replica.t;
-  repo : shard:int -> int -> Objrepo.t;
-  wrapper : shard:int -> int -> Service.wrapper;
-}
-
 (* One participant shard of a cross-shard operation, as seen by one node.
    [xp_arrived] is the deterministic lock-acquisition event: the shard's
    agreement instance reached the lock request at its committed execution
@@ -70,11 +64,11 @@ type xnode = {
 type 'msg t = {
   config : Types.config;
   engine : 'msg Engine.t;
-  cells : cells;
+  cells : Cell.replica_node array array;  (* [cells.(shard).(rid)] *)
   nodes : xnode array;
 }
 
-let create ~config ~engine ~cells =
+let create ~config ~engine cells =
   let n_shards = Types.n_shards config in
   {
     config;
@@ -147,7 +141,7 @@ let parse_lock ~n_shards operation =
 
 let submit_lock t xn x p =
   Replica.submit_internal
-    (t.cells.replica ~shard:p.xp_shard xn.xn_rid)
+    t.cells.(p.xp_shard).(xn.xn_rid).Cell.replica
     {
       Message.client = Types.internal_client ~shard:x.x_coord;
       timestamp = x.x_lock_ts;
@@ -214,17 +208,17 @@ let ready t ~rid ~shard ~client ~timestamp ~operation =
           p.xp_arrived <- true;
           if p.xp_obliged then begin
             p.xp_obliged <- false;
-            Replica.clear_external_pending (t.cells.replica ~shard rid)
+            Replica.clear_external_pending t.cells.(shard).(rid).Cell.replica
           end;
           (* The coordinator cell may be parked waiting for this arrival. *)
           if List.for_all (fun q -> q.xp_arrived) x.x_parts then
-            Replica.resume_execution (t.cells.replica ~shard:x.x_coord rid)
+            Replica.resume_execution t.cells.(x.x_coord).(rid).Cell.replica
         | Some _ | None -> ());
         x.x_done
       end
   end
   else begin
-    match footprint_shards t (t.cells.wrapper ~shard rid) ~operation with
+    match footprint_shards t t.cells.(shard).(rid).Cell.wrapper ~operation with
     | [] | [ _ ] -> true
     | coord :: parts when coord = shard ->
       let x = get xn ~client ~ts:timestamp ~coord ~parts in
@@ -233,7 +227,7 @@ let ready t ~rid ~shard ~client ~timestamp ~operation =
         if Int64.compare x.x_lock_ts 0L < 0 then begin
           (* First query: the committed head sequence is agreed, so the
              derived lock timestamp is identical on every node. *)
-          let seq = Replica.last_executed (t.cells.replica ~shard rid) + 1 in
+          let seq = Replica.last_executed t.cells.(shard).(rid).Cell.replica + 1 in
           x.x_lock_ts <-
             next_lock_ts xn.xn_clock ~batch_max:t.config.Types.batch_max ~coord ~seq
         end;
@@ -245,7 +239,7 @@ let ready t ~rid ~shard ~client ~timestamp ~operation =
               (* Keep the participant shard's view-change timer armed while
                  the lock is outstanding: a mute participant primary must
                  not be able to park the coordinator forever. *)
-              Replica.add_external_pending (t.cells.replica ~shard:p.xp_shard rid)
+              Replica.add_external_pending t.cells.(p.xp_shard).(rid).Cell.replica
             end;
             submit_lock t xn x p)
           waiting;
@@ -265,14 +259,14 @@ let ready t ~rid ~shard ~client ~timestamp ~operation =
 let modify t ~rid ~allowed i =
   let owner = Types.shard_of_oid t.config i in
   if not (List.exists (fun s -> s = owner) allowed) then raise Footprint;
-  let n_objects = (t.cells.wrapper ~shard:owner rid).Service.n_objects in
+  let n_objects = t.cells.(owner).(rid).Cell.wrapper.Service.n_objects in
   let lo, _ = Types.shard_range t.config ~n_objects owner in
-  Objrepo.modify (t.cells.repo ~shard:owner rid) (i - lo)
+  Objrepo.modify t.cells.(owner).(rid).Cell.repo (i - lo)
 
 let execute t ~rid ~shard ~client ~timestamp ~operation ~nondet ~read_only =
   if Types.is_internal_client client then ""
   else begin
-    let w = t.cells.wrapper ~shard rid in
+    let w = t.cells.(shard).(rid).Cell.wrapper in
     let shards = footprint_shards t w ~operation in
     let joint =
       match shards with
@@ -295,7 +289,7 @@ let execute t ~rid ~shard ~client ~timestamp ~operation ~nondet ~read_only =
            (* Release: each participant's gate now answers true; kick their
               execution loops so the parked batches drain. *)
            List.iter
-             (fun p -> Replica.resume_execution (t.cells.replica ~shard:p.xp_shard rid))
+             (fun p -> Replica.resume_execution t.cells.(p.xp_shard).(rid).Cell.replica)
              x.x_parts
          end
        | [] -> ());

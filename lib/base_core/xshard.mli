@@ -7,20 +7,21 @@
     operation then executes on the coordinator with [modify] routed to
     each owning shard's repo, and releases the participants.  Every step is
     derived from committed sequence numbers, so all correct nodes drive the
-    protocol through the same states without extra messages. *)
+    protocol through the same states without extra messages.
 
-(** What the protocol needs of the replica cells, supplied by their owner:
-    the cell serving [shard] on node [rid], its repo and its wrapper. *)
-type cells = {
-  replica : shard:int -> int -> Base_bft.Replica.t;
-  repo : shard:int -> int -> Objrepo.t;
-  wrapper : shard:int -> int -> Service.wrapper;
-}
+    The protocol works on the {!Cell.replica_node} matrix its creator hands
+    it, [cells.(shard).(rid)], and reads each cell's replica, repo and
+    wrapper directly. *)
 
 type 'msg t
 (** Cross-shard state of every active node. *)
 
-val create : config:Base_bft.Types.config -> engine:'msg Base_sim.Engine.t -> cells:cells -> 'msg t
+val create :
+  config:Base_bft.Types.config ->
+  engine:'msg Base_sim.Engine.t ->
+  Cell.replica_node array array ->
+  'msg t
+(** Over the cells of the active nodes, [cells.(shard).(rid)]. *)
 
 val ready :
   'msg t -> rid:int -> shard:int -> client:int -> timestamp:int64 -> operation:string -> bool

@@ -1,10 +1,13 @@
 (* Focused tests of the proactive-recovery and catch-up machinery: STATUS
    retransmission, rollback-and-replay repair, recovery under continuous
-   load, and key refresh. *)
+   load, key refresh, and the fetch bookkeeping the cells share with the
+   runtime. *)
 
 open Helpers
 module Runtime = Base_core.Runtime
 module Objrepo = Base_core.Objrepo
+module State_transfer = Base_core.State_transfer
+module Types = Base_bft.Types
 module Replica = Base_bft.Replica
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
@@ -133,6 +136,135 @@ let test_staggering_limits_concurrent_recoveries () =
     (Printf.sprintf "at most 1 replica down at once (saw %d)" !max_down)
     true (!max_down <= 1)
 
+let test_retry_chain_drives_only_its_fetcher () =
+  (* Replica 3 fetches the current checkpoint (fetch A), and as soon as A
+     has finished, well inside A's first 50 ms retry period, starts a
+     second fetch (B) behind a partition.  B gets no reply, so its own
+     retry chain retries it once per 50 ms; A's leftover tick must not
+     retry it as well. *)
+  let sys, _ = make_system ~seed:47L ~checkpoint_period:8 () in
+  drive_load sys ~ops:10 ~gap_ms:20;
+  settle sys 0.5;
+  let engine = Runtime.engine sys in
+  let node = Runtime.replica sys 3 in
+  let fetch () =
+    match Replica.fetch_target node.Runtime.replica with
+    | Some (seq, digest) -> Replica.force_fetch node.Runtime.replica ~seq ~digest
+    | None -> Alcotest.fail "no certified checkpoint"
+  in
+  let a_start = Runtime.now sys in
+  fetch ();
+  Alcotest.(check bool) "fetch A in flight" true (Option.is_some node.Runtime.fetcher);
+  while Option.is_some node.Runtime.fetcher && Engine.step engine do
+    ()
+  done;
+  Alcotest.(check bool) "fetch A finished before its first retry" true
+    Sim_time.(Runtime.now sys < add a_start (of_ms 50));
+  Engine.partition engine [ 3 ] [ 0; 1; 2 ];
+  let retries () = node.Runtime.recovery_stats.Runtime.fetched.State_transfer.retries in
+  let before = retries () in
+  fetch ();
+  Alcotest.(check bool) "fetch B in flight" true (Option.is_some node.Runtime.fetcher);
+  (* Two retry periods, short of the third round that re-targets B. *)
+  settle sys 0.12;
+  Alcotest.(check int) "one retry per 50 ms" 2 (retries () - before)
+
+let test_timeline_counts_the_completing_reply () =
+  (* Replica 2 reboots while the group writes, so its recovery fetches the
+     objects it missed.  The episode's timeline is stamped when the fetch
+     completes and must include the reply that completed it. *)
+  let sys, _ = make_system ~seed:48L ~checkpoint_period:8 () in
+  drive_load sys ~ops:12 ~gap_ms:20;
+  Runtime.recover_now ~reboot_us:100_000 sys 2;
+  drive_load sys ~ops:16 ~gap_ms:5;
+  settle sys 2.0;
+  match Runtime.recovery_timelines sys with
+  | [ tl ] ->
+    let episode = (Runtime.replica sys 2).Runtime.recovery_stats.Runtime.episode in
+    Alcotest.(check bool) "the episode completed" true (Runtime.timeline_window_us tl <> None);
+    Alcotest.(check bool) "the fetch installed objects" true (tl.Runtime.tl_objects >= 1);
+    Alcotest.(check int) "objects" episode.State_transfer.objects_fetched tl.Runtime.tl_objects;
+    Alcotest.(check int) "bytes" episode.State_transfer.bytes_fetched tl.Runtime.tl_bytes
+  | tls -> Alcotest.failf "expected one recovery episode, got %d" (List.length tls)
+
+(* Every cell of the system: the active cells of every shard, then the
+   standbys. *)
+let all_cells sys =
+  let config = Runtime.config sys in
+  List.concat
+    (List.init (Runtime.n_shards sys) (fun shard ->
+         List.init config.Types.n (fun rid -> Runtime.shard_replica sys ~shard rid)))
+  @ List.init config.Types.s (fun i -> Runtime.standby sys (config.Types.n + i))
+
+let st_fields (s : State_transfer.stats) =
+  [
+    ("meta_fetched", s.State_transfer.meta_fetched);
+    ("objects_fetched", s.State_transfer.objects_fetched);
+    ("bytes_fetched", s.State_transfer.bytes_fetched);
+    ("chunks_fetched", s.State_transfer.chunks_fetched);
+    ("cache_hits", s.State_transfer.cache_hits);
+    ("retries", s.State_transfer.retries);
+    ("quarantines", s.State_transfer.quarantines);
+    ("heads_rejected", s.State_transfer.heads_rejected);
+    ("meta_rejected", s.State_transfer.meta_rejected);
+    ("objects_rejected", s.State_transfer.objects_rejected);
+  ]
+
+(* [Runtime.st_totals] is the sum of every cell's lifetime fetch tally. *)
+let check_st_totals what sys =
+  let sum =
+    List.fold_left
+      (fun acc node ->
+        List.map2
+          (fun (k, a) (_, b) -> (k, a + b))
+          acc
+          (st_fields node.Runtime.recovery_stats.Runtime.fetched))
+      (st_fields (State_transfer.fresh_stats ()))
+      (all_cells sys)
+  in
+  let totals = st_fields (Runtime.st_totals sys) in
+  Alcotest.(check bool) (what ^ ": some objects were fetched") true
+    (List.assoc "objects_fetched" totals > 0);
+  List.iter2 (fun (k, total) (_, cells) -> Alcotest.(check int) (what ^ ": " ^ k) total cells) totals sum
+
+let test_st_totals_sum_the_cells () =
+  let sys, _ = make_system ~seed:49L ~checkpoint_period:8 () in
+  Runtime.enable_proactive_recovery ~reboot_us:80_000 ~period_us:1_200_000 sys;
+  drive_load sys ~ops:40 ~gap_ms:100;
+  Runtime.disable_proactive_recovery sys;
+  settle sys 2.0;
+  check_st_totals "recovery run" sys;
+  let sys, _ = make_system ~seed:50L ~checkpoint_period:8 ~standbys:1 () in
+  drive_load sys ~ops:24 ~gap_ms:20;
+  Runtime.promote_now ~promote_us:20_000 sys 1;
+  drive_load sys ~ops:16 ~gap_ms:20;
+  settle sys 1.0;
+  check_st_totals "standby run" sys;
+  (* Sharded: node 3 misses more than a log window in both shards and
+     catches up by one fetch per shard cell. *)
+  let { Base_workload.Systems.reg_runtime = sys; _ } =
+    Base_workload.Systems.make_registers ~seed:51L ~shards:2 ~n_objects:8 ~checkpoint_period:4 ()
+  in
+  let write round i = ignore (set sys ~client:0 i (Printf.sprintf "r%d.%d" round i)) in
+  Engine.set_node_up (Runtime.engine sys) 3 false;
+  for round = 0 to 3 do
+    for i = 0 to 7 do
+      write round i
+    done
+  done;
+  Engine.set_node_up (Runtime.engine sys) 3 true;
+  for i = 0 to 7 do
+    write 4 i
+  done;
+  settle sys 1.0;
+  Alcotest.(check bool) "both shard cells of node 3 fetched" true
+    (List.for_all
+       (fun shard ->
+         (Runtime.shard_replica sys ~shard 3).Runtime.recovery_stats.Runtime.fetched
+           .State_transfer.objects_fetched > 0)
+       [ 0; 1 ]);
+  check_st_totals "sharded run" sys
+
 let suite =
   [
     Alcotest.test_case "status refills a briefly-down replica" `Quick
@@ -144,4 +276,9 @@ let suite =
     Alcotest.test_case "rollback and replay exact" `Quick test_rollback_replay_exact;
     Alcotest.test_case "staggering limits concurrent recoveries" `Quick
       test_staggering_limits_concurrent_recoveries;
+    Alcotest.test_case "retry chain drives only its fetcher" `Quick
+      test_retry_chain_drives_only_its_fetcher;
+    Alcotest.test_case "timeline counts the completing reply" `Quick
+      test_timeline_counts_the_completing_reply;
+    Alcotest.test_case "st_totals sum the cells" `Quick test_st_totals_sum_the_cells;
   ]
