@@ -86,28 +86,18 @@ let enc_request e (r : request) =
   Xdr.opaque e r.operation;
   Xdr.bool e r.read_only
 
-(* One encoder for every top-level encoding below: encoding calls nothing
-   that could re-enter it, so each call resets it and pays only for the
-   final [contents] copy (single-domain, like the crypto scratch). *)
-let scratch = Xdr.encoder ()
-
-let encode_request r =
-  Xdr.reset scratch;
-  enc_request scratch r;
-  Xdr.contents scratch
-
-let request_digest r = Digest.of_string (encode_request r)
+let request_digest r = Digest.of_string (Xdr.encode enc_request r)
 
 (* Canonical encoding of a proposed ordering: the XDR batch (count-prefixed)
    plus the length-prefixed nondet proposal.  Both prefixes matter — they
    make the encoding injective, so one SHA-256 pass over it binds the batch
    composition and the nondet choice at once (the per-request digest-then-
    combine scheme this replaces cost one hash per request per replica). *)
-let encode_batch requests ~nondet =
-  Xdr.reset scratch;
-  Xdr.list scratch enc_request requests;
-  Xdr.opaque scratch nondet;
-  Xdr.contents scratch
+let enc_batch e (requests, nondet) =
+  Xdr.list e enc_request requests;
+  Xdr.opaque e nondet
+
+let encode_batch requests ~nondet = Xdr.encode enc_batch (requests, nondet)
 
 let enc_digest e d = Xdr.opaque e (Digest.raw d)
 
@@ -124,10 +114,7 @@ let enc_vote e (v : vote) =
   enc_digest e v.digest;
   enc_id e v.replica
 
-let encode_body body =
-  let e = scratch in
-  Xdr.reset e;
-  (match body with
+let enc_body e = function
   | Request r ->
     Xdr.u32 e 0;
     enc_request e r
@@ -173,8 +160,9 @@ let encode_body body =
     Xdr.u32 e st.st_view;
     Xdr.u32 e st.st_last_exec;
     Xdr.u32 e st.st_h;
-    enc_id e st.st_replica);
-  Xdr.contents e
+    enc_id e st.st_replica
+
+let encode_body body = Xdr.encode enc_body body
 
 (* --- decoding: total over arbitrary bytes, since [Replica.receive_wire]
    decodes whatever arrives, corrupted or forged (property-tested) *)
@@ -213,55 +201,51 @@ let dec_vote d =
   let replica = dec_id d in
   { view; seq; digest; replica }
 
-let decode_body data =
-  match
-    let d = Xdr.decoder data in
-    let body =
-    match Xdr.read_u32 d with
-    | 0 -> Request (dec_request d)
-    | 1 -> Pre_prepare (dec_pre_prepare d)
-    | 2 -> Prepare (dec_vote d)
-    | 3 -> Commit (dec_vote d)
-    | 4 ->
-      let view = Xdr.read_u32 d in
-      let timestamp = Xdr.read_i64 d in
-      let client = dec_id d in
-      let replica = dec_id d in
-      let result = Xdr.read_opaque d in
-      Reply { view; timestamp; client; replica; result }
-    | 5 ->
-      let seq = Xdr.read_u32 d in
-      let digest = dec_digest d in
-      let replica = dec_id d in
-      Checkpoint { seq; digest; replica }
-    | 6 ->
-      let new_view = Xdr.read_u32 d in
-      let last_stable = Xdr.read_u32 d in
-      let stable_digest = dec_digest d in
-      let prepared = Xdr.read_list d dec_pre_prepare in
-      let replica = dec_id d in
-      View_change { new_view; last_stable; stable_digest; prepared; replica }
-    | 7 ->
-      let nv_view = Xdr.read_u32 d in
-      let nv_view_changes =
-        Xdr.read_list d (fun d ->
-            let r = dec_id d in
-            let s = Xdr.read_u32 d in
-            (r, s))
-      in
-      let nv_pre_prepares = Xdr.read_list d dec_pre_prepare in
-      New_view { nv_view; nv_view_changes; nv_pre_prepares }
-    | 8 ->
-      let st_view = Xdr.read_u32 d in
-      let st_last_exec = Xdr.read_u32 d in
-      let st_h = Xdr.read_u32 d in
-      let st_replica = dec_id d in
-      Status { st_view; st_last_exec; st_h; st_replica }
-    | n -> raise (Xdr.Decode_error (Printf.sprintf "bad message tag %d" n))
+let dec_body d =
+  match Xdr.read_u32 d with
+  | 0 -> Request (dec_request d)
+  | 1 -> Pre_prepare (dec_pre_prepare d)
+  | 2 -> Prepare (dec_vote d)
+  | 3 -> Commit (dec_vote d)
+  | 4 ->
+    let view = Xdr.read_u32 d in
+    let timestamp = Xdr.read_i64 d in
+    let client = dec_id d in
+    let replica = dec_id d in
+    let result = Xdr.read_opaque d in
+    Reply { view; timestamp; client; replica; result }
+  | 5 ->
+    let seq = Xdr.read_u32 d in
+    let digest = dec_digest d in
+    let replica = dec_id d in
+    Checkpoint { seq; digest; replica }
+  | 6 ->
+    let new_view = Xdr.read_u32 d in
+    let last_stable = Xdr.read_u32 d in
+    let stable_digest = dec_digest d in
+    let prepared = Xdr.read_list d dec_pre_prepare in
+    let replica = dec_id d in
+    View_change { new_view; last_stable; stable_digest; prepared; replica }
+  | 7 ->
+    let nv_view = Xdr.read_u32 d in
+    let nv_view_changes =
+      Xdr.read_list d (fun d ->
+          let r = dec_id d in
+          let s = Xdr.read_u32 d in
+          (r, s))
     in
-    Xdr.expect_end d;
-    body
-  with
+    let nv_pre_prepares = Xdr.read_list d dec_pre_prepare in
+    New_view { nv_view; nv_view_changes; nv_pre_prepares }
+  | 8 ->
+    let st_view = Xdr.read_u32 d in
+    let st_last_exec = Xdr.read_u32 d in
+    let st_h = Xdr.read_u32 d in
+    let st_replica = dec_id d in
+    Status { st_view; st_last_exec; st_h; st_replica }
+  | n -> raise (Xdr.Decode_error (Printf.sprintf "bad message tag %d" n))
+
+let decode_body data =
+  match Xdr.decode dec_body data with
   | body -> Ok body
   | exception Xdr.Decode_error msg -> Error msg
 
@@ -303,14 +287,22 @@ let envelope ~sender ~shard ~body ~wire ~digest_memo ~macs ~mac_lo =
     size = String.length wire + (8 * Array.length macs) + 16 + shard_overhead shard;
   }
 
+let authenticator chain ~shard ~n_receivers d =
+  Base_crypto.Auth.digest_authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
+    (Digest.raw d)
+
 let seal chain ?(shard = 0) ~sender ~n_receivers body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
-  let macs =
-    Base_crypto.Auth.digest_authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
-      (Digest.raw d)
-  in
+  let macs = authenticator chain ~shard ~n_receivers d in
   envelope ~sender ~shard ~body ~wire ~digest_memo:(Some d) ~macs ~mac_lo:0
+
+(* A re-send shares the sealed bytes and their digest; only the MACs are
+   new, computed under the keys held now. *)
+let reseal chain ~n_receivers env =
+  let macs = authenticator chain ~shard:env.shard ~n_receivers (envelope_digest env) in
+  envelope ~sender:env.sender ~shard:env.shard ~body:env.body ~wire:env.wire
+    ~digest_memo:env.digest_memo ~macs ~mac_lo:0
 
 let seal_for chain ?(shard = 0) ~sender ~receiver body =
   let wire = encode_body body in

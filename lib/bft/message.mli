@@ -135,6 +135,13 @@ val seal :
     for shard [k > 0] the MAC input mixes in the shard id, while shard 0
     MACs are byte-identical to pre-sharding envelopes. *)
 
+val reseal : Base_crypto.Auth.keychain -> n_receivers:int -> envelope -> envelope
+(** [reseal chain ~n_receivers env] is [env] with a fresh authenticator for
+    receivers [0 .. n_receivers - 1] under [chain]'s current keys.  The
+    result shares [env]'s wire bytes and digest: it equals [seal] of the
+    same body, without re-encoding or re-hashing it.  [env] must be one of
+    [chain]'s own envelopes. *)
+
 val seal_for :
   Base_crypto.Auth.keychain -> ?shard:int -> sender:int -> receiver:int -> body -> envelope
 (** Build a unicast envelope carrying a single MAC for [receiver] — the form

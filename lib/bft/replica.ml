@@ -91,6 +91,7 @@ let make_obs ?(suffix = "") metrics =
    are local phase timestamps (-1 = milestone not reached). *)
 type entry = {
   mutable pre_prepare : M.pre_prepare option;
+  mutable pp_env : M.envelope option;  (* [pre_prepare] as this primary sealed it *)
   prepares : Digest.t option array;
   commits : Digest.t option array;
   mutable sent_commit : bool;
@@ -159,6 +160,7 @@ type t = {
 let fresh_entry n =
   {
     pre_prepare = None;
+    pp_env = None;
     prepares = Array.make n None;
     commits = Array.make n None;
     sent_commit = false;
@@ -252,15 +254,13 @@ let client_rows_of_table clients =
     (sorted_bindings clients)
   |> List.sort compare_client_row
 
+let enc_row e (c, ts, res) =
+  Base_codec.Xdr.u32 e c;
+  Base_codec.Xdr.i64 e ts;
+  Base_codec.Xdr.opaque e res
+
 let digest_of_rows rows =
-  let e = Base_codec.Xdr.encoder () in
-  Base_codec.Xdr.list e
-    (fun e (c, ts, res) ->
-      Base_codec.Xdr.u32 e c;
-      Base_codec.Xdr.i64 e ts;
-      Base_codec.Xdr.opaque e res)
-    rows;
-  Digest.of_string (Base_codec.Xdr.contents e)
+  Digest.of_string (Base_codec.Xdr.encode (fun e rows -> Base_codec.Xdr.list e enc_row rows) rows)
 
 let checkpoint_digest ~app_digest ~client_rows =
   Digest.combine [ app_digest; digest_of_rows client_rows ]
@@ -280,25 +280,42 @@ let checkpoint_now t ~seq =
 (* Replica-to-replica messages authenticate to receivers [0 .. receivers - 1]:
    the n replicas, or the whole n+s group for checkpoint announcements (see
    [announce_checkpoint]).  Replies carry a single MAC for their client (see
-   [send_reply]). *)
-let seal t ~receivers body =
+   [send_reply]).  [?resend] is an envelope this replica sealed before:
+   [body] is then ignored, and only the MACs are computed afresh. *)
+let seal ?resend t ~receivers body =
   Base_obs.Profile.start t.prof t.p_seal;
-  let env = M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:receivers body in
+  let env =
+    match resend with
+    | Some env -> M.reseal t.keychain ~n_receivers:receivers env
+    | None -> M.seal t.keychain ~shard:t.shard ~sender:t.id ~n_receivers:receivers body
+  in
   Base_obs.Profile.stop t.prof t.p_seal;
   env
 
 let send_one t ~dst body =
   if t.behavior <> Mute then t.net.send ~dst (seal t ~receivers:t.config.n body)
 
+let send_all t ~receivers env =
+  for r = 0 to receivers - 1 do
+    if r <> t.id then t.net.send ~dst:r env
+  done
+
 let broadcast_to t ~receivers body =
-  if t.behavior <> Mute then begin
-    let env = seal t ~receivers body in
-    for r = 0 to receivers - 1 do
-      if r <> t.id then t.net.send ~dst:r env
-    done
-  end
+  if t.behavior <> Mute then send_all t ~receivers (seal t ~receivers body)
 
 let broadcast t body = broadcast_to t ~receivers:t.config.n body
+
+(* The slot's PRE-PREPARE, sealed for the replicas.  The envelope is kept
+   in the entry, and a re-send re-MACs its digest under the current keys
+   (proactive recovery may have refreshed them), so it neither re-encodes
+   nor re-hashes the batch.  An equivocator's envelopes are never kept. *)
+let pp_envelope t entry pp =
+  let env = seal ?resend:entry.pp_env t ~receivers:t.config.n (M.Pre_prepare pp) in
+  if t.behavior <> Equivocate then entry.pp_env <- Some env;
+  env
+
+let broadcast_pre_prepare t entry pp =
+  if t.behavior <> Mute then send_all t ~receivers:t.config.n (pp_envelope t entry pp)
 
 (* Checkpoint announcements go to the whole n+s group, sealed so standbys
    can verify them too: the certificates standbys build from these are
@@ -558,6 +575,7 @@ and assign t (batch : M.request list) =
   let pp = { M.view = t.view; seq; digest; requests = batch; nondet } in
   let entry = get_entry t seq in
   entry.pre_prepare <- Some pp;
+  entry.pp_env <- None;
   entry.t_pp <- now t;
   List.iter
     (fun (r : M.request) ->
@@ -575,7 +593,7 @@ and assign t (batch : M.request list) =
     for dst = 0 to t.config.n - 1 do
       if dst <> t.id then send_one t ~dst (M.Pre_prepare (if dst mod 2 = 0 then pp else pp'))
     done
-  | Honest | Mute | Lie_in_replies -> broadcast t (M.Pre_prepare pp));
+  | Honest | Mute | Lie_in_replies -> broadcast_pre_prepare t entry pp);
   maybe_prepared t seq entry
 
 and inflight t = t.next_seq - t.last_exec
@@ -590,9 +608,9 @@ and propose t (r : M.request) =
       if Int64.equal r.timestamp cr.assigned_ts then Hashtbl.find_opt t.entries cr.assigned_seq
       else None
     with
-    | Some { pre_prepare = Some pp; _ } when pp.view = t.view ->
+    | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
       (* Assigned in this view already: retransmit so lost copies recover. *)
-      broadcast t (M.Pre_prepare pp)
+      broadcast_pre_prepare t entry pp
     | Some _ | None ->
       if window_full t || inflight t >= t.config.max_inflight then
         (* Defer: the request is ordered in a batch as soon as earlier
@@ -681,6 +699,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
     (match entry.pre_prepare with
     | Some existing when existing.view < pp.view && not entry.committed ->
       entry.pre_prepare <- None;
+      entry.pp_env <- None;
       clear_votes entry.prepares;
       clear_votes entry.commits;
       entry.sent_commit <- false;
@@ -974,6 +993,7 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
       let entry = get_entry t pp.seq in
       if not entry.committed then begin
         entry.pre_prepare <- Some pp;
+        entry.pp_env <- None;
         entry.t_pp <- now t;
         clear_votes entry.prepares;
         if not entry.sent_commit then clear_votes entry.commits;
@@ -1121,11 +1141,14 @@ let handle_new_view t sender (nv : M.new_view) =
 (* Send again, through [send], what this replica sent for slot [seq] of the
    current view: its PRE-PREPARE if it leads the view, otherwise its
    PREPARE, plus its COMMIT. *)
-let resend_slot t send seq entry (pp : M.pre_prepare) =
-  let vote = { M.view = pp.view; seq; digest = pp.digest; replica = t.id } in
-  if primary_of t pp.view = t.id then send (M.Pre_prepare pp)
-  else if Option.is_some entry.prepares.(t.id) then send (M.Prepare vote);
-  if entry.sent_commit then send (M.Commit vote)
+let resend_slot t deliver seq entry (pp : M.pre_prepare) =
+  if t.behavior <> Mute then begin
+    let vote = { M.view = pp.view; seq; digest = pp.digest; replica = t.id } in
+    let send body = deliver (seal t ~receivers:t.config.n body) in
+    if primary_of t pp.view = t.id then deliver (pp_envelope t entry pp)
+    else if Option.is_some entry.prepares.(t.id) then send (M.Prepare vote);
+    if entry.sent_commit then send (M.Commit vote)
+  end
 
 let arm_status_timer t =
   (match t.status_timer with Some id -> t.net.cancel_timer id | None -> ());
@@ -1147,7 +1170,8 @@ let on_status_timer t =
       (fun (seq, entry) ->
         if seq > t.last_exec then begin
           match entry.pre_prepare with
-          | Some pp when pp.view = t.view -> resend_slot t (broadcast t) seq entry pp
+          | Some pp when pp.view = t.view ->
+            resend_slot t (send_all t ~receivers:t.config.n) seq entry pp
           | Some _ | None -> ()
         end)
       (sorted_bindings t.entries);
@@ -1234,7 +1258,7 @@ let handle_status t sender (st : M.status_msg) =
          within [upper] never exceeds the log window, so cap the replay
          count there and serve the top of the range. *)
       let count = min (upper - st.st_last_exec) t.config.log_window in
-      let unreplayable = ref false and send = send_one t ~dst:sender in
+      let unreplayable = ref false and send = t.net.send ~dst:sender in
       for off = 1 to count do
         let seq = upper - count + off in
         (match Hashtbl.find_opt t.entries seq with

@@ -2,12 +2,11 @@ exception Decode_error of string
 
 (* --- encoding --------------------------------------------------------------
 
-   The encoder writes straight into a growable [Bytes.t].  Buffer.add_char
-   per byte (the previous implementation, kept under {!Ref}) pays a bounds
-   check and a capacity check per character; sealing hashes and MACs every
-   protocol message, so encode cost is pure hot-path overhead.  All stores
-   below go through [Bytes.unsafe_set] only after [ensure] has established
-   capacity. *)
+   The encoder writes straight into a growable [Bytes.t], in whole fields
+   ([Bytes.set_int32_be], blits), each after [ensure] has established
+   capacity: a per-byte [Buffer.add_char] would pay a bounds check and a
+   capacity check per character, and sealing hashes and MACs every protocol
+   message, so encode cost is pure hot-path overhead. *)
 
 type encoder = { mutable buf : Bytes.t; mutable len : int }
 
@@ -30,12 +29,8 @@ let ensure e n =
 let u32 e v =
   Base_util.Invariant.require (v >= 0 && v <= 0xffffffff) "Xdr.u32: out of range";
   ensure e 4;
-  let p = e.len in
-  Bytes.unsafe_set e.buf p (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set e.buf (p + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set e.buf (p + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set e.buf (p + 3) (Char.unsafe_chr (v land 0xff));
-  e.len <- p + 4
+  Bytes.set_int32_be e.buf e.len (Int32.of_int v);
+  e.len <- e.len + 4
 
 let i64 e v =
   ensure e 8;
@@ -52,9 +47,7 @@ let opaque e s =
   u32 e n;
   ensure e (n + pad);
   Bytes.blit_string s 0 e.buf e.len n;
-  for i = 0 to pad - 1 do
-    Bytes.unsafe_set e.buf (e.len + n + i) '\000'
-  done;
+  Bytes.unsafe_fill e.buf (e.len + n) pad '\000';
   e.len <- e.len + n + pad
 
 let str = opaque
@@ -70,6 +63,27 @@ let option e enc = function
     enc e x
 
 let contents e = Bytes.sub_string e.buf 0 e.len
+
+(* One scratch encoder serves every one-shot encoding in the stack, so each
+   pays only for its [contents] copy, not for a fresh buffer grown to fit.
+   An encoder function that itself calls [encode] finds the scratch busy
+   and gets a fresh encoder (single-domain, like the SHA-256 scratch). *)
+let scratch = encoder ()
+
+let scratch_busy = ref false
+
+let encode enc x =
+  let nested = !scratch_busy in
+  let e = if nested then encoder () else scratch in
+  reset e;
+  scratch_busy := true;
+  match enc e x with
+  | () ->
+    scratch_busy := nested;
+    contents e
+  | exception exn ->
+    scratch_busy := nested;
+    raise exn
 
 (* --- decoding --------------------------------------------------------------
 
@@ -91,19 +105,15 @@ let need d n = if n < 0 || d.pos + n > d.limit then raise (Decode_error "truncat
 
 let read_u32 d =
   need d 4;
-  let b i = Char.code (String.unsafe_get d.data (d.pos + i)) in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v = Int32.to_int (String.get_int32_be d.data d.pos) land 0xffffffff in
   d.pos <- d.pos + 4;
   v
 
 let read_i64 d =
   need d 8;
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (String.unsafe_get d.data (d.pos + i))))
-  done;
+  let v = String.get_int64_be d.data d.pos in
   d.pos <- d.pos + 8;
-  !v
+  v
 
 let read_bool d =
   match read_u32 d with
@@ -149,3 +159,9 @@ let read_option d dec =
 let expect_end d = if d.pos <> d.limit then raise (Decode_error "trailing bytes")
 
 let remaining d = d.limit - d.pos
+
+let decode dec data =
+  let d = decoder data in
+  let v = dec d in
+  expect_end d;
+  v

@@ -18,10 +18,6 @@ type encoder
 
 val encoder : unit -> encoder
 
-val reset : encoder -> unit
-(** Forget everything encoded so far, keeping the buffer: one encoder can
-    serve every message, paying only for each {!contents} copy. *)
-
 val u32 : encoder -> int -> unit
 (** Encode an unsigned 32-bit quantity.  Raises [Invalid_argument] if the
     value does not fit. *)
@@ -43,6 +39,13 @@ val option : encoder -> (encoder -> 'a -> unit) -> 'a option -> unit
 
 val contents : encoder -> string
 (** The bytes encoded so far. *)
+
+val encode : (encoder -> 'a -> unit) -> 'a -> string
+(** [encode enc x] runs [enc] on a shared scratch encoder and returns one
+    copy of what it wrote: a one-shot encoding allocates its result and
+    nothing else once the scratch has grown to fit.  [enc] may call
+    [encode] again; the nested call gets a fresh encoder.  Every one-shot encoding in
+    [lib/] outside this library goes through here (lint rule A1). *)
 
 (** Decoding raises {!Decode_error} on malformed input — truncation, bad
     discriminants, or trailing garbage (via {!expect_end}). *)
@@ -75,6 +78,10 @@ val read_option : decoder -> (decoder -> 'a) -> 'a option
 val expect_end : decoder -> unit
 
 val remaining : decoder -> int
+
+val decode : (decoder -> 'a) -> string -> 'a
+(** [decode dec data] runs [dec] over the whole of [data] and then
+    {!expect_end}: the one-shot twin of {!encode}. *)
 
 (** {1 Zero-copy views}
 

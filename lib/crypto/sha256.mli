@@ -15,6 +15,9 @@ type ctx
 
 val init : unit -> ctx
 
+val reset : ctx -> unit
+(** Return [ctx] to the initial state, reusing its buffers. *)
+
 val update : ctx -> string -> unit
 
 val update_bytes : ctx -> bytes -> pos:int -> len:int -> unit

@@ -52,10 +52,9 @@ let enc_meta e (m : meta) =
   Xdr.i64 e m.mtime;
   Xdr.i64 e m.ctime
 
-let encode_entry (en : entry) =
-  let e = Xdr.encoder () in
+let enc_entry e (en : entry) =
   Xdr.u32 e en.gen;
-  (match en.obj with
+  match en.obj with
   | Null -> Xdr.u32 e 0
   | File { meta; data } ->
     Xdr.u32 e 1;
@@ -73,8 +72,9 @@ let encode_entry (en : entry) =
   | Symlink { meta; target } ->
     Xdr.u32 e 3;
     enc_meta e meta;
-    Xdr.str e target);
-  Xdr.contents e
+    Xdr.str e target
+
+let encode_entry en = Xdr.encode enc_entry en
 
 let dec_meta d =
   let mode = Xdr.read_u32 d in
@@ -84,8 +84,7 @@ let dec_meta d =
   let ctime = Xdr.read_i64 d in
   { mode; uid; gid; mtime; ctime }
 
-let decode_entry s =
-  let d = Xdr.decoder s in
+let dec_entry d =
   let gen = Xdr.read_u32 d in
   let obj =
     match Xdr.read_u32 d with
@@ -110,8 +109,9 @@ let decode_entry s =
       Symlink { meta; target = Xdr.read_str d }
     | n -> raise (Xdr.Decode_error (Printf.sprintf "bad abstract object tag %d" n))
   in
-  Xdr.expect_end d;
   { gen; obj }
+
+let decode_entry s = Xdr.decode dec_entry s
 
 (* --- derived attributes ----------------------------------------------------- *)
 

@@ -72,9 +72,7 @@ let enc_sattr e (s : sattr) =
   enc_opt_u32 e s.s_size;
   Xdr.option e Xdr.i64 s.s_mtime
 
-let encode_call call =
-  let e = Xdr.encoder () in
-  (match call with
+let enc_call e = function
   | Getattr o ->
     Xdr.u32 e 1;
     enc_oid e o
@@ -132,8 +130,9 @@ let encode_call call =
   | Readdir o ->
     Xdr.u32 e 16;
     enc_oid e o
-  | Statfs -> Xdr.u32 e 17);
-  Xdr.contents e
+  | Statfs -> Xdr.u32 e 17
+
+let encode_call call = Xdr.encode enc_call call
 
 let enc_fattr e (a : fattr) =
   Xdr.u32 e (match a.ftype with Reg -> 1 | Dir -> 2 | Lnk -> 5);
@@ -148,9 +147,7 @@ let enc_fattr e (a : fattr) =
   Xdr.i64 e a.mtime;
   Xdr.i64 e a.ctime
 
-let encode_reply reply =
-  let e = Xdr.encoder () in
-  (match reply with
+let enc_reply e = function
   | R_err err ->
     Xdr.u32 e 0;
     Xdr.u32 e (err_code err)
@@ -183,8 +180,9 @@ let encode_reply reply =
   | R_statfs { total_slots; free_slots } ->
     Xdr.u32 e 8;
     Xdr.u32 e total_slots;
-    Xdr.u32 e free_slots);
-  Xdr.contents e
+    Xdr.u32 e free_slots
+
+let encode_reply reply = Xdr.encode enc_reply reply
 
 (* --- decoders --------------------------------------------------------------- *)
 
@@ -203,56 +201,53 @@ let dec_sattr d =
   let s_mtime = Xdr.read_option d Xdr.read_i64 in
   { s_mode; s_uid; s_gid; s_size; s_mtime }
 
-let decode_call s =
-  let d = Xdr.decoder s in
-  let call =
-    match Xdr.read_u32 d with
-    | 1 -> Getattr (dec_oid d)
-    | 2 ->
-      let o = dec_oid d in
-      Setattr (o, dec_sattr d)
-    | 4 ->
-      let o = dec_oid d in
-      Lookup (o, Xdr.read_str d)
-    | 5 -> Readlink (dec_oid d)
-    | 6 ->
-      let o = dec_oid d in
-      let off = Xdr.read_u32 d in
-      Read (o, off, Xdr.read_u32 d)
-    | 8 ->
-      let o = dec_oid d in
-      let off = Xdr.read_u32 d in
-      Write (o, off, Xdr.read_opaque d)
-    | 9 ->
-      let o = dec_oid d in
-      let name = Xdr.read_str d in
-      Create (o, name, dec_sattr d)
-    | 10 ->
-      let o = dec_oid d in
-      Remove (o, Xdr.read_str d)
-    | 11 ->
-      let so = dec_oid d in
-      let sn = Xdr.read_str d in
-      let dd = dec_oid d in
-      Rename (so, sn, dd, Xdr.read_str d)
-    | 13 ->
-      let o = dec_oid d in
-      let name = Xdr.read_str d in
-      let target = Xdr.read_str d in
-      Symlink (o, name, target, dec_sattr d)
-    | 14 ->
-      let o = dec_oid d in
-      let name = Xdr.read_str d in
-      Mkdir (o, name, dec_sattr d)
-    | 15 ->
-      let o = dec_oid d in
-      Rmdir (o, Xdr.read_str d)
-    | 16 -> Readdir (dec_oid d)
-    | 17 -> Statfs
-    | n -> raise (Xdr.Decode_error (Printf.sprintf "bad call tag %d" n))
-  in
-  Xdr.expect_end d;
-  call
+let dec_call d =
+  match Xdr.read_u32 d with
+  | 1 -> Getattr (dec_oid d)
+  | 2 ->
+    let o = dec_oid d in
+    Setattr (o, dec_sattr d)
+  | 4 ->
+    let o = dec_oid d in
+    Lookup (o, Xdr.read_str d)
+  | 5 -> Readlink (dec_oid d)
+  | 6 ->
+    let o = dec_oid d in
+    let off = Xdr.read_u32 d in
+    Read (o, off, Xdr.read_u32 d)
+  | 8 ->
+    let o = dec_oid d in
+    let off = Xdr.read_u32 d in
+    Write (o, off, Xdr.read_opaque d)
+  | 9 ->
+    let o = dec_oid d in
+    let name = Xdr.read_str d in
+    Create (o, name, dec_sattr d)
+  | 10 ->
+    let o = dec_oid d in
+    Remove (o, Xdr.read_str d)
+  | 11 ->
+    let so = dec_oid d in
+    let sn = Xdr.read_str d in
+    let dd = dec_oid d in
+    Rename (so, sn, dd, Xdr.read_str d)
+  | 13 ->
+    let o = dec_oid d in
+    let name = Xdr.read_str d in
+    let target = Xdr.read_str d in
+    Symlink (o, name, target, dec_sattr d)
+  | 14 ->
+    let o = dec_oid d in
+    let name = Xdr.read_str d in
+    Mkdir (o, name, dec_sattr d)
+  | 15 ->
+    let o = dec_oid d in
+    Rmdir (o, Xdr.read_str d)
+  | 16 -> Readdir (dec_oid d)
+  | 17 -> Statfs
+  | n -> raise (Xdr.Decode_error (Printf.sprintf "bad call tag %d" n))
+
+let decode_call s = Xdr.decode dec_call s
 
 let dec_fattr d =
   let ftype =
@@ -274,35 +269,32 @@ let dec_fattr d =
   let ctime = Xdr.read_i64 d in
   { ftype; mode; nlink; uid; gid; size; fsid; fileid; atime; mtime; ctime }
 
-let decode_reply s =
-  let d = Xdr.decoder s in
-  let reply =
-    match Xdr.read_u32 d with
-    | 0 -> R_err (err_of_code (Xdr.read_u32 d))
-    | 1 -> R_attr (dec_fattr d)
-    | 2 ->
-      let o = dec_oid d in
-      R_lookup (o, dec_fattr d)
-    | 3 -> R_readlink (Xdr.read_str d)
-    | 4 ->
-      let data = Xdr.read_opaque d in
-      R_read (data, dec_fattr d)
-    | 5 ->
-      let o = dec_oid d in
-      R_create (o, dec_fattr d)
-    | 6 -> R_ok
-    | 7 ->
-      R_readdir
-        (Xdr.read_list d (fun d ->
-             let name = Xdr.read_str d in
-             (name, dec_oid d)))
-    | 8 ->
-      let total_slots = Xdr.read_u32 d in
-      R_statfs { total_slots; free_slots = Xdr.read_u32 d }
-    | n -> raise (Xdr.Decode_error (Printf.sprintf "bad reply tag %d" n))
-  in
-  Xdr.expect_end d;
-  reply
+let dec_reply d =
+  match Xdr.read_u32 d with
+  | 0 -> R_err (err_of_code (Xdr.read_u32 d))
+  | 1 -> R_attr (dec_fattr d)
+  | 2 ->
+    let o = dec_oid d in
+    R_lookup (o, dec_fattr d)
+  | 3 -> R_readlink (Xdr.read_str d)
+  | 4 ->
+    let data = Xdr.read_opaque d in
+    R_read (data, dec_fattr d)
+  | 5 ->
+    let o = dec_oid d in
+    R_create (o, dec_fattr d)
+  | 6 -> R_ok
+  | 7 ->
+    R_readdir
+      (Xdr.read_list d (fun d ->
+           let name = Xdr.read_str d in
+           (name, dec_oid d)))
+  | 8 ->
+    let total_slots = Xdr.read_u32 d in
+    R_statfs { total_slots; free_slots = Xdr.read_u32 d }
+  | n -> raise (Xdr.Decode_error (Printf.sprintf "bad reply tag %d" n))
+
+let decode_reply s = Xdr.decode dec_reply s
 
 let call_label = function
   | Getattr _ -> "getattr"

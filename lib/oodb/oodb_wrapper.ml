@@ -76,26 +76,26 @@ let abstract_value t i =
     (fields, refs)
 
 let encode_slot t i =
-  let e = Xdr.encoder () in
-  let s = t.slots.(i) in
-  Xdr.u32 e s.gen;
-  (match s.token with
-  | None -> Xdr.u32 e 0
-  | Some _ ->
-    Xdr.u32 e 1;
-    let fields, refs = abstract_value t i in
-    Xdr.list e
-      (fun e (f, v) ->
-        Xdr.str e f;
-        Xdr.str e v)
-      fields;
-    Xdr.list e
-      (fun e (f, o) ->
-        Xdr.str e f;
-        enc_aoid e o)
-      refs;
-    Xdr.i64 e s.stamp);
-  Xdr.contents e
+  Xdr.encode
+    (fun e (s : slot) ->
+      Xdr.u32 e s.gen;
+      match s.token with
+      | None -> Xdr.u32 e 0
+      | Some _ ->
+        Xdr.u32 e 1;
+        let fields, refs = abstract_value t i in
+        Xdr.list e
+          (fun e (f, v) ->
+            Xdr.str e f;
+            Xdr.str e v)
+          fields;
+        Xdr.list e
+          (fun e (f, o) ->
+            Xdr.str e f;
+            enc_aoid e o)
+          refs;
+        Xdr.i64 e s.stamp)
+    t.slots.(i)
 
 type decoded_slot = {
   d_gen : int;

@@ -8,7 +8,7 @@
    allowlist policy.  Suppression is never inline: a waiver is a
    [(file, rule, justification)] entry in lint/allowlist.sexp. *)
 
-type rule = D1 | D2 | D3 | D4 | E1 | E2 | B1 | B2 | B3 | U1
+type rule = D1 | D2 | D3 | D4 | E1 | E2 | B1 | B2 | B3 | U1 | A1
 
 let rule_name = function
   | D1 -> "D1"
@@ -21,6 +21,7 @@ let rule_name = function
   | B2 -> "B2"
   | B3 -> "B3"
   | U1 -> "U1"
+  | A1 -> "A1"
 
 let rule_of_name = function
   | "D1" -> Some D1
@@ -33,9 +34,10 @@ let rule_of_name = function
   | "B2" -> Some B2
   | "B3" -> Some B3
   | "U1" -> Some U1
+  | "A1" -> Some A1
   | _ -> None
 
-let all_rules = [ D1; D2; D3; D4; E1; E2; B1; B2; B3; U1 ]
+let all_rules = [ D1; D2; D3; D4; E1; E2; B1; B2; B3; U1; A1 ]
 
 type finding = { file : string; line : int; rule : rule; msg : string }
 
@@ -84,6 +86,10 @@ let b3_applies rel = has_prefix ~prefix:"lib/" rel
 (* U1: only a library's interface is a contract others may lean on. *)
 let u1_applies rel = has_prefix ~prefix:"lib/" rel
 
+(* A1: one-shot encodings share the codec's scratch encoder ([Xdr.encode]);
+   only the codec itself builds encoders. *)
+let a1_applies rel = has_prefix ~prefix:"lib/" rel && not (has_prefix ~prefix:"lib/codec/" rel)
+
 (* Shared by the syntactic (Parsetree) and typed (Typedtree) backends so
    the two passes agree on where each rule is in force. *)
 let rule_applies rule rel =
@@ -97,6 +103,7 @@ let rule_applies rule rel =
   | B2 -> b2_applies rel
   | B3 -> b3_applies rel
   | U1 -> u1_applies rel
+  | A1 -> a1_applies rel
 
 (* --- identifier helpers --------------------------------------------------- *)
 
@@ -187,6 +194,10 @@ let check_bare ctx path loc =
    harmless case, and without types we cannot do better. *)
 let check_applied ctx path loc (args : (Asttypes.arg_label * Parsetree.expression) list) =
   let line = line_of loc in
+  (match List.rev path with
+  | "encoder" :: "Xdr" :: _ ->
+    flag ctx A1 line "fresh Xdr.encoder grows a new buffer per call; use Xdr.encode"
+  | _ -> ());
   match strip_stdlib path with
   | [ ("min" | "max") ] when List.length args >= 2 -> ()
   | [ ("=" | "<>") as op ] when List.length args >= 2 ->
@@ -431,7 +442,7 @@ let backend_name = function Syntactic -> "syntactic" | Typed -> "typed" | Taint 
 
 (* The rules each backend can report. *)
 let backend_rules = function
-  | Syntactic -> [ D1; D2; D3; D4; E1 ]
+  | Syntactic -> [ D1; D2; D3; D4; E1; A1 ]
   | Typed -> [ D1; D3; E1; E2; U1 ]
   | Taint -> [ B1; B2; B3 ]
 

@@ -738,6 +738,22 @@ and analyze_apply st env (e : T.expression) fn args =
   List.iter
     (fun (_, (a : T.expression), _) -> if is_lambda a then analyze_hof_lambda st env a non_fn_join)
     arg_taints;
+  (* A named function passed the same way ([Xdr.encode enc_body body]) runs
+     over those arguments too: instantiate its summary with every parameter
+     bound to their taint. *)
+  List.iter
+    (fun (_, (a : T.expression), _) ->
+      match a.exp_desc with
+      | Texp_ident (p, _, _) -> (
+        let key = resolve a.exp_env p in
+        let local = match p with Path.Pident id -> Hashtbl.find_opt st.locals id | _ -> None in
+        match find_summary st key local with
+        | Some s ->
+          let as_arg l = ((if l = "" then Asttypes.Nolabel else Asttypes.Labelled l), a, non_fn_join) in
+          ignore (summary_call st key local (List.map as_arg s.s_labels) non_fn_join)
+        | None -> ())
+      | _ -> ())
+    arg_taints;
   let positional =
     List.filter_map
       (fun (l, a, t) -> match l with Asttypes.Nolabel -> Some (a, t) | _ -> None)
@@ -852,16 +868,16 @@ and builtin_or_summary st _env key local positional arg_taints non_fn_join =
   end
   else summary_call st key None arg_taints non_fn_join
 
+and find_summary st key local =
+  match local with
+  | Some s -> Some s
+  | None -> (
+    match key with
+    | None, n -> Hashtbl.find_opt st.global (st.cur_unit, n)
+    | Some m, n -> Hashtbl.find_opt st.global (m, n))
+
 and summary_call st key local arg_taints non_fn_join =
-  let summary =
-    match local with
-    | Some s -> Some s
-    | None -> (
-      match key with
-      | None, n -> Hashtbl.find_opt st.global (st.cur_unit, n)
-      | Some m, n -> Hashtbl.find_opt st.global (m, n))
-  in
-  match summary with
+  match find_summary st key local with
   | None -> non_fn_join
   | Some s ->
     mark_verifies st (if s.s_verifies then st.cur else None);

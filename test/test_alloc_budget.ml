@@ -18,6 +18,13 @@
    boxed kernel argument back on these paths fails here, not only as a
    drift in the ledger.
 
+   Abstract objects are hashed and encoded without copies:
+   [Service.object_digest] allocates only its digest, a one-shot encoding
+   ([Abstract_spec.encode_entry], [Nfs_proto.encode_reply]) only its
+   result, and a PRE-PREPARE re-send nothing that grows with the batch.
+   Results of 8 KB are born in the major heap, so these budgets count it
+   too.
+
    Per-request bookkeeping has budgets too: executing a request must not
    cost more with 256 registered clients than with one (no scan of the
    client table), a client's reply tally allocates only the vote it
@@ -47,6 +54,34 @@ let bytes_per_call f =
 let within_budget what ~budget f =
   let used = bytes_per_call f in
   if used > budget then Alcotest.failf "%s allocates %d B per call, budget %d B" what used budget
+
+(* Words allocated so far in either heap: [Gc.minor_words] is exact, and
+   the major heap allocated directly what it gained beyond promotions. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Like [bytes_per_call], counting the major heap too.  The minor heap is
+   emptied first, so nothing allocated before the window is promoted in it. *)
+let total_bytes_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let before = allocated_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let after = allocated_words () in
+  words_to_bytes (after -. before) / calls
+
+(* Heap bytes of a string of [len] bytes: header plus padded payload. *)
+let string_bytes len = (len / 8 + 2) * 8
+
+let within_result_budget what ~extra f =
+  let len = String.length (f ()) in
+  let used = total_bytes_per_call f and budget = string_bytes len + extra in
+  if used > budget then
+    Alcotest.failf "%s allocates %d B per call for a %d-byte result, budget %d B" what used len
+      budget
 
 let chains = Auth.create ~seed:5L ~n_principals:8
 
@@ -94,6 +129,42 @@ let test_envelope_verify () =
       within_budget (Printf.sprintf "Message.verify (shard %d)" shard) ~budget:16 (fun () ->
           M.verify chains.(3) ~receiver:3 env))
     [ 0; 2 ]
+
+(* --- abstract objects ---------------------------------------------------- *)
+
+module Service = Base_core.Service
+module Spec = Base_nfs.Abstract_spec
+module Nfs_proto = Base_nfs.Nfs_proto
+
+let file_8k = Sys.opaque_identity (String.make 8192 'f')
+
+let test_object_digest () =
+  let used = total_bytes_per_call (fun () -> Service.object_digest 7 file_8k) in
+  if used > 48 then
+    Alcotest.failf "Service.object_digest (8 KB) allocates %d B per call, budget 48 B" used
+
+let test_one_shot_encodings () =
+  let meta = { Spec.mode = 0o644; uid = 1; gid = 1; mtime = 5L; ctime = 5L } in
+  let entry = { Spec.gen = 3; obj = Spec.File { meta; data = file_8k } } in
+  within_result_budget "Abstract_spec.encode_entry (8 KB file)" ~extra:64 (fun () ->
+      Spec.encode_entry entry);
+  let attr =
+    {
+      Base_nfs.Nfs_types.ftype = Reg;
+      mode = 0o644;
+      nlink = 1;
+      uid = 1;
+      gid = 1;
+      size = 8192;
+      fsid = 1;
+      fileid = 7;
+      atime = 5L;
+      mtime = 5L;
+      ctime = 5L;
+    }
+  in
+  within_result_budget "Nfs_proto.encode_reply (8 KB read)" ~extra:64 (fun () ->
+      Nfs_proto.encode_reply (Nfs_proto.R_read (file_8k, attr)))
 
 (* --- per-request bookkeeping ------------------------------------------- *)
 
@@ -178,6 +249,40 @@ let test_engine_send_dispatch () =
       Engine.send engine ~src:0 ~dst:1 ();
       Engine.step engine)
 
+(* The view-0 primary re-sends the PRE-PREPARE of an assigned request each
+   time the request arrives again.  Returns the bytes one re-send allocates
+   for an operation of [op_len] bytes, after checking that the re-sent
+   envelope carries the very bytes the first broadcast sealed. *)
+let resend_bytes ~op_len =
+  let config = Types.make_config ~f:1 ~n_clients:1 () in
+  let chains = Auth.create ~seed:9L ~n_principals:config.n_principals in
+  let last = ref None in
+  let net = { Helpers.silent_net with M.send = (fun ~dst:_ env -> last := Some env) } in
+  let primary = Helpers.bare_replica ~net ~config ~chains 0 in
+  let client = config.n in
+  let request =
+    M.seal chains.(client) ~sender:client ~n_receivers:config.n
+      (M.Request { client; timestamp = 0L; operation = String.make op_len 'w'; read_only = false })
+  in
+  let pre_prepare_wire () =
+    match !last with
+    | Some { M.body = M.Pre_prepare _; wire; _ } -> wire
+    | Some _ | None -> Alcotest.fail "the primary sent no PRE-PREPARE"
+  in
+  Replica.receive primary request;
+  let sealed = pre_prepare_wire () in
+  let used = total_bytes_per_call (fun () -> Replica.receive primary request) in
+  Alcotest.(check bool) "re-send carries the sealed bytes" true (pre_prepare_wire () == sealed);
+  used
+
+let test_pre_prepare_resend () =
+  let small = resend_bytes ~op_len:16 and large = resend_bytes ~op_len:8192 in
+  if large > small + 64 then
+    Alcotest.failf
+      "a PRE-PREPARE re-send allocates %d B for an 8 KB operation, %d B for a 16 B one \
+       (budget: the 16 B case + 64 B)"
+      large small
+
 let suite =
   [
     Alcotest.test_case "Auth.check_digest: <= 16 B per call" `Quick test_check_digest;
@@ -191,4 +296,10 @@ let suite =
     Alcotest.test_case "Client.receive reply: <= 48 B per call" `Quick test_client_reply;
     Alcotest.test_case "Engine.send + dispatch: <= 280 B per message" `Quick
       test_engine_send_dispatch;
+    Alcotest.test_case "Service.object_digest 8 KB: <= 48 B per call" `Quick
+      test_object_digest;
+    Alcotest.test_case "8 KB entry and read reply: result + 64 B" `Quick
+      test_one_shot_encodings;
+    Alcotest.test_case "PRE-PREPARE re-send: no wire bytes copied" `Quick
+      test_pre_prepare_resend;
   ]

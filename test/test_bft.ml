@@ -279,6 +279,54 @@ let test_execute_path_batch () =
     (List.of_seq (Queue.to_seq replies));
   Alcotest.(check int) "nothing left pending" 0 (Replica.pending_count r1)
 
+(* The primary keeps the PRE-PREPARE it sealed and re-MACs it for each
+   re-send.  Proactive recovery refreshes a backup's keys in between, so a
+   re-send must carry MACs under the new keys: the backup that lost the
+   first copy accepts the re-send and rejects no MAC. *)
+let test_pre_prepare_resend_after_key_refresh () =
+  let config = Types.make_config ~f:1 ~n_clients:1 () in
+  let chains = Base_crypto.Auth.create ~seed:13L ~n_principals:config.n_principals in
+  let to_backup = Queue.create () and prepares = ref 0 in
+  let primary_net =
+    {
+      Helpers.silent_net with
+      Message.send =
+        (fun ~dst env ->
+          match env.Message.body with
+          | Message.Pre_prepare _ when dst = 1 -> Queue.add env to_backup
+          | _ -> ());
+    }
+  in
+  let backup_net =
+    {
+      Helpers.silent_net with
+      Message.send =
+        (fun ~dst env ->
+          match env.Message.body with Message.Prepare _ when dst = 0 -> incr prepares | _ -> ());
+    }
+  in
+  let primary = Helpers.bare_replica ~net:primary_net ~config ~chains 0 in
+  let backup = Helpers.bare_replica ~net:backup_net ~config ~chains 1 in
+  let client = config.n in
+  let request =
+    Message.seal chains.(client) ~sender:client ~n_receivers:config.n
+      (Message.Request { client; timestamp = 0L; operation = "op"; read_only = false })
+  in
+  Replica.receive primary request;
+  (* The first copy is lost; then replica 1 recovers with fresh keys. *)
+  let lost = Queue.pop to_backup in
+  Base_crypto.Auth.refresh_keys chains 1;
+  Alcotest.(check bool) "the first copy's MAC is void" false
+    (Message.verify chains.(1) ~receiver:1 lost);
+  (* The client retransmits; the primary re-sends the assigned slot. *)
+  Replica.receive primary request;
+  let resent = Queue.pop to_backup in
+  Alcotest.(check bool) "re-send shares the sealed bytes" true
+    (resent.Message.wire == lost.Message.wire);
+  Replica.receive backup resent;
+  Alcotest.(check int) "backup rejected no MAC" 0 (Replica.stats backup).rejected_macs;
+  Alcotest.(check int) "backup prepared the slot" 1 !prepares
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -294,4 +342,6 @@ let suite =
       test_null_requests_after_view_change;
     Alcotest.test_case "read-only with replica down" `Quick test_read_only_with_replica_down;
     Alcotest.test_case "execute path: one batch, four kinds" `Quick test_execute_path_batch;
+    Alcotest.test_case "PRE-PREPARE re-send after key refresh" `Quick
+      test_pre_prepare_resend_after_key_refresh;
   ]

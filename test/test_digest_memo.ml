@@ -86,6 +86,61 @@ let batch_digest_injective =
       let enc' = M.encode_batch requests ~nondet:(nondet ^ "\x00") in
       not (String.equal enc enc'))
 
+(* A re-seal is the seal of the same body under the keys held now: same
+   wire bytes (shared, not copied), same digest, same MACs as a fresh seal,
+   before and after a key refresh voids the first authenticator. *)
+let test_reseal_equals_seal () =
+  let chains = Auth.create ~seed:17L ~n_principals:8 in
+  let body =
+    M.Pre_prepare
+      {
+        view = 0;
+        seq = 4;
+        digest = Digest.of_string "batch";
+        requests =
+          [ { M.client = 6; timestamp = 2L; operation = String.make 8192 'w'; read_only = false } ];
+        nondet = "n";
+      }
+  in
+  let sealed = M.seal chains.(0) ~shard:2 ~sender:0 ~n_receivers:4 body in
+  let check_reseal what =
+    let fresh = M.seal chains.(0) ~shard:2 ~sender:0 ~n_receivers:4 body in
+    let resealed = M.reseal chains.(0) ~n_receivers:4 sealed in
+    Alcotest.(check bool) (what ^ ": wire shared") true (resealed.M.wire == sealed.M.wire);
+    Alcotest.(check int) (what ^ ": size") fresh.M.size resealed.M.size;
+    Alcotest.(check (array string)) (what ^ ": MACs of a fresh seal") fresh.M.macs resealed.M.macs;
+    Alcotest.(check bool) (what ^ ": verifies") true (M.verify chains.(3) ~receiver:3 resealed)
+  in
+  check_reseal "same keys";
+  Auth.refresh_keys chains 3;
+  Alcotest.(check bool) "old authenticator void" false (M.verify chains.(3) ~receiver:3 sealed);
+  check_reseal "refreshed keys"
+
+(* Leaf digests hash the XDR encoding of (u32 index, opaque data) in three
+   parts.  The oracle builds that encoding in one string and hashes it;
+   the lengths cover every pad width (0-3 bytes). *)
+let xdr_leaf i data =
+  let n = String.length data in
+  let b = Buffer.create (n + 12) in
+  Buffer.add_int32_be b (Int32.of_int i);
+  Buffer.add_int32_be b (Int32.of_int n);
+  Buffer.add_string b data;
+  Buffer.add_string b (String.make ((4 - (n mod 4)) mod 4) '\000');
+  Buffer.contents b
+
+let test_leaf_digest () =
+  List.iter
+    (fun i ->
+      List.iter
+        (fun len ->
+          let data = String.init len (fun k -> Char.chr (((k * 31) + i) land 0xff)) in
+          Alcotest.(check string)
+            (Printf.sprintf "leaf %d, %d bytes" i len)
+            (Digest.to_hex (Digest.of_string (xdr_leaf i data)))
+            (Digest.to_hex (Base_core.Service.object_digest i data)))
+        (List.init 17 Fun.id @ [ 8191; 8192 ]))
+    [ 0; 1; 0x7fffffff ]
+
 let suite =
   [
     seal_digest_matches;
@@ -93,4 +148,7 @@ let suite =
     Alcotest.test_case "every message kind: memo = oracle, both paths" `Quick
       test_every_kind;
     batch_digest_injective;
+    Alcotest.test_case "reseal = seal under current keys" `Quick test_reseal_equals_seal;
+    Alcotest.test_case "leaf digest = digest of XDR (u32 i, opaque data)" `Quick
+      test_leaf_digest;
   ]

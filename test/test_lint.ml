@@ -39,7 +39,8 @@ let test_bad_fixtures () =
   check_fixture "d2_bad.ml" "D2" 3;
   check_fixture "d3_bad.ml" "D3" 2;
   check_fixture "d4_bad.ml" "D4" 3;
-  check_fixture "e1_bad.ml" "E1" 3
+  check_fixture "e1_bad.ml" "E1" 3;
+  check_fixture "a1_bad.ml" "A1" 2
 
 let test_clean_fixture () =
   Alcotest.(check (list string))
@@ -54,7 +55,13 @@ let test_rule_scoping () =
   (* D4 only applies to library code: executables may exit. *)
   Alcotest.(check (list string))
     "D4 limited to lib/" []
-    (rule_ids (findings (fixture "d4_bad.ml") "bin/d4_bad.ml"))
+    (rule_ids (findings (fixture "d4_bad.ml") "bin/d4_bad.ml"));
+  (* A1: the codec builds its own encoders, and so may executables. *)
+  List.iter
+    (fun rel ->
+      Alcotest.(check (list string)) ("A1 not in force for " ^ rel) []
+        (rule_ids (findings (fixture "a1_bad.ml") rel)))
+    [ "lib/codec/a1_bad.ml"; "bin/a1_bad.ml" ]
 
 let test_finding_format () =
   match findings (fixture "d3_bad.ml") "lib/bft/d3_bad.ml" with
@@ -133,8 +140,8 @@ let taint_findings ?(rel_dir = "lib/bft/") name =
    nothing. *)
 let test_taint_b1 () =
   Alcotest.(check (list (pair int string)))
-    "b1_bad: allocation, byte range, loop bound, via-helper"
-    [ (11, "B1"); (14, "B1"); (18, "B1"); (25, "B1") ]
+    "b1_bad: allocation, byte range, loop bound, via-helper, via-HOF argument"
+    [ (11, "B1"); (14, "B1"); (18, "B1"); (25, "B1"); (32, "B1") ]
     (taint_findings "b1_bad");
   Alcotest.(check (list (pair int string))) "b1_ok: all sanitized" []
     (taint_findings "b1_ok")

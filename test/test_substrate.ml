@@ -192,6 +192,32 @@ let test_xdr_errors () =
   Alcotest.(check bool) "bad bool" true
     (raises (fun () -> Xdr.read_bool (Xdr.decoder "\x00\x00\x00\x07")))
 
+(* An encoder function that calls [Xdr.encode] itself finds the scratch
+   busy: the nested call gets a fresh encoder, and the outer one keeps
+   writing where it left off. *)
+let test_xdr_encode_reentrant () =
+  let inner = ref "" in
+  let outer =
+    Xdr.encode
+      (fun e s ->
+        Xdr.u32 e 7;
+        inner := Xdr.encode Xdr.opaque s;
+        Xdr.opaque e !inner;
+        Xdr.u32 e 9)
+      "nested"
+  in
+  Alcotest.(check string) "inner bytes" "\000\000\000\006nested\000\000" !inner;
+  let d = Xdr.decoder outer in
+  Alcotest.(check int) "outer head" 7 (Xdr.read_u32 d);
+  Alcotest.(check string) "outer carries inner" !inner (Xdr.read_opaque d);
+  Alcotest.(check int) "outer tail" 9 (Xdr.read_u32 d);
+  Xdr.expect_end d;
+  (* An encoder function that raises leaves the scratch usable. *)
+  (match Xdr.encode (fun _ () -> raise Exit) () with
+  | _ -> Alcotest.fail "encode swallowed the exception"
+  | exception Exit -> ());
+  Alcotest.(check string) "after a raise" "\000\000\000\001" (Xdr.encode Xdr.u32 1)
+
 let xdr_opaque_roundtrip =
   qtest "xdr opaque round-trip" QCheck2.Gen.string (fun s ->
       let e = Xdr.encoder () in
@@ -431,6 +457,7 @@ let suite =
     Alcotest.test_case "xdr basic" `Quick test_xdr_basic;
     Alcotest.test_case "xdr padding" `Quick test_xdr_padding;
     Alcotest.test_case "xdr errors" `Quick test_xdr_errors;
+    Alcotest.test_case "xdr encode re-entrant" `Quick test_xdr_encode_reentrant;
     xdr_opaque_roundtrip;
     xdr_list_roundtrip;
     Alcotest.test_case "partition tree basics" `Quick test_tree_basics;
