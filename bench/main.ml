@@ -188,7 +188,7 @@ let e11 () =
 
 let e4 () =
   section "E4" "code size: conformance wrapper + state conversions vs everything else";
-  let count = Base_util.Loc_count.count_dir in
+  let count = Base_util.Loc_count.count_path in
   if not (Sys.file_exists "lib") then
     print_endline "  (run from the repository root to measure sources)"
   else begin

@@ -224,26 +224,31 @@ let metrics_cmd =
     Term.(const run $ duration $ seed $ json)
 
 let loc_cmd =
-  let dir =
+  let path =
     Arg.(
       value
       & pos 0 (some string) None
-      & info [] ~docv:"DIR" ~doc:"Directory to count; default: each lib/ subsystem and the total.")
+      & info [] ~docv:"PATH"
+          ~doc:"File or directory to count; default: each lib/ subsystem and the total.")
   in
-  let row dir =
-    let c = Base_util.Loc_count.count_dir dir in
-    Printf.printf "%s: %d files, %d non-blank lines, %d semicolons\n" dir
+  let row path =
+    let c = Base_util.Loc_count.count_path path in
+    Printf.printf "%s: %d files, %d non-blank lines, %d semicolons\n" path
       c.Base_util.Loc_count.files c.Base_util.Loc_count.lines c.Base_util.Loc_count.semicolons
   in
   let run = function
-    | Some dir -> row dir
+    | Some path -> (
+      try row path
+      with Sys_error msg ->
+        prerr_endline ("base_demo loc: " ^ msg);
+        exit 1)
     | None ->
       Sys.readdir "lib" |> Array.to_list |> List.sort String.compare
       |> List.map (Filename.concat "lib")
       |> List.filter Sys.is_directory |> List.iter row;
       row "lib"
   in
-  Cmd.v (Cmd.info "loc" ~doc:"Count source lines (code-size experiment).") Term.(const run $ dir)
+  Cmd.v (Cmd.info "loc" ~doc:"Count source lines (code-size experiment).") Term.(const run $ path)
 
 let () =
   let doc = "BASE: using abstraction to improve fault tolerance (reproduction)" in

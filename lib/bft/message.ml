@@ -9,7 +9,7 @@ type pre_prepare = {
   view : Types.view;
   seq : Types.seqno;
   digest : Digest.t;
-  requests : request list;  (* the batch; empty = null request *)
+  requests : request list;  (* the batch; empty in a NEW-VIEW's gap slots *)
   nondet : string;
 }
 

@@ -16,13 +16,16 @@ type request = {
 }
 
 val null_request : request
-(** Placeholder ordered by new-view for gaps; executes as a no-op. *)
+(** A request from no client (id [-1]): execution skips it and replies to
+    nobody.  Nothing in the library builds one; a NEW-VIEW fills the slots
+    nothing prepared at with empty batches instead
+    ({!View_change.compute_o}). *)
 
 type pre_prepare = {
   view : Types.view;
   seq : Types.seqno;
   digest : Digest.t;  (** digest of the batch and the nondet proposal *)
-  requests : request list;  (** the piggybacked batch; empty = null request *)
+  requests : request list;  (** the piggybacked batch; empty in a NEW-VIEW's gap slots *)
   nondet : string;  (** primary's proposal for non-deterministic values *)
 }
 

@@ -186,19 +186,28 @@ let observe_span hist ~since ~until =
   if Int64.compare since 0L >= 0 && Int64.compare until since >= 0 then
     Base_obs.Metrics.observe hist (Int64.to_float (Int64.sub until since))
 
+(* A fresh slot at [seq], replacing whatever the log held there. *)
+let new_entry t seq =
+  let e = fresh_entry t.config.n in
+  Hashtbl.replace t.entries seq e;
+  e
+
 let get_entry t seq =
-  match Hashtbl.find_opt t.entries seq with
-  | Some e -> e
+  match Hashtbl.find_opt t.entries seq with Some e -> e | None -> new_entry t seq
+
+(* The binding of [key] in [tbl], added as [make ()] when absent.  A
+   [make] that captures a variable allocates a closure per call, so the
+   per-message [get_entry] stays off it. *)
+let find_or_add tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
   | None ->
-    let e = fresh_entry t.config.n in
-    Hashtbl.replace t.entries seq e;
-    e
+    let v = make () in
+    Hashtbl.replace tbl key v;
+    v
 
 let client_rec t c =
-  match Hashtbl.find_opt t.clients c with
-  | Some r -> r
-  | None ->
-    let r =
+  find_or_add t.clients c (fun () ->
       {
         last_ts = -1L;
         last_reply = None;
@@ -206,10 +215,7 @@ let client_rec t c =
         pending_since = -1L;
         assigned_ts = -1L;
         assigned_seq = -1;
-      }
-    in
-    Hashtbl.replace t.clients c r;
-    r
+      })
 
 (* Every write of [cr.pending] goes through here, so [n_pending] always
    equals the number of client records with a pending request. *)
@@ -368,13 +374,9 @@ let restart_vc_timer t =
 
 (* --- checkpoints -------------------------------------------------------- *)
 
-let cp_table t seq =
-  match Hashtbl.find_opt t.cp_msgs seq with
-  | Some votes -> votes
-  | None ->
-    let votes = Array.make t.config.n None in
-    Hashtbl.replace t.cp_msgs seq votes;
-    votes
+let cp_table t seq = find_or_add t.cp_msgs seq (fun () -> Array.make t.config.n None)
+
+let vc_table t view = find_or_add t.vcs view (fun () -> Hashtbl.create 8)
 
 let clear_votes votes = Array.fill votes 0 (Array.length votes) None
 
@@ -689,25 +691,18 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
     sender = primary && pp.view = t.view && t.status = Normal && in_window t pp.seq
     && t.id <> primary
   then begin
-    let entry = get_entry t pp.seq in
     (* A pre-prepare left over from an earlier view is void in this one: a
        slot the old primary proposed but that never reached a quorum may be
        re-proposed with different contents after the view change (observed
-       by replicas that were rebooting through the change).  Supersede it —
-       unless the entry committed, in which case the new-view computation
-       guarantees the digests agree anyway. *)
-    (match entry.pre_prepare with
-    | Some existing when existing.view < pp.view && not entry.committed ->
-      entry.pre_prepare <- None;
-      entry.pp_env <- None;
-      clear_votes entry.prepares;
-      clear_votes entry.commits;
-      entry.sent_commit <- false;
-      entry.prepared <- None;
-      entry.t_pp <- -1L;
-      entry.t_prepared <- -1L;
-      entry.t_committed <- -1L
-    | Some _ | None -> ());
+       by replicas that were rebooting through the change).  Supersede it
+       with a fresh slot — unless the entry committed, in which case the
+       new-view computation guarantees the digests agree anyway. *)
+    let entry =
+      match get_entry t pp.seq with
+      | { pre_prepare = Some old; committed = false; _ } when old.view < pp.view ->
+        new_entry t pp.seq
+      | entry -> entry
+    in
     let acceptable =
       match entry.pre_prepare with
       | Some existing ->
@@ -901,54 +896,6 @@ let prepared_set t =
     t.entries []
   |> List.sort (fun (a : M.pre_prepare) b -> Int.compare a.seq b.seq)
 
-let vc_table t view =
-  match Hashtbl.find_opt t.vcs view with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.replace t.vcs view tbl;
-    tbl
-
-(* Compute the new-view pre-prepare set O from a view-change set.  The
-   rebuilt window is capped at [log_window] slots below [max_s]: honest
-   view-changes only carry prepared PRE-PREPAREs within one window of their
-   stable checkpoint, so the cap is invisible to them, while a Byzantine
-   one claiming a far-away [seq] can no longer make this loop (and the
-   pre-prepares it allocates) arbitrarily long. *)
-let compute_o ~log_window v' (vc_list : M.view_change list) =
-  let min_s = List.fold_left (fun acc vc -> max acc vc.M.last_stable) 0 vc_list in
-  let max_s =
-    List.fold_left
-      (fun acc vc ->
-        List.fold_left (fun acc (p : M.pre_prepare) -> max acc p.seq) acc vc.M.prepared)
-      min_s vc_list
-  in
-  let count = min (max_s - min_s) log_window in
-  let o = ref [] in
-  for k = 0 to count - 1 do
-    let seq = max_s - k in
-    let best =
-      List.fold_left
-        (fun acc vc ->
-          List.fold_left
-            (fun acc (p : M.pre_prepare) ->
-              if p.seq <> seq then acc
-              else
-                match acc with
-                | Some (b : M.pre_prepare) when b.view >= p.view -> acc
-                | Some _ | None -> Some p)
-            acc vc.M.prepared)
-        None vc_list
-    in
-    let pp =
-      match best with
-      | Some p -> { p with view = v' }
-      | None -> { M.view = v'; seq; digest = ordering_digest [] ""; requests = []; nondet = "" }
-    in
-    o := pp :: !o
-  done;
-  (min_s, !o)
-
 (* What leaving a view change for view [v] resets, whether a NEW-VIEW
    installed it or the replica abandoned its own escalation. *)
 let leave_view_change t v =
@@ -1034,7 +981,7 @@ and check_new_view t v' =
     let tbl = vc_table t v' in
     if Hashtbl.length tbl >= Types.quorum t.config then begin
       let vc_list = List.map snd (sorted_bindings tbl) in
-      let min_s, o = compute_o ~log_window:t.config.log_window v' vc_list in
+      let min_s, o = View_change.compute_o t.config v' vc_list in
       let summary = List.map (fun vc -> (vc.M.replica, vc.M.last_stable)) vc_list in
       let nv = { M.nv_view = v'; nv_view_changes = summary; nv_pre_prepares = o } in
       t.last_nv <- Some nv;
@@ -1049,91 +996,34 @@ let reject_insane t =
   Base_obs.Metrics.incr t.obs.c_reject_insane
 
 (* A view-change passes the MAC check on its own authority, so every field
-   is still just the sender's claim.  Before it enters the [vcs] table —
-   where [compute_o] and the liveness rule consume it as fact — require
-   the claims to be mutually plausible: non-negative watermarks, and every
-   prepared PRE-PREPARE within one log window above the stable checkpoint
-   (the only place an honest replica can have prepared anything).  One
-   outside that range could otherwise widen the reconstructed new-view
-   window to an attacker-chosen span. *)
-let vc_sane t (vc : M.view_change) =
-  vc.last_stable >= 0
-  && List.for_all
-       (fun (p : M.pre_prepare) ->
-         p.seq > vc.last_stable
-         && p.seq <= vc.last_stable + t.config.log_window
-         && p.view >= 0 && p.view < vc.new_view
-         && List.length p.requests <= t.config.batch_max)
-       vc.prepared
-
+   is still just the sender's claim: it enters the [vcs] table, where
+   [View_change] consumes it as fact, only once [vc_sane] found the claims
+   plausible. *)
 let handle_view_change t sender (vc : M.view_change) =
-  if not (vc_sane t vc) then reject_insane t
+  if not (View_change.vc_sane t.config vc) then reject_insane t
   else if sender = vc.replica && vc.new_view > 0 then begin
     Hashtbl.replace (vc_table t vc.new_view) sender vc;
     (* Liveness rule: join the smallest view for which f+1 replicas already
        asked for a view change above ours. *)
-    if vc.new_view > t.view then begin
-      (* Every (replica, view) vote above our view; the per-replica minimum
-         view over these attains its minimum at the overall minimum, so the
-         target view is just the smallest voted view. *)
-      let votes =
-        List.concat_map
-          (fun (v, tbl) ->
-            if v > t.view then List.map (fun (r, _) -> (r, v)) (sorted_bindings tbl) else [])
-          (sorted_bindings t.vcs)
-      in
-      let voters = List.sort_uniq Int.compare (List.map fst votes) in
-      if List.length voters >= Types.weak_quorum t.config then begin
-        let target = List.fold_left (fun acc (_, v) -> min acc v) max_int votes in
-        do_view_change t target
-      end
-    end;
+    if vc.new_view > t.view then
+      Option.iter (do_view_change t)
+        (View_change.join_target t.config ~view:t.view
+           (List.map
+              (fun (v, tbl) -> (v, List.map fst (sorted_bindings tbl)))
+              (sorted_bindings t.vcs)));
     check_new_view t vc.new_view
   end
-
-(* Shape check on a NEW-VIEW before we adopt any of its numbers: the
-   claimed stable seqnos must be non-negative and every bundled
-   pre-prepare must sit inside one log window above the highest claimed
-   checkpoint, in the new view itself.  Without this a Byzantine primary
-   could teleport [next_seq] (and thus the whole log window) to an
-   arbitrary seqno of its choosing.  [min_s] is the highest claimed
-   checkpoint. *)
-let nv_sane t (nv : M.new_view) ~min_s =
-  nv.nv_view > 0
-  && List.for_all (fun (_, s) -> s >= 0) nv.nv_view_changes
-  && List.for_all
-       (fun (pp : M.pre_prepare) ->
-         pp.view = nv.nv_view
-         && pp.seq > min_s
-         && pp.seq <= min_s + t.config.log_window)
-       nv.nv_pre_prepares
 
 let handle_new_view t sender (nv : M.new_view) =
   let v' = nv.nv_view in
   if sender = primary_of t v' && v' >= t.view && sender <> t.id then begin
-    (* Recompute O from the view-change messages the primary claims to have
-       used; if we hold them all, the result must match exactly. *)
-    let tbl = vc_table t v' in
-    let vcs_used =
-      List.filter_map (fun (r, _) -> Hashtbl.find_opt tbl r) nv.nv_view_changes
-    in
-    let verifiable = List.length vcs_used = List.length nv.nv_view_changes in
-    let min_s = List.fold_left (fun acc (_, s) -> max acc s) 0 nv.nv_view_changes in
-    let sane = nv_sane t nv ~min_s in
-    if not sane then reject_insane t;
-    let ok =
-      if not sane then false
-      else if not verifiable then List.length nv.nv_view_changes >= Types.quorum t.config
-      else begin
-        let _, o = compute_o ~log_window:t.config.log_window v' vcs_used in
-        List.length o = List.length nv.nv_pre_prepares
-        && List.for_all2
-             (fun (a : M.pre_prepare) (b : M.pre_prepare) ->
-               a.seq = b.seq && Digest.equal a.digest b.digest)
-             o nv.nv_pre_prepares
-      end
-    in
-    if ok then install_new_view t v' min_s nv.nv_pre_prepares else do_view_change t (v' + 1)
+    let held = List.map snd (sorted_bindings (vc_table t v')) in
+    match View_change.new_view_verdict t.config ~held nv with
+    | Install min_s -> install_new_view t v' min_s nv.nv_pre_prepares
+    | Insane ->
+      reject_insane t;
+      do_view_change t (v' + 1)
+    | Mismatch -> do_view_change t (v' + 1)
   end
 
 (* --- retransmission / progress timer ------------------------------------ *)
@@ -1216,22 +1106,13 @@ let handle_status t sender (st : M.status_msg) =
      reports lower views and we hold no prepared certificate above them,
      rejoin the group's view; nothing could have committed in ours. *)
   if sender = st.st_replica && t.status = View_changing && st.st_view < t.view then begin
-    let lower, target =
-      List.fold_left
-        (fun (count, best) (_, v) ->
-          if v < t.view then (count + 1, max best v) else (count, best))
-        (0, 0) (sorted_bindings t.peer_views)
-    in
-    let prepared_above =
-      List.exists
-        (fun (_, e) ->
-          match e.prepared with Some p -> p.M.view > target | None -> false)
-        (sorted_bindings t.entries)
-    in
-    if lower >= Types.quorum t.config - 1 && not prepared_above then begin
+    let peers = List.map snd (sorted_bindings t.peer_views) in
+    let prepared = List.filter_map (fun (_, e) -> e.prepared) (sorted_bindings t.entries) in
+    match View_change.abandon_target t.config ~view:t.view peers prepared with
+    | Some target ->
       leave_view_change t target;
       if has_pending t then start_vc_timer t
-    end
+    | None -> ()
   end;
   (* A peer stuck in an older view missed the view change while it was down
      (proactive recovery, crash): a replica rejoining the group this way has

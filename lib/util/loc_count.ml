@@ -78,14 +78,15 @@ let read_file path =
 
 let count_file path = count_string (read_file path)
 
-let rec count_dir ?(ext = [ ".ml"; ".mli" ]) dir =
-  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.sort String.compare entries;
-  Array.fold_left
-    (fun acc name ->
-      let path = Filename.concat dir name in
-      if Sys.is_directory path then add acc (count_dir ~ext path)
-      else if List.exists (fun e -> Filename.check_suffix name e) ext then
-        add acc (count_file path)
-      else acc)
-    zero entries
+let rec count_path ?(ext = [ ".ml"; ".mli" ]) path =
+  if not (Sys.is_directory path) then count_file path
+  else
+    let entries = Sys.readdir path in
+    Array.sort String.compare entries;
+    Array.fold_left
+      (fun acc name ->
+        let path = Filename.concat path name in
+        if Sys.is_directory path || List.exists (fun e -> Filename.check_suffix name e) ext then
+          add acc (count_path ~ext path)
+        else acc)
+      zero entries

@@ -19,6 +19,8 @@ val add : counts -> counts -> counts
 val count_string : string -> counts
 (** Count metrics of one source text (as a single file). *)
 
-val count_dir : ?ext:string list -> string -> counts
-(** [count_dir dir] recursively counts all files whose suffix is in [ext]
-    (default [[".ml"; ".mli"]]). *)
+val count_path : ?ext:string list -> string -> counts
+(** [count_path path] counts the file [path] as one file, or, when [path]
+    is a directory, recursively counts all files below it whose suffix is
+    in [ext] (default [[".ml"; ".mli"]]).  Raises [Sys_error] when [path]
+    does not exist or cannot be read. *)

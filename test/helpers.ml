@@ -1,5 +1,11 @@
 (* Shared test scaffolding: a tiny deterministic key-value service wrapped
-   for BASE, used to exercise the replication stack without the NFS layer. *)
+   for BASE, used to exercise the replication stack without the NFS layer,
+   and the one way a qcheck property becomes an Alcotest case. *)
+
+(* [prop] over [count] values drawn from [gen]; [print] shows a
+   counterexample. *)
+let qtest ?(count = 300) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 module Service = Base_core.Service
 

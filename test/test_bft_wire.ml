@@ -8,9 +8,6 @@ module Auth = Base_crypto.Auth
 module Digest = Base_crypto.Digest_t
 module Gen = QCheck2.Gen
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let gen_digest = Gen.map (fun s -> Digest.of_string s) Gen.string
 
 let gen_request =
@@ -68,7 +65,7 @@ let gen_body =
     ]
 
 let body_roundtrip =
-  qtest "message encode/decode round-trip" gen_body (fun body ->
+  Helpers.qtest "message encode/decode round-trip" gen_body (fun body ->
       M.decode_body (M.encode_body body) = Ok body)
 
 (* Golden encodings: one fixed value of each body, with the hex its

@@ -30,11 +30,17 @@ let test_loc_count_dir_deterministic () =
   write "b.ml" "let x = 1\nlet y = 2;;\n";
   write "a.ml" "(* comment only *)\nlet z = 3\n";
   write "skip.txt" "not counted\n";
-  let c1 = Loc.count_dir dir in
-  let c2 = Loc.count_dir dir in
+  let c1 = Loc.count_path dir in
+  let c2 = Loc.count_path dir in
   Alcotest.(check bool) "two scans agree" true (c1 = c2);
   Alcotest.(check int) "files" 2 c1.Loc.files;
-  Alcotest.(check int) "lines" 3 c1.Loc.lines
+  Alcotest.(check int) "lines" 3 c1.Loc.lines;
+  (* A file path is one file; a missing path is an error, not zero. *)
+  let file = Loc.count_path (Filename.concat dir "b.ml") in
+  Alcotest.(check (pair int int)) "one file, its lines" (1, 2) (file.Loc.files, file.Loc.lines);
+  match Loc.count_path (Filename.concat dir "missing.ml") with
+  | _ -> Alcotest.fail "a missing path counted"
+  | exception Sys_error _ -> ()
 
 let test_state_transfer_obj_order () =
   (* Fetched objects install in ascending index order; the payload never

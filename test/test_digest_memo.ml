@@ -12,9 +12,6 @@ module Digest = Base_crypto.Digest_t
 module Sha256 = Base_crypto.Sha256
 module Gen = QCheck2.Gen
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let chains = Auth.create ~seed:11L ~n_principals:8
 
 (* The from-scratch oracle: hash the envelope's wire bytes with the raw
@@ -35,7 +32,7 @@ let check_envelope what env =
 (* Seal path: for fuzzed bodies of every kind, wire is the canonical
    encoding and the memoised digest matches the oracle. *)
 let seal_digest_matches =
-  qtest "seal: memoised digest = from-scratch SHA-256" Test_bft_wire.gen_body
+  Helpers.qtest "seal: memoised digest = from-scratch SHA-256" Test_bft_wire.gen_body
     (fun body ->
       let env = M.seal chains.(2) ~sender:2 ~n_receivers:8 body in
       if not (String.equal env.M.wire (M.encode_body body)) then
@@ -46,7 +43,7 @@ let seal_digest_matches =
 (* Wire path: of_wire adopts the received bytes, so the digest is of what
    arrived — identical to the sender's when nothing was tampered with. *)
 let of_wire_digest_matches =
-  qtest "of_wire: adopted bytes digest = sender digest" Test_bft_wire.gen_body
+  Helpers.qtest "of_wire: adopted bytes digest = sender digest" Test_bft_wire.gen_body
     (fun body ->
       let env = M.seal_for chains.(1) ~sender:1 ~receiver:5 body in
       match M.of_wire ~sender:1 ~macs:env.M.macs env.M.wire with
@@ -76,7 +73,7 @@ let test_every_kind () =
 (* The digest the protocol orders by (pre-prepare batch digest) is the hash
    of the injective batch encoding — one pass over (requests, nondet). *)
 let batch_digest_injective =
-  qtest "encode_batch: nondet/batch boundary is unambiguous"
+  Helpers.qtest "encode_batch: nondet/batch boundary is unambiguous"
     (Gen.pair (Gen.list_size (Gen.int_bound 4) Test_bft_wire.gen_request) Gen.string)
     (fun (requests, nondet) ->
       let enc = M.encode_batch requests ~nondet in

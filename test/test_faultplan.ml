@@ -4,9 +4,6 @@
 module Faultplan = Base_sim.Faultplan
 module Gen = QCheck2.Gen
 
-let qtest ?(count = 500) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let parse_exn text =
   match Faultplan.parse text with Ok p -> p | Error e -> Alcotest.fail e
 
@@ -137,7 +134,7 @@ let gen_plan =
 (* to_string is canonical, so the round-trip law compares renderings: one
    parse . to_string cycle must be a fixpoint. *)
 let roundtrip =
-  qtest "print/parse round-trip" gen_plan (fun plan ->
+  Helpers.qtest ~count:500 "print/parse round-trip" gen_plan (fun plan ->
       let text = Faultplan.to_string plan in
       match Faultplan.parse text with
       | Error e -> QCheck2.Test.fail_reportf "canonical text rejected: %s\n%s" e text

@@ -22,16 +22,13 @@ module Hmac = Base_crypto.Hmac
 module Sha256 = Base_crypto.Sha256
 module Gen = QCheck2.Gen
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let chains = Auth.create ~seed:31L ~n_principals:8
 
 (* [mac_digest_for] must agree with the naive per-message [mac_for] on
    every (sender, receiver) pair — including 32-byte binary strings, the
    shape the hot path feeds it. *)
 let mac_digest_equivalence =
-  qtest "mac_digest_for = mac_for, every pair"
+  Helpers.qtest "mac_digest_for = mac_for, every pair"
     (Gen.pair Gen.string (Gen.pair (Gen.int_bound 7) (Gen.int_bound 7)))
     (fun (msg, (sender, receiver)) ->
       let digest = Sha256.digest msg in
@@ -42,7 +39,7 @@ let mac_digest_equivalence =
            ~mac:(Auth.mac_digest_for chains.(sender) ~receiver digest))
 
 let authenticator_equivalence =
-  qtest "digest_authenticator = per-receiver mac_for vector" Gen.string (fun msg ->
+  Helpers.qtest "digest_authenticator = per-receiver mac_for vector" Gen.string (fun msg ->
       let digest = Sha256.digest msg in
       let batched = Auth.digest_authenticator chains.(3) ~n:8 digest in
       let naive = Array.init 8 (fun receiver -> Auth.mac_for chains.(3) ~receiver digest) in
@@ -52,7 +49,7 @@ let authenticator_equivalence =
    once) yields the same tags as the two-pass HMAC, for arbitrary keys —
    shorter, block-sized and longer-than-block (the hash-the-key path). *)
 let prepared_hmac_equivalence =
-  qtest "Hmac.mac_prepared = Hmac.mac"
+  Helpers.qtest "Hmac.mac_prepared = Hmac.mac"
     (Gen.pair (Gen.string_size (Gen.int_bound 200)) Gen.string)
     (fun (key, msg) ->
       let prep = Hmac.prepare ~key in
@@ -65,7 +62,7 @@ let prepared_hmac_equivalence =
    the broadcast and the unicast path, including shards past 255, whose
    byte wraps (shard 256 appends '\000'). *)
 let shard_suffix_mac_equivalence =
-  qtest "shard-k MAC = mac_for over raw ^ byte"
+  Helpers.qtest "shard-k MAC = mac_for over raw ^ byte"
     (Gen.pair Test_bft_wire.gen_body (Gen.pair (Gen.int_range 1 600) (Gen.int_bound 7)))
     (fun (body, (shard, receiver)) ->
       let old_way env =

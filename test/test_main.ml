@@ -20,7 +20,7 @@ let () =
       ("byzantine-input", Test_byzantine_input.suite @ Test_fuzz_decode.suite);
       ("determinism", Test_determinism.suite);
       ("faultplan", Test_faultplan.suite);
-      ("view-change", Test_view_change.suite);
+      ("view-change", Test_view_change.suite @ Test_view_change_props.suite);
       ("lint", Test_lint.suite);
       ("batching", Test_batching.suite);
       ("load", Test_load.suite);

@@ -6,9 +6,6 @@ module Proto = Base_nfs.Nfs_proto
 module Spec = Base_nfs.Abstract_spec
 module Gen = QCheck2.Gen
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 (* --- codec round-trips ---------------------------------------------------------- *)
 
 let gen_oid = Gen.map2 (fun index gen -> { index; gen }) (Gen.int_bound 500) (Gen.int_bound 50)
@@ -47,7 +44,7 @@ let gen_call =
     ]
 
 let call_roundtrip =
-  qtest "nfs call encode/decode round-trip" gen_call (fun c ->
+  Helpers.qtest "nfs call encode/decode round-trip" gen_call (fun c ->
       Proto.decode_call (Proto.encode_call c) = c)
 
 let gen_fattr =
@@ -88,7 +85,7 @@ let gen_reply =
     ]
 
 let reply_roundtrip =
-  qtest "nfs reply encode/decode round-trip" gen_reply (fun r ->
+  Helpers.qtest "nfs reply encode/decode round-trip" gen_reply (fun r ->
       Proto.decode_reply (Proto.encode_reply r) = r)
 
 let entry_roundtrip =
@@ -110,7 +107,7 @@ let entry_roundtrip =
         Gen.map2 (fun meta target -> Spec.Symlink { meta; target }) gen_meta Gen.string;
       ]
   in
-  qtest "abstract entry encode/decode round-trip"
+  Helpers.qtest "abstract entry encode/decode round-trip"
     (Gen.map2 (fun gen obj -> { Spec.gen; obj }) (Gen.int_bound 100) gen_obj)
     (fun en -> Spec.decode_entry (Spec.encode_entry en) = en)
 

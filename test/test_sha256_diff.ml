@@ -13,9 +13,6 @@ module Sha256 = Base_crypto.Sha256
 module Hmac = Base_crypto.Hmac
 module Gen = QCheck2.Gen
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let hex = Base_util.Hex.encode
 
 let input n = String.init n (fun i -> Char.chr (((i * 131) + (n * 7)) land 0xff))
@@ -63,7 +60,7 @@ let gen_split =
   Gen.pair (Gen.string_size (Gen.int_bound 400)) (Gen.list_size (Gen.int_bound 12) Gen.nat)
 
 let chunked_updates =
-  qtest "chunked update/update_bytes/update_char = reference" gen_split (fun (s, cuts) ->
+  Helpers.qtest "chunked update/update_bytes/update_char = reference" gen_split (fun (s, cuts) ->
       let ctx = Sha256.init () in
       feed ctx s cuts;
       String.equal (Sha256.finalize ctx) (Sha256_ref.digest s))
@@ -71,7 +68,7 @@ let chunked_updates =
 (* Two live contexts: alternate their updates, with one-shot digests (which
    share a context of their own) in between. *)
 let interleaved_contexts =
-  qtest "two interleaved contexts = reference"
+  Helpers.qtest "two interleaved contexts = reference"
     (Gen.triple (Gen.string_size (Gen.int_bound 300)) (Gen.string_size (Gen.int_bound 300))
        (Gen.int_range 1 70))
     (fun (a, b, step) ->
@@ -96,7 +93,7 @@ let interleaved_contexts =
 (* A midstate copied into another context continues independently of its
    source, as the HMAC key pads rely on. *)
 let copy_into_midstate =
-  qtest "copy_into: both copies continue independently"
+  Helpers.qtest "copy_into: both copies continue independently"
     (Gen.triple (Gen.string_size (Gen.int_bound 200)) Gen.string Gen.string)
     (fun (prefix, x, y) ->
       let src = Sha256.init () in
@@ -119,7 +116,7 @@ let ref_hmac ~key msg =
 let gen_key = Gen.string_size (Gen.int_bound 100)
 
 let interleaved_hmac =
-  qtest "interleaved mac_prepared/verify_prepared under two keys = reference"
+  Helpers.qtest "interleaved mac_prepared/verify_prepared under two keys = reference"
     (Gen.pair (Gen.pair gen_key gen_key)
        (Gen.list_size (Gen.int_range 1 6) (Gen.pair Gen.bool Gen.string)))
     (fun ((k1, k2), msgs) ->
@@ -162,7 +159,7 @@ let test_results_not_aliased () =
    multi-block runs read straight from the caller's buffer, starting
    anywhere in it. *)
 let large_unaligned =
-  qtest ~count:60 "1-64 KB via update_bytes at unaligned offsets = reference"
+  Helpers.qtest ~count:60 "1-64 KB via update_bytes at unaligned offsets = reference"
     (Gen.triple
        (Gen.string_size ~gen:Gen.char (Gen.int_range 1024 65536))
        (Gen.int_bound 63)

@@ -14,9 +14,6 @@ module Tree = Base_core.Partition_tree
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 (* --- PRNG ------------------------------------------------------------------- *)
 
 let test_prng_determinism () =
@@ -75,7 +72,7 @@ let test_heap_fifo_ties () =
   Alcotest.(check (list string)) "fifo ties" [ "z"; "a"; "b"; "c" ] order
 
 let heap_prop =
-  qtest "heap drains sorted" QCheck2.Gen.(list int) (fun xs ->
+  Helpers.qtest ~count:200 "heap drains sorted" QCheck2.Gen.(list int) (fun xs ->
       let h = Heap.create ~cmp:compare in
       List.iter (Heap.push h) xs;
       let rec drain acc =
@@ -86,7 +83,8 @@ let heap_prop =
 (* --- Hex ---------------------------------------------------------------------- *)
 
 let hex_roundtrip =
-  qtest "hex round-trip" QCheck2.Gen.string (fun s -> Hex.decode (Hex.encode s) = s)
+  Helpers.qtest ~count:200 "hex round-trip" QCheck2.Gen.string (fun s ->
+      Hex.decode (Hex.encode s) = s)
 
 (* --- Stats --------------------------------------------------------------------- *)
 
@@ -219,7 +217,7 @@ let test_xdr_encode_reentrant () =
   Alcotest.(check string) "after a raise" "\000\000\000\001" (Xdr.encode Xdr.u32 1)
 
 let xdr_opaque_roundtrip =
-  qtest "xdr opaque round-trip" QCheck2.Gen.string (fun s ->
+  Helpers.qtest ~count:200 "xdr opaque round-trip" QCheck2.Gen.string (fun s ->
       let e = Xdr.encoder () in
       Xdr.opaque e s;
       let d = Xdr.decoder (Xdr.contents e) in
@@ -228,7 +226,7 @@ let xdr_opaque_roundtrip =
       got = s)
 
 let xdr_list_roundtrip =
-  qtest "xdr string-list round-trip" QCheck2.Gen.(list string) (fun xs ->
+  Helpers.qtest ~count:200 "xdr string-list round-trip" QCheck2.Gen.(list string) (fun xs ->
       let e = Xdr.encoder () in
       Xdr.list e Xdr.str xs;
       let d = Xdr.decoder (Xdr.contents e) in
@@ -266,7 +264,7 @@ let test_tree_interior_consistency () =
 
 let tree_incremental_prop =
   (* Incremental updates give the same root as rebuilding from scratch. *)
-  qtest ~count:50 "tree incremental = rebuild"
+  Helpers.qtest ~count:50 "tree incremental = rebuild"
     QCheck2.Gen.(list (pair (int_bound 63) (small_string ~gen:printable)))
     (fun updates ->
       let a = Tree.create ~n_leaves:64 ~branching:4 in

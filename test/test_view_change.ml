@@ -221,6 +221,37 @@ let test_insane_new_view_rejected () =
   settle sys 500;
   Alcotest.(check string) "system still live" "ok" (Helpers.set sys ~client:0 2 "after")
 
+(* A NEW-VIEW whose summary inflates the primary's stable seqno and carries
+   an empty O.  Its O matches the VIEW-CHANGEs the backup holds, but
+   installed it would move [next_seq] to the inflated seqno for good, and
+   the backup, once primary, would find its window full and queue every
+   request.  The backup holds all three summarised VIEW-CHANGEs, so it
+   checks the claimed checkpoint against them and moves on to view 2. *)
+let test_inflated_stable_seqno_is_mismatch () =
+  let config = Base_bft.Types.make_config ~f:1 ~n_clients:1 () in
+  let chains = Base_crypto.Auth.create ~seed:13L ~n_principals:config.Base_bft.Types.n_principals in
+  let seal sender body =
+    Message.seal chains.(sender) ~sender ~n_receivers:config.Base_bft.Types.n body
+  in
+  let primary = Base_bft.Types.shard_primary config ~shard:0 1 in
+  let backup_after claim =
+    let r = Helpers.bare_replica ~config ~chains 2 in
+    let vc replica =
+      { Message.new_view = 1; last_stable = 0; stable_digest = Digest.zero; prepared = []; replica }
+    in
+    List.iter (fun replica -> Replica.receive r (seal replica (Message.View_change (vc replica))))
+      [ 0; primary; 3 ];
+    let summary = [ (0, 0); (primary, claim); (3, 0) ] in
+    Replica.receive r
+      (seal primary
+         (Message.New_view { nv_view = 1; nv_view_changes = summary; nv_pre_prepares = [] }));
+    (Replica.view r, Replica.status r)
+  in
+  Alcotest.(check bool) "the honest summary installs view 1" true
+    (backup_after 0 = (1, Replica.Normal));
+  Alcotest.(check bool) "the inflated one is a mismatch: on to view 2" true
+    (backup_after 1_000_000 = (2, Replica.View_changing))
+
 let suite =
   [
     Alcotest.test_case "primary crash installs a new view" `Quick test_primary_crash;
@@ -232,4 +263,6 @@ let suite =
       test_equivocating_primary;
     Alcotest.test_case "faultplan storm keeps liveness" `Slow test_faultplan_storm;
     Alcotest.test_case "corruption window is survived" `Quick test_corruption_window;
+    Alcotest.test_case "new-view with an inflated stable seqno is a mismatch" `Quick
+      test_inflated_stable_seqno_is_mismatch;
   ]
