@@ -78,17 +78,21 @@ let cache_find t digest = Hashtbl.find_opt t.cache (Digest.raw digest)
    current value.  This is what lets a later state transfer roll this
    object back to a checkpointed value without refetching it. *)
 let preserve_current t i =
-  if t.cache_cap > 0 && not (Hashtbl.mem t.dirty i) then
-    cache_put t (Partition_tree.leaf t.tree i) (t.wrapper.Service.get_obj i);
-  List.iter
-    (fun cp ->
-      if not (Hashtbl.mem cp.copies i) then begin
-        let v = t.wrapper.Service.get_obj i in
-        Hashtbl.replace cp.copies i v;
-        t.stats.objects_copied <- t.stats.objects_copied + 1;
-        t.stats.bytes_copied <- t.stats.bytes_copied + String.length v
-      end)
-    t.cps
+  let lacks_copy cp = not (Hashtbl.mem cp.copies i) in
+  let cache = t.cache_cap > 0 && not (Hashtbl.mem t.dirty i) in
+  if cache || List.exists lacks_copy t.cps then begin
+    (* One read: the value is an immutable string every holder shares. *)
+    let v = t.wrapper.Service.get_obj i in
+    if cache then cache_put t (Partition_tree.leaf t.tree i) v;
+    List.iter
+      (fun cp ->
+        if lacks_copy cp then begin
+          Hashtbl.replace cp.copies i v;
+          t.stats.objects_copied <- t.stats.objects_copied + 1;
+          t.stats.bytes_copied <- t.stats.bytes_copied + String.length v
+        end)
+      t.cps
+  end
 
 let modify t i =
   Base_util.Invariant.require

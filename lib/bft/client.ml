@@ -94,8 +94,8 @@ let fresh_ts t =
   ts
 
 (* Make [p] the current request, send it to every replica and arm its
-   retransmission timer.  Backups relay the request to the primary and start
-   their progress timers, which also covers primary failure. *)
+   retransmission timer.  Backups start their progress timers, which also
+   covers primary failure, and relay a retransmission to the primary. *)
 let launch t p =
   t.current <- Some p;
   send_request t p.request;

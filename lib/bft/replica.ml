@@ -109,6 +109,7 @@ type client_rec = {
   mutable pending_since : int64;  (* local arrival time of [pending]; -1 = none *)
   mutable assigned_ts : int64;  (* primary: highest timestamp given a seqno *)
   mutable assigned_seq : Types.seqno;
+  mutable heard_ts : int64;  (* newest timestamp received; a repeat is a retransmission *)
 }
 
 type t = {
@@ -132,6 +133,9 @@ type t = {
   mutable last_exec : Types.seqno;
   mutable next_seq : Types.seqno;  (* primary: last assigned seqno *)
   queued_requests : M.request Queue.t;  (* primary: waiting for window space *)
+  early_pps : (Types.seqno, M.pre_prepare) Hashtbl.t;
+      (* backup, View_changing: the new primary's PRE-PREPAREs that beat its
+         NEW-VIEW, one per slot in the window, replayed at the install *)
   vcs : (Types.view, (int, M.view_change) Hashtbl.t) Hashtbl.t;
   mutable vc_timer : int option;
   mutable vc_timeout_us : int;
@@ -215,6 +219,7 @@ let client_rec t c =
         pending_since = -1L;
         assigned_ts = -1L;
         assigned_seq = -1;
+        heard_ts = -1L;
       })
 
 (* Every write of [cr.pending] goes through here, so [n_pending] always
@@ -638,6 +643,8 @@ and drain_queue t =
           let r = Queue.pop t.queued_requests in
           let cr = client_rec t r.M.client in
           if r.M.timestamp > cr.assigned_ts && r.M.timestamp > cr.last_ts then begin
+            (* Marked at once, so a queued copy of [r] cannot join it. *)
+            cr.assigned_ts <- r.M.timestamp;
             batch := r :: !batch;
             incr size
           end
@@ -646,6 +653,19 @@ and drain_queue t =
       end
     done
   end
+
+(* A primary back in normal operation, after a view change or a state
+   transfer, proposes the client requests it knows are still waiting;
+   without this, liveness depends on a client retransmission landing
+   inside the view's timeout window. *)
+let propose_pending t =
+  if is_primary t && t.status = Normal then
+    List.iter
+      (fun (_, cr) ->
+        match cr.pending with
+        | Some r when r.timestamp > cr.last_ts -> propose t r
+        | Some _ | None -> ())
+      (sorted_bindings t.clients)
 
 let in_window t seq = seq > t.h && seq <= t.h + t.config.log_window
 
@@ -671,12 +691,16 @@ let handle_request t env (r : M.request) =
       | Some _ | None ->
         if cr.pending = None then cr.pending_since <- now t;
         set_pending t cr (Some r));
+      let retransmitted = Int64.equal r.timestamp cr.heard_ts in
+      if r.timestamp > cr.heard_ts then cr.heard_ts <- r.timestamp;
       if t.status = Normal then begin
         if is_primary t then propose t r
         else begin
-          (* Relay the client's own envelope so the primary can check the
-             client's MAC, and start the progress timer. *)
-          t.net.send ~dst:(primary_of t t.view) env;
+          (* The client sends to every replica, so only its retransmission
+             says the primary may have missed the request.  Relay the
+             client's own envelope, so the primary can check the client's
+             MAC, and start the progress timer. *)
+          if retransmitted then t.net.send ~dst:(primary_of t t.view) env;
           start_vc_timer t
         end
       end
@@ -685,12 +709,28 @@ let handle_request t env (r : M.request) =
 
 (* --- pre-prepare / prepare / commit ------------------------------------- *)
 
+(* Authenticated but protocol-implausible: counted and dropped. *)
+let reject_insane t =
+  t.stats.rejected_insane <- t.stats.rejected_insane + 1;
+  Base_obs.Metrics.incr t.obs.c_reject_insane
+
+(* Whether [batch] holds some [(client, timestamp)] twice. *)
+let rec repeats_request = function
+  | [] -> false
+  | (r : M.request) :: rest ->
+    List.exists
+      (fun (r' : M.request) -> r'.client = r.client && Int64.equal r'.timestamp r.timestamp)
+      rest
+    || repeats_request rest
+
 let handle_pre_prepare t sender (pp : M.pre_prepare) =
   let primary = primary_of t pp.view in
-  if
-    sender = primary && pp.view = t.view && t.status = Normal && in_window t pp.seq
-    && t.id <> primary
-  then begin
+  let ours = sender = primary && pp.view = t.view && in_window t pp.seq && t.id <> primary in
+  if ours && t.status = View_changing then begin
+    (* Ahead of the view's NEW-VIEW: [install_new_view] replays it. *)
+    if not (Hashtbl.mem t.early_pps pp.seq) then Hashtbl.replace t.early_pps pp.seq pp
+  end
+  else if ours && t.status = Normal then begin
     (* A pre-prepare left over from an earlier view is void in this one: a
        slot the old primary proposed but that never reached a quorum may be
        re-proposed with different contents after the view change (observed
@@ -712,7 +752,11 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
         if not same then Base_obs.Metrics.incr t.obs.c_equivocation;
         same
       | None ->
-        Digest.equal (ordering_digest pp.requests pp.nondet) pp.digest
+        (* A correct primary batches each request once. *)
+        let repeats = repeats_request pp.requests in
+        if repeats then reject_insane t;
+        (not repeats)
+        && Digest.equal (ordering_digest pp.requests pp.nondet) pp.digest
         && List.length pp.requests <= t.config.batch_max
         && (match pp.requests with
            | [] -> true
@@ -841,14 +885,21 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   | Some (target_seq, target_digest) when target_seq = seq ->
     assert (Digest.equal combined target_digest)
   | Some _ | None -> ());
-  (* Install the transferred last-reply table. *)
-  Hashtbl.reset t.clients;
-  t.n_pending <- 0;
+  (* Install the transferred last-reply table.  A request that arrived
+     during the transfer stays pending unless the table shows it executed. *)
+  List.iter
+    (fun (_, cr) ->
+      cr.last_ts <- -1L;
+      cr.last_reply <- None)
+    (sorted_bindings t.clients);
   List.iter
     (fun (c, ts, result) ->
       let cr = client_rec t c in
       cr.last_ts <- ts;
-      cr.last_reply <- Some (make_reply t ~client:c ~timestamp:ts result))
+      cr.last_reply <- Some (make_reply t ~client:c ~timestamp:ts result);
+      match cr.pending with
+      | Some p when p.timestamp <= ts -> set_pending t cr None
+      | Some _ | None -> ())
     client_rows;
   (* Move the execution cursor to the transferred checkpoint.  When it lies
      below our previous position this is a rollback: the committed entries
@@ -881,7 +932,8 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
        against the freshest certified checkpoint (>= h). *)
     initiate_fetch t;
   try_execute t;
-  drain_queue t
+  drain_queue t;
+  propose_pending t
 
 (* --- view changes -------------------------------------------------------- *)
 
@@ -901,6 +953,7 @@ let prepared_set t =
 let leave_view_change t v =
   t.view <- v;
   t.status <- Normal;
+  Hashtbl.reset t.early_pps;
   t.obs.vc_started <- -1L;
   t.vc_timeout_us <- t.config.viewchange_timeout_us;
   cancel_vc_timer t
@@ -909,6 +962,7 @@ let rec do_view_change t v' =
   if v' > t.view || (v' = t.view && t.status = Normal) then begin
     t.view <- v';
     t.status <- View_changing;
+    Hashtbl.reset t.early_pps;
     if Int64.compare t.obs.vc_started 0L < 0 then t.obs.vc_started <- now t;
     t.stats.view_changes <- t.stats.view_changes + 1;
     cancel_vc_timer t;
@@ -932,6 +986,7 @@ let rec do_view_change t v' =
 
 and install_new_view t v' min_s (o : M.pre_prepare list) =
   observe_span t.obs.m_view_change ~since:t.obs.vc_started ~until:(now t);
+  let early = sorted_bindings t.early_pps in
   leave_view_change t v';
   t.resume_vc_after_fetch <- false;
   (* Certificates from earlier views are void in the new view. *)
@@ -965,16 +1020,9 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
   List.iter (fun (pp : M.pre_prepare) -> maybe_prepared t pp.seq (get_entry t pp.seq)) o;
   if has_pending t then start_vc_timer t;
   drain_queue t;
-  (* The new primary immediately proposes the client requests it knows are
-     still waiting; without this, liveness depends on a client
-     retransmission landing inside the view's timeout window. *)
-  if is_primary t then
-    List.iter
-      (fun (_, cr) ->
-        match cr.pending with
-        | Some r when r.timestamp > cr.last_ts -> propose t r
-        | Some _ | None -> ())
-      (sorted_bindings t.clients)
+  propose_pending t;
+  (* Every check of a PRE-PREPARE applies now that the view is installed. *)
+  List.iter (fun (_, pp) -> handle_pre_prepare t (primary_of t v') pp) early
 
 and check_new_view t v' =
   if primary_of t v' = t.id && t.status = View_changing && t.view = v' then begin
@@ -989,11 +1037,6 @@ and check_new_view t v' =
       install_new_view t v' min_s o
     end
   end
-
-(* Authenticated but protocol-implausible: counted and dropped. *)
-let reject_insane t =
-  t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-  Base_obs.Metrics.incr t.obs.c_reject_insane
 
 (* A view-change passes the MAC check on its own authority, so every field
    is still just the sender's claim: it enters the [vcs] table, where
@@ -1081,6 +1124,7 @@ let on_reboot t =
 
 let abort_fetch t =
   t.fetch_in_progress <- None;
+  Hashtbl.reset t.early_pps;
   if t.status = Fetching then t.status <- Normal
 
 (* Standby bookkeeping after a completed shadow sync: advance the watermark
@@ -1259,6 +1303,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       last_exec = 0;
       next_seq = 0;
       queued_requests = Queue.create ();
+      early_pps = Hashtbl.create 8;
       vcs = Hashtbl.create 8;
       vc_timer = None;
       vc_timeout_us = config.viewchange_timeout_us;
@@ -1322,6 +1367,8 @@ let status t = t.status
 let stats t = t.stats
 
 let pending_count t = t.n_pending
+
+let early_pre_prepares t = Hashtbl.length t.early_pps
 
 let client_pending t ~client =
   match Hashtbl.find_opt t.clients client with

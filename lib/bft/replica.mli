@@ -152,6 +152,11 @@ val pending_count : t -> int
 val client_pending : t -> client:int -> bool
 (** Whether [client] has a request received here and not yet executed. *)
 
+val early_pre_prepares : t -> int
+(** Number of PRE-PREPAREs held for replay while this backup waits for
+    the NEW-VIEW of the view it is changing into: at most one per seqno in
+    the log window. *)
+
 val set_behavior : t -> behavior -> unit
 
 val receive : t -> Message.envelope -> unit
@@ -179,13 +184,15 @@ val checkpoint_digest :
 
 val fetch_complete :
   t -> seq:Types.seqno -> app_digest:Digest.t -> client_rows:(int * int64 * string) list -> unit
-(** Called by the runtime when state transfer finished: installs the client
-    table, moves the execution cursor to [seq] (down, for a rollback
-    repair), advances watermarks when [seq] is ahead of them, and resumes
-    normal processing.  If the stable watermark overtook [seq] while the
-    transfer was in flight — the log needed to roll forward is gone — the
-    replica immediately starts another fetch against the freshest certified
-    checkpoint instead of resuming from stale state. *)
+(** Called by the runtime when state transfer finished: installs the
+    transferred client table (a request that arrived during the transfer
+    stays pending unless the table shows it executed), moves the execution
+    cursor to [seq] (down, for a rollback repair), advances watermarks when
+    [seq] is ahead of them, and resumes normal processing, where a primary
+    proposes the requests still pending.  If the stable watermark overtook
+    [seq] while the transfer was in flight — the log needed to roll forward
+    is gone — the replica immediately starts another fetch against the
+    freshest certified checkpoint instead of resuming from stale state. *)
 
 val initiate_fetch : t -> unit
 (** Force a state-transfer round against the best certified checkpoint known

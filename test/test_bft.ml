@@ -327,6 +327,228 @@ let test_pre_prepare_resend_after_key_refresh () =
   Alcotest.(check int) "backup rejected no MAC" 0 (Replica.stats backup).rejected_macs;
   Alcotest.(check int) "backup prepared the slot" 1 !prepares
 
+(* Bare replicas of an f = 1 group with [n_clients] clients: [make id] is
+   replica [id], [sent] holds every (destination, body) any of them sends,
+   and [seal sender body] MACs [body] as principal [sender] would. *)
+type bare = {
+  config : Types.config;
+  sent : (int * Message.body) Queue.t;
+  make : int -> Replica.t;
+  seal : int -> Message.body -> Message.envelope;
+}
+
+let bare_group ?(n_clients = 1) ?max_inflight ?checkpoint_period ?log_window () =
+  let config =
+    Types.make_config ?max_inflight ?checkpoint_period ?log_window ~f:1 ~n_clients ()
+  in
+  let chains = Base_crypto.Auth.create ~seed:15L ~n_principals:config.n_principals in
+  let sent = Queue.create () in
+  let net =
+    {
+      Helpers.silent_net with
+      Message.send = (fun ~dst env -> Queue.add (dst, env.Message.body) sent);
+    }
+  in
+  {
+    config;
+    sent;
+    make = Helpers.bare_replica ~net ~config ~chains;
+    seal = (fun sender body -> Message.seal chains.(sender) ~sender ~n_receivers:config.n body);
+  }
+
+let client_request ?(timestamp = 1L) client =
+  { Message.client; timestamp; operation = "op"; read_only = false }
+
+let request ?timestamp client = Message.Request (client_request ?timestamp client)
+
+let pre_prepares_to g dst =
+  Queue.fold
+    (fun acc (d, body) ->
+      match body with Message.Pre_prepare pp when d = dst -> pp :: acc | _ -> acc)
+    [] g.sent
+  |> List.rev
+
+(* The (view, seq) of every PREPARE broadcast, as replica 0 receives them. *)
+let prepares g =
+  Queue.fold
+    (fun acc (d, body) ->
+      match body with
+      | Message.Prepare p when d = 0 -> (p.Message.view, p.Message.seq) :: acc
+      | _ -> acc)
+    [] g.sent
+  |> List.rev
+
+(* The client sends to every replica, so a primary with an instance in
+   flight hears a request several times (a retransmission, a backup's
+   relay).  It queues every copy, but batches the request once. *)
+let test_copies_batched_once () =
+  let g = bare_group ~n_clients:2 ~max_inflight:1 () in
+  let primary = g.make 0 in
+  let a = g.config.n and b = g.config.n + 1 in
+  Replica.receive primary (g.seal a (request a));
+  for _ = 1 to 4 do
+    Replica.receive primary (g.seal b (request b))
+  done;
+  let digest =
+    match pre_prepares_to g 1 with
+    | [ pp ] -> pp.Message.digest
+    | pps -> Alcotest.failf "%d PRE-PREPAREs before seq 1 executed" (List.length pps)
+  in
+  List.iter
+    (fun r ->
+      let vote = { Message.view = 0; seq = 1; digest; replica = r } in
+      Replica.receive primary (g.seal r (Message.Prepare vote));
+      Replica.receive primary (g.seal r (Message.Commit vote)))
+    [ 1; 2 ];
+  Alcotest.(check int) "seq 1 executed" 1 (Replica.last_executed primary);
+  match pre_prepares_to g 1 with
+  | [ _; second ] ->
+    Alcotest.(check (list int)) "client b ordered once" [ b ]
+      (List.map (fun (r : Message.request) -> r.client) second.requests)
+  | pps -> Alcotest.failf "%d PRE-PREPAREs, expected 2" (List.length pps)
+
+(* A backup relays a request to the primary only when the client
+   retransmits it: the first receipt of each timestamp is the client's own
+   broadcast, which reached the primary too. *)
+let test_backup_relays_retransmission () =
+  let g = bare_group () in
+  let backup = g.make 1 and client = g.config.n in
+  let relayed () =
+    Queue.fold
+      (fun n (dst, body) -> match body with Message.Request _ when dst = 0 -> n + 1 | _ -> n)
+      0 g.sent
+  in
+  Replica.receive backup (g.seal client (request client));
+  Alcotest.(check int) "first receipt kept" 0 (relayed ());
+  Replica.receive backup (g.seal client (request client));
+  Alcotest.(check int) "retransmission relayed" 1 (relayed ());
+  Replica.receive backup (g.seal client (request ~timestamp:2L client));
+  Alcotest.(check int) "a newer request's first receipt kept" 1 (relayed ())
+
+(* Replica 2 times out in view 0 and moves to view 1, whose primary is
+   replica 1; replicas 0 and 1 join.  [new_view ()] installs view 1. *)
+let enter_view_one g =
+  let r2 = g.make 2 and client = g.config.n in
+  Replica.receive r2 (g.seal client (request client));
+  Replica.on_timer r2 (Replica.Vc_timeout 0);
+  Alcotest.(check bool) "view changing" true (Replica.status r2 = Replica.View_changing);
+  List.iter
+    (fun r ->
+      Replica.receive r2
+        (g.seal r
+           (Message.View_change
+              {
+                new_view = 1;
+                last_stable = 0;
+                stable_digest = Base_crypto.Digest_t.zero;
+                prepared = [];
+                replica = r;
+              })))
+    [ 0; 1 ];
+  let new_view () =
+    Replica.receive r2
+      (g.seal 1
+         (Message.New_view
+            { nv_view = 1; nv_view_changes = [ (0, 0); (1, 0); (2, 0) ]; nv_pre_prepares = [] }));
+    Alcotest.(check bool) "view 1 installed" true
+      (Replica.status r2 = Replica.Normal && Replica.view r2 = 1)
+  in
+  (r2, new_view)
+
+let pre_prepare ?(view = 1) ~seq requests =
+  let digest = Base_crypto.Digest_t.of_string (Message.encode_batch requests ~nondet:"") in
+  { Message.view; seq; digest; requests; nondet = "" }
+
+(* The new primary's first PRE-PREPARE can overtake its NEW-VIEW.  The
+   backup keeps it and accepts it once the view is installed. *)
+let test_early_pre_prepare_replayed () =
+  let g = bare_group () in
+  let r2, new_view = enter_view_one g in
+  let ordered = [ client_request g.config.n ] in
+  Replica.receive r2 (g.seal 1 (Message.Pre_prepare (pre_prepare ~seq:1 ordered)));
+  Alcotest.(check (list (pair int int))) "not prepared before NEW-VIEW" [] (prepares g);
+  new_view ();
+  Alcotest.(check (list (pair int int))) "prepared after the install" [ (1, 1) ] (prepares g)
+
+(* A flood of PRE-PREPAREs during a view change: several per slot, slots
+   on both sides of the log window, and senders or views that are not the
+   new primary's.  The backup keeps the first from the new primary per
+   slot in the window, prepares each of them at the install, and empties
+   the buffer. *)
+let test_early_pre_prepare_buffer_bound () =
+  let g = bare_group ~checkpoint_period:4 ~log_window:8 () in
+  let r2, new_view = enter_view_one g in
+  for seq = 0 to 12 do
+    let valid = pre_prepare ~seq [] in
+    List.iter
+      (fun (sender, pp) -> Replica.receive r2 (g.seal sender (Message.Pre_prepare pp)))
+      [
+        (1, valid);
+        (1, { valid with digest = Base_crypto.Digest_t.of_string "second" });
+        (1, { valid with digest = Base_crypto.Digest_t.of_string "third" });
+        (0, pre_prepare ~seq [ Message.null_request ]);
+        (2, pre_prepare ~view:2 ~seq [ Message.null_request ]);
+      ]
+  done;
+  Alcotest.(check int) "one per slot in the window" 8 (Replica.early_pre_prepares r2);
+  new_view ();
+  Alcotest.(check (list (pair int int)))
+    "each slot in the window prepared once"
+    (List.init 8 (fun k -> (1, k + 1)))
+    (prepares g);
+  Alcotest.(check int) "buffer emptied" 0 (Replica.early_pre_prepares r2);
+  Alcotest.(check int) "nothing rejected" 0 (Replica.stats r2).rejected_insane
+
+(* A backup that abandons its view change (a quorum of peers reports the
+   old view) drops the PRE-PREPAREs it kept for the view it left. *)
+let test_early_pre_prepares_dropped_on_abandon () =
+  let g = bare_group () in
+  let r2, _ = enter_view_one g in
+  Replica.receive r2 (g.seal 1 (Message.Pre_prepare (pre_prepare ~seq:1 [])));
+  Alcotest.(check int) "kept" 1 (Replica.early_pre_prepares r2);
+  List.iter
+    (fun r ->
+      Replica.receive r2
+        (g.seal r (Message.Status { st_view = 0; st_last_exec = 0; st_h = 0; st_replica = r })))
+    [ 0; 3 ];
+  Alcotest.(check bool) "back in view 0" true
+    (Replica.status r2 = Replica.Normal && Replica.view r2 = 0);
+  Alcotest.(check int) "dropped" 0 (Replica.early_pre_prepares r2)
+
+(* A correct primary batches each request once, so a batch that repeats
+   a (client, timestamp) is implausible: rejected and counted. *)
+let test_repeated_request_rejected () =
+  let g = bare_group () in
+  let backup = g.make 1 in
+  let r = client_request g.config.n in
+  Replica.receive backup (g.seal 0 (Message.Pre_prepare (pre_prepare ~view:0 ~seq:1 [ r; r ])));
+  Alcotest.(check int) "rejected as insane" 1 (Replica.stats backup).rejected_insane;
+  Alcotest.(check (list (pair int int))) "not prepared" [] (prepares g);
+  let distinct = [ r; client_request ~timestamp:2L g.config.n ] in
+  Replica.receive backup (g.seal 0 (Message.Pre_prepare (pre_prepare ~view:0 ~seq:1 distinct)));
+  Alcotest.(check (list (pair int int))) "distinct timestamps prepare" [ (0, 1) ] (prepares g)
+
+(* A request that reaches a primary while it fetches state is not lost
+   with the old client table: the primary proposes it once the transfer
+   completes, and drops it only when the transferred table shows it
+   executed. *)
+let test_fetch_keeps_pending_requests () =
+  let g = bare_group () in
+  let primary = g.make 0 and client = g.config.n in
+  let zero = Base_crypto.Digest_t.zero in
+  let digest0 = Replica.checkpoint_digest ~app_digest:zero ~client_rows:[] in
+  Replica.force_fetch primary ~seq:0 ~digest:digest0;
+  Replica.receive primary (g.seal client (request client));
+  Alcotest.(check int) "nothing proposed while fetching" 0 (List.length (pre_prepares_to g 1));
+  Replica.fetch_complete primary ~seq:0 ~app_digest:zero ~client_rows:[];
+  Alcotest.(check int) "still pending" 1 (Replica.pending_count primary);
+  Alcotest.(check int) "proposed after the transfer" 1 (List.length (pre_prepares_to g 1));
+  let rows = [ (client, 1L, "ok") ] in
+  let digest = Replica.checkpoint_digest ~app_digest:zero ~client_rows:rows in
+  Replica.force_fetch primary ~seq:0 ~digest;
+  Replica.fetch_complete primary ~seq:0 ~app_digest:zero ~client_rows:rows;
+  Alcotest.(check int) "executed per the transferred table" 0 (Replica.pending_count primary)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -344,4 +566,18 @@ let suite =
     Alcotest.test_case "execute path: one batch, four kinds" `Quick test_execute_path_batch;
     Alcotest.test_case "PRE-PREPARE re-send after key refresh" `Quick
       test_pre_prepare_resend_after_key_refresh;
+    Alcotest.test_case "queued copies of a request batched once" `Quick
+      test_copies_batched_once;
+    Alcotest.test_case "backup relays a retransmission only" `Quick
+      test_backup_relays_retransmission;
+    Alcotest.test_case "early PRE-PREPARE accepted after NEW-VIEW" `Quick
+      test_early_pre_prepare_replayed;
+    Alcotest.test_case "early PRE-PREPARE buffer bounded by the window" `Quick
+      test_early_pre_prepare_buffer_bound;
+    Alcotest.test_case "early PRE-PREPAREs dropped on abandonment" `Quick
+      test_early_pre_prepares_dropped_on_abandon;
+    Alcotest.test_case "batch repeating a request rejected" `Quick
+      test_repeated_request_rejected;
+    Alcotest.test_case "requests survive a state transfer" `Quick
+      test_fetch_keeps_pending_requests;
   ]

@@ -9,7 +9,7 @@ module Service = Base_core.Service
 module Digest = Base_crypto.Digest_t
 module Prng = Base_util.Prng
 
-let synthetic ?(n_objects = 64) ?(obj_bytes = 64) ?cache_objs ~seed () =
+let synthetic ?(n_objects = 64) ?(obj_bytes = 64) ?cache_objs ?(on_get = ignore) ~seed () =
   let prng = Prng.create seed in
   let store = Array.init n_objects (fun _ -> Bytes.to_string (Prng.bytes prng obj_bytes)) in
   let wrapper =
@@ -17,7 +17,10 @@ let synthetic ?(n_objects = 64) ?(obj_bytes = 64) ?cache_objs ~seed () =
       Service.name = "synthetic";
       n_objects;
       execute = (fun ~client:_ ~operation:_ ~nondet:_ ~read_only:_ ~modify:_ -> "");
-      get_obj = (fun i -> store.(i));
+      get_obj =
+        (fun i ->
+          on_get i;
+          store.(i));
       put_objs = (fun objs -> List.iter (fun (i, v) -> store.(i) <- v) objs);
       restart = (fun () -> ());
       propose_nondet = (fun ~clock_us:_ ~operation:_ -> "");
@@ -277,6 +280,26 @@ let test_retarget_rejections () =
     (List.init (St.reject_limit - 1) (fun _ -> St.Continue) @ [ St.Retarget "rejections" ])
     (List.filteri (fun i _ -> i < St.reject_limit) r.verdicts)
 
+(* Before an object is overwritten, the leaf cache and every retained
+   checkpoint without its own copy take its current value: one [get_obj]
+   read, shared by all of them. *)
+let test_preserve_reads_once () =
+  let reads = ref 0 in
+  let store, repo = synthetic ~on_get:(fun _ -> incr reads) ~seed:31L () in
+  List.iter (fun seq -> ignore (checkpoint repo ~seq)) [ 1; 2; 3 ];
+  let before = store.(5) in
+  reads := 0;
+  mutate ~obj_bytes:64 store repo (Prng.create 32L) 5;
+  Alcotest.(check int) "one get_obj call" 1 !reads;
+  List.iter
+    (fun seq ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "checkpoint %d keeps the old value" seq)
+        (Some before) (Objrepo.object_at repo ~seq 5))
+    [ 1; 2; 3 ];
+  Alcotest.(check (option string)) "leaf cache keeps the old value" (Some before)
+    (Objrepo.cache_find repo (Service.object_digest 5 before))
+
 let suite =
   [
     Alcotest.test_case "window reached, never exceeded" `Quick test_window_never_exceeded;
@@ -285,6 +308,7 @@ let suite =
     Alcotest.test_case "chunked objects reassemble and verify" `Quick
       test_chunked_objects_reassemble;
     Alcotest.test_case "cache hit skips the network fetch" `Quick test_cache_hit_skips_fetch;
+    Alcotest.test_case "overwrite reads the old value once" `Quick test_preserve_reads_once;
     Alcotest.test_case "byzantine chunk source cannot stall recovery" `Quick
       test_byzantine_chunks_cannot_stall;
     Alcotest.test_case "retarget after stalled rounds" `Quick test_retarget_stalled;
