@@ -1,18 +1,52 @@
 (** The per-node records of the BASE runtime, declared once.
 
     A {!replica_node} is one replica cell: the agreement instance a node
-    runs for one shard, with its implementation, its abstract-object repo
-    and its in-flight fetch.  {!Runtime} builds the cells and re-exports
-    these types; {!Xshard} and {!Recovery} take the cells themselves and
+    runs for one shard, with its implementation, its abstract-object repo,
+    its in-flight fetch and its fetch tally.  {!msg} is what the nodes send
+    each other.  {!Runtime} builds the cells and re-exports these
+    declarations; {!Xshard} and {!Recovery} take the cells themselves and
     read their fields directly. *)
+
+(** A network message. *)
+type msg =
+  | Bft of Base_bft.Message.envelope
+  | St of { from : int; shard : int; body : State_transfer.msg }
+      (** [shard] routes the transfer to the per-shard replica cell that
+          owns the checkpoint being fetched; always [0] when unsharded *)
+  | Raw of { from : int; shard : int; macs : string array; bytes : string }
+      (** a protocol message corrupted in flight, delivered as wire bytes;
+          replicas feed it to {!Base_bft.Replica.receive_wire}, which counts
+          and rejects it *)
+
+(** Wire-size estimate, for building a custom engine config. *)
+let msg_size = function
+  | Bft env -> env.Base_bft.Message.size
+  | St { body; shard; _ } -> State_transfer.size body + Base_bft.Message.shard_overhead shard
+  | Raw { bytes; macs; shard; _ } ->
+    Array.fold_left (fun acc m -> acc + String.length m) (String.length bytes) macs
+    + Base_bft.Message.shard_overhead shard
+
+let msg_label = function
+  | Bft env -> Base_bft.Message.label env.Base_bft.Message.body
+  | St { body; _ } -> State_transfer.label body
+  | Raw _ -> "RAW"
+
+(** Constant per-constructor tag ("PRE-PREPARE", "FETCH-OBJ", "RAW"): the
+    allocation-free accounting key, which the engine reads once per send
+    and per delivery.  Custom engine configs should set [Engine.kind_of] to
+    this — the default derives the kind by formatting the full label on
+    every send. *)
+let msg_kind = function
+  | Bft env -> Base_bft.Message.kind_label env.Base_bft.Message.body
+  | St { body; _ } -> State_transfer.kind_label body
+  | Raw _ -> "RAW"
 
 (** Recovery counters of one replica cell. *)
 type recovery_stats = {
   mutable recoveries : int;
-  episode : State_transfer.stats;
-      (** fetch traffic since the current episode (reboot, promotion or
-          shadow sync) began *)
-  fetched : State_transfer.stats;  (** fetch traffic over the whole run *)
+  fetched : State_transfer.stats;
+      (** the cell's fetch tally: every fetcher the cell runs counts into
+          it, over the whole run *)
 }
 
 (** One proactive-recovery episode: either reboot-in-place then

@@ -31,24 +31,21 @@ let timeline_json tl =
       ("window_us", opt (timeline_window_us tl));
     ]
 
-type 'msg t = {
-  engine : 'msg Engine.t;
+type t = {
+  engine : msg Engine.t;
   config : Types.config;
   chains : Auth.keychain array;
   metrics : Metrics.t;
   trace : Base_obs.Trace.t;
   orchestrator : int;
+  rows : replica_node array array;  (* [rows.(shard).(rid)]: the active cells *)
   (* Per node id, over the whole n + s group: the shard-0 row of cells
      followed by the standbys. *)
   cells : replica_node array;
-  fetch :
-    replica_node ->
-    seq:int ->
-    digest:Digest.t ->
-    on_installed:(seq:int -> app_root:Digest.t -> client_rows:(int * int64 * string) list -> unit) ->
-    unit;
   recovering : bool array;
   episodes : recovery_timeline option array;  (* the episode waiting for its milestones *)
+  episode_from : (int * int) array;
+      (* the tally's objects and bytes when the open episode's fetch began *)
   mutable timelines : recovery_timeline list;  (* newest first *)
   mutable period_us : int;
   mutable reboot_us : int;
@@ -58,7 +55,8 @@ type 'msg t = {
   mutable pending : (int * int) list;  (* (slot, standby) handshakes *)
 }
 
-let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~fetch cells =
+let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~standbys rows =
+  let cells = Array.append rows.(0) standbys in
   let group = Array.length cells in
   {
     engine;
@@ -67,10 +65,11 @@ let create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~fetch cells =
     metrics;
     trace;
     orchestrator;
+    rows;
     cells;
-    fetch;
     recovering = Array.make group false;
     episodes = Array.make group None;
+    episode_from = Array.make group (0, 0);
     timelines = [];
     period_us = 0;
     reboot_us = 2_000_000;
@@ -91,13 +90,20 @@ let count r name = Metrics.incr (Metrics.counter r.metrics name)
 let set_timer r ~node ~after_us fire =
   ignore (Engine.set_timer r.engine ~node ~after:(Sim_time.of_us after_us) fire)
 
+(* The episode's fetch traffic is what the cell's tally gained since
+   [mark_episode]. *)
+let mark_episode r rid =
+  let tally = r.cells.(rid).recovery_stats.fetched in
+  r.episode_from.(rid) <- (tally.State_transfer.objects_fetched, tally.State_transfer.bytes_fetched)
+
 let fetch_done r rid =
   match r.episodes.(rid) with
   | Some tl ->
-    let episode = r.cells.(rid).recovery_stats.episode in
+    let tally = r.cells.(rid).recovery_stats.fetched in
+    let objects, bytes = r.episode_from.(rid) in
     tl.tl_fetch_done_us <- now r;
-    tl.tl_objects <- episode.State_transfer.objects_fetched;
-    tl.tl_bytes <- episode.State_transfer.bytes_fetched;
+    tl.tl_objects <- tally.State_transfer.objects_fetched - objects;
+    tl.tl_bytes <- tally.State_transfer.bytes_fetched - bytes;
     r.episodes.(rid) <- None;
     (match timeline_window_us tl with
     | Some w ->
@@ -110,6 +116,102 @@ let fetch_done r rid =
         ("rid", string_of_int rid);
       ]
   | None -> ()
+
+(* --- the fetch driver --------------------------------------------------------- *)
+
+let st_send r ~src ~dst ~shard body = Engine.send r.engine ~src ~dst (St { from = src; shard; body })
+
+(* Abandon the current fetch and restart against the freshest certified
+   checkpoint — the escape hatch for a garbage-collected target, a target
+   digest we can no longer verify anything against, or an inverse
+   abstraction that failed to reproduce the certified state.  A standby has
+   no protocol status to repair and no urgency: dropping the fetcher is
+   enough, the next shadow-sync tick re-targets on its own. *)
+let retarget_fetch r node ~reason =
+  node.fetcher <- None;
+  trace_event r "st.retarget" [ ("reason", reason); ("rid", string_of_int node.rid) ];
+  if not (Types.is_standby r.config node.rid) then begin
+    Replica.abort_fetch node.replica;
+    Replica.initiate_fetch node.replica
+  end
+
+(* Retry/stall-poll cadence for an active fetch.  Under load the group
+   certifies a fresh checkpoint every few tens of milliseconds, so a fetch
+   that loses the race with garbage collection must notice and re-target on
+   that timescale: a coarse retry period quantizes every unlucky fetch —
+   and hence the recovery window — up to multiples of itself.  Each chain
+   drives only the fetcher it was armed for: once the cell has dropped,
+   finished or replaced that fetcher, its tick does nothing, and the next
+   fetcher runs on its own chain. *)
+let rec arm_retry r node fetcher =
+  set_timer r ~node:node.rid ~after_us:50_000 (fun () -> st_retry_tick r node fetcher)
+
+and st_retry_tick r node fetcher =
+  match node.fetcher with
+  | Some current when current == fetcher && not (State_transfer.finished fetcher) -> (
+    match State_transfer.retry fetcher with
+    | State_transfer.Continue -> arm_retry r node fetcher
+    | State_transfer.Retarget reason -> retarget_fetch r node ~reason)
+  | Some _ | None -> ()
+
+(* Fetch the certified checkpoint [(seq, digest)] into the cell's repo and
+   run [on_installed] once it is installed and registered: the recovery
+   path and the standby shadow sync differ only in that continuation.
+   Sources are always the active replicas (standbys are never
+   authoritative). *)
+let launch_fetch r node ~seq ~digest ~on_installed =
+  let fetcher =
+    State_transfer.start ~window:r.config.Types.st_window ~metrics:r.metrics
+      ~trace:(fun name attrs -> trace_event r name (("rid", string_of_int node.rid) :: attrs))
+      ~tally:node.recovery_stats.fetched ~repo:node.repo
+      ~sources:(List.filter (fun id -> id <> node.rid) (Types.replica_ids r.config))
+      ~target_seq:seq ~target_digest:digest
+      ~send:(fun ~dst body -> st_send r ~src:node.rid ~dst ~shard:node.shard body)
+      ~on_complete:(fun ~seq ~app_root ~client_rows ->
+        node.fetcher <- None;
+        (* Register the transferred checkpoint so this node can serve it. *)
+        let root = Objrepo.take_checkpoint node.repo ~seq ~client_rows in
+        if Digest.equal root app_root then on_installed ~seq ~app_root ~client_rows
+        else begin
+          (* The inverse abstraction produced a state whose digest does not
+             match the certified checkpoint: the local implementation is
+             faulty in a way reinstallation did not mask.  Degrade
+             gracefully — count it and re-run the transfer (a standby
+             leaves that to its next shadow-sync tick) — instead of
+             crashing the replica, which would turn one faulty node into a
+             liveness hit for the group. *)
+          count r "st.inverse_divergence";
+          if not (Types.is_standby r.config node.rid) then
+            retarget_fetch r node ~reason:"inverse-divergence"
+        end)
+      ()
+  in
+  node.fetcher <- Some fetcher;
+  arm_retry r node fetcher
+
+let start_fetch r node ~seq ~digest =
+  launch_fetch r node ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
+      fetch_done r node.rid;
+      Replica.fetch_complete node.replica ~seq ~app_digest:app_root ~client_rows)
+
+let handle_st r node ~from body =
+  match body with
+  | State_transfer.Fetch_head _ | State_transfer.Fetch_meta _ | State_transfer.Fetch_obj _ -> (
+    match State_transfer.serve node.repo body with
+    | Some reply -> st_send r ~src:node.rid ~dst:from ~shard:node.shard reply
+    | None -> ())
+  | State_transfer.Head_reply _ | State_transfer.Meta_reply _ | State_transfer.Obj_reply _ -> (
+    match node.fetcher with
+    | Some fetcher -> (
+      match State_transfer.handle_reply fetcher ~from body with
+      | State_transfer.Continue -> ()
+      | State_transfer.Retarget reason -> retarget_fetch r node ~reason)
+    | None -> ())
+
+(* The machine goes down: its in-flight fetch dies with it. *)
+let abandon_fetch node =
+  node.fetcher <- None;
+  Replica.abort_fetch node.replica
 
 (* --- standby shadow sync ---------------------------------------------------- *)
 
@@ -125,9 +227,9 @@ let shadow_sync_period_us = 50_000
    incremental diff against it and (b) a promoted standby can serve it to
    other fetchers. *)
 let start_shadow_sync r node ss ~seq ~digest =
-  let episode = node.recovery_stats.episode in
-  State_transfer.reset_stats episode;
-  r.fetch node ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
+  let tally = node.recovery_stats.fetched in
+  let bytes_from = tally.State_transfer.bytes_fetched in
+  launch_fetch r node ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
       Objrepo.discard_below node.repo seq;
       let digest = Replica.checkpoint_digest ~app_digest:app_root ~client_rows in
       Replica.standby_note_synced node.replica ~seq ~digest;
@@ -135,7 +237,7 @@ let start_shadow_sync r node ss ~seq ~digest =
       ss.ss_synced_at_us <- now r;
       ss.ss_root <- app_root;
       ss.ss_client_rows <- client_rows;
-      let bytes = episode.State_transfer.bytes_fetched in
+      let bytes = tally.State_transfer.bytes_fetched - bytes_from in
       Metrics.incr ~by:bytes (Metrics.counter r.metrics "base.standby.shadow_bytes");
       trace_event r "standby.synced"
         [
@@ -157,10 +259,27 @@ and shadow_tick r rid =
      | (Some _ | None), _ -> ());
   arm_shadow r rid
 
-let standby_rebooted r rid =
-  (* The crash took the shadow-sync timer and any sync in flight with it. *)
-  r.cells.(rid).fetcher <- None;
-  arm_shadow r rid
+(* Node [rid] is back up after a crash, which took its timers with it:
+   the protocol timers of each of its active cells, each fetch's retry
+   chain, a standby's shadow-sync ticks.  An active cell's fetch that was
+   in flight would sit wedged forever (status Fetching, no retries, no
+   retarget), so it restarts against the freshest certified checkpoint; a
+   standby drops its dead sync and restarts the ticks. *)
+let rebooted r rid =
+  if rid < r.config.Types.n then
+    Array.iter
+      (fun row ->
+        let node = row.(rid) in
+        Replica.on_reboot node.replica;
+        match node.fetcher with
+        | Some fetcher when not (State_transfer.finished fetcher) ->
+          retarget_fetch r node ~reason:"reboot"
+        | Some _ | None -> ())
+      r.rows
+  else if Types.is_standby r.config rid then begin
+    r.cells.(rid).fetcher <- None;
+    arm_shadow r rid
+  end
 
 (* --- in-place recovery -------------------------------------------------------- *)
 
@@ -185,11 +304,6 @@ let start_episode r rid ~migrated =
   r.episodes.(rid) <- Some tl;
   r.timelines <- tl :: r.timelines
 
-(* The slot machine goes down: its in-flight fetch dies with it. *)
-let abandon_fetch node =
-  node.fetcher <- None;
-  Replica.abort_fetch node.replica
-
 (* Restart the implementation from its persistent state and recompute every
    object digest. *)
 let restart node =
@@ -204,9 +318,9 @@ let begin_reintegration r rid =
   Auth.refresh_keys r.chains rid;
   let node = r.cells.(rid) in
   restart node;
-  State_transfer.reset_stats node.recovery_stats.episode;
+  mark_episode r rid;
+  rebooted r rid;
   let replica = node.replica in
-  Replica.on_reboot replica;
   (* Compare with the rest of the group and fetch only what differs.  If no
      suitable certified checkpoint is known (quiet system, or the group is
      behind us), the local state is deemed up to date until the next
@@ -290,8 +404,8 @@ let complete_promotion r ~slot ~sb ss =
     in
     tl.tl_staleness_seqs <- max 0 (head - ss.ss_synced_seq)
   | None -> ());
-  State_transfer.reset_stats slot_cell.recovery_stats.episode;
-  Replica.on_reboot replica;
+  mark_episode r slot;
+  rebooted r slot;
   (* Install the shadow-synced checkpoint as the slot's recovered state.
      [fetch_complete] handles the stale-standby edge itself: if the group's
      stable watermark overtook the shadow seqno while the handshake ran, it

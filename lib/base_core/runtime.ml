@@ -8,11 +8,6 @@ module Replica = Base_bft.Replica
 module Client = Base_bft.Client
 module Auth = Base_crypto.Auth
 
-type msg =
-  | Bft of Message.envelope
-  | St of { from : int; shard : int; body : State_transfer.msg }
-  | Raw of { from : int; shard : int; macs : string array; bytes : string }
-
 exception Stalled of string
 
 (* Broken internal wiring (a node record referenced before construction
@@ -44,36 +39,23 @@ type t = {
   standbys : replica_node array;  (* warm pool, node ids n .. n+s-1 *)
   clients : Client.t array;
   orchestrator : int;  (* pseudo-node owning the recovery watchdog and fault timers *)
-  xshard : msg Xshard.t;
-  recovery : msg Recovery.t;
+  xshard : Xshard.t;
+  recovery : Recovery.t;
   metrics : Base_obs.Metrics.t;
   profile : Base_obs.Profile.t;
   trace : Base_obs.Trace.t;
-  (* System-wide state-transfer totals, added into by every fetcher, so
-     they survive the fetchers (which are discarded on completion). *)
-  st_totals : State_transfer.stats;
   mutable roll_cursor : int;  (* next slot a faultplan [promote] fills *)
   mutable pp_attack : pp_attack option;
 }
 
-let msg_size = function
-  | Bft env -> env.Message.size
-  | St { body; shard; _ } -> State_transfer.size body + Message.shard_overhead shard
-  | Raw { bytes; macs; shard; _ } ->
-    Array.fold_left (fun acc m -> acc + String.length m) (String.length bytes) macs
-    + Message.shard_overhead shard
-
-let msg_label = function
-  | Bft env -> Message.label env.Message.body
-  | St { body; _ } -> State_transfer.label body
-  | Raw _ -> "RAW"
-
-(* Allocation-free accounting key: the engine calls this once per send and
-   per delivery, so it must not format anything. *)
-let msg_kind = function
-  | Bft env -> Message.kind_label env.Message.body
-  | St { body; _ } -> State_transfer.kind_label body
-  | Raw _ -> "RAW"
+let engine_config ?seed ?drop_p () =
+  let base = Engine.default_config ~size_of:msg_size ~label_of:msg_label in
+  {
+    base with
+    seed = Option.value seed ~default:base.Engine.seed;
+    drop_p = Option.value drop_p ~default:base.Engine.drop_p;
+    kind_of = msg_kind;
+  }
 
 let engine t = t.engine
 
@@ -93,107 +75,15 @@ let metrics t = t.metrics
 
 let trace t = t.trace
 
-let st_totals t = t.st_totals
+let st_totals t =
+  State_transfer.sum
+    (List.map
+       (fun node -> node.recovery_stats.fetched)
+       (List.concat_map Array.to_list (Array.to_list t.cells) @ Array.to_list t.standbys))
 
 let recovery_timelines t = Recovery.timelines t.recovery
 
 let trace_event t name attrs = Base_obs.Trace.event t.trace ~ts:(now t) ~name attrs
-
-(* --- state-transfer plumbing --------------------------------------------- *)
-
-let st_send t ~src ~dst ~shard body =
-  Engine.send t.engine ~src ~dst (St { from = src; shard; body })
-
-(* Abandon the current fetch and restart against the freshest certified
-   checkpoint — the escape hatch for a garbage-collected target, a target
-   digest we can no longer verify anything against, or an inverse
-   abstraction that failed to reproduce the certified state.  A standby has
-   no protocol status to repair and no urgency: dropping the fetcher is
-   enough, the next shadow-sync tick re-targets on its own. *)
-let retarget_fetch t node ~reason =
-  node.fetcher <- None;
-  trace_event t "st.retarget" [ ("reason", reason); ("rid", string_of_int node.rid) ];
-  if not (Types.is_standby t.config node.rid) then begin
-    Replica.abort_fetch node.replica;
-    Replica.initiate_fetch node.replica
-  end
-
-(* Retry/stall-poll cadence for an active fetch.  Under load the group
-   certifies a fresh checkpoint every few tens of milliseconds, so a fetch
-   that loses the race with garbage collection must notice and re-target on
-   that timescale: a coarse retry period quantizes every unlucky fetch —
-   and hence the recovery window — up to multiples of itself.  Each chain
-   drives only the fetcher it was armed for: once the cell has dropped,
-   finished or replaced that fetcher, its tick does nothing, and the next
-   fetcher runs on its own chain. *)
-let rec arm_retry t node fetcher =
-  ignore
-    (Engine.set_timer t.engine ~node:node.rid ~after:(Sim_time.of_us 50_000) (fun () ->
-         st_retry_tick t node fetcher))
-
-and st_retry_tick t node fetcher =
-  match node.fetcher with
-  | Some current when current == fetcher && not (State_transfer.finished fetcher) -> (
-    match State_transfer.retry fetcher with
-    | State_transfer.Continue -> arm_retry t node fetcher
-    | State_transfer.Retarget reason -> retarget_fetch t node ~reason)
-  | Some _ | None -> ()
-
-(* Common fetcher construction for both the recovery path and the standby
-   shadow sync; only the continuation after a verified install differs.
-   Sources are always the active replicas (standbys are never
-   authoritative). *)
-let launch_fetch t node ~seq ~digest ~on_installed =
-  let fetcher =
-    State_transfer.start ~window:t.config.Types.st_window ~metrics:t.metrics
-      ~trace:(fun name attrs -> trace_event t name (("rid", string_of_int node.rid) :: attrs))
-      ~into:[ node.recovery_stats.episode; node.recovery_stats.fetched; t.st_totals ]
-      ~repo:node.repo
-      ~sources:(List.filter (fun r -> r <> node.rid) (Types.replica_ids t.config))
-      ~target_seq:seq ~target_digest:digest
-      ~send:(fun ~dst body -> st_send t ~src:node.rid ~dst ~shard:node.shard body)
-      ~on_complete:(fun ~seq ~app_root ~client_rows ->
-        node.fetcher <- None;
-        (* Register the transferred checkpoint so this node can serve it. *)
-        let root = Objrepo.take_checkpoint node.repo ~seq ~client_rows in
-        if Digest.equal root app_root then on_installed ~seq ~app_root ~client_rows
-        else begin
-          (* The inverse abstraction produced a state whose digest does not
-             match the certified checkpoint: the local implementation is
-             faulty in a way reinstallation did not mask.  Degrade
-             gracefully — count it and re-run the transfer (a standby
-             leaves that to its next shadow-sync tick) — instead of
-             crashing the replica, which would turn one faulty node into a
-             liveness hit for the group. *)
-          Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "st.inverse_divergence");
-          if not (Types.is_standby t.config node.rid) then
-            retarget_fetch t node ~reason:"inverse-divergence"
-        end)
-      ()
-  in
-  node.fetcher <- Some fetcher;
-  arm_retry t node fetcher
-
-(* The {!Replica.app.start_fetch} upcall: recover the cell to a certified
-   checkpoint, then resume the protocol. *)
-let start_fetch t node ~seq ~digest =
-  launch_fetch t node ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
-      Recovery.fetch_done t.recovery node.rid;
-      Replica.fetch_complete node.replica ~seq ~app_digest:app_root ~client_rows)
-
-let handle_st t node ~from body =
-  match body with
-  | State_transfer.Fetch_head _ | State_transfer.Fetch_meta _ | State_transfer.Fetch_obj _ -> (
-    match State_transfer.serve node.repo body with
-    | Some reply -> st_send t ~src:node.rid ~dst:from ~shard:node.shard reply
-    | None -> ())
-  | State_transfer.Head_reply _ | State_transfer.Meta_reply _ | State_transfer.Obj_reply _ -> (
-    match node.fetcher with
-    | Some fetcher -> (
-      match State_transfer.handle_reply fetcher ~from body with
-      | State_transfer.Continue -> ()
-      | State_transfer.Retarget reason -> retarget_fetch t node ~reason)
-    | None -> ())
 
 (* --- chaos: fault-plan execution and the Byzantine-primary adversary ------- *)
 
@@ -220,25 +110,10 @@ let exec_fault t (ev : Faultplan.event) =
     trace_event t "fault.crash" [ ("rid", string_of_int n) ]
   | Faultplan.Reboot n ->
     Engine.set_node_up t.engine n true;
-    (* A rebooted replica lost its pending timers with the crash; re-arm —
-       every per-shard cell the node hosts, plus the cross-shard kick. *)
-    if n < t.config.Types.n then begin
-      Array.iter
-        (fun row ->
-          let node = row.(n) in
-          Replica.on_reboot node.replica;
-          (* The st_retry chain is a runtime-level timer, so it died with
-             the crash too.  A fetch that was in flight would otherwise sit
-             wedged forever (status Fetching, no retries, no retarget) —
-             restart it against the freshest certified checkpoint. *)
-          match node.fetcher with
-          | Some fetcher when not (State_transfer.finished fetcher) ->
-            retarget_fetch t node ~reason:"reboot"
-          | Some _ | None -> ())
-        t.cells;
-      Xshard.rebooted t.xshard n
-    end
-    else if Types.is_standby t.config n then Recovery.standby_rebooted t.recovery n;
+    (* A rebooted node lost its pending timers with the crash; re-arm them,
+       the cross-shard kick included. *)
+    Recovery.rebooted t.recovery n;
+    if n < t.config.Types.n then Xshard.rebooted t.xshard n;
     trace_event t "fault.reboot" [ ("rid", string_of_int n) ]
   | Faultplan.Promote sbid ->
     if Types.is_standby t.config sbid then begin
@@ -352,16 +227,7 @@ let promote_now ?promote_us t rid = Recovery.promote_now ?promote_us t.recovery 
 (* Partition-tree fan-out of every replica's object repository. *)
 let branching = 16
 
-let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
-  let engine_config =
-    match engine_config with
-    | Some c -> c
-    | None ->
-      {
-        (Engine.default_config ~size_of:msg_size ~label_of:msg_label) with
-        Engine.kind_of = msg_kind;
-      }
-  in
+let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n_clients () =
   let engine = Engine.create engine_config in
   (* One profile for the whole system: probes aggregate across replicas,
      clients and the engine (same sharing model as [metrics]).  Disabled —
@@ -490,7 +356,8 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
         take_checkpoint =
           (fun ~seq ~client_rows -> Objrepo.take_checkpoint (node_repo ()) ~seq ~client_rows);
         discard_checkpoints_below = (fun seq -> Objrepo.discard_below (node_repo ()) seq);
-        start_fetch = (fun ~seq ~digest -> start_fetch (the ()) (cell ~shard rid) ~seq ~digest);
+        start_fetch =
+          (fun ~seq ~digest -> Recovery.start_fetch (the ()).recovery (cell ~shard rid) ~seq ~digest);
       }
     in
     let replica =
@@ -516,12 +383,7 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
                }
            else None);
         fetcher = None;
-        recovery_stats =
-          {
-            recoveries = 0;
-            episode = State_transfer.fresh_stats ();
-            fetched = State_transfer.fresh_stats ();
-          };
+        recovery_stats = { recoveries = 0; fetched = State_transfer.fresh_stats () };
       }
     in
     replica_cells.(shard).(rid) <- Some node;
@@ -595,14 +457,10 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
       clients;
       orchestrator;
       xshard = Xshard.create ~config ~engine cells;
-      recovery =
-        Recovery.create ~config ~engine ~chains ~metrics ~trace ~orchestrator
-          ~fetch:(fun node -> launch_fetch (the ()) node)
-          (Array.append replicas standbys);
+      recovery = Recovery.create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~standbys cells;
       metrics;
       profile;
       trace;
-      st_totals = State_transfer.fresh_stats ();
       roll_cursor = 0;
       pp_attack = None;
     }
@@ -619,7 +477,7 @@ let create ?engine_config ?profile ~config ~make_wrapper ~n_clients () =
       | Some node -> Replica.receive node.replica env
       | None -> ())  (* shard tag out of range: drop *)
     | St { from; shard; body } -> (
-      match cell shard with Some node -> handle_st t node ~from body | None -> ())
+      match cell shard with Some node -> Recovery.handle_st t.recovery node ~from body | None -> ())
     | Raw { from; shard; macs; bytes } -> (
       (* Corrupted-in-flight bytes: feed the wire-decode path, which
          counts and drops them (bft.reject.decode / bft.reject.mac). *)
@@ -708,7 +566,7 @@ let counters_json (c : Engine.counters) =
 
 let metrics_report t =
   let open Base_obs.Json in
-  let st = t.st_totals in
+  let st = st_totals t in
   obj
     [
       ( "net",

@@ -11,16 +11,6 @@
 
 module Digest = Base_crypto.Digest_t
 
-type msg =
-  | Bft of Base_bft.Message.envelope
-  | St of { from : int; shard : int; body : State_transfer.msg }
-      (** [shard] routes the transfer to the per-shard replica cell that
-          owns the checkpoint being fetched; always [0] when unsharded *)
-  | Raw of { from : int; shard : int; macs : string array; bytes : string }
-      (** a protocol message corrupted in flight, delivered as wire bytes;
-          replicas feed it to {!Base_bft.Replica.receive_wire}, which counts
-          and rejects it *)
-
 exception Stalled of string
 (** The simulation could not make the requested progress: the event queue
     went quiescent or the event budget ran out.  Raised by the non-[try_]
@@ -30,23 +20,18 @@ exception Internal_error of string
 (** Broken runtime wiring (a node callback ran before construction
     finished).  Unreachable by design. *)
 
-(** The per-node records, declared in {!Cell}: the {!replica_node} cell
-    with its {!recovery_stats} and a standby's {!standby_sync}, and one
+(** The declarations of {!Cell}: the network {!msg} with its
+    [msg_size], [msg_label] and [msg_kind]; the {!replica_node} cell with
+    its {!recovery_stats} and a standby's {!standby_sync}; and one
     {!recovery_timeline} per recovery episode. *)
 include module type of struct
   include Cell
 end
 
-val msg_size : msg -> int
-(** Wire-size estimate, for building a custom engine config. *)
-
-val msg_label : msg -> string
-
-val msg_kind : msg -> string
-(** Constant per-constructor tag ("PRE-PREPARE", "FETCH-OBJ", "RAW"):
-    the allocation-free accounting key.  Custom engine configs should set
-    [Engine.kind_of] to this — the default derives the kind by formatting
-    the full label on every send. *)
+val engine_config : ?seed:int64 -> ?drop_p:float -> unit -> msg Base_sim.Engine.config
+(** {!Base_sim.Engine.default_config} over {!msg}, with the
+    allocation-free [kind_of = msg_kind]; [seed] and [drop_p] override the
+    defaults.  [create] uses it when given no [engine_config]. *)
 
 type t
 
@@ -206,8 +191,9 @@ val trace : t -> Base_obs.Trace.t
     sink {!Base_sim.Engine.attach_trace} was given, not here. *)
 
 val st_totals : t -> State_transfer.stats
-(** State-transfer traffic summed over every fetch by every replica,
-    including fetchers already discarded. *)
+(** A fresh record summing the fetch tallies of every cell: all of the
+    system's state-transfer traffic, including fetchers already
+    discarded. *)
 
 val recovery_timelines : t -> recovery_timeline list
 (** Every recovery episode so far, oldest first. *)

@@ -150,21 +150,25 @@ let fresh_stats () =
     objects_rejected = 0;
   }
 
-(* [into += now - before], field by field. *)
-let add_delta ~into ~before now =
-  into.meta_fetched <- into.meta_fetched + now.meta_fetched - before.meta_fetched;
-  into.objects_fetched <- into.objects_fetched + now.objects_fetched - before.objects_fetched;
-  into.bytes_fetched <- into.bytes_fetched + now.bytes_fetched - before.bytes_fetched;
-  into.chunks_fetched <- into.chunks_fetched + now.chunks_fetched - before.chunks_fetched;
-  into.cache_hits <- into.cache_hits + now.cache_hits - before.cache_hits;
-  into.retries <- into.retries + now.retries - before.retries;
-  into.quarantines <- into.quarantines + now.quarantines - before.quarantines;
-  into.heads_rejected <- into.heads_rejected + now.heads_rejected - before.heads_rejected;
-  into.meta_rejected <- into.meta_rejected + now.meta_rejected - before.meta_rejected;
-  into.objects_rejected <- into.objects_rejected + now.objects_rejected - before.objects_rejected
+let sum tallies =
+  let total = fresh_stats () in
+  List.iter
+    (fun s ->
+      total.meta_fetched <- total.meta_fetched + s.meta_fetched;
+      total.objects_fetched <- total.objects_fetched + s.objects_fetched;
+      total.bytes_fetched <- total.bytes_fetched + s.bytes_fetched;
+      total.chunks_fetched <- total.chunks_fetched + s.chunks_fetched;
+      total.cache_hits <- total.cache_hits + s.cache_hits;
+      total.retries <- total.retries + s.retries;
+      total.quarantines <- total.quarantines + s.quarantines;
+      total.heads_rejected <- total.heads_rejected + s.heads_rejected;
+      total.meta_rejected <- total.meta_rejected + s.meta_rejected;
+      total.objects_rejected <- total.objects_rejected + s.objects_rejected)
+    tallies;
+  total
 
-(* Subtracting a record from itself zeroes it in place. *)
-let reset_stats s = add_delta ~into:s ~before:s (fresh_stats ())
+(* What [retry]'s stall check watches: every counter a useful reply moves. *)
+let progress_of s = s.meta_fetched + s.objects_fetched + s.chunks_fetched + s.cache_hits + s.bytes_fetched
 
 (* Fetched objects install in ascending index order (indices are unique, so
    the payload never participates in the comparison). *)
@@ -207,7 +211,6 @@ type t = {
   send : dst:int -> msg -> unit;
   metrics : Base_obs.Metrics.t option;
   trace : string -> (string * string) list -> unit;
-  into : stats list;
   on_complete : seq:int -> app_root:Digest.t -> client_rows:(int * int64 * string) list -> unit;
   mutable app_root : Digest.t option;
   mutable client_rows : (int * int64 * string) list;
@@ -223,7 +226,8 @@ type t = {
   mutable progress : int;  (* progress mark at the last retry round *)
   mutable stalled : int;  (* consecutive retry rounds without progress *)
   mutable done_ : bool;
-  stats : stats;
+  stats : stats;  (* the tally: counted into as things happen, shared across fetches *)
+  rejected_at_start : int;  (* the tally's [rejected] when this fetch began *)
 }
 
 let finished t = t.done_
@@ -233,6 +237,10 @@ let stats t = t.stats
 let inflight t = t.n_inflight
 
 let scoreboard t = t.sources
+
+(* A registry counter that mirrors a tally field, bumped with it. *)
+let bump t name =
+  match t.metrics with Some m -> Metrics.incr (Metrics.counter m name) | None -> ()
 
 let find_source t id =
   let found = ref None in
@@ -359,6 +367,7 @@ let strike t from =
       s.quarantines <- s.quarantines + 1;
       s.quarantine <- min max_backoff_rounds (1 lsl min 6 s.quarantines);
       t.stats.quarantines <- t.stats.quarantines + 1;
+      bump t "base.st.source_quarantined";
       t.trace "st.quarantine"
         [ ("quarantines", string_of_int s.quarantines); ("rounds", string_of_int s.quarantine);
           ("src", string_of_int s.src_id) ];
@@ -393,8 +402,8 @@ let note_bytes t from ~bytes =
 let broadcast_head t =
   Array.iter (fun s -> t.send ~dst:s.src_id (Fetch_head { seq = t.target_seq })) t.sources
 
-let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(into = []) ~repo ~sources
-    ~target_seq ~target_digest ~send ~on_complete () =
+let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(tally = fresh_stats ()) ~repo
+    ~sources ~target_seq ~target_digest ~send ~on_complete () =
   Base_util.Invariant.require (sources <> []) "State_transfer.start: no sources";
   let t =
     {
@@ -412,7 +421,6 @@ let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(into = []) ~repo ~so
       send;
       metrics;
       trace;
-      into;
       on_complete;
       app_root = None;
       client_rows = [];
@@ -423,10 +431,11 @@ let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(into = []) ~repo ~so
       inflight = [];
       n_inflight = 0;
       round = 0;
-      progress = 0;
+      progress = progress_of tally;
       stalled = 0;
       done_ = false;
-      stats = fresh_stats ();
+      stats = tally;
+      rejected_at_start = rejected tally;
     }
   in
   broadcast_head t;
@@ -435,8 +444,8 @@ let start ?(window = 8) ?metrics ?(trace = fun _ _ -> ()) ?(into = []) ~repo ~so
 let local_tree t = Objrepo.current_tree t.repo
 
 (* Install the fetched batch once nothing is pending.  The completion
-   callback runs from [handle_reply], after the call's counts are
-   published. *)
+   callback runs from [handle_reply], once the call has done its
+   counting. *)
 let maybe_complete t =
   if
     (not t.done_) && t.app_root <> None
@@ -469,7 +478,8 @@ let expand t ~level ~index certified =
              checkpoint value saved by copy-on-write, or a previous fetch):
              no network round trip needed. *)
           Hashtbl.replace t.fetched index data;
-          t.stats.cache_hits <- t.stats.cache_hits + 1
+          t.stats.cache_hits <- t.stats.cache_hits + 1;
+          bump t "base.st.cache_hits"
         | None ->
           Hashtbl.replace t.pending_objs index
             { of_digest = certified; of_total = -1; of_buf = Bytes.empty; of_have = [||];
@@ -589,22 +599,8 @@ let handle_obj_reply t ~from ~index ~off ~total ~data =
       end
     end
 
-(* Publish the counts one [handle_reply] or [retry] call added since
-   [before] into every record the fetcher was handed, and the registry.
-   This runs before any completion callback the call triggers, so that
-   callback sees the totals including the reply that completed the
-   fetch. *)
-let publish t ~before =
-  List.iter (fun into -> add_delta ~into ~before t.stats) t.into;
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    let bump name d = if d > 0 then Metrics.incr ~by:d (Metrics.counter m name) in
-    bump "base.st.cache_hits" (t.stats.cache_hits - before.cache_hits);
-    bump "base.st.source_quarantined" (t.stats.quarantines - before.quarantines)
-
 let handle_reply t ~from msg =
-  let before = { t.stats with retries = t.stats.retries } in
+  let rejected_before = rejected t.stats in
   if not t.done_ then begin
     (match msg with
     | Head_reply { seq; app_root; client_rows } when seq = t.target_seq && t.app_root = None ->
@@ -645,7 +641,6 @@ let handle_reply t ~from msg =
     | Head_reply _ | Meta_reply _ | Obj_reply _
     | Fetch_head _ | Fetch_meta _ | Fetch_obj _ -> ());
     pump t;
-    publish t ~before;
     if t.done_ then
       t.on_complete ~seq:t.target_seq ~app_root:(Option.get t.app_root)
         ~client_rows:t.client_rows
@@ -653,10 +648,11 @@ let handle_reply t ~from msg =
   Option.iter
     (fun m -> Metrics.set_max (Metrics.gauge m "base.st.inflight") (float_of_int t.n_inflight))
     t.metrics;
-  if rejected t.stats = rejected before then Continue
+  if rejected t.stats = rejected_before then Continue
   else begin
     t.trace "st.reject" [ ("from", string_of_int from) ];
-    if rejected t.stats >= reject_limit then Retarget "rejections" else Continue
+    if rejected t.stats - t.rejected_at_start >= reject_limit then Retarget "rejections"
+    else Continue
   end
 
 let retry t =
@@ -666,9 +662,7 @@ let retry t =
        to replicas that no longer hold the target (garbage-collected under
        load): re-target quickly rather than sitting out the retry budget. *)
     let st = t.stats in
-    let progress =
-      st.meta_fetched + st.objects_fetched + st.chunks_fetched + st.cache_hits + st.bytes_fetched
-    in
+    let progress = progress_of st in
     if progress = t.progress then t.stalled <- t.stalled + 1
     else begin
       t.progress <- progress;
@@ -677,7 +671,6 @@ let retry t =
     if t.round >= retry_budget then Retarget "timeout"
     else if t.stalled >= stall_rounds then Retarget "stalled"
     else begin
-      let before = { st with retries = st.retries } in
       st.retries <- st.retries + 1;
       t.round <- t.round + 1;
       Array.iter (fun s -> if s.quarantine > 0 then s.quarantine <- s.quarantine - 1) t.sources;
@@ -700,7 +693,6 @@ let retry t =
           [ ("requests", string_of_int (List.length stale)); ("round", string_of_int t.round) ];
       pump t;
       t.trace "st.retry" [ ("attempt", string_of_int t.round) ];
-      publish t ~before;
       Continue
     end
   end

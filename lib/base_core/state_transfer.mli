@@ -110,8 +110,10 @@ type source = {
   mutable quarantines : int;  (** times this source has been quarantined *)
 }
 
-(** Cumulative fetch statistics.  Besides its own record, a fetcher adds
-    its counts into every record it is handed at {!start}. *)
+(** Cumulative fetch statistics: a fetch tally.  A fetcher counts into the
+    one tally it is handed at {!start}, at the moment it counts, so a tally
+    shared by the successive fetches of one replica cell holds that cell's
+    whole fetch traffic. *)
 type stats = {
   mutable meta_fetched : int;
   mutable objects_fetched : int;
@@ -122,7 +124,7 @@ type stats = {
   mutable cache_hits : int;
       (** leaves satisfied from {!Objrepo}'s digest-keyed cache without a
           network fetch *)
-  mutable retries : int;  (** {!retry} rounds driven by the runtime timer *)
+  mutable retries : int;  (** {!retry} rounds driven by the owner's timer *)
   mutable quarantines : int;  (** sources quarantined (sum over sources) *)
   mutable heads_rejected : int;
       (** replies whose payload failed digest verification against the
@@ -135,8 +137,8 @@ type stats = {
 val fresh_stats : unit -> stats
 (** All counters zero. *)
 
-val reset_stats : stats -> unit
-(** Zero every counter in place. *)
+val sum : stats list -> stats
+(** A fresh record holding the field-by-field sum of the tallies. *)
 
 val compare_obj : int * string -> int * string -> int
 (** Order in which fetched objects are handed to [put_objs]: ascending
@@ -145,8 +147,8 @@ val compare_obj : int * string -> int * string -> int
 
 val rejected : stats -> int
 (** Total verification failures across heads, meta nodes and objects.  A
-    fetch accumulating rejections is talking to faulty responders; the
-    runtime uses this to re-target instead of retrying blindly. *)
+    fetch accumulating rejections is talking to faulty responders;
+    {!handle_reply} uses this to re-target instead of retrying blindly. *)
 
 type t
 
@@ -154,7 +156,7 @@ val start :
   ?window:int ->
   ?metrics:Base_obs.Metrics.t ->
   ?trace:(string -> (string * string) list -> unit) ->
-  ?into:stats list ->
+  ?tally:stats ->
   repo:Objrepo.t ->
   sources:int list ->
   target_seq:int ->
@@ -171,10 +173,11 @@ val start :
     digest certified by f+1 CHECKPOINT messages.  At most [window]
     (default 8) meta/object requests are in flight.
 
-    Each {!handle_reply} and {!retry} call adds the counts it changed into
-    every record of [into] before it returns, and before any [on_complete]
-    it triggers, so the completion's view of those records includes the
-    reply that completed the fetch.  With [metrics], it also counts [base.st.cache_hits],
+    The fetcher counts into [tally] (default: a fresh record) as things
+    happen, so the [on_complete] callback sees the reply that completed
+    the fetch counted.  The per-fetch limits ({!reject_limit},
+    {!stall_rounds}) read differences from the tally's values at [start].
+    With [metrics], it also counts [base.st.cache_hits],
     [base.st.source_quarantined] and [base.st.source_bytes.<rid>], and
     keeps the peak window occupancy in the [base.st.inflight] gauge.
     [trace] receives named diagnostic events with their attributes:
@@ -200,6 +203,7 @@ val retry : t -> verdict
 val finished : t -> bool
 
 val stats : t -> stats
+(** The tally the fetcher counts into. *)
 
 val inflight : t -> int
 (** Meta/object requests currently in flight (always [<= window]). *)

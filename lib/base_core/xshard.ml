@@ -61,9 +61,9 @@ type xnode = {
   mutable xn_kick_armed : bool;
 }
 
-type 'msg t = {
+type t = {
   config : Types.config;
-  engine : 'msg Engine.t;
+  engine : Cell.msg Engine.t;
   cells : Cell.replica_node array array;  (* [cells.(shard).(rid)] *)
   nodes : xnode array;
 }

@@ -13,18 +13,18 @@
     it, [cells.(shard).(rid)], and reads each cell's replica, repo and
     wrapper directly. *)
 
-type 'msg t
+type t
 (** Cross-shard state of every active node. *)
 
 val create :
   config:Base_bft.Types.config ->
-  engine:'msg Base_sim.Engine.t ->
+  engine:Cell.msg Base_sim.Engine.t ->
   Cell.replica_node array array ->
-  'msg t
+  t
 (** Over the cells of the active nodes, [cells.(shard).(rid)]. *)
 
 val ready :
-  'msg t -> rid:int -> shard:int -> client:int -> timestamp:int64 -> operation:string -> bool
+  t -> rid:int -> shard:int -> client:int -> timestamp:int64 -> operation:string -> bool
 (** The {!Base_bft.Replica.app.ready} gate of cell [(shard, rid)].  For a
     lock request, the first query is the lock acquisition; the gate stays
     closed until the coordinator has executed the joint operation.  For a
@@ -32,7 +32,7 @@ val ready :
     every participant cell on the node has parked at its lock. *)
 
 val execute :
-  'msg t ->
+  t ->
   rid:int ->
   shard:int ->
   client:int ->
@@ -45,7 +45,7 @@ val execute :
     requests mutate nothing.  A [modify] outside the shards the execution
     holds aborts the operation deterministically with ["#xshard-abort"]. *)
 
-val rebooted : 'msg t -> int -> unit
+val rebooted : t -> int -> unit
 (** Node [rid] came back from a crash, which killed its re-submission
     heartbeat: re-arm it if any operation is unfinished.  While armed, the
     heartbeat re-submits every missing lock of an unfinished operation each

@@ -37,17 +37,7 @@ let make_basefs ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects = 51
       ?max_inflight ?client_timeout_us ?viewchange_timeout_us ?st_window ?st_cache_objs
       ?standbys ~f ~n_clients ()
   in
-  let engine_config =
-    let base =
-      Engine.default_config ~size_of:Runtime.msg_size ~label_of:Runtime.msg_label
-    in
-    {
-      base with
-      seed;
-      drop_p = Option.value drop_p ~default:base.drop_p;
-      kind_of = Runtime.msg_kind;
-    }
-  in
+  let engine_config = Runtime.engine_config ~seed ?drop_p () in
   (* Warm standbys run a wrapped implementation of their own, so the server
      and implementation-name tables cover the whole n+s group. *)
   let group = Types.group_size config in
@@ -138,17 +128,7 @@ let make_registers ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects =
       ?batch_max ?max_inflight ?client_timeout_us ?viewchange_timeout_us ?standbys ~f
       ~n_clients ()
   in
-  let engine_config =
-    let base =
-      Engine.default_config ~size_of:Runtime.msg_size ~label_of:Runtime.msg_label
-    in
-    {
-      base with
-      seed;
-      drop_p = Option.value drop_p ~default:base.drop_p;
-      kind_of = Runtime.msg_kind;
-    }
-  in
+  let engine_config = Runtime.engine_config ~seed ?drop_p () in
   let slots = Array.init (Types.group_size config) (fun _ -> Array.make n_objects "") in
   let make_wrapper rid = registers_wrapper ~n_objects slots.(rid) in
   let runtime = Runtime.create ~engine_config ?profile ~config ~make_wrapper ~n_clients () in

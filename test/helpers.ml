@@ -69,15 +69,7 @@ let make_system ?(seed = 1L) ?(f = 1) ?(n_clients = 1) ?(checkpoint_period = 16)
       ?batch_max ?max_inflight ?client_timeout_us ?viewchange_timeout_us ?standbys ~f
       ~n_clients ()
   in
-  let engine_config =
-    {
-      (Base_sim.Engine.default_config ~size_of:Base_core.Runtime.msg_size
-         ~label_of:Base_core.Runtime.msg_label)
-      with
-      seed;
-      drop_p;
-    }
-  in
+  let engine_config = Base_core.Runtime.engine_config ~seed ~drop_p () in
   let kvs =
     Array.init (Base_bft.Types.group_size config) (fun _ -> None)
   in

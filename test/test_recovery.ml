@@ -175,16 +175,19 @@ let test_timeline_counts_the_completing_reply () =
      completes and must include the reply that completed it. *)
   let sys, _ = make_system ~seed:48L ~checkpoint_period:8 () in
   drive_load sys ~ops:12 ~gap_ms:20;
+  let tally = (Runtime.replica sys 2).Runtime.recovery_stats.Runtime.fetched in
+  let objects = tally.State_transfer.objects_fetched
+  and bytes = tally.State_transfer.bytes_fetched in
   Runtime.recover_now ~reboot_us:100_000 sys 2;
   drive_load sys ~ops:16 ~gap_ms:5;
   settle sys 2.0;
   match Runtime.recovery_timelines sys with
   | [ tl ] ->
-    let episode = (Runtime.replica sys 2).Runtime.recovery_stats.Runtime.episode in
     Alcotest.(check bool) "the episode completed" true (Runtime.timeline_window_us tl <> None);
     Alcotest.(check bool) "the fetch installed objects" true (tl.Runtime.tl_objects >= 1);
-    Alcotest.(check int) "objects" episode.State_transfer.objects_fetched tl.Runtime.tl_objects;
-    Alcotest.(check int) "bytes" episode.State_transfer.bytes_fetched tl.Runtime.tl_bytes
+    Alcotest.(check int) "objects" (tally.State_transfer.objects_fetched - objects)
+      tl.Runtime.tl_objects;
+    Alcotest.(check int) "bytes" (tally.State_transfer.bytes_fetched - bytes) tl.Runtime.tl_bytes
   | tls -> Alcotest.failf "expected one recovery episode, got %d" (List.length tls)
 
 (* Every cell of the system: the active cells of every shard, then the
@@ -265,6 +268,69 @@ let test_st_totals_sum_the_cells () =
        [ 0; 1 ]);
   check_st_totals "sharded run" sys
 
+(* Node 3 misses more than a log window, comes back and, at its next
+   STATUS round, starts catching up with one fetch per cell.  A fault-plan crash lands while every cell
+   of the node is mid-fetch and kills the fetches' retry chains, so the
+   reboot must re-target each fetch, which then completes. *)
+let crash_and_reboot_mid_fetch what sys =
+  let engine = Runtime.engine sys in
+  let cells = List.init (Runtime.n_shards sys) (fun shard -> Runtime.shard_replica sys ~shard 3) in
+  let fetching () = List.for_all (fun node -> Option.is_some node.Runtime.fetcher) cells in
+  Engine.set_node_up engine 3 false;
+  for round = 0 to 3 do
+    for i = 0 to 7 do
+      ignore (set sys ~client:0 i (Printf.sprintf "r%d.%d" round i))
+    done
+  done;
+  Engine.set_node_up engine 3 true;
+  let deadline = Sim_time.add (Runtime.now sys) (Sim_time.of_sec 1.0) in
+  let step_until cond =
+    while (not (cond ())) && Sim_time.compare (Runtime.now sys) deadline < 0 && Engine.step engine do
+      ()
+    done
+  in
+  step_until fetching;
+  Alcotest.(check bool) (what ^ ": every cell of node 3 fetching") true (fetching ());
+  let plan =
+    match Base_sim.Faultplan.parse "at 0ms crash 3\nat 40ms reboot 3" with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  Runtime.apply_faultplan sys plan;
+  step_until (fun () -> not (Engine.node_is_up engine 3));
+  Alcotest.(check bool) (what ^ ": crashed mid-fetch") true (fetching ());
+  settle sys 1.0;
+  let retargets =
+    List.filter
+      (fun ev ->
+        ev.Base_obs.Trace.name = "st.retarget"
+        && List.assoc_opt "reason" ev.Base_obs.Trace.attrs = Some "reboot"
+        && List.assoc_opt "rid" ev.Base_obs.Trace.attrs = Some "3")
+      (Base_obs.Trace.events (Runtime.trace sys))
+  in
+  Alcotest.(check int) (what ^ ": one reboot re-target per cell") (List.length cells)
+    (List.length retargets);
+  List.iter
+    (fun node ->
+      let shard = node.Runtime.shard in
+      let peer = Runtime.shard_replica sys ~shard 0 in
+      let where = Printf.sprintf "%s, shard %d: " what shard in
+      Alcotest.(check bool) (where ^ "fetch completed") true (Option.is_none node.Runtime.fetcher);
+      Alcotest.(check bool) (where ^ "back to normal") true
+        (Replica.status node.Runtime.replica = Replica.Normal);
+      Alcotest.(check bool) (where ^ "state converged") true
+        (Base_crypto.Digest_t.equal (Objrepo.current_root node.Runtime.repo)
+           (Objrepo.current_root peer.Runtime.repo)))
+    cells
+
+let test_reboot_retargets_fetch () =
+  let sys, _ = make_system ~seed:52L ~checkpoint_period:4 () in
+  crash_and_reboot_mid_fetch "unsharded" sys;
+  let { Base_workload.Systems.reg_runtime = sys; _ } =
+    Base_workload.Systems.make_registers ~seed:53L ~shards:2 ~n_objects:8 ~checkpoint_period:4 ()
+  in
+  crash_and_reboot_mid_fetch "sharded" sys
+
 let suite =
   [
     Alcotest.test_case "status refills a briefly-down replica" `Quick
@@ -281,4 +347,5 @@ let suite =
     Alcotest.test_case "timeline counts the completing reply" `Quick
       test_timeline_counts_the_completing_reply;
     Alcotest.test_case "st_totals sum the cells" `Quick test_st_totals_sum_the_cells;
+    Alcotest.test_case "reboot re-targets a fetch" `Quick test_reboot_retargets_fetch;
   ]

@@ -52,15 +52,15 @@ type run = {
    individual sources Byzantine; [on_step] observes the fetcher after
    every handled reply.  [retry] is never called, so a quarantine imposed
    during the run never expires. *)
-let drive ?window ?(tamper = fun ~src:_ m -> m) ?(on_step = fun _ -> ()) ?(sources = [ 0 ])
-    ~src ~dst ~seq ~digest () =
+let drive ?window ?tally ?(tamper = fun ~src:_ m -> m) ?(on_step = fun _ -> ())
+    ?(sources = [ 0 ]) ~src ~dst ~seq ~digest () =
   let q = Queue.create () in
   let sent = ref [] in
   let verdicts = ref [] in
   let completed = ref false in
   let peak = ref 0 in
   let fetcher =
-    St.start ?window ~repo:dst ~sources ~target_seq:seq ~target_digest:digest
+    St.start ?window ?tally ~repo:dst ~sources ~target_seq:seq ~target_digest:digest
       ~send:(fun ~dst:d m ->
         sent := (d, m) :: !sent;
         Queue.add (d, m) q)
@@ -209,7 +209,7 @@ let verdict = Alcotest.testable (fun ppf v ->
 
 (* A fetch of 30 dirty objects, one request in flight at a time, over a
    queue the test drains by hand. *)
-let manual_fetch ?into () =
+let manual_fetch ?tally () =
   let obj_bytes = 64 in
   let store_src, src = synthetic ~obj_bytes ~seed:11L () in
   let _, dst = synthetic ~obj_bytes ~seed:11L () in
@@ -220,7 +220,7 @@ let manual_fetch ?into () =
   let _, digest = checkpoint src ~seq:1 in
   let q = Queue.create () in
   let fetcher =
-    St.start ~window:1 ?into ~repo:dst ~sources:[ 0 ] ~target_seq:1 ~target_digest:digest
+    St.start ~window:1 ?tally ~repo:dst ~sources:[ 0 ] ~target_seq:1 ~target_digest:digest
       ~send:(fun ~dst:_ m -> Queue.add m q)
       ~on_complete:(fun ~seq:_ ~app_root:_ ~client_rows:_ -> ())
       ()
@@ -232,36 +232,58 @@ let manual_fetch ?into () =
   in
   (fetcher, q, deliver)
 
+(* A cell's tally after earlier fetches: the per-fetch limits must read
+   only what the current fetch adds to it. *)
+let used_tally () =
+  {
+    (St.fresh_stats ()) with
+    St.meta_fetched = 40;
+    objects_fetched = 300;
+    bytes_fetched = 20_000;
+    retries = 6;
+    heads_rejected = 2 * St.reject_limit;
+  }
+
+let tallies () = [ ("fresh tally", None); ("used tally", Some (used_tally ())) ]
+
 let test_retarget_stalled () =
-  let fetcher, _, _ = manual_fetch () in
-  let verdicts = List.init St.stall_rounds (fun _ -> St.retry fetcher) in
-  Alcotest.(check (list verdict)) "three silent rounds, then re-target"
-    [ St.Continue; St.Continue; St.Retarget "stalled" ] verdicts
+  List.iter
+    (fun (what, tally) ->
+      let fetcher, _, _ = manual_fetch ?tally () in
+      let verdicts = List.init St.stall_rounds (fun _ -> St.retry fetcher) in
+      Alcotest.(check (list verdict)) (what ^ ": three silent rounds, then re-target")
+        [ St.Continue; St.Continue; St.Retarget "stalled" ] verdicts)
+    (tallies ())
 
 let test_retarget_timeout () =
-  let tally = St.fresh_stats () in
-  let fetcher, q, deliver = manual_fetch ~into:[ tally ] () in
-  let progress () =
-    let s = St.stats fetcher in
-    s.St.meta_fetched + s.St.objects_fetched
+  let counts s = [ s.St.meta_fetched; s.St.objects_fetched; s.St.bytes_fetched; s.St.retries ] in
+  let run (what, tally) =
+    let fetcher, q, deliver = manual_fetch ?tally () in
+    let progress () =
+      let s = St.stats fetcher in
+      s.St.meta_fetched + s.St.objects_fetched
+    in
+    (* Every round makes progress, so only the budget can end the fetch. *)
+    let round () =
+      let before = progress () in
+      while (not (Queue.is_empty q)) && progress () = before do
+        deliver ()
+      done;
+      St.retry fetcher
+    in
+    let verdicts = List.init (St.retry_budget + 1) (fun _ -> round ()) in
+    Alcotest.(check (list verdict)) (what ^ ": eight rounds, then re-target")
+      (List.init St.retry_budget (fun _ -> St.Continue) @ [ St.Retarget "timeout" ])
+      verdicts;
+    Alcotest.(check bool) (what ^ ": not finished") false (St.finished fetcher);
+    counts (St.stats fetcher)
   in
-  (* Every round makes progress, so only the budget can end the fetch. *)
-  let round () =
-    let before = progress () in
-    while (not (Queue.is_empty q)) && progress () = before do
-      deliver ()
-    done;
-    St.retry fetcher
-  in
-  let verdicts = List.init (St.retry_budget + 1) (fun _ -> round ()) in
-  Alcotest.(check (list verdict)) "eight rounds, then re-target"
-    (List.init St.retry_budget (fun _ -> St.Continue) @ [ St.Retarget "timeout" ])
-    verdicts;
-  Alcotest.(check bool) "not finished" false (St.finished fetcher);
-  let s = St.stats fetcher in
-  Alcotest.(check (list int)) "handed record holds the fetcher's counts"
-    [ s.St.meta_fetched; s.St.objects_fetched; s.St.bytes_fetched; s.St.retries ]
-    [ tally.St.meta_fetched; tally.St.objects_fetched; tally.St.bytes_fetched; tally.St.retries ]
+  match List.map run (tallies ()) with
+  | [ fresh; used ] ->
+    Alcotest.(check (list int)) "the used tally grew by the fetch's counts"
+      (List.map2 ( + ) (counts (used_tally ())) fresh)
+      used
+  | runs -> Alcotest.failf "%d runs" (List.length runs)
 
 let test_retarget_rejections () =
   let _, src = synthetic ~seed:13L () in
@@ -274,11 +296,16 @@ let test_retarget_rejections () =
     | St.Head_reply h -> St.Head_reply { h with app_root = Digest.zero }
     | m -> m
   in
-  let r = drive ~tamper ~sources:(List.init 13 Fun.id) ~src ~dst ~seq:1 ~digest () in
-  Alcotest.(check int) "every head rejected" 13 r.stats.St.heads_rejected;
-  Alcotest.(check (list verdict)) "the twelfth rejection re-targets"
-    (List.init (St.reject_limit - 1) (fun _ -> St.Continue) @ [ St.Retarget "rejections" ])
-    (List.filteri (fun i _ -> i < St.reject_limit) r.verdicts)
+  List.iter
+    (fun (what, tally) ->
+      let already = Option.fold ~none:0 ~some:(fun s -> s.St.heads_rejected) tally in
+      let r = drive ?tally ~tamper ~sources:(List.init 13 Fun.id) ~src ~dst ~seq:1 ~digest () in
+      Alcotest.(check int) (what ^ ": every head rejected") (already + 13)
+        r.stats.St.heads_rejected;
+      Alcotest.(check (list verdict)) (what ^ ": the twelfth rejection re-targets")
+        (List.init (St.reject_limit - 1) (fun _ -> St.Continue) @ [ St.Retarget "rejections" ])
+        (List.filteri (fun i _ -> i < St.reject_limit) r.verdicts))
+    (tallies ())
 
 (* Before an object is overwritten, the leaf cache and every retained
    checkpoint without its own copy take its current value: one [get_obj]

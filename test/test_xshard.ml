@@ -57,13 +57,7 @@ let make_system ?(seed = 21L) ?(n_clients = 1) ?(n_objects = 8) ?(shards = 2)
     Types.make_config ~checkpoint_period:16 ~log_window:32 ~viewchange_timeout_us
       ~shard_bounds:(Types.uniform_shards ~shards ~n_objects) ~f:1 ~n_clients ()
   in
-  let engine_config =
-    {
-      (Engine.default_config ~size_of:Runtime.msg_size ~label_of:Runtime.msg_label) with
-      seed;
-      kind_of = Runtime.msg_kind;
-    }
-  in
+  let engine_config = Runtime.engine_config ~seed () in
   let slots = Array.init (Types.group_size config) (fun _ -> Array.make n_objects "") in
   let make_wrapper rid = multireg_wrapper ~n_objects slots.(rid) in
   let sys = Runtime.create ~engine_config ~config ~make_wrapper ~n_clients () in
