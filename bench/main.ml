@@ -525,7 +525,7 @@ let e8 () =
 let e9 () =
   section "E9" "fault injection: silent state corruption, masking and repair";
   Printf.printf "  %-18s %-10s %-14s %-12s %-16s\n" "corrupt-replicas" "damaged"
-    "reads-correct" "objs-fetched" "divergent-after";
+    "reads-correct" "repaired" "divergent-after";
   List.iter
     (fun k ->
       let o = Faults.corruption_experiment ~corrupt_replicas:k ~objects_per_replica:4 () in

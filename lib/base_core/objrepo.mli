@@ -79,9 +79,11 @@ val install : t -> (int * string) list -> unit
     installs without a network round trip. *)
 
 val cache_find : t -> Digest.t -> string option
-(** The cached object value whose leaf digest is exactly [digest], if the
-    cache still holds it.  The digest key makes the value self-certifying:
-    it is byte-for-byte the value the certified digest commits to. *)
+(** The cached object value filed under leaf digest [digest], if the
+    cache still holds it.  The key is the digest the leaf held when the
+    value was filed, which is stale if the concrete state changed behind
+    the wrapper's back: check the value against [digest] before trusting
+    it, as {!State_transfer} does. *)
 
 val cache_put : t -> Digest.t -> string -> unit
 (** Record [data] under its leaf [digest]; a duplicate key is ignored, and

@@ -119,7 +119,8 @@ let fetch_done r rid =
 
 (* --- the fetch driver --------------------------------------------------------- *)
 
-let st_send r ~src ~dst ~shard body = Engine.send r.engine ~src ~dst (St { from = src; shard; body })
+let st_send r ~src ~dst ~shard body =
+  Engine.send r.engine ~src ~dst (St { from = src; shard; body })
 
 (* Abandon the current fetch and restart against the freshest certified
    checkpoint — the escape hatch for a garbage-collected target, a target

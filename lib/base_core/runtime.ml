@@ -357,7 +357,8 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
           (fun ~seq ~client_rows -> Objrepo.take_checkpoint (node_repo ()) ~seq ~client_rows);
         discard_checkpoints_below = (fun seq -> Objrepo.discard_below (node_repo ()) seq);
         start_fetch =
-          (fun ~seq ~digest -> Recovery.start_fetch (the ()).recovery (cell ~shard rid) ~seq ~digest);
+          (fun ~seq ~digest ->
+            Recovery.start_fetch (the ()).recovery (cell ~shard rid) ~seq ~digest);
       }
     in
     let replica =
@@ -457,7 +458,8 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
       clients;
       orchestrator;
       xshard = Xshard.create ~config ~engine cells;
-      recovery = Recovery.create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~standbys cells;
+      recovery =
+        Recovery.create ~config ~engine ~chains ~metrics ~trace ~orchestrator ~standbys cells;
       metrics;
       profile;
       trace;

@@ -168,7 +168,8 @@ let sum tallies =
   total
 
 (* What [retry]'s stall check watches: every counter a useful reply moves. *)
-let progress_of s = s.meta_fetched + s.objects_fetched + s.chunks_fetched + s.cache_hits + s.bytes_fetched
+let progress_of s =
+  s.meta_fetched + s.objects_fetched + s.chunks_fetched + s.cache_hits + s.bytes_fetched
 
 (* Fetched objects install in ascending index order (indices are unique, so
    the payload never participates in the comparison). *)
@@ -473,14 +474,17 @@ let expand t ~level ~index certified =
     if level = leaf_level then begin
       if not (Hashtbl.mem t.pending_objs index) && not (Hashtbl.mem t.fetched index) then begin
         match Objrepo.cache_find t.repo certified with
-        | Some data ->
+        | Some data when Digest.equal (Service.object_digest index data) certified ->
           (* The certified value passed through this replica before (an old
              checkpoint value saved by copy-on-write, or a previous fetch):
-             no network round trip needed. *)
+             no network round trip needed.  The hit is checked like any
+             fetched object: copy-on-write files a value under the digest
+             its leaf held, which is stale if the concrete state rotted
+             behind the wrapper's back. *)
           Hashtbl.replace t.fetched index data;
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           bump t "base.st.cache_hits"
-        | None ->
+        | Some _ | None ->
           Hashtbl.replace t.pending_objs index
             { of_digest = certified; of_total = -1; of_buf = Bytes.empty; of_have = [||];
               of_srcs = [] };

@@ -837,6 +837,21 @@ let fetch_target t =
       end)
     None (sorted_bindings t.cp_msgs)
 
+(* The fetch is over, installed or abandoned.  If it interrupted an
+   unresolved view change (or one began while it ran), return to that view
+   change, with its escalation timer re-armed, until NEW-VIEW or
+   abandonment; otherwise resume normal operation. *)
+let end_fetch t =
+  t.fetch_in_progress <- None;
+  if t.status = Fetching then begin
+    if t.resume_vc_after_fetch then begin
+      t.status <- View_changing;
+      arm_vc_timer t
+    end
+    else t.status <- Normal
+  end;
+  t.resume_vc_after_fetch <- false
+
 (* A repair fetch may target a checkpoint at or below our own execution
    point: the replica rolls back to it and re-executes the committed log
    suffix (deterministically), which restores any corrupt concrete state. *)
@@ -912,17 +927,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
     advance_watermark t seq combined;
     Hashtbl.replace t.own_cps seq combined
   end;
-  t.fetch_in_progress <- None;
-  if t.status = Fetching then begin
-    if t.resume_vc_after_fetch then begin
-      (* The fetch interrupted an unresolved view change: stay in it, with
-         its escalation timer re-armed, until NEW-VIEW or abandonment. *)
-      t.status <- View_changing;
-      arm_vc_timer t
-    end
-    else t.status <- Normal
-  end;
-  t.resume_vc_after_fetch <- false;
+  end_fetch t;
   if t.next_seq < t.h then t.next_seq <- t.h;
   if seq < t.h then
     (* The stable watermark overtook the fetch target while the transfer
@@ -949,19 +954,28 @@ let prepared_set t =
   |> List.sort (fun (a : M.pre_prepare) b -> Int.compare a.seq b.seq)
 
 (* What leaving a view change for view [v] resets, whether a NEW-VIEW
-   installed it or the replica abandoned its own escalation. *)
+   installed it or the replica abandoned its own escalation.  A fetch in
+   flight keeps [Fetching], and ends in normal operation. *)
 let leave_view_change t v =
   t.view <- v;
-  t.status <- Normal;
+  if t.status <> Fetching then t.status <- Normal;
+  t.resume_vc_after_fetch <- false;
   Hashtbl.reset t.early_pps;
   t.obs.vc_started <- -1L;
   t.vc_timeout_us <- t.config.viewchange_timeout_us;
   cancel_vc_timer t
 
+(* In a view change: changing views, or fetching state and due to return
+   to the view change once the fetch ends. *)
+let changing_view t =
+  t.status = View_changing || (t.status = Fetching && t.resume_vc_after_fetch)
+
 let rec do_view_change t v' =
   if v' > t.view || (v' = t.view && t.status = Normal) then begin
     t.view <- v';
-    t.status <- View_changing;
+    (* A fetch in flight keeps its gate on execution until it ends. *)
+    if t.status = Fetching then t.resume_vc_after_fetch <- true
+    else t.status <- View_changing;
     Hashtbl.reset t.early_pps;
     if Int64.compare t.obs.vc_started 0L < 0 then t.obs.vc_started <- now t;
     t.stats.view_changes <- t.stats.view_changes + 1;
@@ -980,7 +994,8 @@ let rec do_view_change t v' =
     (* Escalate with a doubled (but bounded) timeout if this view change
        stalls. *)
     t.vc_timeout_us <- min (t.vc_timeout_us * 2) (20 * t.config.viewchange_timeout_us);
-    arm_vc_timer t;
+    (* A fetch arms the timer when it ends. *)
+    if t.status = View_changing then arm_vc_timer t;
     check_new_view t v'
   end
 
@@ -988,7 +1003,6 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
   observe_span t.obs.m_view_change ~since:t.obs.vc_started ~until:(now t);
   let early = sorted_bindings t.early_pps in
   leave_view_change t v';
-  t.resume_vc_after_fetch <- false;
   (* Certificates from earlier views are void in the new view. *)
   List.iter
     (fun (pp : M.pre_prepare) ->
@@ -1025,7 +1039,7 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
   List.iter (fun (_, pp) -> handle_pre_prepare t (primary_of t v') pp) early
 
 and check_new_view t v' =
-  if primary_of t v' = t.id && t.status = View_changing && t.view = v' then begin
+  if primary_of t v' = t.id && changing_view t && t.view = v' then begin
     let tbl = vc_table t v' in
     if Hashtbl.length tbl >= Types.quorum t.config then begin
       let vc_list = List.map snd (sorted_bindings tbl) in
@@ -1123,9 +1137,8 @@ let on_reboot t =
   arm_status_timer t
 
 let abort_fetch t =
-  t.fetch_in_progress <- None;
-  Hashtbl.reset t.early_pps;
-  if t.status = Fetching then t.status <- Normal
+  end_fetch t;
+  Hashtbl.reset t.early_pps
 
 (* Standby bookkeeping after a completed shadow sync: advance the watermark
    to the synced checkpoint and drop certificate tables below it, so the

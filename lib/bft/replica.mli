@@ -210,7 +210,9 @@ val on_reboot : t -> unit
 
 val abort_fetch : t -> unit
 (** Abandon an in-flight state transfer (e.g. the watchdog rebooted us in
-    the middle of one). *)
+    the middle of one).  The replica returns to the view change the fetch
+    interrupted, with its escalation timer armed, or else to normal
+    operation. *)
 
 val force_fetch : t -> seq:Types.seqno -> digest:Digest.t -> unit
 (** Start a state transfer even when [seq] equals the replica's own last

@@ -8,6 +8,7 @@ module Runtime = Base_core.Runtime
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
 module Objrepo = Base_core.Objrepo
+module Service = Base_core.Service
 module S = Base_fs.Server_intf
 
 (* Distinct abstract-state roots across the replica group (0 divergent =
@@ -74,8 +75,9 @@ let poison_experiment ?(seed = 5L) ~hetero () =
 type corruption_outcome = {
   corrupt_replicas : int;
   objects_damaged : int;
+      (** abstract objects of the corrupt replicas that the rot changed *)
   reads_correct_before_repair : bool;
-  objects_repaired : int;  (** fetched during proactive recovery *)
+  objects_repaired : int;  (** of those, the ones back at the group's value after recovery *)
   divergent_after_repair : int;
 }
 
@@ -92,12 +94,26 @@ let corruption_experiment ?(seed = 9L) ~corrupt_replicas ~objects_per_replica ()
         ignore (C.ok (C.write nfs fh ~off:0 body));
         (fh, body))
   in
-  (* Silent bit rot on the first [corrupt_replicas] replicas. *)
+  (* Silent bit rot on the first [corrupt_replicas] replicas.  The damage
+     is counted where the group sees it, in the abstract state: the
+     (replica, object) pairs whose abstract value differs from the last
+     replica's, which is never corrupted. *)
   let prng = Base_util.Prng.create (Int64.add seed 1000L) in
-  let damaged = ref 0 in
   for rid = 0 to corrupt_replicas - 1 do
-    damaged := !damaged + sys.Systems.servers.(rid).S.corrupt ~prng ~count:objects_per_replica
+    ignore (sys.Systems.servers.(rid).S.corrupt ~prng ~count:objects_per_replica)
   done;
+  let healthy = (Runtime.config rt).Base_bft.Types.n - 1 in
+  let wrapper rid = (Runtime.replica rt rid).Runtime.wrapper in
+  let intact (rid, i) =
+    String.equal ((wrapper rid).Service.get_obj i) ((wrapper healthy).Service.get_obj i)
+  in
+  let damaged =
+    List.filter
+      (fun pair -> not (intact pair))
+      (List.concat_map
+         (fun rid -> List.init (wrapper rid).Service.n_objects (fun i -> (rid, i)))
+         (List.init corrupt_replicas Fun.id))
+  in
   (* Reads must still be correct while no more than f replicas are corrupt:
      the wrapped, corrupted replicas are simply outvoted. *)
   let reads_ok =
@@ -118,17 +134,11 @@ let corruption_experiment ?(seed = 9L) ~corrupt_replicas ~objects_per_replica ()
   done;
   Runtime.disable_proactive_recovery rt;
   Engine.run ~until:(Sim_time.add (Runtime.now rt) (Sim_time.of_sec 3.0)) (Runtime.engine rt);
-  let repaired =
-    Array.fold_left
-      (fun acc node ->
-        acc + node.Runtime.recovery_stats.Runtime.fetched.Base_core.State_transfer.objects_fetched)
-      0 (Runtime.replicas rt)
-  in
   {
     corrupt_replicas;
-    objects_damaged = !damaged;
+    objects_damaged = List.length damaged;
     reads_correct_before_repair = reads_ok;
-    objects_repaired = repaired;
+    objects_repaired = List.length (List.filter intact damaged);
     divergent_after_repair = divergent_replicas sys;
   }
 

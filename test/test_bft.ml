@@ -329,10 +329,12 @@ let test_pre_prepare_resend_after_key_refresh () =
 
 (* Bare replicas of an f = 1 group with [n_clients] clients: [make id] is
    replica [id], [sent] holds every (destination, body) any of them sends,
-   and [seal sender body] MACs [body] as principal [sender] would. *)
+   [timers] every timer any of them arms, and [seal sender body] MACs
+   [body] as principal [sender] would. *)
 type bare = {
   config : Types.config;
   sent : (int * Message.body) Queue.t;
+  timers : Replica.timer Queue.t;
   make : int -> Replica.t;
   seal : int -> Message.body -> Message.envelope;
 }
@@ -342,16 +344,21 @@ let bare_group ?(n_clients = 1) ?max_inflight ?checkpoint_period ?log_window () 
     Types.make_config ?max_inflight ?checkpoint_period ?log_window ~f:1 ~n_clients ()
   in
   let chains = Base_crypto.Auth.create ~seed:15L ~n_principals:config.n_principals in
-  let sent = Queue.create () in
+  let sent = Queue.create () and timers = Queue.create () in
   let net =
     {
       Helpers.silent_net with
       Message.send = (fun ~dst env -> Queue.add (dst, env.Message.body) sent);
+      set_timer =
+        (fun ~after_us:_ tm ->
+          Queue.add tm timers;
+          Queue.length timers);
     }
   in
   {
     config;
     sent;
+    timers;
     make = Helpers.bare_replica ~net ~config ~chains;
     seal = (fun sender body -> Message.seal chains.(sender) ~sender ~n_receivers:config.n body);
   }
@@ -549,6 +556,98 @@ let test_fetch_keeps_pending_requests () =
   Replica.fetch_complete primary ~seq:0 ~app_digest:zero ~client_rows:rows;
   Alcotest.(check int) "executed per the transferred table" 0 (Replica.pending_count primary)
 
+(* --- a state transfer around a view change ------------------------------ *)
+
+let status = Alcotest.testable (fun ppf st ->
+    Format.pp_print_string ppf
+      (match st with
+      | Replica.Normal -> "Normal"
+      | Replica.View_changing -> "View_changing"
+      | Replica.Fetching -> "Fetching")) ( = )
+
+let zero_rows_digest = Replica.checkpoint_digest ~app_digest:Base_crypto.Digest_t.zero ~client_rows:[]
+
+let fetch_seq0 r = Replica.force_fetch r ~seq:0 ~digest:zero_rows_digest
+
+let complete_seq0 r =
+  Replica.fetch_complete r ~seq:0 ~app_digest:Base_crypto.Digest_t.zero ~client_rows:[]
+
+let view_change_to_one g r sender =
+  Replica.receive r
+    (g.seal sender
+       (Message.View_change
+          {
+            new_view = 1;
+            last_stable = 0;
+            stable_digest = Base_crypto.Digest_t.zero;
+            prepared = [];
+            replica = sender;
+          }))
+
+(* A fetch that interrupted a view change and is abandoned (a reboot, a
+   re-target) returns to the view change with its escalation timer armed,
+   and the fetch that replaces it returns there too. *)
+let test_aborted_fetch_resumes_view_change () =
+  let g = bare_group () in
+  let r2, _ = enter_view_one g in
+  fetch_seq0 r2;
+  Alcotest.(check status) "fetching" Replica.Fetching (Replica.status r2);
+  Queue.clear g.timers;
+  Replica.abort_fetch r2;
+  Alcotest.(check status) "back in the view change" Replica.View_changing (Replica.status r2);
+  Alcotest.(check bool) "its timer armed" true
+    (Queue.fold (fun armed tm -> armed || tm = Replica.Vc_timeout 1) false g.timers);
+  fetch_seq0 r2;
+  complete_seq0 r2;
+  Alcotest.(check status) "the next fetch returns there too" Replica.View_changing
+    (Replica.status r2)
+
+(* A backup joins a view change (f+1 peers moved to view 1) while it
+   fetches: it stays [Fetching], so nothing executes before the transfer
+   ends, and returns to the view change afterwards. *)
+let test_view_change_during_fetch () =
+  let g = bare_group () in
+  let r3 = g.make 3 in
+  fetch_seq0 r3;
+  List.iter (view_change_to_one g r3) [ 0; 2 ];
+  Alcotest.(check int) "joined view 1" 1 (Replica.view r3);
+  Alcotest.(check status) "still fetching" Replica.Fetching (Replica.status r3);
+  complete_seq0 r3;
+  Alcotest.(check status) "in the view change after the fetch" Replica.View_changing
+    (Replica.status r3)
+
+(* A backup in a view change receives the NEW-VIEW while it fetches: the
+   view installs, the backup stays [Fetching] until the transfer ends,
+   then runs normally. *)
+let test_new_view_during_fetch () =
+  let g = bare_group () in
+  let r2, _ = enter_view_one g in
+  fetch_seq0 r2;
+  Replica.receive r2
+    (g.seal 1
+       (Message.New_view
+          { nv_view = 1; nv_view_changes = [ (0, 0); (1, 0); (2, 0) ]; nv_pre_prepares = [] }));
+  Alcotest.(check int) "view 1 installed" 1 (Replica.view r2);
+  Alcotest.(check status) "still fetching" Replica.Fetching (Replica.status r2);
+  complete_seq0 r2;
+  Alcotest.(check status) "normal after the fetch" Replica.Normal (Replica.status r2)
+
+(* The new primary, fetching, gathers its VIEW-CHANGE quorum: it installs
+   the view and sends NEW-VIEW, but stays [Fetching] until the transfer
+   ends. *)
+let test_new_primary_installs_during_fetch () =
+  let g = bare_group () in
+  let r1 = g.make 1 in
+  fetch_seq0 r1;
+  List.iter (view_change_to_one g r1) [ 0; 2 ];
+  Alcotest.(check bool) "NEW-VIEW sent" true
+    (Queue.fold
+       (fun sent (_, body) -> sent || match body with Message.New_view _ -> true | _ -> false)
+       false g.sent);
+  Alcotest.(check status) "still fetching" Replica.Fetching (Replica.status r1);
+  complete_seq0 r1;
+  Alcotest.(check status) "normal after the fetch" Replica.Normal (Replica.status r1)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -580,4 +679,10 @@ let suite =
       test_repeated_request_rejected;
     Alcotest.test_case "requests survive a state transfer" `Quick
       test_fetch_keeps_pending_requests;
+    Alcotest.test_case "aborted fetch resumes the view change" `Quick
+      test_aborted_fetch_resumes_view_change;
+    Alcotest.test_case "view change during a fetch" `Quick test_view_change_during_fetch;
+    Alcotest.test_case "NEW-VIEW during a fetch" `Quick test_new_view_during_fetch;
+    Alcotest.test_case "new primary installs during a fetch" `Quick
+      test_new_primary_installs_during_fetch;
   ]

@@ -269,9 +269,10 @@ let test_st_totals_sum_the_cells () =
   check_st_totals "sharded run" sys
 
 (* Node 3 misses more than a log window, comes back and, at its next
-   STATUS round, starts catching up with one fetch per cell.  A fault-plan crash lands while every cell
-   of the node is mid-fetch and kills the fetches' retry chains, so the
-   reboot must re-target each fetch, which then completes. *)
+   STATUS round, starts catching up with one fetch per cell.  A fault-plan
+   crash lands while every cell of the node is mid-fetch and kills the
+   fetches' retry chains, so the reboot must re-target each fetch, which
+   then completes. *)
 let crash_and_reboot_mid_fetch what sys =
   let engine = Runtime.engine sys in
   let cells = List.init (Runtime.n_shards sys) (fun shard -> Runtime.shard_replica sys ~shard 3) in
@@ -285,7 +286,9 @@ let crash_and_reboot_mid_fetch what sys =
   Engine.set_node_up engine 3 true;
   let deadline = Sim_time.add (Runtime.now sys) (Sim_time.of_sec 1.0) in
   let step_until cond =
-    while (not (cond ())) && Sim_time.compare (Runtime.now sys) deadline < 0 && Engine.step engine do
+    while
+      (not (cond ())) && Sim_time.compare (Runtime.now sys) deadline < 0 && Engine.step engine
+    do
       ()
     done
   in

@@ -175,6 +175,23 @@ let test_cache_hit_skips_fetch () =
     (List.for_all (fun (_, m) -> match m with St.Fetch_obj _ -> false | _ -> true) r.sent);
   Alcotest.(check bool) "root converged" true (Digest.equal (Objrepo.current_root dst) root)
 
+(* Object 5 rots behind the wrapper's back, so its leaf digest goes stale;
+   an execution then overwrites it, and copy-on-write files the rotten
+   bytes in the leaf cache under the stale digest.  A fetch of a
+   checkpoint certifying the original value must not install them. *)
+let test_stale_cache_entry_refetched () =
+  let obj_bytes = 64 in
+  let _, src = synthetic ~obj_bytes ~seed:7L () in
+  let store_dst, dst = synthetic ~obj_bytes ~seed:7L () in
+  let root, digest = checkpoint src ~seq:1 in
+  store_dst.(5) <- corrupt store_dst.(5);
+  mutate ~obj_bytes store_dst dst (Prng.create 8L) 5;
+  let r = drive ~sources:[ 0; 1 ] ~src ~dst ~seq:1 ~digest () in
+  Alcotest.(check bool) "completed" true r.completed;
+  Alcotest.(check int) "no cache hit" 0 r.stats.St.cache_hits;
+  Alcotest.(check int) "fetched over the network" 1 r.stats.St.objects_fetched;
+  Alcotest.(check bool) "root converged" true (Digest.equal (Objrepo.current_root dst) root)
+
 let test_byzantine_chunks_cannot_stall () =
   (* Source 1 serves correctly-shaped but corrupt chunk bodies.  The lie
      is only detectable on whole-object assembly; the rejected assembly
@@ -335,6 +352,8 @@ let suite =
     Alcotest.test_case "chunked objects reassemble and verify" `Quick
       test_chunked_objects_reassemble;
     Alcotest.test_case "cache hit skips the network fetch" `Quick test_cache_hit_skips_fetch;
+    Alcotest.test_case "stale cache entry fetched over the network" `Quick
+      test_stale_cache_entry_refetched;
     Alcotest.test_case "overwrite reads the old value once" `Quick test_preserve_reads_once;
     Alcotest.test_case "byzantine chunk source cannot stall recovery" `Quick
       test_byzantine_chunks_cannot_stall;
