@@ -272,10 +272,7 @@ let rebooted r rid =
       (fun row ->
         let node = row.(rid) in
         Replica.on_reboot node.replica;
-        match node.fetcher with
-        | Some fetcher when not (State_transfer.finished fetcher) ->
-          retarget_fetch r node ~reason:"reboot"
-        | Some _ | None -> ())
+        if Option.is_some node.fetcher then retarget_fetch r node ~reason:"reboot")
       r.rows
   else if Types.is_standby r.config rid then begin
     r.cells.(rid).fetcher <- None;
