@@ -241,9 +241,9 @@ let e5 () =
       max_int
       (List.filteri (fun i _ -> i > 0 && i < 15) ws)
   in
+  let cost = 100.0 *. (1.0 -. (float_of_int (tot recovered) /. float_of_int (tot base))) in
   Printf.printf "\n  totals: %d ops without recovery, %d with (%.1f%% throughput cost)\n"
-    (tot base) (tot recovered)
-    (100.0 *. (1.0 -. (float_of_int (tot recovered) /. float_of_int (tot base))));
+    (tot base) (tot recovered) cost;
   Printf.printf "  worst window with recovery: %d ops (service never unavailable)\n"
     (min_w recovered);
   let replicas = Runtime.replicas sys.Systems.runtime in
@@ -258,7 +258,12 @@ let e5 () =
     replicas;
   Printf.printf
     "  paper: recoveries are staggered so the service stays available and a\n\
-    \  recovering replica fetches only out-of-date objects - both visible above.\n"
+    \  recovering replica fetches only out-of-date objects - both visible above.\n";
+  (* A recovered replica that waits for its status timer to catch up
+     leaves too few up-to-date replicas at the next reboot, and the
+     client's retransmission timer then shows here: without the catch-up
+     STATUS this read 19.1 %. *)
+  assert (cost <= 12.0)
 
 (* --- E6: opportunistic N-version programming ------------------------------------ *)
 

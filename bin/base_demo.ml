@@ -216,7 +216,12 @@ let metrics_cmd =
         "\nstate transfer: %d meta, %d objects, %d bytes, %d retries, %d rejected replies\n"
         st.Base_core.State_transfer.meta_fetched st.Base_core.State_transfer.objects_fetched
         st.Base_core.State_transfer.bytes_fetched st.Base_core.State_transfer.retries
-        (Base_core.State_transfer.rejected st)
+        (Base_core.State_transfer.rejected st);
+      let count name =
+        Base_obs.Metrics.counter_value (Base_obs.Metrics.counter (Runtime.metrics rt) name)
+      in
+      Printf.printf "catch-up: %d STATUS sent at once, %d fetches re-targeted as superseded\n"
+        (count "bft.catchup_status") (count "base.st.retarget.superseded")
     end
   in
   Cmd.v

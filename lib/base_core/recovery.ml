@@ -130,6 +130,7 @@ let st_send r ~src ~dst ~shard body =
    enough, the next shadow-sync tick re-targets on its own. *)
 let retarget_fetch r node ~reason =
   node.fetcher <- None;
+  count r ("base.st.retarget." ^ reason);
   trace_event r "st.retarget" [ ("reason", reason); ("rid", string_of_int node.rid) ];
   if not (Types.is_standby r.config node.rid) then begin
     Replica.abort_fetch node.replica;
@@ -141,18 +142,26 @@ let retarget_fetch r node ~reason =
    that loses the race with garbage collection must notice and re-target on
    that timescale: a coarse retry period quantizes every unlucky fetch —
    and hence the recovery window — up to multiples of itself.  Each chain
-   drives only the fetcher it was armed for: once the cell has dropped,
-   finished or replaced that fetcher, its tick does nothing, and the next
-   fetcher runs on its own chain. *)
+   drives only the fetcher it was armed for: once the cell has dropped or
+   replaced that fetcher, its tick does nothing, and the next fetcher runs
+   on its own chain.  A finished fetcher the cell still holds is one whose
+   install diverged ([launch_fetch]): its tick re-targets it, so a
+   divergence that persists re-fetches once per period, not in a loop. *)
 let rec arm_retry r node fetcher =
   set_timer r ~node:node.rid ~after_us:50_000 (fun () -> st_retry_tick r node fetcher)
 
 and st_retry_tick r node fetcher =
   match node.fetcher with
-  | Some current when current == fetcher && not (State_transfer.finished fetcher) -> (
-    match State_transfer.retry fetcher with
-    | State_transfer.Continue -> arm_retry r node fetcher
-    | State_transfer.Retarget reason -> retarget_fetch r node ~reason)
+  | Some current when current == fetcher ->
+    if State_transfer.finished fetcher then retarget_fetch r node ~reason:"inverse-divergence"
+    else begin
+      let certified =
+        match Replica.fetch_target node.replica with Some (seq, _) -> seq | None -> -1
+      in
+      match State_transfer.retry ~certified fetcher with
+      | State_transfer.Continue -> arm_retry r node fetcher
+      | State_transfer.Retarget reason -> retarget_fetch r node ~reason
+    end
   | Some _ | None -> ()
 
 (* Fetch the certified checkpoint [(seq, digest)] into the cell's repo and
@@ -169,21 +178,24 @@ let launch_fetch r node ~seq ~digest ~on_installed =
       ~target_seq:seq ~target_digest:digest
       ~send:(fun ~dst body -> st_send r ~src:node.rid ~dst ~shard:node.shard body)
       ~on_complete:(fun ~seq ~app_root ~client_rows ->
-        node.fetcher <- None;
         (* Register the transferred checkpoint so this node can serve it. *)
         let root = Objrepo.take_checkpoint node.repo ~seq ~client_rows in
-        if Digest.equal root app_root then on_installed ~seq ~app_root ~client_rows
+        if Digest.equal root app_root then begin
+          node.fetcher <- None;
+          on_installed ~seq ~app_root ~client_rows
+        end
         else begin
           (* The inverse abstraction produced a state whose digest does not
              match the certified checkpoint: the local implementation is
              faulty in a way reinstallation did not mask.  Degrade
-             gracefully — count it and re-run the transfer (a standby
-             leaves that to its next shadow-sync tick) — instead of
+             gracefully — count it and re-run the transfer — instead of
              crashing the replica, which would turn one faulty node into a
-             liveness hit for the group. *)
+             liveness hit for the group.  An active cell keeps the
+             finished fetcher until its retry tick re-targets it, one
+             period from now; a standby leaves the re-run to its next
+             shadow-sync tick. *)
           count r "st.inverse_divergence";
-          if not (Types.is_standby r.config node.rid) then
-            retarget_fetch r node ~reason:"inverse-divergence"
+          if Types.is_standby r.config node.rid then node.fetcher <- None
         end)
       ()
   in

@@ -659,12 +659,15 @@ let handle_reply t ~from msg =
     else Continue
   end
 
-let retry t =
+let retry ~certified t =
   if t.done_ then Continue
   else begin
     (* A fetch whose counters have not moved for several rounds is talking
        to replicas that no longer hold the target (garbage-collected under
-       load): re-target quickly rather than sitting out the retry budget. *)
+       load): re-target quickly rather than sitting out the retry budget.
+       When the owner already certifies a newer checkpoint, one silent
+       round is evidence enough: sources garbage-collect a target as soon
+       as a newer checkpoint turns stable. *)
     let st = t.stats in
     let progress = progress_of st in
     if progress = t.progress then t.stalled <- t.stalled + 1
@@ -673,6 +676,7 @@ let retry t =
       t.stalled <- 0
     end;
     if t.round >= retry_budget then Retarget "timeout"
+    else if t.stalled >= 1 && certified > t.target_seq then Retarget "superseded"
     else if t.stalled >= stall_rounds then Retarget "stalled"
     else begin
       st.retries <- st.retries + 1;

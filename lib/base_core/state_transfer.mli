@@ -84,7 +84,8 @@ val retry_budget : int
 
 val stall_rounds : int
 (** [3]: consecutive retry rounds in which no counter moved before
-    [Retarget "stalled"]. *)
+    [Retarget "stalled"]; one such round is enough for [Retarget
+    "superseded"] when a newer checkpoint is certified (see {!retry}). *)
 
 val reject_limit : int
 (** [12]: verification failures on one fetch before [Retarget
@@ -191,10 +192,14 @@ val handle_reply : t -> from:int -> msg -> verdict
     it.  [Retarget "rejections"] once the fetch has collected
     {!reject_limit} rejections. *)
 
-val retry : t -> verdict
+val retry : certified:int -> t -> verdict
 (** One watchdog round, driven by the owner's timer.  Answers [Retarget]
     past the {!retry_budget} or after {!stall_rounds} rounds without
-    progress; otherwise decrements quarantines, re-broadcasts the head
+    progress.  [certified] is the newest checkpoint seqno the owner holds
+    a certificate for: when it lies above the fetch's target, one round
+    without progress already answers [Retarget "superseded"], because the
+    sources garbage-collect the target once a newer checkpoint is stable.
+    Otherwise it decrements quarantines, re-broadcasts the head
     request if still unanswered, counts a timeout strike against every
     source holding a request older than one full round, re-stripes those
     requests over the other sources and answers [Continue].  [Continue] on

@@ -41,6 +41,7 @@ type stats = {
   mutable rejected_macs : int;
   mutable rejected_decode : int;
   mutable rejected_insane : int;  (* well-formed but protocol-implausible messages *)
+  mutable catchup_status : int;  (* STATUS sent at once: fetch end, gap, reboot *)
 }
 
 (* Protocol-phase instrumentation: latency histograms over the local
@@ -60,6 +61,7 @@ type obs = {
   c_reject_decode : Base_obs.Metrics.counter;
   c_reject_insane : Base_obs.Metrics.counter;
   c_equivocation : Base_obs.Metrics.counter;
+  c_catchup : Base_obs.Metrics.counter;
   mutable vc_started : int64;  (* -1 when no view change is in progress *)
   mutable last_cp : int64;  (* timestamp of the previous checkpoint; -1 before the first *)
 }
@@ -81,6 +83,7 @@ let make_obs ?(suffix = "") metrics =
     c_reject_decode = c "bft.reject.decode";
     c_reject_insane = c "bft.reject.insane";
     c_equivocation = c "bft.equivocation_detected";
+    c_catchup = c "bft.catchup_status";
     vc_started = -1L;
     last_cp = -1L;
   }
@@ -141,6 +144,7 @@ type t = {
   mutable vc_timeout_us : int;
   mutable status_timer : int option;
   mutable last_progress_exec : Types.seqno;
+  mutable gap_asked : Types.seqno;  (* [last_exec] when a gap last sent STATUS; -1 = never *)
   mutable fetch_in_progress : (Types.seqno * Digest.t) option;
   mutable resume_vc_after_fetch : bool;
   mutable external_pending : int;
@@ -357,6 +361,22 @@ let send_reply t (reply : M.reply) =
     t.net.send ~dst:reply.client env
   end
 
+(* Tell the group how far this replica got.  A peer ahead of it answers by
+   re-sending the slots above [st_last_exec] (see [handle_status]).  The
+   status timer sends one every tick; [catch_up] sends one at once when the
+   replica knows it is behind: its fetch ended, a slot committed above a
+   hole, or it rebooted. *)
+let send_status t =
+  broadcast t
+    (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id })
+
+let catch_up t =
+  if t.behavior <> Mute then begin
+    t.stats.catchup_status <- t.stats.catchup_status + 1;
+    Base_obs.Metrics.incr t.obs.c_catchup;
+    send_status t
+  end
+
 (* --- timers ------------------------------------------------------------- *)
 
 let has_pending t = t.external_pending > 0 || t.n_pending > 0
@@ -536,16 +556,28 @@ and try_execute t =
 
 (* --- certificates ------------------------------------------------------- *)
 
-and maybe_committed t _seq entry =
+and maybe_committed t seq entry =
   match entry.pre_prepare with
   | Some pp when Option.is_some entry.prepared && not entry.committed ->
     if count_matching entry.commits pp.digest >= Types.quorum t.config then begin
       entry.committed <- true;
       entry.t_committed <- now t;
       observe_span t.obs.m_commit ~since:entry.t_prepared ~until:entry.t_committed;
-      try_execute t
+      try_execute t;
+      if seq > t.last_exec + 1 then ask_for_gap t
     end
   | Some _ | None -> ()
+
+(* A slot committed above the next one to execute, which holds no
+   PRE-PREPARE: this replica missed it (it was fetching or down), and its
+   peers will not re-send it unasked.  Ask once per execution point. *)
+and ask_for_gap t =
+  if t.status = Normal && t.gap_asked <> t.last_exec then
+    match Hashtbl.find_opt t.entries (t.last_exec + 1) with
+    | Some { pre_prepare = Some _; _ } -> ()
+    | Some _ | None ->
+      t.gap_asked <- t.last_exec;
+      catch_up t
 
 and maybe_prepared t seq entry =
   match entry.pre_prepare with
@@ -938,7 +970,9 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
     initiate_fetch t;
   try_execute t;
   drain_queue t;
-  propose_pending t
+  propose_pending t;
+  (* The group may have ordered slots above [seq] while we fetched. *)
+  if t.status <> Fetching then catch_up t
 
 (* --- view changes -------------------------------------------------------- *)
 
@@ -1108,8 +1142,7 @@ let on_status_timer t =
   (match Hashtbl.find_opt t.own_cps t.h with
   | Some d when t.h > 0 -> announce_checkpoint t t.h d
   | Some _ | None -> ());
-  broadcast t
-    (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id });
+  send_status t;
   let stalled = t.last_exec = t.last_progress_exec in
   if stalled && t.status = Normal then begin
     (* Retransmit protocol messages for in-flight slots, in seqno order. *)
@@ -1129,12 +1162,13 @@ let on_status_timer t =
 
 let start_status_timer t = if t.status_timer = None then arm_status_timer t
 
-(* Called after a proactive-recovery reboot: timers that fired while the
-   node was down were dropped, so re-arm them. *)
+(* Called after a reboot: timers that fired while the node was down were
+   dropped, so re-arm them, and ask for the slots missed meanwhile. *)
 let on_reboot t =
   t.vc_timer <- None;
   if has_pending t then start_vc_timer t;
-  arm_status_timer t
+  arm_status_timer t;
+  catch_up t
 
 let abort_fetch t =
   end_fetch t;
@@ -1322,6 +1356,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       vc_timeout_us = config.viewchange_timeout_us;
       status_timer = None;
       last_progress_exec = 0;
+      gap_asked = -1;
       fetch_in_progress = None;
       resume_vc_after_fetch = false;
       external_pending = 0;
@@ -1339,6 +1374,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
           rejected_macs = 0;
           rejected_decode = 0;
           rejected_insane = 0;
+          catchup_status = 0;
         };
       obs = make_obs ~suffix:(if shard = 0 then "" else Printf.sprintf ".s%d" shard) metrics;
       prof = profile;

@@ -94,6 +94,11 @@ type stats = {
           protocol-implausible (e.g. prepared PRE-PREPAREs outside the log
           window above the claimed checkpoint, or a vote from a principal
           that is not a replica) *)
+  mutable catchup_status : int;
+      (** STATUS messages sent at once rather than on the status timer,
+          because the replica knew it was behind: its fetch ended, a slot
+          committed above a slot it holds no PRE-PREPARE for, or it
+          rebooted *)
 }
 
 type t
@@ -192,7 +197,9 @@ val fetch_complete :
     proposes the requests still pending.  If the stable watermark overtook
     [seq] while the transfer was in flight — the log needed to roll forward
     is gone — the replica immediately starts another fetch against the
-    freshest certified checkpoint instead of resuming from stale state. *)
+    freshest certified checkpoint instead of resuming from stale state.
+    Otherwise it broadcasts STATUS, so peers re-send the slots the group
+    ordered above [seq] while the transfer ran. *)
 
 val initiate_fetch : t -> unit
 (** Force a state-transfer round against the best certified checkpoint known
@@ -206,7 +213,8 @@ val start_status_timer : t -> unit
 
 val on_reboot : t -> unit
 (** Re-arm timers that were dropped while the node was down (proactive
-    recovery). *)
+    recovery, a crash), and broadcast STATUS so peers re-send the slots
+    the replica missed. *)
 
 val abort_fetch : t -> unit
 (** Abandon an in-flight state transfer (e.g. the watchdog rebooted us in

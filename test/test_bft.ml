@@ -648,6 +648,60 @@ let test_new_primary_installs_during_fetch () =
   complete_seq0 r1;
   Alcotest.(check status) "normal after the fetch" Replica.Normal (Replica.status r1)
 
+(* --- asking for missed slots at once --------------------------------------- *)
+
+(* The STATUS messages replica [r] sent, as replica [dst] receives them. *)
+let statuses_to g ~dst r =
+  Queue.fold
+    (fun n (d, body) ->
+      match body with
+      | Message.Status st when d = dst && st.Message.st_replica = r -> n + 1
+      | _ -> n)
+    0 g.sent
+
+(* Slot [seq] of view 0 commits at backup [r]: the primary's PRE-PREPARE,
+   then the other backups' PREPAREs and everyone's COMMITs. *)
+let commit_slot g r ~seq =
+  let pp = pre_prepare ~view:0 ~seq [ client_request ~timestamp:(Int64.of_int seq) g.config.n ] in
+  Replica.receive r (g.seal 0 (Message.Pre_prepare pp));
+  let vote replica = { Message.view = 0; seq; digest = pp.digest; replica } in
+  List.iter (fun p -> Replica.receive r (g.seal p (Message.Prepare (vote p)))) [ 1; 2 ];
+  List.iter (fun p -> Replica.receive r (g.seal p (Message.Commit (vote p)))) [ 0; 1; 2 ]
+
+(* A backup drops the PRE-PREPARE of slot 1 while it fetches.  Once the
+   next slot commits above that hole, it asks the group with one STATUS,
+   and later commits at the same execution point ask no more. *)
+let test_gap_asks_once () =
+  let g = bare_group () in
+  let r3 = g.make 3 in
+  fetch_seq0 r3;
+  Replica.receive r3
+    (g.seal 0 (Message.Pre_prepare (pre_prepare ~view:0 ~seq:1 [ client_request g.config.n ])));
+  complete_seq0 r3;
+  Queue.clear g.sent;
+  let asked = (Replica.stats r3).catchup_status in
+  commit_slot g r3 ~seq:2;
+  Alcotest.(check int) "nothing executed past the hole" 0 (Replica.last_executed r3);
+  Alcotest.(check int) "one STATUS on the commit above the hole" 1 (statuses_to g ~dst:0 3);
+  commit_slot g r3 ~seq:3;
+  commit_slot g r3 ~seq:4;
+  Alcotest.(check int) "none on later commits at the same point" 1 (statuses_to g ~dst:0 3);
+  Alcotest.(check int) "counted once" (asked + 1) (Replica.stats r3).catchup_status
+
+(* A fetch that ends, and a reboot, each send a STATUS at once, so peers
+   re-send what the group ordered meanwhile without waiting for the status
+   timer. *)
+let test_fetch_end_and_reboot_ask () =
+  let g = bare_group () in
+  let r3 = g.make 3 in
+  fetch_seq0 r3;
+  Alcotest.(check int) "none while fetching" 0 (statuses_to g ~dst:0 3);
+  complete_seq0 r3;
+  Alcotest.(check int) "one at the fetch's end" 1 (statuses_to g ~dst:0 3);
+  Replica.on_reboot r3;
+  Alcotest.(check int) "one on reboot" 2 (statuses_to g ~dst:0 3);
+  Alcotest.(check int) "both counted" 2 (Replica.stats r3).catchup_status
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -685,4 +739,6 @@ let suite =
     Alcotest.test_case "NEW-VIEW during a fetch" `Quick test_new_view_during_fetch;
     Alcotest.test_case "new primary installs during a fetch" `Quick
       test_new_primary_installs_during_fetch;
+    Alcotest.test_case "a commit above a hole asks once" `Quick test_gap_asks_once;
+    Alcotest.test_case "fetch end and reboot ask at once" `Quick test_fetch_end_and_reboot_ask;
   ]

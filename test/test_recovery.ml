@@ -334,6 +334,89 @@ let test_reboot_retargets_fetch () =
   in
   crash_and_reboot_mid_fetch "sharded" sys
 
+(* Replica 3 misses four slots behind a partition, then fetches the
+   checkpoint below them.  At the fetch's end it asks the group at once,
+   so one round trip later it has executed everything the group ordered,
+   instead of waiting for its next status tick, up to 250 ms on. *)
+let test_fetch_end_catches_up () =
+  let sys, _ = make_system ~seed:54L ~checkpoint_period:8 () in
+  drive_load sys ~ops:8 ~gap_ms:5;
+  let engine = Runtime.engine sys in
+  let node = Runtime.replica sys 3 and peer = Runtime.replica sys 0 in
+  Engine.partition engine [ 3 ] [ 0; 1; 2 ];
+  for i = 0 to 3 do
+    ignore (set sys ~client:0 1 (Printf.sprintf "gap%d" i))
+  done;
+  Engine.heal engine;
+  (match Replica.fetch_target node.Runtime.replica with
+  | Some (seq, digest) -> Replica.force_fetch node.Runtime.replica ~seq ~digest
+  | None -> Alcotest.fail "no certified checkpoint");
+  while Option.is_some node.Runtime.fetcher && Engine.step engine do
+    ()
+  done;
+  let group = Replica.last_executed peer.Runtime.replica in
+  Alcotest.(check bool) "behind the group when the fetch ends" true
+    (Replica.last_executed node.Runtime.replica < group);
+  Engine.run ~until:(Sim_time.add (Runtime.now sys) (Sim_time.of_ms 1)) engine;
+  Alcotest.(check int) "caught up within a round trip" group
+    (Replica.last_executed node.Runtime.replica)
+
+(* A kv service whose inverse abstraction is faulty: installing a fetched
+   batch also writes garbage into the first object outside the batch, a
+   write the repo sees, so the installed state never hashes to the
+   certified checkpoint.  Each divergence re-targets the fetch one retry
+   period later, not at once. *)
+let test_divergence_retargets_once_per_period () =
+  let config = Types.make_config ~checkpoint_period:8 ~log_window:16 ~f:1 ~n_clients:1 () in
+  let faulty_repo = ref None in
+  let make_wrapper rid =
+    let kv, w = kv_wrapper ~n_objects:16 () in
+    if rid <> 3 then w
+    else
+      {
+        w with
+        Base_core.Service.put_objs =
+          (fun objs ->
+            w.Base_core.Service.put_objs objs;
+            let outside = List.find (fun j -> not (List.mem_assoc j objs)) (List.init 16 Fun.id) in
+            Option.iter (fun repo -> Objrepo.modify repo outside) !faulty_repo;
+            kv.slots.(outside) <- "garbage");
+      }
+  in
+  let sys =
+    Runtime.create ~engine_config:(Runtime.engine_config ~seed:55L ()) ~config ~make_wrapper
+      ~n_clients:1 ()
+  in
+  faulty_repo := Some (Runtime.replica sys 3).Runtime.repo;
+  drive_load sys ~ops:8 ~gap_ms:5;
+  Runtime.recover_now ~reboot_us:50_000 sys 3;
+  drive_load sys ~ops:16 ~gap_ms:5;
+  settle sys 0.5;
+  let retargets =
+    List.filter_map
+      (fun ev ->
+        if
+          ev.Base_obs.Trace.name = "st.retarget"
+          && List.assoc_opt "reason" ev.Base_obs.Trace.attrs = Some "inverse-divergence"
+        then Some ev.Base_obs.Trace.ts
+        else None)
+      (Base_obs.Trace.events (Runtime.trace sys))
+  in
+  let first = match retargets with ts :: _ -> ts | [] -> Alcotest.fail "no divergence" in
+  for k = 0 to 3 do
+    let from = Int64.add first (Int64.of_int (k * 100_000)) in
+    let within =
+      List.length
+        (List.filter
+           (fun ts -> Int64.compare ts from >= 0 && Int64.compare ts (Int64.add from 100_000L) < 0)
+           retargets)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d re-targets in 100 ms %d: at least one, at most 3" within k)
+      true
+      (within >= 1 && within <= 3)
+  done
+
 let suite =
   [
     Alcotest.test_case "status refills a briefly-down replica" `Quick
@@ -351,4 +434,7 @@ let suite =
       test_timeline_counts_the_completing_reply;
     Alcotest.test_case "st_totals sum the cells" `Quick test_st_totals_sum_the_cells;
     Alcotest.test_case "reboot re-targets a fetch" `Quick test_reboot_retargets_fetch;
+    Alcotest.test_case "a fetch's end catches up at once" `Quick test_fetch_end_catches_up;
+    Alcotest.test_case "a diverging install re-targets once per period" `Quick
+      test_divergence_retargets_once_per_period;
   ]

@@ -263,13 +263,21 @@ let used_tally () =
 
 let tallies () = [ ("fresh tally", None); ("used tally", Some (used_tally ())) ]
 
+(* No source answers the fetch of checkpoint 1 (the group collected it).
+   With only the target certified, it re-targets after [stall_rounds]
+   silent rounds; with checkpoint 2 certified, after one. *)
 let test_retarget_stalled () =
   List.iter
     (fun (what, tally) ->
-      let fetcher, _, _ = manual_fetch ?tally () in
-      let verdicts = List.init St.stall_rounds (fun _ -> St.retry fetcher) in
+      let silent_rounds ~certified rounds =
+        let fetcher, _, _ = manual_fetch ?tally () in
+        List.init rounds (fun _ -> St.retry ~certified fetcher)
+      in
       Alcotest.(check (list verdict)) (what ^ ": three silent rounds, then re-target")
-        [ St.Continue; St.Continue; St.Retarget "stalled" ] verdicts)
+        [ St.Continue; St.Continue; St.Retarget "stalled" ]
+        (silent_rounds ~certified:1 St.stall_rounds);
+      Alcotest.(check (list verdict)) (what ^ ": one silent round when superseded")
+        [ St.Retarget "superseded" ] (silent_rounds ~certified:2 1))
     (tallies ())
 
 let test_retarget_timeout () =
@@ -286,7 +294,7 @@ let test_retarget_timeout () =
       while (not (Queue.is_empty q)) && progress () = before do
         deliver ()
       done;
-      St.retry fetcher
+      St.retry ~certified:1 fetcher
     in
     let verdicts = List.init (St.retry_budget + 1) (fun _ -> round ()) in
     Alcotest.(check (list verdict)) (what ^ ": eight rounds, then re-target")
