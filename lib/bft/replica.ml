@@ -125,7 +125,7 @@ type t = {
   role : role;
   mutable behavior : behavior;
   mutable view : Types.view;
-  mutable status : status;
+  mutable in_view_change : bool;  (* since a VIEW-CHANGE, until NEW-VIEW or abandonment *)
   entries : (Types.seqno, entry) Hashtbl.t;
   clients : (int, client_rec) Hashtbl.t;
   mutable n_pending : int;  (* clients whose [pending] is [Some _]; see [set_pending] *)
@@ -145,8 +145,9 @@ type t = {
   mutable status_timer : int option;
   mutable last_progress_exec : Types.seqno;
   mutable gap_asked : Types.seqno;  (* [last_exec] when a gap last sent STATUS; -1 = never *)
-  mutable fetch_in_progress : (Types.seqno * Digest.t) option;
-  mutable resume_vc_after_fetch : bool;
+  mutable fetch : (Types.seqno * Digest.t) option;
+      (* the checkpoint a state transfer in flight installs; the execution
+         gate, independent of [in_view_change] *)
   mutable external_pending : int;
       (* runtime-tracked obligations (cross-shard locks held or awaited) that
          must keep the progress timer armed even with no client pending *)
@@ -180,6 +181,13 @@ let fresh_entry n =
   }
 
 let now t = t.net.now_us ()
+
+(* The exported mode: a fetch gates execution whether or not a view change
+   waits for it to end. *)
+let status t =
+  match t.fetch with
+  | Some _ -> Fetching
+  | None -> if t.in_view_change then View_changing else Normal
 
 (* Every primary computation below goes through this: each shard runs its own
    rotation, offset so concurrent shards spread their primaries over distinct
@@ -391,7 +399,7 @@ let cancel_vc_timer t =
 let arm_vc_timer t =
   t.vc_timer <- Some (t.net.set_timer ~after_us:t.vc_timeout_us (Vc_timeout t.view))
 
-let start_vc_timer t = if t.vc_timer = None && t.status = Normal then arm_vc_timer t
+let start_vc_timer t = if t.vc_timer = None && status t = Normal then arm_vc_timer t
 
 let restart_vc_timer t =
   cancel_vc_timer t;
@@ -541,7 +549,7 @@ and try_execute t =
     Fun.protect
       ~finally:(fun () -> t.in_try_execute <- false)
       (fun () ->
-        let continue = ref (t.status <> Fetching) in
+        let continue = ref (t.fetch = None) in
         while !continue do
           t.exec_again <- false;
           let seq = t.last_exec + 1 in
@@ -550,7 +558,7 @@ and try_execute t =
             if entry_ready t pp then execute_entry t seq entry pp
             else continue := false
           | Some _ | None -> continue := false);
-          if (not !continue) && t.exec_again && t.status <> Fetching then continue := true
+          if (not !continue) && t.exec_again && t.fetch = None then continue := true
         done)
   end
 
@@ -572,7 +580,7 @@ and maybe_committed t seq entry =
    PRE-PREPARE: this replica missed it (it was fetching or down), and its
    peers will not re-send it unasked.  Ask once per execution point. *)
 and ask_for_gap t =
-  if t.status = Normal && t.gap_asked <> t.last_exec then
+  if status t = Normal && t.gap_asked <> t.last_exec then
     match Hashtbl.find_opt t.entries (t.last_exec + 1) with
     | Some { pre_prepare = Some _; _ } -> ()
     | Some _ | None ->
@@ -663,7 +671,7 @@ and propose t (r : M.request) =
         assign t [ r ]
 
 and drain_queue t =
-  if is_primary t && t.status = Normal then begin
+  if is_primary t && status t = Normal then begin
     let continue = ref true in
     while (not (Queue.is_empty t.queued_requests)) && !continue do
       if window_full t || inflight t >= t.config.max_inflight then continue := false
@@ -691,7 +699,7 @@ and drain_queue t =
    without this, liveness depends on a client retransmission landing
    inside the view's timeout window. *)
 let propose_pending t =
-  if is_primary t && t.status = Normal then
+  if is_primary t && status t = Normal then
     List.iter
       (fun (_, cr) ->
         match cr.pending with
@@ -725,7 +733,7 @@ let handle_request t env (r : M.request) =
         set_pending t cr (Some r));
       let retransmitted = Int64.equal r.timestamp cr.heard_ts in
       if r.timestamp > cr.heard_ts then cr.heard_ts <- r.timestamp;
-      if t.status = Normal then begin
+      if status t = Normal then begin
         if is_primary t then propose t r
         else begin
           (* The client sends to every replica, so only its retransmission
@@ -758,11 +766,11 @@ let rec repeats_request = function
 let handle_pre_prepare t sender (pp : M.pre_prepare) =
   let primary = primary_of t pp.view in
   let ours = sender = primary && pp.view = t.view && in_window t pp.seq && t.id <> primary in
-  if ours && t.status = View_changing then begin
+  if ours && status t = View_changing then begin
     (* Ahead of the view's NEW-VIEW: [install_new_view] replays it. *)
     if not (Hashtbl.mem t.early_pps pp.seq) then Hashtbl.replace t.early_pps pp.seq pp
   end
-  else if ours && t.status = Normal then begin
+  else if ours && status t = Normal then begin
     (* A pre-prepare left over from an earlier view is void in this one: a
        slot the old primary proposed but that never reached a quorum may be
        re-proposed with different contents after the view change (observed
@@ -819,7 +827,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
 
 let handle_prepare t sender (p : M.vote) =
   if
-    sender = p.replica && p.view = t.view && t.status = Normal && in_window t p.seq
+    sender = p.replica && p.view = t.view && status t = Normal && in_window t p.seq
     && sender <> primary_of t p.view
   then begin
     let entry = get_entry t p.seq in
@@ -869,30 +877,21 @@ let fetch_target t =
       end)
     None (sorted_bindings t.cp_msgs)
 
-(* The fetch is over, installed or abandoned.  If it interrupted an
-   unresolved view change (or one began while it ran), return to that view
-   change, with its escalation timer re-armed, until NEW-VIEW or
-   abandonment; otherwise resume normal operation. *)
+(* The fetch is over, installed or abandoned.  A view change it
+   interrupted (or one that began while it ran) gets its escalation timer
+   back until NEW-VIEW or abandonment. *)
 let end_fetch t =
-  t.fetch_in_progress <- None;
-  if t.status = Fetching then begin
-    if t.resume_vc_after_fetch then begin
-      t.status <- View_changing;
-      arm_vc_timer t
-    end
-    else t.status <- Normal
-  end;
-  t.resume_vc_after_fetch <- false
+  if t.fetch <> None then begin
+    t.fetch <- None;
+    if t.in_view_change then arm_vc_timer t
+  end
 
 (* A repair fetch may target a checkpoint at or below our own execution
    point: the replica rolls back to it and re-executes the committed log
    suffix (deterministically), which restores any corrupt concrete state. *)
 let start_fetch_internal ?(allow_repair = false) t (seq, digest) =
-  if t.fetch_in_progress = None && (seq > t.last_exec || (allow_repair && seq >= t.h))
-  then begin
-    t.fetch_in_progress <- Some (seq, digest);
-    t.resume_vc_after_fetch <- t.status = View_changing;
-    t.status <- Fetching;
+  if t.fetch = None && (seq > t.last_exec || (allow_repair && seq >= t.h)) then begin
+    t.fetch <- Some (seq, digest);
     t.stats.fetches <- t.stats.fetches + 1;
     cancel_vc_timer t;
     t.app.start_fetch ~seq ~digest
@@ -928,7 +927,7 @@ let force_fetch t ~seq ~digest = start_fetch_internal ~allow_repair:true t (seq,
 
 let fetch_complete t ~seq ~app_digest ~client_rows =
   let combined = checkpoint_digest ~app_digest ~client_rows in
-  (match t.fetch_in_progress with
+  (match t.fetch with
   | Some (target_seq, target_digest) when target_seq = seq ->
     assert (Digest.equal combined target_digest)
   | Some _ | None -> ());
@@ -972,7 +971,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   drain_queue t;
   propose_pending t;
   (* The group may have ordered slots above [seq] while we fetched. *)
-  if t.status <> Fetching then catch_up t
+  if t.fetch = None then catch_up t
 
 (* --- view changes -------------------------------------------------------- *)
 
@@ -989,27 +988,19 @@ let prepared_set t =
 
 (* What leaving a view change for view [v] resets, whether a NEW-VIEW
    installed it or the replica abandoned its own escalation.  A fetch in
-   flight keeps [Fetching], and ends in normal operation. *)
+   flight keeps its gate, and ends in normal operation. *)
 let leave_view_change t v =
   t.view <- v;
-  if t.status <> Fetching then t.status <- Normal;
-  t.resume_vc_after_fetch <- false;
+  t.in_view_change <- false;
   Hashtbl.reset t.early_pps;
   t.obs.vc_started <- -1L;
   t.vc_timeout_us <- t.config.viewchange_timeout_us;
   cancel_vc_timer t
 
-(* In a view change: changing views, or fetching state and due to return
-   to the view change once the fetch ends. *)
-let changing_view t =
-  t.status = View_changing || (t.status = Fetching && t.resume_vc_after_fetch)
-
 let rec do_view_change t v' =
-  if v' > t.view || (v' = t.view && t.status = Normal) then begin
+  if v' > t.view || (v' = t.view && status t = Normal) then begin
     t.view <- v';
-    (* A fetch in flight keeps its gate on execution until it ends. *)
-    if t.status = Fetching then t.resume_vc_after_fetch <- true
-    else t.status <- View_changing;
+    t.in_view_change <- true;
     Hashtbl.reset t.early_pps;
     if Int64.compare t.obs.vc_started 0L < 0 then t.obs.vc_started <- now t;
     t.stats.view_changes <- t.stats.view_changes + 1;
@@ -1029,7 +1020,7 @@ let rec do_view_change t v' =
        stalls. *)
     t.vc_timeout_us <- min (t.vc_timeout_us * 2) (20 * t.config.viewchange_timeout_us);
     (* A fetch arms the timer when it ends. *)
-    if t.status = View_changing then arm_vc_timer t;
+    if t.fetch = None then arm_vc_timer t;
     check_new_view t v'
   end
 
@@ -1073,7 +1064,7 @@ and install_new_view t v' min_s (o : M.pre_prepare list) =
   List.iter (fun (_, pp) -> handle_pre_prepare t (primary_of t v') pp) early
 
 and check_new_view t v' =
-  if primary_of t v' = t.id && changing_view t && t.view = v' then begin
+  if primary_of t v' = t.id && t.in_view_change && t.view = v' then begin
     let tbl = vc_table t v' in
     if Hashtbl.length tbl >= Types.quorum t.config then begin
       let vc_list = List.map snd (sorted_bindings tbl) in
@@ -1144,7 +1135,7 @@ let on_status_timer t =
   | Some _ | None -> ());
   send_status t;
   let stalled = t.last_exec = t.last_progress_exec in
-  if stalled && t.status = Normal then begin
+  if stalled && status t = Normal then begin
     (* Retransmit protocol messages for in-flight slots, in seqno order. *)
     List.iter
       (fun (seq, entry) ->
@@ -1196,7 +1187,7 @@ let handle_status t sender (st : M.status_msg) =
      been with it, the group would have joined.  When a quorum of peers
      reports lower views and we hold no prepared certificate above them,
      rejoin the group's view; nothing could have committed in ours. *)
-  if sender = st.st_replica && t.status = View_changing && st.st_view < t.view then begin
+  if sender = st.st_replica && status t = View_changing && st.st_view < t.view then begin
     let peers = List.map snd (sorted_bindings t.peer_views) in
     let prepared = List.filter_map (fun (_, e) -> e.prepared) (sorted_bindings t.entries) in
     match View_change.abandon_target t.config ~view:t.view peers prepared with
@@ -1256,8 +1247,8 @@ let handle_status t sender (st : M.status_msg) =
 let on_timer t = function
   | Vc_timeout view ->
     if t.behavior <> Mute then begin
-      if t.status = View_changing && t.view = view then do_view_change t (t.view + 1)
-      else if t.status = Normal && t.view = view && has_pending t then begin
+      if status t = View_changing && t.view = view then do_view_change t (t.view + 1)
+      else if status t = Normal && t.view = view && has_pending t then begin
         t.vc_timer <- None;
         do_view_change t (t.view + 1)
       end
@@ -1339,7 +1330,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       role;
       behavior = Honest;
       view = 0;
-      status = Normal;
+      in_view_change = false;
       entries = Hashtbl.create 64;
       clients = Hashtbl.create 16;
       n_pending = 0;
@@ -1357,8 +1348,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       status_timer = None;
       last_progress_exec = 0;
       gap_asked = -1;
-      fetch_in_progress = None;
-      resume_vc_after_fetch = false;
+      fetch = None;
       external_pending = 0;
       in_try_execute = false;
       exec_again = false;
@@ -1391,7 +1381,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
 (* --- cross-shard runtime hooks ------------------------------------------- *)
 
 let submit_internal t (r : M.request) =
-  if t.role = Active && t.status = Normal && is_primary t then propose t r
+  if t.role = Active && status t = Normal && is_primary t then propose t r
 
 let resume_execution t =
   try_execute t;
@@ -1410,8 +1400,6 @@ let view t = t.view
 let last_executed t = t.last_exec
 
 let low_watermark t = t.h
-
-let status t = t.status
 
 let stats t = t.stats
 

@@ -79,7 +79,13 @@ type behavior =
   | Lie_in_replies  (** sends corrupted results to clients *)
   | Equivocate  (** as primary, proposes conflicting pre-prepares *)
 
-type status = Normal | View_changing | Fetching
+(** A replica's mode, as {!status} reports it. *)
+type status =
+  | Normal
+  | View_changing  (** since it sent a VIEW-CHANGE, until NEW-VIEW or abandonment *)
+  | Fetching
+      (** a state transfer is in flight: nothing executes until it ends, and
+          a view change that began before or during it resumes then *)
 
 type stats = {
   mutable executed : int;  (** consensus instances executed *)
@@ -145,6 +151,9 @@ val last_executed : t -> Types.seqno
 val low_watermark : t -> Types.seqno
 
 val status : t -> status
+(** Derived from two independent facts the replica keeps: whether a state
+    transfer is in flight, which gates execution and wins, and whether it
+    is in a view change. *)
 
 val stats : t -> stats
 
