@@ -401,9 +401,13 @@ let arm_vc_timer t =
 
 let start_vc_timer t = if t.vc_timer = None && status t = Normal then arm_vc_timer t
 
+(* Progress restarts the progress timer; a view change's escalation timer
+   runs on through any slot that executes meanwhile. *)
 let restart_vc_timer t =
-  cancel_vc_timer t;
-  if has_pending t then start_vc_timer t
+  if not t.in_view_change then begin
+    cancel_vc_timer t;
+    if has_pending t then start_vc_timer t
+  end
 
 (* --- checkpoints -------------------------------------------------------- *)
 
@@ -1153,11 +1157,14 @@ let on_status_timer t =
 
 let start_status_timer t = if t.status_timer = None then arm_status_timer t
 
-(* Called after a reboot: timers that fired while the node was down were
-   dropped, so re-arm them, and ask for the slots missed meanwhile. *)
+(* Called after a reboot: timers that fell due while the node was down
+   were dropped, and the others still fire.  Cancel the ones armed before
+   it, arm what the replica's state needs, and ask for the slots missed
+   meanwhile. *)
 let on_reboot t =
-  t.vc_timer <- None;
-  if has_pending t then start_vc_timer t;
+  cancel_vc_timer t;
+  if status t = View_changing then arm_vc_timer t
+  else if has_pending t then start_vc_timer t;
   arm_status_timer t;
   catch_up t
 

@@ -221,9 +221,13 @@ val start_status_timer : t -> unit
 (** Arm the periodic retransmission/progress timer (idempotent). *)
 
 val on_reboot : t -> unit
-(** Re-arm timers that were dropped while the node was down (proactive
-    recovery, a crash), and broadcast STATUS so peers re-send the slots
-    the replica missed. *)
+(** Called when the node is back up (proactive recovery, a crash).  The
+    timers it armed before the reboot are cancelled, whether they fell due
+    while it was down or are still pending, and it arms what its state
+    needs: the escalation timer of its view change, unless it fetches, or
+    else the progress timer when requests are pending, plus the status
+    timer.  It then broadcasts STATUS, so peers re-send the slots it
+    missed. *)
 
 val abort_fetch : t -> unit
 (** Abandon an in-flight state transfer (e.g. the watchdog rebooted us in

@@ -329,12 +329,14 @@ let test_pre_prepare_resend_after_key_refresh () =
 
 (* Bare replicas of an f = 1 group with [n_clients] clients: [make id] is
    replica [id], [sent] holds every (destination, body) any of them sends,
-   [timers] every timer any of them arms, and [seal sender body] MACs
-   [body] as principal [sender] would. *)
+   [timers] every timer any of them arms (the k-th armed gets id k),
+   [cancelled] the id of every cancel, and [seal sender body] MACs [body]
+   as principal [sender] would. *)
 type bare = {
   config : Types.config;
   sent : (int * Message.body) Queue.t;
   timers : Replica.timer Queue.t;
+  cancelled : int Queue.t;
   make : int -> Replica.t;
   seal : int -> Message.body -> Message.envelope;
 }
@@ -344,7 +346,8 @@ let bare_group ?(n_clients = 1) ?max_inflight ?checkpoint_period ?log_window () 
     Types.make_config ?max_inflight ?checkpoint_period ?log_window ~f:1 ~n_clients ()
   in
   let chains = Base_crypto.Auth.create ~seed:15L ~n_principals:config.n_principals in
-  let sent = Queue.create () and timers = Queue.create () in
+  let sent = Queue.create () and timers = Queue.create () and cancelled = Queue.create () in
+  let armed = ref 0 in
   let net =
     {
       Helpers.silent_net with
@@ -352,13 +355,16 @@ let bare_group ?(n_clients = 1) ?max_inflight ?checkpoint_period ?log_window () 
       set_timer =
         (fun ~after_us:_ tm ->
           Queue.add tm timers;
-          Queue.length timers);
+          incr armed;
+          !armed);
+      cancel_timer = (fun id -> Queue.add id cancelled);
     }
   in
   {
     config;
     sent;
     timers;
+    cancelled;
     make = Helpers.bare_replica ~net ~config ~chains;
     seal = (fun sender body -> Message.seal chains.(sender) ~sender ~n_receivers:config.n body);
   }
@@ -702,6 +708,56 @@ let test_fetch_end_and_reboot_ask () =
   Alcotest.(check int) "one on reboot" 2 (statuses_to g ~dst:0 3);
   Alcotest.(check int) "both counted" 2 (Replica.stats r3).catchup_status
 
+(* --- timers across a reboot ------------------------------------------------ *)
+
+let armed_vc_timeout g view =
+  Queue.fold (fun armed tm -> armed || tm = Replica.Vc_timeout view) false g.timers
+
+(* A reboot shorter than the progress timeout leaves the timer armed
+   before it pending.  The replica cancels it and arms a fresh one, so
+   only one fires, a full timeout after the reboot. *)
+let test_reboot_cancels_progress_timer () =
+  let g = bare_group () in
+  let r1 = g.make 1 and client = g.config.n in
+  Replica.receive r1 (g.seal client (request client));
+  Alcotest.(check bool) "progress timer armed" true (armed_vc_timeout g 0);
+  let before = Queue.length g.timers in
+  Queue.clear g.timers;
+  Replica.on_reboot r1;
+  Alcotest.(check bool) "the pre-reboot timer cancelled" true
+    (Queue.fold (fun found id -> found || id = before) false g.cancelled);
+  Alcotest.(check bool) "a fresh one armed" true (armed_vc_timeout g 0)
+
+(* A replica that reboots in a view change, whose escalation timer fell
+   due while it was down, gets that timer back for its view. *)
+let test_reboot_rearms_view_change_timer () =
+  let g = bare_group () in
+  let r2, _ = enter_view_one g in
+  Queue.clear g.timers;
+  Replica.on_reboot r2;
+  Alcotest.(check status) "still in the view change" Replica.View_changing (Replica.status r2);
+  Alcotest.(check bool) "its timer armed" true (armed_vc_timeout g 1)
+
+(* A backup times out with slot 1 prepared, then the slot's COMMITs
+   arrive.  It executes the slot, and the escalation timer of its view
+   change keeps running: progress restarts only the progress timer. *)
+let test_execution_keeps_view_change_timer () =
+  let g = bare_group () in
+  let r2 = g.make 2 and client = g.config.n in
+  Replica.receive r2 (g.seal client (request client));
+  let pp = pre_prepare ~view:0 ~seq:1 [ client_request client ] in
+  Replica.receive r2 (g.seal 0 (Message.Pre_prepare pp));
+  let vote replica = { Message.view = 0; seq = 1; digest = pp.digest; replica } in
+  List.iter (fun p -> Replica.receive r2 (g.seal p (Message.Prepare (vote p)))) [ 1; 3 ];
+  Replica.on_timer r2 (Replica.Vc_timeout 0);
+  Alcotest.(check bool) "escalation timer armed" true (armed_vc_timeout g 1);
+  let escalation = Queue.length g.timers in
+  List.iter (fun p -> Replica.receive r2 (g.seal p (Message.Commit (vote p)))) [ 0; 1; 3 ];
+  Alcotest.(check int) "slot 1 executed" 1 (Replica.last_executed r2);
+  Alcotest.(check status) "still in the view change" Replica.View_changing (Replica.status r2);
+  Alcotest.(check bool) "its timer not cancelled" false
+    (Queue.fold (fun found id -> found || id = escalation) false g.cancelled)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -741,4 +797,10 @@ let suite =
       test_new_primary_installs_during_fetch;
     Alcotest.test_case "a commit above a hole asks once" `Quick test_gap_asks_once;
     Alcotest.test_case "fetch end and reboot ask at once" `Quick test_fetch_end_and_reboot_ask;
+    Alcotest.test_case "a reboot cancels the progress timer" `Quick
+      test_reboot_cancels_progress_timer;
+    Alcotest.test_case "a reboot re-arms the view-change timer" `Quick
+      test_reboot_rearms_view_change_timer;
+    Alcotest.test_case "execution keeps the view-change timer" `Quick
+      test_execution_keeps_view_change_timer;
   ]

@@ -9,7 +9,7 @@ let () =
       ("partition-tree", Test_partition_tree_prop.suite);
       ("nfs-model", Test_nfs_model.suite);
       ("oodb", Test_oodb.suite);
-      ("bft", Test_bft.suite);
+      ("bft", Test_bft.suite @ Test_replica_mode_props.suite);
       ("client", Test_client.suite);
       ("bft-wire", Test_bft_wire.suite);
       ("digest-memo", Test_digest_memo.suite);

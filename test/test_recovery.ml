@@ -417,6 +417,23 @@ let test_divergence_retargets_once_per_period () =
       (within >= 1 && within <= 3)
   done
 
+(* E5's shape: closed-loop NFS writes while each replica reboots in turn
+   (period 4 s, 100 ms down).  A reboot cancels the progress timer armed
+   before it, so no replica times out on a request it could not have
+   executed while down, and nobody changes view. *)
+let test_staggered_recovery_keeps_the_view () =
+  let sys, _ =
+    Base_workload.Faults.throughput_trace ~duration_s:3.0 ~window_s:1.0
+      ~recovery:(Some (4_000_000, 100_000)) ()
+  in
+  let view_changes =
+    Array.fold_left
+      (fun acc node -> acc + (Replica.stats node.Runtime.replica).view_changes)
+      0
+      (Runtime.replicas sys.Base_workload.Systems.runtime)
+  in
+  Alcotest.(check int) "view changes summed over replicas" 0 view_changes
+
 let suite =
   [
     Alcotest.test_case "status refills a briefly-down replica" `Quick
@@ -437,4 +454,6 @@ let suite =
     Alcotest.test_case "a fetch's end catches up at once" `Quick test_fetch_end_catches_up;
     Alcotest.test_case "a diverging install re-targets once per period" `Quick
       test_divergence_retargets_once_per_period;
+    Alcotest.test_case "staggered recovery keeps the view" `Quick
+      test_staggered_recovery_keeps_the_view;
   ]
