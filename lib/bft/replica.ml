@@ -1193,8 +1193,9 @@ let handle_status t sender (st : M.status_msg) =
      proactive recovery) can never gather 2f+1 VIEW-CHANGEs — had f+1 peers
      been with it, the group would have joined.  When a quorum of peers
      reports lower views and we hold no prepared certificate above them,
-     rejoin the group's view; nothing could have committed in ours. *)
-  if sender = st.st_replica && status t = View_changing && st.st_view < t.view then begin
+     rejoin the group's view; nothing could have committed in ours.  A
+     fetch in flight keeps its gate. *)
+  if sender = st.st_replica && t.in_view_change && st.st_view < t.view then begin
     let peers = List.map snd (sorted_bindings t.peer_views) in
     let prepared = List.filter_map (fun (_, e) -> e.prepared) (sorted_bindings t.entries) in
     match View_change.abandon_target t.config ~view:t.view peers prepared with

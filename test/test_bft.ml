@@ -758,6 +758,23 @@ let test_execution_keeps_view_change_timer () =
   Alcotest.(check bool) "its timer not cancelled" false
     (Queue.fold (fun found id -> found || id = escalation) false g.cancelled)
 
+(* A replica that changed view alone and fetches abandons the view when a
+   quorum of peers reports the old one: the fetch keeps its gate, and
+   ends in normal operation, not back in the abandoned view change. *)
+let test_abandon_view_change_while_fetching () =
+  let g = bare_group () in
+  let r2, _ = enter_view_one g in
+  fetch_seq0 r2;
+  List.iter
+    (fun r ->
+      Replica.receive r2
+        (g.seal r (Message.Status { st_view = 0; st_last_exec = 0; st_h = 0; st_replica = r })))
+    [ 0; 3 ];
+  Alcotest.(check int) "back in view 0" 0 (Replica.view r2);
+  Alcotest.(check status) "still fetching" Replica.Fetching (Replica.status r2);
+  complete_seq0 r2;
+  Alcotest.(check status) "normal after the fetch" Replica.Normal (Replica.status r2)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -803,4 +820,6 @@ let suite =
       test_reboot_rearms_view_change_timer;
     Alcotest.test_case "execution keeps the view-change timer" `Quick
       test_execution_keeps_view_change_timer;
+    Alcotest.test_case "a lone view change abandoned while fetching" `Quick
+      test_abandon_view_change_while_fetching;
   ]
