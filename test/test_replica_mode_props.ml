@@ -117,7 +117,8 @@ let run events =
   let timestamp = ref 0L in
   let fetch_seq = ref 0 in
   let live_timers () =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun id tm acc -> (id, tm) :: acc) live [])
+    Hashtbl.fold (fun id tm acc -> (id, tm) :: acc) live []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let vc_timeouts () =
     List.filter (fun (_, tm) -> match tm with Replica.Vc_timeout _ -> true | Status_tick -> false)
@@ -138,7 +139,9 @@ let run events =
       Hashtbl.replace slots (view, seq) pp;
       pp
   in
-  let vote (pp : M.pre_prepare) replica = { M.view = pp.view; seq = pp.seq; digest = pp.digest; replica } in
+  let vote (pp : M.pre_prepare) replica =
+    { M.view = pp.view; seq = pp.seq; digest = pp.digest; replica }
+  in
   let step event =
     let was_fetching = Replica.status r = Replica.Fetching in
     (match event with
