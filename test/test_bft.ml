@@ -713,6 +713,8 @@ let test_fetch_end_and_reboot_ask () =
 let armed_vc_timeout g view =
   Queue.fold (fun armed tm -> armed || tm = Replica.Vc_timeout view) false g.timers
 
+let was_cancelled g id = Queue.fold (fun found c -> found || c = id) false g.cancelled
+
 (* A reboot shorter than the progress timeout leaves the timer armed
    before it pending.  The replica cancels it and arms a fresh one, so
    only one fires, a full timeout after the reboot. *)
@@ -724,8 +726,7 @@ let test_reboot_cancels_progress_timer () =
   let before = Queue.length g.timers in
   Queue.clear g.timers;
   Replica.on_reboot r1;
-  Alcotest.(check bool) "the pre-reboot timer cancelled" true
-    (Queue.fold (fun found id -> found || id = before) false g.cancelled);
+  Alcotest.(check bool) "the pre-reboot timer cancelled" true (was_cancelled g before);
   Alcotest.(check bool) "a fresh one armed" true (armed_vc_timeout g 0)
 
 (* A replica that reboots in a view change, whose escalation timer fell
@@ -755,8 +756,7 @@ let test_execution_keeps_view_change_timer () =
   List.iter (fun p -> Replica.receive r2 (g.seal p (Message.Commit (vote p)))) [ 0; 1; 3 ];
   Alcotest.(check int) "slot 1 executed" 1 (Replica.last_executed r2);
   Alcotest.(check status) "still in the view change" Replica.View_changing (Replica.status r2);
-  Alcotest.(check bool) "its timer not cancelled" false
-    (Queue.fold (fun found id -> found || id = escalation) false g.cancelled)
+  Alcotest.(check bool) "its timer not cancelled" false (was_cancelled g escalation)
 
 (* A replica that changed view alone and fetches abandons the view when a
    quorum of peers reports the old one: the fetch keeps its gate, and

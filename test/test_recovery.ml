@@ -419,8 +419,8 @@ let test_divergence_retargets_once_per_period () =
 
 (* E5's shape: closed-loop NFS writes while each replica reboots in turn
    (period 4 s, 100 ms down).  A reboot cancels the progress timer armed
-   before it, so no replica times out on a request it could not have
-   executed while down, and nobody changes view. *)
+   before it, which would otherwise fire whatever the progress since, so
+   nobody changes view. *)
 let test_staggered_recovery_keeps_the_view () =
   let sys, _ =
     Base_workload.Faults.throughput_trace ~duration_s:3.0 ~window_s:1.0
