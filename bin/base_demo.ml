@@ -221,7 +221,9 @@ let metrics_cmd =
         Base_obs.Metrics.counter_value (Base_obs.Metrics.counter (Runtime.metrics rt) name)
       in
       Printf.printf "catch-up: %d STATUS sent at once, %d fetches re-targeted as superseded\n"
-        (count "bft.catchup_status") (count "base.st.retarget.superseded")
+        (count "bft.catchup_status") (count "base.st.retarget.superseded");
+      Printf.printf "vouching: %d vouchers sent, %d missed requests proposed on f+1 vouchers\n"
+        (count "bft.vouchers_sent") (count "bft.vouched_proposals")
     end
   in
   Cmd.v

@@ -202,6 +202,22 @@ let launch_fetch r node ~seq ~digest ~on_installed =
   node.fetcher <- Some fetcher;
   arm_retry r node fetcher
 
+(* A recovering replica heard of a checkpoint above its fetch target
+   before any source answered the fetch's head.  The replies to its reboot
+   STATUS carry such checkpoints: its first fetch targets the newest
+   checkpoint it knew before the reboot, which the group has
+   garbage-collected since.  Re-target now, not after a silent retry
+   round.  Other fetches keep the round: their target was the newest
+   certified one when they began. *)
+let checkpoint_heard r node =
+  match node.fetcher with
+  | Some fetcher when Option.is_some r.episodes.(node.rid) ->
+    let certified =
+      match Replica.fetch_target node.replica with Some (seq, _) -> seq | None -> -1
+    in
+    if State_transfer.superseded ~certified fetcher then retarget_fetch r node ~reason:"superseded"
+  | Some _ | None -> ()
+
 let start_fetch r node ~seq ~digest =
   launch_fetch r node ~seq ~digest ~on_installed:(fun ~seq ~app_root ~client_rows ->
       fetch_done r node.rid;

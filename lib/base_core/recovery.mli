@@ -56,6 +56,12 @@ val start_fetch : t -> Cell.replica_node -> seq:int -> digest:Base_crypto.Digest
     close the node's open recovery episode and hand the state to
     {!Base_bft.Replica.fetch_complete}. *)
 
+val checkpoint_heard : t -> Cell.replica_node -> unit
+(** A CHECKPOINT was delivered to an active cell that fetches.  When the
+    cell's node is in a recovery episode and a checkpoint above the fetch's
+    target is now certified, but no source has answered the fetch's head,
+    the fetch re-targets to it at once ([base.st.retarget.superseded]). *)
+
 val handle_st : t -> Cell.replica_node -> from:int -> State_transfer.msg -> unit
 (** A state-transfer message delivered to a cell: requests are served from
     its checkpoints, replies go to its fetcher. *)

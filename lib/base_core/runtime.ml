@@ -476,7 +476,12 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
     match msg with
     | Bft env -> (
       match cell env.Message.shard with
-      | Some node -> Replica.receive node.replica env
+      | Some node -> (
+        Replica.receive node.replica env;
+        match env.Message.body with
+        | Message.Checkpoint _ when Option.is_some node.fetcher ->
+          Recovery.checkpoint_heard t.recovery node
+        | _ -> ())
       | None -> ())  (* shard tag out of range: drop *)
     | St { from; shard; body } -> (
       match cell shard with Some node -> Recovery.handle_st t.recovery node ~from body | None -> ())

@@ -233,6 +233,8 @@ type t = {
 
 let finished t = t.done_
 
+let superseded ~certified t = t.app_root = None && certified > t.target_seq
+
 let stats t = t.stats
 
 let inflight t = t.n_inflight

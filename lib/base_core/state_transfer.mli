@@ -207,6 +207,12 @@ val retry : certified:int -> t -> verdict
 
 val finished : t -> bool
 
+val superseded : certified:int -> t -> bool
+(** Whether the owner should give this fetch up at once for the newer
+    checkpoint [certified]: no source has answered its head yet, so the
+    switch loses nothing, while a source that garbage-collected the target
+    never answers. *)
+
 val stats : t -> stats
 (** The tally the fetcher counts into. *)
 

@@ -42,6 +42,8 @@ type stats = {
   mutable rejected_decode : int;
   mutable rejected_insane : int;  (* well-formed but protocol-implausible messages *)
   mutable catchup_status : int;  (* STATUS sent at once: fetch end, gap, reboot *)
+  mutable vouchers_sent : int;  (* backup: requests vouched for to the primary *)
+  mutable vouched_proposals : int;  (* primary: requests taken on f+1 vouchers *)
 }
 
 (* Protocol-phase instrumentation: latency histograms over the local
@@ -62,6 +64,8 @@ type obs = {
   c_reject_insane : Base_obs.Metrics.counter;
   c_equivocation : Base_obs.Metrics.counter;
   c_catchup : Base_obs.Metrics.counter;
+  c_voucher : Base_obs.Metrics.counter;
+  c_vouched : Base_obs.Metrics.counter;
   mutable vc_started : int64;  (* -1 when no view change is in progress *)
   mutable last_cp : int64;  (* timestamp of the previous checkpoint; -1 before the first *)
 }
@@ -84,6 +88,8 @@ let make_obs ?(suffix = "") metrics =
     c_reject_insane = c "bft.reject.insane";
     c_equivocation = c "bft.equivocation_detected";
     c_catchup = c "bft.catchup_status";
+    c_voucher = c "bft.vouchers_sent";
+    c_vouched = c "bft.vouched_proposals";
     vc_started = -1L;
     last_cp = -1L;
   }
@@ -113,6 +119,9 @@ type client_rec = {
   mutable assigned_ts : int64;  (* primary: highest timestamp given a seqno *)
   mutable assigned_seq : Types.seqno;
   mutable heard_ts : int64;  (* newest timestamp received; a repeat is a retransmission *)
+  mutable vouched_ts : int64;  (* backup: newest timestamp vouched for to the primary *)
+  mutable vouchers : M.request option array;
+      (* primary: the latest voucher of each replica, by id; empty until the first *)
 }
 
 type t = {
@@ -232,6 +241,8 @@ let client_rec t c =
         assigned_ts = -1L;
         assigned_seq = -1;
         heard_ts = -1L;
+        vouched_ts = -1L;
+        vouchers = [||];
       })
 
 (* Every write of [cr.pending] goes through here, so [n_pending] always
@@ -751,6 +762,80 @@ let handle_request t env (r : M.request) =
     end
   end
 
+let same_request (a : M.request) (b : M.request) =
+  a.client = b.client && Int64.equal a.timestamp b.timestamp
+  && String.equal a.operation b.operation
+  && Bool.equal a.read_only b.read_only
+
+(* A backup's voucher: the bare body of a request the primary missed,
+   sealed under the backup's own keys (see [vouch_missed]).  The primary
+   keeps each replica's latest voucher and takes the request once f+1
+   replicas vouched for the identical one: at least one of them is correct
+   and accepted the client's own envelope, so no Byzantine backup can get
+   a forged request ordered.  Vouchers are kept while the primary fetches;
+   [fetch_complete] proposes what they made pending. *)
+let handle_voucher t sender (r : M.request) =
+  if
+    is_primary t && (not t.in_view_change) && (not r.read_only)
+    && r.client >= Types.group_size t.config
+    && r.client < t.config.n_principals
+  then begin
+    let cr = client_rec t r.client in
+    let missed =
+      r.timestamp > cr.last_ts && r.timestamp > cr.assigned_ts
+      && match cr.pending with Some p -> p.timestamp < r.timestamp | None -> true
+    in
+    if missed then begin
+      if Array.length cr.vouchers = 0 then cr.vouchers <- Array.make t.config.n None;
+      cr.vouchers.(sender) <- Some r;
+      let vouched =
+        Array.fold_left
+          (fun n v -> match v with Some v when same_request v r -> n + 1 | Some _ | None -> n)
+          0 cr.vouchers
+      in
+      if vouched >= Types.weak_quorum t.config then begin
+        clear_votes cr.vouchers;
+        t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
+        Base_obs.Metrics.incr t.obs.c_vouched;
+        if cr.pending = None then cr.pending_since <- now t;
+        set_pending t cr (Some r);
+        if status t = Normal then propose t r
+      end
+    end
+  end
+
+(* A STATUS from this backup's primary in its view, showing every slot the
+   backup holds a PRE-PREPARE for in that view executed, says the primary
+   has nothing in flight: a request the backup still holds, and has seen
+   in no PRE-PREPARE, the primary missed (it was down when the client sent
+   it).  Relaying the client's envelope would not help: the primary's keys
+   were refreshed at its reboot, so the client's MAC for it no longer
+   verifies.  The backup vouches for each such request once instead. *)
+let vouch_missed t (st : M.status_msg) =
+  let primary = primary_of t t.view in
+  if
+    t.n_pending > 0 && st.st_replica = primary && st.st_view = t.view && primary <> t.id
+    && (not t.in_view_change) && t.behavior <> Mute
+    && List.for_all
+         (fun (seq, e) ->
+           match e.pre_prepare with
+           | Some pp when pp.view = t.view -> seq <= st.st_last_exec
+           | Some _ | None -> true)
+         (sorted_bindings t.entries)
+  then
+    List.iter
+      (fun (_, cr) ->
+        match cr.pending with
+        | Some r
+          when Int64.compare cr.pending_since 0L >= 0
+               && r.timestamp > cr.last_ts && r.timestamp > cr.vouched_ts ->
+          cr.vouched_ts <- r.timestamp;
+          t.stats.vouchers_sent <- t.stats.vouchers_sent + 1;
+          Base_obs.Metrics.incr t.obs.c_voucher;
+          send_one t ~dst:primary (M.Request r)
+        | Some _ | None -> ())
+      (sorted_bindings t.clients)
+
 (* --- pre-prepare / prepare / commit ------------------------------------- *)
 
 (* Authenticated but protocol-implausible: counted and dropped. *)
@@ -1248,20 +1333,24 @@ let handle_status t sender (st : M.status_msg) =
          laggard's STATUS, so the checkpoint gets certified). *)
       if !unreplayable && not (Hashtbl.mem t.own_cps t.last_exec) then take_checkpoint t
     end
-  end
+  end;
+  if sender = st.st_replica then vouch_missed t st
 
 (* --- entry points -------------------------------------------------------- *)
 
+(* A timer that fired is gone from the host, so its handle is dropped
+   before anything else runs: only a pending timer may be cancelled. *)
 let on_timer t = function
   | Vc_timeout view ->
+    t.vc_timer <- None;
     if t.behavior <> Mute then begin
       if status t = View_changing && t.view = view then do_view_change t (t.view + 1)
-      else if status t = Normal && t.view = view && has_pending t then begin
-        t.vc_timer <- None;
+      else if status t = Normal && t.view = view && has_pending t then
         do_view_change t (t.view + 1)
-      end
     end
-  | Status_tick -> if t.behavior <> Mute then on_status_timer t else ()
+  | Status_tick ->
+    t.status_timer <- None;
+    if t.behavior <> Mute then on_status_timer t
 
 let receive t (env : M.envelope) =
   Base_obs.Profile.start t.prof t.p_verify;
@@ -1300,10 +1389,13 @@ let receive t (env : M.envelope) =
      else
        match env.body with
        | M.Request r ->
-         (* Only the client's own (possibly relayed) envelope is acceptable:
-            the MAC was checked under the key shared with [env.sender], so a
-            replica cannot forge requests on a client's behalf. *)
+         (* The client's own (possibly relayed) envelope: the MAC was
+            checked under the key shared with [env.sender], so a replica
+            cannot forge requests on a client's behalf.  A replica's own
+            envelope for a client's request is a voucher, which counts only
+            with f+1 identical ones. *)
          if r.client = env.sender then handle_request t env r
+         else if Types.is_replica t.config env.sender then handle_voucher t env.sender r
        | M.Pre_prepare pp -> handle_pre_prepare t env.sender pp
        | M.Prepare p -> handle_prepare t env.sender p
        | M.Commit c -> handle_commit t env.sender c
@@ -1373,6 +1465,8 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
           rejected_decode = 0;
           rejected_insane = 0;
           catchup_status = 0;
+          vouchers_sent = 0;
+          vouched_proposals = 0;
         };
       obs = make_obs ~suffix:(if shard = 0 then "" else Printf.sprintf ".s%d" shard) metrics;
       prof = profile;

@@ -105,6 +105,13 @@ type stats = {
           because the replica knew it was behind: its fetch ended, a slot
           committed above a slot it holds no PRE-PREPARE for, or it
           rebooted *)
+  mutable vouchers_sent : int;
+      (** backup: requests it vouched for to the primary, each once, on a
+          STATUS showing the primary has nothing in flight but the backup
+          still holds a request seen in no PRE-PREPARE *)
+  mutable vouched_proposals : int;
+      (** primary: requests it missed and took as pending because f+1
+          replicas vouched for the identical request *)
 }
 
 type t
@@ -178,7 +185,11 @@ val receive : t -> Message.envelope -> unit
     and dropped, and so are messages tagged for another shard and
     agreement messages (anything but a REQUEST or a REPLY) whose sender is
     not an active replica: a client shares a MAC key with every replica, so
-    its forged votes authenticate. *)
+    its forged votes authenticate.  A REQUEST sent by an active replica
+    for another principal's request is that replica's voucher: a primary
+    takes a request it missed once f+1 replicas vouched for the identical
+    one.  A backup vouches, once per request, on a STATUS from its primary
+    that shows nothing in flight (doc/PROTOCOL.md, request intake). *)
 
 val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string -> unit
 (** Handle a raw encoded message body as it would arrive off the wire.
@@ -189,7 +200,8 @@ val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string 
     alongside the wire bytes. *)
 
 val on_timer : t -> timer -> unit
-(** A timer armed through [net.set_timer] fired. *)
+(** A timer armed through [net.set_timer] fired.  The replica forgets its
+    handle first, so it never cancels a timer that has already fired. *)
 
 val checkpoint_digest :
   app_digest:Digest.t -> client_rows:(int * int64 * string) list -> Digest.t

@@ -8,23 +8,24 @@ module Replica = Base_bft.Replica
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
 
-(* Closed-loop load: every client keeps one op outstanding for [duration]. *)
+(* Closed-loop load: every client keeps one op outstanding for [duration]
+   and issues none after it, so running the engine on afterwards drains
+   the load. *)
 let closed_loop sys ~clients ~duration_s =
   let completed = ref 0 in
+  let deadline = Sim_time.add (Runtime.now sys) (Sim_time.of_sec duration_s) in
   let rec issue c i =
     Runtime.invoke sys ~client:c
       ~operation:(Printf.sprintf "set:%d:c%d-%d" (c mod 8) c i)
       (fun reply ->
         if reply <> "ok" then failwith "unexpected reply";
         incr completed;
-        issue c (i + 1))
+        if Sim_time.compare (Runtime.now sys) deadline < 0 then issue c (i + 1))
   in
   for c = 0 to clients - 1 do
     issue c 0
   done;
-  Engine.run
-    ~until:(Sim_time.add (Runtime.now sys) (Sim_time.of_sec duration_s))
-    (Runtime.engine sys);
+  Engine.run ~until:deadline (Runtime.engine sys);
   !completed
 
 let stats_of sys =

@@ -775,6 +775,106 @@ let test_abandon_view_change_while_fetching () =
   complete_seq0 r2;
   Alcotest.(check status) "normal after the fetch" Replica.Normal (Replica.status r2)
 
+(* A timer that fired is gone from the host: neither the status tick nor
+   the escalation timer of a view change is cancelled once it fired. *)
+let test_fired_timers_not_cancelled () =
+  let g = bare_group () in
+  let r2, _ = enter_view_one g in
+  let escalation = Queue.length g.timers in
+  Replica.on_timer r2 (Replica.Vc_timeout 1);
+  Alcotest.(check int) "escalated to view 2" 2 (Replica.view r2);
+  Alcotest.(check bool) "the escalation timer not cancelled" false (was_cancelled g escalation);
+  Replica.start_status_timer r2;
+  let tick = Queue.length g.timers in
+  Replica.on_timer r2 Replica.Status_tick;
+  Alcotest.(check bool) "the next tick armed" true (Queue.length g.timers > tick);
+  Alcotest.(check bool) "the status tick not cancelled" false (was_cancelled g tick)
+
+(* --- vouching for a request the primary missed ---------------------------- *)
+
+(* Replica [from]'s voucher for [client]'s request at timestamp 1: the bare
+   request body, sealed under the replica's own keys. *)
+let voucher ?(operation = "op") g ~from client =
+  g.seal from (Message.Request { (client_request client) with operation })
+
+let proposed g = List.length (pre_prepares_to g 1)
+
+(* One Byzantine backup can send any request body it likes under its own
+   keys.  However often it repeats one, the primary orders nothing. *)
+let test_lone_voucher_orders_nothing () =
+  let g = bare_group () in
+  let primary = g.make 0 and client = g.config.n in
+  for _ = 1 to 5 do
+    Replica.receive primary (voucher g ~from:1 client)
+  done;
+  Alcotest.(check int) "nothing proposed" 0 (proposed g);
+  Alcotest.(check int) "nothing pending" 0 (Replica.pending_count primary);
+  Alcotest.(check int) "no vouched proposal" 0 (Replica.stats primary).vouched_proposals
+
+(* f+1 vouchers count only for the identical request: two that differ in
+   the operation do not combine, and a third matching the first does. *)
+let test_differing_vouchers_do_not_combine () =
+  let g = bare_group () in
+  let primary = g.make 0 and client = g.config.n in
+  Replica.receive primary (voucher g ~from:1 ~operation:"a" client);
+  Replica.receive primary (voucher g ~from:2 ~operation:"b" client);
+  Alcotest.(check int) "nothing proposed" 0 (proposed g);
+  Replica.receive primary (voucher g ~from:3 ~operation:"a" client);
+  match pre_prepares_to g 1 with
+  | [ pp ] ->
+    Alcotest.(check (list string)) "the request two replicas vouched for" [ "a" ]
+      (List.map (fun (r : Message.request) -> r.operation) pp.requests);
+    Alcotest.(check int) "counted" 1 (Replica.stats primary).vouched_proposals
+  | pps -> Alcotest.failf "%d PRE-PREPAREs, expected 1" (List.length pps)
+
+(* The rebooted primary fetches when the vouchers arrive.  It keeps them,
+   and proposes the request once the fetch completes. *)
+let test_vouchers_kept_through_fetch () =
+  let g = bare_group () in
+  let primary = g.make 0 and client = g.config.n in
+  fetch_seq0 primary;
+  List.iter (fun from -> Replica.receive primary (voucher g ~from client)) [ 1; 2 ];
+  Alcotest.(check int) "nothing proposed while fetching" 0 (proposed g);
+  Alcotest.(check int) "pending" 1 (Replica.pending_count primary);
+  complete_seq0 primary;
+  Alcotest.(check int) "proposed after the fetch" 1 (proposed g)
+
+(* The requests of client [g.config.n] sent to replica 0. *)
+let vouchers g =
+  Queue.fold
+    (fun n (dst, body) ->
+      match body with
+      | Message.Request q when dst = 0 && q.Message.client = g.config.n -> n + 1
+      | _ -> n)
+    0 g.sent
+
+let primary_status ?(last_exec = 0) sender =
+  Message.Status { st_view = 0; st_last_exec = last_exec; st_h = 0; st_replica = sender }
+
+(* A backup vouches for a request it holds and saw in no PRE-PREPARE when
+   its primary's STATUS shows nothing in flight: once per request, and
+   not while it holds a PRE-PREPARE the primary has not executed. *)
+let test_backup_vouches_once () =
+  let g = bare_group ~n_clients:2 () in
+  let backup = g.make 1 and client = g.config.n in
+  Replica.receive backup (g.seal client (request client));
+  Replica.receive backup (g.seal 2 (primary_status 2));
+  Alcotest.(check int) "no voucher on a backup's STATUS" 0 (vouchers g);
+  Replica.receive backup (g.seal 0 (primary_status 0));
+  Alcotest.(check int) "one voucher" 1 (vouchers g);
+  Replica.receive backup (g.seal 0 (primary_status 0));
+  Alcotest.(check int) "once per request" 1 (vouchers g);
+  Alcotest.(check int) "counted" 1 (Replica.stats backup).vouchers_sent;
+  (* Replica 2 holds the same request and slot 1, another client's. *)
+  let other = g.make 2 in
+  Replica.receive other (g.seal client (request client));
+  Replica.receive other
+    (g.seal 0 (Message.Pre_prepare (pre_prepare ~view:0 ~seq:1 [ client_request (client + 1) ])));
+  Replica.receive other (g.seal 0 (primary_status 0));
+  Alcotest.(check int) "none while slot 1 is in flight" 1 (vouchers g);
+  Replica.receive other (g.seal 0 (primary_status ~last_exec:1 0));
+  Alcotest.(check int) "one once the primary executed it" 2 (vouchers g)
+
 let suite =
   [
     Alcotest.test_case "safety: two clients + loss" `Quick test_safety_two_clients_with_loss;
@@ -822,4 +922,12 @@ let suite =
       test_execution_keeps_view_change_timer;
     Alcotest.test_case "a lone view change abandoned while fetching" `Quick
       test_abandon_view_change_while_fetching;
+    Alcotest.test_case "a fired timer is never cancelled" `Quick test_fired_timers_not_cancelled;
+    Alcotest.test_case "one backup's vouchers order nothing" `Quick
+      test_lone_voucher_orders_nothing;
+    Alcotest.test_case "differing vouchers do not combine" `Quick
+      test_differing_vouchers_do_not_combine;
+    Alcotest.test_case "vouchers kept through a fetch" `Quick test_vouchers_kept_through_fetch;
+    Alcotest.test_case "a backup vouches once, with nothing in flight" `Quick
+      test_backup_vouches_once;
   ]

@@ -236,6 +236,11 @@ let test_st_totals_sum_the_cells () =
   drive_load sys ~ops:40 ~gap_ms:100;
   Runtime.disable_proactive_recovery sys;
   settle sys 2.0;
+  (* Twelve writes, across a checkpoint, land while replica 3 reboots, so
+     its reintegration fetches the objects they changed. *)
+  Runtime.recover_now ~reboot_us:100_000 sys 3;
+  drive_load sys ~ops:12 ~gap_ms:2;
+  settle sys 1.0;
   check_st_totals "recovery run" sys;
   let sys, _ = make_system ~seed:50L ~checkpoint_period:8 ~standbys:1 () in
   drive_load sys ~ops:24 ~gap_ms:20;
@@ -434,6 +439,49 @@ let test_staggered_recovery_keeps_the_view () =
   in
   Alcotest.(check int) "view changes summed over replicas" 0 view_changes
 
+(* The view-0 primary goes down for a 30 ms reboot just as the client
+   writes, so only the backups receive the request.  Once the primary is
+   back, its STATUS shows nothing in flight and f+1 backups vouch for the
+   request, so the write completes without the client's retransmission,
+   150 ms after it sent the request. *)
+let test_write_during_primary_reboot () =
+  let sys, _ = make_system ~seed:56L ~checkpoint_period:8 () in
+  drive_load sys ~ops:6 ~gap_ms:5;
+  let retransmissions () = (Base_bft.Client.stats (Runtime.client sys 0)).retransmissions in
+  let before = retransmissions () in
+  Runtime.recover_now ~reboot_us:30_000 sys 0;
+  let sent = Runtime.now sys in
+  ignore (set sys ~client:0 1 "during");
+  Alcotest.(check int) "no retransmission" before (retransmissions ());
+  Alcotest.(check bool) "done within the client's timeout" true
+    Sim_time.(Runtime.now sys < add sent (of_ms 150));
+  Alcotest.(check bool) "the primary took it on vouchers" true
+    ((Replica.stats (Runtime.replica sys 0).Runtime.replica).vouched_proposals >= 1)
+
+(* Replica 2 reboots for 100 ms while the group writes across two
+   checkpoints, so the group garbage-collects the checkpoint its first
+   fetch targets.  The replies to its reboot STATUS certify a newer one,
+   and the fetch re-targets to it at once: the fetch ends a few round
+   trips after the reboot, not after a silent 50 ms retry round. *)
+let test_reintegration_retargets_at_once () =
+  let sys, _ = make_system ~seed:57L ~checkpoint_period:8 () in
+  drive_load sys ~ops:10 ~gap_ms:5;
+  Runtime.recover_now ~reboot_us:100_000 sys 2;
+  drive_load sys ~ops:20 ~gap_ms:1;
+  let writes_done = Runtime.now sys in
+  settle sys 1.0;
+  match Runtime.recovery_timelines sys with
+  | [ tl ] ->
+    Alcotest.(check bool) "the writes landed during the reboot" true
+      Sim_time.(writes_done <= of_us (Int64.to_int tl.Runtime.tl_reboot_done_us));
+    let fetch_us = Int64.sub tl.Runtime.tl_fetch_done_us tl.Runtime.tl_reboot_done_us in
+    Alcotest.(check bool)
+      (Printf.sprintf "fetch took %Ld us, under one retry round" fetch_us)
+      true
+      (Int64.compare fetch_us 0L >= 0 && Int64.compare fetch_us 50_000L < 0);
+    Alcotest.(check bool) "the fetch fetched objects" true (tl.Runtime.tl_objects > 0)
+  | tls -> Alcotest.failf "expected one recovery episode, got %d" (List.length tls)
+
 let suite =
   [
     Alcotest.test_case "status refills a briefly-down replica" `Quick
@@ -454,6 +502,10 @@ let suite =
     Alcotest.test_case "a fetch's end catches up at once" `Quick test_fetch_end_catches_up;
     Alcotest.test_case "a diverging install re-targets once per period" `Quick
       test_divergence_retargets_once_per_period;
+    Alcotest.test_case "a write during the primary's reboot needs no retransmission" `Quick
+      test_write_during_primary_reboot;
+    Alcotest.test_case "reintegration re-targets at once" `Quick
+      test_reintegration_retargets_at_once;
     Alcotest.test_case "staggered recovery keeps the view" `Quick
       test_staggered_recovery_keeps_the_view;
   ]
