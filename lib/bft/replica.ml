@@ -804,22 +804,26 @@ let handle_voucher t sender (r : M.request) =
     end
   end
 
-(* A STATUS from this backup's primary in its view, showing every slot the
-   backup holds a PRE-PREPARE for in that view executed, says the primary
-   has nothing in flight: a request the backup still holds, and has seen
-   in no PRE-PREPARE, the primary missed (it was down when the client sent
-   it).  Relaying the client's envelope would not help: the primary's keys
-   were refreshed at its reboot, so the client's MAC for it no longer
-   verifies.  The backup vouches for each such request once instead. *)
+(* A STATUS from this backup's primary in its view says the primary has
+   nothing in flight when every slot the backup holds a PRE-PREPARE for in
+   that view is executed, by the primary or else by the backup: a slot the
+   backup executed committed, and a primary that rebooted through its
+   commit only has to catch up on it.  A request the backup still holds,
+   and has seen in no PRE-PREPARE, the primary then missed (it was down
+   when the client sent it).  Relaying the client's envelope would not
+   help: the primary's keys were refreshed at its reboot, so the client's
+   MAC for it no longer verifies.  The backup vouches for each such
+   request once instead. *)
 let vouch_missed t (st : M.status_msg) =
   let primary = primary_of t t.view in
+  let executed = Int.max st.st_last_exec t.last_exec in
   if
     t.n_pending > 0 && st.st_replica = primary && st.st_view = t.view && primary <> t.id
     && (not t.in_view_change) && t.behavior <> Mute
     && List.for_all
          (fun (seq, e) ->
            match e.pre_prepare with
-           | Some pp when pp.view = t.view -> seq <= st.st_last_exec
+           | Some pp when pp.view = t.view -> seq <= executed
            | Some _ | None -> true)
          (sorted_bindings t.entries)
   then

@@ -853,7 +853,8 @@ let primary_status ?(last_exec = 0) sender =
 
 (* A backup vouches for a request it holds and saw in no PRE-PREPARE when
    its primary's STATUS shows nothing in flight: once per request, and
-   not while it holds a PRE-PREPARE the primary has not executed. *)
+   not while it holds a PRE-PREPARE that neither it nor the primary has
+   executed. *)
 let test_backup_vouches_once () =
   let g = bare_group ~n_clients:2 () in
   let backup = g.make 1 and client = g.config.n in
@@ -873,7 +874,15 @@ let test_backup_vouches_once () =
   Replica.receive other (g.seal 0 (primary_status 0));
   Alcotest.(check int) "none while slot 1 is in flight" 1 (vouchers g);
   Replica.receive other (g.seal 0 (primary_status ~last_exec:1 0));
-  Alcotest.(check int) "one once the primary executed it" 2 (vouchers g)
+  Alcotest.(check int) "one once the primary executed it" 2 (vouchers g);
+  (* Replica 3 executed slot 1, which the primary rebooted through: the
+     primary only has to catch up on a committed slot. *)
+  let ahead = g.make 3 in
+  commit_slot g ahead ~seq:1;
+  Alcotest.(check int) "slot 1 executed" 1 (Replica.last_executed ahead);
+  Replica.receive ahead (g.seal client (request ~timestamp:2L client));
+  Replica.receive ahead (g.seal 0 (primary_status 0));
+  Alcotest.(check int) "one while the primary lags on an executed slot" 3 (vouchers g)
 
 let suite =
   [
