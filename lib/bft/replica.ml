@@ -120,8 +120,9 @@ type client_rec = {
   mutable assigned_seq : Types.seqno;
   mutable heard_ts : int64;  (* newest timestamp received; a repeat is a retransmission *)
   mutable vouched_ts : int64;  (* backup: newest timestamp vouched for to the primary *)
-  mutable vouchers : M.request option array;
-      (* primary: the latest voucher of each replica, by id; empty until the first *)
+  mutable vouchers : Digest.t option array;
+      (* primary: the request digest each replica last vouched for, by id;
+         empty until the first voucher *)
 }
 
 type t = {
@@ -762,38 +763,25 @@ let handle_request t env (r : M.request) =
     end
   end
 
-let same_request (a : M.request) (b : M.request) =
-  a.client = b.client && Int64.equal a.timestamp b.timestamp
-  && String.equal a.operation b.operation
-  && Bool.equal a.read_only b.read_only
-
-(* A backup's voucher: the bare body of a request the primary missed,
-   sealed under the backup's own keys (see [vouch_missed]).  The primary
-   keeps each replica's latest voucher and takes the request once f+1
-   replicas vouched for the identical one: at least one of them is correct
-   and accepted the client's own envelope, so no Byzantine backup can get
-   a forged request ordered.  Vouchers are kept while the primary fetches;
-   [fetch_complete] proposes what they made pending. *)
+(* The primary takes a request it missed once f+1 replicas vouched for the
+   identical one ([vouch_missed]): one of them is correct and accepted the
+   client's own envelope.  A fetching primary keeps the request pending,
+   and [fetch_complete] proposes it. *)
 let handle_voucher t sender (r : M.request) =
   if
-    is_primary t && (not t.in_view_change) && (not r.read_only)
+    is_primary t && (not r.read_only)
     && r.client >= Types.group_size t.config
     && r.client < t.config.n_principals
   then begin
     let cr = client_rec t r.client in
-    let missed =
+    if
       r.timestamp > cr.last_ts && r.timestamp > cr.assigned_ts
       && match cr.pending with Some p -> p.timestamp < r.timestamp | None -> true
-    in
-    if missed then begin
+    then begin
+      let d = M.request_digest r in
       if Array.length cr.vouchers = 0 then cr.vouchers <- Array.make t.config.n None;
-      cr.vouchers.(sender) <- Some r;
-      let vouched =
-        Array.fold_left
-          (fun n v -> match v with Some v when same_request v r -> n + 1 | Some _ | None -> n)
-          0 cr.vouchers
-      in
-      if vouched >= Types.weak_quorum t.config then begin
+      cr.vouchers.(sender) <- Some d;
+      if count_matching cr.vouchers d >= Types.weak_quorum t.config then begin
         clear_votes cr.vouchers;
         t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
         Base_obs.Metrics.incr t.obs.c_vouched;
@@ -804,16 +792,13 @@ let handle_voucher t sender (r : M.request) =
     end
   end
 
-(* A STATUS from this backup's primary in its view says the primary has
-   nothing in flight when every slot the backup holds a PRE-PREPARE for in
-   that view is executed, by the primary or else by the backup: a slot the
-   backup executed committed, and a primary that rebooted through its
-   commit only has to catch up on it.  A request the backup still holds,
-   and has seen in no PRE-PREPARE, the primary then missed (it was down
-   when the client sent it).  Relaying the client's envelope would not
-   help: the primary's keys were refreshed at its reboot, so the client's
-   MAC for it no longer verifies.  The backup vouches for each such
-   request once instead. *)
+(* The primary's STATUS shows nothing in flight when every slot this backup
+   holds a PRE-PREPARE for in the view is executed, by the primary or by
+   the backup (a primary that rebooted through a commit only catches up).
+   A request the backup holds and saw in no PRE-PREPARE, the primary then
+   missed while it was down.  Its reboot refreshed its keys, so a relayed
+   client envelope would not verify: the backup vouches for the request
+   once, under its own keys. *)
 let vouch_missed t (st : M.status_msg) =
   let primary = primary_of t t.view in
   let executed = Int.max st.st_last_exec t.last_exec in
@@ -1395,9 +1380,8 @@ let receive t (env : M.envelope) =
        | M.Request r ->
          (* The client's own (possibly relayed) envelope: the MAC was
             checked under the key shared with [env.sender], so a replica
-            cannot forge requests on a client's behalf.  A replica's own
-            envelope for a client's request is a voucher, which counts only
-            with f+1 identical ones. *)
+            cannot forge requests on a client's behalf.  A replica's
+            envelope is a voucher, which counts only with f+1 others. *)
          if r.client = env.sender then handle_request t env r
          else if Types.is_replica t.config env.sender then handle_voucher t env.sender r
        | M.Pre_prepare pp -> handle_pre_prepare t env.sender pp
