@@ -792,16 +792,20 @@ let handle_voucher t sender (r : M.request) =
     end
   end
 
-(* The primary's STATUS shows nothing in flight when every slot this backup
-   holds a PRE-PREPARE for in the view is executed, by the primary or by
-   the backup (a primary that rebooted through a commit only catches up).
-   A request the backup holds and saw in no PRE-PREPARE, the primary then
-   missed while it was down.  Its reboot refreshed its keys, so a relayed
-   client envelope would not verify: the backup vouches for the request
-   once, under its own keys. *)
+(* The primary's STATUS shows an empty queue when every slot this backup
+   holds a PRE-PREPARE for in the view is executed: by the primary, or by
+   the backup while the primary lags by fewer slots than it may have in
+   flight before it queues (a primary that rebooted through a commit only
+   catches up).  A request the backup holds and saw in no PRE-PREPARE, the
+   primary then missed while it was down.  Its reboot refreshed its keys,
+   so a relayed client envelope would not verify: the backup vouches for
+   the request once, under its own keys. *)
 let vouch_missed t (st : M.status_msg) =
   let primary = primary_of t t.view in
-  let executed = Int.max st.st_last_exec t.last_exec in
+  let executed =
+    Int.max st.st_last_exec
+      (Int.min t.last_exec (st.st_last_exec + t.config.max_inflight - 1))
+  in
   if
     t.n_pending > 0 && st.st_replica = primary && st.st_view = t.view && primary <> t.id
     && (not t.in_view_change) && t.behavior <> Mute
