@@ -1385,7 +1385,8 @@ let receive t (env : M.envelope) =
          (* The client's own (possibly relayed) envelope: the MAC was
             checked under the key shared with [env.sender], so a replica
             cannot forge requests on a client's behalf.  A replica's
-            envelope is a voucher, which counts only with f+1 others. *)
+            envelope is a voucher, which counts once f+1 replicas sent the
+            identical request. *)
          if r.client = env.sender then handle_request t env r
          else if Types.is_replica t.config env.sender then handle_voucher t env.sender r
        | M.Pre_prepare pp -> handle_pre_prepare t env.sender pp
