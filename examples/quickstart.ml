@@ -70,8 +70,9 @@ let () =
     (Runtime.invoke_sync sys ~client:0 ~operation:"add 3 37" ());
   Printf.printf "read-only get    -> %s\n"
     (Runtime.invoke_sync sys ~client:0 ~read_only:true ~operation:"get 3" ());
-  (* Kill the primary: the view change keeps the service available. *)
-  Runtime.set_behavior sys 0 Base_bft.Replica.Mute;
+  (* Mute the primary: it still runs, but nothing it sends leaves the node.
+     The view change keeps the service available. *)
+  Runtime.set_behavior sys 0 Base_sim.Faultplan.B_mute;
   Printf.printf "after primary failure: counter 3 += 1 -> %s\n"
     (Runtime.invoke_sync sys ~client:0 ~operation:"add 3 1" ());
   let replicas = Runtime.replicas sys in

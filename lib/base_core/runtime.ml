@@ -17,15 +17,17 @@ exception Internal_error of string
 
 include Cell
 
-(* An active Byzantine-primary attack window: while [atk_until] is in the
-   future, pre-prepares sent by [atk_node] are muted with probability
-   [atk_mute_p] and the surviving ones delayed by [atk_delay_us]. *)
-type pp_attack = {
-  atk_node : int;
-  atk_shard : int option;  (* [None] attacks the node's pre-prepares in every shard *)
-  atk_mute_p : float;
-  atk_delay_us : int;
-  atk_until : int64;
+(* An attack-preprepare window: while [atk_until] is in the future, the
+   cell's pre-prepares are muted with probability [atk_mute_p] and the
+   surviving ones delayed by [atk_delay_us]. *)
+type pp_attack = { atk_mute_p : float; atk_delay_us : int; atk_until : int64 }
+
+(* The adversary of one replica cell.  A Byzantine replica runs the honest
+   code; what the fault plan makes it send instead is decided here, on the
+   way out: its behaviour, then its attack window. *)
+type adversary = {
+  mutable behavior : Faultplan.behavior;
+  mutable pp_attack : pp_attack option;
 }
 
 type t = {
@@ -44,8 +46,9 @@ type t = {
   metrics : Base_obs.Metrics.t;
   profile : Base_obs.Profile.t;
   trace : Base_obs.Trace.t;
+  adversaries : adversary array array;
+      (* [adversaries.(shard).(rid)]: one per cell, standbys in row 0 *)
   mutable roll_cursor : int;  (* next slot a faultplan [promote] fills *)
-  mutable pp_attack : pp_attack option;
 }
 
 let engine_config ?seed ?drop_p () =
@@ -85,18 +88,19 @@ let recovery_timelines t = Recovery.timelines t.recovery
 
 let trace_event t name attrs = Base_obs.Trace.event t.trace ~ts:(now t) ~name attrs
 
-(* --- chaos: fault-plan execution and the Byzantine-primary adversary ------- *)
+(* --- chaos: fault-plan execution and the per-cell adversary ---------------- *)
 
-let replica_behavior = function
-  | Faultplan.B_honest -> Replica.Honest
-  | Faultplan.B_mute -> Replica.Mute
-  | Faultplan.B_lie -> Replica.Lie_in_replies
-  | Faultplan.B_equivocate -> Replica.Equivocate
-
-let set_behavior ?shard t rid b =
+(* Apply [f] to the adversary of [rid]'s cell in [shard], or of each of its
+   cells without one.  Both fault-plan verbs set cells through here; a shard
+   or node outside the system names no cell. *)
+let each_adversary ?shard t rid f =
+  let in_range a i = i >= 0 && i < Array.length a in
+  let set row = if in_range row rid then f row.(rid) in
   match shard with
-  | Some s -> Replica.set_behavior t.cells.(s).(rid).replica b
-  | None -> Array.iter (fun row -> Replica.set_behavior row.(rid).replica b) t.cells
+  | None -> Array.iter set t.adversaries
+  | Some s -> if in_range t.adversaries s then set t.adversaries.(s)
+
+let set_behavior ?shard t rid b = each_adversary ?shard t rid (fun adv -> adv.behavior <- b)
 
 let link_attr src dst =
   let e v = if v = -1 then "*" else string_of_int v in
@@ -152,22 +156,13 @@ let exec_fault t (ev : Faultplan.event) =
     trace_event t "fault.corrupt"
       [ ("link", link_attr src dst); ("p", Printf.sprintf "%g" p) ]
   | Faultplan.Set_behavior { node; behavior; shard } ->
-    (match shard with
-    | Some s when s < 0 || s >= Array.length t.cells -> ()
-    | Some _ | None -> set_behavior ?shard t node (replica_behavior behavior));
+    set_behavior ?shard t node behavior;
     trace_event t "fault.behavior"
       ([ ("behavior", Faultplan.behavior_name behavior); ("rid", string_of_int node) ]
       @ match shard with Some s -> [ ("shard", string_of_int s) ] | None -> [])
   | Faultplan.Attack_pre_prepare { node; mute_p; delay_us; for_us; shard } ->
-    t.pp_attack <-
-      Some
-        {
-          atk_node = node;
-          atk_shard = shard;
-          atk_mute_p = mute_p;
-          atk_delay_us = delay_us;
-          atk_until = until for_us;
-        };
+    let atk = { atk_mute_p = mute_p; atk_delay_us = delay_us; atk_until = until for_us } in
+    each_adversary ?shard t node (fun adv -> adv.pp_attack <- Some atk);
     trace_event t "fault.attack_preprepare"
       ([
          ("delay_us", string_of_int delay_us);
@@ -184,32 +179,44 @@ let apply_faultplan t plan =
            ~after:(Sim_time.of_us ev.Faultplan.at_us) (fun () -> exec_fault t ev)))
     plan
 
-(* The adversary's view of one outgoing replica message: [None] means the
-   attacked primary mutes it, [Some extra_us] lets it through with that much
-   added delay.  Muting draws per destination, so a broadcast can reach an
-   arbitrary subset of the backups — omission-style equivocation. *)
-let pp_attack_extra t rid (env : Message.envelope) =
-  match t.pp_attack with
-  | Some atk
-    when atk.atk_node = rid
-         && Sim_time.compare (Engine.now t.engine) atk.atk_until < 0
-         && (match atk.atk_shard with
-            | Some s -> env.Message.shard = s
-            | None -> true)
-         && (match env.Message.body with Message.Pre_prepare _ -> true | _ -> false) ->
-    if
-      atk.atk_mute_p > 0.0
-      && Base_util.Prng.bernoulli (Engine.prng t.engine) atk.atk_mute_p
-    then begin
-      Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "adversary.pp_muted");
-      None
-    end
-    else begin
-      if atk.atk_delay_us > 0 then
-        Base_obs.Metrics.incr (Base_obs.Metrics.counter t.metrics "adversary.pp_delayed");
-      Some atk.atk_delay_us
-    end
-  | _ -> Some 0
+(* Send what the adversary makes cell [rid] send to [dst] in place of the
+   honest [env].  A muted cell sends nothing.  A liar garbles the result of
+   each REPLY; an equivocator proposes a conflicting non-deterministic value
+   to odd replicas.  Both re-seal under [keychain], the node's own keys,
+   which a Byzantine node holds.  What leaves then passes the cell's attack
+   window: muting draws per destination, so a broadcast can reach an
+   arbitrary subset of the backups (omission-style equivocation). *)
+let adversary_send ~engine ~metrics ~keychain ~n adv ~rid ~dst (env : Message.envelope) =
+  let send ?extra_us env = Engine.send engine ?extra_us ~src:rid ~dst (Bft env) in
+  let count name = Base_obs.Metrics.incr (Base_obs.Metrics.counter metrics name) in
+  let through_window (env : Message.envelope) =
+    match (adv.pp_attack, env.body) with
+    | Some atk, _ when Sim_time.compare (Engine.now engine) atk.atk_until >= 0 ->
+      adv.pp_attack <- None;
+      send env
+    | Some atk, Message.Pre_prepare _ ->
+      if atk.atk_mute_p > 0.0 && Base_util.Prng.bernoulli (Engine.prng engine) atk.atk_mute_p
+      then count "adversary.pp_muted"
+      else begin
+        if atk.atk_delay_us > 0 then count "adversary.pp_delayed";
+        send ~extra_us:atk.atk_delay_us env
+      end
+    | _ -> send env
+  in
+  match (adv.behavior, env.Message.body) with
+  | Faultplan.B_mute, _ -> ()
+  | Faultplan.B_lie, Message.Reply r ->
+    let result = String.map (fun c -> Char.chr (Char.code c lxor 0x5a)) r.result in
+    through_window
+      (Message.seal_for keychain ~shard:env.shard ~sender:rid ~receiver:r.client
+         (Message.Reply { r with result }))
+  | Faultplan.B_equivocate, Message.Pre_prepare pp when dst mod 2 = 1 ->
+    let nondet = pp.nondet ^ "\001" in
+    let digest = Digest.of_string (Message.encode_batch pp.requests ~nondet) in
+    through_window
+      (Message.seal keychain ~shard:env.shard ~sender:rid ~n_receivers:n
+         (Message.Pre_prepare { pp with nondet; digest }))
+  | (Faultplan.B_honest | B_lie | B_equivocate), _ -> through_window env
 
 (* --- proactive recovery ------------------------------------------------------ *)
 
@@ -293,20 +300,23 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
     | Some t -> t
     | None -> raise (Internal_error "Runtime: node callback ran before wiring finished")
   in
-  (* Each cell's timers run on its physical node, so they die with a crash
-     of that node, and go back to the cell that armed them. *)
+  let adversaries =
+    Array.init n_shards (fun _ ->
+        Array.init group (fun _ -> { behavior = Faultplan.B_honest; pp_attack = None }))
+  in
+  (* Every message a cell sends leaves through its adversary; an honest
+     cell outside any attack window sends it as it is.  Each cell's timers
+     run on its physical node, so they die with a crash of that node, and go
+     back to the cell that armed them. *)
   let replica_net ~shard rid =
+    let adv = adversaries.(shard).(rid) in
     {
       Message.send =
         (fun ~dst env ->
-          match !t_cell with
-          (* Sends during construction (the seq-0 checkpoint) predate any
-             adversary; the plain path also keeps them safe. *)
-          | None -> Engine.send engine ~src:rid ~dst (Bft env)
-          | Some t -> (
-            match pp_attack_extra t rid env with
-            | None -> ()  (* the adversary muted this pre-prepare *)
-            | Some extra_us -> Engine.send engine ~extra_us ~src:rid ~dst (Bft env)));
+          match adv with
+          | { behavior = Faultplan.B_honest; pp_attack = None } ->
+            Engine.send engine ~src:rid ~dst (Bft env)
+          | _ -> adversary_send ~engine ~metrics ~keychain:chains.(rid) ~n adv ~rid ~dst env);
       set_timer =
         (fun ~after_us tm ->
           Engine.set_timer engine ~node:rid ~after:(Sim_time.of_us after_us) (fun () ->
@@ -463,8 +473,8 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
       metrics;
       profile;
       trace;
+      adversaries;
       roll_cursor = 0;
-      pp_attack = None;
     }
   in
   t_cell := Some t;

@@ -113,10 +113,16 @@ val try_run_until_idle : ?max_events:int -> t -> (unit, string) result
 
 val now : t -> Base_sim.Sim_time.t
 
-val set_behavior : ?shard:int -> t -> int -> Base_bft.Replica.behavior -> unit
-(** Fault-injection behaviour of replica [rid]; [?shard] restricts it to one
-    agreement instance's cell, the default applies it to every cell the node
-    hosts. *)
+val set_behavior : ?shard:int -> t -> int -> Base_sim.Faultplan.behavior -> unit
+(** Make node [rid] Byzantine (or honest again), as the fault plan's
+    [behavior] verb does.  The node keeps running the honest protocol; what
+    it sends is rewritten on the way out: [B_mute] drops every message,
+    [B_lie] garbles the result of each REPLY, and [B_equivocate] sends odd
+    replicas a PRE-PREPARE with a conflicting non-deterministic value.
+    Rewritten messages are re-sealed with the node's own keys.  [?shard]
+    restricts the behaviour to one agreement instance's cell, the default
+    applies it to every cell the node hosts; a shard or node the system
+    does not have is ignored. *)
 
 (** {1 Proactive recovery} *)
 
@@ -158,12 +164,14 @@ val apply_faultplan : t -> Base_sim.Faultplan.t -> unit
 (** Schedule every event of the plan, with [at_us] offsets measured from
     the moment of this call.  Crash/reboot map to node up/down (plus timer
     re-arming on reboot), partitions and link faults map to the engine's
-    scheduled windows, [behavior] maps onto
-    {!Base_bft.Replica.set_behavior}, and [attack-preprepare] arms the
-    Byzantine-primary adversary: while its window is open, pre-prepares
-    sent by the attacked node are muted per-destination with the given
-    probability (omission equivocation) and survivors are delayed.  Muted
-    and delayed pre-prepares are counted as [adversary.pp_muted] /
+    scheduled windows.  [behavior] and [attack-preprepare] set the
+    adversary of the named node's cells (one cell, with [shard=]), which
+    rewrites what those cells send: [behavior] as {!set_behavior}, and
+    while an [attack-preprepare] window is open, the cell's pre-prepares
+    are muted per destination with the given probability (omission
+    equivocation) and survivors are delayed.  Each cell keeps its own
+    window; a later window on the same cell replaces it.  Muted and
+    delayed pre-prepares are counted as [adversary.pp_muted] /
     [adversary.pp_delayed]; corrupted deliveries as
     [engine.corrupted_msgs]. *)
 

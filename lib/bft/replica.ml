@@ -22,8 +22,6 @@ let always_ready ~client:_ ~timestamp:_ ~operation:_ = true
 
 type timer = Vc_timeout of Types.view | Status_tick
 
-type behavior = Honest | Mute | Lie_in_replies | Equivocate
-
 (* A standby holds replica-side keys and collects checkpoint certificates
    (so the runtime can shadow-sync it and later promote it into a failed
    replica's slot), but it never votes, proposes, executes, or broadcasts —
@@ -133,7 +131,6 @@ type t = {
   net : timer M.net;
   app : app;
   role : role;
-  mutable behavior : behavior;
   mutable view : Types.view;
   mutable in_view_change : bool;  (* since a VIEW-CHANGE, until NEW-VIEW or abandonment *)
   entries : (Types.seqno, entry) Hashtbl.t;
@@ -327,30 +324,27 @@ let seal ?resend t ~receivers body =
   Base_obs.Profile.stop t.prof t.p_seal;
   env
 
-let send_one t ~dst body =
-  if t.behavior <> Mute then t.net.send ~dst (seal t ~receivers:t.config.n body)
+let send_one t ~dst body = t.net.send ~dst (seal t ~receivers:t.config.n body)
 
 let send_all t ~receivers env =
   for r = 0 to receivers - 1 do
     if r <> t.id then t.net.send ~dst:r env
   done
 
-let broadcast_to t ~receivers body =
-  if t.behavior <> Mute then send_all t ~receivers (seal t ~receivers body)
+let broadcast_to t ~receivers body = send_all t ~receivers (seal t ~receivers body)
 
 let broadcast t body = broadcast_to t ~receivers:t.config.n body
 
 (* The slot's PRE-PREPARE, sealed for the replicas.  The envelope is kept
    in the entry, and a re-send re-MACs its digest under the current keys
    (proactive recovery may have refreshed them), so it neither re-encodes
-   nor re-hashes the batch.  An equivocator's envelopes are never kept. *)
+   nor re-hashes the batch. *)
 let pp_envelope t entry pp =
   let env = seal ?resend:entry.pp_env t ~receivers:t.config.n (M.Pre_prepare pp) in
-  if t.behavior <> Equivocate then entry.pp_env <- Some env;
+  entry.pp_env <- Some env;
   env
 
-let broadcast_pre_prepare t entry pp =
-  if t.behavior <> Mute then send_all t ~receivers:t.config.n (pp_envelope t entry pp)
+let broadcast_pre_prepare t entry pp = send_all t ~receivers:t.config.n (pp_envelope t entry pp)
 
 (* Checkpoint announcements go to the whole n+s group, sealed so standbys
    can verify them too: the certificates standbys build from these are
@@ -365,21 +359,12 @@ let make_reply t ~client ~timestamp result =
   { M.view = t.view; timestamp; client; replica = t.id; result }
 
 let send_reply t (reply : M.reply) =
-  let reply =
-    match t.behavior with
-    | Lie_in_replies ->
-      (* Corrupt the result: a faulty replica answering with garbage. *)
-      { reply with result = String.map (fun c -> Char.chr (Char.code c lxor 0x5a)) reply.result }
-    | Honest | Mute | Equivocate -> reply
+  Base_obs.Profile.start t.prof t.p_seal;
+  let env =
+    M.seal_for t.keychain ~shard:t.shard ~sender:t.id ~receiver:reply.client (M.Reply reply)
   in
-  if t.behavior <> Mute then begin
-    Base_obs.Profile.start t.prof t.p_seal;
-    let env =
-      M.seal_for t.keychain ~shard:t.shard ~sender:t.id ~receiver:reply.client (M.Reply reply)
-    in
-    Base_obs.Profile.stop t.prof t.p_seal;
-    t.net.send ~dst:reply.client env
-  end
+  Base_obs.Profile.stop t.prof t.p_seal;
+  t.net.send ~dst:reply.client env
 
 (* Tell the group how far this replica got.  A peer ahead of it answers by
    re-sending the slots above [st_last_exec] (see [handle_status]).  The
@@ -391,11 +376,9 @@ let send_status t =
     (M.Status { st_view = t.view; st_last_exec = t.last_exec; st_h = t.h; st_replica = t.id })
 
 let catch_up t =
-  if t.behavior <> Mute then begin
-    t.stats.catchup_status <- t.stats.catchup_status + 1;
-    Base_obs.Metrics.incr t.obs.c_catchup;
-    send_status t
-  end
+  t.stats.catchup_status <- t.stats.catchup_status + 1;
+  Base_obs.Metrics.incr t.obs.c_catchup;
+  send_status t
 
 (* --- timers ------------------------------------------------------------- *)
 
@@ -647,16 +630,7 @@ and assign t (batch : M.request list) =
       cr.assigned_seq <- seq;
       note_pre_prepared t cr ~at:entry.t_pp)
     batch;
-  (match t.behavior with
-  | Equivocate ->
-    (* Send conflicting nondet values to odd and even backups. *)
-    let nondet' = nondet ^ "\001" in
-    let digest' = ordering_digest batch nondet' in
-    let pp' = { pp with digest = digest'; nondet = nondet' } in
-    for dst = 0 to t.config.n - 1 do
-      if dst <> t.id then send_one t ~dst (M.Pre_prepare (if dst mod 2 = 0 then pp else pp'))
-    done
-  | Honest | Mute | Lie_in_replies -> broadcast_pre_prepare t entry pp);
+  broadcast_pre_prepare t entry pp;
   maybe_prepared t seq entry
 
 and inflight t = t.next_seq - t.last_exec
@@ -808,7 +782,7 @@ let vouch_missed t (st : M.status_msg) =
   in
   if
     t.n_pending > 0 && st.st_replica = primary && st.st_view = t.view && primary <> t.id
-    && (not t.in_view_change) && t.behavior <> Mute
+    && not t.in_view_change
     && List.for_all
          (fun (seq, e) ->
            match e.pre_prepare with
@@ -1196,13 +1170,11 @@ let handle_new_view t sender (nv : M.new_view) =
    current view: its PRE-PREPARE if it leads the view, otherwise its
    PREPARE, plus its COMMIT. *)
 let resend_slot t deliver seq entry (pp : M.pre_prepare) =
-  if t.behavior <> Mute then begin
-    let vote = { M.view = pp.view; seq; digest = pp.digest; replica = t.id } in
-    let send body = deliver (seal t ~receivers:t.config.n body) in
-    if primary_of t pp.view = t.id then deliver (pp_envelope t entry pp)
-    else if Option.is_some entry.prepares.(t.id) then send (M.Prepare vote);
-    if entry.sent_commit then send (M.Commit vote)
-  end
+  let vote = { M.view = pp.view; seq; digest = pp.digest; replica = t.id } in
+  let send body = deliver (seal t ~receivers:t.config.n body) in
+  if primary_of t pp.view = t.id then deliver (pp_envelope t entry pp)
+  else if Option.is_some entry.prepares.(t.id) then send (M.Prepare vote);
+  if entry.sent_commit then send (M.Commit vote)
 
 let arm_status_timer t =
   (match t.status_timer with Some id -> t.net.cancel_timer id | None -> ());
@@ -1336,14 +1308,12 @@ let handle_status t sender (st : M.status_msg) =
 let on_timer t = function
   | Vc_timeout view ->
     t.vc_timer <- None;
-    if t.behavior <> Mute then begin
-      if status t = View_changing && t.view = view then do_view_change t (t.view + 1)
-      else if status t = Normal && t.view = view && has_pending t then
-        do_view_change t (t.view + 1)
-    end
+    if status t = View_changing && t.view = view then do_view_change t (t.view + 1)
+    else if status t = Normal && t.view = view && has_pending t then
+      do_view_change t (t.view + 1)
   | Status_tick ->
     t.status_timer <- None;
-    if t.behavior <> Mute then on_status_timer t
+    on_status_timer t
 
 let receive t (env : M.envelope) =
   Base_obs.Profile.start t.prof t.p_verify;
@@ -1421,7 +1391,6 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       net;
       app;
       role;
-      behavior = Honest;
       view = 0;
       in_view_change = false;
       entries = Hashtbl.create 64;
@@ -1506,5 +1475,3 @@ let client_pending t ~client =
   match Hashtbl.find_opt t.clients client with
   | Some cr -> Option.is_some cr.pending
   | None -> false
-
-let set_behavior t b = t.behavior <- b

@@ -72,13 +72,6 @@ type timer =
     {!Base_core.Runtime.promote_now}. *)
 type role = Active | Standby
 
-(** Fault-injection behaviours (Byzantine replicas for E6/E9). *)
-type behavior =
-  | Honest
-  | Mute  (** participates in nothing — a crashed or wedged replica *)
-  | Lie_in_replies  (** sends corrupted results to clients *)
-  | Equivocate  (** as primary, proposes conflicting pre-prepares *)
-
 (** A replica's mode, as {!status} reports it. *)
 type status =
   | Normal
@@ -177,8 +170,6 @@ val early_pre_prepares : t -> int
 (** Number of PRE-PREPAREs held for replay while this backup waits for
     the NEW-VIEW of the view it is changing into: at most one per seqno in
     the log window. *)
-
-val set_behavior : t -> behavior -> unit
 
 val receive : t -> Message.envelope -> unit
 (** Handle one authenticated protocol message.  Invalid MACs are counted

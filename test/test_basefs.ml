@@ -7,6 +7,7 @@ module C = Base_nfs.Nfs_client
 module Runtime = Base_core.Runtime
 module Objrepo = Base_core.Objrepo
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 module Sim_time = Base_sim.Sim_time
 module Replica = Base_bft.Replica
 module S = Base_fs.Server_intf
@@ -144,8 +145,8 @@ let test_f2_seven_replicas () =
     sys.Base_workload.Systems.impl_of |> Array.to_list |> List.sort_uniq compare |> List.length
   in
   Alcotest.(check int) "five implementations in use" 5 distinct;
-  Runtime.set_behavior sys.Base_workload.Systems.runtime 1 Replica.Mute;
-  Runtime.set_behavior sys.Base_workload.Systems.runtime 2 Replica.Lie_in_replies;
+  Runtime.set_behavior sys.Base_workload.Systems.runtime 1 Faultplan.B_mute;
+  Runtime.set_behavior sys.Base_workload.Systems.runtime 2 Faultplan.B_lie;
   let nfs = nfs_of sys ~client:0 in
   let d = C.mkdir_p nfs "/two-faults" in
   let f = C.write_file nfs d "file" ~chunk:4096 "still correct" in

@@ -6,6 +6,7 @@ open Helpers
 module Runtime = Base_core.Runtime
 module Replica = Base_bft.Replica
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 module Sim_time = Base_sim.Sim_time
 
 (* Closed-loop load: every client keeps one op outstanding for [duration]
@@ -92,7 +93,7 @@ let test_batching_with_view_change () =
     make_system ~seed:63L ~n_clients:4 ~checkpoint_period:32 ~batch_max:8 ~max_inflight:2 ()
   in
   ignore (closed_loop sys ~clients:4 ~duration_s:0.3);
-  Runtime.set_behavior sys 0 Replica.Mute;
+  Runtime.set_behavior sys 0 Faultplan.B_mute;
   let more = closed_loop sys ~clients:4 ~duration_s:1.5 in
   Alcotest.(check bool) "progress after primary failure under batched load" true (more > 20)
 

@@ -8,6 +8,7 @@ module Replica = Base_bft.Replica
 module Message = Base_bft.Message
 module Types = Base_bft.Types
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 module Sim_time = Base_sim.Sim_time
 
 let settle sys seconds =
@@ -51,7 +52,7 @@ let test_sequential_consistency_of_results () =
 let test_equivocating_primary_safe () =
   (* An equivocating primary cannot make correct replicas diverge. *)
   let sys, kvs = make_system ~seed:23L () in
-  Runtime.set_behavior sys 0 Replica.Equivocate;
+  Runtime.set_behavior sys 0 Faultplan.B_equivocate;
   for i = 0 to 9 do
     ignore (set sys ~client:0 (i mod 8) (Printf.sprintf "eq%d" i))
   done;
@@ -84,17 +85,68 @@ let test_successive_primary_failures () =
      respected because earlier primaries are revived). *)
   let sys, _ = make_system ~seed:25L () in
   ignore (set sys ~client:0 0 "v0");
-  Runtime.set_behavior sys 0 Replica.Mute;
+  Runtime.set_behavior sys 0 Faultplan.B_mute;
   ignore (set sys ~client:0 0 "v1");
   (* Revive 0, kill the new primary. *)
-  Runtime.set_behavior sys 0 Replica.Honest;
+  Runtime.set_behavior sys 0 Faultplan.B_honest;
   let new_primary =
     let node = Runtime.replica sys 1 in
     Replica.view node.Runtime.replica mod 4
   in
-  Runtime.set_behavior sys new_primary Replica.Mute;
+  Runtime.set_behavior sys new_primary Faultplan.B_mute;
   ignore (set sys ~client:0 0 "v2");
   Alcotest.(check string) "final value" "v2" (value_part (get sys ~client:0 0))
+
+let apply_plan sys text =
+  match Faultplan.parse text with
+  | Ok plan -> Runtime.apply_faultplan sys plan
+  | Error e -> Alcotest.fail e
+
+(* A muted replica still runs the protocol, timers included: once it is
+   honest again it keeps gossiping STATUS like every other replica. *)
+let test_muted_replica_keeps_status_timer () =
+  let sys, _ = make_system ~seed:25L () in
+  apply_plan sys "at 0us behavior 2 mute\nat 1s behavior 2 honest";
+  settle sys 1.0;
+  let trace = Base_obs.Trace.create () in
+  Engine.attach_trace (Runtime.engine sys) trace;
+  settle sys 3.0;
+  let sent = Array.make 4 0 in
+  List.iter
+    (fun (ev : Base_obs.Trace.event) ->
+      let attr k = List.assoc k ev.attrs in
+      if ev.name = "net.send" && String.starts_with ~prefix:"STATUS" (attr "label") then
+        let src = int_of_string (attr "src") in
+        sent.(src) <- sent.(src) + 1)
+    (Base_obs.Trace.events trace);
+  Alcotest.(check bool) "replica 0 gossips" true (sent.(0) > 0);
+  Array.iteri (fun r n -> Alcotest.(check int) (Printf.sprintf "replica %d" r) sent.(0) n) sent
+
+(* Attack windows belong to cells: a window on node 1 leaves an open one on
+   node 0 in place, so both primaries of views 0 and 1 lose their
+   PRE-PREPAREs and the group settles on view 2. *)
+let test_attack_windows_per_cell () =
+  let sys, _ = make_system ~seed:30L () in
+  apply_plan sys
+    "at 0us attack-preprepare 0 mute=1 delay=0us for 20s\n\
+     at 0us attack-preprepare 1 mute=1 delay=0us for 20s";
+  settle sys 0.001;
+  ignore (set sys ~client:0 0 "through");
+  Array.iter
+    (fun node -> Alcotest.(check int) "view" 2 (Replica.view node.Runtime.replica))
+    (Runtime.replicas sys)
+
+(* A behaviour naming a shard or a node the system does not have names no
+   cell: it is ignored, and the group keeps serving. *)
+let test_behavior_out_of_range_ignored () =
+  let sys, _ = make_system ~seed:31L () in
+  Runtime.set_behavior ~shard:1 sys 0 Faultplan.B_mute;
+  Runtime.set_behavior ~shard:(-1) sys 0 Faultplan.B_mute;
+  Runtime.set_behavior sys 7 Faultplan.B_mute;
+  ignore (set sys ~client:0 0 "served");
+  Array.iter
+    (fun node -> Alcotest.(check int) "no view change" 0 (Replica.view node.Runtime.replica))
+    (Runtime.replicas sys)
 
 let test_mac_forgery_rejected () =
   (* A message whose authenticator was built by the wrong principal is
@@ -136,7 +188,7 @@ let test_null_requests_after_view_change () =
      the service state is unaffected. *)
   let sys, kvs = make_system ~seed:28L () in
   ignore (set sys ~client:0 1 "solid");
-  Runtime.set_behavior sys 0 Replica.Mute;
+  Runtime.set_behavior sys 0 Faultplan.B_mute;
   ignore (set sys ~client:0 2 "after-vc");
   settle sys 1.0;
   Alcotest.(check string) "pre-vc value survives" "solid" kvs.(1).slots.(1);
@@ -899,6 +951,11 @@ let suite =
     Alcotest.test_case "equivocating primary is safe" `Quick test_equivocating_primary_safe;
     Alcotest.test_case "partition blocks, heal resumes" `Quick test_partition_blocks_then_heals;
     Alcotest.test_case "successive primary failures" `Quick test_successive_primary_failures;
+    Alcotest.test_case "a muted replica keeps its status timer" `Quick
+      test_muted_replica_keeps_status_timer;
+    Alcotest.test_case "attack windows are per cell" `Quick test_attack_windows_per_cell;
+    Alcotest.test_case "a behaviour outside the system is ignored" `Quick
+      test_behavior_out_of_range_ignored;
     Alcotest.test_case "MAC forgery rejected" `Quick test_mac_forgery_rejected;
     Alcotest.test_case "pending count matches client table" `Quick
       test_pending_count_matches_table;

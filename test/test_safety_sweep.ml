@@ -6,12 +6,12 @@
 
 open Helpers
 module Runtime = Base_core.Runtime
-module Replica = Base_bft.Replica
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 module Sim_time = Base_sim.Sim_time
 module Prng = Base_util.Prng
 
-let behaviors = [| Replica.Honest; Replica.Mute; Replica.Lie_in_replies; Replica.Equivocate |]
+let behaviors = [| Faultplan.B_honest; Faultplan.B_mute; Faultplan.B_lie; Faultplan.B_equivocate |]
 
 let run_one seed =
   let rng = Prng.create (Int64.of_int (1000 + seed)) in
@@ -37,28 +37,21 @@ let run_one seed =
       if got <> want then
         Alcotest.failf "seed %d (villain %d %s): read %S, wrote %S" seed villain
           (match behavior with
-          | Replica.Honest -> "honest"
-          | Replica.Mute -> "mute"
-          | Replica.Lie_in_replies -> "liar"
-          | Replica.Equivocate -> "equivocator")
+          | Faultplan.B_honest -> "honest"
+          | Faultplan.B_mute -> "mute"
+          | Faultplan.B_lie -> "liar"
+          | Faultplan.B_equivocate -> "equivocator")
           got want
     end
   done;
-  (* Let traffic settle, then check convergence of the honest replicas
-     (a mute replica legitimately lags; liars/equivocators still execute
-     the agreed order, so their state matches too). *)
+  (* Let traffic settle, then check that every replica converged: a
+     Byzantine replica runs the honest protocol and only what it sends is
+     rewritten, so it executes the agreed order too, a mute one included. *)
   Engine.run ~until:(Sim_time.add (Runtime.now sys) (Sim_time.of_sec 2.0)) (Runtime.engine sys);
-  let honest =
-    List.filter (fun r -> not (behavior = Replica.Mute && r = villain)) [ 0; 1; 2; 3 ]
-  in
-  match honest with
-  | [] | [ _ ] -> ()
-  | first :: rest ->
-    List.iter
-      (fun r ->
-        if kvs.(r).slots <> kvs.(first).slots then
-          Alcotest.failf "seed %d: replica %d diverged from %d" seed r first)
-      rest
+  for r = 1 to 3 do
+    if kvs.(r).slots <> kvs.(0).slots then
+      Alcotest.failf "seed %d: replica %d diverged from 0" seed r
+  done
 
 let test_sweep () =
   for seed = 1 to 12 do

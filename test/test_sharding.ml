@@ -107,7 +107,7 @@ let test_per_shard_view_change () =
   in
   (* Shard 1's view-0 primary is node 1 (rotation offset by the shard id);
      mute only that cell. *)
-  Runtime.set_behavior ~shard:1 sys 1 Base_bft.Replica.Mute;
+  Runtime.set_behavior ~shard:1 sys 1 Base_sim.Faultplan.B_mute;
   Alcotest.(check string) "shard 0 unaffected" "ok" (set sys ~client:0 0 "a");
   Alcotest.(check string) "shard 1 recovers via view change" "ok" (set sys ~client:0 7 "b");
   let cell = Runtime.shard_replica sys ~shard:1 0 in

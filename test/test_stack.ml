@@ -7,6 +7,7 @@ open Helpers
 module Runtime = Base_core.Runtime
 module Replica = Base_bft.Replica
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 module Sim_time = Base_sim.Sim_time
 
 let check = Alcotest.(check string)
@@ -57,7 +58,7 @@ let test_view_change_on_primary_failure () =
   ignore (set sys ~client:0 0 "before");
   (* Silence the primary (replica 0 in view 0): the system must view-change
      and keep executing. *)
-  Runtime.set_behavior sys 0 Replica.Mute;
+  Runtime.set_behavior sys 0 Faultplan.B_mute;
   check "op completes despite dead primary" "ok" (set sys ~client:0 1 "after");
   check "state correct" "after" (value_part (get sys ~client:0 1));
   let view_advanced =
@@ -69,7 +70,7 @@ let test_view_change_on_primary_failure () =
 
 let test_byzantine_replies_masked () =
   let sys, _ = make_system () in
-  Runtime.set_behavior sys 2 Replica.Lie_in_replies;
+  Runtime.set_behavior sys 2 Faultplan.B_lie;
   check "lying replica is outvoted" "ok" (set sys ~client:0 0 "truth");
   check "reads still correct" "truth" (value_part (get sys ~client:0 0))
 

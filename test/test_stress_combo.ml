@@ -8,6 +8,7 @@ module Runtime = Base_core.Runtime
 module Objrepo = Base_core.Objrepo
 module Replica = Base_bft.Replica
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 module Sim_time = Base_sim.Sim_time
 
 let settle sys seconds =
@@ -67,7 +68,7 @@ let test_f2_recovery_with_byzantine () =
   (* Seven replicas, one liar, staggered recoveries: still linearisable and
      convergent. *)
   let sys, kvs = make_system ~seed:73L ~f:2 ~checkpoint_period:8 () in
-  Runtime.set_behavior sys 3 Replica.Lie_in_replies;
+  Runtime.set_behavior sys 3 Faultplan.B_lie;
   Runtime.enable_proactive_recovery ~reboot_us:50_000 ~period_us:2_000_000 sys;
   for i = 0 to 29 do
     let v = Printf.sprintf "f2-%d" i in

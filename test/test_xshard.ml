@@ -6,6 +6,7 @@ module Types = Base_bft.Types
 module Runtime = Base_core.Runtime
 module Service = Base_core.Service
 module Engine = Base_sim.Engine
+module Faultplan = Base_sim.Faultplan
 
 (* A multi-register service whose "mset:<i>:<j>:<v>" writes [v] to both
    slots — the minimal operation with a two-object footprint.  "lie:<i>:<j>"
@@ -168,7 +169,7 @@ let test_coordinator_crash () =
    final states of all replicas agree. *)
 let test_byzantine_lock_primary () =
   let sys, slots = make_system ~seed:51L () in
-  Runtime.set_behavior ~shard:1 sys 1 Base_bft.Replica.Equivocate;
+  Runtime.set_behavior ~shard:1 sys 1 Faultplan.B_equivocate;
   (match Runtime.try_invoke_sync sys ~client:0 ~operation:"mset:1:6:byz" () with
   | Ok reply -> Alcotest.(check string) "mset despite equivocation" "ok" reply
   | Error e -> Alcotest.fail e);
