@@ -1110,7 +1110,11 @@ let e16_run ~migrate =
             Some tl.Runtime.tl_staleness_seqs
           else None)
         episodes;
-    md_promotions = counter "base.standby.promotions";
+    md_promotions =
+      List.fold_left
+        (fun acc node ->
+          match node.Runtime.standby with Some ss -> acc + ss.Runtime.ss_promotions | None -> acc)
+        0 (Runtime.all_cells rt);
     md_aborted = counter "base.standby.promotions_aborted";
     md_skipped = counter "base.standby.rounds_skipped";
     md_p50_us = Base_obs.Metrics.quantile s.Load.latency_us 0.5;

@@ -217,13 +217,18 @@ let metrics_cmd =
         st.Base_core.State_transfer.meta_fetched st.Base_core.State_transfer.objects_fetched
         st.Base_core.State_transfer.bytes_fetched st.Base_core.State_transfer.retries
         (Base_core.State_transfer.rejected st);
-      let count name =
-        Base_obs.Metrics.counter_value (Base_obs.Metrics.counter (Runtime.metrics rt) name)
+      let sum f =
+        List.fold_left
+          (fun acc node -> acc + f (Base_bft.Replica.stats node.Runtime.replica))
+          0 (Runtime.all_cells rt)
       in
       Printf.printf "catch-up: %d STATUS sent at once, %d fetches re-targeted as superseded\n"
-        (count "bft.catchup_status") (count "base.st.retarget.superseded");
+        (sum (fun s -> s.Base_bft.Replica.catchup_status))
+        (Base_obs.Metrics.counter_value
+           (Base_obs.Metrics.counter (Runtime.metrics rt) "base.st.retarget.superseded"));
       Printf.printf "vouching: %d vouchers sent, %d missed requests proposed on f+1 vouchers\n"
-        (count "bft.vouchers_sent") (count "bft.vouched_proposals")
+        (sum (fun s -> s.Base_bft.Replica.vouchers_sent))
+        (sum (fun s -> s.Base_bft.Replica.vouched_proposals))
     end
   in
   Cmd.v

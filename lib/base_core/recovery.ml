@@ -417,7 +417,6 @@ let complete_promotion r ~slot ~sb ss =
   sb_cell.repo <- repo;
   sb_cell.wrapper <- wrapper;
   ss.ss_promotions <- ss.ss_promotions + 1;
-  count r "base.standby.promotions";
   let lag = Int64.sub (now r) ss.ss_synced_at_us in
   Metrics.observe (Metrics.histogram r.metrics "base.standby.lag_us") (Int64.to_float lag);
   let replica = slot_cell.replica in

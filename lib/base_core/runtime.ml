@@ -78,11 +78,12 @@ let metrics t = t.metrics
 
 let trace t = t.trace
 
+(* Every replica cell, standbys included, in [(shard, rid)] order: the
+   standbys follow row 0, and only unsharded systems have any. *)
+let all_cells t = List.concat_map Array.to_list (Array.to_list t.cells) @ Array.to_list t.standbys
+
 let st_totals t =
-  State_transfer.sum
-    (List.map
-       (fun node -> node.recovery_stats.fetched)
-       (List.concat_map Array.to_list (Array.to_list t.cells) @ Array.to_list t.standbys))
+  State_transfer.sum (List.map (fun node -> node.recovery_stats.fetched) (all_cells t))
 
 let recovery_timelines t = Recovery.timelines t.recovery
 
@@ -245,11 +246,9 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
   in
   Engine.attach_profile engine profile;
   (* One registry for the whole system: replica histograms aggregate across
-     the group, which is what the benchmark tables report.  The engine
-     exports its live queue-depth / per-node inflight gauges into the same
-     registry. *)
+     the group, which is what the benchmark tables report.  The engine's
+     traffic lives in its own counter records, not here. *)
   let metrics = Base_obs.Metrics.create () in
-  Engine.attach_metrics engine metrics;
   (* In-flight corruption model: flip one byte of the encoded protocol body
      and deliver it as raw wire bytes, so it exercises the replica's
      decode-and-MAC rejection path exactly like a Byzantine network would.
@@ -497,7 +496,7 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
       match cell shard with Some node -> Recovery.handle_st t.recovery node ~from body | None -> ())
     | Raw { from; shard; macs; bytes } -> (
       (* Corrupted-in-flight bytes: feed the wire-decode path, which
-         counts and drops them (bft.reject.decode / bft.reject.mac). *)
+         counts and drops them (stats.rejected_decode / rejected_macs). *)
       match cell shard with
       | Some node -> Replica.receive_wire ~shard node.replica ~sender:from ~macs bytes
       | None -> ())
@@ -581,6 +580,26 @@ let counters_json (c : Engine.counters) =
       ("sent_msgs", Base_obs.Json.Int c.Engine.sent_msgs);
     ]
 
+let stats_json (node : replica_node) =
+  let s = Replica.stats node.replica in
+  Base_obs.Json.(
+    obj
+      [
+        ("catchup_status", Int s.Replica.catchup_status);
+        ("checkpoints_taken", Int s.Replica.checkpoints_taken);
+        ("executed", Int s.Replica.executed);
+        ("executed_requests", Int s.Replica.executed_requests);
+        ("fetches", Int s.Replica.fetches);
+        ("rejected_decode", Int s.Replica.rejected_decode);
+        ("rejected_insane", Int s.Replica.rejected_insane);
+        ("rejected_macs", Int s.Replica.rejected_macs);
+        ("rid", Int node.rid);
+        ("shard", Int node.shard);
+        ("view_changes", Int s.Replica.view_changes);
+        ("vouched_proposals", Int s.Replica.vouched_proposals);
+        ("vouchers_sent", Int s.Replica.vouchers_sent);
+      ])
+
 let metrics_report t =
   let open Base_obs.Json in
   let st = st_totals t in
@@ -600,6 +619,7 @@ let metrics_report t =
           ] );
       ("metrics", Base_obs.Metrics.to_json t.metrics);
       ("recoveries", List (List.map Recovery.timeline_json (recovery_timelines t)));
+      ("replicas", List (List.map stats_json (all_cells t)));
       ( "state_transfer",
         obj
           [
@@ -615,5 +635,6 @@ let metrics_report t =
             ("rejected", Int (State_transfer.rejected st));
             ("retries", Int st.State_transfer.retries);
           ] );
+      ("trace_dropped", Int (Base_obs.Trace.dropped t.trace));
       ("trace_events", Int (Base_obs.Trace.length t.trace));
     ]

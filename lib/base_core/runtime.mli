@@ -82,6 +82,9 @@ val shard_replica : t -> shard:int -> int -> replica_node
 val standby : t -> int -> replica_node
 (** Standby by {e node id} (in [n .. n+s-1]). *)
 
+val all_cells : t -> replica_node list
+(** Every replica cell, standbys included, sorted by [(shard, rid)]. *)
+
 val client : t -> int -> Base_bft.Client.t
 (** Client by index [0 .. n_clients-1]. *)
 
@@ -172,8 +175,8 @@ val apply_faultplan : t -> Base_sim.Faultplan.t -> unit
     equivocation) and survivors are delayed.  Each cell keeps its own
     window; a later window on the same cell replaces it.  Muted and
     delayed pre-prepares are counted as [adversary.pp_muted] /
-    [adversary.pp_delayed]; corrupted deliveries as
-    [engine.corrupted_msgs]. *)
+    [adversary.pp_delayed]; corrupted deliveries in the engine's
+    [corrupted_msgs]. *)
 
 (** {1 Observability}
 
@@ -186,9 +189,11 @@ val metrics : t -> Base_obs.Metrics.t
 (** The system-wide registry: per-phase replica histograms
     ([bft.phase.*_us], [bft.view_change_us], [bft.checkpoint_interval_us])
     aggregated across the whole group, plus the state-transfer pipeline
-    series — [base.st.inflight] (peak requests in flight),
-    [base.st.cache_hits], [base.st.source_quarantined] and the per-source
-    load-spread counters [base.st.source_bytes.<rid>]. *)
+    series — [base.st.inflight] (peak requests in flight) and the
+    per-source load-spread counters [base.st.source_bytes.<rid>].  It holds
+    histograms and only those counters and gauges no record keeps: the
+    engine's traffic, each replica's {!Base_bft.Replica.stats} and each
+    cell's fetch tally are read from those records ({!metrics_report}). *)
 
 val trace : t -> Base_obs.Trace.t
 (** Structured runtime events, each with the [rid] it concerns:
@@ -208,5 +213,8 @@ val recovery_timelines : t -> recovery_timeline list
 
 val metrics_report : t -> Base_obs.Json.t
 (** One deterministic report object: network totals and per-label
-    breakdowns, queue depths, the metrics registry, recovery timelines and
-    state-transfer totals. *)
+    breakdowns, queue depths, the metrics registry, recovery timelines,
+    [replicas] (each cell's {!Base_bft.Replica.stats} under the record's
+    field names, with its [rid] and [shard], in {!all_cells} order),
+    state-transfer totals, and the events the runtime's trace retained
+    ([trace_events]) and refused when full ([trace_dropped]). *)

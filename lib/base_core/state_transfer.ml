@@ -241,10 +241,6 @@ let inflight t = t.n_inflight
 
 let scoreboard t = t.sources
 
-(* A registry counter that mirrors a tally field, bumped with it. *)
-let bump t name =
-  match t.metrics with Some m -> Metrics.incr (Metrics.counter m name) | None -> ()
-
 let find_source t id =
   let found = ref None in
   Array.iter (fun s -> if Int.equal s.src_id id then found := Some s) t.sources;
@@ -370,7 +366,6 @@ let strike t from =
       s.quarantines <- s.quarantines + 1;
       s.quarantine <- min max_backoff_rounds (1 lsl min 6 s.quarantines);
       t.stats.quarantines <- t.stats.quarantines + 1;
-      bump t "base.st.source_quarantined";
       t.trace "st.quarantine"
         [ ("quarantines", string_of_int s.quarantines); ("rounds", string_of_int s.quarantine);
           ("src", string_of_int s.src_id) ];
@@ -484,8 +479,7 @@ let expand t ~level ~index certified =
              its leaf held, which is stale if the concrete state rotted
              behind the wrapper's back. *)
           Hashtbl.replace t.fetched index data;
-          t.stats.cache_hits <- t.stats.cache_hits + 1;
-          bump t "base.st.cache_hits"
+          t.stats.cache_hits <- t.stats.cache_hits + 1
         | Some _ | None ->
           Hashtbl.replace t.pending_objs index
             { of_digest = certified; of_total = -1; of_buf = Bytes.empty; of_have = [||];

@@ -178,9 +178,9 @@ val start :
     happen, so the [on_complete] callback sees the reply that completed
     the fetch counted.  The per-fetch limits ({!reject_limit},
     {!stall_rounds}) read differences from the tally's values at [start].
-    With [metrics], it also counts [base.st.cache_hits],
-    [base.st.source_quarantined] and [base.st.source_bytes.<rid>], and
-    keeps the peak window occupancy in the [base.st.inflight] gauge.
+    With [metrics], it also counts the bytes each source served in
+    [base.st.source_bytes.<rid>] and keeps the peak window occupancy in the
+    [base.st.inflight] gauge: figures the tally does not hold.
     [trace] receives named diagnostic events with their attributes:
     [st.quarantine], [st.assembly_rejected], [st.restripe], [st.reject]
     and [st.retry].  Nothing here writes to stderr. *)

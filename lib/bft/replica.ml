@@ -46,9 +46,10 @@ type stats = {
 
 (* Protocol-phase instrumentation: latency histograms over the local
    timeline of each log slot (pre-prepare accepted -> prepared -> committed
-   -> executed), plus view-change duration and checkpoint cadence.  The
-   registry is normally shared by every replica of a system, so histograms
-   aggregate across the group. *)
+   -> executed), plus view-change duration, checkpoint cadence and the
+   equivocations a backup detected.  The registry is normally shared by
+   every replica of a system, so histograms aggregate across the group.
+   What [stats] counts is not copied here: [stats] is its one tally. *)
 type obs = {
   m_pre_prepare : Base_obs.Metrics.histogram;
   m_prepare : Base_obs.Metrics.histogram;
@@ -57,13 +58,7 @@ type obs = {
   m_total : Base_obs.Metrics.histogram;
   m_view_change : Base_obs.Metrics.histogram;
   m_cp_interval : Base_obs.Metrics.histogram;
-  c_reject_mac : Base_obs.Metrics.counter;
-  c_reject_decode : Base_obs.Metrics.counter;
-  c_reject_insane : Base_obs.Metrics.counter;
   c_equivocation : Base_obs.Metrics.counter;
-  c_catchup : Base_obs.Metrics.counter;
-  c_voucher : Base_obs.Metrics.counter;
-  c_vouched : Base_obs.Metrics.counter;
   mutable vc_started : int64;  (* -1 when no view change is in progress *)
   mutable last_cp : int64;  (* timestamp of the previous checkpoint; -1 before the first *)
 }
@@ -72,7 +67,6 @@ type obs = {
    shard 0 keeps the historical unsuffixed names. *)
 let make_obs ?(suffix = "") metrics =
   let h name = Base_obs.Metrics.histogram metrics (name ^ suffix) in
-  let c name = Base_obs.Metrics.counter metrics (name ^ suffix) in
   {
     m_pre_prepare = h "bft.phase.pre_prepare_us";
     m_prepare = h "bft.phase.prepare_us";
@@ -81,13 +75,7 @@ let make_obs ?(suffix = "") metrics =
     m_total = h "bft.phase.total_us";
     m_view_change = h "bft.view_change_us";
     m_cp_interval = h "bft.checkpoint_interval_us";
-    c_reject_mac = c "bft.reject.mac";
-    c_reject_decode = c "bft.reject.decode";
-    c_reject_insane = c "bft.reject.insane";
-    c_equivocation = c "bft.equivocation_detected";
-    c_catchup = c "bft.catchup_status";
-    c_voucher = c "bft.vouchers_sent";
-    c_vouched = c "bft.vouched_proposals";
+    c_equivocation = Base_obs.Metrics.counter metrics ("bft.equivocation_detected" ^ suffix);
     vc_started = -1L;
     last_cp = -1L;
   }
@@ -377,7 +365,6 @@ let send_status t =
 
 let catch_up t =
   t.stats.catchup_status <- t.stats.catchup_status + 1;
-  Base_obs.Metrics.incr t.obs.c_catchup;
   send_status t
 
 (* --- timers ------------------------------------------------------------- *)
@@ -758,7 +745,6 @@ let handle_voucher t sender (r : M.request) =
       if count_matching cr.vouchers d >= Types.weak_quorum t.config then begin
         clear_votes cr.vouchers;
         t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
-        Base_obs.Metrics.incr t.obs.c_vouched;
         if cr.pending = None then cr.pending_since <- now t;
         set_pending t cr (Some r);
         if status t = Normal then propose t r
@@ -798,7 +784,6 @@ let vouch_missed t (st : M.status_msg) =
                && r.timestamp > cr.last_ts && r.timestamp > cr.vouched_ts ->
           cr.vouched_ts <- r.timestamp;
           t.stats.vouchers_sent <- t.stats.vouchers_sent + 1;
-          Base_obs.Metrics.incr t.obs.c_voucher;
           send_one t ~dst:primary (M.Request r)
         | Some _ | None -> ())
       (sorted_bindings t.clients)
@@ -806,9 +791,7 @@ let vouch_missed t (st : M.status_msg) =
 (* --- pre-prepare / prepare / commit ------------------------------------- *)
 
 (* Authenticated but protocol-implausible: counted and dropped. *)
-let reject_insane t =
-  t.stats.rejected_insane <- t.stats.rejected_insane + 1;
-  Base_obs.Metrics.incr t.obs.c_reject_insane
+let reject_insane t = t.stats.rejected_insane <- t.stats.rejected_insane + 1
 
 (* Whether [batch] holds some [(client, timestamp)] twice. *)
 let rec repeats_request = function
@@ -1319,10 +1302,7 @@ let receive t (env : M.envelope) =
   Base_obs.Profile.start t.prof t.p_verify;
   let authentic = M.verify t.keychain ~receiver:t.id env in
   Base_obs.Profile.stop t.prof t.p_verify;
-  if not authentic then begin
-    t.stats.rejected_macs <- t.stats.rejected_macs + 1;
-    Base_obs.Metrics.incr t.obs.c_reject_mac
-  end
+  if not authentic then t.stats.rejected_macs <- t.stats.rejected_macs + 1
   else if
     env.shard <> t.shard
     || match env.body with
@@ -1372,9 +1352,7 @@ let receive t (env : M.envelope) =
 
 let receive_wire ?(shard = 0) t ~sender ~macs raw =
   match M.of_wire ~shard ~sender ~macs raw with
-  | Error _ ->
-    t.stats.rejected_decode <- t.stats.rejected_decode + 1;
-    Base_obs.Metrics.incr t.obs.c_reject_decode
+  | Error _ -> t.stats.rejected_decode <- t.stats.rejected_decode + 1
   | Ok env -> receive t env
 
 let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(shard = 0) ~config

@@ -135,10 +135,12 @@ val create :
     [metrics] receives per-phase latency histograms
     ([bft.phase.{pre_prepare,prepare,commit,execute,total}_us] — each slot's
     local milestone-to-milestone latency), view-change durations
-    ([bft.view_change_us]) and checkpoint cadence
-    ([bft.checkpoint_interval_us]).  Pass the same registry to every replica
-    of a system to aggregate across the group; when omitted, a private
-    (unobservable) registry is used.
+    ([bft.view_change_us]), checkpoint cadence
+    ([bft.checkpoint_interval_us]) and detected equivocations
+    ([bft.equivocation_detected]); what {!stats} counts is not copied
+    there.  Pass the same registry to every replica of a system to
+    aggregate across the group; when omitted, a private (unobservable)
+    registry is used.
 
     [profile] attaches hot-path probes ([bft.verify], [bft.seal],
     [bft.handle], [bft.execute]); defaults to the shared disabled
@@ -184,8 +186,7 @@ val receive : t -> Message.envelope -> unit
 
 val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string -> unit
 (** Handle a raw encoded message body as it would arrive off the wire.
-    Malformed bytes are counted ([stats.rejected_decode], metrics counter
-    [bft.reject.decode]) and dropped — a Byzantine sender can never crash a
+    Malformed bytes are counted ([stats.rejected_decode]) and dropped — a Byzantine sender can never crash a
     replica with garbage input.  Well-formed bodies go through {!receive}
     and the usual MAC check.  [shard] (default 0) is the shard tag carried
     alongside the wire bytes. *)

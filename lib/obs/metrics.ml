@@ -56,8 +56,6 @@ let gauge t name =
     Hashtbl.replace t name (Gauge g);
     g
 
-let set g v = g.g_value <- v
-
 let set_max g v = if v > g.g_value then g.g_value <- v
 
 let gauge_value g = g.g_value

@@ -33,10 +33,8 @@ val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 
-val set : gauge -> float -> unit
-
 val set_max : gauge -> float -> unit
-(** Keep the running maximum (used for peak queue depth). *)
+(** Keep the running maximum (used for the fetcher's peak window occupancy). *)
 
 val gauge_value : gauge -> float
 

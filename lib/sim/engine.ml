@@ -65,21 +65,11 @@ type link_fault = {
   lf_until : Sim_time.t;
 }
 
-(* Live gauges exported when a metrics registry is attached; the engine is
-   otherwise observable only through its counter records. *)
-type obs = {
-  om : Base_obs.Metrics.t;
-  og_queue : Base_obs.Metrics.gauge;
-  oc_corrupted : Base_obs.Metrics.counter;
-  og_inflight : (int, Base_obs.Metrics.gauge) Hashtbl.t;
-}
-
 type 'msg node = {
   deliver : src:int -> 'msg -> unit;
   mutable up : bool;
   clock_offset : int64;
   clock_drift : float; (* multiplicative, close to 1.0 *)
-  mutable inflight : int;  (* queued deliveries addressed to this node *)
 }
 
 and 'msg queued =
@@ -96,16 +86,18 @@ and 'msg t = {
   mutable nodes : 'msg node option array;
   mutable time : Sim_time.t;
   mutable next_timer_id : int;
-  cancelled : (int, unit) Hashtbl.t;
+  (* Ids of the timers still queued: [cancel_timer] removes one, and its
+     pop skips it.  An id leaves the table when its timer pops, so a timer
+     that fired, was dropped or was cancelled leaves nothing behind. *)
+  armed : (int, unit) Hashtbl.t;
   mutable partition_groups : (int list * int list) option;
-  totals : counters;
-  (* Per-message-type traffic breakdown, keyed by [config.kind_of]. *)
+  (* Traffic by message type, keyed by [config.kind_of]: the one tally of
+     the network; [total_counters] sums it. *)
   labels : (string, counters) Hashtbl.t;
   mutable max_queue_depth : int;
   mutable sink : Base_obs.Trace.t option;
   mutable link_faults : link_fault list;
   mutable corruptor : (Prng.t -> 'msg -> 'msg option) option;
-  mutable obs : obs option;
   mutable prof : Base_obs.Profile.t;
   mutable p_send : Base_obs.Profile.probe;
   mutable p_dispatch : Base_obs.Profile.probe;
@@ -119,15 +111,13 @@ let create config =
     nodes = [||];
     time = Sim_time.zero;
     next_timer_id = 0;
-    cancelled = Hashtbl.create 16;
+    armed = Hashtbl.create 16;
     partition_groups = None;
-    totals = fresh_counters ();
     labels = Hashtbl.create 16;
     max_queue_depth = 0;
     sink = None;
     link_faults = [];
     corruptor = None;
-    obs = None;
     prof = Base_obs.Profile.disabled;
     p_send = Base_obs.Profile.probe Base_obs.Profile.disabled "engine.send";
     p_dispatch = Base_obs.Profile.probe Base_obs.Profile.disabled "engine.dispatch";
@@ -144,29 +134,9 @@ let label_counters_of t msg =
 
 let note_queue_depth t =
   let depth = Event_heap.length t.queue in
-  if depth > t.max_queue_depth then t.max_queue_depth <- depth;
-  match t.obs with
-  | None -> ()
-  | Some o -> Base_obs.Metrics.set o.og_queue (float_of_int depth)
-
-let inflight_gauge o id =
-  match Hashtbl.find_opt o.og_inflight id with
-  | Some g -> g
-  | None ->
-    let g = Base_obs.Metrics.gauge o.om (Printf.sprintf "engine.inflight.n%02d" id) in
-    Hashtbl.replace o.og_inflight id g;
-    g
+  if depth > t.max_queue_depth then t.max_queue_depth <- depth
 
 let find_node t id = if id >= 0 && id < Array.length t.nodes then t.nodes.(id) else None
-
-let note_inflight t id delta =
-  match find_node t id with
-  | None -> ()
-  | Some n ->
-    n.inflight <- n.inflight + delta;
-    (match t.obs with
-    | None -> ()
-    | Some o -> Base_obs.Metrics.set (inflight_gauge o id) (float_of_int n.inflight))
 
 (* [label_of] formats the message's parameters, so it runs only when a sink
    is attached: untraced runs keep it off the per-message hot path. *)
@@ -206,7 +176,6 @@ let add_node t ~id deliver =
         up = true;
         clock_offset = offset;
         clock_drift = drift;
-        inflight = 0;
       }
 
 let get_node t id =
@@ -274,7 +243,6 @@ let rec fault_delay_us acc = function
   | { lf_kind = F_drop _ | F_corrupt _; _ } :: rest -> fault_delay_us acc rest
 
 let drop_msg t per_label ~src ~dst ~size msg =
-  t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
   per_label.dropped_msgs <- per_label.dropped_msgs + 1;
   trace t "net.drop" ~src ~dst ~size msg
 
@@ -282,11 +250,7 @@ let drop_msg t per_label ~src ~dst ~size msg =
    [msg] is the one sent, which the trace events label. *)
 let enqueue t per_label ~src ~dst ~size ~delay_us ~corrupted msg msg' =
   if corrupted then begin
-    t.totals.corrupted_msgs <- t.totals.corrupted_msgs + 1;
     per_label.corrupted_msgs <- per_label.corrupted_msgs + 1;
-    (match t.obs with
-    | None -> ()
-    | Some o -> Base_obs.Metrics.incr o.oc_corrupted);
     trace t "net.corrupt" ~src ~dst ~size msg
   end;
   let jitter =
@@ -301,7 +265,6 @@ let enqueue t per_label ~src ~dst ~size ~delay_us ~corrupted msg msg' =
   trace t "net.send" ~src ~dst ~size msg;
   Event_heap.push t.queue ~time:(Sim_time.add t.time delay)
     (Q_deliver { src; dst; msg = msg'; size });
-  note_inflight t dst 1;
   note_queue_depth t
 
 let send t ?(extra_us = 0) ~src ~dst msg =
@@ -309,8 +272,6 @@ let send t ?(extra_us = 0) ~src ~dst msg =
   let size = t.config.size_of msg in
   ignore (get_node t src);  (* an unknown sender is a wiring bug: fail loudly *)
   let per_label = label_counters_of t msg in
-  t.totals.sent_msgs <- t.totals.sent_msgs + 1;
-  t.totals.sent_bytes <- t.totals.sent_bytes + size;
   per_label.sent_msgs <- per_label.sent_msgs + 1;
   per_label.sent_bytes <- per_label.sent_bytes + size;
   let faults = active_faults t ~src ~dst in
@@ -345,41 +306,38 @@ let set_timer t ~node ~after fire =
   let id = t.next_timer_id in
   t.next_timer_id <- id + 1;
   Event_heap.push t.queue ~time:(Sim_time.add t.time after) (Q_timer { id; node; fire });
+  Hashtbl.add t.armed id ();
   note_queue_depth t;
   id
 
-let cancel_timer t id = Hashtbl.replace t.cancelled id ()
+let cancel_timer t id = Hashtbl.remove t.armed id
 
 let dispatch t queued =
   Base_obs.Profile.start t.prof t.p_dispatch;
   (match queued with
   | Q_deliver { src; dst; msg; size } -> begin
-    note_inflight t dst (-1);
     match find_node t dst with
     | None -> ()
     | Some node ->
       let per_label = label_counters_of t msg in
       if node.up then begin
-        t.totals.recv_msgs <- t.totals.recv_msgs + 1;
-        t.totals.recv_bytes <- t.totals.recv_bytes + size;
         per_label.recv_msgs <- per_label.recv_msgs + 1;
         per_label.recv_bytes <- per_label.recv_bytes + size;
         trace t "net.deliver" ~src ~dst ~size msg;
         node.deliver ~src msg
       end
       else begin
-        t.totals.dropped_msgs <- t.totals.dropped_msgs + 1;
         per_label.dropped_msgs <- per_label.dropped_msgs + 1;
         trace t "net.lost" ~src ~dst ~size msg
       end
   end
   | Q_timer { id; node; fire } ->
-    if not (Hashtbl.mem t.cancelled id) then begin
+    if Hashtbl.mem t.armed id then begin
+      Hashtbl.remove t.armed id;
       match find_node t node with
       | Some n when n.up -> fire ()
       | Some _ | None -> ()
-    end
-    else Hashtbl.remove t.cancelled id);
+    end);
   Base_obs.Profile.stop t.prof t.p_dispatch
 
 let step t =
@@ -415,29 +373,28 @@ let advance_to t limit = run ~until:limit t
 
 let prng t = t.rng
 
-let total_counters t = t.totals
-
 let label_counters t =
   Hashtbl.fold (fun label c acc -> (label, c) :: acc) t.labels []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let total_counters t =
+  let sum = fresh_counters () in
+  List.iter
+    (fun (_, c) ->
+      sum.sent_msgs <- sum.sent_msgs + c.sent_msgs;
+      sum.sent_bytes <- sum.sent_bytes + c.sent_bytes;
+      sum.recv_msgs <- sum.recv_msgs + c.recv_msgs;
+      sum.recv_bytes <- sum.recv_bytes + c.recv_bytes;
+      sum.dropped_msgs <- sum.dropped_msgs + c.dropped_msgs;
+      sum.corrupted_msgs <- sum.corrupted_msgs + c.corrupted_msgs)
+    (label_counters t);
+  sum
 
 let queue_depth t = Event_heap.length t.queue
 
 let max_queue_depth t = t.max_queue_depth
 
 let attach_trace t sink = t.sink <- Some sink
-
-let attach_metrics t m =
-  let o =
-    {
-      om = m;
-      og_queue = Base_obs.Metrics.gauge m "engine.queue_depth";
-      oc_corrupted = Base_obs.Metrics.counter m "engine.corrupted_msgs";
-      og_inflight = Hashtbl.create 16;
-    }
-  in
-  t.obs <- Some o;
-  note_queue_depth t
 
 let attach_profile t p =
   t.prof <- p;

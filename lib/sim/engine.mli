@@ -91,8 +91,7 @@ val set_corruptor : 'msg t -> (Base_util.Prng.t -> 'msg -> 'msg option) -> unit
 (** Install the message corruptor used by {!fault_corrupt} windows: given
     engine randomness and the in-flight message, produce the damaged variant
     actually delivered ([None] = not corruptible, drop it).  Corrupted
-    deliveries are counted in [corrupted_msgs] and, when {!attach_metrics}
-    was called, in the [engine.corrupted_msgs] counter. *)
+    deliveries are counted in [corrupted_msgs]. *)
 
 (** {1 Time and timers} *)
 
@@ -110,6 +109,9 @@ val set_timer : 'msg t -> node:int -> after:Sim_time.t -> (unit -> unit) -> int
     arming order.  Returns a timer id usable with {!cancel_timer}. *)
 
 val cancel_timer : 'msg t -> int -> unit
+(** Keep a queued timer from firing.  Cancelling a timer that already
+    fired or was dropped does nothing: the engine forgets a timer once it
+    pops. *)
 
 (** {1 Execution} *)
 
@@ -139,6 +141,8 @@ type counters = {
 }
 
 val total_counters : 'msg t -> counters
+(** A fresh record summing {!label_counters}: the per-type records are the
+    engine's one tally of its traffic. *)
 
 val label_counters : 'msg t -> (string * counters) list
 (** Traffic broken down by message type, keyed by [config.kind_of] (by
@@ -157,13 +161,6 @@ val attach_trace : 'msg t -> Base_obs.Trace.t -> unit
     [net.corrupt], [net.deliver] and [net.lost] (a delivery to a down
     node), each with attributes [src], [dst], [bytes] and [label] (from
     [config.label_of], which runs only while a sink is attached). *)
-
-val attach_metrics : 'msg t -> Base_obs.Metrics.t -> unit
-(** Export live engine state into a metrics registry: the
-    [engine.queue_depth] gauge (updated on every push/pop), per-node
-    [engine.inflight.nXX] gauges, and the [engine.corrupted_msgs] counter.
-    Values remain pure functions of the seed — the registry only mirrors
-    simulator state. *)
 
 val attach_profile : 'msg t -> Base_obs.Profile.t -> unit
 (** Bracket the engine's two hot entry points with profiling probes:

@@ -191,7 +191,7 @@ type chaos_outcome = {
   ch_read_errors : int;  (** linearizability violations (read-your-writes) *)
   ch_view_changes : int;  (** completed view changes ([bft.view_change_us] samples) *)
   ch_equivocations : int;  (** [bft.equivocation_detected] *)
-  ch_corrupted : int;  (** [engine.corrupted_msgs] *)
+  ch_corrupted : int;  (** the engine's [corrupted_msgs] *)
   ch_pp_muted : int;  (** [adversary.pp_muted] *)
   ch_divergent : int;  (** replicas off the majority abstract state after settling *)
 }
@@ -284,7 +284,7 @@ let chaos_experiment ?(seed = 21L) () =
       ch_read_errors = !read_errors;
       ch_view_changes = Metrics.hist_count (Metrics.histogram m "bft.view_change_us");
       ch_equivocations = counter_value "bft.equivocation_detected";
-      ch_corrupted = counter_value "engine.corrupted_msgs";
+      ch_corrupted = (Engine.total_counters (Runtime.engine rt)).Engine.corrupted_msgs;
       ch_pp_muted = counter_value "adversary.pp_muted";
       ch_divergent = divergent_replicas sys;
     } )

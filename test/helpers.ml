@@ -92,6 +92,31 @@ let get_ro sys ~client i =
   Base_core.Runtime.invoke_sync sys ~client ~read_only:true
     ~operation:(Printf.sprintf "get:%d" i) ()
 
+(* Reading a report: an object's fields, one field ([Null] when absent),
+   and an integer field (-1 when absent or not an integer). *)
+let json_fields = function Base_obs.Json.Obj f -> f | _ -> []
+
+let json_field key o = Option.value ~default:Base_obs.Json.Null (List.assoc_opt key (json_fields o))
+
+let json_int key o = match json_field key o with Base_obs.Json.Int v -> v | _ -> -1
+
+(* The [replicas] entries of [Runtime.metrics_report]. *)
+let reported_cells sys =
+  match json_field "replicas" (Base_core.Runtime.metrics_report sys) with
+  | Base_obs.Json.List cells -> cells
+  | _ -> []
+
+(* Field [name] of the report's entry for cell [(shard, rid)]; -1 when the
+   report has no such entry. *)
+let reported_stat ?(shard = 0) sys rid name =
+  match
+    List.find_opt
+      (fun c -> json_int "rid" c = rid && json_int "shard" c = shard)
+      (reported_cells sys)
+  with
+  | Some c -> json_int name c
+  | None -> -1
+
 let value_part reply =
   match String.index_opt reply '@' with
   | Some k -> String.sub reply 0 k

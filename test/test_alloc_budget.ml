@@ -28,7 +28,8 @@
    Per-request bookkeeping has budgets too: executing a request must not
    cost more with 256 registered clients than with one (no scan of the
    client table), a client's reply tally allocates only the vote it
-   records, and a fault-free engine send allocates no closures. *)
+   records, and a fault-free engine send allocates no closures, bare or
+   inside a runtime. *)
 
 module Auth = Base_crypto.Auth
 module Digest = Base_crypto.Digest_t
@@ -249,6 +250,20 @@ let test_engine_send_dispatch () =
       Engine.send engine ~src:0 ~dst:1 ();
       Engine.step engine)
 
+(* The same, on the engine a runtime builds and runs: a [Raw] message to the
+   orchestrator pseudo-node, whose handler does nothing, then one step.  The
+   first timer is due long after the measured window, so each step delivers
+   the message just sent.  Whatever the runtime attaches to its engine is
+   paid here on every message. *)
+let test_runtime_engine_send_dispatch () =
+  let rt = (Base_workload.Systems.make_registers ()).Base_workload.Systems.reg_runtime in
+  let engine = Base_core.Runtime.engine rt in
+  let orchestrator = (Base_core.Runtime.config rt).Base_bft.Types.n_principals in
+  let msg = Base_core.Runtime.Raw { from = 0; shard = 0; macs = [||]; bytes = "" } in
+  within_budget "Engine.send + dispatch in a runtime" ~budget:256 (fun () ->
+      Engine.send engine ~src:0 ~dst:orchestrator msg;
+      Engine.step engine)
+
 (* The view-0 primary re-sends the PRE-PREPARE of an assigned request each
    time the request arrives again.  Returns the bytes one re-send allocates
    for an operation of [op_len] bytes, after checking that the re-sent
@@ -296,6 +311,8 @@ let suite =
     Alcotest.test_case "Client.receive reply: <= 48 B per call" `Quick test_client_reply;
     Alcotest.test_case "Engine.send + dispatch: <= 280 B per message" `Quick
       test_engine_send_dispatch;
+    Alcotest.test_case "Engine.send + dispatch in a runtime: <= 256 B per message" `Quick
+      test_runtime_engine_send_dispatch;
     Alcotest.test_case "Service.object_digest 8 KB: <= 48 B per call" `Quick
       test_object_digest;
     Alcotest.test_case "8 KB entry and read reply: result + 64 B" `Quick

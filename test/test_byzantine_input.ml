@@ -1,11 +1,10 @@
 (* Byzantine-input hardening: malformed wire bytes must never crash a
-   replica.  They are counted ([stats.rejected_decode], the [bft.reject.*]
-   metrics) and dropped, and the system keeps serving valid requests. *)
+   replica.  They are counted ([stats.rejected_decode], exported
+   per replica by the runtime's report) and dropped, and the system keeps serving valid requests. *)
 
 module M = Base_bft.Message
 module Replica = Base_bft.Replica
 module Runtime = Base_core.Runtime
-module Metrics = Base_obs.Metrics
 module Digest = Base_crypto.Digest_t
 
 let valid_prepare_bytes () =
@@ -28,8 +27,8 @@ let test_garbage_counted_and_dropped () =
   List.iter (fun raw -> Replica.receive_wire r0 ~sender:1 ~macs:[||] raw) garbage;
   Alcotest.(check int) "every garbage message counted" (List.length garbage)
     (Replica.stats r0).rejected_decode;
-  Alcotest.(check int) "metrics counter agrees" (List.length garbage)
-    (Metrics.counter_value (Metrics.counter (Runtime.metrics sys) "bft.reject.decode"));
+  Alcotest.(check int) "report agrees" (List.length garbage)
+    (Helpers.reported_stat sys 0 "rejected_decode");
   (* The replica stays live: the system still executes client requests. *)
   Alcotest.(check string) "set still works" "ok" (Helpers.set sys ~client:0 0 "alive");
   Alcotest.(check string) "get sees the write" "alive"
@@ -43,8 +42,7 @@ let test_wellformed_body_bad_mac () =
   Replica.receive_wire r0 ~sender:1 ~macs:(Array.make 8 "00000000") (valid_prepare_bytes ());
   Alcotest.(check int) "decode accepted" 0 (Replica.stats r0).rejected_decode;
   Alcotest.(check int) "MAC rejected and counted" 1 (Replica.stats r0).rejected_macs;
-  Alcotest.(check int) "mac metrics counter agrees" 1
-    (Metrics.counter_value (Metrics.counter (Runtime.metrics sys) "bft.reject.mac"))
+  Alcotest.(check int) "report agrees" 1 (Helpers.reported_stat sys 0 "rejected_macs")
 
 (* Every principal shares a MAC key with every replica, so a client's
    PREPARE or COMMIT authenticates.  With f = 1 and replicas 2 and 3 down,

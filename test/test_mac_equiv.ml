@@ -9,14 +9,13 @@
      so the optimisation cannot weaken or change what is authenticated;
    - {e tamper}: because MACs bind the wire digest, corrupting any single
      in-flight byte voids verification at the receiver and is counted in
-     [bft.reject.mac] / [bft.reject.decode] — exercised end-to-end through
+     the replica's [rejected_macs] / [rejected_decode] — exercised end-to-end through
      the runtime's corruption model, not just at the envelope level. *)
 
 module M = Base_bft.Message
 module Replica = Base_bft.Replica
 module Runtime = Base_core.Runtime
 module Engine = Base_sim.Engine
-module Metrics = Base_obs.Metrics
 module Auth = Base_crypto.Auth
 module Hmac = Base_crypto.Hmac
 module Sha256 = Base_crypto.Sha256
@@ -101,8 +100,8 @@ let test_corrupted_wire_counted_and_masked () =
     corrupted
     (st.Replica.rejected_macs + st.Replica.rejected_decode);
   Alcotest.(check bool) "MAC rejections observed" true (st.Replica.rejected_macs > 0);
-  Alcotest.(check int) "bft.reject.mac counter agrees" st.Replica.rejected_macs
-    (Metrics.counter_value (Metrics.counter (Runtime.metrics sys) "bft.reject.mac"))
+  Alcotest.(check int) "report agrees" st.Replica.rejected_macs
+    (Helpers.reported_stat sys 1 "rejected_macs")
 
 (* Envelope-level single-byte tamper, against live runtime keychains: a
    legitimate reply re-adopted from its own wire verifies; with any one

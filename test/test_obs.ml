@@ -8,6 +8,7 @@ module Json = Base_obs.Json
 module Runtime = Base_core.Runtime
 module Engine = Base_sim.Engine
 module Sim_time = Base_sim.Sim_time
+module Replica = Base_bft.Replica
 
 let test_bucket_edges () =
   let m = Metrics.create () in
@@ -188,6 +189,121 @@ let test_runtime_phase_metrics () =
   Alcotest.(check bool) "phase latencies recorded" true (Metrics.hist_count h > 0);
   Alcotest.(check bool) "positive mean" true (Metrics.hist_mean h > 0.0)
 
+(* The registry keeps histograms and only the counters and gauges no record
+   holds; each layer's record is the one tally of what it counts.  Checked
+   on the E12 benchmark's configuration: loaded BASE-FS with proactive
+   recovery, whose key refreshes make the replicas reject stale MACs. *)
+let mirrors =
+  [
+    "base.st.cache_hits"; "base.st.source_quarantined"; "base.standby.promotions";
+    "bft.reject.mac"; "bft.reject.decode"; "bft.reject.insane"; "bft.catchup_status";
+    "bft.vouchers_sent"; "bft.vouched_proposals";
+  ]
+
+let e12_configuration () =
+  let module C = Base_nfs.Nfs_client in
+  let sys =
+    Base_workload.Systems.make_basefs ~seed:11L ~hetero:true ~checkpoint_period:16 ~n_clients:1 ()
+  in
+  let rt = sys.Base_workload.Systems.runtime in
+  Runtime.enable_proactive_recovery ~reboot_us:100_000 ~period_us:2_000_000 rt;
+  let nfs = Base_workload.Systems.nfs_client rt ~client:0 in
+  let f, _ = C.ok (C.create nfs Base_nfs.Nfs_types.root_oid "obs" Base_nfs.Nfs_types.sattr_empty) in
+  for i = 1 to 50 do
+    ignore (C.ok (C.write nfs f ~off:(i * 16) (String.make 64 'o')))
+  done;
+  Engine.run ~until:(Sim_time.add (Runtime.now rt) (Sim_time.of_sec 9.0)) (Runtime.engine rt);
+  rt
+
+let test_registry_counts_each_fact_once () =
+  let rt = e12_configuration () in
+  let names = Metrics.names (Runtime.metrics rt) in
+  Alcotest.(check (list string)) "no engine.* name" []
+    (List.filter (String.starts_with ~prefix:"engine.") names);
+  Alcotest.(check (list string)) "no mirror of a record" []
+    (List.filter (fun n -> List.mem n mirrors) names);
+  (* Each [replicas] entry is its cell's [Replica.stats]. *)
+  let cells = Runtime.all_cells rt in
+  Alcotest.(check int) "one entry per cell" (List.length cells)
+    (List.length (Helpers.reported_cells rt));
+  let fields =
+    Replica.
+      [
+        ("executed", fun s -> s.executed);
+        ("executed_requests", fun s -> s.executed_requests);
+        ("checkpoints_taken", fun s -> s.checkpoints_taken);
+        ("view_changes", fun s -> s.view_changes);
+        ("fetches", fun s -> s.fetches);
+        ("rejected_macs", fun s -> s.rejected_macs);
+        ("rejected_decode", fun s -> s.rejected_decode);
+        ("rejected_insane", fun s -> s.rejected_insane);
+        ("catchup_status", fun s -> s.catchup_status);
+        ("vouchers_sent", fun s -> s.vouchers_sent);
+        ("vouched_proposals", fun s -> s.vouched_proposals);
+      ]
+  in
+  List.iter
+    (fun node ->
+      let stats = Replica.stats node.Runtime.replica in
+      List.iter
+        (fun (name, get) ->
+          Alcotest.(check int)
+            (Printf.sprintf "replica %d %s" node.Runtime.rid name)
+            (get stats)
+            (Helpers.reported_stat ~shard:node.Runtime.shard rt node.Runtime.rid name))
+        fields)
+    cells;
+  Alcotest.(check bool) "stale MACs rejected" true
+    (List.exists (fun node -> (Replica.stats node.Runtime.replica).Replica.rejected_macs > 0) cells);
+  (* [net.totals] is the sum of [net.labels]. *)
+  let net = Helpers.json_field "net" (Runtime.metrics_report rt) in
+  let totals = Helpers.json_field "totals" net in
+  Alcotest.(check int) "six totals" 6 (List.length (Helpers.json_fields totals));
+  List.iter
+    (fun (key, _) ->
+      Alcotest.(check int) ("totals." ^ key ^ " = sum of labels") (Helpers.json_int key totals)
+        (List.fold_left
+           (fun acc (_, c) -> acc + Helpers.json_int key c)
+           0
+           (Helpers.json_fields (Helpers.json_field "labels" net))))
+    (Helpers.json_fields totals);
+  Alcotest.(check bool) "traffic counted" true (Helpers.json_int "sent_msgs" totals > 0)
+
+(* The report's [replicas] are every cell, standbys included, by
+   [(shard, rid)]. *)
+let test_report_lists_cells_in_order () =
+  let cells rt =
+    List.map
+      (fun c -> (Helpers.json_int "shard" c, Helpers.json_int "rid" c))
+      (Helpers.reported_cells rt)
+  in
+  let registers ?shards ?standbys () =
+    (Base_workload.Systems.make_registers ?shards ?standbys ()).Base_workload.Systems.reg_runtime
+  in
+  Alcotest.(check (list (pair int int))) "two shards"
+    [ (0, 0); (0, 1); (0, 2); (0, 3); (1, 0); (1, 1); (1, 2); (1, 3) ]
+    (cells (registers ~shards:2 ()));
+  Alcotest.(check (list (pair int int))) "a standby"
+    [ (0, 0); (0, 1); (0, 2); (0, 3); (0, 4) ]
+    (cells (registers ~standbys:1 ()))
+
+(* The runtime's trace counts what it refuses once full, and the report
+   exports that count next to what it kept. *)
+let test_report_counts_trace_drops () =
+  let rt = (Base_workload.Systems.make_registers ()).Base_workload.Systems.reg_runtime in
+  let trace = Runtime.trace rt in
+  Engine.attach_trace (Runtime.engine rt) trace;
+  let i = ref 0 in
+  while Trace.dropped trace = 0 && !i < 10_000 do
+    ignore (Runtime.invoke_sync rt ~client:0 ~operation:(Printf.sprintf "set:%d:v" (!i mod 64)) ());
+    incr i
+  done;
+  let report = Runtime.metrics_report rt in
+  Alcotest.(check bool) "drops exported" true (Helpers.json_int "trace_dropped" report > 0);
+  Alcotest.(check int) "drops match the trace" (Trace.dropped trace)
+    (Helpers.json_int "trace_dropped" report);
+  Alcotest.(check int) "kept up to the limit" 100_000 (Helpers.json_int "trace_events" report)
+
 (* A span's allocation is exact even when a minor collection falls inside
    it: allocation made before the span must not be charged to it. *)
 let test_profile_alloc_exact () =
@@ -230,4 +346,9 @@ let suite =
     Alcotest.test_case "same-seed runs trace identically" `Quick test_trace_determinism;
     Alcotest.test_case "replica phases reach the registry" `Quick test_runtime_phase_metrics;
     Alcotest.test_case "probe allocation is exact" `Quick test_profile_alloc_exact;
+    Alcotest.test_case "the registry counts each fact once" `Quick
+      test_registry_counts_each_fact_once;
+    Alcotest.test_case "the report lists every cell by (shard, rid)" `Quick
+      test_report_lists_cells_in_order;
+    Alcotest.test_case "the report counts trace drops" `Quick test_report_counts_trace_drops;
   ]

@@ -352,6 +352,29 @@ let test_sim_cancel_same_instant () =
   Engine.run engine;
   Alcotest.(check bool) "cancelled callback never ran" false !ran
 
+(* The engine forgets a timer once it pops: cancelling one that a down node
+   already dropped leaves nothing behind, however often it happens. *)
+let test_sim_cancel_after_drop_holds_nothing () =
+  let engine = Engine.create (sim_config ()) in
+  Engine.add_node engine ~id:0 (fun ~src:_ _ -> ());
+  let cycle () =
+    let id = Engine.set_timer engine ~node:0 ~after:(Sim_time.of_ms 1) ignore in
+    Engine.set_node_up engine 0 false;
+    Engine.run engine;
+    Engine.set_node_up engine 0 true;
+    Engine.cancel_timer engine id
+  in
+  (* Warm up first: the clock leaves its static zero on the first pop. *)
+  for _ = 1 to 10 do
+    cycle ()
+  done;
+  let before = Obj.reachable_words (Obj.repr engine) in
+  for _ = 1 to 10_000 do
+    cycle ()
+  done;
+  Alcotest.(check int) "engine words after 10 000 cycles" before
+    (Obj.reachable_words (Obj.repr engine))
+
 (* Timers due at the same instant run in arming order, whatever their node,
    and one armed for "now" from a callback runs after those already due. *)
 let test_sim_equal_time_order () =
@@ -467,6 +490,8 @@ let suite =
     Alcotest.test_case "sim timer dropped on down node" `Quick test_sim_timer_dropped_on_down_node;
     Alcotest.test_case "sim timer armed while down" `Quick test_sim_timer_armed_while_down;
     Alcotest.test_case "sim cancel at the same instant" `Quick test_sim_cancel_same_instant;
+    Alcotest.test_case "sim cancel after a drop holds nothing" `Quick
+      test_sim_cancel_after_drop_holds_nothing;
     Alcotest.test_case "sim equal-time timer order" `Quick test_sim_equal_time_order;
     Alcotest.test_case "sim partitions" `Quick test_sim_partition;
     Alcotest.test_case "sim down node" `Quick test_sim_down_node_loses;
