@@ -311,12 +311,12 @@ let suite =
     Alcotest.test_case "Client.receive reply: <= 48 B per call" `Quick test_client_reply;
     Alcotest.test_case "Engine.send + dispatch: <= 280 B per message" `Quick
       test_engine_send_dispatch;
-    Alcotest.test_case "Engine.send + dispatch in a runtime: <= 256 B per message" `Quick
-      test_runtime_engine_send_dispatch;
     Alcotest.test_case "Service.object_digest 8 KB: <= 48 B per call" `Quick
       test_object_digest;
     Alcotest.test_case "8 KB entry and read reply: result + 64 B" `Quick
       test_one_shot_encodings;
     Alcotest.test_case "PRE-PREPARE re-send: no wire bytes copied" `Quick
       test_pre_prepare_resend;
+    Alcotest.test_case "Engine.send + dispatch in a runtime: <= 256 B per message" `Quick
+      test_runtime_engine_send_dispatch;
   ]
