@@ -23,7 +23,7 @@ type t = {
      keyed by the raw leaf digest (which covers the object index, so an
      entry can only ever hit on the object it was cached for).  Entries are
      inserted on copy-on-write [modify] (the pre-modification value under
-     its pre-modification digest) and on [install] (fetched values), and
+     its pre-modification digest) and on [install] (installed values), and
      evicted FIFO at [cache_cap].  State transfer consults it so a
      certified leaf whose value passed through this replica — the common
      case when proactive recovery rolls a loaded replica back to the last
@@ -155,10 +155,14 @@ let install t objs =
   t.wrapper.Service.put_objs objs;
   Partition_tree.set_leaves t.tree
     (List.map
-       (fun (i, data) ->
+       (fun (i, _) ->
+         (* Read back what [put_objs] built, not the fetched bytes: an
+            inverse abstraction that does not rebuild the certified value
+            then leaves a root other than the certified one.  The value goes
+            into the leaf cache, so a later recovery that needs it again
+            skips the refetch. *)
+         let data = t.wrapper.Service.get_obj i in
          let d = Service.object_digest i data in
-         (* Fetched values go straight into the leaf cache: a later recovery
-            that needs this same certified value again skips the refetch. *)
          cache_put t d data;
          (i, d))
        objs);

@@ -64,15 +64,17 @@ val install : t -> (int * string) list -> unit
     values being overwritten (copy-on-write into every live checkpoint
     without its own copy — a rollback install must not corrupt newer
     snapshots still served to other fetchers — and into the leaf cache),
-    then calls the wrapper's [put_objs] once with the whole batch,
-    refreshes the affected digests and caches the installed values. *)
+    then calls the wrapper's [put_objs] once with the whole batch, and
+    re-reads each installed object through [get_obj] to refresh its digest
+    and cache its value — so a [put_objs] that does not rebuild the fetched
+    value shows as a root other than the certified one. *)
 
 (** {1 Digest-keyed leaf cache}
 
     A bounded FIFO cache of object values this replica has held, keyed by
     leaf digest (which covers the object index, so a hit is always for the
     right object).  Populated by {!modify} (the copy-on-write path: the old
-    value under its old digest) and {!install} (fetched values); consulted
+    value under its old digest) and {!install} (installed values); consulted
     by {!State_transfer} so a certified leaf whose value already passed
     through this replica — typically a checkpoint value that proactive
     recovery rolls back to while the replica keeps executing under load —

@@ -50,7 +50,6 @@ type t = {
   mutable next_id : int;
   mutable session : string;
   prng : Prng.t;
-  mutable poison : string option;
 }
 
 let clock t = Int64.mul (Int64.div (t.now ()) 1000L) 1000L (* millisecond granularity *)
@@ -113,7 +112,6 @@ let make ~seed ~now =
       next_id = 3;
       session = Base_util.Hex.encode (Bytes.to_string (Prng.bytes prng 3));
       prng;
-      poison = None;
     }
   in
   let now0 = clock t in
@@ -216,7 +214,6 @@ let create t =
         | Ok n -> (
           match n.kind with
           | Reg -> (
-            let data = Server_intf.poison_filter t.poison data in
             match Server_intf.string_splice n.data ~off ~data ~max_size:max_file_size with
             | Error e -> Error e
             | Ok data' ->
@@ -297,22 +294,4 @@ let create t =
       (fun ~fh -> match node_of_fh t fh with Error e -> Error e | Ok n -> Ok (t.fsid, n.id));
     restart =
       (fun () -> t.session <- Base_util.Hex.encode (Bytes.to_string (Prng.bytes t.prng 3)));
-    corrupt =
-      (fun ~prng ~count ->
-        let files =
-          Hashtbl.fold
-            (fun _ n acc -> if n.kind = Reg && String.length n.data > 0 then n :: acc else acc)
-            t.nodes []
-          |> Array.of_list
-        in
-        let damaged = min count (Array.length files) in
-        for _ = 1 to damaged do
-          let n = Prng.pick prng files in
-          let pos = Prng.int prng (String.length n.data) in
-          let b = Bytes.of_string n.data in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-          n.data <- Bytes.to_string b
-        done;
-        damaged);
-    set_poison = (fun p -> t.poison <- p);
   }

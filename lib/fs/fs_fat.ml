@@ -30,7 +30,6 @@ type t = {
   nodes : (int, node) Hashtbl.t;
   mutable next_id : int;
   mutable mount_gen : int;
-  mutable poison : string option;
 }
 
 (* FAT keeps two-second timestamps. *)
@@ -188,7 +187,6 @@ let make ~seed ~now =
       nodes = Hashtbl.create 128;
       next_id = 3;
       mount_gen = Prng.int prng 10_000;
-      poison = None;
     }
   in
   let root = fresh t Dir ~mode:0o755 ~uid:0 ~gid:0 in
@@ -291,7 +289,6 @@ let create t =
           | Reg ->
             if off + String.length data > max_file_size then Error Efbig
             else begin
-              let data = Server_intf.poison_filter t.poison data in
               write_chain t n ~off ~data;
               touch t n;
               Ok ()
@@ -371,23 +368,4 @@ let create t =
     identity =
       (fun ~fh -> match node_of_fh t fh with Error e -> Error e | Ok n -> Ok (t.fsid, n.id));
     restart = (fun () -> t.mount_gen <- t.mount_gen + 1);
-    corrupt =
-      (fun ~prng ~count ->
-        let files =
-          Hashtbl.fold (fun _ n acc -> if n.kind = Reg && n.size > 0 then n :: acc else acc)
-            t.nodes []
-          |> Array.of_list
-        in
-        let damaged = min count (Array.length files) in
-        for _ = 1 to damaged do
-          let n = Prng.pick prng files in
-          (* Flip a byte in one of the file's clusters: silent disk rot. *)
-          let pos = Prng.int prng n.size in
-          let chain = Array.of_list n.chain in
-          let c = chain.(pos / cluster_size) in
-          let o = pos mod cluster_size in
-          Bytes.set t.clusters.(c) o (Char.chr (Char.code (Bytes.get t.clusters.(c) o) lxor 0xff))
-        done;
-        damaged);
-    set_poison = (fun p -> t.poison <- p);
   }

@@ -5,11 +5,7 @@
     - readdir order is hash-table order, which depends on the instance seed;
     - file handles are random tokens resolved through a volatile table that
       is lost on restart;
-    - rename rewrites the keys of a whole subtree;
-    - this is the implementation with the {e deterministic software bug}
-      used by the N-version experiment: once armed, any operation that
-      creates or renames a name containing the poison string fails with an
-      internal error. *)
+    - rename rewrites the keys of a whole subtree. *)
 
 open Base_nfs.Nfs_types
 module Prng = Base_util.Prng
@@ -34,7 +30,6 @@ type t = {
   mutable paths2h : (string, string) Hashtbl.t;  (* path -> token; volatile *)
   mutable next_id : int;
   prng : Prng.t;
-  mutable poison : string option;
 }
 
 let parent_of path =
@@ -117,7 +112,6 @@ let make ~seed ~now =
       paths2h = Hashtbl.create 256;
       next_id = 1;
       prng;
-      poison = None;
     }
   in
   Hashtbl.replace t.nodes "" (fresh_node t Dir ~mode:0o755 ~uid:0 ~gid:0 ~data:"");
@@ -234,7 +228,6 @@ let create t =
             | Ok n -> (
               match n.kind with
               | Reg -> (
-                let data = Server_intf.poison_filter t.poison data in
                 match Server_intf.string_splice n.data ~off ~data ~max_size:max_file_size with
                 | Error e -> Error e
                 | Ok data' ->
@@ -326,22 +319,4 @@ let create t =
         (* The handle tables are in volatile memory. *)
         t.handles <- Hashtbl.create 256;
         t.paths2h <- Hashtbl.create 256);
-    corrupt =
-      (fun ~prng ~count ->
-        let files =
-          Hashtbl.fold
-            (fun _ n acc -> if n.kind = Reg && String.length n.data > 0 then n :: acc else acc)
-            t.nodes []
-          |> Array.of_list
-        in
-        let damaged = min count (Array.length files) in
-        for _ = 1 to damaged do
-          let n = Prng.pick prng files in
-          let pos = Prng.int prng (String.length n.data) in
-          let b = Bytes.of_string n.data in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-          n.data <- Bytes.to_string b
-        done;
-        damaged);
-    set_poison = (fun p -> t.poison <- p);
   }

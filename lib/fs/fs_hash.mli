@@ -2,9 +2,7 @@
 
     Every object lives in one hash table keyed by its full path; readdir
     order is hash order, handles are random volatile tokens, and renames
-    re-key whole subtrees.  This is also the implementation carrying the
-    deterministic latent bug used by the N-version experiment (armed with
-    {!Server_intf.t.set_poison}). *)
+    re-key whole subtrees. *)
 
 type t
 

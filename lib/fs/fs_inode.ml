@@ -34,7 +34,6 @@ type t = {
   mutable next_ino : int;
   mutable boot_salt : string;
   prng : Prng.t;
-  mutable poison : string option;
 }
 
 let fh_of t ino = Printf.sprintf "I:%d:%s" ino t.boot_salt
@@ -109,7 +108,6 @@ let make ~seed ~now =
       next_ino = 0;
       boot_salt = Base_util.Hex.encode (Bytes.to_string (Prng.bytes prng 4));
       prng;
-      poison = None;
     }
   in
   let root = new_node t ~mode:0o755 ~uid:0 ~gid:0 (P_dir { entries = [] }) in
@@ -196,7 +194,6 @@ let create t =
         | Ok n -> (
           match n.payload with
           | P_file f -> (
-            let data = Server_intf.poison_filter t.poison data in
             match Server_intf.string_splice f.data ~off ~data ~max_size:max_file_size with
             | Error e -> Error e
             | Ok data' ->
@@ -288,25 +285,4 @@ let create t =
       (fun () ->
         (* New boot: volatile handles change, persistent state survives. *)
         t.boot_salt <- Base_util.Hex.encode (Bytes.to_string (Prng.bytes t.prng 4)));
-    corrupt =
-      (fun ~prng ~count ->
-        let files =
-          Array.to_list t.table
-          |> List.filter_map (fun n ->
-                 match n with
-                 | Some ({ payload = P_file f; _ } as node) when String.length f.data > 0 ->
-                   Some (node, f)
-                 | Some _ | None -> None)
-        in
-        let files = Array.of_list files in
-        let damaged = min count (Array.length files) in
-        for _ = 1 to damaged do
-          let _, f = Prng.pick prng files in
-          let pos = Prng.int prng (String.length f.data) in
-          let b = Bytes.of_string f.data in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-          f.data <- Bytes.to_string b
-        done;
-        damaged);
-    set_poison = (fun p -> t.poison <- p);
   }

@@ -34,7 +34,6 @@ type t = {
   mutable next_id : int;
   mutable epoch : int;
   mutable live : int;
-  mutable poison : string option;
 }
 
 let fh_of t id = Printf.sprintf "L:%d:%d" t.epoch id
@@ -121,7 +120,6 @@ let make ~seed ~now =
       next_id = 2;
       epoch = Prng.int prng 1000;
       live = 0;
-      poison = None;
     }
   in
   let now0 = clock t in
@@ -220,7 +218,6 @@ let create t =
         | Ok v -> (
           match v.kind with
           | Reg -> (
-            let data = Server_intf.poison_filter t.poison data in
             match Server_intf.string_splice v.data ~off ~data ~max_size:max_file_size with
             | Error e -> Error e
             | Ok data' ->
@@ -309,25 +306,4 @@ let create t =
       (fun ~fh ->
         match node_of_fh t fh with Error e -> Error e | Ok v -> Ok (t.fsid, v.id));
     restart = (fun () -> t.epoch <- t.epoch + 1);
-    corrupt =
-      (fun ~prng ~count ->
-        let files =
-          Hashtbl.fold
-            (fun id _ acc ->
-              match latest t id with
-              | Ok v when v.kind = Reg && String.length v.data > 0 -> v :: acc
-              | Ok _ | Error _ -> acc)
-            t.index []
-          |> Array.of_list
-        in
-        let damaged = min count (Array.length files) in
-        for _ = 1 to damaged do
-          let v = Prng.pick prng files in
-          let pos = Prng.int prng (String.length v.data) in
-          let b = Bytes.of_string v.data in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-          update t { v with data = Bytes.to_string b }
-        done;
-        damaged);
-    set_poison = (fun p -> t.poison <- p);
   }

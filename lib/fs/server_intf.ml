@@ -58,24 +58,9 @@ type t = {
       (** (name, child handle) pairs in the implementation's own order *)
   identity : fh:string -> (int * int, err) result;  (** persistent [<fsid, fileid>] *)
   restart : unit -> unit;  (** reboot: volatile handles become stale *)
-  corrupt : prng:Base_util.Prng.t -> count:int -> int;
-      (** fault injection: silently damage up to [count] stored file objects
-          (bit rot, bad sectors); returns how many were damaged *)
-  set_poison : string option -> unit;
-      (** arm the implementation's deterministic bug, if it has one: further
-          operations involving names containing the poison string fail *)
 }
 
-(* Helpers shared by the implementations (not part of the interface). *)
-
-(* The implementations' deterministic latent bug: when armed with [poison],
-   a write whose payload contains the poison string is silently corrupted
-   before it reaches the disk. *)
-let poison_filter poison data =
-  match poison with
-  | Some p when Base_util.Str_contains.contains data p ->
-    String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
-  | Some _ | None -> data
+(* Helpers shared by the implementations. *)
 
 let string_splice base ~off ~data ~max_size =
   if off + String.length data > max_size then Error Base_nfs.Nfs_types.Efbig
@@ -101,3 +86,60 @@ let substr base ~off ~count =
   let off = min off len in
   let count = min count (len - off) in
   String.sub base off count
+
+(* --- Fault injection, from outside the implementation ------------------------ *)
+
+(* The handle of one implementation's latent bug: [None] = disarmed. *)
+type bug = { mutable poison : string option }
+
+(** [with_bug srv] is [srv] with a deterministic latent bug in [write], and
+    the handle that arms it: once [poison] is set, a write whose payload
+    contains the poison string is silently corrupted (every byte's low bit
+    flipped) before it reaches [srv]. *)
+let with_bug srv =
+  let bug = { poison = None } in
+  let write ~fh ~off ~data =
+    let data =
+      match bug.poison with
+      | Some p when Base_util.Str_contains.contains data p ->
+        String.map (fun c -> Char.chr (Char.code c lxor 0x01)) data
+      | Some _ | None -> data
+    in
+    srv.write ~fh ~off ~data
+  in
+  (bug, { srv with write })
+
+(** [rot srv ~prng ~count] is silent bit rot (bad sectors) in [srv]'s stored
+    files, done through [srv]'s own interface, so behind the back of any
+    wrapper around it.  It makes [min count files] picks, drawn with
+    replacement from the [files] non-empty regular files reachable from the
+    root in fileid order, flips one byte of each pick, and returns the
+    number of bytes flipped. *)
+let rot srv ~prng ~count =
+  let rec walk acc dir =
+    match srv.readdir ~dir with
+    | Error _ -> acc
+    | Ok entries ->
+      List.fold_left
+        (fun acc (_, fh) ->
+          match srv.getattr ~fh with
+          | Ok { a_ftype = Base_nfs.Nfs_types.Dir; _ } -> walk acc fh
+          | Ok { a_ftype = Base_nfs.Nfs_types.Reg; a_size; a_fileid; _ } when a_size > 0 ->
+            (a_fileid, fh, a_size) :: acc
+          | Ok _ | Error _ -> acc)
+        acc entries
+  in
+  let files =
+    walk [] (srv.root ()) |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) |> Array.of_list
+  in
+  let damaged = ref 0 in
+  for _ = 1 to min count (Array.length files) do
+    let _, fh, size = Base_util.Prng.pick prng files in
+    let off = Base_util.Prng.int prng size in
+    match srv.read ~fh ~off ~count:1 with
+    | Ok b when String.length b = 1 ->
+      let flipped = String.make 1 (Char.chr (Char.code b.[0] lxor 0xff)) in
+      if Result.is_ok (srv.write ~fh ~off ~data:flipped) then incr damaged
+    | Ok _ | Error _ -> ()
+  done;
+  !damaged

@@ -50,7 +50,7 @@ let poison_experiment ?(seed = 5L) ~hetero () =
     (fun rid name ->
       if String.equal name "hash" then begin
         incr buggy;
-        sys.Systems.servers.(rid).S.set_poison (Some "BUG")
+        sys.Systems.bugs.(rid).S.poison <- Some "BUG"
       end)
     sys.Systems.impl_of;
   let nfs = Systems.nfs_client sys.Systems.runtime ~client:0 in
@@ -100,7 +100,7 @@ let corruption_experiment ?(seed = 9L) ~corrupt_replicas ~objects_per_replica ()
      replica's, which is never corrupted. *)
   let prng = Base_util.Prng.create (Int64.add seed 1000L) in
   for rid = 0 to corrupt_replicas - 1 do
-    ignore (sys.Systems.servers.(rid).S.corrupt ~prng ~count:objects_per_replica)
+    ignore (S.rot sys.Systems.servers.(rid) ~prng ~count:objects_per_replica)
   done;
   let healthy = (Runtime.config rt).Base_bft.Types.n - 1 in
   let wrapper rid = (Runtime.replica rt rid).Runtime.wrapper in

@@ -20,14 +20,18 @@ let make_impl name ~seed ~now : S.t =
 
 type basefs = {
   runtime : Runtime.t;
-  servers : S.t array;  (** the wrapped off-the-shelf implementations *)
+  servers : S.t array;
+      (** the off-the-shelf implementations themselves, below the bug and the
+          conformance wrapper: {!S.rot} on one damages the stored state *)
+  bugs : S.bug array;  (** each replica's latent bug ({!S.with_bug}), disarmed *)
   impl_of : string array;  (** implementation name per replica *)
 }
 
 (** [make_basefs ~hetero ...] builds an n=3f+1 BASE-FS deployment.  With
     [hetero = true] each replica runs a different implementation
     (opportunistic N-version programming); otherwise all replicas run
-    [homogeneous_impl] (default "hash", the one with the latent bug). *)
+    [homogeneous_impl] (default "hash").  Every implementation sits behind
+    {!S.with_bug}, disarmed until an experiment arms its handle in [bugs]. *)
 let make_basefs ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects = 512)
     ?(n_clients = 1) ?(homogeneous_impl = "hash") ?drop_p ?batch_max ?max_inflight
     ?client_timeout_us ?viewchange_timeout_us ?st_window ?st_cache_objs ?standbys ?profile
@@ -42,6 +46,7 @@ let make_basefs ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects = 51
      and implementation-name tables cover the whole n+s group. *)
   let group = Types.group_size config in
   let servers = Array.make group None in
+  let bugs = Array.make group None in
   let impl_of = Array.make group "" in
   (* The implementations read their replica's local (skewed, drifting)
      clock; the engine does not exist until Runtime.create runs, so route
@@ -57,12 +62,14 @@ let make_basefs ?(seed = 1L) ?(f = 1) ?(checkpoint_period = 64) ?(n_objects = 51
       | None -> 0L
     in
     let server = make_impl name ~seed:(Int64.add seed (Int64.of_int (100 + rid))) ~now in
+    let bug, buggy = S.with_bug server in
     servers.(rid) <- Some server;
-    Base_wrapper.Conformance.make ~server ~n_objects ()
+    bugs.(rid) <- Some bug;
+    Base_wrapper.Conformance.make ~server:buggy ~n_objects ()
   in
   let runtime = Runtime.create ~engine_config ?profile ~config ~make_wrapper ~n_clients () in
   engine_cell := Some (Runtime.engine runtime);
-  { runtime; servers = Array.map Option.get servers; impl_of }
+  { runtime; servers = Array.map Option.get servers; bugs = Array.map Option.get bugs; impl_of }
 
 (* An NFS client issuing each call synchronously as [client] of [rt]. *)
 let nfs_client rt ~client =

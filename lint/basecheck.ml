@@ -6,10 +6,12 @@
 
    Scans every .ml under the given directories (relative to --root),
    prints non-allowlisted findings as "file:line: [RULE] message" and
-   exits 1 if there are any.  --update regenerates the allowlist from the
-   current findings (sorted by file then rule, justifications preserved)
-   so review diffs are stable; waivers of rules that no backend of the run
-   checks are kept as they are.
+   exits 1 if there are any, or any stale waiver (an allowlist entry that
+   a backend of the run checks but finds nothing for).  --update
+   regenerates the allowlist from the current findings (sorted by file
+   then rule, justifications preserved) so review diffs are stable;
+   waivers of rules that no backend of the run checks are kept as they
+   are.
 
    --typed additionally runs the typed backend (Typed_checks) over the
    .cmt files below --cmt-root (default: ROOT/_build/default when that
@@ -225,15 +227,17 @@ let () =
       output_char oc '\n';
       close_out oc);
     List.iter (fun f -> print_endline (Checks.pp_finding f)) active;
-    (* Stale waivers are reported (hygiene) but do not fail the build. *)
+    (* A stale waiver fails the run too: left in place, it would silently
+       waive the next finding of its rule in that file. *)
+    let stale = Checks.stale_waivers ~backends waivers findings in
     List.iter
       (fun (w : Checks.waiver) ->
         Printf.eprintf "basecheck: stale allowlist entry (%s, %s) — no findings\n" w.w_file
           (Checks.rule_name w.w_rule))
-      (Checks.stale_waivers ~backends waivers findings);
-    if active <> [] then begin
-      Printf.eprintf "basecheck: %d finding(s) in %d file(s) scanned\n"
-        (List.length active) (List.length files);
+      stale;
+    if active <> [] || stale <> [] then begin
+      Printf.eprintf "basecheck: %d finding(s) and %d stale waiver(s) in %d file(s) scanned\n"
+        (List.length active) (List.length stale) (List.length files);
       exit 1
     end
     else

@@ -153,6 +153,37 @@ let test_f2_seven_replicas () =
   Alcotest.(check string) "reads correct with 2 faults" "still correct"
     (C.read_file nfs f ~chunk:4096)
 
+(* The latent bug on a replica's write path breaks its inverse abstraction
+   too: a recovery re-installs E6's payload through the buggy write.  The
+   install reads its objects back through the abstraction function, so the
+   divergence is counted and the replica keeps fetching, never voting a
+   checkpoint its concrete state does not back. *)
+let test_recovered_buggy_replica_not_repaired () =
+  let sys = Base_workload.Systems.make_basefs ~hetero:true ~checkpoint_period:16 ~n_clients:1 () in
+  let rt = sys.Base_workload.Systems.runtime in
+  sys.Base_workload.Systems.bugs.(1).S.poison <- Some "BUG";
+  let nfs = nfs_of sys ~client:0 in
+  let payload = "static int BUG_trigger = 42; /* crosses the bad code path */" in
+  let write_many name =
+    let fh, _ = C.ok (C.create nfs root_oid name sattr_empty) in
+    for _ = 0 to 40 do
+      ignore (C.ok (C.write nfs fh ~off:0 payload))
+    done
+  in
+  write_many "first.c";
+  Runtime.recover_now ~reboot_us:50_000 rt 1;
+  write_many "second.c";
+  settle sys 1.0;
+  Alcotest.(check int) "the buggy replica diverges" 1 (Base_workload.Faults.divergent_replicas sys);
+  let divergences =
+    Base_obs.Metrics.counter_value
+      (Base_obs.Metrics.counter (Runtime.metrics rt) "st.inverse_divergence")
+  in
+  Alcotest.(check bool) (Printf.sprintf "divergence counted (%d)" divergences) true
+    (divergences > 0);
+  Alcotest.(check bool) "still fetching" true
+    (Replica.status (Runtime.replica rt 1).Runtime.replica = Replica.Fetching)
+
 let suite =
   [
     Alcotest.test_case "basic tree operations" `Quick test_basic_tree;
@@ -170,4 +201,6 @@ let suite =
     Alcotest.test_case "two corrupt replicas: masked and recovered" `Quick
       test_two_corrupt_replicas_recover;
     Alcotest.test_case "andrew benchmark end-to-end" `Slow test_andrew_smoke;
+    Alcotest.test_case "a recovered buggy replica is not reported repaired" `Quick
+      test_recovered_buggy_replica_not_repaired;
   ]

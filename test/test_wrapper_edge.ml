@@ -17,13 +17,7 @@ let impl_clock seed =
 
 let make_pair ?(n_objects = 32) impl =
   let seed = 77L in
-  let server =
-    match impl with
-    | "inode" -> Base_fs.Fs_inode.create (Base_fs.Fs_inode.make ~seed ~now:(impl_clock seed))
-    | "hash" -> Base_fs.Fs_hash.create (Base_fs.Fs_hash.make ~seed ~now:(impl_clock seed))
-    | "fat" -> Base_fs.Fs_fat.create (Base_fs.Fs_fat.make ~seed ~now:(impl_clock seed))
-    | _ -> invalid_arg "impl"
-  in
+  let server = Base_workload.Systems.make_impl impl ~seed ~now:(impl_clock seed) in
   (server, Base_wrapper.Conformance.make ~server ~n_objects ())
 
 let exec (w : Service.wrapper) ~ts call =
@@ -108,17 +102,28 @@ let test_stale_handle_after_reuse () =
 let test_get_obj_reflects_corruption () =
   (* The abstraction function reads the concrete state: silent corruption
      changes the abstract object (and hence its digest), which is exactly
-     how the repair machinery notices it. *)
-  let server, w = make_pair "inode" in
-  let f = created (exec w ~ts:1L (Proto.Create (root_oid, "victim", sattr_empty))) in
-  (match exec w ~ts:2L (Proto.Write (f, 0, String.make 64 'v')) with
-  | Proto.R_attr _ -> ()
-  | _ -> Alcotest.fail "write");
-  let before = w.Service.get_obj f.index in
-  let prng = Base_util.Prng.create 1L in
-  Alcotest.(check int) "one object damaged" 1 (server.S.corrupt ~prng ~count:1);
-  let after = w.Service.get_obj f.index in
-  Alcotest.(check bool) "abstract value changed" false (String.equal before after)
+     how the repair machinery notices it.  [S.rot] reaches every
+     implementation through its own interface. *)
+  Array.iter
+    (fun impl ->
+      let server, w = make_pair impl in
+      let f = created (exec w ~ts:1L (Proto.Create (root_oid, "victim", sattr_empty))) in
+      (match exec w ~ts:2L (Proto.Write (f, 0, String.make 64 'v')) with
+      | Proto.R_attr _ -> ()
+      | _ -> Alcotest.fail "write");
+      let objects () = Array.init w.Service.n_objects w.Service.get_obj in
+      let before = objects () in
+      let prng = Base_util.Prng.create 1L in
+      Alcotest.(check int) (impl ^ ": one object damaged") 1 (S.rot server ~prng ~count:1);
+      let after = objects () in
+      let changed =
+        List.filter
+          (fun i -> not (String.equal before.(i) after.(i)))
+          (List.init w.Service.n_objects Fun.id)
+      in
+      Alcotest.(check (list int)) (impl ^ ": only the file's abstract value changed") [ f.index ]
+        changed)
+    Base_workload.Systems.impl_names
 
 let test_timestamps_are_the_agreed_values () =
   let _, w = make_pair "fat" in
