@@ -121,5 +121,8 @@ type replica_node = {
           alike. *)
   standby : standby_sync option;  (** [Some] iff this node is a warm standby *)
   mutable fetcher : State_transfer.t option;
+  mutable divergences : int;
+      (** inverse divergences since the cell's last clean install: the
+          exponent of its re-fetch back-off *)
   recovery_stats : recovery_stats;
 }

@@ -142,27 +142,47 @@ let retarget_fetch r node ~reason =
    that loses the race with garbage collection must notice and re-target on
    that timescale: a coarse retry period quantizes every unlucky fetch —
    and hence the recovery window — up to multiples of itself.  Each chain
-   drives only the fetcher it was armed for: once the cell has dropped or
-   replaced that fetcher, its tick does nothing, and the next fetcher runs
-   on its own chain.  A finished fetcher the cell still holds is one whose
-   install diverged ([launch_fetch]): its tick re-targets it, so a
-   divergence that persists re-fetches once per period, not in a loop. *)
+   drives only the unfinished fetcher it was armed for: once the cell has
+   dropped, replaced or finished that fetcher, its tick does nothing, and
+   the next fetcher runs on its own chain. *)
+let retry_us = 50_000
+
+(* The longest wait between re-fetches after inverse divergences when no
+   periodic recovery runs.  A re-fetch can only come out clean once the
+   certified state has moved off whatever the local implementation gets
+   wrong, so a divergence that persists is retried ever more rarely; the
+   cap bounds how long a replica whose trigger is gone stays out of the
+   group.  64 retry periods: a persistent divergence costs one fetch per
+   3.2 s instead of one per 50 ms. *)
+let divergence_cap_us = 3_200_000
+
 let rec arm_retry r node fetcher =
-  set_timer r ~node:node.rid ~after_us:50_000 (fun () -> st_retry_tick r node fetcher)
+  set_timer r ~node:node.rid ~after_us:retry_us (fun () -> st_retry_tick r node fetcher)
 
 and st_retry_tick r node fetcher =
   match node.fetcher with
-  | Some current when current == fetcher ->
-    if State_transfer.finished fetcher then retarget_fetch r node ~reason:"inverse-divergence"
-    else begin
-      let certified =
-        match Replica.fetch_target node.replica with Some (seq, _) -> seq | None -> -1
-      in
-      match State_transfer.retry ~certified fetcher with
-      | State_transfer.Continue -> arm_retry r node fetcher
-      | State_transfer.Retarget reason -> retarget_fetch r node ~reason
-    end
+  | Some current when current == fetcher && not (State_transfer.finished fetcher) -> (
+    let certified =
+      match Replica.fetch_target node.replica with Some (seq, _) -> seq | None -> -1
+    in
+    match State_transfer.retry ~certified fetcher with
+    | State_transfer.Continue -> arm_retry r node fetcher
+    | State_transfer.Retarget reason -> retarget_fetch r node ~reason)
   | Some _ | None -> ()
+
+(* The install of the cell's current fetch diverged.  Keep the finished
+   fetcher (the cell is still fetching) and re-target it after a wait that
+   starts at one retry period and doubles with each divergence since the
+   last clean install, up to the recovery period when periodic recovery
+   runs (the next recovery re-fetches anyway) or [divergence_cap_us]. *)
+let back_off r node fetcher =
+  node.divergences <- node.divergences + 1;
+  let cap = if r.on then r.period_us else divergence_cap_us in
+  let wait = min cap (retry_us lsl min 16 (node.divergences - 1)) in
+  set_timer r ~node:node.rid ~after_us:wait (fun () ->
+      match node.fetcher with
+      | Some current when current == fetcher -> retarget_fetch r node ~reason:"inverse-divergence"
+      | Some _ | None -> ())
 
 (* Fetch the certified checkpoint [(seq, digest)] into the cell's repo and
    run [on_installed] once it is installed and registered: the recovery
@@ -182,6 +202,7 @@ let launch_fetch r node ~seq ~digest ~on_installed =
         let root = Objrepo.take_checkpoint node.repo ~seq ~client_rows in
         if Digest.equal root app_root then begin
           node.fetcher <- None;
+          node.divergences <- 0;
           on_installed ~seq ~app_root ~client_rows
         end
         else begin
@@ -190,12 +211,12 @@ let launch_fetch r node ~seq ~digest ~on_installed =
              faulty in a way reinstallation did not mask.  Degrade
              gracefully — count it and re-run the transfer — instead of
              crashing the replica, which would turn one faulty node into a
-             liveness hit for the group.  An active cell keeps the
-             finished fetcher until its retry tick re-targets it, one
-             period from now; a standby leaves the re-run to its next
+             liveness hit for the group.  An active cell backs off
+             before it re-targets; a standby leaves the re-run to its next
              shadow-sync tick. *)
           count r "st.inverse_divergence";
           if Types.is_standby r.config node.rid then node.fetcher <- None
+          else Option.iter (back_off r node) node.fetcher
         end)
       ()
   in

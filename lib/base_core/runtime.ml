@@ -393,6 +393,7 @@ let create ?(engine_config = engine_config ()) ?profile ~config ~make_wrapper ~n
                }
            else None);
         fetcher = None;
+        divergences = 0;
         recovery_stats = { recoveries = 0; fetched = State_transfer.fresh_stats () };
       }
     in

@@ -60,32 +60,36 @@ type t = {
   restart : unit -> unit;  (** reboot: volatile handles become stale *)
 }
 
-(* Helpers shared by the implementations. *)
-
-let string_splice base ~off ~data ~max_size =
-  if off + String.length data > max_size then Error Base_nfs.Nfs_types.Efbig
-  else begin
-    let len = String.length base in
-    let base = if off > len then base ^ String.make (off - len) '\000' else base in
-    let head = String.sub base 0 off in
-    let tail_start = off + String.length data in
-    let tail =
-      if tail_start < String.length base then
-        String.sub base tail_start (String.length base - tail_start)
-      else ""
-    in
-    Ok (head ^ data ^ tail)
-  end
-
-let string_resize base size =
-  if size <= String.length base then String.sub base 0 size
-  else base ^ String.make (size - String.length base) '\000'
+(* Helpers shared by the string-backed implementations.  Stored contents
+   are immutable strings shared with readers: a whole-file read returns the
+   stored string itself, and a write builds new contents in one allocation. *)
 
 let substr base ~off ~count =
   let len = String.length base in
   let off = min off len in
   let count = min count (len - off) in
-  String.sub base off count
+  if off = 0 && count = len then base else String.sub base off count
+
+(* [base] with [data] at [off]: the old head, zeros over any hole past the
+   end, [data], then the old tail. *)
+let string_splice base ~off ~data ~max_size =
+  let len = String.length base and dlen = String.length data in
+  let tail = off + dlen in
+  if tail > max_size then Error Base_nfs.Nfs_types.Efbig
+  else
+    let out = Bytes.create (max len tail) in
+    Bytes.blit_string base 0 out 0 (min off len);
+    Bytes.fill out len (max 0 (off - len)) '\000';
+    Bytes.blit_string data 0 out off dlen;
+    if tail < len then Bytes.blit_string base tail out tail (len - tail);
+    Ok (Bytes.unsafe_to_string out)
+
+let string_resize base size =
+  if size <= String.length base then substr base ~off:0 ~count:size
+  else
+    let out = Bytes.make size '\000' in
+    Bytes.blit_string base 0 out 0 (String.length base);
+    Bytes.unsafe_to_string out
 
 (* --- Fault injection, from outside the implementation ------------------------ *)
 

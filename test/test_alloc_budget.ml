@@ -29,7 +29,12 @@
    cost more with 256 registered clients than with one (no scan of the
    client table), a client's reply tally allocates only the vote it
    records, and a fault-free engine send allocates no closures, bare or
-   inside a runtime. *)
+   inside a runtime.
+
+   File contents are shared, not copied: on the four string-backed
+   implementations a whole-file read allocates nothing that grows with the
+   file, a write allocates its result once, and the abstraction function
+   of an 8 KB file allocates little beyond its encoded entry. *)
 
 module Auth = Base_crypto.Auth
 module Digest = Base_crypto.Digest_t
@@ -298,6 +303,90 @@ let test_pre_prepare_resend () =
        (budget: the 16 B case + 64 B)"
       large small
 
+(* --- file contents --------------------------------------------------------- *)
+
+module S = Base_fs.Server_intf
+module Proto = Base_nfs.Nfs_proto
+module Nfs = Base_nfs.Nfs_types
+
+let string_backed = [ "inode"; "hash"; "log"; "btree" ]
+
+let fs_server impl =
+  let clock = ref 0L in
+  Base_workload.Systems.make_impl impl ~seed:4L ~now:(fun () ->
+      clock := Int64.add !clock 1_000L;
+      !clock)
+
+let fs_ok = function Ok v -> v | Error e -> Alcotest.fail (Nfs.err_to_string e)
+
+(* A file of [size] bytes named [name] in the root of [srv]; its handle. *)
+let file_in srv ~name ~size =
+  let fh, _ = fs_ok (srv.S.create ~dir:(srv.S.root ()) ~name ~mode:0o644 ~uid:1 ~gid:1) in
+  fs_ok (srv.S.write ~fh ~off:0 ~data:(String.make size 'r'));
+  fh
+
+(* A whole-file read returns the stored string: what it allocates does not
+   grow with the file. *)
+let test_whole_file_read () =
+  List.iter
+    (fun impl ->
+      let read_bytes size =
+        let srv = fs_server impl in
+        let fh = file_in srv ~name:"f" ~size in
+        total_bytes_per_call (fun () -> fs_ok (srv.S.read ~fh ~off:0 ~count:size))
+      in
+      let small = read_bytes 1024 and large = read_bytes 65536 in
+      if large > small then
+        Alcotest.failf
+          "%s: a whole-file read allocates %d B for a 64 KB file, %d B for a 1 KB one \
+           (budget: the 1 KB case)"
+          impl large small)
+    string_backed
+
+(* An 8 KB append to an 8 KB file builds the 16 KB result in one
+   allocation; the rest (handle parsing, timestamps, a log version) stays
+   under 1 KB.  Each of [n] files takes one append, so every write in the
+   window starts from 8 KB. *)
+let test_append () =
+  let n = 64 in
+  List.iter
+    (fun impl ->
+      let srv = fs_server impl in
+      let fhs = Array.init n (fun i -> file_in srv ~name:(Printf.sprintf "f%d" i) ~size:8192) in
+      let data = String.make 8192 'a' in
+      Gc.minor ();
+      let before = allocated_words () in
+      Array.iter (fun fh -> fs_ok (srv.S.write ~fh ~off:8192 ~data)) fhs;
+      let used = words_to_bytes (allocated_words () -. before) / n in
+      let budget = string_bytes 16384 + 1024 in
+      if used > budget then
+        Alcotest.failf "%s: an 8 KB append to an 8 KB file allocates %d B, budget %d B" impl used
+          budget)
+    string_backed
+
+(* The abstraction function encodes the stored string straight into the
+   entry: beyond the entry, two handle lookups, the attributes and a few
+   small records, under 1 KB. *)
+let test_get_obj () =
+  List.iter
+    (fun impl ->
+      let server = fs_server impl in
+      let w = Base_wrapper.Conformance.make ~server ~n_objects:8 () in
+      let exec call =
+        Proto.decode_reply
+          (w.Service.execute ~client:5 ~operation:(Proto.encode_call call)
+             ~nondet:(Service.nondet_of_clock 1L) ~read_only:false ~modify:ignore)
+      in
+      let oid =
+        match exec (Proto.Create (Nfs.root_oid, "f", Nfs.sattr_empty)) with
+        | Proto.R_create (oid, _) -> oid
+        | _ -> Alcotest.fail "create failed"
+      in
+      ignore (exec (Proto.Write (oid, 0, String.make 8192 'g')));
+      within_result_budget (impl ^ ": Conformance.get_obj (8 KB file)") ~extra:1024 (fun () ->
+          w.Service.get_obj oid.Nfs.index))
+    string_backed
+
 let suite =
   [
     Alcotest.test_case "Auth.check_digest: <= 16 B per call" `Quick test_check_digest;
@@ -319,4 +408,7 @@ let suite =
       test_pre_prepare_resend;
     Alcotest.test_case "Engine.send + dispatch in a runtime: <= 256 B per message" `Quick
       test_runtime_engine_send_dispatch;
+    Alcotest.test_case "whole-file read: 64 KB file <= 1 KB file" `Quick test_whole_file_read;
+    Alcotest.test_case "8 KB append to 8 KB file: 16 KB result + 1 KB" `Quick test_append;
+    Alcotest.test_case "Conformance.get_obj 8 KB file: entry + 1 KB" `Quick test_get_obj;
   ]

@@ -36,4 +36,5 @@ let () =
       ("safety-sweep", Test_safety_sweep.suite);
       ("stress-combo", Test_stress_combo.suite);
       ("basefs", Test_basefs.suite);
+      ("fs-contents", Test_fs_contents.suite);
     ]

@@ -368,9 +368,11 @@ let test_fetch_end_catches_up () =
 
 (* A kv service whose inverse abstraction is faulty: replica 3 installs
    "garbage" in place of every fetched object, so the installed state never
-   hashes to the certified checkpoint.  Each divergence re-targets the fetch
-   one retry period later, not at once. *)
-let test_divergence_retargets_once_per_period () =
+   hashes to the certified checkpoint.  Without periodic recovery, the k-th
+   divergence since the last clean install re-targets the fetch
+   50 ms * 2^(k-1) later, up to 3.2 s: the first re-target comes one retry
+   period after the first divergence, and each wait after that doubles. *)
+let test_divergence_retargets_with_backoff () =
   let config = Types.make_config ~checkpoint_period:8 ~log_window:16 ~f:1 ~n_clients:1 () in
   let make_wrapper rid =
     let kv, w = kv_wrapper ~n_objects:16 () in
@@ -390,8 +392,25 @@ let test_divergence_retargets_once_per_period () =
   in
   drive_load sys ~ops:8 ~gap_ms:5;
   Runtime.recover_now ~reboot_us:50_000 sys 3;
-  drive_load sys ~ops:16 ~gap_ms:5;
-  settle sys 0.5;
+  (* Sixteen more writes, one after another, while stepping through 12 s
+     and noting the time of every divergence. *)
+  let rec load i =
+    if i < 16 then
+      Runtime.invoke sys ~client:0 ~operation:(Printf.sprintf "set:%d:more%d" (i mod 8) i)
+        (fun _ -> load (i + 1))
+  in
+  load 0;
+  let engine = Runtime.engine sys in
+  let counter = Base_obs.Metrics.counter (Runtime.metrics sys) "st.inverse_divergence" in
+  let deadline = Sim_time.add (Runtime.now sys) (Sim_time.of_sec 12.0) in
+  let divergences = ref [] in
+  while Sim_time.compare (Runtime.now sys) deadline < 0 && Engine.step engine do
+    let n = Base_obs.Metrics.counter_value counter in
+    if n > List.length !divergences then begin
+      Alcotest.(check int) "one divergence per step" (List.length !divergences + 1) n;
+      divergences := Runtime.now sys :: !divergences
+    end
+  done;
   let retargets =
     List.filter_map
       (fun ev ->
@@ -402,20 +421,18 @@ let test_divergence_retargets_once_per_period () =
         else None)
       (Base_obs.Trace.events (Runtime.trace sys))
   in
-  let first = match retargets with ts :: _ -> ts | [] -> Alcotest.fail "no divergence" in
-  for k = 0 to 3 do
-    let from = Int64.add first (Int64.of_int (k * 100_000)) in
-    let within =
-      List.length
-        (List.filter
-           (fun ts -> Int64.compare ts from >= 0 && Int64.compare ts (Int64.add from 100_000L) < 0)
-           retargets)
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "%d re-targets in 100 ms %d: at least one, at most 3" within k)
-      true
-      (within >= 1 && within <= 3)
-  done
+  let divergences = List.rev !divergences in
+  Alcotest.(check int) "one re-target per divergence but the last" (List.length divergences - 1)
+    (List.length retargets);
+  let waits_ms =
+    List.map2
+      (fun d r -> Int64.to_int (Int64.sub r d) / 1000)
+      (List.filteri (fun i _ -> i < List.length retargets) divergences)
+      retargets
+  in
+  Alcotest.(check (list int)) "each wait doubles, up to 3.2 s (ms)"
+    [ 50; 100; 200; 400; 800; 1_600; 3_200; 3_200 ]
+    waits_ms
 
 (* E5's shape: closed-loop NFS writes while each replica reboots in turn
    (period 4 s, 100 ms down).  A reboot cancels the progress timer armed
@@ -495,8 +512,8 @@ let suite =
     Alcotest.test_case "st_totals sum the cells" `Quick test_st_totals_sum_the_cells;
     Alcotest.test_case "reboot re-targets a fetch" `Quick test_reboot_retargets_fetch;
     Alcotest.test_case "a fetch's end catches up at once" `Quick test_fetch_end_catches_up;
-    Alcotest.test_case "a diverging install re-targets once per period" `Quick
-      test_divergence_retargets_once_per_period;
+    Alcotest.test_case "a diverging install re-targets with a doubling back-off" `Quick
+      test_divergence_retargets_with_backoff;
     Alcotest.test_case "a write during the primary's reboot needs no retransmission" `Quick
       test_write_during_primary_reboot;
     Alcotest.test_case "reintegration re-targets at once" `Quick
