@@ -97,20 +97,6 @@ type entry = {
   mutable t_committed : int64;
 }
 
-type client_rec = {
-  mutable last_ts : int64;  (* timestamp of last executed request *)
-  mutable last_reply : M.reply option;
-  mutable pending : M.request option;  (* received but not yet executed *)
-  mutable pending_since : int64;  (* local arrival time of [pending]; -1 = none *)
-  mutable assigned_ts : int64;  (* primary: highest timestamp given a seqno *)
-  mutable assigned_seq : Types.seqno;
-  mutable heard_ts : int64;  (* newest timestamp received; a repeat is a retransmission *)
-  mutable vouched_ts : int64;  (* backup: newest timestamp vouched for to the primary *)
-  mutable vouchers : Digest.t option array;
-      (* primary: the request digest each replica last vouched for, by id;
-         empty until the first voucher *)
-}
-
 type t = {
   config : Types.config;
   id : int;
@@ -122,8 +108,7 @@ type t = {
   mutable view : Types.view;
   mutable in_view_change : bool;  (* since a VIEW-CHANGE, until NEW-VIEW or abandonment *)
   entries : (Types.seqno, entry) Hashtbl.t;
-  clients : (int, client_rec) Hashtbl.t;
-  mutable n_pending : int;  (* clients whose [pending] is [Some _]; see [set_pending] *)
+  intake : Intake.t;
   cp_msgs : (Types.seqno, Digest.t option array) Hashtbl.t;  (* votes by replica id *)
   own_cps : (Types.seqno, Digest.t) Hashtbl.t;
   mutable h : Types.seqno;  (* low watermark = last stable checkpoint *)
@@ -217,28 +202,7 @@ let find_or_add tbl key make =
     Hashtbl.replace tbl key v;
     v
 
-let client_rec t c =
-  find_or_add t.clients c (fun () ->
-      {
-        last_ts = -1L;
-        last_reply = None;
-        pending = None;
-        pending_since = -1L;
-        assigned_ts = -1L;
-        assigned_seq = -1;
-        heard_ts = -1L;
-        vouched_ts = -1L;
-        vouchers = [||];
-      })
-
-(* Every write of [cr.pending] goes through here, so [n_pending] always
-   equals the number of client records with a pending request. *)
-let set_pending t cr pending =
-  (match (cr.pending, pending) with
-  | None, Some _ -> t.n_pending <- t.n_pending + 1
-  | Some _, None -> t.n_pending <- t.n_pending - 1
-  | Some _, Some _ | None, None -> ());
-  cr.pending <- pending
+let client_rec t c = Intake.find t.intake c
 
 (* Deterministic traversal of an int-keyed table: snapshot the bindings and
    sort by key.  Every table scan below goes through this, so retransmission
@@ -258,22 +222,6 @@ let sorted_bindings tbl =
    primary per proposal and at every backup per PRE-PREPARE acceptance. *)
 let ordering_digest requests nondet = Digest.of_string (M.encode_batch requests ~nondet)
 
-(* Client ids are unique within the table, so the id alone orders rows; the
-   full comparison keeps the digest well-defined on arbitrary row lists. *)
-let compare_client_row (c1, ts1, res1) (c2, ts2, res2) =
-  match Int.compare c1 c2 with
-  | 0 -> ( match Int64.compare ts1 ts2 with 0 -> String.compare res1 res2 | c -> c)
-  | c -> c
-
-let client_rows_of_table clients =
-  List.filter_map
-    (fun (c, (r : client_rec)) ->
-      match r.last_reply with
-      | Some rep -> Some (c, r.last_ts, rep.result)
-      | None -> None)
-    (sorted_bindings clients)
-  |> List.sort compare_client_row
-
 let enc_row e (c, ts, res) =
   Base_codec.Xdr.u32 e c;
   Base_codec.Xdr.i64 e ts;
@@ -289,7 +237,7 @@ let checkpoint_digest ~app_digest ~client_rows =
    are built once for both the service's copy and the digest, and record
    the result as this replica's own checkpoint at [seq]. *)
 let checkpoint_now t ~seq =
-  let client_rows = client_rows_of_table t.clients in
+  let client_rows = Intake.rows t.intake in
   let app_digest = t.app.take_checkpoint ~seq ~client_rows in
   let d = checkpoint_digest ~app_digest ~client_rows in
   Hashtbl.replace t.own_cps seq d;
@@ -369,7 +317,7 @@ let catch_up t =
 
 (* --- timers ------------------------------------------------------------- *)
 
-let has_pending t = t.external_pending > 0 || t.n_pending > 0
+let has_pending t = t.external_pending > 0 || Intake.n_pending t.intake > 0
 
 let cancel_vc_timer t =
   match t.vc_timer with
@@ -432,9 +380,7 @@ let run t (r : M.request) ~nondet ~read_only =
 (* A request's pre-prepare span runs from its local arrival to the slot's
    PRE-PREPARE; requests first learned from the PRE-PREPARE itself have no
    arrival time ([observe_span] skips them). *)
-let note_pre_prepared t cr ~at =
-  observe_span t.obs.m_pre_prepare ~since:cr.pending_since ~until:at;
-  cr.pending_since <- -1L
+let note_pre_prepared t ~since ~at = observe_span t.obs.m_pre_prepare ~since ~until:at
 
 (* Move the low watermark up to the stable checkpoint [(seq, digest)]. *)
 let advance_watermark t seq digest =
@@ -481,8 +427,7 @@ and entry_ready t (pp : M.pre_prepare) =
     (fun (r : M.request) ->
       r.client = -1
       ||
-      let cr = client_rec t r.client in
-      r.timestamp <= cr.last_ts
+      Intake.executed (client_rec t r.client) r
       || t.app.ready ~client:r.client ~timestamp:r.timestamp ~operation:r.operation)
     pp.requests
 
@@ -500,20 +445,17 @@ and execute_entry t seq entry (pp : M.pre_prepare) =
            first ordering executes (exactly-once semantics via the
            client-table timestamp).  An ordered request runs read-write even
            when flagged read-only: a Byzantine primary can order one. *)
-        if r.timestamp > cr.last_ts then begin
+        if not (Intake.executed cr r) then begin
           t.stats.executed_requests <- t.stats.executed_requests + 1;
           let result = run t r ~nondet:pp.nondet ~read_only:false in
-          cr.last_ts <- r.timestamp;
           if external_client then begin
             let reply = make_reply t ~client:r.client ~timestamp:r.timestamp result in
-            cr.last_reply <- Some reply;
+            Intake.record cr r (Some reply);
             send_reply t reply
           end
+          else Intake.record cr r None
         end;
-        if external_client then
-          match cr.pending with
-          | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
-          | Some _ | None -> ()
+        if external_client then Intake.retire t.intake cr r
       end)
     pp.requests;
   t.last_exec <- seq;
@@ -612,10 +554,7 @@ and assign t (batch : M.request list) =
   entry.t_pp <- now t;
   List.iter
     (fun (r : M.request) ->
-      let cr = client_rec t r.client in
-      cr.assigned_ts <- r.timestamp;
-      cr.assigned_seq <- seq;
-      note_pre_prepared t cr ~at:entry.t_pp)
+      note_pre_prepared t ~since:(Intake.assign (client_rec t r.client) r ~seq) ~at:entry.t_pp)
     batch;
   broadcast_pre_prepare t entry pp;
   maybe_prepared t seq entry
@@ -626,12 +565,8 @@ and window_full t = t.next_seq + 1 > t.h + t.config.log_window
 
 and propose t (r : M.request) =
   let cr = client_rec t r.client in
-  if r.timestamp < cr.assigned_ts || r.timestamp <= cr.last_ts then ()
-  else
-    match
-      if Int64.equal r.timestamp cr.assigned_ts then Hashtbl.find_opt t.entries cr.assigned_seq
-      else None
-    with
+  if Intake.proposable cr r then
+    match Hashtbl.find_opt t.entries (Intake.assigned_seq cr r) with
     | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
       (* Assigned in this view already: retransmit so lost copies recover. *)
       broadcast_pre_prepare t entry pp
@@ -658,10 +593,7 @@ and drain_queue t =
         let size = ref 0 in
         while !size < t.config.batch_max && not (Queue.is_empty t.queued_requests) do
           let r = Queue.pop t.queued_requests in
-          let cr = client_rec t r.M.client in
-          if r.M.timestamp > cr.assigned_ts && r.M.timestamp > cr.last_ts then begin
-            (* Marked at once, so a queued copy of [r] cannot join it. *)
-            cr.assigned_ts <- r.M.timestamp;
+          if Intake.claim (client_rec t r.M.client) r then begin
             batch := r :: !batch;
             incr size
           end
@@ -679,10 +611,8 @@ let propose_pending t =
   if is_primary t && status t = Normal then
     List.iter
       (fun (_, cr) ->
-        match cr.pending with
-        | Some r when r.timestamp > cr.last_ts -> propose t r
-        | Some _ | None -> ())
-      (sorted_bindings t.clients)
+        match Intake.unexecuted_pending cr with Some r -> propose t r | None -> ())
+      (Intake.bindings t.intake)
 
 let in_window t seq = seq > t.h && seq <= t.h + t.config.log_window
 
@@ -695,21 +625,14 @@ let handle_request t env (r : M.request) =
   end
   else begin
     let cr = client_rec t r.client in
-    if r.timestamp < cr.last_ts then ()
-    else if Int64.equal r.timestamp cr.last_ts then begin
+    match Intake.admit t.intake cr r ~now:(now t) with
+    | Intake.Stale -> ()
+    | Intake.Done -> (
       (* Retransmission of an executed request: resend the stored reply. *)
-      match cr.last_reply with
+      match Intake.last_reply cr with
       | Some reply -> send_reply t { reply with view = t.view; replica = t.id }
-      | None -> ()
-    end
-    else begin
-      (match cr.pending with
-      | Some p when p.timestamp >= r.timestamp -> ()
-      | Some _ | None ->
-        if cr.pending = None then cr.pending_since <- now t;
-        set_pending t cr (Some r));
-      let retransmitted = Int64.equal r.timestamp cr.heard_ts in
-      if r.timestamp > cr.heard_ts then cr.heard_ts <- r.timestamp;
+      | None -> ())
+    | (Intake.First | Intake.Repeat) as arrival ->
       if status t = Normal then begin
         if is_primary t then propose t r
         else begin
@@ -717,11 +640,10 @@ let handle_request t env (r : M.request) =
              says the primary may have missed the request.  Relay the
              client's own envelope, so the primary can check the client's
              MAC, and start the progress timer. *)
-          if retransmitted then t.net.send ~dst:(primary_of t t.view) env;
+          if arrival = Intake.Repeat then t.net.send ~dst:(primary_of t t.view) env;
           start_vc_timer t
         end
       end
-    end
   end
 
 (* The primary takes a request it missed once f+1 replicas vouched for the
@@ -734,21 +656,9 @@ let handle_voucher t sender (r : M.request) =
     && r.client >= Types.group_size t.config
     && r.client < t.config.n_principals
   then begin
-    let cr = client_rec t r.client in
-    if
-      r.timestamp > cr.last_ts && r.timestamp > cr.assigned_ts
-      && match cr.pending with Some p -> p.timestamp < r.timestamp | None -> true
-    then begin
-      let d = M.request_digest r in
-      if Array.length cr.vouchers = 0 then cr.vouchers <- Array.make t.config.n None;
-      cr.vouchers.(sender) <- Some d;
-      if count_matching cr.vouchers d >= Types.weak_quorum t.config then begin
-        clear_votes cr.vouchers;
-        t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
-        if cr.pending = None then cr.pending_since <- now t;
-        set_pending t cr (Some r);
-        if status t = Normal then propose t r
-      end
+    if Intake.vouch t.intake (client_rec t r.client) ~sender r ~now:(now t) then begin
+      t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
+      if status t = Normal then propose t r
     end
   end
 
@@ -767,7 +677,7 @@ let vouch_missed t (st : M.status_msg) =
       (Int.min t.last_exec (st.st_last_exec + t.config.max_inflight - 1))
   in
   if
-    t.n_pending > 0 && st.st_replica = primary && st.st_view = t.view && primary <> t.id
+    Intake.n_pending t.intake > 0 && st.st_replica = primary && st.st_view = t.view && primary <> t.id
     && not t.in_view_change
     && List.for_all
          (fun (seq, e) ->
@@ -778,29 +688,17 @@ let vouch_missed t (st : M.status_msg) =
   then
     List.iter
       (fun (_, cr) ->
-        match cr.pending with
-        | Some r
-          when Int64.compare cr.pending_since 0L >= 0
-               && r.timestamp > cr.last_ts && r.timestamp > cr.vouched_ts ->
-          cr.vouched_ts <- r.timestamp;
+        match Intake.to_vouch cr with
+        | Some r ->
           t.stats.vouchers_sent <- t.stats.vouchers_sent + 1;
           send_one t ~dst:primary (M.Request r)
-        | Some _ | None -> ())
-      (sorted_bindings t.clients)
+        | None -> ())
+      (Intake.bindings t.intake)
 
 (* --- pre-prepare / prepare / commit ------------------------------------- *)
 
 (* Authenticated but protocol-implausible: counted and dropped. *)
 let reject_insane t = t.stats.rejected_insane <- t.stats.rejected_insane + 1
-
-(* Whether [batch] holds some [(client, timestamp)] twice. *)
-let rec repeats_request = function
-  | [] -> false
-  | (r : M.request) :: rest ->
-    List.exists
-      (fun (r' : M.request) -> r'.client = r.client && Int64.equal r'.timestamp r.timestamp)
-      rest
-    || repeats_request rest
 
 let handle_pre_prepare t sender (pp : M.pre_prepare) =
   let primary = primary_of t pp.view in
@@ -832,7 +730,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
         same
       | None ->
         (* A correct primary batches each request once. *)
-        let repeats = repeats_request pp.requests in
+        let repeats = Intake.repeats_request pp.requests in
         if repeats then reject_insane t;
         (not repeats)
         && Digest.equal (ordering_digest pp.requests pp.nondet) pp.digest
@@ -851,10 +749,8 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
              the progress timer armed and fire view changes once idle. *)
           if r.client >= 0 && not (Types.is_internal_client r.client) then begin
             let cr = client_rec t r.client in
-            note_pre_prepared t cr ~at:entry.t_pp;
-            match cr.pending with
-            | Some p when p.timestamp >= r.timestamp -> ()
-            | Some _ | None -> if r.timestamp > cr.last_ts then set_pending t cr (Some r)
+            note_pre_prepared t ~since:(Intake.pre_prepared cr) ~at:entry.t_pp;
+            Intake.backup_holds t.intake cr r
           end)
         pp.requests;
       start_vc_timer t;
@@ -972,19 +868,11 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   | Some _ | None -> ());
   (* Install the transferred last-reply table.  A request that arrived
      during the transfer stays pending unless the table shows it executed. *)
-  List.iter
-    (fun (_, cr) ->
-      cr.last_ts <- -1L;
-      cr.last_reply <- None)
-    (sorted_bindings t.clients);
+  Intake.forget_replies t.intake;
   List.iter
     (fun (c, ts, result) ->
-      let cr = client_rec t c in
-      cr.last_ts <- ts;
-      cr.last_reply <- Some (make_reply t ~client:c ~timestamp:ts result);
-      match cr.pending with
-      | Some p when p.timestamp <= ts -> set_pending t cr None
-      | Some _ | None -> ())
+      Intake.install t.intake (client_rec t c) ~timestamp:ts
+        (make_reply t ~client:c ~timestamp:ts result))
     client_rows;
   (* Move the execution cursor to the transferred checkpoint.  When it lies
      below our previous position this is a rollback: the committed entries
@@ -1372,8 +1260,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       view = 0;
       in_view_change = false;
       entries = Hashtbl.create 64;
-      clients = Hashtbl.create 16;
-      n_pending = 0;
+      intake = Intake.create config;
       cp_msgs = Hashtbl.create 16;
       own_cps = Hashtbl.create 16;
       h = 0;
@@ -1445,11 +1332,8 @@ let low_watermark t = t.h
 
 let stats t = t.stats
 
-let pending_count t = t.n_pending
+let pending_count t = Intake.n_pending t.intake
 
 let early_pre_prepares t = Hashtbl.length t.early_pps
 
-let client_pending t ~client =
-  match Hashtbl.find_opt t.clients client with
-  | Some cr -> Option.is_some cr.pending
-  | None -> false
+let client_pending t ~client = Intake.pending t.intake ~client
