@@ -3,8 +3,8 @@ module M = Message
 
 type client = {
   mutable last_ts : int64;  (* timestamp of last executed request *)
-  mutable last_reply : M.reply option;
-  mutable pending : M.request option;  (* received but not yet executed *)
+  mutable last_result : string option;  (* its result; none for an internal client *)
+  mutable pending : M.request option;  (* received but not yet executed, newer than [last_ts] *)
   mutable pending_since : int64;  (* local arrival time of [pending]; -1 = none *)
   mutable assigned_ts : int64;  (* primary: highest timestamp given a seqno *)
   mutable assigned_seq : Types.seqno;
@@ -15,24 +15,34 @@ type client = {
          empty until the first voucher *)
 }
 
+(* One slot per external client id, in id order, then one per shard's
+   internal client.  A record is allocated on first use. *)
 type t = {
   config : Types.config;
-  clients : (int, client) Hashtbl.t;
-  mutable n_pending : int;  (* clients whose [pending] is [Some _]; see [set_pending] *)
+  slots : client option array;
+  mutable n_pending : int;  (* records whose [pending] is [Some _]; see [set_pending] *)
 }
 
-let create config = { config; clients = Hashtbl.create 16; n_pending = 0 }
+let n_external (config : Types.config) = config.n_principals - Types.group_size config
 
-let n_pending t = t.n_pending
+let create config =
+  { config; slots = Array.make (n_external config + Types.n_shards config) None; n_pending = 0 }
+
+(* The slot of a client id; an id no slot holds gives one out of range. *)
+let slot t c =
+  if Types.is_internal_client c then n_external t.config + c - Types.internal_client ~shard:0
+  else if c >= Types.group_size t.config then c - Types.group_size t.config
+  else -1
 
 let find t c =
-  match Hashtbl.find_opt t.clients c with
+  let i = slot t c in
+  match t.slots.(i) with
   | Some cr -> cr
   | None ->
     let cr =
       {
         last_ts = -1L;
-        last_reply = None;
+        last_result = None;
         pending = None;
         pending_since = -1L;
         assigned_ts = -1L;
@@ -42,16 +52,18 @@ let find t c =
         vouchers = [||];
       }
     in
-    Hashtbl.replace t.clients c cr;
+    t.slots.(i) <- Some cr;
     cr
 
+let n_pending t = t.n_pending
+
 let pending t ~client =
-  match Hashtbl.find_opt t.clients client with
-  | Some cr -> Option.is_some cr.pending
-  | None -> false
+  let i = slot t client in
+  i >= 0 && i < Array.length t.slots
+  && match t.slots.(i) with Some cr -> Option.is_some cr.pending | None -> false
 
 (* Every write of [cr.pending] goes through here, so [n_pending] always
-   equals the number of client records with a pending request. *)
+   equals the number of records with a pending request. *)
 let set_pending t cr pending =
   (match (cr.pending, pending) with
   | None, Some _ -> t.n_pending <- t.n_pending + 1
@@ -59,8 +71,8 @@ let set_pending t cr pending =
   | Some _, Some _ | None, None -> ());
   cr.pending <- pending
 
-(* Hold [r] as the client's pending request unless an equal or newer one
-   is held already. *)
+(* Hold [r], newer than the executed request, unless an equal or newer
+   one is held already. *)
 let hold t cr (r : M.request) ~now =
   match cr.pending with
   | Some p when p.timestamp >= r.timestamp -> ()
@@ -68,16 +80,13 @@ let hold t cr (r : M.request) ~now =
     if cr.pending = None then cr.pending_since <- now;
     set_pending t cr (Some r)
 
-(* Deterministic traversal: the bindings sorted by client id. *)
-let bindings t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.clients []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* --- arrival ----------------------------------------------------------------- *)
+(* [f] on each record, in client-id order. *)
+let iter t f = Array.iter (function Some cr -> f cr | None -> ()) t.slots
 
 type arrival = Stale | Done | First | Repeat
 
-let admit t cr (r : M.request) ~now =
+let admit t (r : M.request) ~now =
+  let cr = find t r.client in
   if r.timestamp < cr.last_ts then Stale
   else if Int64.equal r.timestamp cr.last_ts then Done
   else begin
@@ -87,70 +96,75 @@ let admit t cr (r : M.request) ~now =
     if retransmitted then Repeat else First
   end
 
-let last_reply cr = cr.last_reply
+let last_result t c = (find t c).last_result
 
+(* The arrival time of the pending request, forgotten once a PRE-PREPARE
+   carries the client's request: a backup vouches for none of those. *)
 let pre_prepared cr =
   let since = cr.pending_since in
   cr.pending_since <- -1L;
   since
 
-let backup_holds t cr (r : M.request) =
-  match cr.pending with
-  | Some p when p.timestamp >= r.timestamp -> ()
-  | Some _ | None -> if r.timestamp > cr.last_ts then set_pending t cr (Some r)
+let backup_holds t (r : M.request) =
+  let cr = find t r.client in
+  let since = pre_prepared cr in
+  if r.timestamp > cr.last_ts then hold t cr r ~now:(-1L);
+  since
 
-(* --- ordering ----------------------------------------------------------------- *)
+let proposable t (r : M.request) =
+  let cr = find t r.client in
+  r.timestamp >= cr.assigned_ts && r.timestamp > cr.last_ts
 
-let proposable cr (r : M.request) = r.timestamp >= cr.assigned_ts && r.timestamp > cr.last_ts
-
-let assigned_seq cr (r : M.request) =
+let assigned_seq t (r : M.request) =
+  let cr = find t r.client in
   if Int64.equal r.timestamp cr.assigned_ts then cr.assigned_seq else -1
 
-let assign cr (r : M.request) ~seq =
+let assign t (r : M.request) ~seq =
+  let cr = find t r.client in
   cr.assigned_ts <- r.timestamp;
   cr.assigned_seq <- seq;
   pre_prepared cr
 
-let claim cr (r : M.request) =
+let claim t (r : M.request) =
+  let cr = find t r.client in
   r.timestamp > cr.assigned_ts && r.timestamp > cr.last_ts
   && begin
        cr.assigned_ts <- r.timestamp;
        true
      end
 
-let unexecuted_pending cr =
-  match cr.pending with Some r when r.timestamp > cr.last_ts -> cr.pending | Some _ | None -> None
+let iter_pending t f = iter t (fun cr -> Option.iter f cr.pending)
 
-(* --- execution ---------------------------------------------------------------- *)
+let executed t (r : M.request) = r.timestamp <= (find t r.client).last_ts
 
-let executed cr (r : M.request) = r.timestamp <= cr.last_ts
-
-let record cr (r : M.request) reply =
-  cr.last_ts <- r.timestamp;
-  match reply with Some _ -> cr.last_reply <- reply | None -> ()
-
-let retire t cr (r : M.request) =
+(* A pending request is always newer than the executed one, so only
+   moving [last_ts] up to it retires it. *)
+let set_executed t cr ts result =
+  cr.last_ts <- ts;
+  cr.last_result <- result;
   match cr.pending with
-  | Some p when p.timestamp <= r.timestamp -> set_pending t cr None
+  | Some p when p.timestamp <= ts -> set_pending t cr None
   | Some _ | None -> ()
 
-(* --- vouching ----------------------------------------------------------------- *)
+let record t (r : M.request) result =
+  set_executed t (find t r.client) r.timestamp
+    (if Types.is_internal_client r.client then None else Some result)
 
-let count_matching votes digest =
-  let count = ref 0 in
-  for r = 0 to Array.length votes - 1 do
-    match votes.(r) with Some d when Digest.equal d digest -> incr count | Some _ | None -> ()
-  done;
-  !count
-
-let vouch t cr ~sender (r : M.request) ~now =
+let vouch t ~sender (r : M.request) ~now =
+  let cr = find t r.client in
   r.timestamp > cr.last_ts && r.timestamp > cr.assigned_ts
   && (match cr.pending with Some p -> p.timestamp < r.timestamp | None -> true)
   && begin
        let d = M.request_digest r in
        if Array.length cr.vouchers = 0 then cr.vouchers <- Array.make t.config.n None;
        cr.vouchers.(sender) <- Some d;
-       count_matching cr.vouchers d >= Types.weak_quorum t.config
+       let votes = ref 0 in
+       for i = 0 to t.config.n - 1 do
+         match cr.vouchers.(i) with
+         | Some v when Digest.equal v d -> incr votes
+         | Some _ | None -> ()
+       done;
+       !votes >= Types.weak_quorum t.config
        && begin
             Array.fill cr.vouchers 0 (Array.length cr.vouchers) None;
             hold t cr r ~now;
@@ -158,48 +172,33 @@ let vouch t cr ~sender (r : M.request) ~now =
           end
      end
 
-let to_vouch cr =
-  match cr.pending with
-  | Some r
-    when Int64.compare cr.pending_since 0L >= 0
-         && r.timestamp > cr.last_ts && r.timestamp > cr.vouched_ts ->
-    cr.vouched_ts <- r.timestamp;
-    cr.pending
-  | Some _ | None -> None
+let iter_to_vouch t f =
+  iter t (fun cr ->
+      match cr.pending with
+      | Some r when Int64.compare cr.pending_since 0L >= 0 && r.timestamp > cr.vouched_ts ->
+        cr.vouched_ts <- r.timestamp;
+        f r
+      | Some _ | None -> ())
 
-(* --- state transfer ----------------------------------------------------------- *)
-
-let forget_replies t =
-  List.iter
-    (fun (_, cr) ->
+(* A request that arrived during the transfer stays pending unless the
+   transferred table shows it executed. *)
+let merge t rows =
+  iter t (fun cr ->
       cr.last_ts <- -1L;
-      cr.last_reply <- None)
-    (bindings t)
+      cr.last_result <- None);
+  List.iter (fun (c, ts, result) -> set_executed t (find t c) ts (Some result)) rows
 
-let install t cr ~timestamp reply =
-  cr.last_ts <- timestamp;
-  cr.last_reply <- Some reply;
-  match cr.pending with
-  | Some p when p.timestamp <= timestamp -> set_pending t cr None
-  | Some _ | None -> ()
-
-(* Client ids are unique within the table, so the id alone orders rows; the
-   full comparison keeps the digest well-defined on arbitrary row lists. *)
-let compare_client_row (c1, ts1, res1) (c2, ts2, res2) =
-  match Int.compare c1 c2 with
-  | 0 -> ( match Int64.compare ts1 ts2 with 0 -> String.compare res1 res2 | c -> c)
-  | c -> c
-
+(* Only external clients have results, and their slots come first. *)
 let rows t =
-  List.filter_map
-    (fun (c, cr) ->
-      match cr.last_reply with
-      | Some (rep : M.reply) -> Some (c, cr.last_ts, rep.result)
-      | None -> None)
-    (bindings t)
-  |> List.sort compare_client_row
+  let rows = ref [] in
+  for i = n_external t.config - 1 downto 0 do
+    match t.slots.(i) with
+    | Some { last_ts; last_result = Some result; _ } ->
+      rows := (Types.group_size t.config + i, last_ts, result) :: !rows
+    | Some _ | None -> ()
+  done;
+  !rows
 
-(* Whether [batch] holds some [(client, timestamp)] twice. *)
 let rec repeats_request = function
   | [] -> false
   | (r : M.request) :: rest ->

@@ -1,112 +1,81 @@
 (** Request intake: the client table and its rules.
 
-    The table remembers, per client, the request a replica holds pending,
-    the newest request it executed with its reply, and what the primary
-    assigned or a backup vouched for.  Its functions decide what a request
-    does to the table; they send nothing and read no clock ({!Replica}
-    passes the time in and does every send).  The rules are set out in
-    doc/PROTOCOL.md, "Request intake". *)
+    Per client, the table holds the request a replica has pending, the
+    newest one it executed with its result, and what the primary assigned
+    or a backup vouched for.  These functions only decide: they send
+    nothing and read no clock; {!Replica} passes the time in and does every
+    send.  A client id looked up must be an external client's or an
+    internal one's (doc/PROTOCOL.md, "Request intake"). *)
 
 type t
-(** A replica's client table. *)
-
-type client
-(** One client's record, added to the table on first use. *)
 
 val create : Types.config -> t
-(** An empty table for a group of the given configuration. *)
-
-val find : t -> int -> client
-(** The record of a client id, added when absent. *)
+(** An empty table, with a slot for every client id of the group. *)
 
 val n_pending : t -> int
-(** Clients with a pending request: always the number of records whose
-    request is pending, because only this module changes one. *)
+(** The number of clients with a request pending, kept by the table. *)
 
 val pending : t -> client:int -> bool
 (** Whether [client] has a request received and not yet executed. *)
 
-val bindings : t -> (int * client) list
-(** Every record, in client-id order. *)
-
-(** {1 Arrival} *)
-
-(** What a client's own request is, next to the table. *)
+(** A client's own request, next to the table. *)
 type arrival =
   | Stale  (** older than the newest executed request *)
-  | Done  (** the newest executed request: resend its reply *)
-  | First  (** not executed, first heard here: it is now pending *)
-  | Repeat  (** not executed, heard before: a retransmission *)
+  | Done  (** the newest executed request: resend its result *)
+  | First  (** not executed and first heard: now pending *)
+  | Repeat  (** not executed and heard before: a retransmission *)
 
-val admit : t -> client -> Message.request -> now:int64 -> arrival
-(** Take a client's request; a [First] or [Repeat] request is pending from
-    here on, unless a newer one is, with [now] as its arrival time. *)
+val admit : t -> Message.request -> now:int64 -> arrival
+(** A [First] or [Repeat] request is pending from [now] on, unless a newer
+    one is. *)
 
-val last_reply : client -> Message.reply option
-(** The reply to the newest executed request, if it had one. *)
+val last_result : t -> int -> string option
+(** The result of a client's newest executed request. *)
 
-val backup_holds : t -> client -> Message.request -> unit
-(** A backup takes a request from an accepted PRE-PREPARE as pending,
-    unless it executed it or holds the same or a newer one. *)
+val backup_holds : t -> Message.request -> int64
+(** An accepted PRE-PREPARE carries the request: pending unless executed or
+    older than the one held.  Returns the arrival time of the pending
+    request (-1 when unknown) and forgets it, so no voucher follows. *)
 
-val pre_prepared : client -> int64
-(** The pending request's arrival time, or -1 when none was recorded, and
-    forget it: a request seen in a PRE-PREPARE is not vouched for. *)
-
-(** {1 Ordering} *)
-
-val proposable : client -> Message.request -> bool
+val proposable : t -> Message.request -> bool
 (** Neither executed nor older than the newest request assigned a slot. *)
 
-val assigned_seq : client -> Message.request -> Types.seqno
-(** The slot the request was assigned, or -1. *)
+val assigned_seq : t -> Message.request -> Types.seqno
+(** The slot the primary assigned the request, or -1. *)
 
-val assign : client -> Message.request -> seq:Types.seqno -> int64
-(** The primary put the request in slot [seq]; returns {!pre_prepared}. *)
+val assign : t -> Message.request -> seq:Types.seqno -> int64
+(** The primary puts the request in slot [seq]; returns as {!backup_holds}. *)
 
-val claim : client -> Message.request -> bool
-(** Mark a queued request assigned, unless it was assigned or executed: a
-    queued copy of it cannot join a batch afterwards. *)
+val claim : t -> Message.request -> bool
+(** Mark a queued request assigned, unless it is assigned or executed, so
+    no queued copy of it joins a batch. *)
 
-val unexecuted_pending : client -> Message.request option
-(** The pending request, when it is newer than the newest executed. *)
+val iter_pending : t -> (Message.request -> unit) -> unit
+(** Every pending request, in client-id order. *)
 
-(** {1 Execution} *)
-
-val executed : client -> Message.request -> bool
+val executed : t -> Message.request -> bool
 (** Whether the request, or a newer one of its client, executed. *)
 
-val record : client -> Message.request -> Message.reply option -> unit
-(** The request executed, with the reply (none for an internal client). *)
+val record : t -> Message.request -> string -> unit
+(** The request executed with this result; it is no longer pending. *)
 
-val retire : t -> client -> Message.request -> unit
-(** The request was ordered and executed: one pending no newer is done. *)
+val vouch : t -> sender:int -> Message.request -> now:int64 -> bool
+(** The primary counts replica [sender]'s voucher for a request newer than
+    the client's assigned and pending ones.  [true] when f+1 replicas
+    vouched for the identical request, which is pending from [now] on. *)
 
-(** {1 Vouching} *)
+val iter_to_vouch : t -> (Message.request -> unit) -> unit
+(** A backup's pending requests that arrived from their client, rode in no
+    PRE-PREPARE and were not vouched for, in client-id order; each is
+    marked vouched. *)
 
-val vouch : t -> client -> sender:int -> Message.request -> now:int64 -> bool
-(** The primary counts replica [sender]'s voucher for a request it holds
-    no newer copy of; [true] when f+1 replicas vouched for the identical
-    request, which is pending from then on. *)
-
-val to_vouch : client -> Message.request option
-(** The pending request a backup should vouch for: it arrived from the
-    client, no PRE-PREPARE carried it, and it was not vouched for yet.
-    Marks it vouched. *)
-
-(** {1 State transfer and checkpoints} *)
-
-val forget_replies : t -> unit
-(** Drop every executed timestamp and reply, before {!install}ing a
-    transferred table. *)
-
-val install : t -> client -> timestamp:int64 -> Message.reply -> unit
-(** A transferred row: the client's newest executed request and its reply.
-    A pending request no newer is done. *)
+val merge : t -> (int * int64 * string) list -> unit
+(** Install a transferred table's rows.  A pending request stays pending
+    unless its row shows it executed. *)
 
 val rows : t -> (int * int64 * string) list
-(** The [(client, timestamp, result)] rows of every client with a reply,
-    sorted by client. *)
+(** The [(client, timestamp, result)] rows of every client with a result,
+    in client-id order. *)
 
 val repeats_request : Message.request list -> bool
 (** Whether a batch holds some [(client, timestamp)] twice. *)

@@ -202,8 +202,6 @@ let find_or_add tbl key make =
     Hashtbl.replace tbl key v;
     v
 
-let client_rec t c = Intake.find t.intake c
-
 (* Deterministic traversal of an int-keyed table: snapshot the bindings and
    sort by key.  Every table scan below goes through this, so retransmission
    order and wire-visible new-view summaries are independent of hash-table
@@ -427,7 +425,7 @@ and entry_ready t (pp : M.pre_prepare) =
     (fun (r : M.request) ->
       r.client = -1
       ||
-      Intake.executed (client_rec t r.client) r
+      Intake.executed t.intake r
       || t.app.ready ~client:r.client ~timestamp:r.timestamp ~operation:r.operation)
     pp.requests
 
@@ -438,24 +436,16 @@ and execute_entry t seq entry (pp : M.pre_prepare) =
          (runtime-injected) requests, e.g. cross-shard locks, execute through
          the same upcall — the runtime recognises the virtual client id — but
          get no reply and no pending bookkeeping. *)
-      if r.client >= 0 then begin
-        let cr = client_rec t r.client in
-        let external_client = not (Types.is_internal_client r.client) in
-        (* A request can be ordered twice across view changes; only its
-           first ordering executes (exactly-once semantics via the
-           client-table timestamp).  An ordered request runs read-write even
-           when flagged read-only: a Byzantine primary can order one. *)
-        if not (Intake.executed cr r) then begin
-          t.stats.executed_requests <- t.stats.executed_requests + 1;
-          let result = run t r ~nondet:pp.nondet ~read_only:false in
-          if external_client then begin
-            let reply = make_reply t ~client:r.client ~timestamp:r.timestamp result in
-            Intake.record cr r (Some reply);
-            send_reply t reply
-          end
-          else Intake.record cr r None
-        end;
-        if external_client then Intake.retire t.intake cr r
+      (* A request can be ordered twice across view changes; only its first
+         ordering executes (exactly-once semantics via the client-table
+         timestamp).  An ordered request runs read-write even when flagged
+         read-only: a Byzantine primary can order one. *)
+      if r.client >= 0 && not (Intake.executed t.intake r) then begin
+        t.stats.executed_requests <- t.stats.executed_requests + 1;
+        let result = run t r ~nondet:pp.nondet ~read_only:false in
+        Intake.record t.intake r result;
+        if not (Types.is_internal_client r.client) then
+          send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
       end)
     pp.requests;
   t.last_exec <- seq;
@@ -554,7 +544,7 @@ and assign t (batch : M.request list) =
   entry.t_pp <- now t;
   List.iter
     (fun (r : M.request) ->
-      note_pre_prepared t ~since:(Intake.assign (client_rec t r.client) r ~seq) ~at:entry.t_pp)
+      note_pre_prepared t ~since:(Intake.assign t.intake r ~seq) ~at:entry.t_pp)
     batch;
   broadcast_pre_prepare t entry pp;
   maybe_prepared t seq entry
@@ -564,9 +554,8 @@ and inflight t = t.next_seq - t.last_exec
 and window_full t = t.next_seq + 1 > t.h + t.config.log_window
 
 and propose t (r : M.request) =
-  let cr = client_rec t r.client in
-  if Intake.proposable cr r then
-    match Hashtbl.find_opt t.entries (Intake.assigned_seq cr r) with
+  if Intake.proposable t.intake r then
+    match Hashtbl.find_opt t.entries (Intake.assigned_seq t.intake r) with
     | Some ({ pre_prepare = Some pp; _ } as entry) when pp.view = t.view ->
       (* Assigned in this view already: retransmit so lost copies recover. *)
       broadcast_pre_prepare t entry pp
@@ -593,7 +582,7 @@ and drain_queue t =
         let size = ref 0 in
         while !size < t.config.batch_max && not (Queue.is_empty t.queued_requests) do
           let r = Queue.pop t.queued_requests in
-          if Intake.claim (client_rec t r.M.client) r then begin
+          if Intake.claim t.intake r then begin
             batch := r :: !batch;
             incr size
           end
@@ -608,11 +597,7 @@ and drain_queue t =
    without this, liveness depends on a client retransmission landing
    inside the view's timeout window. *)
 let propose_pending t =
-  if is_primary t && status t = Normal then
-    List.iter
-      (fun (_, cr) ->
-        match Intake.unexecuted_pending cr with Some r -> propose t r | None -> ())
-      (Intake.bindings t.intake)
+  if is_primary t && status t = Normal then Intake.iter_pending t.intake (propose t)
 
 let in_window t seq = seq > t.h && seq <= t.h + t.config.log_window
 
@@ -624,13 +609,12 @@ let handle_request t env (r : M.request) =
     send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
   end
   else begin
-    let cr = client_rec t r.client in
-    match Intake.admit t.intake cr r ~now:(now t) with
+    match Intake.admit t.intake r ~now:(now t) with
     | Intake.Stale -> ()
     | Intake.Done -> (
-      (* Retransmission of an executed request: resend the stored reply. *)
-      match Intake.last_reply cr with
-      | Some reply -> send_reply t { reply with view = t.view; replica = t.id }
+      (* Retransmission of an executed request: resend the reply. *)
+      match Intake.last_result t.intake r.client with
+      | Some result -> send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
       | None -> ())
     | (Intake.First | Intake.Repeat) as arrival ->
       if status t = Normal then begin
@@ -655,12 +639,11 @@ let handle_voucher t sender (r : M.request) =
     is_primary t && (not r.read_only)
     && r.client >= Types.group_size t.config
     && r.client < t.config.n_principals
-  then begin
-    if Intake.vouch t.intake (client_rec t r.client) ~sender r ~now:(now t) then begin
+  then
+    if Intake.vouch t.intake ~sender r ~now:(now t) then begin
       t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
       if status t = Normal then propose t r
     end
-  end
 
 (* The primary's STATUS shows an empty queue when every slot this backup
    holds a PRE-PREPARE for in the view is executed: by the primary, or by
@@ -686,14 +669,9 @@ let vouch_missed t (st : M.status_msg) =
            | Some _ | None -> true)
          (sorted_bindings t.entries)
   then
-    List.iter
-      (fun (_, cr) ->
-        match Intake.to_vouch cr with
-        | Some r ->
-          t.stats.vouchers_sent <- t.stats.vouchers_sent + 1;
-          send_one t ~dst:primary (M.Request r)
-        | None -> ())
-      (Intake.bindings t.intake)
+    Intake.iter_to_vouch t.intake (fun r ->
+        t.stats.vouchers_sent <- t.stats.vouchers_sent + 1;
+        send_one t ~dst:primary (M.Request r))
 
 (* --- pre-prepare / prepare / commit ------------------------------------- *)
 
@@ -747,11 +725,8 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
           (* Internal requests take no pending bookkeeping: execution never
              clears it (see [execute_entry]), so a lock request would keep
              the progress timer armed and fire view changes once idle. *)
-          if r.client >= 0 && not (Types.is_internal_client r.client) then begin
-            let cr = client_rec t r.client in
-            note_pre_prepared t ~since:(Intake.pre_prepared cr) ~at:entry.t_pp;
-            Intake.backup_holds t.intake cr r
-          end)
+          if r.client >= 0 && not (Types.is_internal_client r.client) then
+            note_pre_prepared t ~since:(Intake.backup_holds t.intake r) ~at:entry.t_pp)
         pp.requests;
       start_vc_timer t;
       entry.prepares.(t.id) <- Some pp.digest;
@@ -866,14 +841,7 @@ let fetch_complete t ~seq ~app_digest ~client_rows =
   | Some (target_seq, target_digest) when target_seq = seq ->
     assert (Digest.equal combined target_digest)
   | Some _ | None -> ());
-  (* Install the transferred last-reply table.  A request that arrived
-     during the transfer stays pending unless the table shows it executed. *)
-  Intake.forget_replies t.intake;
-  List.iter
-    (fun (c, ts, result) ->
-      Intake.install t.intake (client_rec t c) ~timestamp:ts
-        (make_reply t ~client:c ~timestamp:ts result))
-    client_rows;
+  Intake.merge t.intake client_rows;
   (* Move the execution cursor to the transferred checkpoint.  When it lies
      below our previous position this is a rollback: the committed entries
      still in the log re-execute deterministically on the restored state.

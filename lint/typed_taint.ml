@@ -290,7 +290,9 @@ type state = {
   mutable flagging : bool;  (* pass 2: emit findings; pass 1: build summaries *)
   mutable changed : bool;
   global : (string * string, summary) Hashtbl.t;  (* (module, fn) for cross-unit calls *)
-  locals : (Ident.t, summary) Hashtbl.t;  (* every let-bound function, by ident *)
+  locals : (string * Ident.t, summary) Hashtbl.t;
+      (* every let-bound function, by file and ident: idents of two units
+         can share a name and a stamp *)
   owner : (int, summary * int) Hashtbl.t;  (* param id -> (owner, position) *)
   mutable next_param : int;
   mutable findings : Checks.finding list;
@@ -746,7 +748,7 @@ and analyze_apply st env (e : T.expression) fn args =
       match a.exp_desc with
       | Texp_ident (p, _, _) -> (
         let key = resolve a.exp_env p in
-        let local = match p with Path.Pident id -> Hashtbl.find_opt st.locals id | _ -> None in
+        let local = match p with Path.Pident id -> Hashtbl.find_opt st.locals (st.cur_rel, id) | _ -> None in
         match find_summary st key local with
         | Some s ->
           let as_arg l = ((if l = "" then Asttypes.Nolabel else Asttypes.Labelled l), a, non_fn_join) in
@@ -815,7 +817,7 @@ and analyze_apply st env (e : T.expression) fn args =
           idxs
       | None -> ());
       let local =
-        match p with Path.Pident id -> Hashtbl.find_opt st.locals id | _ -> None
+        match p with Path.Pident id -> Hashtbl.find_opt st.locals (st.cur_rel, id) | _ -> None
       in
       match find_sanitizer st key with
       | Some (San_clean | San_validator) -> clean
@@ -1059,7 +1061,7 @@ and analyze_function st ~key id fexpr outer_env =
   let params, body = split_params fexpr [] in
   let labels = List.map (fun (l, _) -> label_name l) params in
   let summary =
-    match Hashtbl.find_opt st.locals id with
+    match Hashtbl.find_opt st.locals (st.cur_rel, id) with
     | Some s -> s
     | None ->
       let pids =
@@ -1081,7 +1083,7 @@ and analyze_function st ~key id fexpr outer_env =
         }
       in
       List.iteri (fun i pid -> Hashtbl.replace st.owner pid (s, i)) pids;
-      Hashtbl.replace st.locals id s;
+      Hashtbl.replace st.locals (st.cur_rel, id) s;
       (match key with
       | Some (m, n) -> Hashtbl.replace st.global (m, n) s
       | None -> ());
