@@ -25,13 +25,19 @@ type t = {
 
 let n_external (config : Types.config) = config.n_principals - Types.group_size config
 
+let is_client (config : Types.config) c = c >= Types.group_size config && c < config.n_principals
+
+let admissible config c =
+  is_client config c || c = -1
+  || (Types.is_internal_client c && c < Types.internal_client ~shard:(Types.n_shards config))
+
 let create config =
   { config; slots = Array.make (n_external config + Types.n_shards config) None; n_pending = 0 }
 
 (* The slot of a client id; an id no slot holds gives one out of range. *)
 let slot t c =
-  if Types.is_internal_client c then n_external t.config + c - Types.internal_client ~shard:0
-  else if c >= Types.group_size t.config then c - Types.group_size t.config
+  if is_client t.config c then c - Types.group_size t.config
+  else if Types.is_internal_client c then n_external t.config + c - Types.internal_client ~shard:0
   else -1
 
 let find t c =
@@ -186,7 +192,9 @@ let merge t rows =
   iter t (fun cr ->
       cr.last_ts <- -1L;
       cr.last_result <- None);
-  List.iter (fun (c, ts, result) -> set_executed t (find t c) ts (Some result)) rows
+  List.iter
+    (fun (c, ts, result) -> if is_client t.config c then set_executed t (find t c) ts (Some result))
+    rows
 
 (* Only external clients have results, and their slots come first. *)
 let rows t =
@@ -199,10 +207,13 @@ let rows t =
   done;
   !rows
 
-let rec repeats_request = function
-  | [] -> false
+(* A correct primary batches each request once. *)
+let rec batch_sane config = function
+  | [] -> true
   | (r : M.request) :: rest ->
-    List.exists
-      (fun (r' : M.request) -> r'.client = r.client && Int64.equal r'.timestamp r.timestamp)
-      rest
-    || repeats_request rest
+    admissible config r.client
+    && (not
+          (List.exists
+             (fun (r' : M.request) -> r'.client = r.client && Int64.equal r'.timestamp r.timestamp)
+             rest))
+    && batch_sane config rest

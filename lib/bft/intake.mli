@@ -7,6 +7,16 @@
     send.  A client id looked up must be an external client's or an
     internal one's (doc/PROTOCOL.md, "Request intake"). *)
 
+val is_client : Types.config -> int -> bool
+(** Whether an id is an external client's: [group_size <= id < n_principals].
+    Only such a principal sends its own requests. *)
+
+val batch_sane : Types.config -> Message.request list -> bool
+(** What a correct primary proposes: no [(client, timestamp)] twice, and
+    every client id admissible, that is an external client's, an internal
+    client's of an existing shard ({!Types.internal_client}), or -1, the
+    null request's. *)
+
 type t
 
 val create : Types.config -> t
@@ -76,6 +86,3 @@ val merge : t -> (int * int64 * string) list -> unit
 val rows : t -> (int * int64 * string) list
 (** The [(client, timestamp, result)] rows of every client with a result,
     in client-id order. *)
-
-val repeats_request : Message.request list -> bool
-(** Whether a batch holds some [(client, timestamp)] twice. *)

@@ -603,8 +603,13 @@ let in_window t seq = seq > t.h && seq <= t.h + t.config.log_window
 
 (* --- request handling --------------------------------------------------- *)
 
+(* Authenticated but protocol-implausible: counted and dropped. *)
+let reject_insane t = t.stats.rejected_insane <- t.stats.rejected_insane + 1
+
+(* A replica's or standby's request as its own client is insane. *)
 let handle_request t env (r : M.request) =
-  if r.read_only then begin
+  if not (Intake.is_client t.config r.client) then reject_insane t
+  else if r.read_only then begin
     let result = run t r ~nondet:"" ~read_only:true in
     send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
   end
@@ -635,11 +640,7 @@ let handle_request t env (r : M.request) =
    client's own envelope.  A fetching primary keeps the request pending,
    and [fetch_complete] proposes it. *)
 let handle_voucher t sender (r : M.request) =
-  if
-    is_primary t && (not r.read_only)
-    && r.client >= Types.group_size t.config
-    && r.client < t.config.n_principals
-  then
+  if is_primary t && (not r.read_only) && Intake.is_client t.config r.client then
     if Intake.vouch t.intake ~sender r ~now:(now t) then begin
       t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
       if status t = Normal then propose t r
@@ -675,9 +676,6 @@ let vouch_missed t (st : M.status_msg) =
 
 (* --- pre-prepare / prepare / commit ------------------------------------- *)
 
-(* Authenticated but protocol-implausible: counted and dropped. *)
-let reject_insane t = t.stats.rejected_insane <- t.stats.rejected_insane + 1
-
 let handle_pre_prepare t sender (pp : M.pre_prepare) =
   let primary = primary_of t pp.view in
   let ours = sender = primary && pp.view = t.view && in_window t pp.seq && t.id <> primary in
@@ -707,10 +705,9 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
         if not same then Base_obs.Metrics.incr t.obs.c_equivocation;
         same
       | None ->
-        (* A correct primary batches each request once. *)
-        let repeats = Intake.repeats_request pp.requests in
-        if repeats then reject_insane t;
-        (not repeats)
+        let sane = Intake.batch_sane t.config pp.requests in
+        if not sane then reject_insane t;
+        sane
         && Digest.equal (ordering_digest pp.requests pp.nondet) pp.digest
         && List.length pp.requests <= t.config.batch_max
         && (match pp.requests with
@@ -725,7 +722,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
           (* Internal requests take no pending bookkeeping: execution never
              clears it (see [execute_entry]), so a lock request would keep
              the progress timer armed and fire view changes once idle. *)
-          if r.client >= 0 && not (Types.is_internal_client r.client) then
+          if Intake.is_client t.config r.client then
             note_pre_prepared t ~since:(Intake.backup_holds t.intake r) ~at:entry.t_pp)
         pp.requests;
       start_vc_timer t;

@@ -51,7 +51,8 @@ let vc_sane (config : Types.config) (vc : M.view_change) =
          p.seq > vc.last_stable
          && p.seq <= vc.last_stable + config.log_window
          && p.view >= 0 && p.view < vc.new_view
-         && List.length p.requests <= config.batch_max)
+         && List.length p.requests <= config.batch_max
+         && Intake.batch_sane config p.requests)
        vc.prepared
 
 type verdict = Install of Types.seqno | Insane | Mismatch
@@ -71,7 +72,8 @@ let new_view_verdict (config : Types.config) ~held (nv : M.new_view) =
     && List.for_all (fun (_, s) -> s >= 0) nv.nv_view_changes
     && List.for_all
          (fun (pp : M.pre_prepare) ->
-           pp.view = nv.nv_view && pp.seq > min_s && pp.seq <= min_s + config.log_window)
+           pp.view = nv.nv_view && pp.seq > min_s && pp.seq <= min_s + config.log_window
+           && Intake.batch_sane config pp.requests)
          nv.nv_pre_prepares
   in
   if not sane then Insane

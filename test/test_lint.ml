@@ -160,7 +160,13 @@ let test_taint_b3 () =
     [ (19, "B3"); (22, "B3"); (25, "B3") ]
     (taint_findings "b3_bad");
   Alcotest.(check (list (pair int string))) "b3_ok: all validated" []
-    (taint_findings "b3_ok")
+    (taint_findings "b3_ok");
+  Alcotest.(check (list (pair int string)))
+    "b3_intake_bad: client-table slot lookup, direct and in a helper"
+    [ (15, "B3"); (17, "B3") ]
+    (taint_findings "b3_intake_bad");
+  Alcotest.(check (list (pair int string))) "b3_intake_ok: behind Intake.is_client" []
+    (taint_findings "b3_intake_ok")
 
 let test_taint_cross_module () =
   (* The source-to-sink chain crosses a compilation-unit boundary; only

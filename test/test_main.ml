@@ -17,7 +17,8 @@ let () =
       ("sha256-diff", Test_sha256_diff.suite);
       ("alloc-budget", Test_alloc_budget.suite);
       ("event-heap", Test_event_heap.suite);
-      ("byzantine-input", Test_byzantine_input.suite @ Test_fuzz_decode.suite);
+      ( "byzantine-input",
+        Test_byzantine_input.suite @ Test_fuzz_decode.suite @ Test_byzantine_input.appended );
       ("determinism", Test_determinism.suite);
       ("faultplan", Test_faultplan.suite);
       ("view-change", Test_view_change.suite @ Test_view_change_props.suite);

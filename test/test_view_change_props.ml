@@ -11,12 +11,16 @@ open Gen
 
 let window = 8
 
-let config f = Types.make_config ~f ~n_clients:1 ~checkpoint_period:4 ~log_window:window ()
+let config f = Types.make_config ~f ~n_clients:4 ~checkpoint_period:4 ~log_window:window ()
+
+(* A client id of both group sizes generated: clients are 4..7 at f = 1 and
+   7..10 at f = 2. *)
+let client = 7
 
 (* A PRE-PREPARE carrying one request; [tag] names the batch, so two slots
    agree exactly when their tags do. *)
-let pp ~view ~seq tag =
-  let r = { M.client = 0; timestamp = Int64.of_int tag; operation = "op"; read_only = false } in
+let pp ?(client = client) ~view ~seq tag =
+  let r = { M.client; timestamp = Int64.of_int tag; operation = "op"; read_only = false } in
   { M.view; seq; digest = Digest.of_string (string_of_int tag); requests = [ r ]; nondet = "" }
 
 let vc ~new_view ~replica (last_stable, prepared) =
@@ -195,6 +199,7 @@ let gen_insane_vc =
         add (pp ~view:(-1 - j) ~seq:(ls + 1) 1);
         add (pp ~view:(6 + j) ~seq:(ls + 1) 1);
         add too_big;
+        add (pp ~client:j ~view:0 ~seq:(ls + 1) 1);
       ]
   in
   return (sane, bad)
@@ -232,6 +237,7 @@ let gen_insane_nv =
         add (pp ~view:(v' + 1 + j) ~seq:(min_s + 1) 1);
         add (pp ~view:v' ~seq:(min_s - j) 1);
         add (pp ~view:v' ~seq:(min_s + window + 1 + j) 1);
+        add (pp ~client:(12 + j) ~view:v' ~seq:(min_s + 1) 1);
       ]
   in
   return (config, vcs, bad)
