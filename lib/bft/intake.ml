@@ -63,18 +63,15 @@ let find t c =
 
 let n_pending t = t.n_pending
 
+(* Only an external client's request is ever pending. *)
 let pending t ~client =
-  let i = slot t client in
-  i >= 0 && i < Array.length t.slots
-  && match t.slots.(i) with Some cr -> Option.is_some cr.pending | None -> false
+  is_client t.config client
+  && match t.slots.(slot t client) with Some cr -> Option.is_some cr.pending | None -> false
 
 (* Every write of [cr.pending] goes through here, so [n_pending] always
    equals the number of records with a pending request. *)
 let set_pending t cr pending =
-  (match (cr.pending, pending) with
-  | None, Some _ -> t.n_pending <- t.n_pending + 1
-  | Some _, None -> t.n_pending <- t.n_pending - 1
-  | Some _, Some _ | None, None -> ());
+  t.n_pending <- t.n_pending + Bool.to_int (pending <> None) - Bool.to_int (cr.pending <> None);
   cr.pending <- pending
 
 (* Hold [r], newer than the executed request, unless an equal or newer
@@ -133,11 +130,9 @@ let assign t (r : M.request) ~seq =
 
 let claim t (r : M.request) =
   let cr = find t r.client in
-  r.timestamp > cr.assigned_ts && r.timestamp > cr.last_ts
-  && begin
-       cr.assigned_ts <- r.timestamp;
-       true
-     end
+  let fresh = r.timestamp > cr.assigned_ts && r.timestamp > cr.last_ts in
+  if fresh then cr.assigned_ts <- r.timestamp;
+  fresh
 
 let iter_pending t f = iter t (fun cr -> Option.iter f cr.pending)
 
@@ -164,13 +159,7 @@ let vouch t ~sender (r : M.request) ~now =
        let d = M.request_digest r in
        if Array.length cr.vouchers = 0 then cr.vouchers <- Array.make t.config.n None;
        cr.vouchers.(sender) <- Some d;
-       let votes = ref 0 in
-       for i = 0 to t.config.n - 1 do
-         match cr.vouchers.(i) with
-         | Some v when Digest.equal v d -> incr votes
-         | Some _ | None -> ()
-       done;
-       !votes >= Types.weak_quorum t.config
+       Types.count_matching cr.vouchers d >= Types.weak_quorum t.config
        && begin
             Array.fill cr.vouchers 0 (Array.length cr.vouchers) None;
             hold t cr r ~now;

@@ -289,16 +289,12 @@ let announce_checkpoint t seq digest =
   broadcast_to t ~receivers:(Types.group_size t.config)
     (M.Checkpoint { seq; digest; replica = t.id })
 
-let make_reply t ~client ~timestamp result =
-  { M.view = t.view; timestamp; client; replica = t.id; result }
-
-let send_reply t (reply : M.reply) =
+let send_reply t ~client ~timestamp result =
+  let reply = { M.view = t.view; timestamp; client; replica = t.id; result } in
   Base_obs.Profile.start t.prof t.p_seal;
-  let env =
-    M.seal_for t.keychain ~shard:t.shard ~sender:t.id ~receiver:reply.client (M.Reply reply)
-  in
+  let env = M.seal_for t.keychain ~shard:t.shard ~sender:t.id ~receiver:client (M.Reply reply) in
   Base_obs.Profile.stop t.prof t.p_seal;
-  t.net.send ~dst:reply.client env
+  t.net.send ~dst:client env
 
 (* Tell the group how far this replica got.  A peer ahead of it answers by
    re-sending the slots above [st_last_exec] (see [handle_status]).  The
@@ -345,17 +341,6 @@ let vc_table t view = find_or_add t.vcs view (fun () -> Hashtbl.create 8)
 
 let clear_votes votes = Array.fill votes 0 (Array.length votes) None
 
-let voted_for votes r digest =
-  match votes.(r) with Some d -> Digest.equal d digest | None -> false
-
-(* Votes for [digest], counted in replica-id order. *)
-let count_matching votes digest =
-  let count = ref 0 in
-  for r = 0 to Array.length votes - 1 do
-    if voted_for votes r digest then incr count
-  done;
-  !count
-
 let discard_log_below t seq =
   let stale_keys tbl below =
     List.filter_map (fun (s, _) -> if s < below then Some s else None) (sorted_bindings tbl)
@@ -374,11 +359,6 @@ let run t (r : M.request) ~nondet ~read_only =
   in
   Base_obs.Profile.stop t.prof t.p_exec;
   result
-
-(* A request's pre-prepare span runs from its local arrival to the slot's
-   PRE-PREPARE; requests first learned from the PRE-PREPARE itself have no
-   arrival time ([observe_span] skips them). *)
-let note_pre_prepared t ~since ~at = observe_span t.obs.m_pre_prepare ~since ~until:at
 
 (* Move the low watermark up to the stable checkpoint [(seq, digest)]. *)
 let advance_watermark t seq digest =
@@ -399,7 +379,7 @@ and maybe_stable t seq =
   match Hashtbl.find_opt t.own_cps seq with
   | None -> ()
   | Some own ->
-    if seq > t.h && count_matching (cp_table t seq) own + 1 >= Types.quorum t.config then
+    if seq > t.h && Types.count_matching (cp_table t seq) own + 1 >= Types.quorum t.config then
       make_stable t seq own
 
 and take_checkpoint t =
@@ -445,7 +425,7 @@ and execute_entry t seq entry (pp : M.pre_prepare) =
         let result = run t r ~nondet:pp.nondet ~read_only:false in
         Intake.record t.intake r result;
         if not (Types.is_internal_client r.client) then
-          send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
+          send_reply t ~client:r.client ~timestamp:r.timestamp result
       end)
     pp.requests;
   t.last_exec <- seq;
@@ -485,7 +465,7 @@ and try_execute t =
 and maybe_committed t seq entry =
   match entry.pre_prepare with
   | Some pp when Option.is_some entry.prepared && not entry.committed ->
-    if count_matching entry.commits pp.digest >= Types.quorum t.config then begin
+    if Types.count_matching entry.commits pp.digest >= Types.quorum t.config then begin
       entry.committed <- true;
       entry.t_committed <- now t;
       observe_span t.obs.m_commit ~since:entry.t_prepared ~until:entry.t_committed;
@@ -511,8 +491,8 @@ and maybe_prepared t seq entry =
     (* The primary's own PRE-PREPARE stands in for its prepare. *)
     let primary = primary_of t pp.view in
     let count =
-      count_matching entry.prepares pp.digest
-      - if voted_for entry.prepares primary pp.digest then 1 else 0
+      Types.count_matching entry.prepares pp.digest
+      - if Types.voted_for entry.prepares primary pp.digest then 1 else 0
     in
     if count >= 2 * t.config.f && Option.is_none entry.prepared then begin
       entry.prepared <- entry.pre_prepare;
@@ -544,7 +524,8 @@ and assign t (batch : M.request list) =
   entry.t_pp <- now t;
   List.iter
     (fun (r : M.request) ->
-      note_pre_prepared t ~since:(Intake.assign t.intake r ~seq) ~at:entry.t_pp)
+      (* The span from the request's local arrival to its PRE-PREPARE. *)
+      observe_span t.obs.m_pre_prepare ~since:(Intake.assign t.intake r ~seq) ~until:entry.t_pp)
     batch;
   broadcast_pre_prepare t entry pp;
   maybe_prepared t seq entry
@@ -611,7 +592,7 @@ let handle_request t env (r : M.request) =
   if not (Intake.is_client t.config r.client) then reject_insane t
   else if r.read_only then begin
     let result = run t r ~nondet:"" ~read_only:true in
-    send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
+    send_reply t ~client:r.client ~timestamp:r.timestamp result
   end
   else begin
     match Intake.admit t.intake r ~now:(now t) with
@@ -619,7 +600,7 @@ let handle_request t env (r : M.request) =
     | Intake.Done -> (
       (* Retransmission of an executed request: resend the reply. *)
       match Intake.last_result t.intake r.client with
-      | Some result -> send_reply t (make_reply t ~client:r.client ~timestamp:r.timestamp result)
+      | Some result -> send_reply t ~client:r.client ~timestamp:r.timestamp result
       | None -> ())
     | (Intake.First | Intake.Repeat) as arrival ->
       if status t = Normal then begin
@@ -723,7 +704,8 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
              clears it (see [execute_entry]), so a lock request would keep
              the progress timer armed and fire view changes once idle. *)
           if Intake.is_client t.config r.client then
-            note_pre_prepared t ~since:(Intake.backup_holds t.intake r) ~at:entry.t_pp)
+            observe_span t.obs.m_pre_prepare ~since:(Intake.backup_holds t.intake r)
+              ~until:entry.t_pp)
         pp.requests;
       start_vc_timer t;
       entry.prepares.(t.id) <- Some pp.digest;
@@ -774,7 +756,7 @@ let fetch_target t =
             (fun acc vote ->
               match (acc, vote) with
               | Some _, _ | None, None -> acc
-              | None, Some d -> if count_matching votes d >= weak then vote else None)
+              | None, Some d -> if Types.count_matching votes d >= weak then vote else None)
             None votes
         in
         match (certified, best) with

@@ -178,7 +178,10 @@ val receive : t -> Message.envelope -> unit
     and dropped, and so are messages tagged for another shard and
     agreement messages (anything but a REQUEST or a REPLY) whose sender is
     not an active replica: a client shares a MAC key with every replica, so
-    its forged votes authenticate.  A REQUEST sent by an active replica
+    its forged votes authenticate.  A PRE-PREPARE ordering a request under
+    a client id outside {!Intake.batch_sane}'s range, and a REQUEST a
+    replica or standby sends as its own client, are counted as insane
+    ([stats.rejected_insane]) and dropped.  A REQUEST sent by an active replica
     for another principal's request is that replica's voucher: a primary
     takes a request it missed once f+1 replicas vouched for the identical
     one.  A backup vouches, once per request, on a STATUS from its primary

@@ -107,6 +107,16 @@ let quorum config = (2 * config.f) + 1
 
 let weak_quorum config = config.f + 1
 
+let voted_for votes r digest =
+  match votes.(r) with Some d -> Base_crypto.Digest_t.equal d digest | None -> false
+
+let count_matching votes digest =
+  let count = ref 0 in
+  for r = 0 to Array.length votes - 1 do
+    if voted_for votes r digest then incr count
+  done;
+  !count
+
 let is_replica config id = id >= 0 && id < config.n
 
 (* Replicas plus standbys: the principals that hold replica-side keys and

@@ -100,6 +100,13 @@ val quorum : config -> int
 val weak_quorum : config -> int
 (** [f + 1]: any set this large contains a correct replica. *)
 
+val voted_for : Base_crypto.Digest_t.t option array -> int -> Base_crypto.Digest_t.t -> bool
+(** Whether the vote of replica [r], in votes indexed by replica id, is for
+    this digest. *)
+
+val count_matching : Base_crypto.Digest_t.t option array -> Base_crypto.Digest_t.t -> int
+(** The votes for a digest, counted in replica-id order. *)
+
 val is_replica : config -> int -> bool
 (** Active replica id ([0 <= id < n]); standbys are {e not} replicas. *)
 
