@@ -167,10 +167,10 @@ let vouch t ~sender (r : M.request) ~now =
           end
      end
 
-let iter_to_vouch t f =
+let iter_to_vouch t ~after f =
   iter t (fun cr ->
       match cr.pending with
-      | Some r when Int64.compare cr.pending_since 0L >= 0 && r.timestamp > cr.vouched_ts ->
+      | Some r when Int64.compare cr.pending_since after > 0 && r.timestamp > cr.vouched_ts ->
         cr.vouched_ts <- r.timestamp;
         f r
       | Some _ | None -> ())

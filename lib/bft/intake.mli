@@ -74,10 +74,10 @@ val vouch : t -> sender:int -> Message.request -> now:int64 -> bool
     the client's assigned and pending ones.  [true] when f+1 replicas
     vouched for the identical request, which is pending from [now] on. *)
 
-val iter_to_vouch : t -> (Message.request -> unit) -> unit
-(** A backup's pending requests that arrived from their client, rode in no
-    PRE-PREPARE and were not vouched for, in client-id order; each is
-    marked vouched. *)
+val iter_to_vouch : t -> after:int64 -> (Message.request -> unit) -> unit
+(** A backup's pending requests that arrived from their client later than
+    [after], rode in no PRE-PREPARE and were not vouched for, in client-id
+    order; each is marked vouched. *)
 
 val merge : t -> (int * int64 * string) list -> unit
 (** Install a transferred table's rows.  A pending request stays pending

@@ -134,6 +134,8 @@ type t = {
   mutable in_try_execute : bool;  (* reentrancy guard: see [try_execute] *)
   mutable exec_again : bool;
   peer_views : (int, Types.view) Hashtbl.t;  (* latest STATUS-reported views *)
+  mutable primary_heard : int64;
+      (* arrival of the last message from its view's primary; -1 = none *)
   mutable last_nv : M.new_view option;
       (* the NEW-VIEW this primary broadcast for its current view, kept for
          retransmission to replicas that were down when the view changed *)
@@ -632,9 +634,11 @@ let handle_voucher t sender (r : M.request) =
    the backup while the primary lags by fewer slots than it may have in
    flight before it queues (a primary that rebooted through a commit only
    catches up).  A request the backup holds and saw in no PRE-PREPARE, the
-   primary then missed while it was down.  Its reboot refreshed its keys,
-   so a relayed client envelope would not verify: the backup vouches for
-   the request once, under its own keys. *)
+   primary then missed while it was down, if it arrived while the primary
+   was silent: a primary that is up answers a request at once, or queues
+   it while it sends agreement messages for the slots in flight.  Its
+   reboot refreshed its keys, so a relayed client envelope would not
+   verify: the backup vouches for the request once, under its own keys. *)
 let vouch_missed t (st : M.status_msg) =
   let primary = primary_of t t.view in
   let executed =
@@ -651,7 +655,7 @@ let vouch_missed t (st : M.status_msg) =
            | Some _ | None -> true)
          (sorted_bindings t.entries)
   then
-    Intake.iter_to_vouch t.intake (fun r ->
+    Intake.iter_to_vouch t.intake ~after:t.primary_heard (fun r ->
         t.stats.vouchers_sent <- t.stats.vouchers_sent + 1;
         send_one t ~dst:primary (M.Request r))
 
@@ -1182,6 +1186,7 @@ let receive t (env : M.envelope) =
        | M.New_view nv -> handle_new_view t env.sender nv
        | M.Status st -> handle_status t env.sender st
        | M.Reply _ -> ());
+    if env.sender = primary_of t t.view then t.primary_heard <- now t;
     Base_obs.Profile.stop t.prof t.p_handle
   end
 
@@ -1227,6 +1232,7 @@ let create ?metrics ?(profile = Base_obs.Profile.disabled) ?(role = Active) ?(sh
       in_try_execute = false;
       exec_again = false;
       peer_views = Hashtbl.create 8;
+      primary_heard = -1L;
       last_nv = None;
       stats =
         {

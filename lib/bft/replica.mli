@@ -101,7 +101,8 @@ type stats = {
   mutable vouchers_sent : int;
       (** backup: requests it vouched for to the primary, each once, on a
           STATUS showing the primary has nothing in flight but the backup
-          still holds a request seen in no PRE-PREPARE *)
+          still holds a request seen in no PRE-PREPARE, which arrived
+          while the primary was silent *)
   mutable vouched_proposals : int;
       (** primary: requests it missed and took as pending because f+1
           replicas vouched for the identical request *)
@@ -185,7 +186,8 @@ val receive : t -> Message.envelope -> unit
     for another principal's request is that replica's voucher: a primary
     takes a request it missed once f+1 replicas vouched for the identical
     one.  A backup vouches, once per request, on a STATUS from its primary
-    that shows nothing in flight (doc/PROTOCOL.md, request intake). *)
+    that shows nothing in flight, for a request that arrived while the
+    primary was silent (doc/PROTOCOL.md, request intake). *)
 
 val receive_wire : ?shard:int -> t -> sender:int -> macs:string array -> string -> unit
 (** Handle a raw encoded message body as it would arrive off the wire.

@@ -399,11 +399,15 @@ let bare_group ?(n_clients = 1) ?max_inflight ?checkpoint_period ?log_window () 
   in
   let chains = Base_crypto.Auth.create ~seed:15L ~n_principals:config.n_principals in
   let sent = Queue.create () and timers = Queue.create () and cancelled = Queue.create () in
-  let armed = ref 0 in
+  let armed = ref 0 and clock = ref 0L in
   let net =
     {
-      Helpers.silent_net with
       Message.send = (fun ~dst env -> Queue.add (dst, env.Message.body) sent);
+      (* Every reading is a microsecond later: events happen in order. *)
+      now_us =
+        (fun () ->
+          clock := Int64.succ !clock;
+          !clock);
       set_timer =
         (fun ~after_us:_ tm ->
           Queue.add tm timers;
@@ -904,9 +908,9 @@ let primary_status ?(last_exec = 0) sender =
   Message.Status { st_view = 0; st_last_exec = last_exec; st_h = 0; st_replica = sender }
 
 (* A backup vouches for a request it holds and saw in no PRE-PREPARE when
-   its primary's STATUS shows nothing in flight: once per request, and
-   not while it holds a PRE-PREPARE that neither it nor the primary has
-   executed. *)
+   its primary's STATUS shows nothing in flight and the primary was silent
+   since the request arrived: once per request, and not while it holds a
+   PRE-PREPARE that neither it nor the primary has executed. *)
 let test_backup_vouches_once () =
   let g = bare_group ~n_clients:2 () in
   let backup = g.make 1 and client = g.config.n in
@@ -919,13 +923,19 @@ let test_backup_vouches_once () =
   Alcotest.(check int) "once per request" 1 (vouchers g);
   Alcotest.(check int) "counted" 1 (Replica.stats backup).vouchers_sent;
   (* Replica 2 holds the same request and slot 1, another client's. *)
+  let slot_1 = Message.Pre_prepare (pre_prepare ~view:0 ~seq:1 [ client_request (client + 1) ]) in
   let other = g.make 2 in
+  Replica.receive other (g.seal 0 slot_1);
   Replica.receive other (g.seal client (request client));
-  Replica.receive other
-    (g.seal 0 (Message.Pre_prepare (pre_prepare ~view:0 ~seq:1 [ client_request (client + 1) ])));
   Replica.receive other (g.seal 0 (primary_status 0));
   Alcotest.(check int) "none while slot 1 is in flight" 1 (vouchers g);
   Replica.receive other (g.seal 0 (primary_status ~last_exec:1 0));
+  Alcotest.(check int) "none for a request heard before the primary spoke" 1 (vouchers g);
+  let late = g.make 2 in
+  Replica.receive late (g.seal 0 slot_1);
+  Replica.receive late (g.seal 0 (primary_status 0));
+  Replica.receive late (g.seal client (request client));
+  Replica.receive late (g.seal 0 (primary_status ~last_exec:1 0));
   Alcotest.(check int) "one once the primary executed it" 2 (vouchers g);
   (* Replica 3 executed slot 1, which the primary rebooted through: the
      primary only has to catch up on a committed slot. *)
