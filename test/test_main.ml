@@ -38,4 +38,5 @@ let () =
       ("stress-combo", Test_stress_combo.suite);
       ("basefs", Test_basefs.suite);
       ("fs-contents", Test_fs_contents.suite);
+      ("intake", Test_intake_props.suite);
     ]
