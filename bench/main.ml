@@ -446,18 +446,18 @@ let e7_micro () =
     let msg = String.make 256 'm' in
     Test.make ~name:"hmac-seal-256B" (Staged.stage (fun () -> Base_crypto.Hmac.mac ~key msg))
   in
-  (* What the message path runs per authenticator entry: a prepared-key MAC
-     over a 32-byte digest, and its check. *)
-  let prep = Base_crypto.Hmac.prepare ~key:(String.make 32 'k') in
+  (* What the message path runs per authenticator entry: a MAC over a
+     32-byte digest, and its check (session key cached after the first). *)
+  let chains = Base_crypto.Auth.create ~seed:7L ~n_principals:2 in
   let digest32 = Base_crypto.Sha256.digest "body" in
-  let t_mac_prep =
-    Test.make ~name:"hmac-mac-prepared-32B"
-      (Staged.stage (fun () -> Base_crypto.Hmac.mac_prepared prep digest32))
+  let t_mac =
+    Test.make ~name:"auth-mac-32B"
+      (Staged.stage (fun () -> Base_crypto.Auth.mac chains.(0) ~receiver:1 digest32))
   in
-  let t_verify_prep =
-    let tag = Base_crypto.Hmac.mac_prepared prep digest32 in
-    Test.make ~name:"hmac-verify-prepared-32B"
-      (Staged.stage (fun () -> Base_crypto.Hmac.verify_prepared prep digest32 ~tag))
+  let t_check =
+    let mac = Base_crypto.Auth.mac chains.(0) ~receiver:1 digest32 in
+    Test.make ~name:"auth-check-32B"
+      (Staged.stage (fun () -> Base_crypto.Auth.check chains.(1) ~sender:0 digest32 ~mac))
   in
   let t_cow =
     Test.make ~name:"checkpoint-cow-1%dirty"
@@ -498,7 +498,7 @@ let e7_micro () =
   in
   let tests =
     Test.make_grouped ~name:"micro"
-      [ t_sha; t_sha64; t_hmac; t_mac_prep; t_verify_prep; t_cow; t_full; t_engine; t_execute ]
+      [ t_sha; t_sha64; t_hmac; t_mac; t_check; t_cow; t_full; t_engine; t_execute ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in

@@ -288,7 +288,7 @@ let envelope ~sender ~shard ~body ~wire ~digest_memo ~macs ~mac_lo =
   }
 
 let authenticator chain ~shard ~n_receivers d =
-  Base_crypto.Auth.digest_authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
+  Base_crypto.Auth.authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
     (Digest.raw d)
 
 let seal chain ?(shard = 0) ~sender ~n_receivers body =
@@ -308,7 +308,7 @@ let seal_for chain ?(shard = 0) ~sender ~receiver body =
   let wire = encode_body body in
   let d = Digest.of_string wire in
   let macs =
-    [| Base_crypto.Auth.mac_digest_for chain ~receiver ?suffix:(mac_suffix shard) (Digest.raw d) |]
+    [| Base_crypto.Auth.mac chain ~receiver ?suffix:(mac_suffix shard) (Digest.raw d) |]
   in
   envelope ~sender ~shard ~body ~wire ~digest_memo:(Some d) ~macs ~mac_lo:receiver
 
@@ -324,7 +324,7 @@ let verify chain ~receiver env =
   let slot = receiver - env.mac_lo in
   slot >= 0
   && slot < Array.length env.macs
-  && Base_crypto.Auth.check_digest chain ~sender:env.sender ?suffix:(mac_suffix env.shard)
+  && Base_crypto.Auth.check chain ~sender:env.sender ?suffix:(mac_suffix env.shard)
        (Digest.raw (envelope_digest env))
        ~mac:env.macs.(slot)
 

@@ -4,8 +4,9 @@
     key.  A message multicast to all replicas carries an {e authenticator}: a
     vector with one MAC per receiver.  A Byzantine principal can send
     arbitrary messages but cannot forge a MAC for a key it does not hold —
-    this module computes and checks real HMACs, so the simulator enforces
-    that property by construction rather than by fiat.  (Pairwise keys are
+    this module computes and checks real MACs (SipHash-2-4, a keyed PRF,
+    with a 64-bit tag), so the simulator enforces that property by
+    construction rather than by fiat.  (Pairwise keys are
     derived from a group master secret the simulator holds in trust; a
     keychain's API only ever derives keys for pairs the holder belongs to,
     which preserves the pairwise-secrecy property at the interface.)
@@ -28,33 +29,22 @@ val refresh_keys : keychain array -> int -> unit
     peer (simulating the key exchange performed after a reboot); the peers'
     keychains are updated accordingly and the epoch bumps. *)
 
-val mac_for : keychain -> receiver:int -> string -> string
-(** MAC of the message for one receiver, under the sender/receiver key. *)
-
-val authenticator : keychain -> n:int -> string -> string array
-(** MAC vector for receivers [0 .. n-1]. *)
-
-val check : keychain -> sender:int -> string -> mac:string -> bool
-(** Verify a received MAC under the receiver's key with [sender]. *)
-
-(** {1 Batch (digest) authenticators}
+(** {1 MACs}
 
     The hot path seals a broadcast by hashing the body once and MACing the
-    32-byte digest for every receiver, over precomputed per-session-key
-    HMAC midstates.  [mac_digest_for chain ~receiver d] equals
-    [mac_for chain ~receiver d] for every receiver — the equivalence the
-    batch-MAC differential suite pins — the batching is in what gets
-    MACed (the shared digest) and in the precomputation, not in the tag
-    values.
+    32-byte digest for every receiver (a batch authenticator).  A tag is
+    the 8 little-endian bytes of {!Siphash.mac} keyed with the first 16
+    bytes of the session key; [~suffix:c] appends one byte to what is
+    MACed, without building that string.  Producing a tag allocates the
+    8-byte string; checking one allocates nothing beyond the key-cache
+    lookup. *)
 
-    [~suffix:c] appends one byte to what is MACed: the tag equals
-    [mac_for chain ~receiver (d ^ String.make 1 c)], without building that
-    string.  Checking a MAC allocates nothing beyond the key-cache lookup;
-    producing one allocates the 32-byte tag. *)
+val mac : keychain -> receiver:int -> ?suffix:char -> string -> string
+(** MAC of the message for one receiver, under the sender/receiver key. *)
 
-val mac_digest_for : keychain -> receiver:int -> ?suffix:char -> string -> string
+val authenticator : keychain -> n:int -> ?suffix:char -> string -> string array
+(** MAC vector for receivers [0 .. n-1]. *)
 
-val digest_authenticator : keychain -> n:int -> ?suffix:char -> string -> string array
-(** MAC vector over a digest for receivers [0 .. n-1]. *)
-
-val check_digest : keychain -> sender:int -> ?suffix:char -> string -> mac:string -> bool
+val check : keychain -> sender:int -> ?suffix:char -> string -> mac:string -> bool
+(** Verify a received MAC under the receiver's key with [sender]: false
+    unless [mac] is the 8-byte tag of the message under that key. *)

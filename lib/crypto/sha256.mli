@@ -30,9 +30,8 @@ val update_char : ctx -> char -> unit
     string. *)
 
 val copy_into : src:ctx -> dst:ctx -> unit
-(** Overwrite [dst] with the midstate of [src].  Hashing a fixed prefix
-    once and copying it per message is what makes precomputed HMAC keys one
-    compression per direction instead of two. *)
+(** Overwrite [dst] with the midstate of [src], so that a fixed prefix
+    can be hashed once and continued per message. *)
 
 val finalize : ctx -> string
 (** 32-byte binary digest.  The context must not be updated afterwards

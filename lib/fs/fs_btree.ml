@@ -57,12 +57,11 @@ let clock t = Int64.mul (Int64.div (t.now ()) 1000L) 1000L (* millisecond granul
 let fh_of t id = Printf.sprintf "B:%d:%s" id t.session
 
 let node_of_fh t fh =
-  match String.split_on_char ':' fh with
-  | [ "B"; id; session ] when String.equal session t.session -> (
-    match int_of_string_opt id with
-    | Some i -> ( match Hashtbl.find_opt t.nodes i with Some n -> Ok n | None -> Error Estale)
-    | None -> Error Estale)
-  | _ -> Error Estale
+  let sep = Server_intf.handle_sep fh 'B' in
+  let id = Server_intf.handle_int fh ~pos:2 ~stop:sep in
+  if id >= 0 && Server_intf.handle_tail_is fh ~pos:(sep + 1) t.session then
+    match Hashtbl.find_opt t.nodes id with Some n -> Ok n | None -> Error Estale
+  else Error Estale
 
 let alloc_id t =
   match t.free_ids with

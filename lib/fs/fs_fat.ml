@@ -38,13 +38,11 @@ let clock t = Int64.mul (Int64.div (t.now ()) 2_000_000L) 2_000_000L
 let fh_of t id = Printf.sprintf "F:%d:%d" id t.mount_gen
 
 let node_of_fh t fh =
-  match String.split_on_char ':' fh with
-  | [ "F"; id; gen ] when Option.equal Int.equal (int_of_string_opt gen) (Some t.mount_gen)
-    -> (
-    match int_of_string_opt id with
-    | Some i -> ( match Hashtbl.find_opt t.nodes i with Some n -> Ok n | None -> Error Estale)
-    | None -> Error Estale)
-  | _ -> Error Estale
+  let sep = Server_intf.handle_sep fh 'F' in
+  let id = Server_intf.handle_int fh ~pos:2 ~stop:sep in
+  if id >= 0 && Server_intf.handle_int fh ~pos:(sep + 1) ~stop:(String.length fh) = t.mount_gen
+  then match Hashtbl.find_opt t.nodes id with Some n -> Ok n | None -> Error Estale
+  else Error Estale
 
 (* --- cluster management ------------------------------------------------------ *)
 

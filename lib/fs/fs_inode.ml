@@ -39,13 +39,11 @@ type t = {
 let fh_of t ino = Printf.sprintf "I:%d:%s" ino t.boot_salt
 
 let node_of_fh t fh =
-  match String.split_on_char ':' fh with
-  | [ "I"; ino; salt ] when String.equal salt t.boot_salt -> (
-    match int_of_string_opt ino with
-    | Some i when i >= 0 && i < Array.length t.table -> (
-      match t.table.(i) with Some n -> Ok n | None -> Error Estale)
-    | Some _ | None -> Error Estale)
-  | _ -> Error Estale
+  let sep = Server_intf.handle_sep fh 'I' in
+  let ino = Server_intf.handle_int fh ~pos:2 ~stop:sep in
+  if ino >= 0 && ino < Array.length t.table && Server_intf.handle_tail_is fh ~pos:(sep + 1) t.boot_salt
+  then match t.table.(ino) with Some n -> Ok n | None -> Error Estale
+  else Error Estale
 
 let alloc_ino t =
   match t.free with

@@ -39,11 +39,10 @@ type t = {
 let fh_of t id = Printf.sprintf "L:%d:%d" t.epoch id
 
 let id_of_fh t fh =
-  match String.split_on_char ':' fh with
-  | [ "L"; epoch; id ] when Option.equal Int.equal (int_of_string_opt epoch) (Some t.epoch)
-    -> (
-    match int_of_string_opt id with Some i -> Ok i | None -> Error Estale)
-  | _ -> Error Estale
+  let sep = Server_intf.handle_sep fh 'L' in
+  let id = Server_intf.handle_int fh ~pos:(sep + 1) ~stop:(String.length fh) in
+  if sep >= 0 && Server_intf.handle_int fh ~pos:2 ~stop:sep = t.epoch && id >= 0 then Ok id
+  else Error Estale
 
 let clock t = Int64.add (t.now ()) t.clock_offset
 

@@ -91,6 +91,43 @@ let string_resize base size =
     Bytes.blit_string base 0 out 0 (String.length base);
     Bytes.unsafe_to_string out
 
+(* Handles of the form ["<tag>:<field>:<field>"], read in place: no list,
+   no substrings, no allocation.  A field is a canonical decimal (what
+   [%d] prints for a non-negative int) or a string compared in place, so
+   every other spelling of a handle is malformed. *)
+
+(* The index of the second ':' when [fh] starts with [tag] and a ':'; -1
+   otherwise. *)
+let handle_sep fh tag =
+  let rec colon fh i =
+    if i >= String.length fh then -1 else if fh.[i] = ':' then i else colon fh (i + 1)
+  in
+  if String.length fh < 2 || fh.[0] <> tag || fh.[1] <> ':' then -1 else colon fh 2
+
+(* [fh.[pos .. stop - 1]] as a canonical non-negative decimal; -1 if it is
+   empty, has a leading zero, a sign or another non-digit, or exceeds
+   [max_int]. *)
+let handle_int fh ~pos ~stop =
+  let rec decimal fh i stop acc =
+    if i = stop then acc
+    else
+      match fh.[i] with
+      | '0' .. '9' as c ->
+        let d = Char.code c - Char.code '0' in
+        if acc > (max_int - d) / 10 then -1 else decimal fh (i + 1) stop ((acc * 10) + d)
+      | _ -> -1
+  in
+  if pos < 0 || pos >= stop || stop > String.length fh then -1
+  else if fh.[pos] = '0' then if stop = pos + 1 then 0 else -1
+  else decimal fh pos stop 0
+
+(* Whether [fh] from [pos] to its end is exactly [s]. *)
+let handle_tail_is fh ~pos s =
+  let rec equal_from fh pos s i =
+    i = String.length s || (fh.[pos + i] = s.[i] && equal_from fh pos s (i + 1))
+  in
+  pos >= 0 && String.length fh - pos = String.length s && equal_from fh pos s 0
+
 (* --- Fault injection, from outside the implementation ------------------------ *)
 
 (* The handle of one implementation's latent bug: [None] = disarmed. *)

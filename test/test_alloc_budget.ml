@@ -7,8 +7,8 @@
    [Gc.minor_words] (everything here is small enough to be born in the
    minor heap):
 
-   - [Auth.check_digest]: the key cache's [Some], nothing else;
-   - [Auth.mac_digest_for]: that plus the 32-byte tag;
+   - [Auth.check]: the key cache's [Some], nothing else;
+   - [Auth.mac]: that plus the 8-byte tag;
    - [Digest_t.of_string]: the 32-byte digest, nothing else, whatever the
      input length;
    - [Sha256.update_bytes]: nothing — the compression kernel is a
@@ -33,7 +33,7 @@
 
    File contents are shared, not copied: on the four string-backed
    implementations a whole-file read allocates nothing that grows with the
-   file, a write allocates its result once, and the abstraction function
+   file and at most 128 B, its handle parsed in place, a write allocates its result once, and the abstraction function
    of an 8 KB file allocates little beyond its encoded entry. *)
 
 module Auth = Base_crypto.Auth
@@ -93,22 +93,22 @@ let chains = Auth.create ~seed:5L ~n_principals:8
 
 let digest = Sys.opaque_identity (Digest.raw (Digest.of_string "authenticated body"))
 
-let test_check_digest () =
-  let mac = Auth.mac_digest_for chains.(2) ~receiver:5 digest in
-  Alcotest.(check bool) "genuine MAC accepted" true
-    (Auth.check_digest chains.(5) ~sender:2 digest ~mac);
-  within_budget "Auth.check_digest" ~budget:16 (fun () ->
-      Auth.check_digest chains.(5) ~sender:2 digest ~mac);
+let test_check () =
+  let mac = Auth.mac chains.(2) ~receiver:5 digest in
+  Alcotest.(check bool) "genuine MAC accepted" true (Auth.check chains.(5) ~sender:2 digest ~mac);
+  within_budget "Auth.check" ~budget:16 (fun () -> Auth.check chains.(5) ~sender:2 digest ~mac);
   let suffix = Some '\003' in
-  let mac = Auth.mac_digest_for chains.(2) ~receiver:5 ?suffix digest in
+  let mac = Auth.mac chains.(2) ~receiver:5 ?suffix digest in
   Alcotest.(check bool) "genuine suffixed MAC accepted" true
-    (Auth.check_digest chains.(5) ~sender:2 ?suffix digest ~mac);
-  within_budget "Auth.check_digest ~suffix" ~budget:16 (fun () ->
-      Auth.check_digest chains.(5) ~sender:2 ?suffix digest ~mac)
+    (Auth.check chains.(5) ~sender:2 ?suffix digest ~mac);
+  within_budget "Auth.check ~suffix" ~budget:16 (fun () ->
+      Auth.check chains.(5) ~sender:2 ?suffix digest ~mac)
 
-let test_mac_digest_for () =
-  within_budget "Auth.mac_digest_for" ~budget:64 (fun () ->
-      Auth.mac_digest_for chains.(2) ~receiver:5 digest)
+(* The tag is an 8-byte string, 24 B with its header and padding word,
+   plus the key cache's 16 B [Some]. *)
+let test_mac () =
+  within_budget "Auth.mac" ~budget:(string_bytes 8 + 16) (fun () ->
+      Auth.mac chains.(2) ~receiver:5 digest)
 
 let test_digest_of_string () =
   let input = Sys.opaque_identity (String.make 64 'b') in
@@ -327,20 +327,30 @@ let file_in srv ~name ~size =
 
 (* A whole-file read returns the stored string: what it allocates does not
    grow with the file. *)
+let whole_file_read_bytes impl size =
+  let srv = fs_server impl in
+  let fh = file_in srv ~name:"f" ~size in
+  total_bytes_per_call (fun () -> fs_ok (srv.S.read ~fh ~off:0 ~count:size))
+
 let test_whole_file_read () =
   List.iter
     (fun impl ->
-      let read_bytes size =
-        let srv = fs_server impl in
-        let fh = file_in srv ~name:"f" ~size in
-        total_bytes_per_call (fun () -> fs_ok (srv.S.read ~fh ~off:0 ~count:size))
-      in
-      let small = read_bytes 1024 and large = read_bytes 65536 in
+      let small = whole_file_read_bytes impl 1024 and large = whole_file_read_bytes impl 65536 in
       if large > small then
         Alcotest.failf
           "%s: a whole-file read allocates %d B for a 64 KB file, %d B for a 1 KB one \
            (budget: the 1 KB case)"
           impl large small)
+    string_backed
+
+(* Nor much at all: the handle is parsed in place, so what is left is the
+   lookup and the [Ok] around the result. *)
+let test_whole_file_read_small () =
+  List.iter
+    (fun impl ->
+      let used = whole_file_read_bytes impl 65536 in
+      if used > 128 then
+        Alcotest.failf "%s: a whole-file read allocates %d B, budget 128 B" impl used)
     string_backed
 
 (* An 8 KB append to an 8 KB file builds the 16 KB result in one
@@ -366,7 +376,7 @@ let test_append () =
 
 (* The abstraction function encodes the stored string straight into the
    entry: beyond the entry, two handle lookups, the attributes and a few
-   small records, under 1 KB. *)
+   small records, under 384 B. *)
 let test_get_obj () =
   List.iter
     (fun impl ->
@@ -383,14 +393,14 @@ let test_get_obj () =
         | _ -> Alcotest.fail "create failed"
       in
       ignore (exec (Proto.Write (oid, 0, String.make 8192 'g')));
-      within_result_budget (impl ^ ": Conformance.get_obj (8 KB file)") ~extra:1024 (fun () ->
+      within_result_budget (impl ^ ": Conformance.get_obj (8 KB file)") ~extra:384 (fun () ->
           w.Service.get_obj oid.Nfs.index))
     string_backed
 
 let suite =
   [
-    Alcotest.test_case "Auth.check_digest: <= 16 B per call" `Quick test_check_digest;
-    Alcotest.test_case "Auth.mac_digest_for: <= 64 B per call" `Quick test_mac_digest_for;
+    Alcotest.test_case "Auth.check: <= 16 B per call" `Quick test_check;
+    Alcotest.test_case "Auth.mac: <= 40 B per call" `Quick test_mac;
     Alcotest.test_case "Digest_t.of_string 64 B: <= 48 B per call" `Quick test_digest_of_string;
     Alcotest.test_case "Message.verify: <= 16 B per call" `Quick test_envelope_verify;
     Alcotest.test_case "8 KB: of_string <= 48 B, update_bytes 0 B per call" `Quick
@@ -410,5 +420,6 @@ let suite =
       test_runtime_engine_send_dispatch;
     Alcotest.test_case "whole-file read: 64 KB file <= 1 KB file" `Quick test_whole_file_read;
     Alcotest.test_case "8 KB append to 8 KB file: 16 KB result + 1 KB" `Quick test_append;
-    Alcotest.test_case "Conformance.get_obj 8 KB file: entry + 1 KB" `Quick test_get_obj;
+    Alcotest.test_case "Conformance.get_obj 8 KB file: entry + 384 B" `Quick test_get_obj;
+    Alcotest.test_case "whole-file read: <= 128 B per call" `Quick test_whole_file_read_small;
   ]

@@ -118,10 +118,55 @@ let test_reads_survive_updates () =
         [ ("first", v1, first); ("second", v2, second); ("truncated", v3, String.sub first 0 10) ])
     ("fat" :: shared_impls)
 
+(* --- handles ------------------------------------------------------------------ *)
+
+(* Every spelling of a handle other than the one the server handed out is
+   malformed: a missing, empty, extra or changed field, a number with a
+   sign, a prefix, a leading zero, a separator or too many digits, another
+   tag.  Each must come back [Estale], as must every handle after a
+   restart, while the real handle still resolves. *)
+let test_malformed_handles () =
+  let numeric f = f <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) f in
+  let field_variants f =
+    if numeric f then
+      [ ""; "0" ^ f; "+" ^ f; "-" ^ f; " " ^ f; f ^ "_"; "0x" ^ f; f ^ "0000000000000000000000";
+        string_of_int max_int ^ "0"; "abc" ]
+    else [ ""; f ^ "0"; String.sub f 0 (String.length f - 1); String.uppercase_ascii f ^ "!" ]
+  in
+  let variants fh =
+    let whole = [ ""; fh ^ ":"; fh ^ ":0"; fh ^ "x"; String.sub fh 0 (String.length fh - 1) ] in
+    match String.split_on_char ':' fh with
+    | [ tag; a; b ] ->
+      let join t a b = String.concat ":" [ t; a; b ] in
+      whole
+      @ [ tag; tag ^ ":"; tag ^ ":" ^ a; tag ^ ":" ^ a ^ ":"; join "Z" a b; join (tag ^ tag) a b ]
+      @ List.map (fun a' -> join tag a' b) (field_variants a)
+      @ List.map (fun b' -> join tag a b') (field_variants b)
+    | _ -> whole
+  in
+  List.iter
+    (fun impl ->
+      let srv = Base_workload.Systems.make_impl impl ~seed:5L ~now:(clock ()) in
+      let fh, _ = ok "create" (srv.S.create ~dir:(srv.S.root ()) ~name:"f" ~mode:0o644 ~uid:1 ~gid:1) in
+      let estale what fh =
+        match srv.S.getattr ~fh with
+        | Error Base_nfs.Nfs_types.Estale -> ()
+        | Error e -> Alcotest.failf "%s: %S (%s): %s" impl fh what (Base_nfs.Nfs_types.err_to_string e)
+        | Ok _ -> Alcotest.failf "%s: %S (%s) resolved" impl fh what
+      in
+      ignore (ok "the real handle" (srv.S.getattr ~fh));
+      List.iter (estale "malformed") (List.filter (fun v -> not (String.equal v fh)) (variants fh));
+      srv.S.restart ();
+      estale "stale" fh;
+      ignore (ok "the root after a restart" (srv.S.getattr ~fh:(srv.S.root ()))))
+    ("fat" :: shared_impls)
+
 let suite =
   [
     helpers_agree;
     Alcotest.test_case "holes, overwrites, appends, empty data, Efbig" `Quick test_edge_cases;
     Alcotest.test_case "whole-file reads keep their bytes on all five" `Quick
       test_reads_survive_updates;
+    Alcotest.test_case "malformed and stale handles: Estale on all five" `Quick
+      test_malformed_handles;
   ]

@@ -1,12 +1,14 @@
-(* Batch-MAC equivalence and tamper suite.
+(* Batch-MAC and tamper suite.
 
    The hot path seals a broadcast by hashing the body once and MACing the
-   32-byte digest per receiver over precomputed HMAC midstates.  This suite
-   pins the two halves of that optimisation:
+   32-byte digest per receiver with SipHash-2-4 under the pair's session
+   key.  This suite pins what that authenticates:
 
-   - {e equivalence}: the batched primitives produce bit-identical tags to
-     the naive ones ([mac_digest_for] = [mac_for], [mac_prepared] = [mac]),
-     so the optimisation cannot weaken or change what is authenticated;
+   - {e per pair}: a batch authenticator is the vector of per-receiver
+     MACs, each accepted by its receiver and by nobody else, and a key
+     refresh voids every tag made before it;
+   - {e shard binding}: shard k > 0 MACs the digest with the shard byte
+     appended, exactly as if that byte were part of the message;
    - {e tamper}: because MACs bind the wire digest, corrupting any single
      in-flight byte voids verification at the receiver and is counted in
      the replica's [rejected_macs] / [rejected_decode] — exercised end-to-end through
@@ -17,61 +19,72 @@ module Replica = Base_bft.Replica
 module Runtime = Base_core.Runtime
 module Engine = Base_sim.Engine
 module Auth = Base_crypto.Auth
-module Hmac = Base_crypto.Hmac
 module Sha256 = Base_crypto.Sha256
 module Gen = QCheck2.Gen
 
 let chains = Auth.create ~seed:31L ~n_principals:8
 
-(* [mac_digest_for] must agree with the naive per-message [mac_for] on
-   every (sender, receiver) pair — including 32-byte binary strings, the
-   shape the hot path feeds it. *)
-let mac_digest_equivalence =
-  Helpers.qtest "mac_digest_for = mac_for, every pair"
-    (Gen.pair Gen.string (Gen.pair (Gen.int_bound 7) (Gen.int_bound 7)))
-    (fun (msg, (sender, receiver)) ->
+(* A MAC made for [receiver] verifies there, and at no other receiver:
+   principal [other] checks it under the key it shares with [sender],
+   which is not the key it was made under — and a third principal cannot
+   pass its own MAC off as [sender]'s. *)
+let pairwise_keys =
+  Helpers.qtest "check accepts its pair's MAC, rejects another pair's"
+    (Gen.pair Gen.string (Gen.triple (Gen.int_bound 7) (Gen.int_bound 7) (Gen.int_bound 7)))
+    (fun (msg, (sender, receiver, other)) ->
       let digest = Sha256.digest msg in
-      String.equal
-        (Auth.mac_digest_for chains.(sender) ~receiver digest)
-        (Auth.mac_for chains.(sender) ~receiver digest)
-      && Auth.check_digest chains.(receiver) ~sender digest
-           ~mac:(Auth.mac_digest_for chains.(sender) ~receiver digest))
+      let mac = Auth.mac chains.(sender) ~receiver digest in
+      Auth.check chains.(receiver) ~sender digest ~mac
+      && (other = receiver || not (Auth.check chains.(other) ~sender digest ~mac))
+      && (other = sender
+         || not (Auth.check chains.(receiver) ~sender digest ~mac:(Auth.mac chains.(other) ~receiver digest))))
 
 let authenticator_equivalence =
-  Helpers.qtest "digest_authenticator = per-receiver mac_for vector" Gen.string (fun msg ->
+  Helpers.qtest "authenticator = per-receiver MAC vector" Gen.string (fun msg ->
       let digest = Sha256.digest msg in
-      let batched = Auth.digest_authenticator chains.(3) ~n:8 digest in
-      let naive = Array.init 8 (fun receiver -> Auth.mac_for chains.(3) ~receiver digest) in
+      let batched = Auth.authenticator chains.(3) ~n:8 digest in
+      let naive = Array.init 8 (fun receiver -> Auth.mac chains.(3) ~receiver digest) in
       batched = naive)
 
-(* The midstate trick one level down: preparing a key (ipad/opad compressed
-   once) yields the same tags as the two-pass HMAC, for arbitrary keys —
-   shorter, block-sized and longer-than-block (the hash-the-key path). *)
-let prepared_hmac_equivalence =
-  Helpers.qtest "Hmac.mac_prepared = Hmac.mac"
-    (Gen.pair (Gen.string_size (Gen.int_bound 200)) Gen.string)
-    (fun (key, msg) ->
-      let prep = Hmac.prepare ~key in
-      String.equal (Hmac.mac_prepared prep msg) (Hmac.mac ~key msg)
-      && Hmac.verify_prepared prep msg ~tag:(Hmac.mac ~key msg))
+(* Proactive recovery refreshes a principal's keys: every tag it made or
+   was sent before the refresh fails after it, in both directions, while
+   tags made under the new keys verify.  Its own chain array, so the
+   refresh does not re-key the shared [chains]. *)
+let refresh_voids_tags =
+  Helpers.qtest "a tag made before a key refresh fails after it"
+    (Gen.pair Gen.string (Gen.pair (Gen.int_range 1 4) (Gen.int_bound 4)))
+    (fun (msg, (refreshed, peer)) ->
+      let chains = Auth.create ~seed:32L ~n_principals:5 in
+      let peer = if peer = refreshed then 0 else peer in
+      let digest = Sha256.digest msg in
+      let sent = Auth.mac chains.(refreshed) ~receiver:peer ~suffix:'\001' digest in
+      let received = Auth.mac chains.(peer) ~receiver:refreshed digest in
+      Auth.check chains.(peer) ~sender:refreshed ~suffix:'\001' digest ~mac:sent
+      && Auth.check chains.(refreshed) ~sender:peer digest ~mac:received
+      &&
+      (Auth.refresh_keys chains refreshed;
+       (not (Auth.check chains.(peer) ~sender:refreshed ~suffix:'\001' digest ~mac:sent))
+       && (not (Auth.check chains.(refreshed) ~sender:peer digest ~mac:received))
+       && Auth.check chains.(peer) ~sender:refreshed digest
+            ~mac:(Auth.mac chains.(refreshed) ~receiver:peer digest)))
 
 (* Shard k > 0 binds its envelopes by MACing the digest with the shard byte
-   appended.  That byte now reaches the HMAC as a suffix instead of through
-   [raw ^ byte]; the tags must be the ones the concatenation produced, on
+   appended.  That byte reaches the MAC as a suffix instead of through
+   [raw ^ byte]; the tags must be the ones the concatenation produces, on
    the broadcast and the unicast path, including shards past 255, whose
    byte wraps (shard 256 appends '\000'). *)
 let shard_suffix_mac_equivalence =
-  Helpers.qtest "shard-k MAC = mac_for over raw ^ byte"
+  Helpers.qtest "shard-k MAC = MAC over digest ^ byte"
     (Gen.pair Test_bft_wire.gen_body (Gen.pair (Gen.int_range 1 600) (Gen.int_bound 7)))
     (fun (body, (shard, receiver)) ->
-      let old_way env =
+      let concatenated env =
         let raw = Base_crypto.Digest_t.raw (M.envelope_digest env) in
-        Auth.mac_for chains.(2) ~receiver (raw ^ String.make 1 (Char.chr (shard land 0xff)))
+        Auth.mac chains.(2) ~receiver (raw ^ String.make 1 (Char.chr (shard land 0xff)))
       in
       let env = M.seal chains.(2) ~shard ~sender:2 ~n_receivers:8 body in
       let uni = M.seal_for chains.(2) ~shard ~sender:2 ~receiver body in
-      String.equal env.M.macs.(receiver) (old_way env)
-      && String.equal uni.M.macs.(0) (old_way uni)
+      String.equal env.M.macs.(receiver) (concatenated env)
+      && String.equal uni.M.macs.(0) (concatenated uni)
       && M.verify chains.(receiver) ~receiver env
       && M.verify chains.(receiver) ~receiver uni
       (* The byte is bound: the same MACs do not verify as shard 0. *)
@@ -131,9 +144,9 @@ let test_unicast_tamper_rejected () =
 
 let suite =
   [
-    mac_digest_equivalence;
+    pairwise_keys;
     authenticator_equivalence;
-    prepared_hmac_equivalence;
+    refresh_voids_tags;
     shard_suffix_mac_equivalence;
     Alcotest.test_case "corrupted wire: counted and masked end-to-end" `Quick
       test_corrupted_wire_counted_and_masked;

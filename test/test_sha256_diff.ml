@@ -1,16 +1,18 @@
-(* Differential suite for SHA-256 and HMAC.
+(* Differential suite for SHA-256 and SipHash-2-4.
 
    [Base_crypto.Sha256] runs its compression function in a C kernel over
    runs of whole blocks straight from the caller's buffer, pads in place
-   and counts bytes in an [int]; [Hmac]'s prepared path copies midstates
-   into scratch contexts.  The pure-OCaml implementation, kept verbatim in
-   [Sha256_ref], is the oracle: every digest and every tag must be
+   and counts bytes in an [int].  The pure-OCaml implementation, kept
+   verbatim in [Sha256_ref], is the oracle: every digest must be
    byte-identical to it, however the input is split into updates, wherever
-   it sits in the buffer and however contexts and MACs interleave — and no
-   scratch buffer may leak into a returned value. *)
+   it sits in the buffer and however contexts interleave — and no scratch
+   buffer may leak into a returned value.  [Base_crypto.Siphash]'s C
+   kernel, which gathers the message tail and the optional suffix byte
+   into a last word, is checked the same way against [Siphash_ref]. *)
 
 module Sha256 = Base_crypto.Sha256
-module Hmac = Base_crypto.Hmac
+module Siphash = Base_crypto.Siphash
+module Auth = Base_crypto.Auth
 module Gen = QCheck2.Gen
 
 let hex = Base_util.Hex.encode
@@ -106,53 +108,40 @@ let copy_into_midstate =
       String.equal (Sha256.finalize dst) (Sha256_ref.digest (prefix ^ y))
       && String.equal (Sha256.finalize src) (Sha256_ref.digest (prefix ^ x)))
 
-(* HMAC-SHA256 built from the reference hash, the RFC 2104 way. *)
-let ref_hmac ~key msg =
-  let key = if String.length key > 64 then Sha256_ref.digest key else key in
-  let key = key ^ String.make (64 - String.length key) '\000' in
-  let pad c = String.map (fun k -> Char.chr (Char.code k lxor c)) key in
-  Sha256_ref.digest_list [ pad 0x5c; Sha256_ref.digest_list [ pad 0x36; msg ] ]
-
-let gen_key = Gen.string_size (Gen.int_bound 100)
-
-let interleaved_hmac =
-  Helpers.qtest "interleaved mac_prepared/verify_prepared under two keys = reference"
-    (Gen.pair (Gen.pair gen_key gen_key)
-       (Gen.list_size (Gen.int_range 1 6) (Gen.pair Gen.bool Gen.string)))
-    (fun ((k1, k2), msgs) ->
-      let p1 = Hmac.prepare ~key:k1 and p2 = Hmac.prepare ~key:k2 in
-      List.for_all
-        (fun (first, msg) ->
-          let key, p, other = if first then (k1, p1, p2) else (k2, p2, p1) in
-          let expected = ref_hmac ~key msg in
-          let suffixed = ref_hmac ~key (msg ^ "\x07") in
-          let tag = Hmac.mac_prepared p msg in
-          ignore (Hmac.mac_prepared other msg);
-          String.equal tag expected
-          && Hmac.verify_prepared p msg ~tag:expected
-          && (String.equal k1 k2 || not (Hmac.verify_prepared other msg ~tag:expected))
-          && String.equal (Hmac.mac_prepared ~suffix:'\x07' p msg) suffixed
-          && Hmac.verify_prepared ~suffix:'\x07' p msg ~tag:suffixed
-          && not (Hmac.verify_prepared p msg ~tag:suffixed))
-        msgs)
+(* Random keys, lengths and suffixes: every tail length, with and without
+   the suffix byte (which fills the last word when 7 bytes remain). *)
+let siphash_matches_reference =
+  Helpers.qtest "siphash: random keys, lengths and suffixes = reference"
+    (Gen.triple
+       (Gen.pair Gen.int64 Gen.int64)
+       (Gen.string_size ~gen:Gen.char (Gen.int_bound 200))
+       (Gen.option Gen.char))
+    (fun ((k0, k1), msg, suffix) ->
+      let full, code =
+        match suffix with Some c -> (msg ^ String.make 1 c, Char.code c) | None -> (msg, -1)
+      in
+      Int64.equal (Siphash.mac ~k0 ~k1 msg ~suffix:code) (Siphash_ref.mac ~k0 ~k1 full))
 
 (* Returned values own their bytes: the next call reuses every scratch
    buffer, and must not change a tag or digest handed out before it. *)
 let test_results_not_aliased () =
-  let p = Hmac.prepare ~key:"alias" in
-  let tag = Hmac.mac_prepared p "first" in
-  let saved = String.init 32 (String.get tag) in
-  ignore (Hmac.mac_prepared p "second");
-  ignore (Hmac.verify_prepared p "third" ~tag);
-  ignore (Hmac.mac_prepared ~suffix:'x' p "fourth");
+  let chains = Auth.create ~seed:3L ~n_principals:2 in
+  let tag = Auth.mac chains.(0) ~receiver:1 "first" in
+  let saved = String.init 8 (String.get tag) in
+  ignore (Auth.mac chains.(0) ~receiver:1 "second");
+  ignore (Auth.check chains.(1) ~sender:0 "third" ~mac:tag);
+  ignore (Auth.mac chains.(0) ~receiver:1 ~suffix:'x' "fourth");
   Alcotest.(check string) "tag unchanged by later MACs" (hex saved) (hex tag);
   let d = Sha256.digest "first" in
   let saved = String.init 32 (String.get d) in
   ignore (Sha256.digest "second");
   ignore (Sha256.digest_list [ "third"; "fourth" ]);
   Alcotest.(check string) "digest unchanged by later digests" (hex saved) (hex d);
-  Alcotest.(check bool) "verify rejects a short tag" false
-    (Hmac.verify_prepared p "first" ~tag:(String.sub tag 0 31))
+  Alcotest.(check bool) "check accepts the tag" true (Auth.check chains.(1) ~sender:0 "first" ~mac:tag);
+  Alcotest.(check bool) "check rejects a short tag" false
+    (Auth.check chains.(1) ~sender:0 "first" ~mac:(String.sub tag 0 7));
+  Alcotest.(check bool) "check rejects a long tag" false
+    (Auth.check chains.(1) ~sender:0 "first" ~mac:(tag ^ "\000"))
 
 (* Inputs of 1-64 KB at an unaligned offset in a larger buffer, fed through
    [update_bytes] in random pieces: most of the bytes reach the kernel as
@@ -207,7 +196,7 @@ let suite =
     chunked_updates;
     interleaved_contexts;
     copy_into_midstate;
-    interleaved_hmac;
+    siphash_matches_reference;
     Alcotest.test_case "returned tags and digests are not aliased" `Quick test_results_not_aliased;
     large_unaligned;
     Alcotest.test_case "out-of-range update_bytes raises" `Quick test_out_of_range;

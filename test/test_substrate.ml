@@ -95,13 +95,22 @@ let test_stats () =
   Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
   Alcotest.(check (float 1e-9)) "max" 5.0 s.Stats.max
 
-(* --- SHA-256 / HMAC ------------------------------------------------------------- *)
+(* --- SHA-256 / HMAC / SipHash ------------------------------------------------------------- *)
 
 let test_sha256_vectors () =
   List.iter
     (fun (name, msg, expected) ->
       Alcotest.(check string) name expected (Hex.encode (Sha256.digest msg)))
     Sha256_kat.vectors
+
+(* Tags from OpenSSL's SipHash-2-4 (test/kat/gen_siphash_kat.sh), as the
+   8 little-endian bytes [Auth] puts on the wire. *)
+let test_siphash_vectors () =
+  List.iter
+    (fun (n, suffix, expected) ->
+      Alcotest.(check string) (Printf.sprintf "length %d" n) expected
+        (Siphash_kat.hex ?suffix (Siphash_kat.message n)))
+    Siphash_kat.vectors
 
 let test_sha256_incremental () =
   (* Chunked updates produce the same digest as one-shot hashing. *)
@@ -145,7 +154,7 @@ let test_auth_keychains () =
       (Auth.check chains.(receiver) ~sender:1 msg ~mac:macs.(receiver))
   done;
   (* Principal 2 cannot forge principal 1's MAC to principal 0. *)
-  let forged = Auth.mac_for chains.(2) ~receiver:0 msg in
+  let forged = Auth.mac chains.(2) ~receiver:0 msg in
   Alcotest.(check bool) "forgery rejected" false (Auth.check chains.(0) ~sender:1 msg ~mac:forged);
   (* Key refresh invalidates old MACs. *)
   Auth.refresh_keys chains 1;
@@ -498,4 +507,5 @@ let suite =
     Alcotest.test_case "sim clock skew" `Quick test_sim_clock_skew;
     Alcotest.test_case "sim bandwidth cost" `Quick test_sim_bandwidth_cost;
     Alcotest.test_case "loc counter" `Quick test_loc_count;
+    Alcotest.test_case "siphash known answers (OpenSSL)" `Quick test_siphash_vectors;
   ]
