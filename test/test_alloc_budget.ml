@@ -399,8 +399,8 @@ let test_get_obj () =
 
 let suite =
   [
-    Alcotest.test_case "Auth.check: <= 16 B per call" `Quick test_check;
-    Alcotest.test_case "Auth.mac: <= 40 B per call" `Quick test_mac;
+    Alcotest.test_case "Auth.check: allocates at most 16 B per call" `Quick test_check;
+    Alcotest.test_case "Auth.mac: allocates at most 40 B per call" `Quick test_mac;
     Alcotest.test_case "Digest_t.of_string 64 B: <= 48 B per call" `Quick test_digest_of_string;
     Alcotest.test_case "Message.verify: <= 16 B per call" `Quick test_envelope_verify;
     Alcotest.test_case "8 KB: of_string <= 48 B, update_bytes 0 B per call" `Quick
