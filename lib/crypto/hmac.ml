@@ -17,17 +17,3 @@ let mac_list ~key msgs =
   Sha256.digest_list [ opad; inner ]
 
 let mac ~key msg = mac_list ~key [ msg ]
-
-(* Fold over all bytes rather than short-circuiting. *)
-let equal_ct expected tag =
-  let n = String.length expected in
-  n = String.length tag
-  &&
-  let diff = ref 0 in
-  for i = 0 to n - 1 do
-    let e = Char.code (String.unsafe_get expected i) and t = Char.code (String.unsafe_get tag i) in
-    diff := !diff lor (e lxor t)
-  done;
-  !diff = 0
-
-let verify ~key msg ~tag = equal_ct (mac ~key msg) tag

@@ -2,6 +2,3 @@
 
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag of [msg] under [key]. *)
-
-val verify : key:string -> string -> tag:string -> bool
-(** Constant-shape comparison of the expected tag with [tag]. *)

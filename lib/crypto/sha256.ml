@@ -69,24 +69,6 @@ let update_bytes ctx data ~pos ~len =
 
 let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-let update_char ctx c =
-  Bytes.unsafe_set ctx.buf ctx.buf_len c;
-  ctx.total <- ctx.total + 1;
-  if ctx.buf_len = 63 then begin
-    compress ctx ctx.buf 0 1;
-    ctx.buf_len <- 0
-  end
-  else ctx.buf_len <- ctx.buf_len + 1
-
-(* Midstate cloning into an existing context: lets a fixed prefix (e.g. an
-   HMAC key pad block) be compressed once and reused for every message
-   hashed under it, without allocating a context per message. *)
-let copy_into ~src ~dst =
-  Array.blit src.h 0 dst.h 0 8;
-  Bytes.blit src.buf 0 dst.buf 0 src.buf_len;
-  dst.buf_len <- src.buf_len;
-  dst.total <- src.total
-
 (* Padding (0x80, zeros, 64-bit big-endian bit length) is written into the
    block buffer itself; when fewer than 9 bytes remain in the current block
    the length spills into one more.  [total] counts message bytes only. *)

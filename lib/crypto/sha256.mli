@@ -25,17 +25,9 @@ val update_bytes : ctx -> bytes -> pos:int -> len:int -> unit
     [b].  Raises [Base_util.Invariant.Violation], leaving [ctx] unchanged,
     if that range is not inside [b]. *)
 
-val update_char : ctx -> char -> unit
-(** [update_char ctx c] is [update ctx (String.make 1 c)], without the
-    string. *)
-
-val copy_into : src:ctx -> dst:ctx -> unit
-(** Overwrite [dst] with the midstate of [src], so that a fixed prefix
-    can be hashed once and continued per message. *)
-
 val finalize : ctx -> string
 (** 32-byte binary digest.  The context must not be updated afterwards
-    until {!copy_into} overwrites it. *)
+    until {!reset}. *)
 
 val finalize_into : ctx -> bytes -> unit
 (** [finalize_into ctx out] writes the digest to the first 32 bytes of

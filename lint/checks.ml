@@ -1,11 +1,11 @@
 (* basecheck: determinism & Byzantine-robustness lint over the replication
    stack.
 
-   The checker parses every [.ml] file with compiler-libs (syntax only, no
-   typing) and walks the Parsetree with an {!Ast_iterator}.  Rules are
-   therefore syntactic approximations of the semantic properties they
-   protect; doc/lint.md documents each rule, its known blind spots, and the
-   allowlist policy.  Suppression is never inline: a waiver is a
+   This module holds what the two passes over the Typedtree share: the
+   rules and their scoping, findings, the allowlist and the source walk.
+   The rules themselves are checked by Typed_checks (the D, E, A and U
+   rules) and Typed_taint (the B rules); doc/lint.md documents each rule
+   and the allowlist policy.  Suppression is never inline: a waiver is a
    [(file, rule, justification)] entry in lint/allowlist.sexp. *)
 
 type rule = D1 | D2 | D3 | D4 | E1 | E2 | B1 | B2 | B3 | U1 | A1
@@ -73,7 +73,7 @@ let e1_applies rel =
    may deliberately drop results (e.g. warm-up runs). *)
 let e2_applies rel = has_prefix ~prefix:"lib/" rel
 
-(* B1/B3: the taint backend polices the wire→trust boundary in library code;
+(* B1/B3: the taint pass polices the wire→trust boundary in library code;
    executables consume already-validated simulator output.  B2
    (verify-before-mutate) only makes sense where MAC-carrying protocol
    messages are handled. *)
@@ -90,8 +90,8 @@ let u1_applies rel = has_prefix ~prefix:"lib/" rel
    only the codec itself builds encoders. *)
 let a1_applies rel = has_prefix ~prefix:"lib/" rel && not (has_prefix ~prefix:"lib/codec/" rel)
 
-(* Shared by the syntactic (Parsetree) and typed (Typedtree) backends so
-   the two passes agree on where each rule is in force. *)
+(* Shared by the typed and taint passes so they agree on where each rule
+   is in force. *)
 let rule_applies rule rel =
   match rule with
   | D1 | D3 -> true
@@ -104,172 +104,6 @@ let rule_applies rule rel =
   | B3 -> b3_applies rel
   | U1 -> u1_applies rel
   | A1 -> a1_applies rel
-
-(* --- identifier helpers --------------------------------------------------- *)
-
-let strip_stdlib = function "Stdlib" :: rest -> rest | p -> p
-
-let is_sort_fn path =
-  match strip_stdlib path with
-  | [ "List"; ("sort" | "stable_sort" | "fast_sort" | "sort_uniq") ]
-  | [ "Array"; ("sort" | "stable_sort") ] ->
-    true
-  | _ -> false
-
-(* An argument of (=)/(<>) that syntactically allocates structure: comparing
-   such a value polymorphically descends into it, which is where determinism
-   (functional values, cycles, NaN) and replica-divergence hazards live.
-   Variables of structured type are not detectable without typing — that
-   blind spot is documented. *)
-let structured_operand (e : Parsetree.expression) =
-  match e.Parsetree.pexp_desc with
-  | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
-  | Pexp_construct (_, Some _) -> true
-  | Pexp_variant (_, Some _) -> true
-  | _ -> false
-
-(* --- per-file AST walk ---------------------------------------------------- *)
-
-type ctx = {
-  rel : string;  (* normalized repo-relative path, used for scoping *)
-  mutable findings : finding list;
-  mutable item_has_sort : bool;
-      (* does the enclosing top-level structure item call a sort?  D3 treats
-         iter/fold in such an item as sorted-before-emit. *)
-  mutable deferred_d3 : (int * string) list;
-      (* D3 candidates in the current item, resolved once the item is done *)
-}
-
-let flag ctx rule line msg =
-  if rule_applies rule ctx.rel then
-    ctx.findings <- { file = ctx.rel; line; rule; msg } :: ctx.findings
-
-let line_of (loc : Location.t) = loc.loc_start.pos_lnum
-
-(* Checks on an identifier used as a first-class value (not the head of an
-   application), e.g. [List.sort compare]. *)
-let check_bare ctx path loc =
-  let line = line_of loc in
-  (match strip_stdlib path with
-  | [ "compare" ] ->
-    flag ctx D1 line "polymorphic compare used as a value; pass a typed comparator"
-  | [ "Hashtbl"; "hash" ] -> flag ctx D1 line "polymorphic Hashtbl.hash"
-  | [ ("min" | "max") as f ] ->
-    flag ctx D1 line
-      (Printf.sprintf "polymorphic %s used as a value; use a typed comparison" f)
-  | [ ("=" | "<>") as op ] ->
-    flag ctx D1 line
-      (Printf.sprintf "polymorphic (%s) used as a value; use a typed equality" op)
-  | _ -> ());
-  (match path with
-  | "Unix" :: _ -> flag ctx D2 line "Unix.* is OS nondeterminism; use Sim_time / Prng"
-  | "Random" :: _ | "Stdlib" :: "Random" :: _ ->
-    flag ctx D2 line "Random.* is unseeded nondeterminism; use Base_util.Prng"
-  | [ "Sys"; "time" ] | [ "Stdlib"; "Sys"; "time" ] ->
-    flag ctx D2 line "Sys.time is wall-clock nondeterminism; use Sim_time"
-  | _ -> ());
-  (match strip_stdlib path with
-  | [ "Hashtbl"; ("iter" | "fold") as f ] ->
-    ctx.deferred_d3 <-
-      ( line,
-        Printf.sprintf
-          "Hashtbl.%s iterates in hash order; sort before emitting or allowlist" f )
-      :: ctx.deferred_d3
-  | _ -> ());
-  (match path with
-  | "Marshal" :: _ -> flag ctx D4 line "Marshal is unchecked (de)serialization"
-  | "Obj" :: _ :: _ -> flag ctx D4 line "Obj.* defeats the type system"
-  | [ "exit" ] | [ "Stdlib"; "exit" ] ->
-    flag ctx D4 line "exit in library code kills the replica"
-  | _ -> ());
-  match strip_stdlib path with
-  | [ ("failwith" | "invalid_arg") as f ] ->
-    flag ctx E1 line
-      (Printf.sprintf
-         "%s is reachable from message handlers; return Result/Option instead" f)
-  | _ -> ()
-
-(* Checks on an identifier applied to arguments.  Fully-applied [min]/[max]
-   and non-structured (=) are tolerated: on immediates they are the common,
-   harmless case, and without types we cannot do better. *)
-let check_applied ctx path loc (args : (Asttypes.arg_label * Parsetree.expression) list) =
-  let line = line_of loc in
-  (match List.rev path with
-  | "encoder" :: "Xdr" :: _ ->
-    flag ctx A1 line "fresh Xdr.encoder grows a new buffer per call; use Xdr.encode"
-  | _ -> ());
-  match strip_stdlib path with
-  | [ ("min" | "max") ] when List.length args >= 2 -> ()
-  | [ ("=" | "<>") as op ] when List.length args >= 2 ->
-    if List.exists (fun (_, a) -> structured_operand a) args then
-      flag ctx D1 line
-        (Printf.sprintf
-           "structural (%s) against a constructed value; use a typed equality" op)
-  | _ -> check_bare ctx path loc
-
-let iter_item ctx (item : Parsetree.structure_item) =
-  let open Ast_iterator in
-  (* Pass 1: does this item sort anywhere?  (D3's sorted-before-emit test.) *)
-  ctx.item_has_sort <- false;
-  ctx.deferred_d3 <- [];
-  let scan =
-    {
-      default_iterator with
-      expr =
-        (fun self e ->
-          (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-            if is_sort_fn (Longident.flatten txt) then ctx.item_has_sort <- true
-          | _ -> ());
-          default_iterator.expr self e);
-    }
-  in
-  scan.structure_item scan item;
-  (* Pass 2: flag. *)
-  let check =
-    {
-      default_iterator with
-      expr =
-        (fun self e ->
-          match e.Parsetree.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; pexp_loc; _ }, args) ->
-            check_applied ctx (Longident.flatten txt) pexp_loc args;
-            List.iter (fun (_, a) -> self.expr self a) args
-          | Pexp_ident { txt; _ } -> check_bare ctx (Longident.flatten txt) e.pexp_loc
-          | Pexp_assert
-              { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ } ->
-            flag ctx E1 (line_of e.pexp_loc)
-              "assert false is reachable from message handlers; return Result/Option \
-               instead"
-          | _ -> default_iterator.expr self e);
-    }
-  in
-  check.structure_item check item;
-  if not ctx.item_has_sort then
-    List.iter (fun (line, msg) -> flag ctx D3 line msg) ctx.deferred_d3
-
-(* --- entry points --------------------------------------------------------- *)
-
-let parse_impl path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lexbuf = Lexing.from_channel ic in
-      Location.init lexbuf path;
-      Parse.implementation lexbuf)
-
-(* [rel] is the repo-relative path used for rule scoping and reporting;
-   [path] is where the bytes live on disk (they differ under dune's
-   sandbox and for test fixtures posing as library files). *)
-let check_file ~rel path =
-  match parse_impl path with
-  | exception Sys_error e -> Error e
-  | exception _ -> Error (Printf.sprintf "%s: syntax error (file does not parse)" rel)
-  | str ->
-    let ctx = { rel; findings = []; item_has_sort = false; deferred_d3 = [] } in
-    List.iter (iter_item ctx) str;
-    Ok (List.sort compare_finding ctx.findings)
 
 (* --- allowlist ------------------------------------------------------------ *)
 
@@ -434,32 +268,16 @@ let waived waivers (f : finding) =
     (fun w -> String.equal w.w_file f.file && w.w_rule = f.rule)
     waivers
 
-(* --- backends --------------------------------------------------------------- *)
-
-type backend = Syntactic | Typed | Taint
-
-let backend_name = function Syntactic -> "syntactic" | Typed -> "typed" | Taint -> "taint"
-
-(* The rules each backend can report. *)
-let backend_rules = function
-  | Syntactic -> [ D1; D2; D3; D4; E1; A1 ]
-  | Typed -> [ D1; D3; E1; E2; U1 ]
-  | Taint -> [ B1; B2; B3 ]
-
-(* Whether a run of [backends] could report [rule] at all: one that
-   cannot says nothing about that rule's waivers, so they are neither
-   stale nor dropped by --update. *)
-let checks_rule ~backends rule = List.exists (fun b -> List.mem rule (backend_rules b)) backends
-
-let stale_waivers ~backends waivers findings =
-  List.filter
-    (fun w -> checks_rule ~backends w.w_rule && not (List.exists (waived [ w ]) findings))
-    waivers
+(* A waiver is stale when its (file, rule) has no finding: left in place it
+   would silently waive the next one. *)
+let stale_waivers waivers findings =
+  List.filter (fun w -> not (List.exists (waived [ w ]) findings)) waivers
 
 (* --- directory walking ---------------------------------------------------- *)
 
-(* Collect .ml files under [dir] (given relative to [root]), sorted for
-   deterministic report order; dot-directories and _build are skipped. *)
+(* Collect .ml files under [dir] (given relative to [root]), sorted; every
+   one must have a compiled unit for the lint to check.  Dot-directories
+   and _build are skipped. *)
 let ml_files ~root dir =
   let result = ref [] in
   let rec walk rel =

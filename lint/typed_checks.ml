@@ -1,31 +1,30 @@
-(* Typed basecheck backend: the same determinism / Byzantine-robustness
-   rules, re-run over the Typedtree stored in dune's [.cmt] files.
+(* basecheck's rule walk: the determinism / Byzantine-robustness rules
+   over the Typedtree stored in dune's [.cmt] files.  Every identifier is
+   matched on the path it resolves to at its use site, with module aliases
+   and [open]s expanded, so [module H = Hashtbl] or a local [open] hides
+   nothing.
 
-   The syntactic pass (Checks) approximates semantic properties from the
-   Parsetree alone and has two documented blind spots: [(=)] on a
-   *variable* of structured type, and a sort performed by a helper defined
-   in a different structure item.  With type and identifier information
-   both close:
+   - D1 flags every use of Stdlib [compare] and [Hashtbl.hash], and every
+     bare or partially applied [min]/[max]/[(=)]/[(<>)].  A fully applied
+     one is flagged when its instantiation type is not known-immediate
+     (records, lists, strings, floats, functions, abstract types...);
+     comparisons against a constant constructor ([x = None], [l = []])
+     are exempt: tag inspection never descends.
+   - D2 ([Unix], [Random], [Sys.time]), D4 ([Marshal], [Obj], [exit]),
+     E1 ([failwith], [invalid_arg], [assert false]) and A1
+     ([Xdr.encoder]) flag the resolved name wherever it appears.
+   - D3 flags [Hashtbl.iter]/[fold] in a structure item that does not
+     sort, crediting sort helpers across the items of a unit (a fixpoint
+     over the value idents each item defines and mentions).
+   - E2 flags a discarded [result]: [ignore e] or [let _ = e] where
+     [e : (_, _) result] throws away a decode/validation error instead of
+     handling it.
+   - U1 flags a value a [lib/] unit exports that no other unit under
+     {!u1_consumer_dirs} references.
 
-   - D1-typed flags [(=)]/[(<>)]/[compare]/[min]/[max] whenever the
-     instantiation type is not known-immediate (records, lists, strings,
-     floats, functions, abstract types...), regardless of the operands'
-     syntactic shape.  Comparisons against a constant constructor
-     ([x = None], [l = []]) are exempt: tag inspection never descends.
-   - D3-typed resolves the identity of sort helpers across structure
-     items of the same compilation unit (a fixpoint over the value idents
-     each item defines and mentions), so [let sorted = ... List.sort ...]
-     in one item satisfies a [Hashtbl.fold] in another.
-   - E1-typed re-checks [failwith]/[invalid_arg]/[assert false] with
-     resolved paths, catching aliased uses the Parsetree cannot see.
-   - E2-typed (new, typed-only) flags a discarded [result]: [ignore e] or
-     [let _ = e] where [e : (_, _) result] throws away a decode/validation
-     error instead of handling it.
-   - U1 (typed-only) flags a value a [lib/] unit exports that no other
-     unit under {!u1_consumer_dirs} references.
-
-   Scoping and suppression are shared with the syntactic pass
-   ({!Checks.rule_applies}, lint/allowlist.sexp). *)
+   The taint pass (Typed_taint) checks the B rules over the same units;
+   scoping and suppression are shared ({!Checks.rule_applies},
+   lint/allowlist.sexp). *)
 
 module T = Typedtree
 open Typedtree
@@ -37,17 +36,6 @@ let line_of (loc : Location.t) = loc.loc_start.pos_lnum
    skipped conservatively; the CLI surfaces a nonzero count so weakened
    runs are never silent. *)
 let env_failures = ref 0
-
-let initialized = ref false
-
-(* The load path must contain every directory holding the [.cmi] files the
-   scanned units reference (dune's .objs/byte dirs) plus the stdlib. *)
-let init_load_path ~extra_dirs =
-  let dirs = List.sort_uniq String.compare extra_dirs in
-  Load_path.init ~auto_include:Load_path.no_auto_include
-    (dirs @ [ Config.standard_library ]);
-  Envaux.reset_cache ();
-  initialized := true
 
 let env_of_summary env =
   match Envaux.env_of_only_summary env with
@@ -74,19 +62,37 @@ let path_parts p =
   in
   go [] p
 
-let strip_stdlib = function "Stdlib" :: rest -> rest | p -> p
+(* Module path [m] with the aliases and opens of its use site expanded, so
+   [R] after [module R = Base_core.Runtime] reads [Base_core__Runtime]. *)
+let normalize_module env_raw m =
+  match env_of_summary env_raw with
+  | Some env -> ( try Env.normalize_module_path None env m with _ -> m)
+  | None -> m
 
-(* Only the Stdlib polymorphic comparators: a user-defined [=] resolved to
-   some other path *is* the typed equality we are asking for. *)
-let d1_target p =
-  match path_parts p with
-  | [ "Stdlib"; (("=" | "<>" | "compare" | "min" | "max") as f) ] -> Some f
-  | _ -> None
+let normalize env_raw = function
+  | Path.Pdot (m, x) -> Path.Pdot (normalize_module env_raw m, x)
+  | p -> p
 
-let is_sort_fn p =
-  match strip_stdlib (path_parts p) with
-  | [ ("List" | "ListLabels"); ("sort" | "stable_sort" | "fast_sort" | "sort_uniq") ]
-  | [ ("Array" | "ArrayLabels"); ("sort" | "stable_sort") ] ->
+(* [parts] with dune's library mangling undone: [Base_core], [Base_core__]
+   and [Base_core__Runtime] spell the same unit. *)
+let unmangle parts =
+  let rec split s i =
+    if i + 1 >= String.length s then [ s ]
+    else if s.[i] = '_' && s.[i + 1] = '_' then
+      String.sub s 0 i :: split (String.sub s (i + 2) (String.length s - i - 2)) 0
+    else split s (i + 1)
+  in
+  List.filter (( <> ) "") (List.concat_map (fun s -> split s 0) parts)
+
+let key parts = String.concat "." (unmangle parts)
+
+(* The name [p] stands for at its use site: [H.fold] after
+   [module H = Hashtbl] resolves to [Stdlib; Hashtbl; fold]. *)
+let resolve env_raw p = unmangle (path_parts (normalize env_raw p))
+
+let is_sort_fn = function
+  | [ "Stdlib"; ("List" | "ListLabels"); ("sort" | "stable_sort" | "fast_sort" | "sort_uniq") ]
+  | [ "Stdlib"; ("Array" | "ArrayLabels"); ("sort" | "stable_sort") ] ->
     true
   | _ -> false
 
@@ -97,23 +103,34 @@ let contains_substring s sub =
 
 (* Cross-unit sort helpers cannot be resolved from one cmt; a name match is
    the documented compromise ([Replica.sorted_bindings]...). *)
-let name_says_sorted p =
-  match List.rev (path_parts p) with
+let name_says_sorted name =
+  match List.rev name with
   | last :: _ -> contains_substring (String.lowercase_ascii last) "sort"
   | [] -> false
 
-let is_hashtbl_iter p =
-  match path_parts p with
-  | [ "Stdlib"; "Hashtbl"; (("iter" | "fold") as f) ] -> Some f
+(* The rule a resolved name trips wherever it appears, with its message. *)
+let name_rule = function
+  | [ "Stdlib"; "compare" ] ->
+    Some (Checks.D1, "polymorphic compare; pass a typed comparator")
+  | [ "Stdlib"; "Hashtbl"; "hash" ] -> Some (Checks.D1, "polymorphic Hashtbl.hash")
+  | ("Unix" | "UnixLabels") :: _ ->
+    Some (Checks.D2, "Unix.* is OS nondeterminism; use Sim_time / Prng")
+  | "Stdlib" :: "Random" :: _ ->
+    Some (Checks.D2, "Random.* is unseeded nondeterminism; use Base_util.Prng")
+  | [ "Stdlib"; "Sys"; "time" ] ->
+    Some (Checks.D2, "Sys.time is wall-clock nondeterminism; use Sim_time")
+  | "Stdlib" :: "Marshal" :: _ -> Some (Checks.D4, "Marshal is unchecked (de)serialization")
+  | "Stdlib" :: "Obj" :: _ :: _ -> Some (Checks.D4, "Obj.* defeats the type system")
+  | [ "Stdlib"; "exit" ] -> Some (Checks.D4, "exit in library code kills the replica")
+  | [ "Base_codec"; "Xdr"; "encoder" ] ->
+    Some (Checks.A1, "fresh Xdr.encoder grows a new buffer per call; use Xdr.encode")
+  | [ "Stdlib"; (("failwith" | "invalid_arg") as f) ] ->
+    Some
+      ( Checks.E1,
+        Printf.sprintf "%s is reachable from message handlers; return Result/Option instead" f )
   | _ -> None
 
-let is_failwith p =
-  match path_parts p with
-  | [ "Stdlib"; (("failwith" | "invalid_arg") as f) ] -> Some f
-  | _ -> None
-
-let is_ignore p =
-  match path_parts p with [ "Stdlib"; "ignore" ] -> true | _ -> false
+let op_name = function ("=" | "<>") as op -> Printf.sprintf "(%s)" op | f -> f
 
 (* --- type classification --------------------------------------------------- *)
 
@@ -184,8 +201,7 @@ let d1_check ctx env_raw line name (ty : Types.type_expr) =
         (Printf.sprintf
            "polymorphic %s instantiated at non-immediate type %s; use a typed \
             comparison"
-           (match name with "=" | "<>" -> Printf.sprintf "(%s)" name | f -> f)
-           (type_to_string ty))
+           (op_name name) (type_to_string ty))
 
 let e2_check ctx env_raw line ~via (e : T.expression) =
   match env_of_summary env_raw with
@@ -198,64 +214,54 @@ let e2_check ctx env_raw line ~via (e : T.expression) =
            (type_to_string e.exp_type))
 
 let rec check_expr ctx item iter (e : T.expression) =
-  let line = line_of e.exp_loc in
   match e.exp_desc with
-  | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args) ->
+  | Texp_apply (({ exp_desc = Texp_ident _; _ } as fn), args) ->
     let operands = List.filter_map (fun (_, a) -> a) args in
-    (match d1_target p with
-    | Some name -> (
-      (* Instantiation type: the first present operand. *)
-      match operands with
-      | a0 :: _ when not (List.exists const_constructor operands) ->
-        d1_check ctx a0.exp_env (line_of fn.exp_loc) name a0.exp_type
-      | _ -> ())
-    | None ->
-      ident_checks ctx item iter fn;
-      if is_ignore p then
-        List.iter (fun a -> e2_check ctx a.exp_env line ~via:"ignore" a) operands);
+    ident_checks ctx item ~operands fn;
     List.iter (fun a -> iter.Tast_iterator.expr iter a) operands
-  | Texp_ident _ -> ident_checks ctx item iter e
+  | Texp_ident _ -> ident_checks ctx item ~operands:[] e
   | Texp_assert ({ exp_desc = Texp_construct (_, { cstr_name = "false"; _ }, []); _ }, _)
     ->
-    flag ctx Checks.E1 line
+    flag ctx Checks.E1 (line_of e.exp_loc)
       "assert false is reachable from message handlers; return Result/Option instead"
   | Texp_let (_, vbs, _) ->
     List.iter (discarded_result_binding ctx) vbs;
     Tast_iterator.default_iterator.expr iter e
   | _ -> Tast_iterator.default_iterator.expr iter e
 
-(* Checks on an identifier in any position (value or head of application). *)
-and ident_checks ctx item _iter (e : T.expression) =
+(* Checks on an identifier, bare ([operands] empty) or applied to
+   [operands]. *)
+and ident_checks ctx item ~operands (e : T.expression) =
   match e.exp_desc with
   | Texp_ident (p, _, _) -> (
     let line = line_of e.exp_loc in
     (match p with
     | Path.Pident id -> item.locals_used <- id :: item.locals_used
     | _ -> ());
-    if is_sort_fn p || name_says_sorted p then item.sorts <- true;
-    (match is_hashtbl_iter p with
-    | Some f ->
+    let name = resolve e.exp_env p in
+    if is_sort_fn name || name_says_sorted name then item.sorts <- true;
+    (match name with
+    | [ "Stdlib"; "Hashtbl"; (("iter" | "fold") as f) ] ->
       item.hashtbl_uses <-
         ( line,
           Printf.sprintf
             "Hashtbl.%s iterates in hash order; sort before emitting or allowlist" f )
         :: item.hashtbl_uses
-    | None -> ());
-    (match is_failwith p with
-    | Some f ->
-      flag ctx Checks.E1 line
-        (Printf.sprintf
-           "%s is reachable from message handlers; return Result/Option instead" f)
-    | None -> ());
-    (* A bare Stdlib comparator whose *use site* already fixes the argument
-       type ([List.mem digest ds] hides an (=) instantiation the syntactic
-       pass sees only as a bare value). *)
-    match d1_target p with
-    | Some name -> (
-      match Types.get_desc e.exp_type with
-      | Tarrow (_, targ, _, _) -> d1_check ctx e.exp_env line name targ
-      | _ -> ())
-    | None -> ())
+    | [ "Stdlib"; "ignore" ] ->
+      List.iter (fun a -> e2_check ctx a.exp_env line ~via:"ignore" a) operands
+    | [ "Stdlib"; (("=" | "<>" | "min" | "max") as f) ] -> (
+      (* Fully applied: judged at the instantiation type, the first
+         operand's.  Bare or partially applied: always flagged. *)
+      match operands with
+      | a0 :: _ :: _ ->
+        if not (List.exists const_constructor operands) then
+          d1_check ctx a0.exp_env line f a0.exp_type
+      | _ ->
+        flag ctx Checks.D1 line
+          (Printf.sprintf "polymorphic %s used as a value; use a typed comparison"
+             (op_name f)))
+    | _ -> ());
+    match name_rule name with Some (rule, msg) -> flag ctx rule line msg | None -> ())
   | _ -> ()
 
 and discarded_result_binding ctx (vb : T.value_binding) =
@@ -325,28 +331,6 @@ let check_structure ctx (str : T.structure) =
 (* The units whose references keep a lib/ export alive.  test/ counts: a
    seam that only tests reach is still a seam (doc/lint.md). *)
 let u1_consumer_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
-
-(* Module path [m] with the aliases and opens of its use site expanded, so
-   [R] after [module R = Base_core.Runtime] reads [Base_core__Runtime]. *)
-let normalize_module env_raw m =
-  match env_of_summary env_raw with
-  | Some env -> ( try Env.normalize_module_path None env m with _ -> m)
-  | None -> m
-
-let normalize env_raw = function
-  | Path.Pdot (m, x) -> Path.Pdot (normalize_module env_raw m, x)
-  | p -> p
-
-(* Dotted key of a path with dune's library mangling undone: [Base_core],
-   [Base_core__] and [Base_core__Runtime] spell the same unit. *)
-let key parts =
-  let rec unmangle s i =
-    if i + 1 >= String.length s then [ s ]
-    else if s.[i] = '_' && s.[i + 1] = '_' then
-      String.sub s 0 i :: unmangle (String.sub s (i + 2) (String.length s - i - 2)) 0
-    else unmangle s (i + 1)
-  in
-  String.concat "." (List.filter (( <> ) "") (List.concat_map (fun s -> unmangle s 0) parts))
 
 (* Add to [refs] every value [cmt] names through a module path, and every
    module it uses whole (functor argument, [include], first-class pack),
@@ -439,16 +423,6 @@ let check_unit ~rel (cmt : Cmt_format.cmt_infos) =
     List.sort Checks.compare_finding ctx.findings
   | _ -> []
 
-(* [rel] is the repo-relative source path used for scoping/reporting;
-   [path] is the .cmt file.  Used by the fixture tests; the CLI goes
-   through {!scan}. *)
-let check_cmt ~rel path =
-  if not !initialized then init_load_path ~extra_dirs:[ Filename.dirname path ];
-  match Cmt_format.read_cmt path with
-  | exception e ->
-    Error (Printf.sprintf "%s: cannot read cmt (%s)" path (Printexc.to_string e))
-  | cmt -> Ok (check_unit ~rel cmt)
-
 (* Collect [.cmt] files under [dir] (relative to [cmt_root]); unlike the
    source walker this descends into dune's dot-directories (.objs). *)
 let cmt_files ~cmt_root dir =
@@ -469,6 +443,9 @@ let cmt_files ~cmt_root dir =
   walk dir;
   List.sort String.compare !result
 
+(* Is a [(source, cmt path, cmt)] unit's source under one of [dirs]? *)
+let in_dirs dirs (src, _, _) = List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs
+
 (* [(source, cmt path, cmt)] of every implementation unit below
    [cmt_root] whose source lives under one of [dirs], sorted by source. *)
 let units ~cmt_root dirs =
@@ -476,53 +453,76 @@ let units ~cmt_root dirs =
   |> List.filter_map (fun path ->
          match Cmt_format.read_cmt path with
          | { cmt_sourcefile = Some src; cmt_annots = Implementation _; _ } as cmt
-           when Filename.check_suffix src ".ml"
-                && List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs ->
+           when Filename.check_suffix src ".ml" && in_dirs dirs (src, path, cmt) ->
            Some (src, path, cmt)
          | _ | (exception _) -> None)
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
-(* The recorded compile-time load paths of [cmts].  Relative entries are
-   relative to the compilation cwd, which dune records as the virtual
-   /workspace_root; the real location is the build context we are
-   scanning, i.e. [cmt_root]. *)
-let load_dirs ~cmt_root cmts =
-  List.concat_map
-    (fun (cmt : Cmt_format.cmt_infos) ->
-      List.filter_map
-        (fun d ->
-          if d = "" then None
-          else if Filename.is_relative d then Some (Filename.concat cmt_root d)
-          else Some d)
-        cmt.cmt_loadpath)
-    cmts
+(* The [sources] (repo-relative [.ml] paths) that no unit of [units] was
+   compiled from: code the lint would otherwise pass over in silence. *)
+let uncompiled sources units =
+  List.filter (fun f -> not (List.exists (fun (src, _, _) -> String.equal src f) units)) sources
+
+(* Point the load path at what [cmts] were compiled against: every
+   directory holding the [.cmi] files they reference (dune's .objs/byte
+   dirs) plus the stdlib.  Relative entries of their recorded load paths
+   are relative to the compilation cwd, which dune records as the virtual
+   /workspace_root; the real location is the build context being scanned,
+   i.e. [cmt_root]. *)
+let use_load_path ~cmt_root cmts =
+  let dirs =
+    List.concat_map
+      (fun (cmt : Cmt_format.cmt_infos) ->
+        List.filter_map
+          (fun d ->
+            if d = "" then None
+            else if Filename.is_relative d then Some (Filename.concat cmt_root d)
+            else Some d)
+          cmt.cmt_loadpath)
+      cmts
+  in
+  Load_path.init ~auto_include:Load_path.no_auto_include
+    (List.sort_uniq String.compare dirs @ [ Config.standard_library ]);
+  Envaux.reset_cache ()
+
+let read_cmt path =
+  match Cmt_format.read_cmt path with
+  | cmt -> Ok cmt
+  | exception e -> Error (Printf.sprintf "%s: cannot read cmt (%s)" path (Printexc.to_string e))
+
+(* [rel] is the repo-relative source path used for scoping/reporting;
+   [path] is the .cmt file.  Used by the fixture tests; the CLI goes
+   through {!scan}. *)
+let check_cmt ~cmt_root ~rel path =
+  Result.map
+    (fun cmt ->
+      use_load_path ~cmt_root [ cmt ];
+      check_unit ~rel cmt)
+    (read_cmt path)
 
 (* U1 over [(rel, cmt path)] pairs, each both exporter and consumer; used
    by the fixture tests, the CLI goes through {!scan}. *)
-let check_exports pairs =
-  if not !initialized then
-    init_load_path ~extra_dirs:(List.map (fun (_, p) -> Filename.dirname p) pairs);
+let check_exports ~cmt_root pairs =
   let units = List.map (fun (rel, path) -> (rel, path, Cmt_format.read_cmt path)) pairs in
+  use_load_path ~cmt_root (List.map (fun (_, _, cmt) -> cmt) units);
   let refs = Hashtbl.create 64 in
   List.iter (fun (_, _, cmt) -> references refs cmt) units;
   List.sort Checks.compare_finding (unused_exports refs units)
 
-(* Check every compilation unit below [cmt_root] whose source lives under
-   one of [dirs], and run U1 with the units under {!u1_consumer_dirs} as
-   consumers.  Each unit is read under its own load path: executables in
-   different directories each have a [Dune__exe] alias module.  Returns the
-   findings and the number of units checked. *)
-let scan ~cmt_root ~dirs =
-  let in_dirs (src, _, _) = List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs in
-  let all = units ~cmt_root (List.sort_uniq String.compare (dirs @ u1_consumer_dirs)) in
+(* Check the [units] whose source lives under one of [dirs], and run U1
+   with every unit as a consumer (the CLI passes the units of [dirs] and
+   {!u1_consumer_dirs}).  Each unit is read under its own load path:
+   executables in different directories each have a [Dune__exe] alias
+   module. *)
+let scan ~cmt_root ~dirs units =
   let refs = Hashtbl.create 4096 in
   let findings =
     List.concat_map
       (fun ((rel, _, cmt) as u) ->
-        init_load_path ~extra_dirs:(load_dirs ~cmt_root [ cmt ]);
+        use_load_path ~cmt_root [ cmt ];
         references refs cmt;
-        if in_dirs u then check_unit ~rel cmt else [])
-      all
+        if in_dirs dirs u then check_unit ~rel cmt else [])
+      units
   in
-  let checked = List.filter in_dirs all in
-  (List.sort Checks.compare_finding (findings @ unused_exports refs checked), List.length checked)
+  List.sort Checks.compare_finding
+    (findings @ unused_exports refs (List.filter (in_dirs dirs) units))

@@ -1,4 +1,4 @@
-(* Taint basecheck backend: an interprocedural wire→trust dataflow pass
+(* basecheck taint pass: an interprocedural wire→trust dataflow pass
    over the Typedtree stored in dune's [.cmt] files.
 
    The paper's trust boundary is a dataflow property: every value a
@@ -41,7 +41,7 @@ open Typedtree
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
-(* Shared with the typed backend: load-path bootstrap and env
+(* Shared with the rule walk: load-path bootstrap and env
    reconstruction (including its [env_failures] accounting). *)
 let env_of_summary = Typed_checks.env_of_summary
 
@@ -1322,40 +1322,21 @@ let run st units =
   List.iter (b2_unit st) units;
   List.sort_uniq Checks.compare_finding st.findings
 
-(* Analyze a set of (rel, cmt-path) units *together*, so cross-module
-   summaries resolve — the fixture-test entry point. *)
-let check_cmts ~registry pairs =
-  (match pairs with
-  | (_, path0) :: _ when not !Typed_checks.initialized ->
-    Typed_checks.init_load_path ~extra_dirs:[ Filename.dirname path0 ]
-  | _ -> ());
+(* Analyze [(source, cmt path, cmt)] units *together*, in one fixpoint, so
+   taint crosses compilation-unit boundaries. *)
+let scan ~registry ~cmt_root units =
+  Typed_checks.use_load_path ~cmt_root (List.map (fun (_, _, cmt) -> cmt) units);
+  run (new_state registry)
+    (List.filter_map
+       (fun (rel, _, (cmt : Cmt_format.cmt_infos)) ->
+         match cmt.cmt_annots with Implementation str -> Some (rel, str) | _ -> None)
+       units)
+
+(* {!scan} over [(rel, cmt path)] pairs: the fixture-test entry point. *)
+let check_cmts ~registry ~cmt_root pairs =
   let rec load acc = function
     | [] -> Ok (List.rev acc)
-    | (rel, path) :: rest -> (
-      match Cmt_format.read_cmt path with
-      | exception e ->
-        Error (Printf.sprintf "%s: cannot read cmt (%s)" path (Printexc.to_string e))
-      | cmt -> (
-        match cmt.Cmt_format.cmt_annots with
-        | Cmt_format.Implementation str -> load ((rel, str) :: acc) rest
-        | _ -> load acc rest))
+    | (rel, path) :: rest ->
+      Result.bind (Typed_checks.read_cmt path) (fun cmt -> load ((rel, path, cmt) :: acc) rest)
   in
-  match load [] pairs with
-  | Error e -> Error e
-  | Ok units -> Ok (run (new_state registry) units)
-
-let check_cmt ~registry ~rel path = check_cmts ~registry [ (rel, path) ]
-
-(* CLI entry: like {!Typed_checks.scan} but fixpointing over all units at
-   once.  Returns the findings and the number of units analyzed. *)
-let scan ~registry ~cmt_root ~dirs =
-  let units = Typed_checks.units ~cmt_root dirs in
-  Typed_checks.init_load_path
-    ~extra_dirs:(Typed_checks.load_dirs ~cmt_root (List.map (fun (_, _, cmt) -> cmt) units));
-  let units =
-    List.filter_map
-      (fun (rel, _, (cmt : Cmt_format.cmt_infos)) ->
-        match cmt.cmt_annots with Implementation str -> Some (rel, str) | _ -> None)
-      units
-  in
-  (run (new_state registry) units, List.length units)
+  Result.map (scan ~registry ~cmt_root) (load [] pairs)

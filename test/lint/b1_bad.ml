@@ -1,4 +1,4 @@
-(* Taint-backend fixture: every B1 shape the pass must flag.  The local
+(* Taint-pass fixture: every B1 shape the pass must flag.  The local
    [Xdr] fake matches the registry's [(source (module Xdr) (prefix
    read_))] entry by innermost module name, so its call results are
    wire-tainted exactly like the real decoder's. *)

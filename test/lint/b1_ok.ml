@@ -1,4 +1,4 @@
-(* Taint-backend fixture: the same B1 shapes as b1_bad.ml with a
+(* Taint-pass fixture: the same B1 shapes as b1_bad.ml with a
    dominating sanitizer each — must produce zero findings. *)
 
 module Xdr = struct

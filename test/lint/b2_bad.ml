@@ -1,4 +1,4 @@
-(* Taint-backend fixture: B2 (verify-before-mutate).  The local [Message]
+(* Taint-pass fixture: B2 (verify-before-mutate).  The local [Message]
    fake matches the registry's [(verifier (module Message) (name
    verify))], so calling it marks the path verified; any state mutation
    sequenced before it on the same path is a finding. *)

@@ -1,4 +1,4 @@
-(* Taint-backend fixture: every B3 sink family the pass must flag —
+(* Taint-pass fixture: every B3 sink family the pass must flag —
    a registered setfield (protocol watermark), a record-field call with a
    labeled argument (timer duration), and a registered function sink
    (partition-tree coordinate). *)

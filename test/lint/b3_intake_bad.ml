@@ -1,4 +1,4 @@
-(* Taint-backend fixture: a wire client id indexes the client table, both
+(* Taint-pass fixture: a wire client id indexes the client table, both
    directly and through a helper that takes the whole request. *)
 
 module Xdr = struct

@@ -1,4 +1,4 @@
-(* Taint-backend fixture: the b3_intake_bad.ml lookups behind the client
+(* Taint-pass fixture: the b3_intake_bad.ml lookups behind the client
    range predicate — zero findings. *)
 
 module Xdr = struct

@@ -1,4 +1,4 @@
-(* Taint-backend fixture: the b3_bad.ml sinks with validation in front —
+(* Taint-pass fixture: the b3_bad.ml sinks with validation in front —
    zero findings. *)
 
 module Xdr = struct

@@ -1,8 +1,6 @@
-(* Typed-backend fixture: structural comparison on *variables* of
-   structured type.  Every operand here is a bare identifier, so the
-   syntactic D1 rule sees nothing; the typed backend flags each site from
-   the instantiation type.  Compiled to a .cmt by the lint_typed_fixtures
-   library (unlike the d*_bad.ml fixtures, which are only parsed). *)
+(* Fixture: structural comparison on *variables* of structured type.
+   Every operand here is a bare identifier; D1 flags each site from the
+   instantiation type. *)
 
 type entry = { key : int; value : string }
 

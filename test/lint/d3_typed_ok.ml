@@ -1,8 +1,6 @@
-(* Typed-backend fixture: the sort lives in a helper defined in a
-   *different* structure item (and its name deliberately avoids "sort").
-   The syntactic D3 rule only accepts a sort in the same item, so it flags
-   the fold below; the typed backend resolves [canonicalize]'s identity
-   across items and accepts it. *)
+(* Fixture: the sort lives in a helper defined in a *different*
+   structure item (and its name deliberately avoids "sort"); D3 resolves
+   [canonicalize]'s identity across items and accepts the fold below. *)
 
 let canonicalize pairs = List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs
 

@@ -1,4 +1,4 @@
-(* Documented blind spots of the taint backend, one function each, pinned
+(* Documented blind spots of the taint pass, one function each, pinned
    by a test asserting this unit produces ZERO findings.  Every shape here
    is genuinely dangerous at runtime; the fixture exists so a future pass
    improvement that closes one shows up as a test diff (flip the

@@ -1,70 +1,67 @@
-(* basecheck fixtures: one bad snippet per rule, checked under a
-   repo-relative name that activates every rule scope, plus a clean file
-   that must produce no findings.  The fixtures live in test/lint/ so they
-   are parsed but never compiled. *)
+(* basecheck fixtures: one bad unit per rule, checked under a
+   repo-relative pose name that activates every rule scope, plus clean
+   units that must produce no findings.  The fixtures in test/lint/ are
+   compiled as the lint_fixtures library, so the lint reads their .cmt
+   files as it reads the tree's. *)
 
 module C = Basecheck_lib.Checks
 module Typed = Basecheck_lib.Typed_checks
 module Taint = Basecheck_lib.Typed_taint
 
-(* Fixtures sit next to the test executable; fall back to cwd so the suite
-   also runs from the source tree. *)
-let fixture name =
-  let local = Filename.concat (Filename.dirname Sys.executable_name) "lint" in
-  Filename.concat (if Sys.file_exists local then local else "lint") name
+(* The build context the test runs in: relative load-path entries recorded
+   in the fixtures' .cmt files are relative to it. *)
+let cmt_root = Filename.concat (Filename.dirname Sys.executable_name) ".."
 
-(* The compiled fixtures' .cmt files, produced by the lint_typed_fixtures
-   library in test/lint. *)
 let fixture_cmt name =
-  Filename.concat
-    (Filename.concat (Filename.dirname (fixture "x")) ".lint_typed_fixtures.objs/byte")
-    ("lint_typed_fixtures__" ^ String.capitalize_ascii name ^ ".cmt")
+  Filename.concat cmt_root
+    ("test/lint/.lint_fixtures.objs/byte/lint_fixtures__" ^ String.capitalize_ascii name
+   ^ ".cmt")
 
-let findings path rel =
-  match C.check_file ~rel path with
-  | Error e -> Alcotest.failf "%s: %s" path e
+let findings name rel =
+  match Typed.check_cmt ~cmt_root ~rel (fixture_cmt name) with
+  | Error e -> Alcotest.failf "%s: %s" name e
   | Ok fs -> fs
 
 let rule_ids fs = List.sort_uniq String.compare (List.map (fun f -> C.rule_name f.C.rule) fs)
 
 let check_fixture name expected_rule expected_count =
-  let fs = findings (fixture name) ("lib/bft/" ^ name) in
+  let fs = findings name ("lib/bft/" ^ name ^ ".ml") in
   Alcotest.(check (list string))
     (name ^ " flags only " ^ expected_rule)
     [ expected_rule ] (rule_ids fs);
   Alcotest.(check int) (name ^ " finding count") expected_count (List.length fs)
 
 let test_bad_fixtures () =
-  check_fixture "d1_bad.ml" "D1" 4;
-  check_fixture "d2_bad.ml" "D2" 3;
-  check_fixture "d3_bad.ml" "D3" 2;
-  check_fixture "d4_bad.ml" "D4" 3;
-  check_fixture "e1_bad.ml" "E1" 3;
-  check_fixture "a1_bad.ml" "A1" 2
+  check_fixture "d1_bad" "D1" 4;
+  check_fixture "d2_bad" "D2" 3;
+  check_fixture "d3_bad" "D3" 2;
+  check_fixture "d4_bad" "D4" 3;
+  check_fixture "e1_bad" "E1" 3;
+  (* Two direct paths, one through a module alias, one through a local
+     open. *)
+  check_fixture "a1_bad" "A1" 4
 
 let test_clean_fixture () =
   Alcotest.(check (list string))
-    "clean.ml produces no findings" []
-    (rule_ids (findings (fixture "clean.ml") "lib/bft/clean.ml"))
+    "clean produces no findings" []
+    (rule_ids (findings "clean" "lib/bft/clean.ml"))
 
 let test_rule_scoping () =
   (* The same E1 fixture outside a Byzantine-facing path is not flagged. *)
   Alcotest.(check (list string))
     "E1 limited to Byzantine-facing paths" []
-    (rule_ids (findings (fixture "e1_bad.ml") "lib/util/e1_bad.ml"));
+    (rule_ids (findings "e1_bad" "lib/util/e1_bad.ml"));
   (* D4 only applies to library code: executables may exit. *)
-  Alcotest.(check (list string))
-    "D4 limited to lib/" []
-    (rule_ids (findings (fixture "d4_bad.ml") "bin/d4_bad.ml"));
+  Alcotest.(check (list string)) "D4 limited to lib/" [] (rule_ids (findings "d4_bad" "bin/d4_bad.ml"));
   (* A1: the codec builds its own encoders, and so may executables. *)
   List.iter
     (fun rel ->
       Alcotest.(check (list string)) ("A1 not in force for " ^ rel) []
-        (rule_ids (findings (fixture "a1_bad.ml") rel)))
+        (rule_ids (findings "a1_bad" rel)))
     [ "lib/codec/a1_bad.ml"; "bin/a1_bad.ml" ]
 
 let test_finding_format () =
-  match findings (fixture "d3_bad.ml") "lib/bft/d3_bad.ml" with
+  match findings "d3_bad" "lib/bft/d3_bad.ml" with
   | f :: _ ->
     let s = C.pp_finding f in
     Alcotest.(check bool)
@@ -73,40 +70,27 @@ let test_finding_format () =
       (String.length s > 0
       && String.sub s 0 (String.length "lib/bft/d3_bad.ml:") = "lib/bft/d3_bad.ml:"
       && Base_util.Str_contains.contains s "[D3]")
-  | [] -> Alcotest.fail "expected findings in d3_bad.ml"
+  | [] -> Alcotest.fail "expected findings in d3_bad"
 
-let typed_findings name rel =
-  match Typed.check_cmt ~rel (fixture_cmt name) with
-  | Error e -> Alcotest.failf "%s: %s" name e
-  | Ok fs -> fs
-
-(* The two documented blind spots of the syntactic pass, each proven
-   closed: the fixture is clean under one backend and flagged under the
-   other. *)
+(* Comparisons on variables of structured type: judged by the
+   instantiation type, one finding per comparison site. *)
 let test_typed_d1_blind_spot () =
-  let rel = "lib/bft/d1_typed_bad.ml" in
-  Alcotest.(check (list string))
-    "syntactic pass is blind to (=) on structured variables" []
-    (rule_ids (findings (fixture "d1_typed_bad.ml") rel));
-  let fs = typed_findings "d1_typed_bad" rel in
-  Alcotest.(check (list string)) "typed pass flags only D1" [ "D1" ] (rule_ids fs);
+  let fs = findings "d1_typed_bad" "lib/bft/d1_typed_bad.ml" in
+  Alcotest.(check (list string)) "flags only D1" [ "D1" ] (rule_ids fs);
   Alcotest.(check int) "one finding per comparison site" 3 (List.length fs)
 
+(* A sort helper defined in another structure item satisfies D3. *)
 let test_typed_d3_cross_item_sort () =
-  let rel = "lib/bft/d3_typed_ok.ml" in
   Alcotest.(check (list string))
-    "syntactic pass false-positives on the cross-item helper" [ "D3" ]
-    (rule_ids (findings (fixture "d3_typed_ok.ml") rel));
-  Alcotest.(check (list string))
-    "typed pass resolves the helper and accepts" []
-    (rule_ids (typed_findings "d3_typed_ok" rel))
+    "the cross-item helper is resolved and accepted" []
+    (rule_ids (findings "d3_typed_ok" "lib/bft/d3_typed_ok.ml"))
 
 let test_typed_env_reconstruction () =
-  (* A weakened typed run (unreconstructable environments) must not pass
+  (* A weakened run (unreconstructable environments) must not pass
      silently; the fixture units reconstruct fully. *)
   Alcotest.(check int) "no environment failures" 0 !Typed.env_failures
 
-(* --- taint backend ---------------------------------------------------------- *)
+(* --- taint pass ------------------------------------------------------------- *)
 
 (* The tests run against the repo's real registry, so they also pin that
    the checked-in sanitizers.sexp parses and keeps the entries the
@@ -131,7 +115,7 @@ let registry =
 
 let taint_findings ?(rel_dir = "lib/bft/") name =
   let rel = rel_dir ^ name ^ ".ml" in
-  match Taint.check_cmt ~registry:(Lazy.force registry) ~rel (fixture_cmt name) with
+  match Taint.check_cmts ~registry:(Lazy.force registry) ~cmt_root [ (rel, fixture_cmt name) ] with
   | Error e -> Alcotest.failf "%s: %s" name e
   | Ok fs -> List.map (fun f -> (f.C.line, C.rule_name f.C.rule)) fs
 
@@ -151,7 +135,8 @@ let test_taint_b2 () =
     "b2_bad: mutation sequenced before verification"
     [ (14, "B2"); (19, "B2") ]
     (taint_findings "b2_bad");
-  Alcotest.(check (list (pair int string))) "b2_ok: verify dominates or no handler" []
+  Alcotest.(check (list (pair int string)))
+    "b2_ok: verify dominates, no handler, or only hashing precedes the check" []
     (taint_findings "b2_ok")
 
 let test_taint_b3 () =
@@ -177,7 +162,7 @@ let test_taint_cross_module () =
       ("lib/bft/b1_cross_bad.ml", fixture_cmt "b1_cross_bad");
     ]
   in
-  match Taint.check_cmts ~registry:(Lazy.force registry) pairs with
+  match Taint.check_cmts ~registry:(Lazy.force registry) ~cmt_root pairs with
   | Error e -> Alcotest.failf "cross-module fixture: %s" e
   | Ok fs ->
     Alcotest.(check (list (triple string int string)))
@@ -221,29 +206,24 @@ let test_allowlist_roundtrip () =
       (ws' = List.sort C.compare_waiver ws));
   Sys.remove tmp
 
-(* Each backend vouches only for the rules it can report: the taint-only
-   waivers must not read as stale in a syntactic or typed run (nor be
-   dropped by its --update), while a waiver whose rule did run and found
-   nothing still does. *)
+(* A waiver is stale exactly when no finding has its file and rule. *)
 let test_stale_waivers () =
   let waiver file rule = { C.w_file = file; w_rule = rule; w_justification = "why" } in
   let b1 = waiver "lib/codec/xdr.ml" C.B1 and d3 = waiver "lib/fs/fs_log.ml" C.D3 in
-  let e2 = waiver "lib/bft/replica.ml" C.E2 in
-  let d3_finding = { C.file = "lib/fs/fs_log.ml"; line = 1; rule = C.D3; msg = "" } in
-  let stale backends findings =
+  let finding file rule = { C.file; line = 1; rule; msg = "" } in
+  let stale findings =
     List.map
       (fun (w : C.waiver) -> w.w_file ^ ":" ^ C.rule_name w.w_rule)
-      (C.stale_waivers ~backends [ b1; d3; e2 ] findings)
+      (C.stale_waivers [ b1; d3 ] findings)
   in
-  Alcotest.(check (list string)) "syntactic run: taint and typed-only rules not judged" []
-    (stale [ C.Syntactic ] [ d3_finding ]);
-  Alcotest.(check (list string)) "typed run: E2 judged, B1 not" [ "lib/bft/replica.ml:E2" ]
-    (stale [ C.Syntactic; C.Typed ] [ d3_finding ]);
-  Alcotest.(check (list string)) "all backends, nothing found: every waiver stale"
-    [ "lib/codec/xdr.ml:B1"; "lib/fs/fs_log.ml:D3"; "lib/bft/replica.ml:E2" ]
-    (stale [ C.Syntactic; C.Typed; C.Taint ] []);
-  Alcotest.(check bool) "--update without --taint keeps B-rule waivers" false
-    (C.checks_rule ~backends:[ C.Syntactic; C.Typed ] C.B1)
+  Alcotest.(check (list string)) "a finding keeps its waiver" [ "lib/codec/xdr.ml:B1" ]
+    (stale [ finding "lib/fs/fs_log.ml" C.D3 ]);
+  Alcotest.(check (list string)) "same file, other rule: stale"
+    [ "lib/codec/xdr.ml:B1"; "lib/fs/fs_log.ml:D3" ]
+    (stale [ finding "lib/fs/fs_log.ml" C.D1 ]);
+  Alcotest.(check (list string)) "nothing found: every waiver stale"
+    [ "lib/codec/xdr.ml:B1"; "lib/fs/fs_log.ml:D3" ]
+    (stale [])
 
 (* --- U1: unused exports --------------------------------------------------- *)
 
@@ -260,25 +240,39 @@ let test_u1_fixture () =
   Alcotest.(check (list (triple string int string)))
     "only internal_only is unreferenced"
     [ ("lib/util/u1_export.mli", 13, "U1") ]
-    (u1 (Typed.check_exports [ exporter; alias_and_open; test_use ]));
+    (u1 (Typed.check_exports ~cmt_root [ exporter; alias_and_open; test_use ]));
   Alcotest.(check (list (triple string int string)))
     "without the test/ consumer, via_test is unreferenced too"
     [ ("lib/util/u1_export.mli", 10, "U1"); ("lib/util/u1_export.mli", 13, "U1") ]
-    (u1 (Typed.check_exports [ exporter; alias_and_open ]))
+    (u1 (Typed.check_exports ~cmt_root [ exporter; alias_and_open ]))
 
 (* The repository itself: no lib/ export is dead.  Systems.registers_wrapper
    (lib/workload/systems.ml, no .mli) is referenced from perfbench/ alone,
    so this fails if perfbench/ stops counting as a consumer. *)
 let test_u1_real_tree () =
   let failures = !Typed.env_failures in
-  let cmt_root = Filename.concat (Filename.dirname Sys.executable_name) ".." in
-  let fs, n_units = Typed.scan ~cmt_root ~dirs:[ "lib" ] in
-  Alcotest.(check bool) "lib/ units scanned" true (n_units > 50);
+  let units = Typed.units ~cmt_root Typed.u1_consumer_dirs in
+  Alcotest.(check bool) "lib/ units scanned" true
+    (List.length (List.filter (Typed.in_dirs [ "lib" ]) units) > 50);
+  let fs = Typed.scan ~cmt_root ~dirs:[ "lib" ] units in
   let u1_msgs = List.filter_map (fun f -> if f.C.rule = C.U1 then Some f.C.msg else None) fs in
   Alcotest.(check (list string)) "no U1 findings in the repository" [] u1_msgs;
   Alcotest.(check bool) "Systems.registers_wrapper not flagged" false
     (List.exists (fun m -> Base_util.Str_contains.contains m "registers_wrapper") u1_msgs);
   Alcotest.(check int) "every unit's environment reconstructs" failures !Typed.env_failures
+
+(* No source escapes the lint: every .ml under the scanned directories is
+   a compiled unit, and one without a .cmt is reported (basecheck exits 2
+   on it). *)
+let test_every_source_checked () =
+  let dirs = [ "lib"; "bin"; "bench" ] in
+  let units = Typed.units ~cmt_root dirs in
+  let sources = List.concat_map (C.ml_files ~root:cmt_root) dirs in
+  Alcotest.(check (list string)) "every source has a unit" [] (Typed.uncompiled sources units);
+  Alcotest.(check int) "one unit per source" (List.length sources) (List.length units);
+  Alcotest.(check (list string))
+    "a source without a .cmt is reported" [ "lib/bft/ghost.ml" ]
+    (Typed.uncompiled ("lib/bft/ghost.ml" :: sources) units)
 
 let suite =
   [
@@ -301,8 +295,8 @@ let suite =
     Alcotest.test_case "taint: environments reconstruct" `Quick
       test_taint_env_reconstruction;
     Alcotest.test_case "allowlist round-trip" `Quick test_allowlist_roundtrip;
-    Alcotest.test_case "stale waivers judged per backend" `Quick test_stale_waivers;
-    (* Last: the real-tree scan re-initialises the typed load path. *)
+    Alcotest.test_case "stale waivers judged per file and rule" `Quick test_stale_waivers;
     Alcotest.test_case "U1: alias, open and test/ consumers" `Quick test_u1_fixture;
     Alcotest.test_case "U1: repository has no dead exports" `Quick test_u1_real_tree;
+    Alcotest.test_case "every source is a checked unit" `Quick test_every_source_checked;
   ]

@@ -37,9 +37,8 @@ let test_every_length () =
       (Bytes.sub_string out 32 8)
   done
 
-(* Feed [s] as chunks cut at [cuts], each chunk through a different entry
-   point: [update], [update_bytes] from an offset inside a larger buffer,
-   or [update_char] for one-byte chunks. *)
+(* Feed [s] as chunks cut at [cuts], alternating the entry point:
+   [update], or [update_bytes] from an offset inside a larger buffer. *)
 let feed ctx s cuts =
   let n = String.length s in
   let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
@@ -49,8 +48,7 @@ let feed ctx s cuts =
       chunk pos (c - pos) k;
       go c (k + 1) rest
   and chunk pos len k =
-    if len = 1 then Sha256.update_char ctx s.[pos]
-    else if k mod 2 = 0 then Sha256.update ctx (String.sub s pos len)
+    if k mod 2 = 0 then Sha256.update ctx (String.sub s pos len)
     else begin
       let padded = Bytes.of_string ("xyz" ^ s ^ "xyz") in
       Sha256.update_bytes ctx padded ~pos:(3 + pos) ~len
@@ -62,7 +60,7 @@ let gen_split =
   Gen.pair (Gen.string_size (Gen.int_bound 400)) (Gen.list_size (Gen.int_bound 12) Gen.nat)
 
 let chunked_updates =
-  Helpers.qtest "chunked update/update_bytes/update_char = reference" gen_split (fun (s, cuts) ->
+  Helpers.qtest "chunked update/update_bytes = reference" gen_split (fun (s, cuts) ->
       let ctx = Sha256.init () in
       feed ctx s cuts;
       String.equal (Sha256.finalize ctx) (Sha256_ref.digest s))
@@ -91,22 +89,6 @@ let interleaved_contexts =
       let da = Sha256.finalize ca in
       let db = Sha256.finalize cb in
       String.equal da (Sha256_ref.digest a) && String.equal db (Sha256_ref.digest b))
-
-(* A midstate copied into another context continues independently of its
-   source, as the HMAC key pads rely on. *)
-let copy_into_midstate =
-  Helpers.qtest "copy_into: both copies continue independently"
-    (Gen.triple (Gen.string_size (Gen.int_bound 200)) Gen.string Gen.string)
-    (fun (prefix, x, y) ->
-      let src = Sha256.init () in
-      Sha256.update src prefix;
-      let dst = Sha256.init () in
-      Sha256.update dst "stale state the copy must overwrite";
-      Sha256.copy_into ~src ~dst;
-      Sha256.update dst y;
-      Sha256.update src x;
-      String.equal (Sha256.finalize dst) (Sha256_ref.digest (prefix ^ y))
-      && String.equal (Sha256.finalize src) (Sha256_ref.digest (prefix ^ x)))
 
 (* Random keys, lengths and suffixes: every tail length, with and without
    the suffix byte (which fills the last word when 7 bytes remain). *)
@@ -195,7 +177,6 @@ let suite =
     Alcotest.test_case "every length 0..300 = reference" `Quick test_every_length;
     chunked_updates;
     interleaved_contexts;
-    copy_into_midstate;
     siphash_matches_reference;
     Alcotest.test_case "returned tags and digests are not aliased" `Quick test_results_not_aliased;
     large_unaligned;
