@@ -12,11 +12,11 @@
    cannot distinguish from a regression.  So structure is compared exactly
    — same sections, same keys, same strings and booleans — while numbers
    are compared per top-level section with a relative tolerance (plus a
-   small absolute slack for event counts).  Each section gets a verdict
-   line — [identical], [within tolerance (k numbers moved)] or [out of
-   tolerance] — so a refactor that claims to leave the benchmark alone shows
-   which sections it kept byte-for-byte.  Exit status 0 means within
-   tolerance; 1 prints every violation with its JSON path. *)
+   small absolute slack for integers, which count events).  Each section
+   gets a verdict line — [identical], [within tolerance (k numbers moved)]
+   or [out of tolerance] — so a refactor that claims to leave the benchmark
+   alone shows which sections it kept byte-for-byte.  Exit status 0 means
+   within tolerance; 1 prints every violation with its JSON path. *)
 
 module Json = Base_obs.Json
 
@@ -32,13 +32,14 @@ let tolerance_for = function
   | _ -> 0.10
 
 (* Counts of discrete events (retransmissions, cache hits, recoveries) sit
-   near zero where a relative band is meaningless; allow a small absolute
-   drift on top. *)
-let abs_slack = 2.0
+   near zero where a relative band is meaningless; integers may drift by a
+   small absolute amount on top.  Floats (seconds, ratios, rates) get no
+   slack: 2.0 of it would pass any change to a float below 2. *)
+let count_slack = 2.0
 
-let close ~rtol a b =
+let close ~rtol ~slack a b =
   let d = Float.abs (a -. b) in
-  d <= abs_slack || d <= rtol *. Float.max (Float.abs a) (Float.abs b)
+  d <= slack || d <= rtol *. Float.max (Float.abs a) (Float.abs b)
 
 let violations = ref []
 
@@ -49,16 +50,17 @@ let moved = ref 0
 
 let same_keys a b = List.length a = List.length b && List.for_all2 String.equal a b
 
+(* A number with the absolute slack its kind allows. *)
 let number = function
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
+  | Json.Int i -> Some (float_of_int i, count_slack)
+  | Json.Float f -> Some (f, 0.0)
   | _ -> None
 
 let rec compare_values ~rtol path a b =
   match (number a, number b) with
-  | Some x, Some y ->
+  | Some (x, sx), Some (y, sy) ->
     if not (Float.equal x y) then incr moved;
-    if not (close ~rtol x y) then
+    if not (close ~rtol ~slack:(Float.min sx sy) x y) then
       report path (Printf.sprintf "%.6g vs %.6g exceeds %.0f%% tolerance" x y (100.0 *. rtol))
   | _ -> (
     match (a, b) with

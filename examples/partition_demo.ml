@@ -42,4 +42,4 @@ let () =
   Printf.printf "ledger now reads: %S\n" data;
   Engine.run ~until:(Sim_time.add (Runtime.now rt) (Sim_time.of_sec 1.0)) engine;
   Printf.printf "replicas diverging from majority: %d (must be 0)\n"
-    (Base_workload.Faults.divergent_replicas sys)
+    (Base_workload.Faults.divergent_replicas rt)

@@ -13,11 +13,9 @@ module S = Base_fs.Server_intf
 
 (* Distinct abstract-state roots across the replica group (0 divergent =
    everybody agrees). *)
-let divergent_replicas sys =
+let divergent_replicas rt =
   let roots =
-    Array.map
-      (fun node -> Objrepo.current_root node.Runtime.repo)
-      (Runtime.replicas sys.Systems.runtime)
+    Array.map (fun node -> Objrepo.current_root node.Runtime.repo) (Runtime.replicas rt)
   in
   let counts = Hashtbl.create 4 in
   Array.iter
@@ -66,7 +64,7 @@ let poison_experiment ?(seed = 5L) ~hetero () =
   {
     configuration = (if hetero then "heterogeneous (4 distinct impls)" else "homogeneous (4 x hash)");
     read_back_correct = String.equal got payload;
-    divergent = divergent_replicas sys;
+    divergent = divergent_replicas sys.Systems.runtime;
     buggy_replicas = !buggy;
   }
 
@@ -139,7 +137,7 @@ let corruption_experiment ?(seed = 9L) ~corrupt_replicas ~objects_per_replica ()
     objects_damaged = List.length damaged;
     reads_correct_before_repair = reads_ok;
     objects_repaired = List.length (List.filter intact damaged);
-    divergent_after_repair = divergent_replicas sys;
+    divergent_after_repair = divergent_replicas sys.Systems.runtime;
   }
 
 (* --- E5: availability probe ---------------------------------------------------- *)
@@ -286,5 +284,5 @@ let chaos_experiment ?(seed = 21L) () =
       ch_equivocations = counter_value "bft.equivocation_detected";
       ch_corrupted = (Engine.total_counters (Runtime.engine rt)).Engine.corrupted_msgs;
       ch_pp_muted = counter_value "adversary.pp_muted";
-      ch_divergent = divergent_replicas sys;
+      ch_divergent = divergent_replicas sys.Systems.runtime;
     } )

@@ -58,13 +58,3 @@ let run ?(seed = 3L) ?(n = 30) () =
   bench "setattr" false ~raw_bytes:160 (fun nfs i ->
       ignore (C.ok (C.setattr nfs file { sattr_empty with s_mode = Some (0o600 + (i mod 8)) })));
   List.rev !rows
-
-let pp_rows ppf rows =
-  Format.fprintf ppf "  %-14s %-6s %12s %12s %10s@." "operation" "kind" "base-fs(us)"
-    "raw(us)" "slowdown";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-14s %-6s %12.0f %12.0f %9.2fx@." r.op
-        (if r.read_only then "ro" else "rw")
-        r.base_us r.raw_us (slowdown r))
-    rows
