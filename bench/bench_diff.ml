@@ -34,7 +34,9 @@ let tolerance_for = function
 (* Counts of discrete events (retransmissions, cache hits, recoveries) sit
    near zero where a relative band is meaningless; integers may drift by a
    small absolute amount on top.  Floats (seconds, ratios, rates) get no
-   slack: 2.0 of it would pass any change to a float below 2. *)
+   slack: 2.0 of it would pass any change to a float below 2.  [Json] prints
+   every float with a point or an exponent, so a float never reads back as
+   an integer and takes the integers' slack. *)
 let count_slack = 2.0
 
 let close ~rtol ~slack a b =

@@ -52,10 +52,6 @@ let text = function J.Str s -> s | v -> J.to_string v
 
 let fixed decimals v = Printf.sprintf "%.*f" decimals (num v)
 
-(* An object's fields as "key=value" pairs. *)
-let pairs ~prefix v =
-  String.concat " " (List.map (fun (k, v) -> prefix ^ k ^ "=" ^ text v) (fields v))
-
 (* [row] plus a field the section keeps as the row's key, for the label
    column of a table whose rows are named entries of an object. *)
 let with_field key v row = J.Obj ((key, v) :: fields row)
@@ -92,18 +88,22 @@ let e2 () =
     | _ -> J.Str v
   in
   let event (e : Base_obs.Trace.event) =
-    J.(obj [ ("attrs", obj (List.map (fun (k, v) -> (k, attr v)) e.attrs));
-             ("name", Str e.name); ("ts_us", Int (Int64.to_int e.ts)) ])
+    J.(obj
+         [
+           ("attrs", obj (List.map (fun (k, v) -> (k, attr v)) e.attrs));
+           ("name", Str e.name);
+           ("ts_us", Int (Int64.to_int e.ts));
+         ])
   in
   let s =
-    J.(obj [ ("dropped", Int (Base_obs.Trace.dropped trace));
-             ("events", List (List.map event (Base_obs.Trace.events trace)));
-             ("impls", List (List.map (fun i -> Str i) (Array.to_list sys.Systems.impl_of))) ])
+    J.(obj
+         [
+           ("dropped", Int (Base_obs.Trace.dropped trace));
+           ("events", List (List.map event (Base_obs.Trace.events trace)));
+           ("impls", List (List.map (fun i -> Str i) (Array.to_list sys.Systems.impl_of)));
+         ])
   in
-  table
-    [ ("time(s)", "ts_us", 10, fun v -> Printf.sprintf "%.6f" (num v /. 1e6));
-      ("event", "name", -24, text); ("attributes", "attrs", 0, pairs ~prefix:"") ]
-    (items (get s "events"));
+  Format.printf "%a%!" Base_obs.Trace.pp trace;
   if geti s "dropped" > 0 then
     Printf.printf "  ... (%d more network events)\n" (geti s "dropped");
   Printf.printf
@@ -117,26 +117,28 @@ let e2 () =
 
 (* --- E3: scaled Andrew benchmark (Section 4) ----------------------------------- *)
 
-let andrew_json label (r : Andrew.result) =
+(* An Andrew run prints with [Andrew.pp_result], as [base_demo andrew] does;
+   the section keeps the same record's fields. *)
+let andrew_json (r : Andrew.result) =
   let phase (p : Andrew.phase_result) =
-    J.(obj [ ("bytes", Int p.Andrew.bytes); ("ops", Int p.Andrew.ops);
-             ("phase", Str p.Andrew.phase); ("seconds", Float p.Andrew.seconds) ])
+    J.(obj
+         [
+           ("bytes", Int p.Andrew.bytes);
+           ("ops", Int p.Andrew.ops);
+           ("phase", Str p.Andrew.phase);
+           ("seconds", Float p.Andrew.seconds);
+         ])
   in
-  J.(obj [ ("label", Str label); ("phases", List (List.map phase r.Andrew.phases));
-           ("scale", Int r.Andrew.scale); ("total_bytes", Int r.Andrew.total_bytes);
-           ("total_seconds", Float r.Andrew.total_seconds) ])
+  J.(obj
+       [
+         ("label", Str r.Andrew.label);
+         ("phases", List (List.map phase r.Andrew.phases));
+         ("scale", Int r.Andrew.scale);
+         ("total_bytes", Int r.Andrew.total_bytes);
+         ("total_seconds", Float r.Andrew.total_seconds);
+       ])
 
-let print_andrew a =
-  Printf.printf "%-12s scale=%d  (%.1f MB touched)\n" (text (get a "label")) (geti a "scale")
-    (getf a "total_bytes" /. 1048576.0);
-  let phases = items (get a "phases") in
-  let ops = List.fold_left (fun acc p -> acc + geti p "ops") 0 phases in
-  table
-    [ ("phase", "phase", -8, text); ("ops", "ops", 6, text); ("bytes", "bytes", 10, text);
-      ("seconds", "seconds", 9, fixed 3) ]
-    (phases
-    @ [ J.(obj [ ("bytes", get a "total_bytes"); ("ops", Int ops); ("phase", Str "total");
-                 ("seconds", get a "total_seconds") ]) ])
+let print_andrew r = Format.printf "%a" Andrew.pp_result r
 
 let e3 () =
   section "E3" "scaled Andrew benchmark: BASE-FS vs the unwrapped implementation";
@@ -159,7 +161,9 @@ let e3 () =
      the 30 ms reboot, so at most one replica is down at a time. *)
   let period_us = int_of_float (r_rep.Andrew.total_seconds *. 1e6 /. 2.0) in
   Runtime.enable_proactive_recovery ~reboot_us:30_000 ~period_us rt2;
-  let r_pr = Andrew.run ~scale (Fs_iface.of_runtime ~client:0 rt2) in
+  let r_pr =
+    { (Andrew.run ~scale (Fs_iface.of_runtime ~client:0 rt2)) with Andrew.label = "base-fs+PR" }
+  in
   let counts =
     List.map
       (fun node -> node.Runtime.recovery_stats.Runtime.recoveries)
@@ -172,26 +176,30 @@ let e3 () =
   in
   let s =
     J.(obj
-      [ ("base", andrew_json r_rep.Andrew.label r_rep); ("base_pr", andrew_json "base-fs+PR" r_pr);
-        ("messages", Int (Engine.total_counters engine).Engine.sent_msgs);
-        ("min_recoveries", Int (List.fold_left Int.min max_int counts));
-        ("overhead_pct", Float (overhead r_rep)); ("overhead_pr_pct", Float (overhead r_pr));
-        ("raw", andrew_json r_raw.Andrew.label r_raw);
-        ("recoveries", Int (List.fold_left ( + ) 0 counts));
-        ( "retransmissions",
-          Int (Base_bft.Client.stats (Runtime.client rt2 0)).Base_bft.Client.retransmissions );
-        ( "traffic",
-          List
-            (List.map
-               (fun (l, c) -> obj [ ("label", Str l); ("sent", Int c.Engine.sent_msgs) ])
-               traffic) );
-        ("window_s", Float (2.0 *. float_of_int period_us /. 1e6)) ])
+         [
+           ("base", andrew_json r_rep);
+           ("base_pr", andrew_json r_pr);
+           ("messages", Int (Engine.total_counters engine).Engine.sent_msgs);
+           ("min_recoveries", Int (List.fold_left Int.min max_int counts));
+           ("overhead_pct", Float (overhead r_rep));
+           ("overhead_pr_pct", Float (overhead r_pr));
+           ("raw", andrew_json r_raw);
+           ("recoveries", Int (List.fold_left ( + ) 0 counts));
+           ( "retransmissions",
+             Int (Base_bft.Client.stats (Runtime.client rt2 0)).Base_bft.Client.retransmissions );
+           ( "traffic",
+             List
+               (List.map
+                  (fun (l, c) -> obj [ ("label", Str l); ("sent", Int c.Engine.sent_msgs) ])
+                  traffic) );
+           ("window_s", Float (2.0 *. float_of_int period_us /. 1e6));
+         ])
   in
-  print_andrew (get s "raw");
-  print_andrew (get s "base");
+  print_andrew r_raw;
+  print_andrew r_rep;
   Printf.printf "  protocol traffic during the run (%d messages):\n" (geti s "messages");
   table [ ("label", "label", -14, text); ("sent", "sent", 8, text) ] (items (get s "traffic"));
-  print_andrew (get s "base_pr");
+  print_andrew r_pr;
   Printf.printf "  client retransmissions: %d\n" (geti s "retransmissions");
   Printf.printf
     "\n\
@@ -221,13 +229,22 @@ let e3_ablation () =
         (0, 0)
         (Runtime.replicas sys.Systems.runtime)
     in
-    J.(obj [ ("checkpoints", Int cps); ("cow_copies", Int copies); ("k", Int k);
-             ("total_s", Float r.Andrew.total_seconds) ])
+    J.(obj
+         [
+           ("checkpoints", Int cps);
+           ("cow_copies", Int copies);
+           ("k", Int k);
+           ("total_s", Float r.Andrew.total_seconds);
+         ])
   in
   let s = List.map row [ 8; 32; 128 ] in
   table
-    [ ("k", "k", -6, text); ("total(s)", "total_s", -10, fixed 3);
-      ("checkpoints", "checkpoints", -14, text); ("cow copies", "cow_copies", -12, text) ]
+    [
+      ("k", "k", -6, text);
+      ("total(s)", "total_s", -10, fixed 3);
+      ("checkpoints", "checkpoints", -14, text);
+      ("cow copies", "cow_copies", -12, text);
+    ]
     s;
   Printf.printf
     "  smaller k -> more checkpoints and more copy-on-write copies; elapsed\n\
@@ -239,16 +256,24 @@ let e3_micro () =
   section "E3c" "operation-level latency: replicated vs unreplicated (protocol cost)";
   let module Micro = Base_workload.Micro in
   let row (r : Micro.row) =
-    J.(obj [ ("base_us", Float r.Micro.base_us); ("op", Str r.Micro.op);
-             ("raw_us", Float r.Micro.raw_us); ("read_only", Bool r.Micro.read_only);
-             ("slowdown", Float (Micro.slowdown r)) ])
+    J.(obj
+         [
+           ("base_us", Float r.Micro.base_us);
+           ("op", Str r.Micro.op);
+           ("raw_us", Float r.Micro.raw_us);
+           ("read_only", Bool r.Micro.read_only);
+           ("slowdown", Float (Micro.slowdown r));
+         ])
   in
   let s = List.map row (Micro.run ()) in
   table
-    [ ("operation", "op", -14, text);
+    [
+      ("operation", "op", -14, text);
       ("kind", "read_only", -6, function J.Bool true -> "ro" | _ -> "rw");
-      ("base-fs(us)", "base_us", 12, fixed 0); ("raw(us)", "raw_us", 12, fixed 0);
-      ("slowdown", "slowdown", 10, fun v -> fixed 2 v ^ "x") ]
+      ("base-fs(us)", "base_us", 12, fixed 0);
+      ("raw(us)", "raw_us", 12, fixed 0);
+      ("slowdown", "slowdown", 10, fun v -> fixed 2 v ^ "x");
+    ]
     s;
   Printf.printf
     "  read-only calls answer in one round (close to raw); read-write calls\n\
@@ -305,12 +330,20 @@ let e5 () =
   let replicas = Array.to_list (Runtime.replicas sys.Systems.runtime) in
   let replica node =
     let rs = node.Runtime.recovery_stats in
-    J.(obj [ ("objects_fetched", Int rs.Runtime.fetched.St.objects_fetched);
-             ("recoveries", Int rs.Runtime.recoveries); ("replica", Int node.Runtime.rid) ])
+    J.(obj
+         [
+           ("objects_fetched", Int rs.Runtime.fetched.St.objects_fetched);
+           ("recoveries", Int rs.Runtime.recoveries);
+           ("replica", Int node.Runtime.rid);
+         ])
   in
   let window (a : Faults.window) b =
-    J.(obj [ ("ops_no_recovery", Int a.Faults.w_ops); ("ops_with_recovery", Int b);
-             ("start_s", Float a.Faults.w_start_s) ])
+    J.(obj
+         [
+           ("ops_no_recovery", Int a.Faults.w_ops);
+           ("ops_with_recovery", Int b);
+           ("start_s", Float a.Faults.w_start_s);
+         ])
   in
   let view_changes node = (Replica.stats node.Runtime.replica).Replica.view_changes in
   let cost = 100.0 *. (1.0 -. (float_of_int (tot recovered) /. float_of_int (tot base))) in
@@ -318,17 +351,23 @@ let e5 () =
   let inner = List.filteri (fun i _ -> i > 0 && i < 15) (ops recovered) in
   let s =
     J.(obj
-      [ ("cost_pct", Float cost);
-        ("object_slots", Int (Objrepo.n_objects (List.hd replicas).Runtime.repo));
-        ("ops_no_recovery", Int (tot base)); ("ops_with_recovery", Int (tot recovered));
-        ("replicas", List (List.map replica replicas));
-        ("view_changes", Int (List.fold_left (fun acc n -> acc + view_changes n) 0 replicas));
-        ("windows", List (List.map2 window base (ops recovered)));
-        ("worst_window_ops", Int (List.fold_left Int.min max_int inner)) ])
+         [
+           ("cost_pct", Float cost);
+           ("object_slots", Int (Objrepo.n_objects (List.hd replicas).Runtime.repo));
+           ("ops_no_recovery", Int (tot base));
+           ("ops_with_recovery", Int (tot recovered));
+           ("replicas", List (List.map replica replicas));
+           ("view_changes", Int (List.fold_left (fun acc n -> acc + view_changes n) 0 replicas));
+           ("windows", List (List.map2 window base (ops recovered)));
+           ("worst_window_ops", Int (List.fold_left Int.min max_int inner));
+         ])
   in
   table
-    [ ("window(s)", "start_s", 9, fixed 1); ("no-recovery ops", "ops_no_recovery", 17, text);
-      ("with-recovery ops", "ops_with_recovery", 19, text) ]
+    [
+      ("window(s)", "start_s", 9, fixed 1);
+      ("no-recovery ops", "ops_no_recovery", 17, text);
+      ("with-recovery ops", "ops_with_recovery", 19, text);
+    ]
     (items (get s "windows"));
   Printf.printf "\n  totals: %d ops without recovery, %d with (%.1f%% throughput cost)\n"
     (geti s "ops_no_recovery") (geti s "ops_with_recovery") (getf s "cost_pct");
@@ -338,8 +377,11 @@ let e5 () =
     "\n  per-replica recovery cost (hierarchical state transfer, of %d object slots):\n"
     (geti s "object_slots");
   table
-    [ ("replica", "replica", 7, text); ("recoveries", "recoveries", 10, text);
-      ("objects-fetched", "objects_fetched", 15, text) ]
+    [
+      ("replica", "replica", 7, text);
+      ("recoveries", "recoveries", 10, text);
+      ("objects-fetched", "objects_fetched", 15, text);
+    ]
     (items (get s "replicas"));
   Printf.printf "  view changes, summed over replicas: %d\n" (geti s "view_changes");
   Printf.printf
@@ -362,14 +404,22 @@ let e6 () =
   section "E6" "deterministic software bug: heterogeneous vs homogeneous replicas";
   let row hetero =
     let o = Faults.poison_experiment ~hetero () in
-    J.(obj [ ("buggy_replicas", Int o.Faults.buggy_replicas);
-             ("configuration", Str o.Faults.configuration); ("divergent", Int o.Faults.divergent);
-             ("read_back_correct", Bool o.Faults.read_back_correct) ])
+    J.(obj
+         [
+           ("buggy_replicas", Int o.Faults.buggy_replicas);
+           ("configuration", Str o.Faults.configuration);
+           ("divergent", Int o.Faults.divergent);
+           ("read_back_correct", Bool o.Faults.read_back_correct);
+         ])
   in
   let s = List.map row [ true; false ] in
   table
-    [ ("configuration", "configuration", -36, text); ("buggy", "buggy_replicas", 5, text);
-      ("correct-read", "read_back_correct", 12, text); ("divergent", "divergent", 9, text) ]
+    [
+      ("configuration", "configuration", -36, text);
+      ("buggy", "buggy_replicas", 5, text);
+      ("correct-read", "read_back_correct", 12, text);
+      ("divergent", "divergent", 9, text);
+    ]
     s;
   Printf.printf
     "\n\
@@ -441,17 +491,25 @@ let e7_transfer_sweep () =
     let root = Objrepo.take_checkpoint src ~seq:1 ~client_rows:[] in
     let target = Replica.checkpoint_digest ~app_digest:root ~client_rows:[] in
     let stats = run_transfer ~src ~dst ~target_seq:1 ~target_digest:target in
-    J.(obj [ ("bytes_fetched", Int stats.St.bytes_fetched); ("dirty_pct", Int pct);
-             ("meta_fetched", Int stats.St.meta_fetched);
-             ("objects_fetched", Int stats.St.objects_fetched);
-             ( "vs_full_pct",
-               Float (100.0 *. float_of_int stats.St.bytes_fetched /. float_of_int full_bytes) ) ])
+    J.(obj
+         [
+           ("bytes_fetched", Int stats.St.bytes_fetched);
+           ("dirty_pct", Int pct);
+           ("meta_fetched", Int stats.St.meta_fetched);
+           ("objects_fetched", Int stats.St.objects_fetched);
+           ( "vs_full_pct",
+             Float (100.0 *. float_of_int stats.St.bytes_fetched /. float_of_int full_bytes) );
+         ])
   in
   let s = List.map row [ 1; 5; 10; 25; 50; 100 ] in
   table
-    [ ("dirty%", "dirty_pct", -10, text); ("objs-fetched", "objects_fetched", -12, text);
-      ("bytes-fetched", "bytes_fetched", -14, text); ("meta-msgs", "meta_fetched", -12, text);
-      ("vs-full", "vs_full_pct", 9, fun v -> fixed 1 v ^ "%") ]
+    [
+      ("dirty%", "dirty_pct", -10, text);
+      ("objs-fetched", "objects_fetched", -12, text);
+      ("bytes-fetched", "bytes_fetched", -14, text);
+      ("meta-msgs", "meta_fetched", -12, text);
+      ("vs-full", "vs_full_pct", 9, fun v -> fixed 1 v ^ "%");
+    ]
     s;
   Printf.printf
     "  paper: a replica recurses down the partition hierarchy and fetches only\n\
@@ -616,10 +674,13 @@ let e8 () =
     J.Float (Int64.to_float (Engine.local_clock (Runtime.engine rt) node.Runtime.rid) /. 1e6)
   in
   let s =
-    J.(obj [ ("agreed_mtime_s", Float (Int64.to_float a.mtime /. 1e6));
-             ("divergent", Int (Faults.divergent_replicas rt));
-             ("replica_clocks_s", List (List.map clock (Array.to_list (Runtime.replicas rt))));
-             ("virtual_time_s", Float (Sim_time.to_sec (Runtime.now rt))) ])
+    J.(obj
+         [
+           ("agreed_mtime_s", Float (Int64.to_float a.mtime /. 1e6));
+           ("divergent", Int (Faults.divergent_replicas rt));
+           ("replica_clocks_s", List (List.map clock (Array.to_list (Runtime.replicas rt))));
+           ("virtual_time_s", Float (Sim_time.to_sec (Runtime.now rt)));
+         ])
   in
   Printf.printf "  virtual time now        : %.6f s\n" (getf s "virtual_time_s");
   Printf.printf "  replica local clocks    : %s s (skewed, drifting)\n"
@@ -638,19 +699,24 @@ let e9 () =
   section "E9" "fault injection: silent state corruption, masking and repair";
   let row k =
     let o = Faults.corruption_experiment ~corrupt_replicas:k ~objects_per_replica:4 () in
-    J.(obj [ ("corrupt_replicas", Int o.Faults.corrupt_replicas);
-             ("divergent_after_repair", Int o.Faults.divergent_after_repair);
-             ("objects_damaged", Int o.Faults.objects_damaged);
-             ("objects_repaired", Int o.Faults.objects_repaired);
-             ("reads_correct_before_repair", Bool o.Faults.reads_correct_before_repair) ])
+    J.(obj
+         [
+           ("corrupt_replicas", Int o.Faults.corrupt_replicas);
+           ("divergent_after_repair", Int o.Faults.divergent_after_repair);
+           ("objects_damaged", Int o.Faults.objects_damaged);
+           ("objects_repaired", Int o.Faults.objects_repaired);
+           ("reads_correct_before_repair", Bool o.Faults.reads_correct_before_repair);
+         ])
   in
   let s = List.map row [ 1; 2 ] in
   table
-    [ ("corrupt-replicas", "corrupt_replicas", -18, text);
+    [
+      ("corrupt-replicas", "corrupt_replicas", -18, text);
       ("damaged", "objects_damaged", -10, text);
       ("reads-correct", "reads_correct_before_repair", -14, text);
       ("repaired", "objects_repaired", -12, text);
-      ("divergent-after", "divergent_after_repair", -16, text) ]
+      ("divergent-after", "divergent_after_repair", -16, text);
+    ]
     s;
   Printf.printf
     "\n\
@@ -699,9 +765,13 @@ let e10 () =
   let count = match call Count with R_count n -> n | _ -> -1 in
   let recoveries node = node.Runtime.recovery_stats.Runtime.recoveries in
   let s =
-    J.(obj [ ("divergent", Int (Faults.divergent_replicas sys)); ("objects", Int count);
-             ( "recoveries",
-               Int (Array.fold_left (fun acc n -> acc + recoveries n) 0 (Runtime.replicas sys)) ) ])
+    J.(obj
+         [
+           ("divergent", Int (Faults.divergent_replicas sys));
+           ("objects", Int count);
+           ( "recoveries",
+             Int (Array.fold_left (fun acc n -> acc + recoveries n) 0 (Runtime.replicas sys)) );
+         ])
   in
   Printf.printf "  objects stored: %d (plus root)\n" (geti s "objects");
   Printf.printf "  proactive recoveries completed: %d\n" (geti s "recoveries");
@@ -752,20 +822,33 @@ let e11 () =
     Engine.run ~until:stop engine;
     let instances, requests = executed rt in
     let msgs = (Engine.total_counters engine).Engine.sent_msgs - msgs0 in
-    J.(obj [ ("avg_batch", Float (float_of_int requests /. float_of_int (max 1 instances)));
-             ("config", Str label); ("instances", Int instances); ("msgs", Int msgs);
-             ("msgs_per_op", Float (float_of_int msgs /. float_of_int (max 1 !completed)));
-             ("ops", Int !completed) ])
+    J.(obj
+         [
+           ("avg_batch", Float (float_of_int requests /. float_of_int (max 1 instances)));
+           ("config", Str label);
+           ("instances", Int instances);
+           ("msgs", Int msgs);
+           ("msgs_per_op", Float (float_of_int msgs /. float_of_int (max 1 !completed)));
+           ("ops", Int !completed);
+         ])
   in
   let s =
     List.map run
-      [ ("unbatched (b=1,w=1)", 1, 1); ("pipelined (b=1,w=8)", 1, 8);
-        ("batched (b=16,w=2)", 16, 2) ]
+      [
+        ("unbatched (b=1,w=1)", 1, 1);
+        ("pipelined (b=1,w=8)", 1, 8);
+        ("batched (b=16,w=2)", 16, 2);
+      ]
   in
   table
-    [ ("config", "config", -22, text); ("ops", "ops", 10, text);
-      ("instances", "instances", 12, text); ("avg-batch", "avg_batch", 12, fixed 2);
-      ("msgs", "msgs", 12, text); ("msgs/op", "msgs_per_op", 10, fixed 1) ]
+    [
+      ("config", "config", -22, text);
+      ("ops", "ops", 10, text);
+      ("instances", "instances", 12, text);
+      ("avg-batch", "avg_batch", 12, fixed 2);
+      ("msgs", "msgs", 12, text);
+      ("msgs/op", "msgs_per_op", 10, fixed 1);
+    ]
     s;
   Printf.printf
     "  batching amortises agreement: fewer consensus instances and fewer\n\
@@ -814,9 +897,13 @@ let e12 () =
   Format.printf "%a" Base_obs.Metrics.pp (Runtime.metrics rt);
   Printf.printf "\n  traffic by message type:\n";
   table
-    [ ("label", "label", -14, text); ("sent", "sent_msgs", 10, text);
-      ("sent-bytes", "sent_bytes", 14, text); ("recv", "recv_msgs", 10, text);
-      ("drop", "dropped_msgs", 8, text) ]
+    [
+      ("label", "label", -14, text);
+      ("sent", "sent_msgs", 10, text);
+      ("sent-bytes", "sent_bytes", 14, text);
+      ("recv", "recv_msgs", 10, text);
+      ("drop", "dropped_msgs", 8, text);
+    ]
     (List.map
        (fun (label, c) -> with_field "label" (J.Str label) c)
        (fields (get (get report "net") "labels")));
@@ -988,13 +1075,22 @@ let e14 () =
   let serial = e14_report (e14_run ~st_window:1 seed) in
   let s = J.obj [ ("pipelined", pipelined); ("window1", serial) ] in
   table
-    [ ("mode", "mode", -18, text);
+    [
+      ("mode", "mode", -18, text);
       ("rebuild(ms)", "rebuild_us", 11, fun v -> Printf.sprintf "%.1f" (num v /. 1e3));
-      ("objs", "objects_fetched", 4, text); ("bytes", "bytes_fetched", 7, text);
-      ("cache-hits", "cache_hits", 10, text); ("inflight-peak", "peak_inflight", 13, text);
-      ("bytes per source", "source_bytes", 0, pairs ~prefix:"r") ]
-    [ with_field "mode" (J.Str "pipelined (w=8)") pipelined;
-      with_field "mode" (J.Str "serial (w=1)") serial ];
+      ("objs", "objects_fetched", 4, text);
+      ("bytes", "bytes_fetched", 7, text);
+      ("cache-hits", "cache_hits", 10, text);
+      ("inflight-peak", "peak_inflight", 13, text);
+      ( "bytes per source",
+        "source_bytes",
+        0,
+        fun v -> String.concat " " (List.map (fun (r, b) -> "r" ^ r ^ "=" ^ text b) (fields v)) );
+    ]
+    [
+      with_field "mode" (J.Str "pipelined (w=8)") pipelined;
+      with_field "mode" (J.Str "serial (w=1)") serial;
+    ];
   let fast = geti pipelined "rebuild_us" and slow = geti serial "rebuild_us" in
   Printf.printf "\n  rebuild speedup vs serial control: %.2fx\n"
     (float_of_int slow /. float_of_int fast);
@@ -1037,12 +1133,22 @@ let load_point id load =
   (match Load.run load with Ok () -> () | Error e -> failwith (id ^ ": " ^ e));
   let s = Load.stats load in
   let q = Base_obs.Metrics.quantile s.Load.latency_us in
-  J.[ ("completed", Int s.Load.completed); ("p50_us", Float (q 0.5)); ("p99_us", Float (q 0.99));
-      ("shed", Int s.Load.shed); ("throughput_per_s", Float (Load.throughput_per_s load)) ]
+  J.
+    [
+      ("completed", Int s.Load.completed);
+      ("p50_us", Float (q 0.5));
+      ("p99_us", Float (q 0.99));
+      ("shed", Int s.Load.shed);
+      ("throughput_per_s", Float (Load.throughput_per_s load));
+    ]
 
 let load_cols =
-  [ ("completed/s", "throughput_per_s", 14, fixed 1); ("p50(us)", "p50_us", 12, fixed 0);
-    ("p99(us)", "p99_us", 12, fixed 0); ("shed", "shed", 8, text) ]
+  [
+    ("completed/s", "throughput_per_s", 14, fixed 1);
+    ("p50(us)", "p50_us", 12, fixed 0);
+    ("p99(us)", "p99_us", 12, fixed 0);
+    ("shed", "shed", 8, text);
+  ]
 
 let e15_run ~batch_max ~ro ~rate =
   let sys =
@@ -1058,8 +1164,10 @@ let e15_run ~batch_max ~ro ~rate =
   let point = load_point "E15" load in
   let instances, requests = executed rt in
   (* occupancy: mean requests per consensus instance *)
-  J.(obj (("occupancy", Float (float_of_int requests /. float_of_int (max 1 instances)))
-          :: ("offered_per_s", Float rate) :: point))
+  J.(obj
+       (("occupancy", Float (float_of_int requests /. float_of_int (max 1 instances)))
+       :: ("offered_per_s", Float rate)
+       :: point))
 
 let e15 () =
   section "E15" "open-loop saturation: throughput vs offered load, by batch size";
@@ -1148,28 +1256,38 @@ let e16_run ~migrate =
   let episodes = Runtime.recovery_timelines rt in
   let opt = function Some v -> J.Int v | None -> J.Null in
   let episode tl =
-    J.(obj [ ("handoff_us", opt (Runtime.timeline_handoff_us tl));
-             ("migrated", Bool tl.Runtime.tl_migrated); ("rid", Int tl.Runtime.tl_rid);
-             (* migration: seqnos the promoted state trailed by *)
-             ( "staleness_seqs",
-               opt (if tl.Runtime.tl_migrated && tl.Runtime.tl_staleness_seqs >= 0 then
-                      Some tl.Runtime.tl_staleness_seqs else None) );
-             (* start -> fetch done *)
-             ("window_us", opt (Runtime.timeline_window_us tl)) ])
+    J.(obj
+         [
+           ("handoff_us", opt (Runtime.timeline_handoff_us tl));
+           ("migrated", Bool tl.Runtime.tl_migrated);
+           ("rid", Int tl.Runtime.tl_rid);
+           (* migration: seqnos the promoted state trailed by *)
+           ( "staleness_seqs",
+             opt
+               (if tl.Runtime.tl_migrated && tl.Runtime.tl_staleness_seqs >= 0 then
+                  Some tl.Runtime.tl_staleness_seqs
+                else None) );
+           (* start -> fetch done *)
+           ("window_us", opt (Runtime.timeline_window_us tl));
+         ])
   in
   let promotions acc node =
     match node.Runtime.standby with Some ss -> acc + ss.Runtime.ss_promotions | None -> acc
   in
   let q = Base_obs.Metrics.quantile s.Load.latency_us in
   J.(obj
-    [ ("completed", Int s.Load.completed); ("episodes", List (List.map episode episodes));
-      (* handoff: slot dark time, the reboot or the promote handshake *)
-      ("mean_handoff_us", Float (mean (List.filter_map Runtime.timeline_handoff_us episodes)));
-      ("mean_window_us", Float (mean (List.filter_map Runtime.timeline_window_us episodes)));
-      ("p50_us", Float (q 0.5)); ("p99_us", Float (q 0.99));
-      ("promotions", Int (List.fold_left promotions 0 (Runtime.all_cells rt)));
-      ("promotions_aborted", Int (counter "base.standby.promotions_aborted"));
-      ("rounds_skipped", Int (counter "base.standby.rounds_skipped")) ])
+       [
+         ("completed", Int s.Load.completed);
+         ("episodes", List (List.map episode episodes));
+         (* handoff: slot dark time, the reboot or the promote handshake *)
+         ("mean_handoff_us", Float (mean (List.filter_map Runtime.timeline_handoff_us episodes)));
+         ("mean_window_us", Float (mean (List.filter_map Runtime.timeline_window_us episodes)));
+         ("p50_us", Float (q 0.5));
+         ("p99_us", Float (q 0.99));
+         ("promotions", Int (List.fold_left promotions 0 (Runtime.all_cells rt)));
+         ("promotions_aborted", Int (counter "base.standby.promotions_aborted"));
+         ("rounds_skipped", Int (counter "base.standby.rounds_skipped"));
+       ])
 
 (* The values of [field] over the episodes that set it. *)
 let episode_ints field episodes =
@@ -1182,11 +1300,15 @@ let e16 () =
   let mig = e16_run ~migrate:true in
   let windows episodes = List.length (episode_ints "window_us" episodes) in
   table
-    [ ("mode", "mode", -12, text); ("episodes", "episodes", 9, fun v -> string_of_int (windows v));
+    [
+      ("mode", "mode", -12, text);
+      ("episodes", "episodes", 9, fun v -> string_of_int (windows v));
       ("handoff(us)", "mean_handoff_us", 14, fixed 0);
       ("window(us)", "mean_window_us", 14, fixed 0);
-      ("p50(us)", "p50_us", 12, fixed 0); ("p99(us)", "p99_us", 12, fixed 0);
-      ("completed", "completed", 10, text) ]
+      ("p50(us)", "p50_us", 12, fixed 0);
+      ("p99(us)", "p99_us", 12, fixed 0);
+      ("completed", "completed", 10, text);
+    ]
     [ with_field "mode" (J.Str "in-place") inplace; with_field "mode" (J.Str "migration") mig ];
   Printf.printf "  migration: %d promotions, %d aborted, %d rounds skipped, staleness %s seqs\n"
     (geti mig "promotions") (geti mig "promotions_aborted") (geti mig "rounds_skipped")
@@ -1400,12 +1522,29 @@ let e18 () =
 type experiment = Blessed of (unit -> J.t) | Printed of (unit -> unit)
 
 let experiments =
-  [ ("E2", Blessed e2); ("E3", Blessed e3); ("E3b", Blessed e3_ablation); ("E3c", Blessed e3_micro);
-    ("E4", Printed e4); ("E5", Blessed e5); ("E6", Blessed e6); ("E7", Blessed e7_transfer_sweep);
-    ("E7b", Printed e7_micro); ("E8", Blessed e8); ("E9", Blessed e9); ("E10", Blessed e10);
-    ("E11", Blessed e11); ("E12", Blessed e12); ("E13", Blessed e13); ("E14", Blessed e14);
-    ("E15", Blessed e15); ("E16", Blessed e16); ("E17", Blessed e17);
-    ("E17-SMOKE", Printed e17_smoke); ("E18", Blessed e18) ]
+  [
+    ("E2", Blessed e2);
+    ("E3", Blessed e3);
+    ("E3b", Blessed e3_ablation);
+    ("E3c", Blessed e3_micro);
+    ("E4", Printed e4);
+    ("E5", Blessed e5);
+    ("E6", Blessed e6);
+    ("E7", Blessed e7_transfer_sweep);
+    ("E7b", Printed e7_micro);
+    ("E8", Blessed e8);
+    ("E9", Blessed e9);
+    ("E10", Blessed e10);
+    ("E11", Blessed e11);
+    ("E12", Blessed e12);
+    ("E13", Blessed e13);
+    ("E14", Blessed e14);
+    ("E15", Blessed e15);
+    ("E16", Blessed e16);
+    ("E17", Blessed e17);
+    ("E17-SMOKE", Printed e17_smoke);
+    ("E18", Blessed e18);
+  ]
 
 (* The regression artifact CI gates on, written only when every blessed
    experiment ran, so a partial run never blesses a partial file.  Every

@@ -24,12 +24,15 @@ let escape s =
     s;
   Buffer.contents b
 
-(* Canonical float rendering: integers without a fractional part print as
-   "<n>.0" so a value's type never flips between runs; non-finite values have
-   no JSON encoding and become null. *)
+(* Canonical float rendering: a float always prints with a point or an
+   exponent, so it never reads back as an [Int] (integers as "<n>.0", and a
+   value that rounds to an integer at 9 digits gets ".0" too); non-finite
+   values have no JSON encoding and become null. *)
 let float_str f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+  else
+    let s = Printf.sprintf "%.9g" f in
+    if String.exists (fun c -> Char.equal c '.' || Char.equal c 'e') s then s else s ^ ".0"
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

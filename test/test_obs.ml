@@ -92,6 +92,10 @@ let test_json_parse_roundtrip () =
   (match Json.of_string "[2,2.0]" with
   | Ok (Json.List [ Json.Int 2; Json.Float 2.0 ]) -> ()
   | Ok _ | Error _ -> Alcotest.fail "number type mangled");
+  (* A float that rounds to an integer at 9 digits still reads back as one. *)
+  (match Json.of_string (Json.to_string (Json.Float 564.0000000001)) with
+  | Ok (Json.Float f) -> Alcotest.(check (float 1e-6)) "near-integer float" 564.0 f
+  | Ok _ | Error _ -> Alcotest.fail "near-integer float read back as an Int");
   List.iter
     (fun bad ->
       match Json.of_string bad with
