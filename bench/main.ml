@@ -557,7 +557,7 @@ let replica_execute_round () =
     let request =
       { M.client; timestamp = Int64.of_int (k / n_clients); operation = "op"; read_only = false }
     in
-    let digest = Base_crypto.Digest_t.of_string (M.encode_batch [ request ] ~nondet:"") in
+    let digest = M.batch_digest [ request ] ~nondet:"" in
     let receive sender body =
       Replica.receive replica (M.seal chains.(sender) ~sender ~n_receivers:config.n body)
     in

@@ -213,7 +213,7 @@ let adversary_send ~engine ~metrics ~keychain ~n adv ~rid ~dst (env : Message.en
          (Message.Reply { r with result }))
   | Faultplan.B_equivocate, Message.Pre_prepare pp when dst mod 2 = 1 ->
     let nondet = pp.nondet ^ "\001" in
-    let digest = Digest.of_string (Message.encode_batch pp.requests ~nondet) in
+    let digest = Message.batch_digest pp.requests ~nondet in
     through_window
       (Message.seal keychain ~shard:env.shard ~sender:rid ~n_receivers:n
          (Message.Pre_prepare { pp with nondet; digest }))

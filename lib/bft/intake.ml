@@ -8,7 +8,10 @@ type client = {
   mutable pending_since : int64;  (* local arrival time of [pending]; -1 = none *)
   mutable assigned_ts : int64;  (* primary: highest timestamp given a seqno *)
   mutable assigned_seq : Types.seqno;
-  mutable heard_ts : int64;  (* newest timestamp received; a repeat is a retransmission *)
+  mutable heard : M.request;
+      (* the newest request received; a repeat of its timestamp is a
+         retransmission *)
+  mutable heard_digest : Digest.t;  (* its request digest *)
   mutable vouched_ts : int64;  (* backup: newest timestamp vouched for to the primary *)
   mutable vouchers : Digest.t option array;
       (* primary: the request digest each replica last vouched for, by id;
@@ -21,6 +24,7 @@ type t = {
   config : Types.config;
   slots : client option array;
   mutable n_pending : int;  (* records whose [pending] is [Some _]; see [set_pending] *)
+  hasher : M.batch_hasher;  (* [batch_digest]'s SHA-256 context *)
 }
 
 let n_external (config : Types.config) = config.n_principals - Types.group_size config
@@ -32,13 +36,22 @@ let admissible config c =
   || (Types.is_internal_client c && c < Types.internal_client ~shard:(Types.n_shards config))
 
 let create config =
-  { config; slots = Array.make (n_external config + Types.n_shards config) None; n_pending = 0 }
+  {
+    config;
+    slots = Array.make (n_external config + Types.n_shards config) None;
+    n_pending = 0;
+    hasher = M.batch_hasher ();
+  }
 
 (* The slot of a client id; an id no slot holds gives one out of range. *)
 let slot t c =
   if is_client t.config c then c - Types.group_size t.config
   else if Types.is_internal_client c then n_external t.config + c - Types.internal_client ~shard:0
   else -1
+
+(* The [heard] of a record that received nothing: older than any request,
+   and no client's. *)
+let unheard = { M.null_request with timestamp = -1L }
 
 let find t c =
   let i = slot t c in
@@ -53,7 +66,8 @@ let find t c =
         pending_since = -1L;
         assigned_ts = -1L;
         assigned_seq = -1;
-        heard_ts = -1L;
+        heard = unheard;
+        heard_digest = Digest.zero;
         vouched_ts = -1L;
         vouchers = [||];
       }
@@ -88,18 +102,38 @@ let iter t f = Array.iter (function Some cr -> f cr | None -> ()) t.slots
 
 type arrival = Stale | Done | First | Repeat
 
-let admit t (r : M.request) ~now =
+let admit t (r : M.request) ~digest ~now =
   let cr = find t r.client in
   if r.timestamp < cr.last_ts then Stale
   else if Int64.equal r.timestamp cr.last_ts then Done
   else begin
     hold t cr r ~now;
-    let retransmitted = Int64.equal r.timestamp cr.heard_ts in
-    if r.timestamp > cr.heard_ts then cr.heard_ts <- r.timestamp;
+    let retransmitted = Int64.equal r.timestamp cr.heard.timestamp in
+    if r.timestamp >= cr.heard.timestamp then begin
+      cr.heard <- r;
+      cr.heard_digest <- digest
+    end;
     if retransmitted then Repeat else First
   end
 
 let last_result t c = (find t c).last_result
+
+(* The digest [admit] recorded, for the very request it recorded: the same
+   value, or one equal in every field.  Any other request, altered or
+   unheard, is hashed. *)
+let request_digest t (r : M.request) =
+  let i = slot t r.client in
+  match if i >= 0 && i < Array.length t.slots then t.slots.(i) else None with
+  | Some { heard; heard_digest; _ }
+    when heard == r
+         || heard.client = r.client
+            && Int64.equal heard.timestamp r.timestamp
+            && Bool.equal heard.read_only r.read_only
+            && String.equal heard.operation r.operation ->
+    heard_digest
+  | Some _ | None -> M.request_digest r
+
+let batch_digest t requests ~nondet = M.batch_digest_by t.hasher request_digest t requests ~nondet
 
 (* The arrival time of the pending request, forgotten once a PRE-PREPARE
    carries the client's request: a backup vouches for none of those. *)
@@ -151,15 +185,14 @@ let record t (r : M.request) result =
   set_executed t (find t r.client) r.timestamp
     (if Types.is_internal_client r.client then None else Some result)
 
-let vouch t ~sender (r : M.request) ~now =
+let vouch t ~sender (r : M.request) ~digest ~now =
   let cr = find t r.client in
   r.timestamp > cr.last_ts && r.timestamp > cr.assigned_ts
   && (match cr.pending with Some p -> p.timestamp < r.timestamp | None -> true)
   && begin
-       let d = M.request_digest r in
        if Array.length cr.vouchers = 0 then cr.vouchers <- Array.make t.config.n None;
-       cr.vouchers.(sender) <- Some d;
-       Types.count_matching cr.vouchers d >= Types.weak_quorum t.config
+       cr.vouchers.(sender) <- Some digest;
+       Types.count_matching cr.vouchers digest >= Types.weak_quorum t.config
        && begin
             Array.fill cr.vouchers 0 (Array.length cr.vouchers) None;
             hold t cr r ~now;

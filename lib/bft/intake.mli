@@ -35,12 +35,19 @@ type arrival =
   | First  (** not executed and first heard: now pending *)
   | Repeat  (** not executed and heard before: a retransmission *)
 
-val admit : t -> Message.request -> now:int64 -> arrival
+val admit : t -> Message.request -> digest:Base_crypto.Digest_t.t -> now:int64 -> arrival
 (** A [First] or [Repeat] request is pending from [now] on, unless a newer
-    one is. *)
+    one is.  Unless the client sent a newer one, it is also the client's
+    newest heard request, recorded with [digest], which must be its
+    {!Message.request_digest}. *)
 
 val last_result : t -> int -> string option
 (** The result of a client's newest executed request. *)
+
+val batch_digest : t -> Message.request list -> nondet:string -> Base_crypto.Digest_t.t
+(** {!Message.batch_digest}.  A request's digest is read from its client's
+    newest heard request when it is that request or equal to it in every
+    field, and hashed afresh otherwise. *)
 
 val backup_holds : t -> Message.request -> int64
 (** An accepted PRE-PREPARE carries the request: pending unless executed or
@@ -69,10 +76,13 @@ val executed : t -> Message.request -> bool
 val record : t -> Message.request -> string -> unit
 (** The request executed with this result; it is no longer pending. *)
 
-val vouch : t -> sender:int -> Message.request -> now:int64 -> bool
+val vouch :
+  t -> sender:int -> Message.request -> digest:Base_crypto.Digest_t.t -> now:int64 -> bool
 (** The primary counts replica [sender]'s voucher for a request newer than
-    the client's assigned and pending ones.  [true] when f+1 replicas
-    vouched for the identical request, which is pending from [now] on. *)
+    the client's assigned and pending ones; [digest] is the voucher
+    envelope's, so two vouchers match only on identical wire bytes.
+    [true] when f+1 replicas vouched for the identical request, which is
+    pending from [now] on. *)
 
 val iter_to_vouch : t -> after:int64 -> (Message.request -> unit) -> unit
 (** A backup's pending requests that arrived from their client later than

@@ -86,19 +86,6 @@ let enc_request e (r : request) =
   Xdr.opaque e r.operation;
   Xdr.bool e r.read_only
 
-let request_digest r = Digest.of_string (Xdr.encode enc_request r)
-
-(* Canonical encoding of a proposed ordering: the XDR batch (count-prefixed)
-   plus the length-prefixed nondet proposal.  Both prefixes matter — they
-   make the encoding injective, so one SHA-256 pass over it binds the batch
-   composition and the nondet choice at once (the per-request digest-then-
-   combine scheme this replaces cost one hash per request per replica). *)
-let enc_batch e (requests, nondet) =
-  Xdr.list e enc_request requests;
-  Xdr.opaque e nondet
-
-let encode_batch requests ~nondet = Xdr.encode enc_batch (requests, nondet)
-
 let enc_digest e d = Xdr.opaque e (Digest.raw d)
 
 let enc_pre_prepare e (p : pre_prepare) =
@@ -163,6 +150,46 @@ let enc_body e = function
     enc_id e st.st_replica
 
 let encode_body body = Xdr.encode enc_body body
+
+(* A request's digest is the digest of its sealed REQUEST envelope, so a
+   replica that checked the client's MAC already holds it. *)
+let request_digest r = Digest.of_string (encode_body (Request r))
+
+(* The ordering digest binds the batch *and* the agreed non-deterministic
+   values, so an equivocating primary cannot get two nondet choices (or
+   two batch compositions) past the prepare phase.  It hashes u32 k, then
+   the k fixed-width request digests, then the nondet proposal as an XDR
+   opaque (u32 length, bytes, zero padding).  The count and the fixed
+   width delimit the batch and the length the proposal, so the preimage
+   is injective: one pass binds both, without re-encoding a request.  The
+   preimage is hashed as it is produced, through a context and a word of
+   scratch the caller owns, so a digest allocates only its result. *)
+type batch_hasher = { ctx : Base_crypto.Sha256.ctx; word : Bytes.t }
+
+let batch_hasher () = { ctx = Base_crypto.Sha256.init (); word = Bytes.create 4 }
+
+let hash_word h ~len n =
+  Bytes.set_int32_be h.word 0 (Int32.of_int n);
+  Base_crypto.Sha256.update_bytes h.ctx h.word ~pos:0 ~len
+
+let rec hash_requests h digest_of env = function
+  | [] -> ()
+  | r :: rest ->
+    Base_crypto.Sha256.update h.ctx (Digest.raw (digest_of env r));
+    hash_requests h digest_of env rest
+
+let batch_digest_by h digest_of env requests ~nondet =
+  let len = String.length nondet in
+  Base_crypto.Sha256.reset h.ctx;
+  hash_word h ~len:4 (List.length requests);
+  hash_requests h digest_of env requests;
+  hash_word h ~len:4 len;
+  Base_crypto.Sha256.update h.ctx nondet;
+  hash_word h ~len:((4 - (len land 3)) land 3) 0;
+  Digest.of_raw (Base_crypto.Sha256.finalize h.ctx)
+
+let batch_digest requests ~nondet =
+  batch_digest_by (batch_hasher ()) (fun () r -> request_digest r) () requests ~nondet
 
 (* --- decoding: total over arbitrary bytes, since [Replica.receive_wire]
    decodes whatever arrives, corrupted or forged (property-tested) *)
@@ -256,6 +283,21 @@ let envelope_digest env =
     let d = Digest.of_string env.wire in
     env.digest_memo <- Some d;
     d
+
+(* Decoding accepts nonzero XDR pad bytes, and the operation's are the only
+   pad bytes a REQUEST has: they run from after the tag, client, timestamp
+   and length words and the operation up to the read-only word that ends
+   the wire.  With them zero the wire is canonical, and its digest is the
+   request digest; a sealed envelope's always is. *)
+let request_digest_of env (r : request) =
+  let wire = env.wire in
+  let rec zero_from i = i >= String.length wire - 4 || (wire.[i] = '\000' && zero_from (i + 1)) in
+  match env.body with
+  | Request carried when carried == r && zero_from (20 + String.length r.operation) ->
+    envelope_digest env
+  | Request _ | Pre_prepare _ | Prepare _ | Commit _ | Reply _ | Checkpoint _ | View_change _
+  | New_view _ | Status _ ->
+    request_digest r
 
 (* What the MACs authenticate.  Shard 0 signs the bare digest — byte-for-byte
    what every pre-sharding deployment signed, so unsharded MAC streams (and

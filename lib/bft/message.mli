@@ -3,8 +3,9 @@
     Every message body has a canonical XDR encoding used for three purposes:
     request digests, MAC computation, and wire-size accounting in the
     simulator.  Messages travel inside an {!envelope} carrying an
-    authenticator — one HMAC per receiver — so a Byzantine sender cannot
-    impersonate another principal (the MACs are really checked). *)
+    authenticator — one SipHash-2-4 MAC per receiver — so a Byzantine
+    sender cannot impersonate another principal (the MACs are really
+    checked). *)
 
 module Digest = Base_crypto.Digest_t
 
@@ -114,10 +115,33 @@ val envelope_digest : envelope -> Digest.t
     canonical encoding — the differential digest suite pins this. *)
 
 val request_digest : request -> Digest.t
+(** SHA-256 of [encode_body (Request r)]: the {!envelope_digest} of any
+    sealed envelope carrying [r], whatever its sender or shard. *)
 
-val encode_batch : request list -> nondet:string -> string
-(** Injective canonical encoding of (batch, nondet) — the preimage of the
-    ordering digest, hashed in one pass. *)
+val request_digest_of : envelope -> request -> Digest.t
+(** [request_digest_of env r] is [request_digest r], read from [env]'s
+    memoised digest when [env] carries [r] (physically) on canonical wire
+    bytes, as every sealed envelope does.  An envelope adopted by
+    {!of_wire} may carry nonzero pad bytes, which decoding accepts; then,
+    or for any other envelope, the digest is computed afresh. *)
+
+val batch_digest : request list -> nondet:string -> Digest.t
+(** The ordering digest of a batch and its nondet proposal: SHA-256 of
+    [u32 k ‖ d_1 … d_k ‖ opaque nondet], where [d_i] is the 32-byte
+    {!request_digest} of the [i]-th request and [opaque] is XDR's
+    (length, bytes, zero padding). *)
+
+type batch_hasher
+(** A SHA-256 context and scratch that {!batch_digest_by} reuses. *)
+
+val batch_hasher : unit -> batch_hasher
+
+val batch_digest_by :
+  batch_hasher -> ('a -> request -> Digest.t) -> 'a -> request list -> nondet:string -> Digest.t
+(** [batch_digest_by h digest_of x requests ~nondet] is
+    [batch_digest requests ~nondet], with each request digest read as
+    [digest_of x r], which must equal [request_digest r].  It allocates
+    only the result.  Not reentrant on [h]. *)
 
 val encode_body : body -> string
 
@@ -164,8 +188,8 @@ val of_wire :
 
 val verify : Base_crypto.Auth.keychain -> receiver:int -> envelope -> bool
 (** Check the receiver's MAC slot against the memoised wire digest under
-    the claimed sender's key (one 32-byte HMAC; the body is never
-    re-encoded). *)
+    the claimed sender's key (one SipHash-2-4 tag over the 32-byte digest;
+    the body is never re-encoded). *)
 
 val kind_label : body -> string
 (** Constant constructor tag (["PRE-PREPARE"]), allocation-free; the

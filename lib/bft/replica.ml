@@ -215,13 +215,6 @@ let sorted_bindings tbl =
 
 (* --- digests ------------------------------------------------------------ *)
 
-(* The ordering digest binds the whole request batch *and* the agreed
-   non-deterministic values, so an equivocating primary cannot get two
-   nondet choices (or two batch compositions) past the prepare phase.
-   One SHA-256 pass over the injective batch encoding — this runs at the
-   primary per proposal and at every backup per PRE-PREPARE acceptance. *)
-let ordering_digest requests nondet = Digest.of_string (M.encode_batch requests ~nondet)
-
 let enc_row e (c, ts, res) =
   Base_codec.Xdr.u32 e c;
   Base_codec.Xdr.i64 e ts;
@@ -518,7 +511,7 @@ and assign t (batch : M.request list) =
   let seq = t.next_seq in
   let operation = match batch with r :: _ -> r.M.operation | [] -> "" in
   let nondet = t.app.propose_nondet ~operation in
-  let digest = ordering_digest batch nondet in
+  let digest = Intake.batch_digest t.intake batch ~nondet in
   let pp = { M.view = t.view; seq; digest; requests = batch; nondet } in
   let entry = get_entry t seq in
   entry.pre_prepare <- Some pp;
@@ -597,7 +590,7 @@ let handle_request t env (r : M.request) =
     send_reply t ~client:r.client ~timestamp:r.timestamp result
   end
   else begin
-    match Intake.admit t.intake r ~now:(now t) with
+    match Intake.admit t.intake r ~digest:(M.request_digest_of env r) ~now:(now t) with
     | Intake.Stale -> ()
     | Intake.Done -> (
       (* Retransmission of an executed request: resend the reply. *)
@@ -622,9 +615,10 @@ let handle_request t env (r : M.request) =
    identical one ([vouch_missed]): one of them is correct and accepted the
    client's own envelope.  A fetching primary keeps the request pending,
    and [fetch_complete] proposes it. *)
-let handle_voucher t sender (r : M.request) =
+let handle_voucher t (env : M.envelope) (r : M.request) =
   if is_primary t && (not r.read_only) && Intake.is_client t.config r.client then
-    if Intake.vouch t.intake ~sender r ~now:(now t) then begin
+    if Intake.vouch t.intake ~sender:env.sender r ~digest:(M.envelope_digest env) ~now:(now t)
+    then begin
       t.stats.vouched_proposals <- t.stats.vouched_proposals + 1;
       if status t = Normal then propose t r
     end
@@ -693,7 +687,7 @@ let handle_pre_prepare t sender (pp : M.pre_prepare) =
         let sane = Intake.batch_sane t.config pp.requests in
         if not sane then reject_insane t;
         sane
-        && Digest.equal (ordering_digest pp.requests pp.nondet) pp.digest
+        && Digest.equal (Intake.batch_digest t.intake pp.requests ~nondet:pp.nondet) pp.digest
         && List.length pp.requests <= t.config.batch_max
         && (match pp.requests with
            | [] -> true
@@ -1177,7 +1171,7 @@ let receive t (env : M.envelope) =
             envelope is a voucher, which counts once f+1 replicas sent the
             identical request. *)
          if r.client = env.sender then handle_request t env r
-         else if Types.is_replica t.config env.sender then handle_voucher t env.sender r
+         else if Types.is_replica t.config env.sender then handle_voucher t env r
        | M.Pre_prepare pp -> handle_pre_prepare t env.sender pp
        | M.Prepare p -> handle_prepare t env.sender p
        | M.Commit c -> handle_commit t env.sender c

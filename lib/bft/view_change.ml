@@ -3,7 +3,7 @@ module M = Message
 
 (* The ordering digest of the empty batch with no nondet, the filler of a
    slot nothing prepared at. *)
-let empty_digest = Digest.of_string (M.encode_batch [] ~nondet:"")
+let empty_digest = M.batch_digest [] ~nondet:""
 
 (* The rebuilt window is capped at [log_window] slots below [max_s]: honest
    view-changes only carry prepared PRE-PREPAREs within one window of their

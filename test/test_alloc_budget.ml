@@ -184,7 +184,7 @@ module Engine = Base_sim.Engine
    replicas 1 and 2 (with its own commit, a quorum of three). *)
 let ordering_round (config : Types.config) chains ~seq ~client ~timestamp =
   let request = { M.client; timestamp; operation = "op"; read_only = false } in
-  let digest = Digest.of_string (M.encode_batch [ request ] ~nondet:"") in
+  let digest = M.batch_digest [ request ] ~nondet:"" in
   let from r body = M.seal chains.(r) ~sender:r ~n_receivers:config.n body in
   [ from client (M.Request request) ]
   @ List.map (fun r -> from r (M.Prepare { view = 0; seq; digest; replica = r })) [ 1; 2 ]
@@ -302,6 +302,53 @@ let test_pre_prepare_resend () =
       "a PRE-PREPARE re-send allocates %d B for an 8 KB operation, %d B for a 16 B one \
        (budget: the 16 B case + 64 B)"
       large small
+
+(* Backup 1 hears a client's 8 KB write, then accepts the PRE-PREPARE that
+   carries it and broadcasts its PREPARE.  Returns the bytes, in either
+   heap, that accepting one PRE-PREPARE allocates, over [rounds] after
+   [warm].  The envelopes are sealed before the measured windows, which
+   cover only the PRE-PREPARE's [Replica.receive]. *)
+let pre_prepare_accept_bytes () =
+  let warm = 4 and rounds = 16 in
+  let config = Types.make_config ~f:1 ~n_clients:1 () in
+  let chains = Auth.create ~seed:19L ~n_principals:config.n_principals in
+  let prepares = ref 0 in
+  let net =
+    {
+      Helpers.silent_net with
+      M.send =
+        (fun ~dst:_ env -> match env.M.body with M.Prepare _ -> incr prepares | _ -> ());
+    }
+  in
+  let backup = Helpers.bare_replica ~net ~config ~chains 1 in
+  let client = config.n in
+  let seal sender body = M.seal chains.(sender) ~sender ~n_receivers:config.n body in
+  let round k =
+    let request =
+      { M.client; timestamp = Int64.of_int k; operation = String.make 8192 'w'; read_only = false }
+    in
+    let digest = M.batch_digest [ request ] ~nondet:"" in
+    ( seal client (M.Request request),
+      seal 0 (M.Pre_prepare { view = 0; seq = k + 1; digest; requests = [ request ]; nondet = "" })
+    )
+  in
+  let rounds_envs = Array.init (warm + rounds) round in
+  let used = ref 0. in
+  Array.iteri
+    (fun k (request, pre_prepare) ->
+      Replica.receive backup request;
+      Gc.minor ();
+      let before = allocated_words () in
+      Replica.receive backup pre_prepare;
+      if k >= warm then used := !used +. (allocated_words () -. before))
+    rounds_envs;
+  Alcotest.(check int) "every PRE-PREPARE accepted" ((warm + rounds) * (config.n - 1)) !prepares;
+  words_to_bytes !used / rounds
+
+let test_pre_prepare_accept () =
+  let used = pre_prepare_accept_bytes () in
+  if used >= 1024 then
+    Alcotest.failf "accepting a PRE-PREPARE of one 8 KB write allocates %d B, budget < 1 KB" used
 
 (* --- file contents --------------------------------------------------------- *)
 
@@ -422,4 +469,6 @@ let suite =
     Alcotest.test_case "8 KB append to 8 KB file: 16 KB result + 1 KB" `Quick test_append;
     Alcotest.test_case "Conformance.get_obj 8 KB file: entry + 384 B" `Quick test_get_obj;
     Alcotest.test_case "whole-file read: <= 128 B per call" `Quick test_whole_file_read_small;
+    Alcotest.test_case "PRE-PREPARE of an 8 KB write accepted: < 1 KB" `Quick
+      test_pre_prepare_accept;
   ]

@@ -312,7 +312,7 @@ let test_execute_path_batch () =
   in
   Replica.receive r1 (seal ext (Message.Request (List.hd batch)));
   Alcotest.(check int) "external request pending" 1 (Replica.pending_count r1);
-  let digest = Base_crypto.Digest_t.of_string (Message.encode_batch batch ~nondet:"") in
+  let digest = Message.batch_digest batch ~nondet:"" in
   Replica.receive r1
     (seal 0 (Message.Pre_prepare { view = 0; seq = 1; digest; requests = batch; nondet = "" }));
   List.iter
@@ -525,7 +525,7 @@ let enter_view_one g =
   (r2, new_view)
 
 let pre_prepare ?(view = 1) ~seq requests =
-  let digest = Base_crypto.Digest_t.of_string (Message.encode_batch requests ~nondet:"") in
+  let digest = Message.batch_digest requests ~nondet:"" in
   { Message.view; seq; digest; requests; nondet = "" }
 
 (* The new primary's first PRE-PREPARE can overtake its NEW-VIEW.  The

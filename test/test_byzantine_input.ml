@@ -60,7 +60,7 @@ let test_client_votes_rejected () =
   in
   let seal sender body = M.seal chains.(sender) ~sender ~n_receivers:config.n body in
   let request = { M.client = 4; timestamp = 0L; operation = "set:0:evil"; read_only = false } in
-  let digest = Digest.of_string (M.encode_batch [ request ] ~nondet:"") in
+  let digest = M.batch_digest [ request ] ~nondet:"" in
   Replica.receive r1
     (seal 0 (M.Pre_prepare { view = 0; seq = 1; digest; requests = [ request ]; nondet = "" }));
   let forged =
@@ -96,7 +96,7 @@ let test_foreign_client_ids_rejected () =
       in
       let seal sender body = M.seal chains.(sender) ~sender ~n_receivers:config.n body in
       let request = { M.client; timestamp = 1L; operation = "set:0:evil"; read_only = false } in
-      let digest = Digest.of_string (M.encode_batch [ request ] ~nondet:"") in
+      let digest = M.batch_digest [ request ] ~nondet:"" in
       Replica.receive r1
         (seal 0 (M.Pre_prepare { view = 0; seq = 1; digest; requests = [ request ]; nondet = "" }));
       List.iter
@@ -125,10 +125,76 @@ let suite =
     Alcotest.test_case "client principals cannot vote" `Quick test_client_votes_rejected;
   ]
 
+(* Backup 1 of f = 1 with three clients, recording the PREPAREs it sends
+   to the primary. *)
+let backup_recording_prepares () =
+  let config = Base_bft.Types.make_config ~f:1 ~n_clients:3 () in
+  let chains = Base_crypto.Auth.create ~seed:13L ~n_principals:config.n_principals in
+  let prepares = ref [] in
+  let net =
+    {
+      Helpers.silent_net with
+      M.send =
+        (fun ~dst env ->
+          match env.M.body with
+          | M.Prepare p when dst = 0 -> prepares := p.digest :: !prepares
+          | _ -> ());
+    }
+  in
+  let r1 = Helpers.bare_replica ~net ~config ~chains 1 in
+  let pre_prepare requests digest =
+    M.seal chains.(0) ~sender:0 ~n_receivers:config.n
+      (M.Pre_prepare { view = 0; seq = 1; digest; requests; nondet = "" })
+  in
+  (config, chains, r1, prepares, pre_prepare)
+
+(* Decoding accepts nonzero XDR pad bytes.  Client 4 MACs a REQUEST whose
+   operation's pad byte is 1, so the envelope's digest is not the request
+   digest, and the backup must not order by it: the primary's PRE-PREPARE,
+   digested from scratch, is accepted and prepared. *)
+let test_noncanonical_request_ordered_by_its_digest () =
+  let config, chains, r1, prepares, pre_prepare = backup_recording_prepares () in
+  let request = { M.client = 4; timestamp = 1L; operation = "set:0:x"; read_only = false } in
+  let raw = Bytes.of_string (M.encode_body (M.Request request)) in
+  Bytes.set raw (20 + String.length request.operation) '\001';
+  let raw = Bytes.to_string raw in
+  Alcotest.(check bool) "the flipped pad byte decodes" true
+    (M.decode_body raw = Ok (M.Request request));
+  let macs =
+    Base_crypto.Auth.authenticator chains.(4) ~n:config.n (Digest.raw (Digest.of_string raw))
+  in
+  Replica.receive_wire r1 ~sender:4 ~macs raw;
+  Alcotest.(check int) "request authenticated and pending" 1 (Replica.pending_count r1);
+  let digest = M.batch_digest [ request ] ~nondet:"" in
+  Replica.receive r1 (pre_prepare [ request ] digest);
+  Alcotest.(check int) "PRE-PREPARE accepted" 0 (Replica.stats r1).rejected_insane;
+  Alcotest.(check (list string)) "prepared under the from-scratch digest" [ Digest.to_hex digest ]
+    (List.map Digest.to_hex !prepares)
+
+(* The backup heard client 4's request.  A PRE-PREPARE carrying another
+   operation under the same client and timestamp, with the digest of the
+   request heard, does not match its own batch and is dropped unprepared;
+   the same batch under its true digest is then accepted. *)
+let test_altered_request_rejected () =
+  let config, chains, r1, prepares, pre_prepare = backup_recording_prepares () in
+  let heard = { M.client = 4; timestamp = 1L; operation = "set:0:x"; read_only = false } in
+  Replica.receive r1 (M.seal chains.(4) ~sender:4 ~n_receivers:config.n (M.Request heard));
+  let altered = { heard with operation = "set:0:y" } in
+  Replica.receive r1 (pre_prepare [ altered ] (M.batch_digest [ heard ] ~nondet:""));
+  Alcotest.(check int) "no PREPARE sent" 0 (List.length !prepares);
+  let digest = M.batch_digest [ altered ] ~nondet:"" in
+  Replica.receive r1 (pre_prepare [ altered ] digest);
+  Alcotest.(check (list string)) "its true digest prepares" [ Digest.to_hex digest ]
+    (List.map Digest.to_hex !prepares)
+
 (* Run after [Test_fuzz_decode.suite], so the cases before keep their
    positions in the suite. *)
 let appended =
   [
     Alcotest.test_case "orders under a non-client id are insane" `Quick
       test_foreign_client_ids_rejected;
+    Alcotest.test_case "pad-flipped request: ordered by its digest" `Quick
+      test_noncanonical_request_ordered_by_its_digest;
+    Alcotest.test_case "altered request in a PRE-PREPARE: rejected" `Quick
+      test_altered_request_rejected;
   ]

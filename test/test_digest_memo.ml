@@ -70,18 +70,38 @@ let test_every_kind () =
           (Digest.equal (M.envelope_digest adopted) (M.envelope_digest env)))
     Test_fuzz_decode.sample_bodies
 
-(* The digest the protocol orders by (pre-prepare batch digest) is the hash
-   of the injective batch encoding — one pass over (requests, nondet). *)
+(* The digest the protocol orders by (the pre-prepare batch digest) is one
+   SHA-256 pass over u32 k, the k request digests and the length-prefixed
+   nondet proposal, and a request's digest is its REQUEST envelope's. *)
+let batch_preimage requests ~nondet =
+  let xdr enc v = Base_codec.Xdr.encode enc v in
+  xdr Base_codec.Xdr.u32 (List.length requests)
+  ^ String.concat ""
+      (List.map
+         (fun r ->
+           Digest.raw (oracle_digest (M.seal chains.(0) ~sender:0 ~n_receivers:4 (M.Request r))))
+         requests)
+  ^ xdr Base_codec.Xdr.opaque nondet
+
 let batch_digest_injective =
-  Helpers.qtest "encode_batch: nondet/batch boundary is unambiguous"
+  Helpers.qtest "batch_digest: nondet/batch boundary is unambiguous"
     (Gen.pair (Gen.list_size (Gen.int_bound 4) Test_bft_wire.gen_request) Gen.string)
     (fun (requests, nondet) ->
-      let enc = M.encode_batch requests ~nondet in
-      (* Moving bytes across the boundary must change the encoding: the
+      let pre = batch_preimage requests ~nondet in
+      (* Moving bytes across the boundary must change the preimage: the
          batch with nondet "x" ^ suffix never collides with the same batch
-         with nondet "x" and the suffix elsewhere. *)
-      let enc' = M.encode_batch requests ~nondet:(nondet ^ "\x00") in
-      not (String.equal enc enc'))
+         with nondet "x" and the suffix elsewhere, nor does a request's
+         digest pass for the head of the nondet proposal. *)
+      Digest.equal (M.batch_digest requests ~nondet) (Digest.of_string pre)
+      && (not (String.equal pre (batch_preimage requests ~nondet:(nondet ^ "\x00"))))
+      &&
+      match List.rev requests with
+      | [] -> true
+      | last :: rest ->
+        not
+          (String.equal pre
+             (batch_preimage (List.rev rest)
+                ~nondet:(Digest.raw (M.request_digest last) ^ nondet))))
 
 (* A re-seal is the seal of the same body under the keys held now: same
    wire bytes (shared, not copied), same digest, same MACs as a fresh seal,

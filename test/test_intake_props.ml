@@ -85,7 +85,7 @@ let step run op =
   match op with
   | Arrive (c, ts) -> (
     let r = request c ts "op" in
-    match Intake.admit run.t r ~now with
+    match Intake.admit run.t r ~digest:(M.request_digest r) ~now with
     | Intake.First | Intake.Repeat ->
       if Int64.compare r.timestamp (get run.admitted c) > 0 then
         Hashtbl.replace run.admitted c r.timestamp
@@ -112,7 +112,7 @@ let step run op =
     let r = request c ts op in
     let seen = (sender, r) :: Option.value (Hashtbl.find_opt run.vouchers c) ~default:[] in
     Hashtbl.replace run.vouchers c seen;
-    if Intake.vouch run.t ~sender r ~now then begin
+    if Intake.vouch run.t ~sender r ~digest:(M.request_digest r) ~now then begin
       (* f+1 distinct replicas vouched for this very request since the
          client's last voucher was taken. *)
       let senders =
@@ -203,4 +203,97 @@ let prop_n_pending =
   Helpers.qtest ~print:print_ops "n_pending equals a recount" gen_ops (fun ops ->
       snd (run_ops ~check:recount ops))
 
-let suite = [ prop_exactly_once; prop_never_dropped; prop_vouchers; prop_n_pending ]
+(* The ordering digest a table computes reads the digest recorded with a
+   client's newest heard request.  The table hears requests through their
+   envelopes, sealed or adopted from wire bytes whose operation pad may be
+   nonzero (decoding accepts it).  A batch mixes the requests heard,
+   field-equal copies of them, altered ones (same client and timestamp)
+   and unheard ones, and its digest is always the one computed from
+   scratch. *)
+type item =
+  | Heard of int  (** the [i]-th request heard, physically *)
+  | Copy of int  (** a copy of it, equal in every field *)
+  | Altered of int * string  (** it with another operation *)
+  | Unheard of int * int  (** client, timestamp *)
+
+let gen_heard =
+  list_size (int_range 0 8)
+    (map3
+       (fun (c, ts) op flip -> (request c ts op, flip))
+       (pair (oneofl clients) gen_ts)
+       (oneofl [ ""; "a"; "bb"; "ccc"; "dddd"; "eeeee" ])
+       bool)
+
+let gen_item =
+  frequency
+    [
+      (3, map (fun i -> Heard i) nat);
+      (2, map (fun i -> Copy i) nat);
+      (2, map2 (fun i op -> Altered (i, op)) nat (oneofl [ "a"; "x"; "ccc" ]));
+      (2, map2 (fun c ts -> Unheard (c, ts)) (oneofl (-1 :: internal :: clients)) gen_ts);
+    ]
+
+let show_case (heard, items, nondet) =
+  Printf.sprintf "heard [%s], batch [%s], nondet %S"
+    (String.concat "; "
+       (List.map
+          (fun ((r : M.request), flip) ->
+            Printf.sprintf "%d@%Ld %S%s" r.client r.timestamp r.operation
+              (if flip then " (pad flipped)" else ""))
+          heard))
+    (String.concat "; "
+       (List.map
+          (function
+            | Heard i -> Printf.sprintf "Heard %d" i
+            | Copy i -> Printf.sprintf "Copy %d" i
+            | Altered (i, op) -> Printf.sprintf "Altered %d %S" i op
+            | Unheard (c, ts) -> Printf.sprintf "Unheard %d@%d" c ts)
+          items))
+    nondet
+
+(* The envelope a replica authenticated [r] in: sealed, or adopted from
+   its wire bytes, the operation's first pad byte set to 1 if [flip]. *)
+let heard_envelope chains (r : M.request) flip =
+  let sealed = M.seal chains.(r.client) ~sender:r.client ~n_receivers:config.n (M.Request r) in
+  let raw = Bytes.of_string sealed.M.wire in
+  let pad = 20 + String.length r.operation in
+  if flip && pad < Bytes.length raw - 4 then Bytes.set raw pad '\001';
+  match M.of_wire ~sender:r.client ~macs:sealed.M.macs (Bytes.to_string raw) with
+  | Ok env -> env
+  | Error e -> failwith e
+
+let prop_batch_digest =
+  Helpers.qtest ~print:show_case "batch digest: recorded request digests = from scratch"
+    (triple gen_heard (list_size (int_range 0 6) gen_item) (oneofl [ ""; "n"; "nondet" ]))
+    (fun (heard, items, nondet) ->
+      let chains = Base_crypto.Auth.create ~seed:21L ~n_principals:config.n_principals in
+      let t = Intake.create config in
+      let heard =
+        Array.of_list
+          (List.map
+             (fun (r, flip) ->
+               let env = heard_envelope chains r flip in
+               let r = match env.M.body with M.Request r -> r | _ -> assert false in
+               ignore (Intake.admit t r ~digest:(M.request_digest_of env r) ~now:0L);
+               r)
+             heard)
+      in
+      let nth i = heard.(i mod Array.length heard) in
+      let batch =
+        List.filter_map
+          (fun item ->
+            match item with
+            | Unheard (c, ts) -> Some (request c ts "op")
+            | (Heard _ | Copy _ | Altered _) when Array.length heard = 0 -> None
+            | Heard i -> Some (nth i)
+            | Copy i ->
+              let r = nth i in
+              Some { r with operation = Bytes.to_string (Bytes.of_string r.operation) }
+            | Altered (i, op) -> Some { (nth i) with operation = op })
+          items
+      in
+      Base_crypto.Digest_t.equal (Intake.batch_digest t batch ~nondet)
+        (M.batch_digest batch ~nondet))
+
+let suite =
+  [ prop_exactly_once; prop_never_dropped; prop_vouchers; prop_n_pending; prop_batch_digest ]

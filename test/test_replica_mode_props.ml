@@ -134,7 +134,7 @@ let run events =
           [ { M.client; timestamp = !timestamp; operation = "op"; read_only = false } ]
         else []
       in
-      let digest = Digest.of_string (M.encode_batch requests ~nondet:"") in
+      let digest = M.batch_digest requests ~nondet:"" in
       let pp = { M.view; seq; digest; requests; nondet = "" } in
       Hashtbl.replace slots (view, seq) pp;
       pp

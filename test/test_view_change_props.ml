@@ -26,7 +26,7 @@ let pp ?(client = client) ~view ~seq tag =
 let vc ~new_view ~replica (last_stable, prepared) =
   { M.new_view; last_stable; stable_digest = Digest.zero; prepared; replica }
 
-let empty_digest = Digest.of_string (M.encode_batch [] ~nondet:"")
+let empty_digest = M.batch_digest [] ~nondet:""
 
 (* Every [k]-element subset of [xs], in order. *)
 let rec subsets k xs =
