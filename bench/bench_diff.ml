@@ -58,10 +58,12 @@ let number = function
   | Json.Float f -> Some (f, 0.0)
   | _ -> None
 
+(* A number that changes kind, [591] to [591.0], moved even at the same
+   value: it changed between the integer slack and none. *)
 let rec compare_values ~rtol path a b =
   match (number a, number b) with
   | Some (x, sx), Some (y, sy) ->
-    if not (Float.equal x y) then incr moved;
+    if not (Float.equal x y && Float.equal sx sy) then incr moved;
     if not (close ~rtol ~slack:(Float.min sx sy) x y) then
       report path (Printf.sprintf "%.6g vs %.6g exceeds %.0f%% tolerance" x y (100.0 *. rtol))
   | _ -> (
