@@ -87,10 +87,6 @@ val cache_find : t -> Digest.t -> string option
     the wrapper's back: check the value against [digest] before trusting
     it, as {!State_transfer} does. *)
 
-val cache_put : t -> Digest.t -> string -> unit
-(** Record [data] under its leaf [digest]; a duplicate key is ignored, and
-    the oldest entry is evicted once the cache exceeds its capacity. *)
-
 val rebuild_all_digests : t -> unit
 (** Recompute every leaf digest via the abstraction function — the full
     traversal a replica performs after proactive-recovery reboot. *)

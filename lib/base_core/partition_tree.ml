@@ -31,8 +31,6 @@ let create ~n_leaves ~branching =
 
 let levels t = Array.length t.nodes
 
-let n_leaves t = Array.length t.nodes.(levels t - 1)
-
 let width t ~level = Array.length t.nodes.(level)
 
 let node t ~level ~index = t.nodes.(level).(index)
@@ -88,5 +86,3 @@ let set_leaves t updates =
     end
 
 let copy t = { b = t.b; nodes = Array.map Array.copy t.nodes }
-
-let equal_root a b = Digest.equal (root a) (root b)

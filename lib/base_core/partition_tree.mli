@@ -16,22 +16,17 @@ module Digest = Base_crypto.Digest_t
 val create : n_leaves:int -> branching:int -> t
 (** All leaves start as {!Digest.zero}. [branching >= 2]. *)
 
-val n_leaves : t -> int
-
 val levels : t -> int
 (** Number of levels including the leaf level (>= 1; 1 when the tree is a
     single leaf... never happens in practice since n_leaves > 1). *)
 
-val set_leaf : t -> int -> Digest.t -> unit
-(** Incrementally update one leaf and the digests on its path to the root. *)
-
 val set_leaves : t -> (int * Digest.t) list -> unit
-(** Bulk [set_leaf]: writes every leaf, then recomputes each touched
-    interior node exactly once (bottom-up).  Produces the same tree as
-    folding {!set_leaf} over the list, without re-hashing shared ancestors
-    once per update — the difference between O(k log k) and O(k) node
-    hashes for a k-leaf flush.  Later entries for a duplicate index win,
-    as in the sequential fold. *)
+(** Write every leaf, then recompute each touched interior node exactly
+    once (bottom-up).  Produces the same tree as updating the leaves one at
+    a time, each with its path to the root, without re-hashing shared
+    ancestors once per update — the difference between O(k log k) and O(k)
+    node hashes for a k-leaf flush.  Later entries for a duplicate index
+    win, as in the sequential updates. *)
 
 val leaf : t -> int -> Digest.t
 
@@ -51,5 +46,3 @@ val child_span : t -> level:int -> index:int -> int * int
 
 val copy : t -> t
 (** Snapshot (used for checkpoints). *)
-
-val equal_root : t -> t -> bool

@@ -68,8 +68,6 @@ let replica t i = t.replicas.(i)
 
 let replicas t = t.replicas
 
-let standby t i = t.standbys.(i - t.config.Types.n)
-
 let client t i = t.clients.(i)
 
 let now t = Engine.now t.engine
@@ -539,12 +537,13 @@ let step_until t ~what ~max_events done_ =
   else if !quiescent then Error (Printf.sprintf "Runtime.%s: simulation went quiescent" what)
   else Error (Printf.sprintf "Runtime.%s: event budget exceeded" what)
 
-let try_run_until_idle ?(max_events = 5_000_000) t =
-  step_until t ~what:"run_until_idle" ~max_events (fun () ->
-      not (Array.exists (fun c -> Client.outstanding c > 0) t.clients))
-
-let run_until_idle ?max_events t =
-  match try_run_until_idle ?max_events t with Ok () -> () | Error e -> raise (Stalled e)
+let run_until_idle ?(max_events = 5_000_000) t =
+  match
+    step_until t ~what:"run_until_idle" ~max_events (fun () ->
+        not (Array.exists (fun c -> Client.outstanding c > 0) t.clients))
+  with
+  | Ok () -> ()
+  | Error e -> raise (Stalled e)
 
 let try_invoke_sync ?(max_events = 5_000_000) t ~client:idx ?read_only ~operation () =
   let result = ref None in

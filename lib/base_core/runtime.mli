@@ -79,9 +79,6 @@ val n_shards : t -> int
 val shard_replica : t -> shard:int -> int -> replica_node
 (** The cell of replica [rid] serving [shard]. *)
 
-val standby : t -> int -> replica_node
-(** Standby by {e node id} (in [n .. n+s-1]). *)
-
 val all_cells : t -> replica_node list
 (** Every replica cell, standbys included, sorted by [(shard, rid)]. *)
 
@@ -111,8 +108,6 @@ val try_invoke_sync :
 val run_until_idle : ?max_events:int -> t -> unit
 (** Run until all clients have no outstanding operations.  Raises {!Stalled}
     on a stall. *)
-
-val try_run_until_idle : ?max_events:int -> t -> (unit, string) result
 
 val now : t -> Base_sim.Sim_time.t
 

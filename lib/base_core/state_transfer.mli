@@ -76,22 +76,15 @@ val serve : Objrepo.t -> msg -> msg option
     A fetch cannot finish when its target checkpoint was garbage-collected
     by the group, or when it keeps talking to faulty responders.  The
     fetcher then asks its owner to abandon it and restart against the
-    freshest certified checkpoint. *)
-
-val retry_budget : int
-(** [8]: the retry round after this many is answered with
-    [Retarget "timeout"]. *)
-
-val stall_rounds : int
-(** [3]: consecutive retry rounds in which no counter moved before
-    [Retarget "stalled"]; one such round is enough for [Retarget
-    "superseded"] when a newer checkpoint is certified (see {!retry}). *)
-
-val reject_limit : int
-(** [12]: verification failures on one fetch before [Retarget
-    "rejections"].  Rejections only accumulate for still-pending pieces, so
-    a healthy fetch, where a correct reply races every faulty one, stays
-    well below this. *)
+    freshest certified checkpoint:
+    - the retry round after 8 is answered with [Retarget "timeout"];
+    - 3 consecutive retry rounds in which no counter moved answer
+      [Retarget "stalled"]; one such round is enough for [Retarget
+      "superseded"] when a newer checkpoint is certified (see {!retry});
+    - 12 verification failures on one fetch answer [Retarget "rejections"].
+      Rejections only accumulate for still-pending pieces, so a healthy
+      fetch, where a correct reply races every faulty one, stays well below
+      this. *)
 
 type verdict =
   | Continue
@@ -141,11 +134,6 @@ val fresh_stats : unit -> stats
 val sum : stats list -> stats
 (** A fresh record holding the field-by-field sum of the tallies. *)
 
-val compare_obj : int * string -> int * string -> int
-(** Order in which fetched objects are handed to [put_objs]: ascending
-    object index.  Part of the module's determinism contract (the install
-    batch must not depend on hash-table iteration order). *)
-
 val rejected : stats -> int
 (** Total verification failures across heads, meta nodes and objects.  A
     fetch accumulating rejections is talking to faulty responders;
@@ -176,8 +164,8 @@ val start :
 
     The fetcher counts into [tally] (default: a fresh record) as things
     happen, so the [on_complete] callback sees the reply that completed
-    the fetch counted.  The per-fetch limits ({!reject_limit},
-    {!stall_rounds}) read differences from the tally's values at [start].
+    the fetch counted.  The per-fetch limits of the re-target
+    policy read differences from the tally's values at [start].
     With [metrics], it also counts the bytes each source served in
     [base.st.source_bytes.<rid>] and keeps the peak window occupancy in the
     [base.st.inflight] gauge: figures the tally does not hold.
@@ -189,13 +177,13 @@ val handle_reply : t -> from:int -> msg -> verdict
 (** Feed a state-transfer reply to the fetcher (requests are ignored).
     [from] is the replica the reply arrived from: verified payloads credit
     its scoreboard entry, verification failures count a strike against
-    it.  [Retarget "rejections"] once the fetch has collected
-    {!reject_limit} rejections. *)
+    it.  [Retarget "rejections"] once the fetch has collected 12
+    rejections. *)
 
 val retry : certified:int -> t -> verdict
 (** One watchdog round, driven by the owner's timer.  Answers [Retarget]
-    past the {!retry_budget} or after {!stall_rounds} rounds without
-    progress.  [certified] is the newest checkpoint seqno the owner holds
+    past the retry budget or after the stall rounds of the re-target
+    policy.  [certified] is the newest checkpoint seqno the owner holds
     a certificate for: when it lies above the fetch's target, one round
     without progress already answers [Retarget "superseded"], because the
     sources garbage-collect the target once a newer checkpoint is stable.

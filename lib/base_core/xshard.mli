@@ -51,14 +51,12 @@ val rebooted : t -> int -> unit
     heartbeat re-submits every missing lock of an unfinished operation each
     view-change timeout. *)
 
-(** {1 Pieces, exposed for tests} *)
+(** {1 Lock timestamps}
 
-val lock_operation : coord:int -> client:int -> ts:int64 -> parts:int list -> string
-(** The operation string of a lock request: ["xlock:coord:client:ts:p1,p2"]. *)
-
-val parse_lock : n_shards:int -> string -> (int * int * int64 * int list) option
-(** Inverse of {!lock_operation}; [None] unless every field parses and
-    every shard is below [n_shards]. *)
+    Exposed for tests only: several cross-shard operations in one batch
+    that share a participant shard do not commit at this revision (see
+    doc/sharding.md), so no run of the system can show that their lock
+    timestamps stay distinct. *)
 
 type lock_clock
 (** One node's lock-timestamp derivation state. *)

@@ -132,30 +132,19 @@ let invoke t ?(read_only = false) ~operation callback =
   | Some _ -> Queue.add (operation, read_only, callback) t.queue
   | None -> start_request t operation read_only callback
 
-(* Deterministic winner selection: of every result that reached its quorum,
-   take the lexicographically smallest.  Only a result smaller than the
-   winner so far is tallied, and the winner is the array's own [Some] cell,
-   so a call allocates nothing. *)
-let quorum_winner ~needed replies =
-  let n = Array.length replies in
-  let winner = ref None in
-  for i = 0 to n - 1 do
-    match (replies.(i), !winner) with
-    | Some r, Some w when String.compare r w >= 0 -> ()
-    | (Some r as cell), _ ->
-      let votes = ref 0 in
-      for j = 0 to n - 1 do
-        match replies.(j) with Some r' when String.equal r r' -> incr votes | Some _ | None -> ()
-      done;
-      if !votes >= needed then winner := cell
-    | None, _ -> ()
+(* Called after [result] was recorded.  A reply adds one vote, to its own
+   result, and the request finishes at its first quorum, so [result] is the
+   only one that can have just reached a quorum: the outcome depends on
+   the replies alone, never on how they are scanned.  Counting allocates
+   nothing. *)
+let check_quorum t p result =
+  let votes = ref 0 in
+  for i = 0 to Array.length p.replies - 1 do
+    match p.replies.(i) with
+    | Some r when String.equal r result -> incr votes
+    | Some _ | None -> ()
   done;
-  !winner
-
-let check_quorum t p =
-  match quorum_winner ~needed:(needed t p.request) p.replies with
-  | Some result -> finish t p result
-  | None -> ()
+  if !votes >= needed t p.request then finish t p result
 
 let receive t (env : M.envelope) =
   Base_obs.Profile.start t.prof t.p_verify;
@@ -169,7 +158,7 @@ let receive t (env : M.envelope) =
            && r.replica = env.sender
            && Types.is_replica t.config env.sender ->
       p.replies.(env.sender) <- Some r.result;
-      check_quorum t p
+      check_quorum t p r.result
     | _ -> ()
   end
 

@@ -66,8 +66,3 @@ val outstanding : t -> int
 (** Number of queued + in-flight operations (0 when idle). *)
 
 val stats : t -> stats
-
-val quorum_winner : needed:int -> string option array -> string option
-(** Deterministic quorum selection over the replies indexed by replica id:
-    the lexicographically smallest result with [>= needed] votes, or [None].
-    Exposed so the selection rule itself can be pinned by tests. *)

@@ -132,15 +132,6 @@ let read_view d =
 
 let view_to_string v = String.sub v.view_base v.view_pos v.view_len
 
-let view_equal_string v s =
-  String.length s = v.view_len
-  &&
-  let rec eq i =
-    i >= v.view_len
-    || (String.unsafe_get v.view_base (v.view_pos + i) = String.unsafe_get s i && eq (i + 1))
-  in
-  eq 0
-
 let read_opaque d = view_to_string (read_view d)
 
 let read_str = read_opaque
@@ -157,8 +148,6 @@ let read_option d dec =
   | n -> raise (Decode_error (Printf.sprintf "bad option discriminant %d" n))
 
 let expect_end d = if d.pos <> d.limit then raise (Decode_error "trailing bytes")
-
-let remaining d = d.limit - d.pos
 
 let decode dec data =
   let d = decoder data in

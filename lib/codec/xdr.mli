@@ -77,8 +77,6 @@ val read_option : decoder -> (decoder -> 'a) -> 'a option
 
 val expect_end : decoder -> unit
 
-val remaining : decoder -> int
-
 val decode : (decoder -> 'a) -> string -> 'a
 (** [decode dec data] runs [dec] over the whole of [data] and then
     {!expect_end}: the one-shot twin of {!encode}. *)
@@ -94,6 +92,3 @@ val read_view : decoder -> view
 (** Wire-compatible with {!read_opaque}, without the copy. *)
 
 val view_to_string : view -> string
-
-val view_equal_string : view -> string -> bool
-(** Bytewise comparison without materialising the view. *)

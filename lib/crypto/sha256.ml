@@ -72,8 +72,8 @@ let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(Stri
 (* Padding (0x80, zeros, 64-bit big-endian bit length) is written into the
    block buffer itself; when fewer than 9 bytes remain in the current block
    the length spills into one more.  [total] counts message bytes only. *)
-let finalize_into ctx out =
-  Base_util.Invariant.require (Bytes.length out >= 32) "Sha256.finalize_into: output too short";
+let finalize ctx =
+  let out = Bytes.create 32 in
   let buf = ctx.buf and n = ctx.buf_len in
   Bytes.unsafe_set buf n '\x80';
   if n >= 56 then begin
@@ -94,11 +94,7 @@ let finalize_into ctx out =
     Bytes.unsafe_set out (j + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
     Bytes.unsafe_set out (j + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
     Bytes.unsafe_set out (j + 3) (Char.unsafe_chr (v land 0xff))
-  done
-
-let finalize ctx =
-  let out = Bytes.create 32 in
-  finalize_into ctx out;
+  done;
   Bytes.unsafe_to_string out
 
 (* One-shot digests run start to finish without calling out, so they share

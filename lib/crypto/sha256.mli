@@ -29,11 +29,6 @@ val finalize : ctx -> string
 (** 32-byte binary digest.  The context must not be updated afterwards
     until {!reset}. *)
 
-val finalize_into : ctx -> bytes -> unit
-(** [finalize_into ctx out] writes the digest to the first 32 bytes of
-    [out] instead of allocating it; otherwise like {!finalize}.  Raises
-    [Base_util.Invariant.Violation] if [out] is shorter than 32 bytes. *)
-
 val digest : string -> string
 (** One-shot hash: 32-byte binary digest of the input. *)
 

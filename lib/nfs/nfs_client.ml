@@ -79,12 +79,6 @@ let mkdir t dir name s =
   | R_err e -> Error e
   | _ -> unexpected "mkdir"
 
-let rmdir t dir name =
-  match call t (Rmdir (dir, name)) with
-  | R_ok -> Ok ()
-  | R_err e -> Error e
-  | _ -> unexpected "rmdir"
-
 let readdir t dir =
   match call t (Readdir dir) with
   | R_readdir entries -> Ok entries

@@ -38,8 +38,6 @@ val symlink : t -> oid -> string -> string -> sattr -> (oid * fattr, err) result
 
 val mkdir : t -> oid -> string -> sattr -> (oid * fattr, err) result
 
-val rmdir : t -> oid -> string -> (unit, err) result
-
 val readdir : t -> oid -> ((string * oid) list, err) result
 
 (** {1 Path-level conveniences} *)

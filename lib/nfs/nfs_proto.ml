@@ -295,19 +295,3 @@ let dec_reply d =
   | n -> raise (Xdr.Decode_error (Printf.sprintf "bad reply tag %d" n))
 
 let decode_reply s = Xdr.decode dec_reply s
-
-let call_label = function
-  | Getattr _ -> "getattr"
-  | Setattr _ -> "setattr"
-  | Lookup _ -> "lookup"
-  | Readlink _ -> "readlink"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Create _ -> "create"
-  | Remove _ -> "remove"
-  | Rename _ -> "rename"
-  | Symlink _ -> "symlink"
-  | Mkdir _ -> "mkdir"
-  | Rmdir _ -> "rmdir"
-  | Readdir _ -> "readdir"
-  | Statfs -> "statfs"

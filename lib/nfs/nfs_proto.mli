@@ -53,6 +53,3 @@ val decode_call : string -> call
 val encode_reply : reply -> string
 
 val decode_reply : string -> reply
-
-val call_label : call -> string
-(** Operation name, for traces and statistics. *)

@@ -7,8 +7,6 @@
 
 type oid = { index : int; gen : int }
 
-let oid_equal a b = a.index = b.index && a.gen = b.gen
-
 let root_oid = { index = 0; gen = 0 }
 
 type ftype = Reg | Dir | Lnk

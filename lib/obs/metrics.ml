@@ -116,8 +116,6 @@ let hist_count h = h.h_count
 
 let hist_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
 
-let bucket_counts h = Array.copy h.h_counts
-
 (* Bucket-interpolated quantile estimate (q in [0,1]); exact only at bucket
    edges, which is all the regression gates need. *)
 let quantile h q =
@@ -144,20 +142,6 @@ let quantile h q =
     in
     walk 0 0
   end
-
-let reset t =
-  Hashtbl.fold (fun name m acc -> (name, m) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (_, m) ->
-         match m with
-         | Counter c -> c.c_value <- 0
-         | Gauge g -> g.g_value <- 0.0
-         | Histogram h ->
-           Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-           h.h_count <- 0;
-           h.h_sum <- 0.0;
-           h.h_min <- Float.infinity;
-           h.h_max <- Float.neg_infinity)
 
 let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t [] |> List.sort String.compare
 

@@ -52,26 +52,15 @@ val observe : histogram -> float -> unit
 
 val hist_count : histogram -> int
 
-val hist_mean : histogram -> float
-
-val bucket_counts : histogram -> int array
-(** Per-bucket counts, length [bounds + 1] (the last slot is overflow). *)
-
 val quantile : histogram -> float -> float
 (** Bucket-interpolated quantile estimate; exact at bucket edges. *)
 
 (** {1 Registry} *)
 
-val reset : t -> unit
-(** Zero every value but keep all registrations — used when a counter's
-    lifetime is one recovery epoch. *)
-
-val names : t -> string list
-(** Sorted. *)
-
 val to_json : t -> Json.t
 (** Deterministic: metrics sorted by name, histogram buckets in bound
-    order. *)
+    order.  A histogram renders as its [count], [sum], [min], [max] and
+    per-bucket [buckets] (the last one the overflow, [le = "+inf"]). *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable table (histograms as n/mean/p50/p99/max). *)

@@ -18,28 +18,7 @@ let length t = t.n
 
 let dropped t = t.dropped
 
-let clear t =
-  t.events <- [];
-  t.n <- 0;
-  t.dropped <- 0
-
 let events t = List.rev t.events
-
-let event_json e =
-  Json.obj
-    (("ts_us", Json.Int (Int64.to_int e.ts))
-    :: ("event", Json.Str e.name)
-    :: List.map (fun (k, v) -> ("attr." ^ k, Json.Str v)) e.attrs)
-
-(* One JSON object per line, in event order: greppable and diffable. *)
-let to_string t =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b (Json.to_string (event_json e));
-      Buffer.add_char b '\n')
-    (events t);
-  Buffer.contents b
 
 let pp ppf t =
   List.iter

@@ -1,8 +1,8 @@
 (** Structured trace events: a timestamped name plus string attributes.
 
-    Events carry their fields separately, render to JSON-lines deterministically (attributes
-    sorted by key), and are retained in memory so a harness can compare two
-    runs byte-for-byte.  Timestamps are {!Base_sim.Sim_time} microseconds —
+    Events carry their fields separately, render deterministically
+    (attributes sorted by key), and are retained in memory so a harness can
+    compare two runs byte-for-byte.  Timestamps are {!Base_sim.Sim_time} microseconds —
     never a wall clock. *)
 
 type event = { ts : int64; name : string; attrs : (string * string) list }
@@ -22,14 +22,7 @@ val length : t -> int
 val dropped : t -> int
 (** Events refused because the sink was full. *)
 
-val clear : t -> unit
-(** Forget every event, and the count of dropped ones. *)
-
 val events : t -> event list
 (** In record order. *)
-
-val to_string : t -> string
-(** JSON-lines rendering, one event per line; byte-identical for identical
-    event sequences. *)
 
 val pp : Format.formatter -> t -> unit

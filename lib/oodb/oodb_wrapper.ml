@@ -44,16 +44,11 @@ let find_free t =
 
 let aoid_of t i = { index = i; gen = t.slots.(i).gen }
 
-(* Canonical field order of the abstract encoding: by field name, then by
-   value/target so duplicate names (which the engine never produces) would
-   still encode identically on every replica. *)
-let compare_field (f1, v1) (f2, v2) =
-  match String.compare f1 f2 with 0 -> String.compare v1 v2 | c -> c
-
-let compare_ref (f1, (o1 : aoid)) (f2, (o2 : aoid)) =
-  match String.compare f1 f2 with
-  | 0 -> ( match Int.compare o1.index o2.index with 0 -> Int.compare o1.gen o2.gen | c -> c)
-  | c -> c
+(* Canonical order of the abstract encoding's field and reference lists:
+   by name, so every replica encodes identical abstract objects to
+   identical bytes whatever the engine's internal order.  The engine keeps
+   one binding per name, so the name alone orders either list. *)
+let by_name (f1, _) (f2, _) = String.compare f1 f2
 
 (* Abstract view of one slot: fields sorted, refs sorted and translated to
    abstract oids. *)
@@ -62,7 +57,7 @@ let abstract_value t i =
   match Oodb.get t.db token with
   | None -> failwith "oodb wrapper: token vanished"
   | Some r ->
-    let fields = List.sort compare_field r.Oodb.fields in
+    let fields = List.sort by_name r.Oodb.fields in
     let refs =
       r.Oodb.refs
       |> List.filter_map (fun (f, target) ->
@@ -71,7 +66,7 @@ let abstract_value t i =
                when Option.equal String.equal t.slots.(ti).token (Some target) ->
                Some (f, aoid_of t ti)
              | Some _ | None -> None (* dangling: target was deleted *))
-      |> List.sort compare_ref
+      |> List.sort by_name
     in
     (fields, refs)
 

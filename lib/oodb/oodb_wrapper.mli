@@ -7,14 +7,6 @@
     allocation, canonical sorted encodings, and version stamps taken from
     the agreed non-deterministic values. *)
 
-val compare_field : string * string -> string * string -> int
-(** Canonical order of the abstract encoding's field list: by field name,
-    then value, so every replica encodes identical abstract objects to
-    identical bytes regardless of the engine's internal field order. *)
-
-val compare_ref : string * Oodb_proto.aoid -> string * Oodb_proto.aoid -> int
-(** Same, for reference lists: by field name, then (index, gen). *)
-
 val make :
   ?max_skew_us:int64 ->
   seed:int64 ->

@@ -10,7 +10,6 @@ let of_sec s = Int64.of_float (s *. 1e6)
 
 let to_sec t = Int64.to_float t /. 1e6
 
-let to_ms t = Int64.to_float t /. 1e3
 
 let add = Int64.add
 

@@ -12,8 +12,6 @@ val of_sec : float -> t
 
 val to_sec : t -> float
 
-val to_ms : t -> float
-
 val add : t -> t -> t
 
 val sub : t -> t -> t

@@ -10,18 +10,6 @@ let encode s =
   done;
   Bytes.unsafe_to_string out
 
-let nibble c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> invalid_arg "Hex.decode: non-hex character"
-
-let decode h =
-  let n = String.length h in
-  if n mod 2 <> 0 then invalid_arg "Hex.decode: odd length";
-  String.init (n / 2) (fun i -> Char.chr ((nibble h.[2 * i] lsl 4) lor nibble h.[(2 * i) + 1]))
-
 let short s =
   let h = encode s in
   if String.length h <= 8 then h else String.sub h 0 8

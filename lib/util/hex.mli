@@ -3,9 +3,5 @@
 val encode : string -> string
 (** [encode s] is the lowercase hex rendering of [s]. *)
 
-val decode : string -> string
-(** [decode h] inverts {!encode}. Raises [Invalid_argument] on odd length or
-    non-hex characters. *)
-
 val short : string -> string
 (** First 8 hex digits of [encode s]; used to abbreviate digests in traces. *)

@@ -16,9 +16,6 @@ val zero : counts
 
 val add : counts -> counts -> counts
 
-val count_string : string -> counts
-(** Count metrics of one source text (as a single file). *)
-
 val count_path : ?ext:string list -> string -> counts
 (** [count_path path] counts the file [path] as one file, or, when [path]
     is a directory, recursively counts all files below it whose suffix is

@@ -14,8 +14,6 @@ let next64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t = create (next64 t)
-
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Drop two bits so the value fits OCaml's 63-bit native int positively. *)
@@ -25,8 +23,6 @@ let int t bound =
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.equal (Int64.logand (next64 t) 1L) 1L
 
 let bernoulli t p = float t 1.0 < p
 

@@ -11,20 +11,9 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Generators created from the same
     seed yield identical streams. *)
 
-val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t]. *)
-
-val next64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)
-
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)

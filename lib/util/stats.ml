@@ -16,12 +16,11 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
+(* [p] of the non-empty ascending [sorted], interpolating between ranks. *)
 let percentile sorted p =
   let n = Array.length sorted in
-  if n = 0 then 0.0
-  else if n = 1 then sorted.(0)
+  if n = 1 then sorted.(0)
   else begin
-    let p = Float.max 0.0 (Float.min 1.0 p) in
     let rank = p *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor rank) in
     let hi = min (lo + 1) (n - 1) in
@@ -53,8 +52,6 @@ let summarize xs =
       p90 = percentile arr 0.9;
       p99 = percentile arr 0.99;
     }
-
-let summarize_opt xs = match summarize xs with { count = 0; _ } -> None | s -> Some s
 
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"

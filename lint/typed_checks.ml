@@ -328,9 +328,14 @@ let check_structure ctx (str : T.structure) =
 
 (* --- U1: exports nothing else references -------------------------------- *)
 
-(* The units whose references keep a lib/ export alive.  test/ counts: a
-   seam that only tests reach is still a seam (doc/lint.md). *)
-let u1_consumer_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+(* The units whose references keep a lib/ export alive: the system and
+   the programs that drive it.  test/ is not among them: an export that
+   only tests call is code the system does not run, so it leaves lib/, or
+   its test reaches it through the behaviour that uses it (doc/lint.md). *)
+let u1_consumer_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
+
+(* Is a [(source, cmt path, cmt)] unit's source under one of [dirs]? *)
+let in_dirs dirs (src, _, _) = List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs
 
 (* Add to [refs] every value [cmt] names through a module path, and every
    module it uses whole (functor argument, [include], first-class pack),
@@ -443,9 +448,6 @@ let cmt_files ~cmt_root dir =
   walk dir;
   List.sort String.compare !result
 
-(* Is a [(source, cmt path, cmt)] unit's source under one of [dirs]? *)
-let in_dirs dirs (src, _, _) = List.exists (fun d -> Checks.has_prefix ~prefix:(d ^ "/") src) dirs
-
 (* [(source, cmt path, cmt)] of every implementation unit below
    [cmt_root] whose source lives under one of [dirs], sorted by source. *)
 let units ~cmt_root dirs =
@@ -500,27 +502,30 @@ let check_cmt ~cmt_root ~rel path =
       check_unit ~rel cmt)
     (read_cmt path)
 
-(* U1 over [(rel, cmt path)] pairs, each both exporter and consumer; used
-   by the fixture tests, the CLI goes through {!scan}. *)
+(* U1 over [(rel, cmt path)] pairs, each an exporter and, when under
+   {!u1_consumer_dirs}, a consumer; used by the fixture tests, the CLI goes
+   through {!scan}. *)
 let check_exports ~cmt_root pairs =
   let units = List.map (fun (rel, path) -> (rel, path, Cmt_format.read_cmt path)) pairs in
   use_load_path ~cmt_root (List.map (fun (_, _, cmt) -> cmt) units);
   let refs = Hashtbl.create 64 in
-  List.iter (fun (_, _, cmt) -> references refs cmt) units;
+  List.iter
+    (fun ((_, _, cmt) as u) -> if in_dirs u1_consumer_dirs u then references refs cmt)
+    units;
   List.sort Checks.compare_finding (unused_exports refs units)
 
 (* Check the [units] whose source lives under one of [dirs], and run U1
-   with every unit as a consumer (the CLI passes the units of [dirs] and
-   {!u1_consumer_dirs}).  Each unit is read under its own load path:
-   executables in different directories each have a [Dune__exe] alias
-   module. *)
+   with every unit under {!u1_consumer_dirs} as a consumer (the CLI passes
+   the units of [dirs] and {!u1_consumer_dirs}).  Each unit is read under
+   its own load path: executables in different directories each have a
+   [Dune__exe] alias module. *)
 let scan ~cmt_root ~dirs units =
   let refs = Hashtbl.create 4096 in
   let findings =
     List.concat_map
       (fun ((rel, _, cmt) as u) ->
         use_load_path ~cmt_root [ cmt ];
-        references refs cmt;
+        if in_dirs u1_consumer_dirs u then references refs cmt;
         if in_dirs dirs u then check_unit ~rel cmt else [])
       units
   in

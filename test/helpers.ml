@@ -152,3 +152,9 @@ let bare_replica ?(net = silent_net) ?(on_execute = fun ~read_only:_ _ -> ()) ~c
     }
   in
   Base_bft.Replica.create ~config ~id ~keychain:chains.(id) ~net ~app ()
+
+(* The standby with node id [id] (in [n .. n+s-1]) of a running system. *)
+let standby sys id =
+  List.find
+    (fun (c : Base_core.Runtime.replica_node) -> c.Base_core.Runtime.rid = id)
+    (Base_core.Runtime.all_cells sys)

@@ -8,7 +8,7 @@ val via_open : unit -> int
 (** Used after [open U1_export]. *)
 
 val via_test : unit -> int
-(** Used only by a unit under test/. *)
+(** Used only by a unit under test/: a U1 finding. *)
 
 val internal_only : unit -> int
-(** Used only inside this module: the one U1 finding. *)
+(** Used only inside this module: a U1 finding. *)

@@ -71,12 +71,16 @@ let test_errors_replicated () =
   Alcotest.(check bool) "eexist" true
     (match C.mkdir nfs root_oid "d" sattr_empty with Error Eexist -> true | _ -> false);
   let d, _ = C.ok (C.lookup nfs root_oid "d") in
+  ignore (C.ok (C.create nfs d "x" sattr_empty));
+  let rmdir =
+    Base_nfs.Nfs_proto.encode_call (Base_nfs.Nfs_proto.Rmdir (root_oid, "d"))
+  in
   Alcotest.(check bool) "enotempty" true
     (match
-       ignore (C.ok (C.create nfs d "x" sattr_empty));
-       C.rmdir nfs root_oid "d"
+       Base_nfs.Nfs_proto.decode_reply
+         (Runtime.invoke_sync sys.Base_workload.Systems.runtime ~client:0 ~operation:rmdir ())
      with
-    | Error Enotempty -> true
+    | Base_nfs.Nfs_proto.R_err Enotempty -> true
     | _ -> false)
 
 let test_poison_masked_when_heterogeneous () =

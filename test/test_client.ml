@@ -214,30 +214,34 @@ let test_ro_fallback_uses_fresh_timestamp () =
   reply w ~replica:1 ~timestamp:2L ~result:"w";
   Alcotest.(check (option string)) "timestamps stay monotonic" (Some "w") !result
 
-(* Regression (D3 class): when two result values both reach their quorum,
-   the winner must not depend on arrival order.  [quorum_winner] is pinned
-   to the lexicographically smallest qualifying result, whatever the order
-   the replies were recorded in or the replica ids that sent them. *)
+(* Regression (D3 class): the winner must not depend on the order the
+   replies were recorded in or on the replica ids that sent them.  A result
+   wins once f+1 replicas agree on it, and a replica that changes its reply
+   moves its vote. *)
 let test_quorum_winner_deterministic () =
-  let winner_of bindings ~needed =
-    let replies = Array.make 6 None in
-    List.iter (fun (r, v) -> replies.(r) <- Some v) bindings;
-    Client.quorum_winner ~needed replies
+  let winner_of replies =
+    let w = make_world () in
+    let result = ref None in
+    Client.invoke w.client ~operation:"op" (fun r -> result := Some r);
+    List.iter (fun (replica, r) -> reply w ~replica ~timestamp:0L ~result:r) replies;
+    !result
   in
   Alcotest.(check (option string))
-    "two qualifying results: smallest wins" (Some "aa")
-    (winner_of [ (0, "zz"); (1, "zz"); (2, "aa"); (3, "aa") ] ~needed:2);
+    "replica ids irrelevant" (Some "aa")
+    (winner_of [ (0, "zz"); (2, "aa"); (3, "aa") ]);
   Alcotest.(check (option string))
     "insertion order irrelevant" (Some "aa")
-    (winner_of [ (3, "aa"); (1, "zz"); (0, "aa"); (2, "zz") ] ~needed:2);
+    (winner_of [ (3, "aa"); (0, "zz"); (2, "aa") ]);
   Alcotest.(check (option string))
-    "many qualifying results: smallest wins" (Some "r-a")
-    (winner_of
-       [ (0, "r-f"); (1, "r-e"); (2, "r-a"); (3, "r-c"); (4, "r-b"); (5, "r-d") ]
-       ~needed:1);
+    "the first quorum wins" (Some "zz")
+    (winner_of [ (0, "zz"); (1, "zz"); (2, "aa"); (3, "aa") ]);
+  Alcotest.(check (option string)) "no quorum" None (winner_of [ (0, "x"); (1, "y") ]);
   Alcotest.(check (option string))
-    "no quorum" None
-    (winner_of [ (0, "x"); (1, "y") ] ~needed:2)
+    "a changed reply withdraws its vote" None
+    (winner_of [ (0, "x"); (0, "y"); (1, "x") ]);
+  Alcotest.(check (option string))
+    "and gives it to its new result" (Some "y")
+    (winner_of [ (0, "x"); (0, "y"); (1, "x"); (2, "y") ])
 
 let test_latency_histogram_streams () =
   let w = make_world () in

@@ -7,7 +7,7 @@
    continuously along a trace, not just at the end of one. *)
 
 module TC = Test_conformance
-module Spec = Base_nfs.Abstract_spec
+module Spec = Nfs_model
 module Service = Base_core.Service
 module Prng = Base_util.Prng
 module Sha256 = Base_crypto.Sha256

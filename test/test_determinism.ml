@@ -4,8 +4,6 @@
    polymorphic [compare]. *)
 
 module Loc = Base_util.Loc_count
-module St = Base_core.State_transfer
-module Ow = Base_oodb.Oodb_wrapper
 open Base_oodb.Oodb_proto
 
 let test_heap_tie_break () =
@@ -42,30 +40,53 @@ let test_loc_count_dir_deterministic () =
   | _ -> Alcotest.fail "a missing path counted"
   | exception Sys_error _ -> ()
 
+(* A fetch hands the objects it fetched to [put_objs] in one batch, in
+   ascending index order, whatever order the replies arrived in. *)
 let test_state_transfer_obj_order () =
-  (* Fetched objects install in ascending index order; the payload never
-     participates. *)
-  Alcotest.(check int) "index orders" (-1) (St.compare_obj (1, "zzz") (2, "aaa"));
-  Alcotest.(check int) "payload ignored" 0 (St.compare_obj (5, "a") (5, "b"));
-  let objs = [ (3, "c"); (1, "a"); (2, "b") ] in
-  Alcotest.(check (list (pair int string)))
-    "sort pins ascending indices"
-    [ (1, "a"); (2, "b"); (3, "c") ]
-    (List.sort St.compare_obj objs)
+  let module P = Test_st_pipeline in
+  let batches = ref [] in
+  let store_src, src = P.synthetic ~seed:1L () in
+  let _, dst = P.synthetic ~on_put:(fun objs -> batches := List.map fst objs :: !batches) ~seed:1L () in
+  let prng = Base_util.Prng.create 2L in
+  let touched = [ 41; 3; 60; 17; 9; 33; 28 ] in
+  List.iter (fun i -> P.mutate ~obj_bytes:64 store_src src prng i) touched;
+  let _, digest = P.checkpoint src ~seq:1 in
+  let r = P.drive ~window:2 ~sources:[ 0; 1; 2 ] ~src ~dst ~seq:1 ~digest () in
+  Alcotest.(check bool) "completed" true r.P.completed;
+  Alcotest.(check (list (list int)))
+    "one batch, ascending indices" [ List.sort Int.compare touched ] !batches
 
+(* An object's fields and references encode sorted by name, whatever order
+   the engine holds them in: two wrappers that set them in opposite orders
+   agree on the reply and on the abstract object's bytes. *)
 let test_oodb_canonical_order () =
-  let fields = [ ("size", "2"); ("name", "x"); ("name", "a") ] in
-  Alcotest.(check (list (pair string string)))
-    "fields by name then value"
-    [ ("name", "a"); ("name", "x"); ("size", "2") ]
-    (List.sort Ow.compare_field fields);
-  let r name index gen = (name, { index; gen }) in
-  let refs = [ r "next" 2 0; r "child" 4 1; r "next" 1 5; r "next" 1 2 ] in
-  let sorted = List.sort Ow.compare_ref refs in
-  Alcotest.(check (list string))
-    "refs by name then index then gen"
-    [ "child:4.1"; "next:1.2"; "next:1.5"; "next:2.0" ]
-    (List.map (fun (f, (o : aoid)) -> Printf.sprintf "%s:%d.%d" f o.index o.gen) sorted)
+  let build ~seed order =
+    let w = Test_oodb.make_wrapper ~seed in
+    let exec = Test_oodb.exec w ~ts:1L in
+    let o = match exec New with R_oid o -> o | _ -> Alcotest.fail "new" in
+    let kids = List.map (fun _ -> match exec New with R_oid k -> k | _ -> Alcotest.fail "new") [ 1; 2 ] in
+    let steps =
+      [
+        (fun () -> exec (Set_field (o, "size", "2")));
+        (fun () -> exec (Set_field (o, "name", "x")));
+        (fun () -> exec (Set_ref (o, "next", List.nth kids 0)));
+        (fun () -> exec (Set_ref (o, "child", List.nth kids 1)));
+      ]
+    in
+    List.iter (fun step -> ignore (step ())) (order steps);
+    (w, exec (Get o), o)
+  in
+  let a, reply_a, o = build ~seed:1L Fun.id in
+  let b, reply_b, _ = build ~seed:2L List.rev in
+  (match reply_a with
+  | R_value { fields; refs; _ } ->
+    Alcotest.(check (list (pair string string)))
+      "fields by name" [ ("name", "x"); ("size", "2") ] fields;
+    Alcotest.(check (list string)) "refs by name" [ "child"; "next" ] (List.map fst refs)
+  | _ -> Alcotest.fail "get");
+  Alcotest.(check bool) "same reply" true (reply_a = reply_b);
+  Alcotest.(check string) "same abstract object"
+    (a.Base_core.Service.get_obj o.index) (b.Base_core.Service.get_obj o.index)
 
 let suite =
   [

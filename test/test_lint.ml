@@ -231,34 +231,59 @@ let u1 fs =
   List.map (fun f -> (f.C.file, f.C.line, C.rule_name f.C.rule)) fs
 
 (* The exporter poses as a library unit, the consumers as a binary and a
-   test: of the four exports only the one used inside its own module is
-   flagged, at its .mli declaration. *)
+   test: of the four exports the one used inside its own module and the
+   one only the test uses are flagged, at their .mli declarations.  test/
+   is not a consumer, so leaving the test unit out changes nothing. *)
 let test_u1_fixture () =
   let exporter = ("lib/util/u1_export.ml", fixture_cmt "u1_export") in
   let alias_and_open = ("bin/u1_consumer.ml", fixture_cmt "u1_consumer") in
   let test_use = ("test/u1_test_use.ml", fixture_cmt "u1_test_use") in
+  let expected = [ ("lib/util/u1_export.mli", 10, "U1"); ("lib/util/u1_export.mli", 13, "U1") ] in
   Alcotest.(check (list (triple string int string)))
-    "only internal_only is unreferenced"
-    [ ("lib/util/u1_export.mli", 13, "U1") ]
+    "via_test and internal_only are unreferenced" expected
     (u1 (Typed.check_exports ~cmt_root [ exporter; alias_and_open; test_use ]));
   Alcotest.(check (list (triple string int string)))
-    "without the test/ consumer, via_test is unreferenced too"
-    [ ("lib/util/u1_export.mli", 10, "U1"); ("lib/util/u1_export.mli", 13, "U1") ]
+    "the test/ unit keeps nothing alive" expected
     (u1 (Typed.check_exports ~cmt_root [ exporter; alias_and_open ]))
 
-(* The repository itself: no lib/ export is dead.  Systems.registers_wrapper
-   (lib/workload/systems.ml, no .mli) is referenced from perfbench/ alone,
-   so this fails if perfbench/ stops counting as a consumer. *)
+(* The repository itself: the U1 findings are exactly the values waived in
+   lint/allowlist.sexp (the per-cell inspectors that wait for a status
+   snapshot, and the lock clock no run can exercise yet), so a new export
+   only tests use fails here.
+   Systems.registers_wrapper (lib/workload/systems.ml, no .mli) is
+   referenced from perfbench/ alone, so this fails if perfbench/ stops
+   counting as a consumer. *)
+let waived_u1 =
+  [
+    "lib/base_core/runtime.mli: Runtime.promote_now";
+    "lib/base_core/runtime.mli: Runtime.trace";
+    "lib/base_core/state_transfer.mli: State_transfer.inflight";
+    "lib/base_core/state_transfer.mli: State_transfer.scoreboard";
+    "lib/base_core/xshard.mli: Xshard.lock_clock";
+    "lib/base_core/xshard.mli: Xshard.next_lock_ts";
+    "lib/bft/replica.mli: Replica.low_watermark";
+    "lib/bft/replica.mli: Replica.pending_count";
+    "lib/bft/replica.mli: Replica.client_pending";
+    "lib/bft/replica.mli: Replica.early_pre_prepares";
+  ]
+
 let test_u1_real_tree () =
   let failures = !Typed.env_failures in
   let units = Typed.units ~cmt_root Typed.u1_consumer_dirs in
   Alcotest.(check bool) "lib/ units scanned" true
     (List.length (List.filter (Typed.in_dirs [ "lib" ]) units) > 50);
   let fs = Typed.scan ~cmt_root ~dirs:[ "lib" ] units in
-  let u1_msgs = List.filter_map (fun f -> if f.C.rule = C.U1 then Some f.C.msg else None) fs in
-  Alcotest.(check (list string)) "no U1 findings in the repository" [] u1_msgs;
+  let u1_values =
+    List.filter_map
+      (fun f ->
+        if f.C.rule = C.U1 then
+          Some (f.C.file ^ ": " ^ List.hd (String.split_on_char ' ' f.C.msg))
+        else None)
+      fs
+  in
+  Alcotest.(check (list string)) "U1 finds exactly the waived values" waived_u1 u1_values;
   Alcotest.(check bool) "Systems.registers_wrapper not flagged" false
-    (List.exists (fun m -> Base_util.Str_contains.contains m "registers_wrapper") u1_msgs);
+    (List.exists (fun m -> Base_util.Str_contains.contains m "registers_wrapper") u1_values);
   Alcotest.(check int) "every unit's environment reconstructs" failures !Typed.env_failures
 
 (* No source escapes the lint: every .ml under the scanned directories is
@@ -296,7 +321,7 @@ let suite =
       test_taint_env_reconstruction;
     Alcotest.test_case "allowlist round-trip" `Quick test_allowlist_roundtrip;
     Alcotest.test_case "stale waivers judged per file and rule" `Quick test_stale_waivers;
-    Alcotest.test_case "U1: alias, open and test/ consumers" `Quick test_u1_fixture;
+    Alcotest.test_case "U1: alias and open count, test/ does not" `Quick test_u1_fixture;
     Alcotest.test_case "U1: repository has no dead exports" `Quick test_u1_real_tree;
     Alcotest.test_case "every source is a checked unit" `Quick test_every_source_checked;
   ]

@@ -17,7 +17,7 @@ let obj_digest tag i gen = Digest.of_string (Printf.sprintf "%s-%d-g%d" tag i ge
 let populated ~n_leaves ~branching =
   let t = PT.create ~n_leaves ~branching in
   for i = 0 to n_leaves - 1 do
-    PT.set_leaf t i (obj_digest "obj" i 0)
+    PT.set_leaves t [ (i, obj_digest "obj" i 0) ]
   done;
   t
 
@@ -53,7 +53,7 @@ let test_diff_descent_finds_exactly_mutated () =
         for _ = 1 to n_mut do
           let i = Prng.int rng n_leaves in
           mutated := i :: !mutated;
-          PT.set_leaf b i (obj_digest "obj" i 1)
+          PT.set_leaves b [ (i, obj_digest "obj" i 1) ]
         done;
         let expected = sorted_uniq !mutated in
         Alcotest.(check (list int))
@@ -68,7 +68,7 @@ let test_no_diff_no_descent () =
     (fun (n_leaves, branching) ->
       let a = populated ~n_leaves ~branching in
       let b = PT.copy a in
-      Alcotest.(check bool) "copies are root-equal" true (PT.equal_root a b);
+      Alcotest.(check bool) "copies are root-equal" true (Digest.equal (PT.root a) (PT.root b));
       Alcotest.(check (list int)) "no differing leaves" [] (diff_leaves a b))
     shapes
 
@@ -81,12 +81,12 @@ let test_tamper_changes_root () =
       for _ = 1 to min n_leaves 16 do
         let i = Prng.int rng n_leaves in
         let orig = PT.leaf t i in
-        PT.set_leaf t i (Digest.of_string (Printf.sprintf "tampered-%d" i));
+        PT.set_leaves t [ (i, Digest.of_string (Printf.sprintf "tampered-%d" i)) ];
         Alcotest.(check bool)
           (Printf.sprintf "tampering leaf %d/%d changes the root" i n_leaves)
           false
           (Digest.equal before (PT.root t));
-        PT.set_leaf t i orig;
+        PT.set_leaves t [ (i, orig) ];
         Alcotest.(check bool)
           (Printf.sprintf "restoring leaf %d restores the root" i)
           true
@@ -105,7 +105,7 @@ let sync ~src ~dst =
     then
       if level = leaf_level then begin
         incr fetched;
-        PT.set_leaf dst index (PT.leaf src index)
+        PT.set_leaves dst [ (index, PT.leaf src index) ]
       end
       else
         let first, last = PT.child_span src ~level ~index in
@@ -130,18 +130,18 @@ let test_fetch_and_verify_sync () =
         for _ = 1 to n_drift do
           let i = Prng.int rng n_leaves in
           touched := i :: !touched;
-          PT.set_leaf src i (obj_digest "obj" i 2)
+          PT.set_leaves src [ (i, obj_digest "obj" i 2) ]
         done;
         for _ = 1 to 1 + Prng.int rng 3 do
           let i = Prng.int rng n_leaves in
           touched := i :: !touched;
-          PT.set_leaf dst i (Digest.of_string (Printf.sprintf "corrupt-%d" i))
+          PT.set_leaves dst [ (i, Digest.of_string (Printf.sprintf "corrupt-%d" i)) ]
         done;
         let n_diff = List.length (diff_leaves src dst) in
         let fetched = sync ~src ~dst in
         Alcotest.(check bool)
           (Printf.sprintf "sync %dx%d yields a root-equal tree" n_leaves branching)
-          true (PT.equal_root src dst);
+          true (Digest.equal (PT.root src) (PT.root dst));
         Alcotest.(check int) "fetches exactly the differing leaves" n_diff fetched;
         Alcotest.(check bool) "fetched no more than it touched" true
           (fetched <= List.length (sorted_uniq !touched))
@@ -175,8 +175,8 @@ let test_interior_nodes_consistent () =
 
 (* Differential: the bulk [set_leaves] (one recompute per touched interior
    node) must produce a tree node-for-node identical to the sequential
-   [set_leaf] fold it replaces — including duplicate indices, where the
-   last write wins in both. *)
+   fold of one-leaf updates (each re-hashing its whole path) it replaces —
+   including duplicate indices, where the last write wins in both. *)
 let test_bulk_matches_sequential () =
   let rng = Prng.create 0xB01DL in
   List.iter
@@ -191,7 +191,7 @@ let test_bulk_matches_sequential () =
               (Prng.int rng n_leaves, obj_digest "bulk" k round))
         in
         PT.set_leaves bulk updates;
-        List.iter (fun (i, d) -> PT.set_leaf seq i d) updates;
+        List.iter (fun (i, d) -> PT.set_leaves seq [ (i, d) ]) updates;
         for level = 0 to PT.levels bulk - 1 do
           for index = 0 to PT.width bulk ~level - 1 do
             Alcotest.(check bool)
@@ -210,8 +210,10 @@ let test_bulk_matches_sequential () =
   Alcotest.(check bool) "empty update is a no-op" true (Digest.equal before (PT.root t));
   PT.set_leaves t [ (3, obj_digest "one" 3 9) ];
   let u = populated ~n_leaves:8 ~branching:2 in
-  PT.set_leaf u 3 (obj_digest "one" 3 9);
-  Alcotest.(check bool) "singleton matches set_leaf" true (PT.equal_root t u)
+  (* A duplicated entry takes the bulk path. *)
+  PT.set_leaves u [ (3, obj_digest "one" 3 9); (3, obj_digest "one" 3 9) ];
+  Alcotest.(check bool) "singleton matches the bulk path" true
+    (Digest.equal (PT.root t) (PT.root u))
 
 let suite =
   [

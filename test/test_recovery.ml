@@ -190,15 +190,6 @@ let test_timeline_counts_the_completing_reply () =
     Alcotest.(check int) "bytes" (tally.State_transfer.bytes_fetched - bytes) tl.Runtime.tl_bytes
   | tls -> Alcotest.failf "expected one recovery episode, got %d" (List.length tls)
 
-(* Every cell of the system: the active cells of every shard, then the
-   standbys. *)
-let all_cells sys =
-  let config = Runtime.config sys in
-  List.concat
-    (List.init (Runtime.n_shards sys) (fun shard ->
-         List.init config.Types.n (fun rid -> Runtime.shard_replica sys ~shard rid)))
-  @ List.init config.Types.s (fun i -> Runtime.standby sys (config.Types.n + i))
-
 let st_fields (s : State_transfer.stats) =
   [
     ("meta_fetched", s.State_transfer.meta_fetched);
@@ -223,7 +214,7 @@ let check_st_totals what sys =
           acc
           (st_fields node.Runtime.recovery_stats.Runtime.fetched))
       (st_fields (State_transfer.fresh_stats ()))
-      (all_cells sys)
+      (Runtime.all_cells sys)
   in
   let totals = st_fields (Runtime.st_totals sys) in
   Alcotest.(check bool) (what ^ ": some objects were fetched") true

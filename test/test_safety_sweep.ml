@@ -15,7 +15,7 @@ let behaviors = [| Faultplan.B_honest; Faultplan.B_mute; Faultplan.B_lie; Faultp
 
 let run_one seed =
   let rng = Prng.create (Int64.of_int (1000 + seed)) in
-  let drop_p = if Prng.bool rng then 0.0 else 0.03 in
+  let drop_p = if Prng.bernoulli rng 0.5 then 0.0 else 0.03 in
   let sys, kvs = make_system ~seed:(Int64.of_int seed) ~drop_p ~checkpoint_period:8 () in
   (* Afflict one random replica with one random behaviour (possibly Honest). *)
   let villain = Prng.int rng 4 in
@@ -30,7 +30,7 @@ let run_one seed =
     if reply <> "ok" then failwith "bad reply";
     expected.(slot) <- Some v;
     (* Interleave reads; they must observe the client's own writes. *)
-    if Prng.bool rng then begin
+    if Prng.bernoulli rng 0.5 then begin
       let rslot = Prng.int rng 8 in
       let got = value_part (get sys ~client:0 rslot) in
       let want = Option.value expected.(rslot) ~default:"" in

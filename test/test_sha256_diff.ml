@@ -27,14 +27,10 @@ let test_every_length () =
     let s = input n in
     Alcotest.(check string) (Printf.sprintf "length %d" n) (hex (Sha256_ref.digest s))
       (hex (Sha256.digest s));
-    let out = Bytes.make 40 '\xee' in
     let ctx = Sha256.init () in
     Sha256.update ctx s;
-    Sha256.finalize_into ctx out;
-    Alcotest.(check string) (Printf.sprintf "length %d, finalize_into" n)
-      (Sha256_ref.digest s) (Bytes.sub_string out 0 32);
-    Alcotest.(check string) "bytes past the digest untouched" (String.make 8 '\xee')
-      (Bytes.sub_string out 32 8)
+    Alcotest.(check string) (Printf.sprintf "length %d, own context" n)
+      (Sha256_ref.digest s) (Sha256.finalize ctx)
   done
 
 (* Feed [s] as chunks cut at [cuts], alternating the entry point:

@@ -9,7 +9,8 @@ module Service = Base_core.Service
 module Digest = Base_crypto.Digest_t
 module Prng = Base_util.Prng
 
-let synthetic ?(n_objects = 64) ?(obj_bytes = 64) ?cache_objs ?(on_get = ignore) ~seed () =
+let synthetic ?(n_objects = 64) ?(obj_bytes = 64) ?cache_objs ?(on_get = ignore)
+    ?(on_put = ignore) ~seed () =
   let prng = Prng.create seed in
   let store = Array.init n_objects (fun _ -> Bytes.to_string (Prng.bytes prng obj_bytes)) in
   let wrapper =
@@ -21,7 +22,10 @@ let synthetic ?(n_objects = 64) ?(obj_bytes = 64) ?cache_objs ?(on_get = ignore)
         (fun i ->
           on_get i;
           store.(i));
-      put_objs = (fun objs -> List.iter (fun (i, v) -> store.(i) <- v) objs);
+      put_objs =
+        (fun objs ->
+          on_put objs;
+          List.iter (fun (i, v) -> store.(i) <- v) objs);
       restart = (fun () -> ());
       propose_nondet = (fun ~clock_us:_ ~operation:_ -> "");
       check_nondet = (fun ~clock_us:_ ~operation:_ ~nondet:_ -> true);
@@ -160,13 +164,16 @@ let test_chunked_objects_reassemble () =
 let test_cache_hit_skips_fetch () =
   let obj_bytes = 64 in
   let store_src, src = synthetic ~obj_bytes ~seed:7L () in
-  let _, dst = synthetic ~obj_bytes ~seed:7L () in
-  let prng = Prng.create 8L in
-  mutate ~obj_bytes store_src src prng 5;
+  let store_dst, dst = synthetic ~obj_bytes ~seed:7L () in
+  mutate ~obj_bytes store_src src (Prng.create 8L) 5;
   let root, digest = checkpoint src ~seq:1 in
-  (* dst has already seen the certified value (say, via copy-on-write
-     before a rollback): prime its leaf cache under the leaf digest. *)
-  Objrepo.cache_put dst (Service.object_digest 5 store_src.(5)) store_src.(5);
+  (* dst has already seen the certified value: it made the same write and
+     brought its leaf digest up to date, then overwrote the object again,
+     so copy-on-write filed the certified value in its leaf cache (as
+     before a rollback). *)
+  mutate ~obj_bytes store_dst dst (Prng.create 8L) 5;
+  ignore (Objrepo.current_root dst);
+  mutate ~obj_bytes store_dst dst (Prng.create 9L) 5;
   let r = drive ~sources:[ 0; 1 ] ~src ~dst ~seq:1 ~digest () in
   Alcotest.(check bool) "completed" true r.completed;
   Alcotest.(check int) "satisfied from the cache" 1 r.stats.St.cache_hits;
@@ -249,6 +256,15 @@ let manual_fetch ?tally () =
   in
   (fetcher, q, deliver)
 
+(* The re-target policy's limits (state_transfer.mli): retry rounds before
+   [Retarget "timeout"], silent rounds before [Retarget "stalled"], and
+   rejections before [Retarget "rejections"]. *)
+let retry_budget = 8
+
+let stall_rounds = 3
+
+let reject_limit = 12
+
 (* A cell's tally after earlier fetches: the per-fetch limits must read
    only what the current fetch adds to it. *)
 let used_tally () =
@@ -258,7 +274,7 @@ let used_tally () =
     objects_fetched = 300;
     bytes_fetched = 20_000;
     retries = 6;
-    heads_rejected = 2 * St.reject_limit;
+    heads_rejected = 2 * reject_limit;
   }
 
 let tallies () = [ ("fresh tally", None); ("used tally", Some (used_tally ())) ]
@@ -275,7 +291,7 @@ let test_retarget_stalled () =
       in
       Alcotest.(check (list verdict)) (what ^ ": three silent rounds, then re-target")
         [ St.Continue; St.Continue; St.Retarget "stalled" ]
-        (silent_rounds ~certified:1 St.stall_rounds);
+        (silent_rounds ~certified:1 stall_rounds);
       Alcotest.(check (list verdict)) (what ^ ": one silent round when superseded")
         [ St.Retarget "superseded" ] (silent_rounds ~certified:2 1))
     (tallies ())
@@ -296,9 +312,9 @@ let test_retarget_timeout () =
       done;
       St.retry ~certified:1 fetcher
     in
-    let verdicts = List.init (St.retry_budget + 1) (fun _ -> round ()) in
+    let verdicts = List.init (retry_budget + 1) (fun _ -> round ()) in
     Alcotest.(check (list verdict)) (what ^ ": eight rounds, then re-target")
-      (List.init St.retry_budget (fun _ -> St.Continue) @ [ St.Retarget "timeout" ])
+      (List.init retry_budget (fun _ -> St.Continue) @ [ St.Retarget "timeout" ])
       verdicts;
     Alcotest.(check bool) (what ^ ": not finished") false (St.finished fetcher);
     counts (St.stats fetcher)
@@ -328,8 +344,8 @@ let test_retarget_rejections () =
       Alcotest.(check int) (what ^ ": every head rejected") (already + 13)
         r.stats.St.heads_rejected;
       Alcotest.(check (list verdict)) (what ^ ": the twelfth rejection re-targets")
-        (List.init (St.reject_limit - 1) (fun _ -> St.Continue) @ [ St.Retarget "rejections" ])
-        (List.filteri (fun i _ -> i < St.reject_limit) r.verdicts))
+        (List.init (reject_limit - 1) (fun _ -> St.Continue) @ [ St.Retarget "rejections" ])
+        (List.filteri (fun i _ -> i < reject_limit) r.verdicts))
     (tallies ())
 
 (* Before an object is overwritten, the leaf cache and every retained

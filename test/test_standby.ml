@@ -43,7 +43,7 @@ let test_shadow_sync_tracks_watermark () =
   let sys, _ = make_system ~seed:61L ~checkpoint_period:8 ~standbys:1 () in
   drive_load sys ~ops:30 ~gap_ms:120;
   settle sys 1.0;
-  let sb = Runtime.standby sys 4 in
+  let sb = Helpers.standby sys 4 in
   let ss = sync_state sb in
   Alcotest.(check bool)
     (Printf.sprintf "standby synced well past the first checkpoint (seq %d)" ss.Runtime.ss_synced_seq)
@@ -65,7 +65,7 @@ let test_promotion_digest_equality () =
   let sys, kvs = make_system ~seed:62L ~checkpoint_period:8 ~standbys:1 () in
   drive_load sys ~ops:20 ~gap_ms:50;
   settle sys 1.0;
-  let pool = Runtime.standby sys 4 in
+  let pool = Helpers.standby sys 4 in
   let synced_seq = (sync_state pool).Runtime.ss_synced_seq in
   Alcotest.(check bool) "standby warm before promotion" true (synced_seq > 0);
   Runtime.promote_now sys 1;
@@ -120,7 +120,7 @@ let test_byzantine_source_cannot_poison_shadow_sync () =
   Objrepo.rebuild_all_digests (Runtime.replica sys 0).Runtime.repo;
   Runtime.apply_faultplan sys (plan "at 1us reboot 4\n");
   settle sys 2.0;
-  let ss = sync_state (Runtime.standby sys 4) in
+  let ss = sync_state (Helpers.standby sys 4) in
   Alcotest.(check bool)
     (Printf.sprintf "cold standby synced despite the poisoner (seq %d)" ss.Runtime.ss_synced_seq)
     true
@@ -145,7 +145,7 @@ let test_stale_standby_skipped_for_fresher () =
   let sys, _ = make_system ~seed:64L ~checkpoint_period:8 ~standbys:2 () in
   drive_load sys ~ops:12 ~gap_ms:120;
   settle sys 0.5;
-  let a = Runtime.standby sys 4 and b = Runtime.standby sys 5 in
+  let a = Helpers.standby sys 4 and b = Helpers.standby sys 5 in
   Alcotest.(check bool) "both standbys warm" true
     ((sync_state a).Runtime.ss_synced_seq > 0 && (sync_state b).Runtime.ss_synced_seq > 0);
   Engine.set_node_up (Runtime.engine sys) 4 false;
@@ -175,7 +175,7 @@ let test_promotion_race_falls_back_in_place () =
   Alcotest.(check bool) "promotion aborted" true
     (counter_value sys "base.standby.promotions_aborted" >= 1);
   Alcotest.(check int) "no promotion completed" 0
-    (sync_state (Runtime.standby sys 4)).Runtime.ss_promotions;
+    (sync_state (Helpers.standby sys 4)).Runtime.ss_promotions;
   let tl =
     match
       List.find_opt (fun tl -> tl.Runtime.tl_rid = 1) (Runtime.recovery_timelines sys)
@@ -214,7 +214,7 @@ let test_faultplan_standby_chaos () =
      in-place recovery of slot 0; promote 5 promoted the warm standby into
      slot 1 (the roll cursor advanced). *)
   Alcotest.(check int) "standby 5 promoted" 1
-    (sync_state (Runtime.standby sys 5)).Runtime.ss_promotions;
+    (sync_state (Helpers.standby sys 5)).Runtime.ss_promotions;
   Alcotest.(check bool) "two episodes recorded" true
     (List.length (Runtime.recovery_timelines sys) >= 2);
   Alcotest.(check bool) "system alive" true (String.equal (set sys ~client:0 0 "alive") "ok");

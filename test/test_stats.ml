@@ -15,37 +15,38 @@ let test_empty () =
   let s = Stats.summarize [] in
   Alcotest.(check int) "empty count" 0 s.Stats.count;
   Alcotest.(check (float 0.0)) "empty mean" 0.0 s.Stats.mean;
-  Alcotest.(check (float 0.0)) "empty p99" 0.0 s.Stats.p99;
-  Alcotest.(check bool) "summarize_opt none" true (Stats.summarize_opt [] = None)
+  Alcotest.(check (float 0.0)) "empty p99" 0.0 s.Stats.p99
 
 let test_all_nan () =
   let s = Stats.summarize [ Float.nan; Float.nan ] in
   Alcotest.(check int) "all-NaN count" 0 s.Stats.count;
-  Alcotest.(check bool) "all-NaN opt" true (Stats.summarize_opt [ Float.nan ] = None)
+  Alcotest.(check int) "one NaN: empty" 0 (Stats.summarize [ Float.nan ]).Stats.count
+
+let empty = Stats.summarize []
 
 let test_nan_filtered () =
   (* NaN observations vanish; the rest aggregate as if they were absent. *)
   let s = Stats.summarize [ 2.0; Float.nan; 4.0 ] in
   check_summary "nan-filtered"
-    { Stats.empty_summary with Stats.count = 2; mean = 3.0; min = 2.0; max = 4.0; p50 = 3.0 }
+    { empty with Stats.count = 2; mean = 3.0; min = 2.0; max = 4.0; p50 = 3.0 }
     s
 
 let test_single () =
   let s = Stats.summarize [ 7.5 ] in
   check_summary "single"
-    { Stats.empty_summary with Stats.count = 1; mean = 7.5; min = 7.5; max = 7.5; p50 = 7.5 }
+    { empty with Stats.count = 1; mean = 7.5; min = 7.5; max = 7.5; p50 = 7.5 }
     s;
   Alcotest.(check (float 1e-9)) "single stddev" 0.0 s.Stats.stddev
 
 let test_percentile_interpolation () =
-  let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile a 0.0);
-  Alcotest.(check (float 1e-9)) "p50 interpolates" 2.5 (Stats.percentile a 0.5);
-  Alcotest.(check (float 1e-9)) "p100" 4.0 (Stats.percentile a 1.0);
-  (* out-of-range p clamps instead of indexing out of bounds *)
-  Alcotest.(check (float 1e-9)) "p>1 clamps" 4.0 (Stats.percentile a 1.5);
-  Alcotest.(check (float 1e-9)) "p<0 clamps" 1.0 (Stats.percentile a (-0.5));
-  Alcotest.(check (float 1e-9)) "empty array" 0.0 (Stats.percentile [||] 0.5)
+  (* Ranks 0..3: p50 falls halfway between 2 and 3, p90 at rank 2.7,
+     p99 at rank 2.97; the input order does not matter. *)
+  let s = Stats.summarize [ 4.0; 1.0; 3.0; 2.0 ] in
+  Alcotest.(check (float 1e-9)) "p50 interpolates" 2.5 s.Stats.p50;
+  Alcotest.(check (float 1e-9)) "p90 interpolates" 3.7 s.Stats.p90;
+  Alcotest.(check (float 1e-9)) "p99 interpolates" 3.97 s.Stats.p99;
+  Alcotest.(check (float 1e-9)) "min is rank 0" 1.0 s.Stats.min;
+  Alcotest.(check (float 1e-9)) "max is the last rank" 4.0 s.Stats.max
 
 let test_negative_values () =
   (* Float.compare sorting must order negatives correctly (polymorphic
@@ -65,7 +66,7 @@ let suite =
     Alcotest.test_case "all-NaN series is empty" `Quick test_all_nan;
     Alcotest.test_case "NaN elements are dropped" `Quick test_nan_filtered;
     Alcotest.test_case "single element" `Quick test_single;
-    Alcotest.test_case "percentile interpolation + clamping" `Quick
+    Alcotest.test_case "percentile interpolation" `Quick
       test_percentile_interpolation;
     Alcotest.test_case "negative values sort correctly" `Quick test_negative_values;
     Alcotest.test_case "stddev is population stddev" `Quick test_population_stddev;

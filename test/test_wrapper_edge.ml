@@ -70,7 +70,7 @@ let test_deep_rename_refreshes_handles () =
   | Proto.R_read ("deep payload", _) -> ()
   | _ -> Alcotest.fail "read after deep rename");
   match exec w ~ts:7L (Proto.Readdir d2) with
-  | Proto.R_readdir [ ("leaf", o) ] -> Alcotest.(check bool) "same oid" true (oid_equal o f)
+  | Proto.R_readdir [ ("leaf", o) ] -> Alcotest.(check bool) "same oid" true (o = f)
   | _ -> Alcotest.fail "readdir after deep rename"
 
 let test_capacity_enospc () =

@@ -208,24 +208,42 @@ let test_no_abort_unsharded () =
     (Runtime.invoke_sync sys ~client:0 ~operation:"lie:1:6" ());
   Alcotest.(check string) "slot 6 written" "corrupted" (get sys ~client:0 6)
 
-(* --- protocol pieces, without a group ----------------------------------------- *)
+(* --- lock requests --------------------------------------------------------------- *)
 
 module Xshard = Base_core.Xshard
 
+(* The format lock requests travel in: ["xlock:coord:client:ts:p1,p2"]. *)
+let lock_operation ~coord ~client ~ts ~parts =
+  Printf.sprintf "xlock:%d:%d:%Ld:%s" coord client ts
+    (String.concat "," (List.map string_of_int parts))
+
+(* The lock format, from both ends.  A protocol instance of its own over
+   a four-shard system's cells, queried before the system runs, parks on
+   a well-formed lock and executes anything else from an internal client
+   as a no-op.  And the system's own locks round-trip: a commit across
+   shards completes only if each participant parses the lock its
+   coordinator wrote. *)
 let test_lock_format () =
+  let sys, slots = make_system ~shards:4 () in
+  let config = Runtime.config sys in
+  let xshard =
+    Xshard.create ~config ~engine:(Runtime.engine sys)
+      (Array.init (Types.n_shards config) (fun shard ->
+           Array.init config.Types.n (fun rid -> Runtime.shard_replica sys ~shard rid)))
+  in
+  let gate ~shard operation =
+    Xshard.ready xshard ~rid:0 ~shard ~client:(Types.internal_client ~shard:0) ~timestamp:100L
+      ~operation
+  in
   List.iter
     (fun (coord, client, ts, parts) ->
-      Alcotest.(check (option (pair (pair int int) (pair int64 (list int)))))
-        "round-trips"
-        (Some ((coord, client), (ts, parts)))
-        (Option.map
-           (fun (c, k, t, p) -> ((c, k), (t, p)))
-           (Xshard.parse_lock ~n_shards:4 (Xshard.lock_operation ~coord ~client ~ts ~parts))))
+      let op = lock_operation ~coord ~client ~ts ~parts in
+      Alcotest.(check bool) (Printf.sprintf "%S parks its shard" op) false
+        (gate ~shard:(List.hd parts) op))
     [ (0, 7, 42L, [ 1 ]); (1, 12, 0L, [ 2; 3 ]); (0, 5, 9_000_000_000L, [ 1; 2; 3 ]) ];
   List.iter
     (fun op ->
-      Alcotest.(check bool) (Printf.sprintf "%S rejected" op) true
-        (Option.is_none (Xshard.parse_lock ~n_shards:4 op)))
+      Alcotest.(check bool) (Printf.sprintf "%S executes as a no-op" op) true (gate ~shard:1 op))
     [
       "";
       "set:1:x";
@@ -239,7 +257,13 @@ let test_lock_format () =
       "xlock:0:7:42:4";
       "xlock:9:7:42:1";
       "xlock:-1:7:42:1";
-    ]
+    ];
+  (* Two slots per shard: slot 1 is in shard 0, slot 5 in shard 2, slot 7
+     in shard 3. *)
+  Alcotest.(check string) "commit across shards 0 and 3" "ok" (mset sys ~client:0 1 7 "x");
+  Alcotest.(check string) "commit across shards 2 and 3" "ok" (mset sys ~client:0 5 7 "y");
+  Runtime.run_until_idle sys;
+  check_agreement ~what:"four shards" slots
 
 (* Two nodes asked the same questions (coordinator shard, committed head)
    hand out the same timestamps, and several locks in one batch never
