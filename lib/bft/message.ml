@@ -53,12 +53,13 @@ type body =
   | Status of status_msg
 
 (* The envelope is content-addressed: [wire] is the canonical encoding the
-   body was sealed (or decoded) from, and [digest_memo] caches its SHA-256.
-   Both are established at construction — seal computes them, the wire path
-   adopts the received bytes — so the hot receive path never re-encodes or
-   re-digests a body.  MACs cover the digest (Castro-Liskov batch
-   authenticators), which ties every check back to the wire bytes: any
-   single-byte change to [wire] fails every receiver's verification. *)
+   body was sealed (or decoded) from, and [digest_memo] caches its SHA-256,
+   computed at most once, by the first MAC that covers it — so the hot
+   receive path never re-encodes or re-digests a body.  A REPLY's one MAC
+   covers its wire bytes; every other body's MACs cover the digest
+   (Castro-Liskov batch authenticators).  Either way every check ties back
+   to the wire bytes: any single-byte change to [wire] fails every
+   receiver's verification. *)
 type envelope = {
   sender : int;
   shard : int;  (* agreement instance this envelope belongs to; 0 = unsharded *)
@@ -299,17 +300,28 @@ let request_digest_of env (r : request) =
   | New_view _ | Status _ ->
     request_digest r
 
-(* What the MACs authenticate.  Shard 0 signs the bare digest — byte-for-byte
-   what every pre-sharding deployment signed, so unsharded MAC streams (and
-   the blessed benches over them) are unchanged.  Shard k > 0 appends the
-   shard id, which binds the envelope to its agreement instance: a validly
-   MACed message replayed from shard j into shard k fails verification
-   instead of splicing one shard's certificate into another's log.  The
-   byte goes to the MAC as a suffix, not by concatenation, and the options
-   are preallocated, so tagging a shard allocates nothing. *)
+(* The shard binding.  Shard 0 MACs exactly what every pre-sharding
+   deployment MACed, so unsharded MAC streams (and the blessed benches over
+   them) are unchanged.  Shard k > 0 appends the shard id, which binds the
+   envelope to its agreement instance: a validly MACed message replayed
+   from shard j into shard k fails verification instead of splicing one
+   shard's certificate into another's log.  The byte goes to the MAC as a
+   suffix, not by concatenation, and the options are preallocated, so
+   tagging a shard allocates nothing. *)
 let shard_suffixes = Array.init 256 (fun i -> Some (Char.chr i))
 
 let mac_suffix shard = if shard = 0 then None else shard_suffixes.(shard land 0xff)
+
+(* What the MACs cover, chosen by the body alone.  A REPLY has one
+   receiver and is never ordered, relayed or vouched for, so its MAC covers
+   its wire bytes and sealing it hashes nothing.  Every other body's MACs
+   cover its digest, which its n MACs share and the protocol reuses. *)
+let mac_input env =
+  match env.body with
+  | Reply _ -> env.wire
+  | Request _ | Pre_prepare _ | Prepare _ | Commit _ | Checkpoint _ | View_change _ | New_view _
+  | Status _ ->
+    Digest.raw (envelope_digest env)
 
 (* Shard k > 0 also pays 4 wire bytes for the shard tag in the header; the
    unsharded size formula is unchanged. *)
@@ -329,34 +341,33 @@ let envelope ~sender ~shard ~body ~wire ~digest_memo ~macs ~mac_lo =
     size = String.length wire + (8 * Array.length macs) + 16 + shard_overhead shard;
   }
 
-let authenticator chain ~shard ~n_receivers d =
-  Base_crypto.Auth.authenticator chain ~n:n_receivers ?suffix:(mac_suffix shard)
-    (Digest.raw d)
+(* Fill in a fresh envelope's [n] MAC slots, slot i for receiver
+   [mac_lo + i]: every seal path ends here. *)
+let authenticated chain ~sender ~shard ~body ~wire ~digest_memo ~n ~mac_lo =
+  let env = envelope ~sender ~shard ~body ~wire ~digest_memo ~macs:(Array.make n "") ~mac_lo in
+  let msg = mac_input env and suffix = mac_suffix shard in
+  for i = 0 to n - 1 do
+    env.macs.(i) <- Base_crypto.Auth.mac chain ~receiver:(mac_lo + i) ?suffix msg
+  done;
+  env
 
 let seal chain ?(shard = 0) ~sender ~n_receivers body =
-  let wire = encode_body body in
-  let d = Digest.of_string wire in
-  let macs = authenticator chain ~shard ~n_receivers d in
-  envelope ~sender ~shard ~body ~wire ~digest_memo:(Some d) ~macs ~mac_lo:0
+  authenticated chain ~sender ~shard ~body ~wire:(encode_body body) ~digest_memo:None
+    ~n:n_receivers ~mac_lo:0
 
 (* A re-send shares the sealed bytes and their digest; only the MACs are
    new, computed under the keys held now. *)
 let reseal chain ~n_receivers env =
-  let macs = authenticator chain ~shard:env.shard ~n_receivers (envelope_digest env) in
-  envelope ~sender:env.sender ~shard:env.shard ~body:env.body ~wire:env.wire
-    ~digest_memo:env.digest_memo ~macs ~mac_lo:0
+  authenticated chain ~sender:env.sender ~shard:env.shard ~body:env.body ~wire:env.wire
+    ~digest_memo:env.digest_memo ~n:n_receivers ~mac_lo:0
 
 let seal_for chain ?(shard = 0) ~sender ~receiver body =
-  let wire = encode_body body in
-  let d = Digest.of_string wire in
-  let macs =
-    [| Base_crypto.Auth.mac chain ~receiver ?suffix:(mac_suffix shard) (Digest.raw d) |]
-  in
-  envelope ~sender ~shard ~body ~wire ~digest_memo:(Some d) ~macs ~mac_lo:receiver
+  authenticated chain ~sender ~shard ~body ~wire:(encode_body body) ~digest_memo:None ~n:1
+    ~mac_lo:receiver
 
-(* Adopt bytes as they arrived: the digest (hence every MAC check) covers
-   what was actually received, so in-flight corruption that decode happens
-   to tolerate — e.g. a flipped padding byte — still voids the MACs. *)
+(* Adopt bytes as they arrived: the MAC checks cover what was actually
+   received, so in-flight corruption that decode happens to tolerate — e.g.
+   a flipped padding byte — still voids the MACs. *)
 let of_wire ?(shard = 0) ~sender ~macs raw =
   match decode_body raw with
   | Error _ as e -> e
@@ -366,8 +377,7 @@ let verify chain ~receiver env =
   let slot = receiver - env.mac_lo in
   slot >= 0
   && slot < Array.length env.macs
-  && Base_crypto.Auth.check chain ~sender:env.sender ?suffix:(mac_suffix env.shard)
-       (Digest.raw (envelope_digest env))
+  && Base_crypto.Auth.check chain ~sender:env.sender ?suffix:(mac_suffix env.shard) (mac_input env)
        ~mac:env.macs.(slot)
 
 (* Constant per-constructor tag: what the engine's per-type traffic tables

@@ -81,10 +81,11 @@ type body =
 (** Content-addressed envelope.  [wire] is the canonical encoding the body
     was sealed from (or, on the wire path, the bytes as received), and
     [digest_memo] memoises its SHA-256 — computed at most once per
-    envelope, never per receiver.  MACs cover the digest, so they bind the
-    exact wire bytes: construct envelopes only through {!seal},
-    {!seal_for} or {!of_wire}, which keep [body], [wire] and the MACs
-    consistent. *)
+    envelope, never per receiver, and only when something needs it.  A
+    REPLY's one MAC covers [wire] itself; every other body's MACs cover
+    the digest.  Either way they bind the exact wire bytes: construct
+    envelopes only through {!seal}, {!reseal}, {!seal_for} or {!of_wire},
+    which keep [body], [wire] and the MACs consistent. *)
 type envelope = {
   sender : int;
   shard : int;
@@ -157,22 +158,25 @@ val seal :
 (** Build an authenticated envelope for receivers [0 .. n_receivers - 1] —
     the form every replica-bound message uses ([n_receivers = n]).  The MAC
     vector no longer scales with the total principal count, which is what
-    keeps sealing affordable with thousands of registered clients.
-    [?shard] (default [0]) tags the envelope with its agreement instance;
-    for shard [k > 0] the MAC input mixes in the shard id, while shard 0
-    MACs are byte-identical to pre-sharding envelopes. *)
+    keeps sealing affordable with thousands of registered clients.  What
+    every MAC covers depends on the body alone: a REPLY's wire bytes (its
+    seal computes no digest), any other body's SHA-256 digest.  [?shard]
+    (default [0]) tags the envelope with its agreement instance; for shard
+    [k > 0] the shard byte is appended to what is MACed, while shard 0 MACs
+    are byte-identical to pre-sharding envelopes. *)
 
 val reseal : Base_crypto.Auth.keychain -> n_receivers:int -> envelope -> envelope
 (** [reseal chain ~n_receivers env] is [env] with a fresh authenticator for
     receivers [0 .. n_receivers - 1] under [chain]'s current keys.  The
-    result shares [env]'s wire bytes and digest: it equals [seal] of the
-    same body, without re-encoding or re-hashing it.  [env] must be one of
-    [chain]'s own envelopes. *)
+    result shares [env]'s wire bytes and memoised digest: it equals [seal]
+    of the same body, without re-encoding or re-hashing it.  [env] must be
+    one of [chain]'s own envelopes. *)
 
 val seal_for :
   Base_crypto.Auth.keychain -> ?shard:int -> sender:int -> receiver:int -> body -> envelope
 (** Build a unicast envelope carrying a single MAC for [receiver] — the form
-    replica-to-client replies use.  [?shard] as in {!seal}. *)
+    replica-to-client replies use.  The MAC covers what {!seal}'s do, so a
+    REPLY's covers its wire bytes.  [?shard] as in {!seal}. *)
 
 val shard_overhead : int -> int
 (** Accounted wire bytes of the shard tag: [0] for shard 0 (the tag is
@@ -187,9 +191,9 @@ val of_wire :
     still voids every MAC. *)
 
 val verify : Base_crypto.Auth.keychain -> receiver:int -> envelope -> bool
-(** Check the receiver's MAC slot against the memoised wire digest under
-    the claimed sender's key (one SipHash-2-4 tag over the 32-byte digest;
-    the body is never re-encoded). *)
+(** Check the receiver's MAC slot under the claimed sender's key: one
+    SipHash-2-4 tag over what {!seal} MACs — a REPLY's wire bytes, any
+    other body's memoised 32-byte digest.  The body is never re-encoded. *)
 
 val kind_label : body -> string
 (** Constant constructor tag (["PRE-PREPARE"]), allocation-free; the

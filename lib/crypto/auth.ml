@@ -68,7 +68,9 @@ let refresh_keys chains i =
 
 (* Castro-Liskov batch authenticators: the caller hashes the broadcast body
    once and MACs the 32-byte digest for each receiver, so sealing for 3f+1
-   receivers costs one body-sized hash plus n short SipHash calls. *)
+   receivers costs one body-sized hash plus n short SipHash calls.  A
+   reply, with one receiver, is MACed over its own bytes instead: one
+   SipHash pass, no hash. *)
 
 let suffix_code = function Some c -> Char.code c | None -> -1
 
@@ -81,9 +83,6 @@ let mac chain ~receiver ?suffix msg =
   let out = Bytes.create 8 in
   Bytes.set_int64_le out 0 (tag chain receiver ?suffix msg);
   Bytes.unsafe_to_string out
-
-let authenticator chain ~n ?suffix msg =
-  Array.init n (fun receiver -> mac chain ~receiver ?suffix msg)
 
 (* The expected tag is never materialised: no scratch, no allocation. *)
 let check chain ~sender ?suffix msg ~mac =

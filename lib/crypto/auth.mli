@@ -32,7 +32,8 @@ val refresh_keys : keychain array -> int -> unit
 (** {1 MACs}
 
     The hot path seals a broadcast by hashing the body once and MACing the
-    32-byte digest for every receiver (a batch authenticator).  A tag is
+    32-byte digest for every receiver (a batch authenticator); a reply, with
+    one receiver, is MACed over its own bytes.  A tag is
     the 8 little-endian bytes of {!Siphash.mac} keyed with the first 16
     bytes of the session key; [~suffix:c] appends one byte to what is
     MACed, without building that string.  Producing a tag allocates the
@@ -41,9 +42,6 @@ val refresh_keys : keychain array -> int -> unit
 
 val mac : keychain -> receiver:int -> ?suffix:char -> string -> string
 (** MAC of the message for one receiver, under the sender/receiver key. *)
-
-val authenticator : keychain -> n:int -> ?suffix:char -> string -> string array
-(** MAC vector for receivers [0 .. n-1]. *)
 
 val check : keychain -> sender:int -> ?suffix:char -> string -> mac:string -> bool
 (** Verify a received MAC under the receiver's key with [sender]: false

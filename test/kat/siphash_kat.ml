@@ -1,9 +1,9 @@
 (* SipHash-2-4 known answers, generated by gen_siphash_kat.sh with OpenSSL;
    do not edit.  Each entry is [(n, suffix, expected lowercase hex tag)]:
-   the message is [message n], the bytes 0 .. n-1, with [suffix] appended
-   when present, under the key 00 01 .. 0f. *)
+   the message is [message n], whose byte i is i mod 256, with [suffix]
+   appended when present, under the key 00 01 .. 0f. *)
 
-let message n = String.init n Char.chr
+let message n = String.init n (fun i -> Char.chr (i land 255))
 
 (* The tag under that key, as the lowercase hex of its 8 wire bytes. *)
 let hex ?suffix msg =
@@ -81,6 +81,11 @@ let vectors =
     (62, None, "575ff28e60381be5");
     (63, None, "724506eb4c328a95");
     (64, None, "d8ca02850bc4d2ac");
+    (255, None, "1ab24dc7fe69c1a9");
+    (256, None, "d7bfa7d226059d99");
+    (1023, None, "f195fad91b2b11ea");
+    (4096, None, "3c55c1e22db718bf");
+    (8199, None, "a056ef9fdff3acbb");
     (0, Some '\xff', "02b8dd277b2fd1ca");
     (6, Some '\x80', "fe653d06e0500e70");
     (7, Some '\x01', "797532e6300ae0f9");
@@ -92,4 +97,9 @@ let vectors =
     (32, Some '\x02', "6912efd598c8a43c");
     (32, Some '\xff', "3c152b506b799869");
     (63, Some '\x07', "b2518d0bfd610e95");
+    (255, Some '\x01', "21860b9611281929");
+    (256, Some '\xff', "7d5469320a771176");
+    (1023, Some '\x80', "d864ddf108372f72");
+    (4096, Some '\x03', "bbfcec83c10ff62e");
+    (8199, Some '\xfe', "071863e48065299a");
   ]

@@ -13,6 +13,8 @@
      input length;
    - [Sha256.update_bytes]: nothing — the compression kernel is a
      [noalloc] external taking the position untagged.
+   - [Message.seal_for] of a REPLY: its wire, tag, MAC slot and envelope
+     — a reply's MAC covers its bytes, so no digest.
 
    A change that puts a context, a padding buffer, a boxed counter or a
    boxed kernel argument back on these paths fails here, not only as a
@@ -148,6 +150,23 @@ let test_object_digest () =
   let used = total_bytes_per_call (fun () -> Service.object_digest 7 file_8k) in
   if used > 48 then
     Alcotest.failf "Service.object_digest (8 KB) allocates %d B per call, budget 48 B" used
+
+(* Sealing a REPLY hashes nothing: its MAC covers the wire bytes, so with
+   an 8 KB result the seal allocates the wire, one tag with its key-cache
+   [Some] (40 B), the one-slot MAC array (16 B) and the envelope (72 B) —
+   no 32-byte digest and no [Some] around one, on shard 0 or 3.  A seal
+   that MACs a digest of the wire allocates 64 B more (the 48 B digest and
+   its 16 B [Some]) and fails.  The shard option is built outside the
+   measured window. *)
+let test_reply_seal () =
+  let body = M.Reply { view = 0; timestamp = 1L; client = 6; replica = 1; result = file_8k } in
+  List.iter
+    (fun shard ->
+      let what = Printf.sprintf "Message.seal_for (8 KB REPLY, shard %d)" shard in
+      let shard = Some shard in
+      within_result_budget what ~extra:128 (fun () ->
+          (M.seal_for chains.(1) ?shard ~sender:1 ~receiver:6 body).M.wire))
+    [ 0; 3 ]
 
 let test_one_shot_encodings () =
   let meta = { Spec.mode = 0o644; uid = 1; gid = 1; mtime = 5L; ctime = 5L } in
@@ -471,4 +490,5 @@ let suite =
     Alcotest.test_case "whole-file read: <= 128 B per call" `Quick test_whole_file_read_small;
     Alcotest.test_case "PRE-PREPARE of an 8 KB write accepted: < 1 KB" `Quick
       test_pre_prepare_accept;
+    Alcotest.test_case "REPLY seal, 8 KB result: wire + 128 B, no digest" `Quick test_reply_seal;
   ]

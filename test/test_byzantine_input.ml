@@ -161,7 +161,8 @@ let test_noncanonical_request_ordered_by_its_digest () =
   Alcotest.(check bool) "the flipped pad byte decodes" true
     (M.decode_body raw = Ok (M.Request request));
   let macs =
-    Base_crypto.Auth.authenticator chains.(4) ~n:config.n (Digest.raw (Digest.of_string raw))
+    Array.init config.n (fun receiver ->
+        Base_crypto.Auth.mac chains.(4) ~receiver (Digest.raw (Digest.of_string raw)))
   in
   Replica.receive_wire r1 ~sender:4 ~macs raw;
   Alcotest.(check int) "request authenticated and pending" 1 (Replica.pending_count r1);
